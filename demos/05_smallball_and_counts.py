@@ -16,8 +16,8 @@ from ermbounds import ClassSpec, DesignSpec, beta_star, choose_tau, estimate_Q, 
 design = DesignSpec("gaussian", 16)
 
 print("estimated small-ball floor vs the analytic gaussian value:")
-for u in (0.25, 0.5, 1.0):
-    est = estimate_Q(design, u, directions=300, draws=20000, seed=3)
+thresholds = (0.25, 0.5, 1.0)
+for u, est in zip(thresholds, estimate_Q(design, thresholds, directions=300, draws=20000, seed=3)):
     print(f"  u={u:4.2f}: Q_hat={est.q_hat:.4f} +- {est.stderr:.4f}   analytic {2*stats.norm.sf(u):.4f}")
 
 kappa2 = moment_ratio_p2(design, 4.0, directions=100, draws=50000, seed=3)

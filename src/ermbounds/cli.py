@@ -108,8 +108,11 @@ def resolve_config(subcommand: str, config_path, overrides, flag_values: dict) -
             else:
                 config[key] = value
     for key, value in flag_values.items():
-        if value is not None:
-            config[key] = value
+        if value is None:
+            continue
+        if key == "sigma" and "sigma" not in schema and "noise" in schema:
+            key = "noise.sigma"
+        _apply_dotted(config, key, value)
     for text in overrides or ():
         key, value = _parse_override(text)
         head = key.split(".")[0]

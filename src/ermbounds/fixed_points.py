@@ -224,6 +224,8 @@ def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: i
     s_hi = 2.0 * class_spec.R * math.sqrt(class_spec.n)
     if s_lo is None:
         s_lo = 1e-6 * s_hi
+    if not 0.0 < s_lo < s_hi:
+        raise ValueError(f"s_lo must lie in (0, {s_hi:.6g}), the upper end of the radius grid")
     steps = int(math.ceil(math.log(s_hi / s_lo) / math.log(grid_ratio)))
     grid = s_lo * grid_ratio ** np.arange(steps + 1)
     grid[-1] = s_hi

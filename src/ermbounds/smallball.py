@@ -70,22 +70,7 @@ def probe_directions(design: DesignSpec, count: int, seed: int, max_pairs: int =
     return np.vstack([raw] + structured), count
 
 
-def direction_probability(design: DesignSpec, direction: np.ndarray, u: float, draws: int, seed: int, trial: int = 101) -> float:
-    """Empirical Pr(|<X, t>| >= u ||<X, t>||_L2) for a single direction.
-
-    The probe is normalized internally, so the probability only depends on
-    the direction of t (isotropy gives ||<X, t>||_L2 = ||t||_2).
-    """
-    t = np.asarray(direction, dtype=np.float64)
-    norm = np.linalg.norm(t)
-    if norm == 0.0:
-        raise ValueError("direction must be nonzero")
-    rng = substream(seed, trial, DIRECTIONS_TAG)
-    X = design.sample_coords(rng, (draws, design.n))
-    return float(np.mean(np.abs(X @ (t / norm)) >= u))
-
-
-def estimate_Q(design: DesignSpec, u: float, directions: int = 500, draws: int = 10000, seed: int = 0) -> SmallBallEstimate:
+def estimate_Q(design: DesignSpec, u: float | np.ndarray, directions: int = 500, draws: int = 10000, seed: int = 0) -> SmallBallEstimate | tuple[SmallBallEstimate, ...]:
     """Estimate inf over unit directions t of Pr(|<X, t>| >= u).
 
     Two passes over independent draw sets: the first selects the worst
@@ -93,32 +78,49 @@ def estimate_Q(design: DesignSpec, u: float, directions: int = 500, draws: int =
     is an unbiased binomial estimate of the selected direction's probability
     rather than a minimum dragged down by selection noise. Isotropy makes
     ||<X, t>||_L2 = 1 for unit t, so u is used as an absolute threshold.
+
+    `u` is one threshold or a 1-D array of thresholds. A float returns one
+    SmallBallEstimate; an array returns a tuple of them in input order. All
+    thresholds of an array share one set of probe directions and draws, so
+    each entry equals the estimate a separate call with that threshold and
+    the same seed returns.
     """
-    if u < 0:
+    us = np.asarray(u, dtype=np.float64)
+    if us.ndim > 1:
+        raise ValueError("u must be a threshold or a 1-D array of thresholds")
+    if np.any(us < 0):
         raise ValueError("u must be nonnegative")
     if draws < 1000:
         raise ValueError("need at least 1e3 draws per direction for quantile resolution")
-    if u == 0.0:
-        e1 = np.zeros(design.n)
-        e1[0] = 1.0
-        return SmallBallEstimate(0.0, 1.0, directions, draws, 0.0, e1)
+    # a scalar keeps its own type: the estimate's `u` is echoed into reports
+    thresholds = [u] if us.ndim == 0 else us.tolist()
 
-    T, n_random = probe_directions(design, directions, seed)
-    rng_sel = substream(seed, DIRECTIONS_TAG, 0)
-    X = design.sample_coords(rng_sel, (draws, design.n))
-    probs = np.mean(np.abs(X @ T.T) >= u, axis=0)
-    worst = int(np.argmin(probs))
+    if any(v != 0.0 for v in thresholds):
+        T, n_random = probe_directions(design, directions, seed)
+        rng_sel = substream(seed, DIRECTIONS_TAG, 0)
+        X = design.sample_coords(rng_sel, (draws, design.n))
+        P = X @ T.T
+        np.abs(P, out=P)
+        rng_est = substream(seed, DIRECTIONS_TAG, 1)
+        X2 = design.sample_coords(rng_est, (draws, design.n))
 
-    rng_est = substream(seed, DIRECTIONS_TAG, 1)
-    X2 = design.sample_coords(rng_est, (draws, design.n))
-    q_hat = float(np.mean(np.abs(X2 @ T[worst]) >= u))
-    stderr = math.sqrt(max(q_hat * (1.0 - q_hat), 0.0) / draws)
-
-    flags = []
-    if probs[n_random:].size and probs[:n_random].size:
-        if probs[n_random:].min() < probs[:n_random].min():
-            flags.append("structured_below_random")
-    return SmallBallEstimate(u, q_hat, T.shape[0], draws, stderr, T[worst].copy(), tuple(flags))
+    estimates = []
+    for v in thresholds:
+        if v == 0.0:
+            e1 = np.zeros(design.n)
+            e1[0] = 1.0
+            estimates.append(SmallBallEstimate(0.0, 1.0, directions, draws, 0.0, e1))
+            continue
+        probs = (P >= v).sum(axis=0, dtype=np.int32) / draws
+        worst = int(np.argmin(probs))
+        q_hat = float(np.mean(np.abs(X2 @ T[worst]) >= v))
+        stderr = math.sqrt(max(q_hat * (1.0 - q_hat), 0.0) / draws)
+        flags = []
+        if probs[n_random:].size and probs[:n_random].size:
+            if probs[n_random:].min() < probs[:n_random].min():
+                flags.append("structured_below_random")
+        estimates.append(SmallBallEstimate(v, q_hat, T.shape[0], draws, stderr, T[worst].copy(), tuple(flags)))
+    return estimates[0] if us.ndim == 0 else tuple(estimates)
 
 
 def paley_zygmund_Q(kappa2: float, p: float, u: float) -> float:
@@ -189,7 +191,7 @@ def choose_tau(design: DesignSpec, tau_grid=None, directions: int = 500, draws: 
     grid = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("tau grid must be nonempty")
-    qs = np.array([estimate_Q(design, 2.0 * float(t), directions, draws, seed).q_hat for t in grid])
+    qs = np.array([est.q_hat for est in estimate_Q(design, 2.0 * grid, directions, draws, seed)])
     scores = grid**2 * qs
     best = int(np.argmax(scores))
     flags = ()

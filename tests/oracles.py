@@ -3,7 +3,9 @@
 These deliberately avoid the code paths of the implementations they check:
 the support-function oracle maximizes the linear functional iteratively
 through a Lagrangian bisection on the l2 multiplier, and the 2-d oracle
-enumerates the boundary of the intersection directly.
+enumerates the boundary of the intersection directly. The single-direction
+small-ball probability draws its own sample rather than reading the probe
+matrix the estimator shares across thresholds.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from ermbounds.distributions import DesignSpec
+from ermbounds.rng import DIRECTIONS_TAG, substream
 
 
 def project_l1_reference(v: np.ndarray, radius: float) -> np.ndarray:
@@ -93,3 +98,18 @@ def fit_loglog_slope(xs, ys) -> float:
     xs = np.log(np.asarray(xs, dtype=np.float64))
     ys = np.log(np.asarray(ys, dtype=np.float64))
     return float(np.polyfit(xs, ys, 1)[0])
+
+
+def direction_probability(design: DesignSpec, direction: np.ndarray, u: float, draws: int, seed: int, trial: int = 101) -> float:
+    """Empirical Pr(|<X, t>| >= u ||<X, t>||_L2) for a single direction.
+
+    The probe is normalized internally, so the probability only depends on
+    the direction of t (isotropy gives ||<X, t>||_L2 = ||t||_2).
+    """
+    t = np.asarray(direction, dtype=np.float64)
+    norm = np.linalg.norm(t)
+    if norm == 0.0:
+        raise ValueError("direction must be nonzero")
+    rng = substream(seed, trial, DIRECTIONS_TAG)
+    X = design.sample_coords(rng, (draws, design.n))
+    return float(np.mean(np.abs(X @ (t / norm)) >= u))

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ermbounds.cli import SUBCOMMANDS, run
+from ermbounds.cli import SUBCOMMANDS, resolve_config, run
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -149,6 +149,34 @@ class TestSubcommandRuns:
         assert proc.returncode == 3
         payload = json.loads(out.read_text())
         assert payload["summary"]["passed"] is False
+
+    def test_verify_main_sigma_flag_reaches_noise(self, tmp_path):
+        out = tmp_path / "vm.json"
+        proc = run_cli(
+            [
+                "verify-main",
+                "--sigma", "3",
+                "--n", "4", "--N", "256", "--trials", "30", "--delta", "0.2",
+                "--set", "alpha_trials=1000",
+                "--set", "beta_trials=30",
+                "--set", "tau_draws=2000",
+                "--set", "tau_directions=50",
+                "--output", str(out),
+            ],
+            tmp_path,
+        )
+        assert proc.returncode in (0, 3), proc.stderr
+        config = json.loads(out.read_text())["config"]
+        assert config["resolved"]["noise"]["sigma"] == 3.0
+        assert config["noise"]["sigma"] == 3.0
+        assert "sigma" not in config
+
+    def test_sigma_flag_routing_without_overrides(self):
+        config = resolve_config("verify-main", None, None, {"sigma": 3.0})
+        assert config["noise"] == {"kind": "gaussian", "sigma": 3.0}
+        assert "sigma" not in config
+        # rates keeps sigma at the top level, where its schema has it
+        assert resolve_config("rates", None, None, {"sigma": 3.0})["sigma"] == 3.0
 
     def test_seed_recorded_and_deterministic(self, tmp_path):
         outs = []

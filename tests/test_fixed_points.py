@@ -189,6 +189,14 @@ class TestAlphaStar:
         with pytest.raises(ValueError):
             alpha_star(cls, DesignSpec("gaussian", 4), NoiseSpec("zero"), 32, gamma=0.05, delta=0.01, trials=100, seed=18)
 
+    @pytest.mark.parametrize("s_lo", [0.0, -1.0, 4.0, 5.0], ids=["zero", "negative", "at_s_hi", "above_s_hi"])
+    def test_bracket_checked_at_boundary(self, s_lo):
+        # s_hi = 2R*sqrt(n) = 4 here; a bracket that is empty or reaches
+        # below zero must fail before any sampling, not deep in the grid scan
+        cls = cls_zero(4)
+        with pytest.raises(ValueError, match="s_lo"):
+            alpha_star(cls, DesignSpec("gaussian", 4), NoiseSpec("zero"), 32, gamma=0.05, delta=0.1, trials=500, seed=18, s_lo=s_lo)
+
     def test_dense_scan_oracle(self):
         cls = cls_zero(32)
         design = DesignSpec("rademacher", 32)

@@ -9,13 +9,13 @@ from ermbounds.erm import ClassSpec
 from ermbounds.fixed_points import beta_star
 from ermbounds.smallball import (
     choose_tau,
-    direction_probability,
     estimate_Q,
     l2_l1_ratio,
     moment_ratio_p2,
     paley_zygmund_Q,
     verify_empirical_smallball,
 )
+from oracles import direction_probability
 
 
 class TestEstimateQ:
@@ -61,6 +61,43 @@ class TestEstimateQ:
         est = estimate_Q(DesignSpec("rademacher", 8), 0.5, directions=200, draws=20000, seed=6)
         assert est.q_hat == pytest.approx(0.5, abs=0.02)
         assert "structured_below_random" in est.flags
+
+
+class TestEstimateQGrid:
+    # zero, repeated and unsorted thresholds, all sharing one set of draws
+    GRID = [0.7, 0.0, 1.3, 0.3, 0.7, 2.0, 0.0, 0.3]
+    # one scalar call per threshold at commit 5f5db24, before thresholds
+    # shared their draws
+    RECORDED_Q = {
+        "gaussian": [0.4935, 1.0, 0.187, 0.7735, 0.4935, 0.0465, 1.0, 0.7735],
+        "rademacher": [0.4365, 1.0, 0.0, 0.4815, 0.4365, 0.0, 1.0, 0.4815],
+    }
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+    def test_array_equals_scalar_calls(self, kind):
+        design = DesignSpec(kind, 6)
+        grid_ests = estimate_Q(design, np.array(self.GRID), directions=60, draws=2000, seed=24)
+        assert isinstance(grid_ests, tuple) and len(grid_ests) == len(self.GRID)
+        assert [est.q_hat for est in grid_ests] == self.RECORDED_Q[kind]
+        for u, got in zip(self.GRID, grid_ests):
+            want = estimate_Q(design, u, directions=60, draws=2000, seed=24)
+            assert got.u == want.u
+            assert got.q_hat == want.q_hat
+            assert got.stderr == want.stderr
+            assert got.directions == want.directions
+            assert got.draws == want.draws
+            assert got.flags == want.flags
+            assert np.array_equal(got.argmin_direction, want.argmin_direction)
+        # the grid reaches both flag outcomes, so the flag is compared too
+        assert {est.flags for est in grid_ests} == {(), ("structured_below_random",)}
+
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError):
+            estimate_Q(DesignSpec("gaussian", 4), np.array([0.5, -0.1, 1.0]), draws=1000)
+
+    def test_two_dimensional_grid_rejected(self):
+        with pytest.raises(ValueError):
+            estimate_Q(DesignSpec("gaussian", 4), np.ones((2, 2)), draws=1000)
 
 
 class TestPaleyZygmund:
@@ -141,6 +178,17 @@ class TestChooseTau:
         grid = np.geomspace(0.05, 0.49, 12)
         choice = choose_tau(DesignSpec("rademacher", 16), tau_grid=grid, directions=200, draws=20000, seed=16)
         assert choice.tau == pytest.approx(0.49, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind,tau,q_at_2tau",
+        [("gaussian", 0.6231236162177701, 0.2165), ("rademacher", 0.45459398534539097, 0.287)],
+    )
+    def test_recorded_choice(self, kind, tau, q_at_2tau):
+        # recorded at commit 5f5db24, where choose_tau made one estimate_Q
+        # call per grid point; the shared-draw grid must reproduce them exactly
+        choice = choose_tau(DesignSpec(kind, 6), directions=50, draws=2000, seed=23)
+        assert choice.tau == tau
+        assert choice.q_at_2tau == q_at_2tau
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):
