@@ -321,8 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ermbounds", description="Constrained least squares over l1 balls: fixed points, small-ball diagnostics, rate experiments.")
     parser.add_argument("--version", action="version", version="ermbounds 0.1.0")
     subparsers = parser.add_subparsers(dest="subcommand", metavar="{" + ",".join(SUBCOMMANDS) + "}")
-    env_workers = os.environ.get(WORKERS_ENV)
-    default_workers = int(env_workers) if env_workers and env_workers.isdigit() else 1
+    env_workers = os.environ.get(WORKERS_ENV, "")
+    try:
+        default_workers = int(env_workers or 1)
+        if default_workers < 0:
+            raise ValueError
+    except ValueError:
+        parser.error(f"{WORKERS_ENV} must be a nonnegative integer, got {env_workers!r}")
 
     help_lines = {
         "erm": "solve one constrained least-squares instance",

@@ -67,47 +67,21 @@ def _power_lambda_max(G: np.ndarray, rel_tol: float = 0.005, max_iter: int = 100
         v = np.random.Generator(np.random.PCG64(start_seed)).standard_normal(n)
         v /= np.linalg.norm(v)
         lam = 0.0
+        w = G @ v
         for _ in range(max_iter):
-            w = G @ v
             norm = np.linalg.norm(w)
             if norm == 0.0:
                 lam = 0.0
                 break
             v = w / norm
-            lam_new = float(v @ (G @ v))
+            w = G @ v
+            lam_new = float(v @ w)
             if abs(lam_new - lam) <= rel_tol * max(lam_new, 1e-300):
                 lam = lam_new
                 break
             lam = lam_new
         best = max(best, lam)
     return best
-
-
-def certified_min_eigenvalue(G: np.ndarray, rel_tol: float = 0.01, max_iter: int = 2000) -> float:
-    """Smallest eigenvalue of a PSD matrix by inverse power iteration.
-
-    Returns 0.0 when the matrix is numerically singular.
-    """
-    import scipy.linalg as sla
-
-    n = G.shape[0]
-    try:
-        chol = sla.cho_factor(G, lower=True)
-    except np.linalg.LinAlgError:
-        return 0.0
-    v = np.full(n, 1.0 / math.sqrt(n))
-    mu = 0.0
-    for _ in range(max_iter):
-        w = sla.cho_solve(chol, v)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        mu_new = float(v @ sla.cho_solve(chol, v))
-        if abs(mu_new - mu) <= rel_tol * max(mu_new, 1e-300):
-            break
-        mu = mu_new
-    return 1.0 / mu_new
 
 
 def solve_erm(sample: Sample, class_spec: ClassSpec, tol: float = 1e-9, max_iter: int = 100000) -> ErmResult:
@@ -142,30 +116,34 @@ def solve_erm(sample: Sample, class_spec: ClassSpec, tol: float = 1e-9, max_iter
         t = np.zeros(class_spec.n)
         return ErmResult(t, c, 0, 0.0, True)
 
-    def obj(t):
-        return float(t @ (G @ t) - 2.0 * (b @ t) + c)
+    # objective and gradient take the product G @ t, formed once per point
+    def obj(t, Gt):
+        return float(t @ Gt - 2.0 * (b @ t) + c)
 
-    def grad(t):
-        return 2.0 * (G @ t - b)
+    def grad(Gt):
+        return 2.0 * (Gt - b)
 
     t = project_l1(np.zeros(class_spec.n), R)
+    Gt = G @ t
     y = t
     theta = 1.0
-    f_t = obj(t)
+    f_t = obj(t, Gt)
     residual = math.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        t_next = project_l1(y - grad(y) / L, R)
-        f_next = obj(t_next)
+        t_next = project_l1(y - grad(G @ y) / L, R)
+        Gt_next = G @ t_next
+        f_next = obj(t_next, Gt_next)
         if f_next > f_t:
             # restart: plain projected-gradient step from the last accepted point
             theta = 1.0
-            t_next = project_l1(t - grad(t) / L, R)
-            f_next = obj(t_next)
+            t_next = project_l1(t - grad(Gt) / L, R)
+            Gt_next = G @ t_next
+            f_next = obj(t_next, Gt_next)
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         y = t_next + ((theta - 1.0) / theta_next) * (t_next - t)
-        t, f_t, theta = t_next, f_next, theta_next
-        residual = float(np.linalg.norm(t - project_l1(t - grad(t) / L, R)))
+        t, Gt, f_t, theta = t_next, Gt_next, f_next, theta_next
+        residual = float(np.linalg.norm(t - project_l1(t - grad(Gt) / L, R)))
         if residual <= tol:
             break
     risk = float(np.mean((X @ t - Y) ** 2))

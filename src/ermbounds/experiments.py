@@ -336,6 +336,9 @@ def verify_main_theorem(config: MainTheoremConfig) -> Report:
         "frequency": frequency,
         "criterion": criterion,
         "bound": bound,
+        # every ERM error is at most the class diameter 2R, so such a bound
+        # is met whatever the fixed points are
+        "bound_vacuous": bool(bound >= 2.0 * config.R),
         "alpha": alpha.to_record(),
         "beta": beta.to_record(),
         "tau": tau_choice.to_record(),

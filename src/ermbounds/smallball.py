@@ -44,7 +44,15 @@ class SmallBallEstimate:
         }
 
 
-def probe_directions(design: DesignSpec, count: int, seed: int, max_pairs: int = 2048) -> tuple[np.ndarray, int]:
+MAX_PAIRS = 2048
+
+
+def probe_rows(n: int, count: int) -> int:
+    """Number of rows `probe_directions` returns at the default pair cap, without drawing them."""
+    return count + n + 2 * min(n * (n - 1) // 2, MAX_PAIRS)
+
+
+def probe_directions(design: DesignSpec, count: int, seed: int, max_pairs: int = MAX_PAIRS) -> tuple[np.ndarray, int]:
     """Unit probe directions: `count` random ones plus canonical and 2-sparse ones.
 
     Returns the stacked directions and the number of random rows (the
@@ -109,7 +117,7 @@ def estimate_Q(design: DesignSpec, u: float | np.ndarray, directions: int = 500,
         if v == 0.0:
             e1 = np.zeros(design.n)
             e1[0] = 1.0
-            estimates.append(SmallBallEstimate(0.0, 1.0, directions, draws, 0.0, e1))
+            estimates.append(SmallBallEstimate(0.0, 1.0, probe_rows(design.n, directions), draws, 0.0, e1))
             continue
         probs = (P >= v).sum(axis=0, dtype=np.int32) / draws
         worst = int(np.argmin(probs))

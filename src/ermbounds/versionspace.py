@@ -41,36 +41,63 @@ def nullspace_basis(design: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     return scipy.linalg.null_space(design, rcond=rel_tol)
 
 
-def max_step_l1(t0: np.ndarray, u: np.ndarray, R: float, iters: int = 60) -> float:
-    """Largest s >= 0 with ||t0 + s*u||_1 <= R, for a unit direction u.
+def max_steps_l1(t0: np.ndarray, U: np.ndarray, R: float) -> np.ndarray:
+    """Largest s in [0, 2R(1 + 1e-6)] with ||t0 + s*u||_1 <= R, for every row u of U.
 
-    ||t0 + s*u||_1 is convex in s and feasible at s = 0, so the feasible
-    steps form an interval; bisection keeps the returned point feasible.
+    f(s) = ||t0 + s*u||_1 is convex and piecewise linear in s. A coordinate
+    with t0_i = 0 adds s*|u_i| throughout; one with t0_i != 0 turns at its
+    breakpoint b_i = -t0_i/u_i when b_i > 0, where the intercept drops by
+    2|t0_i| and the slope grows by 2|u_i|. Sorting the breakpoints of
+    supp(t0) gives f on every segment, and the crossing of R is solved
+    exactly on the segment where f leaves the ball. Every step is then
+    checked against the float predicate ||t0 + s*u||_1 <= R and a failing
+    row steps down (one ulp, then doubling) until it passes, so the returned
+    points stay inside the ball.
     """
-    hi = 2.0 * R * (1.0 + 1e-6)
-    if np.abs(t0 + hi * u).sum() <= R:
-        return hi
-    lo = 0.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if np.abs(t0 + mid * u).sum() <= R:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _max_steps_batch(t0: np.ndarray, U: np.ndarray, R: float, iters: int = 60) -> np.ndarray:
-    hi = np.full(U.shape[0], 2.0 * R * (1.0 + 1e-6))
-    lo = np.zeros(U.shape[0])
-    at_cap = np.abs(t0[None, :] + hi[:, None] * U).sum(axis=1) <= R
-    lo[at_cap] = hi[at_cap]
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        feas = np.abs(t0[None, :] + mid[:, None] * U).sum(axis=1) <= R
-        lo = np.where(feas, mid, lo)
-        hi = np.where(feas, hi, mid)
-    return lo
+    t0 = np.asarray(t0, dtype=np.float64)
+    U = np.asarray(U, dtype=np.float64)
+    cap = 2.0 * R * (1.0 + 1e-6)
+    support = np.flatnonzero(t0)
+    t_s = t0[support]
+    norm_t0 = float(np.abs(t0).sum())
+    norm_u = np.abs(U).sum(axis=1)
+    steps = np.empty(U.shape[0])
+    # row blocks keep the m x |supp(t0)| temporaries within one m x n array
+    block = max(1, U.size // (8 * max(support.size, 1)))
+    for lo in range(0, U.shape[0], block):
+        rows = slice(lo, lo + block)
+        u_s = U[rows, support]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = -t_s / u_s
+        turning = (b > 0.0) & np.isfinite(b)
+        b = np.where(turning, b, np.inf)
+        order = np.argsort(b, axis=1)
+        b = np.take_along_axis(b, order, axis=1)
+        w_u = np.take_along_axis(np.where(turning, np.abs(u_s), 0.0), order, axis=1)
+        w_t = np.take_along_axis(np.where(turning, np.abs(t_s), 0.0), order, axis=1)
+        # on segment j (past the first j breakpoints) f(s) = intercept_j + slope_j*s
+        zero = np.zeros((b.shape[0], 1))
+        cu = np.hstack([zero, np.cumsum(w_u, axis=1)])
+        slope = (norm_u[rows, None] - 2.0 * cu[:, -1:]) + 2.0 * cu
+        intercept = norm_t0 - 2.0 * np.hstack([zero, np.cumsum(w_t, axis=1)])
+        finite = np.isfinite(b)
+        inside = finite & (intercept[:, :-1] + slope[:, :-1] * np.where(finite, b, 0.0) <= R)
+        seg = np.logical_and.accumulate(inside, axis=1).sum(axis=1)[:, None]
+        edges = np.hstack([zero, b, np.full_like(zero, np.inf)])
+        a_j = np.take_along_axis(intercept, seg, axis=1)[:, 0]
+        b_j = np.take_along_axis(slope, seg, axis=1)[:, 0]
+        left = np.take_along_axis(edges, seg, axis=1)[:, 0]
+        right = np.take_along_axis(edges, seg + 1, axis=1)[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.where(b_j > 0.0, (R - a_j) / b_j, np.inf)
+        steps[rows] = np.minimum(np.clip(s, left, right), cap)
+    stride = np.spacing(steps)
+    bad = np.flatnonzero(np.abs(t0 + steps[:, None] * U).sum(axis=1) > R)
+    while bad.size:
+        steps[bad] = np.maximum(steps[bad] - stride[bad], 0.0)
+        stride[bad] *= 2.0
+        bad = bad[(steps[bad] > 0.0) & (np.abs(t0 + steps[bad, None] * U[bad]).sum(axis=1) > R)]
+    return steps
 
 
 def version_diameter(design: np.ndarray, class_spec: ClassSpec, probes: int = 1000, seed: int = 0) -> VersionSpaceProbe:
@@ -94,7 +121,7 @@ def version_diameter(design: np.ndarray, class_spec: ClassSpec, probes: int = 10
     norms[norms == 0.0] = 1.0
     U /= norms
     U = np.vstack([U, -U, basis.T, -basis.T])
-    steps = _max_steps_batch(class_spec.t0, U, class_spec.R)
+    steps = max_steps_l1(class_spec.t0, U, class_spec.R)
     best = int(np.argmax(steps))
     witness = class_spec.t0 + steps[best] * U[best]
     return VersionSpaceProbe(float(steps[best]), U.shape[0], dim, witness)

@@ -5,7 +5,8 @@ the support-function oracle maximizes the linear functional iteratively
 through a Lagrangian bisection on the l2 multiplier, and the 2-d oracle
 enumerates the boundary of the intersection directly. The single-direction
 small-ball probability draws its own sample rather than reading the probe
-matrix the estimator shares across thresholds.
+matrix the estimator shares across thresholds. The l1 step oracle bisects on
+the float feasibility predicate instead of sorting breakpoints.
 """
 
 from __future__ import annotations
@@ -113,3 +114,49 @@ def direction_probability(design: DesignSpec, direction: np.ndarray, u: float, d
     rng = substream(seed, trial, DIRECTIONS_TAG)
     X = design.sample_coords(rng, (draws, design.n))
     return float(np.mean(np.abs(X @ (t / norm)) >= u))
+
+
+def max_step_l1(t0: np.ndarray, u: np.ndarray, R: float, iters: int = 60) -> float:
+    """Largest s >= 0 with ||t0 + s*u||_1 <= R, for a unit direction u.
+
+    ||t0 + s*u||_1 is convex in s and feasible at s = 0, so the feasible
+    steps form an interval; bisection keeps the returned point feasible.
+    """
+    hi = 2.0 * R * (1.0 + 1e-6)
+    if np.abs(t0 + hi * u).sum() <= R:
+        return hi
+    lo = 0.0
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if np.abs(t0 + mid * u).sum() <= R:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def certified_min_eigenvalue(G: np.ndarray, rel_tol: float = 0.01, max_iter: int = 2000) -> float:
+    """Smallest eigenvalue of a PSD matrix by inverse power iteration.
+
+    Returns 0.0 when the matrix is numerically singular.
+    """
+    import scipy.linalg as sla
+
+    n = G.shape[0]
+    try:
+        chol = sla.cho_factor(G, lower=True)
+    except np.linalg.LinAlgError:
+        return 0.0
+    v = np.full(n, 1.0 / math.sqrt(n))
+    mu = 0.0
+    for _ in range(max_iter):
+        w = sla.cho_solve(chol, v)
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0
+        v = w / norm
+        mu_new = float(v @ sla.cho_solve(chol, v))
+        if abs(mu_new - mu) <= rel_tol * max(mu_new, 1e-300):
+            break
+        mu = mu_new
+    return 1.0 / mu_new

@@ -11,9 +11,10 @@ from ermbounds.cli import SUBCOMMANDS, resolve_config, run
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, **extra_env):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.abspath(SRC)
+    env.update(extra_env)
     return subprocess.run([sys.executable, "-m", "ermbounds.cli", *args], capture_output=True, text=True, cwd=cwd, env=env)
 
 
@@ -28,6 +29,19 @@ class TestHelp:
         proc = run_cli(["rates", "--help"], tmp_path)
         assert proc.returncode == 0
         assert "ERMBOUNDS_WORKERS" in proc.stdout
+
+
+    @pytest.mark.parametrize("value", ["abc", "-2", "1.5"])
+    def test_bad_workers_env_var_exits_2(self, tmp_path, value):
+        proc = run_cli(["rates"], tmp_path, ERMBOUNDS_WORKERS=value)
+        assert proc.returncode == 2
+        assert "ERMBOUNDS_WORKERS" in proc.stderr
+        assert repr(value) in proc.stderr
+        assert not (tmp_path / "rates_report.json").exists()
+
+    def test_workers_env_var_accepted(self, tmp_path):
+        proc = run_cli(["rates", "--output", str(tmp_path / "r.json")], tmp_path, ERMBOUNDS_WORKERS="2")
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestRates:
@@ -170,6 +184,18 @@ class TestSubcommandRuns:
         assert config["resolved"]["noise"]["sigma"] == 3.0
         assert config["noise"]["sigma"] == 3.0
         assert "sigma" not in config
+
+    def test_verify_main_defaults_flag_vacuous_bound(self, tmp_path):
+        # at the defaults beta_star stops at its upper bracket, so the bound
+        # exceeds the class diameter 2R; passed and the exit code are unchanged
+        out = tmp_path / "vm.json"
+        proc = run_cli(["verify-main", "--output", str(out)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(out.read_text())
+        summary = payload["summary"]
+        assert summary["bound"] >= 2.0 * payload["config"]["R"]
+        assert summary["bound_vacuous"] is True
+        assert summary["passed"] is True
 
     def test_sigma_flag_routing_without_overrides(self):
         config = resolve_config("verify-main", None, None, {"sigma": 3.0})

@@ -1,8 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from ermbounds.distributions import DesignSpec, NoiseSpec, Sample, make_sample
-from ermbounds.erm import ClassSpec, brute_force_erm, certified_min_eigenvalue, excess_loss, solve_erm
+from ermbounds.erm import ClassSpec, brute_force_erm, excess_loss, solve_erm
+from ermbounds.experiments import make_t0
+from oracles import certified_min_eigenvalue
 
 
 def objective(sample, t):
@@ -59,6 +63,22 @@ class TestSolve:
         res = solve_erm(sample, cls, tol=1e-15, max_iter=3)
         assert not res.converged
         assert res.iterations == 3
+
+    @pytest.mark.parametrize(
+        "kind, n, N, digest, iterations",
+        [
+            ("gaussian", 12, 40, "4f6aaaf726bd348242a2152c95b379ee35c9fcbb70a5bd3d77c1d635dcc03dae", 43),
+            ("rademacher", 24, 10, "9377c7ba02b12803c2bdabf6b01b9138b02e5956506e42be404f5a62fd62ab05", 66),
+        ],
+    )
+    def test_recorded_solution_bytes(self, kind, n, N, digest, iterations):
+        # t_hat bytes and iteration counts recorded at commit 382c668, before
+        # each G @ t product was shared between objective and gradient
+        cls = ClassSpec(n=n, R=1.0, t0=make_t0("spike", 0.5, n, 1.0))
+        sample = make_sample(cls, DesignSpec(kind, n), NoiseSpec("gaussian", sigma=0.5), N, seed=17)
+        res = solve_erm(sample, cls, tol=1e-9)
+        assert hashlib.sha256(res.t_hat.tobytes()).hexdigest() == digest
+        assert res.iterations == iterations
 
     def test_monotone_descent(self):
         # re-run the solve manually tracking objectives through tiny max_iter

@@ -13,6 +13,8 @@ from ermbounds.smallball import (
     l2_l1_ratio,
     moment_ratio_p2,
     paley_zygmund_Q,
+    probe_directions,
+    probe_rows,
     verify_empirical_smallball,
 )
 from oracles import direction_probability
@@ -22,6 +24,16 @@ class TestEstimateQ:
     def test_zero_threshold_is_one(self):
         est = estimate_Q(DesignSpec("gaussian", 6), 0.0, seed=1)
         assert est.q_hat == 1.0 and est.stderr == 0.0
+
+    @pytest.mark.parametrize("n", [1, 6, 16, 70])
+    def test_zero_threshold_counts_probed_rows(self, n):
+        # u = 0 reports the probed-row count the u > 0 path reports, with the
+        # 2-sparse pairs capped at MAX_PAIRS once n(n-1)/2 exceeds it (n = 70)
+        design = DesignSpec("gaussian", n)
+        zero, positive = estimate_Q(design, np.array([0.0, 0.5]), directions=40, draws=1000, seed=5)
+        rows = probe_directions(design, 40, seed=5)[0].shape[0]
+        assert zero.directions == positive.directions == rows == probe_rows(n, 40)
+        assert estimate_Q(design, 0.0, directions=40, draws=1000, seed=5).directions == rows
 
     def test_draw_floor(self):
         with pytest.raises(ValueError):

@@ -7,11 +7,98 @@ from ermbounds.distributions import DesignSpec, sample_design
 from ermbounds.erm import ClassSpec
 from ermbounds.fixed_points import beta_star
 from ermbounds.smallball import choose_tau
-from ermbounds.versionspace import max_step_l1, nullspace_basis, version_diameter
+from ermbounds.versionspace import max_steps_l1, nullspace_basis, version_diameter
+from oracles import max_step_l1
 
 
 def cls_zero(n, R=1.0):
     return ClassSpec(n=n, R=R, t0=np.zeros(n))
+
+
+def feasible(t0, s, U, R):
+    return np.abs(t0 + s[:, None] * U).sum(axis=1) <= R
+
+
+class TestMaxSteps:
+    CAP = 2.0 * (1.0 + 1e-6)
+
+    def check_against_oracle(self, t0, U, R):
+        steps = max_steps_l1(t0, U, R)
+        assert steps.shape == (U.shape[0],)
+        assert feasible(t0, steps, U, R).all()
+        # the float predicate cannot resolve a step below a few ulps of R,
+        # hence the absolute 1e-15*R next to the relative 1e-12
+        cap = self.CAP * R
+        for s, u in zip(steps, U):
+            ref = max_step_l1(t0, u, R)
+            assert abs(s - ref) <= 1e-12 * ref + 1e-15 * R
+            if s < cap:
+                assert np.abs(t0 + (s * (1.0 + 1e-12) + 1e-15 * R) * u).sum() > R
+        return steps
+
+    @pytest.mark.parametrize("shape", ["zero", "sparse", "dense"])
+    def test_random_oracle(self, shape):
+        rng = np.random.default_rng({"zero": 10, "sparse": 11, "dense": 12}[shape])
+        for _ in range(25):
+            n = int(rng.integers(2, 30))
+            R = float(rng.uniform(0.2, 3.0))
+            t0 = np.zeros(n)
+            if shape != "zero":
+                t0 = rng.standard_normal(n)
+                if shape == "sparse":
+                    t0 *= rng.random(n) < 0.3
+                if np.abs(t0).any():
+                    t0 *= rng.uniform(0.05, 0.95) * R / np.abs(t0).sum()
+            # directions with exact zero entries, normalized to unit l2 norm
+            U = rng.standard_normal((12, n)) * (rng.random((12, n)) < 0.6)
+            U[:, 0] = rng.standard_normal(12)
+            U /= np.linalg.norm(U, axis=1, keepdims=True)
+            self.check_against_oracle(t0, U, R)
+
+    def test_zero_t0_closed_form(self):
+        rng = np.random.default_rng(13)
+        U = rng.standard_normal((30, 9))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        steps = self.check_against_oracle(np.zeros(9), U, 1.5)
+        assert np.allclose(steps, 1.5 / np.abs(U).sum(axis=1), rtol=1e-14, atol=0.0)
+
+    def test_boundary_t0(self):
+        # ||t0||_1 = R exactly in floating point: a direction that adds mass
+        # allows no step, one that trades mass between coordinates does
+        t0 = np.array([0.5, -0.25, 0.25, 0.0])
+        U = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.6, 0.0, 0.0, 0.8], [-1.0, 0.0, 1.0, 0.0], [0.0, 1.0, -1.0, 0.0]])
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
+        steps = self.check_against_oracle(t0, U, 1.0)
+        assert np.array_equal(steps[:3], np.zeros(3))
+        assert steps[3] > 0.0 and steps[4] > 0.0
+
+    def test_nearly_flat_directions(self):
+        # f rises with a tiny slope from just inside the sphere: the float
+        # predicate resolves the crossing only to about eps*R/slope, so the
+        # certified step may sit many ulps below the exact one but stays inside
+        t0 = np.array([0.3, 0.7 - 7e-15, 0.0])
+        for eps in (1e-4, 1e-8, 1e-12):
+            u = np.array([1.0, -1.0 + eps, 0.0])
+            u /= np.linalg.norm(u)
+            s = max_steps_l1(t0, u[None, :], 1.0)
+            assert feasible(t0, s, u[None, :], 1.0).all()
+            slope = u[0] + u[1]
+            assert abs(s[0] - max_step_l1(t0, u, 1.0)) <= 4.0 * np.finfo(float).eps / slope
+
+    def test_rows_at_cap(self):
+        # a zero row and a short row never leave the ball before the cap
+        t0 = np.array([0.3, 0.0, -0.2])
+        U = np.array([[0.0, 0.0, 0.0], [1e-3, 0.0, 1e-3], [0.0, 1.0, 0.0]])
+        steps = self.check_against_oracle(t0, U, 1.0)
+        assert steps[0] == steps[1] == self.CAP
+        assert steps[2] == pytest.approx(0.5, rel=1e-15)
+
+    def test_empty_design_basis(self):
+        # the null space of an empty design is all of R^n, probed along +-e_i
+        t0 = np.array([0.25, 0.0, -0.5, 0.0])
+        U = np.vstack([np.eye(4), -np.eye(4)])
+        steps = self.check_against_oracle(t0, U, 1.0)
+        assert steps.tolist() == [0.25, 0.25, 1.25, 0.25, 0.75, 0.25, 0.25, 0.25]
 
 
 class TestVersionDiameter:
