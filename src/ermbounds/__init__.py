@@ -30,8 +30,6 @@ from .fixed_points import (
     beta_star,
     expected_rademacher_sup,
     k_star,
-    multiplier_sup,
-    rademacher_sup,
 )
 from .geometry import BallIntersection, project_l1, rearrangement_d, support_l1l2, support_l1l2_batch, top_d_l2
 from .rates import RateInputs, lemma_dsum_bound, rho_N, v1_v2

@@ -204,14 +204,14 @@ def _run_subcommand(args) -> tuple[Report, str, bool]:
         cls = ClassSpec(n=config["n"], R=config["R"], t0=np.zeros(config["n"]))
         design = _design_from(config, config["n"])
         fn = beta_star if sub == "beta" else k_star
-        est = fn(cls, design, config["N"], config["gamma"], trials=config["trials"], seed=seed)
+        est = fn(cls, design, config["N"], config["gamma"], trials=config["trials"], seed=seed, workers=workers)
         return _fixed_point_report(sub, est, config)
 
     if sub == "alpha":
         cls = _class_from(config)
         design = _design_from(config, config["n"])
         noise = _noise_from(config)
-        est = alpha_star(cls, design, noise, config["N"], config["gamma"], config["delta"], trials=config["trials"], seed=seed)
+        est = alpha_star(cls, design, noise, config["N"], config["gamma"], config["delta"], trials=config["trials"], seed=seed, workers=workers)
         return _fixed_point_report("alpha", est, config)
 
     if sub == "smallball":
@@ -317,16 +317,25 @@ def _run_subcommand(args) -> tuple[Report, str, bool]:
     raise ConfigError(f"unknown subcommand {sub!r}")
 
 
+def _workers_count(text: str) -> int:
+    """A `--workers` or `$ERMBOUNDS_WORKERS` value: a nonnegative integer."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ermbounds", description="Constrained least squares over l1 balls: fixed points, small-ball diagnostics, rate experiments.")
     parser.add_argument("--version", action="version", version="ermbounds 0.1.0")
     subparsers = parser.add_subparsers(dest="subcommand", metavar="{" + ",".join(SUBCOMMANDS) + "}")
     env_workers = os.environ.get(WORKERS_ENV, "")
     try:
-        default_workers = int(env_workers or 1)
-        if default_workers < 0:
-            raise ValueError
-    except ValueError:
+        default_workers = _workers_count(env_workers or "0")
+    except argparse.ArgumentTypeError:
         parser.error(f"{WORKERS_ENV} must be a nonnegative integer, got {env_workers!r}")
 
     help_lines = {
@@ -348,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None, help=f"master seed (default 0x{DEFAULT_SEED:X})")
         sp.add_argument("--output", default=None, help="report path (default <subcommand>_report.<fmt>)")
         sp.add_argument("--format", choices=("csv", "json"), default="json")
-        sp.add_argument("--workers", type=int, default=default_workers, help=f"worker count hint (default ${WORKERS_ENV} or 1); never changes results")
+        sp.add_argument("--workers", type=_workers_count, default=default_workers, help=f"threads drawing Monte Carlo trials, also ${WORKERS_ENV}; 0 = every CPU this process may run on (default); never changes results")
         if sub in ("rates", "counterexample", "erm", "beta", "alpha", "kstar", "smallball", "version-space", "verify-main"):
             sp.add_argument("--n", type=int, default=None)
             sp.add_argument("--N", type=int, default=None)

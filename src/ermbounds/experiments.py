@@ -68,6 +68,7 @@ class SweepConfig:
     t0_shape: str = "zero"
     t0_fraction: float = 0.0
     constants: RateInputs | None = None
+    # accepted and never read: sweeps solve one trial at a time (see _cell_errors)
     workers: int = 1
 
     def __post_init__(self):
@@ -114,6 +115,10 @@ def _cell_errors(config: SweepConfig, n: int, N: int, R: float, sigma: float) ->
     cell_seed = derive_seed(config.seed, n, N, int(R * 2**20), int(sigma * 2**20))
     errors = np.empty(config.trials)
     failures = 0
+    # Serial on purpose: on 2 threads the persistence_regimes benchmark op
+    # ran faster (4.10 -> 2.77 s) but held two n=700, N=2800 trials at once,
+    # and its peak RSS rose from 151.9 to 178.6 MiB (+18%, the benchmark
+    # allows 5%).
     for j in range(config.trials):
         sample = make_sample(cls, design, noise, N, cell_seed, trial=j)
         result = solve_erm(sample, cls, tol=config.tol, max_iter=config.max_iter)
@@ -255,7 +260,7 @@ class MainTheoremConfig:
     tol: float = 1e-8
     seed: int = 0x5EED
     gamma_override: float | None = None
-    workers: int = 1
+    workers: int = 0  # threads drawing the alpha and beta trials; 0 = every CPU
 
     def to_record(self) -> dict:
         return {
@@ -298,12 +303,15 @@ def verify_main_theorem(config: MainTheoremConfig) -> Report:
     alpha_trials = config.alpha_trials
     if alpha_trials is None:
         alpha_trials = max(1000, int(math.ceil(50.0 / (config.delta / 4.0))))
-    alpha = alpha_star(cls, design, noise, config.N, gamma, config.delta / 4.0, trials=alpha_trials, seed=derive_seed(config.seed, _STAGE_ALPHA))
-    beta = beta_star(cls, design, config.N, gamma_beta, trials=config.beta_trials, seed=derive_seed(config.seed, _STAGE_BETA))
+    alpha = alpha_star(cls, design, noise, config.N, gamma, config.delta / 4.0, trials=alpha_trials, seed=derive_seed(config.seed, _STAGE_ALPHA), workers=config.workers)
+    beta = beta_star(cls, design, config.N, gamma_beta, trials=config.beta_trials, seed=derive_seed(config.seed, _STAGE_BETA), workers=config.workers)
     bound = 2.0 * max(alpha.value, beta.value)
 
     trial_seed = derive_seed(config.seed, _STAGE_TRIALS)
     errors = np.empty(config.trials)
+    # Serial on purpose: the short FISTA iterations at these sizes hold the
+    # interpreter lock, and on 2 threads the verify_main benchmark op got
+    # slower (2.39 -> 2.99 s).
     for j in range(config.trials):
         sample = make_sample(cls, design, noise, config.N, trial_seed, trial=j)
         result = solve_erm(sample, cls, tol=config.tol)

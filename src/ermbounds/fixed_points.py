@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DesignSpec, NoiseSpec, Sample, sample_design, sample_response
+from .distributions import DesignSpec, NoiseSpec, sample_design, sample_response
 from .erm import ClassSpec
-from .geometry import BallIntersection, support_l1l2, support_l1l2_batch
-from .rng import SIGNS_TAG, substream
+from .geometry import BallIntersection, support_l1l2_batch
+from .rng import SIGNS_TAG, map_trials, substream
 
 DEFAULT_EXPECTATION_TRIALS = 200
 DEFAULT_QUANTILE_TRIALS = 1000
@@ -27,19 +27,23 @@ DEFAULT_QUANTILE_TRIALS = 1000
 
 @dataclass(frozen=True)
 class LocalizedSupConfig:
-    """One Monte Carlo setup: class, design, sample size, replication count."""
+    """One Monte Carlo setup: class, design, sample size, replication count,
+    and the threads that draw the trials (0: every CPU; never changes results)."""
 
     class_spec: ClassSpec
     design: DesignSpec
     N: int
     trials: int
     seed: int
+    workers: int = 0
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.N < 1:
             raise ValueError("N must be >= 1")
+        if self.workers < 0:
+            raise ValueError(f"workers must be a nonnegative integer, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -65,51 +69,17 @@ class FixedPointEstimate:
         }
 
 
-def rademacher_sup(design: np.ndarray, signs: np.ndarray, class_spec: ClassSpec, radius: float) -> float:
-    """Realized localized Rademacher supremum for one sample and sign vector.
-
-    Z = N^{-1/2} sum_i eps_i X_i; the supremum of <Z, t> over the symmetric
-    localization set already dominates the absolute value, so no separate -Z
-    evaluation is needed.
-    """
-    if design.shape[0] != signs.shape[0]:
-        raise ValueError("signs length must match the number of rows")
-    if design.shape[1] != class_spec.n:
-        raise ValueError("design dimension does not match the class")
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    if radius == 0.0:
-        return 0.0
-    N = design.shape[0]
-    z = (signs @ design) / math.sqrt(N)
-    return support_l1l2(z, BallIntersection(2.0 * class_spec.R, radius, class_spec.n))
-
-
-def multiplier_sup(sample: Sample, class_spec: ClassSpec, s: float, signs: np.ndarray) -> float:
-    """Realized multiplier supremum sup |N^{-1/2} sum eps_i xi_i <t - t0, X_i>|."""
-    X, Y = sample.design, sample.responses
-    if X.shape[1] != class_spec.n:
-        raise ValueError("sample dimension does not match the class")
-    if X.shape[0] != signs.shape[0]:
-        raise ValueError("signs length must match N")
-    if s < 0:
-        raise ValueError("radius must be nonnegative")
-    if s == 0.0:
-        return 0.0
-    N = X.shape[0]
-    xi = X @ class_spec.t0 - Y
-    z = ((signs * xi) @ X) / math.sqrt(N)
-    return support_l1l2(z, BallIntersection(2.0 * class_spec.R, s, class_spec.n))
-
-
 def _rademacher_z_batch(config: LocalizedSupConfig) -> np.ndarray:
     """Per-trial vectors Z_j = N^{-1/2} sum_i eps_i X_i, one row per trial."""
     N, n = config.N, config.class_spec.n
     out = np.empty((config.trials, n))
-    for j in range(config.trials):
+
+    def trial(j):
         X = sample_design(config.design, N, config.seed, trial=j)
         eps = substream(config.seed, j, SIGNS_TAG).integers(0, 2, size=N) * 2.0 - 1.0
         out[j] = (eps @ X) / math.sqrt(N)
+
+    map_trials(trial, config.trials, config.workers)
     return out
 
 
@@ -117,12 +87,15 @@ def _multiplier_z_batch(config: LocalizedSupConfig, noise: NoiseSpec) -> np.ndar
     """Per-trial vectors Z_j = N^{-1/2} sum_i eps_i xi_i X_i."""
     N, n = config.N, config.class_spec.n
     out = np.empty((config.trials, n))
-    for j in range(config.trials):
+
+    def trial(j):
         X = sample_design(config.design, N, config.seed, trial=j)
         Y = sample_response(config.class_spec, noise, X, config.seed, trial=j)
         xi = X @ config.class_spec.t0 - Y
         eps = substream(config.seed, j, SIGNS_TAG).integers(0, 2, size=N) * 2.0 - 1.0
         out[j] = ((eps * xi) @ X) / math.sqrt(N)
+
+    map_trials(trial, config.trials, config.workers)
     return out
 
 
@@ -176,7 +149,7 @@ def _bisect_fixed_point(Z: np.ndarray, R: float, threshold, kind: str, r_lo: flo
     return FixedPointEstimate(hi, lo, hi, trials, stderr_at(hi), kind)
 
 
-def beta_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int = DEFAULT_EXPECTATION_TRIALS, seed: int = 0, r_lo: float | None = None) -> FixedPointEstimate:
+def beta_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int = DEFAULT_EXPECTATION_TRIALS, seed: int = 0, r_lo: float | None = None, workers: int = 0) -> FixedPointEstimate:
     """Fixed point where the localized Rademacher mean scales like gamma*r*sqrt(N)."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -185,12 +158,12 @@ def beta_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, t
     r_hi = 2.0 * class_spec.R * math.sqrt(class_spec.n)
     if r_lo is None:
         r_lo = 1e-8 * r_hi
-    config = LocalizedSupConfig(class_spec, design, N, trials, seed)
+    config = LocalizedSupConfig(class_spec, design, N, trials, seed, workers)
     Z = _rademacher_z_batch(config)
     return _bisect_fixed_point(Z, class_spec.R, lambda r: gamma * r * math.sqrt(N), "beta", r_lo, r_hi)
 
 
-def k_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int = DEFAULT_EXPECTATION_TRIALS, seed: int = 0, r_lo: float | None = None) -> FixedPointEstimate:
+def k_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int = DEFAULT_EXPECTATION_TRIALS, seed: int = 0, r_lo: float | None = None, workers: int = 0) -> FixedPointEstimate:
     """Fixed point with the quadratic normalization gamma*r^2*sqrt(N)."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -199,12 +172,12 @@ def k_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, tria
     r_hi = 2.0 * class_spec.R * math.sqrt(class_spec.n)
     if r_lo is None:
         r_lo = 1e-8 * r_hi
-    config = LocalizedSupConfig(class_spec, design, N, trials, seed)
+    config = LocalizedSupConfig(class_spec, design, N, trials, seed, workers)
     Z = _rademacher_z_batch(config)
     return _bisect_fixed_point(Z, class_spec.R, lambda r: gamma * r * r * math.sqrt(N), "kstar", r_lo, r_hi)
 
 
-def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, gamma: float, delta: float, trials: int = DEFAULT_QUANTILE_TRIALS, seed: int = 0, grid_ratio: float = 1.1, s_lo: float | None = None) -> FixedPointEstimate:
+def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, gamma: float, delta: float, trials: int = DEFAULT_QUANTILE_TRIALS, seed: int = 0, grid_ratio: float = 1.1, s_lo: float | None = None, workers: int = 0) -> FixedPointEstimate:
     """Quantile fixed point of the multiplier process.
 
     Scans a geometric radius grid for the smallest s whose empirical success
@@ -230,7 +203,7 @@ def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: i
     grid = s_lo * grid_ratio ** np.arange(steps + 1)
     grid[-1] = s_hi
 
-    config = LocalizedSupConfig(class_spec, design, N, trials, seed)
+    config = LocalizedSupConfig(class_spec, design, N, trials, seed, workers)
     Z = _multiplier_z_batch(config, noise)
     target = 1.0 - delta
     sqN = math.sqrt(N)

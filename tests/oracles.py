@@ -6,7 +6,9 @@ through a Lagrangian bisection on the l2 multiplier, and the 2-d oracle
 enumerates the boundary of the intersection directly. The single-direction
 small-ball probability draws its own sample rather than reading the probe
 matrix the estimator shares across thresholds. The l1 step oracle bisects on
-the float feasibility predicate instead of sorting breakpoints.
+the float feasibility predicate instead of sorting breakpoints. The scalar
+realized suprema take one sample and sign vector at a time, with no trial
+loop or batch, and are compared row by row against the Z-batches.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import math
 
 import numpy as np
 
-from ermbounds.distributions import DesignSpec
+from ermbounds.distributions import DesignSpec, Sample
+from ermbounds.erm import ClassSpec
+from ermbounds.geometry import BallIntersection, support_l1l2
 from ermbounds.rng import DIRECTIONS_TAG, substream
 
 
@@ -160,3 +164,40 @@ def certified_min_eigenvalue(G: np.ndarray, rel_tol: float = 0.01, max_iter: int
             break
         mu = mu_new
     return 1.0 / mu_new
+
+
+def rademacher_sup(design: np.ndarray, signs: np.ndarray, class_spec: ClassSpec, radius: float) -> float:
+    """Realized localized Rademacher supremum for one sample and sign vector.
+
+    Z = N^{-1/2} sum_i eps_i X_i; the supremum of <Z, t> over the symmetric
+    localization set already dominates the absolute value, so no separate -Z
+    evaluation is needed.
+    """
+    if design.shape[0] != signs.shape[0]:
+        raise ValueError("signs length must match the number of rows")
+    if design.shape[1] != class_spec.n:
+        raise ValueError("design dimension does not match the class")
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    if radius == 0.0:
+        return 0.0
+    N = design.shape[0]
+    z = (signs @ design) / math.sqrt(N)
+    return support_l1l2(z, BallIntersection(2.0 * class_spec.R, radius, class_spec.n))
+
+
+def multiplier_sup(sample: Sample, class_spec: ClassSpec, s: float, signs: np.ndarray) -> float:
+    """Realized multiplier supremum sup |N^{-1/2} sum eps_i xi_i <t - t0, X_i>|."""
+    X, Y = sample.design, sample.responses
+    if X.shape[1] != class_spec.n:
+        raise ValueError("sample dimension does not match the class")
+    if X.shape[0] != signs.shape[0]:
+        raise ValueError("signs length must match N")
+    if s < 0:
+        raise ValueError("radius must be nonnegative")
+    if s == 0.0:
+        return 0.0
+    N = X.shape[0]
+    xi = X @ class_spec.t0 - Y
+    z = ((signs * xi) @ X) / math.sqrt(N)
+    return support_l1l2(z, BallIntersection(2.0 * class_spec.R, s, class_spec.n))

@@ -43,6 +43,14 @@ class TestHelp:
         proc = run_cli(["rates", "--output", str(tmp_path / "r.json")], tmp_path, ERMBOUNDS_WORKERS="2")
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("value", ["-3", "abc"])
+    def test_bad_workers_flag_exits_2(self, tmp_path, value):
+        proc = run_cli(["rates", "--workers", value], tmp_path)
+        assert proc.returncode == 2
+        assert "--workers" in proc.stderr
+        assert repr(value) in proc.stderr
+        assert not (tmp_path / "rates_report.json").exists()
+
 
 class TestRates:
     def test_values_match_module_examples(self, tmp_path):
@@ -227,3 +235,22 @@ def test_worker_flag_never_changes_report_bytes(tmp_path):
         assert proc.returncode == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+_SMALL_RUNS = {
+    "alpha": ["--n", "8", "--N", "32", "--trials", "500", "--set", "design.kind=student_t", "--set", "design.p=4", "--set", "noise.kind=heavy_tailed", "--set", "noise.p=3"],
+    "beta": ["--n", "8", "--N", "32", "--trials", "60"],
+    "kstar": ["--n", "8", "--N", "32", "--trials", "60"],
+    "verify-main": ["--n", "4", "--N", "64", "--trials", "30", "--delta", "0.2", "--set", "alpha_trials=1000", "--set", "beta_trials=30", "--set", "tau_draws=2000", "--set", "tau_directions=50"],
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_SMALL_RUNS))
+def test_threaded_subcommands_identical_across_workers(sub, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ERMBOUNDS_WORKERS", raising=False)
+    outs = []
+    for workers in (["--workers", "1"], ["--workers", "2"], []):
+        out = tmp_path / f"{sub}{len(outs)}.json"
+        assert run([sub, *_SMALL_RUNS[sub], *workers, "--output", str(out)]) in (0, 3)
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]

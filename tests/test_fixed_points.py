@@ -1,11 +1,13 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from ermbounds.distributions import DesignSpec, NoiseSpec, make_sample, sample_design
 from ermbounds.erm import ClassSpec
+from ermbounds.experiments import make_t0
 from ermbounds.fixed_points import (
     LocalizedSupConfig,
     _multiplier_z_batch,
@@ -15,10 +17,9 @@ from ermbounds.fixed_points import (
     beta_star,
     expected_rademacher_sup,
     k_star,
-    multiplier_sup,
-    rademacher_sup,
 )
-from oracles import boundary_enum_2d
+from ermbounds.rng import SIGNS_TAG, substream
+from oracles import boundary_enum_2d, multiplier_sup, rademacher_sup
 
 
 def cls_zero(n, R=1.0):
@@ -242,3 +243,59 @@ class TestAlphaStar:
         Z3 = _multiplier_z_batch(config1, NoiseSpec("gaussian", sigma=1.5))
         phi3 = _sup_batch(Z3, 1.0, 0.7)
         assert np.allclose(phi3, 3.0 * _sup_batch(Z1, 1.0, 0.7), rtol=1e-12, atol=0.0)
+
+
+class TestWorkerCounts:
+    # BLAS threads stay at the test-run default here; the benchmark pins them
+    def test_fixed_points_identical_across_workers(self):
+        cls = ClassSpec(n=16, R=1.0, t0=make_t0("spike", 0.5, 16, 1.0))
+        design = DesignSpec("student_t", 16, p=4.0)
+        noise = NoiseSpec("heavy_tailed", sigma=0.5, p=3.0)
+        records = []
+        for workers in (1, 2, 0):
+            records.append(
+                (
+                    alpha_star(cls, design, noise, 64, gamma=0.3, delta=0.1, trials=500, seed=22, workers=workers).to_record(),
+                    beta_star(cls, design, 64, gamma=0.05, trials=60, seed=23, workers=workers).to_record(),
+                    k_star(cls, design, 64, gamma=0.05, trials=60, seed=24, workers=workers).to_record(),
+                    expected_rademacher_sup(LocalizedSupConfig(cls, design, 64, 60, seed=25, workers=workers), 0.5),
+                )
+            )
+        assert repr(records[0]) == repr(records[1]) == repr(records[2])
+
+    def test_z_batches_identical_under_fast_switching(self):
+        # a thread switch every microsecond interleaves the trials as finely
+        # as the interpreter allows; a row written by the wrong trial or lost
+        # would break bitwise equality with the serial loop
+        cls = ClassSpec(n=24, R=1.0, t0=make_t0("flat", 0.5, 24, 1.0))
+        design = DesignSpec("gaussian", 24)
+        noise = NoiseSpec("gaussian", sigma=0.5)
+        serial = [_rademacher_z_batch(LocalizedSupConfig(cls, design, 48, 300, seed=26, workers=1)), _multiplier_z_batch(LocalizedSupConfig(cls, design, 48, 300, seed=26, workers=1), noise)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = [_rademacher_z_batch(LocalizedSupConfig(cls, design, 48, 300, seed=26, workers=0)), _multiplier_z_batch(LocalizedSupConfig(cls, design, 48, 300, seed=26, workers=0), noise)]
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("workers", [2, 0])
+    def test_threaded_rows_match_scalar_oracles(self, workers):
+        cls = ClassSpec(n=12, R=1.0, t0=make_t0("spike", 0.5, 12, 1.0))
+        design = DesignSpec("student_t", 12, p=5.0)
+        noise = NoiseSpec("gaussian", sigma=0.5)
+        N, trials, seed, radius = 40, 16, 27, 0.6
+        config = LocalizedSupConfig(cls, design, N, trials, seed, workers)
+        rad = _sup_batch(_rademacher_z_batch(config), cls.R, radius)
+        mult = _sup_batch(_multiplier_z_batch(config, noise), cls.R, radius)
+        for j in range(trials):
+            signs = substream(seed, j, SIGNS_TAG).integers(0, 2, size=N) * 2.0 - 1.0
+            assert rad[j] == rademacher_sup(sample_design(design, N, seed, trial=j), signs, cls, radius)
+            assert mult[j] == multiplier_sup(make_sample(cls, design, noise, N, seed, trial=j), cls, radius, signs)
+
+    def test_negative_workers_rejected(self):
+        with pytest.raises(ValueError, match="workers"):
+            LocalizedSupConfig(cls_zero(4), DesignSpec("gaussian", 4), 8, 10, seed=0, workers=-1)
+        with pytest.raises(ValueError, match="workers"):
+            beta_star(cls_zero(4), DesignSpec("gaussian", 4), 8, gamma=0.1, trials=10, seed=0, workers=-2)
