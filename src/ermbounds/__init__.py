@@ -28,11 +28,10 @@ from .fixed_points import (
     LocalizedSupConfig,
     alpha_star,
     beta_star,
-    expected_rademacher_sup,
     k_star,
 )
 from .geometry import BallIntersection, project_l1, rearrangement_d, support_l1l2, support_l1l2_batch, top_d_l2
-from .rates import RateInputs, lemma_dsum_bound, rho_N, v1_v2
+from .rates import RateInputs, rho_N, v1_v2
 from .reports import Report, emit_report, wilson_interval
 from .rng import derive_seed, substream
 from .smallball import (

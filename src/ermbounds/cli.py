@@ -56,6 +56,12 @@ SCHEMAS = {
 }
 
 
+# convenience flags for top-level config keys; a subcommand gets a flag only
+# if its schema has the key, or if it routes the flag into a nested key
+VALUE_FLAGS = {"n": int, "N": int, "R": float, "sigma": float, "trials": int, "gamma": float, "delta": float, "u": float}
+ROUTED_FLAGS = {"verify-main": ("sigma",)}  # --sigma sets noise.sigma
+
+
 def _parse_override(text: str):
     if "=" not in text:
         raise ConfigError(f"override {text!r} is not of the form key=value")
@@ -155,7 +161,7 @@ def _fixed_point_report(kind: str, estimate, config: dict) -> tuple[Report, str,
 def _run_subcommand(args) -> tuple[Report, str, bool]:
     sub = args.subcommand
     flag_values = {}
-    for name in ("n", "N", "R", "sigma", "trials", "gamma", "delta", "u"):
+    for name in VALUE_FLAGS:
         if hasattr(args, name):
             flag_values[name] = getattr(args, name)
     config = resolve_config(sub, args.config, args.set, flag_values)
@@ -176,7 +182,7 @@ def _run_subcommand(args) -> tuple[Report, str, bool]:
         return report, f"rho_N={rho:.6g} v1={v1:.6g} v2={v2:.6g}", True
 
     if sub == "counterexample":
-        report = run_counterexample(config["N"], config["trials"], seed=seed)
+        report = run_counterexample(config["N"], config["trials"], seed=seed, workers=workers)
         s = report.summary
         ok = bool(s["ez2_consistent"])
         line = (
@@ -358,21 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--output", default=None, help="report path (default <subcommand>_report.<fmt>)")
         sp.add_argument("--format", choices=("csv", "json"), default="json")
         sp.add_argument("--workers", type=_workers_count, default=default_workers, help=f"threads drawing Monte Carlo trials, also ${WORKERS_ENV}; 0 = every CPU this process may run on (default); never changes results")
-        if sub in ("rates", "counterexample", "erm", "beta", "alpha", "kstar", "smallball", "version-space", "verify-main"):
-            sp.add_argument("--n", type=int, default=None)
-            sp.add_argument("--N", type=int, default=None)
-        if sub in ("rates", "erm", "beta", "alpha", "kstar", "version-space", "verify-main", "smallball"):
-            sp.add_argument("--R", type=float, default=None)
-        if sub in ("rates", "verify-main"):
-            sp.add_argument("--sigma", type=float, default=None)
-        if sub in ("counterexample", "beta", "alpha", "kstar", "verify-main", "smallball"):
-            sp.add_argument("--trials", type=int, default=None)
-        if sub in ("beta", "alpha", "kstar"):
-            sp.add_argument("--gamma", type=float, default=None)
-        if sub in ("alpha", "verify-main"):
-            sp.add_argument("--delta", type=float, default=None)
-        if sub == "smallball":
-            sp.add_argument("--u", type=float, default=None)
+        for name, kind in VALUE_FLAGS.items():
+            if name in SCHEMAS[sub] or name in ROUTED_FLAGS.get(sub, ()):
+                sp.add_argument(f"--{name}", type=kind, default=None)
     return parser
 
 

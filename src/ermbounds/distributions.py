@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, stats
 
-from .rng import DESIGN_TAG, NOISE_TAG, substream
+from .rng import DESIGN_TAG, NOISE_TAG, map_trials, substream
 
 DESIGN_KINDS = ("rademacher", "bounded_uniform", "gaussian", "student_t", "symmetrized_pareto")
 NOISE_KINDS = ("zero", "scaled_sign", "gaussian", "bounded_symmetric", "heavy_tailed")
@@ -64,14 +64,6 @@ class DesignSpec:
         x = 1.0 + rng.pareto(self.p, size=size)
         signs = rng.integers(0, 2, size=size) * 2.0 - 1.0
         return signs * x / math.sqrt(self.p / (self.p - 2.0))
-
-    def linf_bound(self) -> float:
-        """Almost-sure bound on a standardized coordinate (inf for unbounded kinds)."""
-        if self.kind == "rademacher":
-            return 1.0
-        if self.kind == "bounded_uniform":
-            return math.sqrt(3.0)
-        return math.inf
 
     def to_record(self) -> dict:
         rec = {"kind": self.kind, "n": self.n}
@@ -289,6 +281,7 @@ class CounterexampleSpec:
 
 
 _ATOMIC_BLOCK = 1024  # stream granularity: fixed, so chunking cannot change draws
+_SPIKE_CHUNK = 2**20  # uniforms held at once per block task
 
 
 def sample_counterexample(spec: CounterexampleSpec, trials: int, seed: int, trial_offset: int = 0) -> np.ndarray:
@@ -312,3 +305,35 @@ def sample_counterexample(spec: CounterexampleSpec, trials: int, seed: int, tria
         hi = min((b + 1) * block, trial_offset + trials)
         out[lo - trial_offset : hi - trial_offset] = z[lo - b * block : hi - b * block]
     return out
+
+
+def counterexample_spike_counts(spec: CounterexampleSpec, trials: int, seed: int, trial_offset: int = 0, workers: int = 0) -> np.ndarray:
+    """Per-trial spike counts #{i : |Z_i| > 1} of `sample_counterexample`'s rows.
+
+    Each stream block draws only the uniforms `u` that `sample_counterexample`
+    draws first from the same substream, so the counts are exactly those of
+    its matrix, while the signs and the matrix itself are never drawn. Blocks
+    run on up to `workers` threads; the uniforms come in row chunks of about
+    2^20 values, which a single Generator continues exactly where a larger
+    call would, so memory stays bounded whatever N is.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    block = _ATOMIC_BLOCK
+    threshold = 1.0 / spec.N**2
+    chunk = max(1, _SPIKE_CHUNK // spec.N)
+    first_block = trial_offset // block
+    counts = np.empty(trials, dtype=np.int64)
+
+    def count_block(j: int) -> None:
+        b = first_block + j
+        rng = substream(seed, b)
+        lo = max(b * block, trial_offset)
+        hi = min((b + 1) * block, trial_offset + trials)
+        rows = hi - b * block  # rows before lo are drawn too: they precede lo in the stream
+        k = np.concatenate([np.count_nonzero(rng.random((min(chunk, rows - r), spec.N)) < threshold, axis=1) for r in range(0, rows, chunk)])
+        counts[lo - trial_offset : hi - trial_offset] = k[lo - b * block :]
+
+    last_block = (trial_offset + trials - 1) // block
+    map_trials(count_block, last_block - first_block + 1, workers)
+    return counts

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CounterexampleSpec, DesignSpec, NoiseSpec, make_sample, sample_counterexample
+from .distributions import CounterexampleSpec, DesignSpec, NoiseSpec, counterexample_spike_counts, make_sample
 from .erm import ClassSpec, solve_erm
 from .fixed_points import alpha_star, beta_star
 from .rates import RateInputs, rho_N, v1_v2
@@ -189,33 +189,32 @@ def run_persistence_sweep(config: SweepConfig) -> Report:
     return report
 
 
-def run_counterexample(N: int, trials: int, seed: int = 0x5EED, block: int = 4096) -> Report:
+def run_counterexample(N: int, trials: int, seed: int = 0x5EED, workers: int = 0) -> Report:
     """Estimate the two-sided deviation and the one-sided failure probability.
 
     (a) Pr(|P_N Z^2 - E Z^2| > E Z^2 / 2): spoiled by a single spike, so it
         stays of order 1/N.
     (b) Pr(P_N Z^2 < E Z^2 / 2): the lower estimate, exponentially rare.
     Both come with Wilson intervals, along with an E Z^2 moment check.
+
+    Z^2 is 1 or spike^2, so each trial is described by its spike count k and
+    every statistic follows from the counts: P_N Z^2 = (N - k + k spike^2)/N.
+    The counts come from the draws of `sample_counterexample` on up to
+    `workers` threads, without building its matrix.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     spec = CounterexampleSpec(N)
     ez2 = spec.second_moment
-    deviation = 0
-    onesided_failure = 0
-    sum_z2 = 0.0
-    sum_z4 = 0.0
-    count = 0
-    for start in range(0, trials, block):
-        size = min(block, trials - start)
-        Z = sample_counterexample(spec, size, seed, trial_offset=start)
-        z2 = Z * Z
-        pn = np.mean(z2, axis=1)
-        deviation += int(np.sum(np.abs(pn - ez2) > ez2 / 2.0))
-        onesided_failure += int(np.sum(pn < ez2 / 2.0))
-        sum_z2 += float(np.sum(z2))
-        sum_z4 += float(np.sum(z2 * z2))
-        count += size * N
+    s2 = spec.spike * spec.spike
+    k = counterexample_spike_counts(spec, trials, seed, workers=workers)
+    pn = ((N - k) + k * s2) / N
+    deviation = int(np.count_nonzero(np.abs(pn - ez2) > ez2 / 2.0))
+    onesided_failure = int(np.count_nonzero(pn < ez2 / 2.0))
+    count = trials * N
+    spikes = int(k.sum())
+    sum_z2 = float(count - spikes) + spikes * s2
+    sum_z4 = float(count - spikes) + spikes * (s2 * s2)
     dev_p = deviation / trials
     fail_p = onesided_failure / trials
     dev_ci = wilson_interval(deviation, trials)

@@ -105,18 +105,6 @@ def _sup_batch(Z: np.ndarray, R: float, radius: float) -> np.ndarray:
     return support_l1l2_batch(Z, BallIntersection(2.0 * R, radius, Z.shape[1]))
 
 
-def expected_rademacher_sup(config: LocalizedSupConfig, radius: float) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the localized Rademacher supremum.
-
-    The standard error is only meaningful from about 30 trials up.
-    """
-    Z = _rademacher_z_batch(config)
-    sups = _sup_batch(Z, config.class_spec.R, radius)
-    mean = float(sups.mean())
-    stderr = float(sups.std(ddof=1) / math.sqrt(len(sups))) if len(sups) > 1 else 0.0
-    return mean, stderr
-
-
 def _bisect_fixed_point(Z: np.ndarray, R: float, threshold, kind: str, r_lo: float, r_hi: float, rel_width: float = 1e-2) -> FixedPointEstimate:
     """Smallest radius where mean supremum <= threshold(r), by bisection.
 

@@ -95,12 +95,3 @@ def v1_v2(inputs: RateInputs) -> tuple[float, float, float]:
         v2 = sigma * sigma * n / N
     exponent = c3 * N * v2 * min(1.0 / (sigma * sigma), 1.0 / R)
     return v1, v2, exponent
-
-
-def lemma_dsum_bound(n: int, d: int, kappa: float, C: float = 1.0) -> float:
-    """Bound C*kappa*sqrt(d log(e n / d)) on the mean top-d rearrangement norm."""
-    if not 1 <= d <= n:
-        raise ValueError(f"d must lie in [1, {n}]")
-    if kappa < 0 or C <= 0:
-        raise ValueError("kappa must be nonnegative and C positive")
-    return C * kappa * math.sqrt(d * math.log(math.e * n / d))

@@ -8,7 +8,9 @@ small-ball probability draws its own sample rather than reading the probe
 matrix the estimator shares across thresholds. The l1 step oracle bisects on
 the float feasibility predicate instead of sorting breakpoints. The scalar
 realized suprema take one sample and sign vector at a time, with no trial
-loop or batch, and are compared row by row against the Z-batches.
+loop or batch, and are compared row by row against the Z-batches. The mean
+localized Rademacher supremum and the top-d rearrangement bound are checked
+helpers that only the tests call.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from ermbounds.distributions import DesignSpec, Sample
 from ermbounds.erm import ClassSpec
+from ermbounds.fixed_points import LocalizedSupConfig, _rademacher_z_batch, _sup_batch
 from ermbounds.geometry import BallIntersection, support_l1l2
 from ermbounds.rng import DIRECTIONS_TAG, substream
 
@@ -201,3 +204,24 @@ def multiplier_sup(sample: Sample, class_spec: ClassSpec, s: float, signs: np.nd
     xi = X @ class_spec.t0 - Y
     z = ((signs * xi) @ X) / math.sqrt(N)
     return support_l1l2(z, BallIntersection(2.0 * class_spec.R, s, class_spec.n))
+
+
+def expected_rademacher_sup(config: LocalizedSupConfig, radius: float) -> tuple[float, float]:
+    """Monte Carlo mean and standard error of the localized Rademacher supremum.
+
+    The standard error is only meaningful from about 30 trials up.
+    """
+    Z = _rademacher_z_batch(config)
+    sups = _sup_batch(Z, config.class_spec.R, radius)
+    mean = float(sups.mean())
+    stderr = float(sups.std(ddof=1) / math.sqrt(len(sups))) if len(sups) > 1 else 0.0
+    return mean, stderr
+
+
+def lemma_dsum_bound(n: int, d: int, kappa: float, C: float = 1.0) -> float:
+    """Bound C*kappa*sqrt(d log(e n / d)) on the mean top-d rearrangement norm."""
+    if not 1 <= d <= n:
+        raise ValueError(f"d must lie in [1, {n}]")
+    if kappa < 0 or C <= 0:
+        raise ValueError("kappa must be nonnegative and C positive")
+    return C * kappa * math.sqrt(d * math.log(math.e * n / d))

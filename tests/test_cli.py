@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ermbounds.cli import SUBCOMMANDS, resolve_config, run
+from ermbounds.cli import SCHEMAS, SUBCOMMANDS, build_parser, resolve_config, run
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -225,6 +225,41 @@ class TestSubcommandRuns:
 
 def test_run_function_no_subcommand():
     assert run([]) == 2
+
+
+# options every subcommand takes; all others set a config key
+_COMMON_OPTIONS = {"help", "config", "set", "seed", "output", "format", "workers"}
+
+
+def _subparsers():
+    (action,) = [a for a in build_parser()._actions if a.dest == "subcommand"]
+    return action.choices
+
+
+def test_every_value_flag_is_a_schema_key():
+    subparsers = _subparsers()
+    assert sorted(subparsers) == sorted(SUBCOMMANDS)
+    for sub, sp in subparsers.items():
+        for action in sp._actions:
+            if not action.option_strings or action.dest in _COMMON_OPTIONS:
+                continue
+            # the one routed flag: verify-main --sigma sets noise.sigma
+            if (sub, action.dest) == ("verify-main", "sigma"):
+                assert "noise" in SCHEMAS[sub]
+                continue
+            assert action.dest in SCHEMAS[sub], f"{sub} --{action.dest}"
+
+
+def test_counterexample_rejects_n(tmp_path, capsys):
+    # the counterexample has no dimension n: the flag used to be accepted,
+    # echoed into the report and ignored
+    out = tmp_path / "ce.json"
+    for extra in ([], ["--set", "trials=300"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["counterexample", "--n", "5", "--trials", "200", *extra, "--output", str(out)])
+        assert exc.value.code == 2
+        assert "--n" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_worker_flag_never_changes_report_bytes(tmp_path):

@@ -36,9 +36,34 @@ class TestCounterexample:
         assert stats["deviation_probability"]["ci_low"] <= s["deviation_probability"] <= stats["deviation_probability"]["ci_high"]
 
     def test_block_chunking_invariant(self):
-        a = run_counterexample(100, 5000, seed=3, block=512)
-        b = run_counterexample(100, 5000, seed=3, block=4096)
-        assert a.to_csv() == b.to_csv()
+        # the stream blocks are spread over 1, 2 and every thread; 5000
+        # trials are four whole blocks and a partial one
+        a, b, c = (run_counterexample(100, 5000, seed=3, workers=w) for w in (1, 2, 0))
+        assert a.to_csv() == b.to_csv() == c.to_csv()
+        assert a.to_json() == b.to_json() == c.to_json()
+
+    # summaries recorded from the per-draw matrix path this one replaced
+    # (commit c5c8804); at N = 100 and 1000, spike^2 = 4N exactly, so the
+    # sums are exact integers and the fields are equal
+    PINNED = {
+        (100, 5000, 3): (0.0078, 0.0, 1.031122, 0.004983314042104109),
+        (1000, 4000, 5): (0.0015, 0.0, 1.0059985, 0.0024488755336887656),
+    }
+    FIELDS = ("deviation_probability", "onesided_failure_probability", "empirical_EZ2", "empirical_EZ2_stderr")
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_pinned_summary(self, key):
+        s = run_counterexample(*key[:2], seed=key[2]).summary
+        assert tuple(s[f] for f in self.FIELDS) == self.PINNED[key]
+
+    def test_pinned_summary_inexact_spike(self):
+        # at N = 2000, spike^2 = 8000.000000000001: the matrix path's sums
+        # depended on where the spikes fell in numpy's pairwise summation,
+        # so only agreement to rounding is expected
+        s = run_counterexample(2000, 20000, seed=1).summary
+        pinned = (0.0008, 0.0, 1.0031996, 0.0007998998400199841)
+        for field, value in zip(self.FIELDS, pinned):
+            assert s[field] == pytest.approx(value, rel=1e-13, abs=0.0)
 
 
 class TestPersistenceSweep:

@@ -15,11 +15,10 @@ from ermbounds.fixed_points import (
     _sup_batch,
     alpha_star,
     beta_star,
-    expected_rademacher_sup,
     k_star,
 )
 from ermbounds.rng import SIGNS_TAG, substream
-from oracles import boundary_enum_2d, multiplier_sup, rademacher_sup
+from oracles import boundary_enum_2d, expected_rademacher_sup, multiplier_sup, rademacher_sup
 
 
 def cls_zero(n, R=1.0):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ermbounds.geometry import top_d_l2
-from ermbounds.rates import RateInputs, lemma_dsum_bound, rho_N, v1_v2
+from ermbounds.rates import RateInputs, rho_N, v1_v2
+from oracles import lemma_dsum_bound
 
 
 class TestRhoN:
