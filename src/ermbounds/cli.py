@@ -59,7 +59,7 @@ SCHEMAS = {
 # convenience flags for top-level config keys; a subcommand gets a flag only
 # if its schema has the key, or if it routes the flag into a nested key
 VALUE_FLAGS = {"n": int, "N": int, "R": float, "sigma": float, "trials": int, "gamma": float, "delta": float, "u": float}
-ROUTED_FLAGS = {"verify-main": ("sigma",)}  # --sigma sets noise.sigma
+ROUTED_FLAGS = {"verify-main": {"sigma": "noise.sigma"}}  # flag -> dotted config key
 
 
 def _parse_override(text: str):
@@ -116,9 +116,7 @@ def resolve_config(subcommand: str, config_path, overrides, flag_values: dict) -
     for key, value in flag_values.items():
         if value is None:
             continue
-        if key == "sigma" and "sigma" not in schema and "noise" in schema:
-            key = "noise.sigma"
-        _apply_dotted(config, key, value)
+        _apply_dotted(config, ROUTED_FLAGS.get(subcommand, {}).get(key, key), value)
     for text in overrides or ():
         key, value = _parse_override(text)
         head = key.split(".")[0]

@@ -281,7 +281,6 @@ class CounterexampleSpec:
 
 
 _ATOMIC_BLOCK = 1024  # stream granularity: fixed, so chunking cannot change draws
-_SPIKE_CHUNK = 2**20  # uniforms held at once per block task
 
 
 def sample_counterexample(spec: CounterexampleSpec, trials: int, seed: int, trial_offset: int = 0) -> np.ndarray:
@@ -307,33 +306,24 @@ def sample_counterexample(spec: CounterexampleSpec, trials: int, seed: int, tria
     return out
 
 
-def counterexample_spike_counts(spec: CounterexampleSpec, trials: int, seed: int, trial_offset: int = 0, workers: int = 0) -> np.ndarray:
+def counterexample_spike_counts(spec: CounterexampleSpec, trials: int, seed: int, workers: int = 0) -> np.ndarray:
     """Per-trial spike counts #{i : |Z_i| > 1} of `sample_counterexample`'s rows.
 
     Each stream block draws only the uniforms `u` that `sample_counterexample`
     draws first from the same substream, so the counts are exactly those of
     its matrix, while the signs and the matrix itself are never drawn. Blocks
-    run on up to `workers` threads; the uniforms come in row chunks of about
-    2^20 values, which a single Generator continues exactly where a larger
-    call would, so memory stays bounded whatever N is.
+    run on up to `workers` threads.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     block = _ATOMIC_BLOCK
     threshold = 1.0 / spec.N**2
-    chunk = max(1, _SPIKE_CHUNK // spec.N)
-    first_block = trial_offset // block
     counts = np.empty(trials, dtype=np.int64)
 
-    def count_block(j: int) -> None:
-        b = first_block + j
-        rng = substream(seed, b)
-        lo = max(b * block, trial_offset)
-        hi = min((b + 1) * block, trial_offset + trials)
-        rows = hi - b * block  # rows before lo are drawn too: they precede lo in the stream
-        k = np.concatenate([np.count_nonzero(rng.random((min(chunk, rows - r), spec.N)) < threshold, axis=1) for r in range(0, rows, chunk)])
-        counts[lo - trial_offset : hi - trial_offset] = k[lo - b * block :]
+    def count_block(b: int) -> None:
+        lo, hi = b * block, min((b + 1) * block, trials)
+        u = substream(seed, b).random((hi - lo, spec.N))
+        counts[lo:hi] = np.count_nonzero(u < threshold, axis=1)
 
-    last_block = (trial_offset + trials - 1) // block
-    map_trials(count_block, last_block - first_block + 1, workers)
+    map_trials(count_block, (trials - 1) // block + 1, workers)
     return counts

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ermbounds.cli import SCHEMAS, SUBCOMMANDS, build_parser, resolve_config, run
+from ermbounds.cli import ROUTED_FLAGS, SCHEMAS, SUBCOMMANDS, build_parser, resolve_config, run
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -243,11 +243,9 @@ def test_every_value_flag_is_a_schema_key():
         for action in sp._actions:
             if not action.option_strings or action.dest in _COMMON_OPTIONS:
                 continue
-            # the one routed flag: verify-main --sigma sets noise.sigma
-            if (sub, action.dest) == ("verify-main", "sigma"):
-                assert "noise" in SCHEMAS[sub]
-                continue
-            assert action.dest in SCHEMAS[sub], f"{sub} --{action.dest}"
+            # a routed flag sets a nested key of the schema instead
+            head = ROUTED_FLAGS.get(sub, {}).get(action.dest, action.dest).split(".")[0]
+            assert head in SCHEMAS[sub], f"{sub} --{action.dest}"
 
 
 def test_counterexample_rejects_n(tmp_path, capsys):
@@ -260,6 +258,14 @@ def test_counterexample_rejects_n(tmp_path, capsys):
         assert exc.value.code == 2
         assert "--n" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_persistence_trials_flag_sets_trials():
+    # persistence has a trials key, so it gets the flag like every other such
+    # subcommand; it sets the same key as --set trials=
+    args = build_parser().parse_args(["persistence", "--trials", "3"])
+    assert args.trials == 3
+    assert resolve_config("persistence", None, None, {"trials": args.trials}) == resolve_config("persistence", None, ["trials=3"], {})
 
 
 def test_worker_flag_never_changes_report_bytes(tmp_path):

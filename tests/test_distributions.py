@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-import ermbounds.distributions as distributions
 from ermbounds.distributions import (
     CounterexampleSpec,
     DesignSpec,
@@ -215,17 +214,16 @@ class TestCounterexample:
 
 class TestSpikeCounts:
     @staticmethod
-    def matrix_counts(spec, trials, seed, trial_offset=0):
-        Z = sample_counterexample(spec, trials, seed=seed, trial_offset=trial_offset)
+    def matrix_counts(spec, trials, seed):
+        Z = sample_counterexample(spec, trials, seed=seed)
         return (np.abs(Z) > 1.0).sum(axis=1)
 
     @pytest.mark.parametrize("trials", [1, 1023, 1025, 5000])
-    @pytest.mark.parametrize("trial_offset", [0, 1500, 3072])
-    def test_equal_to_matrix_counts(self, trials, trial_offset):
+    def test_equal_to_matrix_counts(self, trials):
         spec = CounterexampleSpec(100)
-        k = counterexample_spike_counts(spec, trials, seed=19, trial_offset=trial_offset)
+        k = counterexample_spike_counts(spec, trials, seed=19)
         assert k.dtype == np.int64 and k.shape == (trials,)
-        assert np.array_equal(k, self.matrix_counts(spec, trials, 19, trial_offset))
+        assert np.array_equal(k, self.matrix_counts(spec, trials, 19))
 
     def test_spikes_present(self):
         # about one trial in N carries a spike; the equality above must not
@@ -234,21 +232,10 @@ class TestSpikeCounts:
         k = counterexample_spike_counts(spec, 5000, seed=19)
         assert 10 <= np.count_nonzero(k) <= 100
 
-    def test_row_chunks_continue_the_stream(self, monkeypatch):
-        # 7 rows per chunk: chunk edges fall inside blocks and inside the
-        # skipped rows before a trial offset
-        spec = CounterexampleSpec(100)
-        whole = counterexample_spike_counts(spec, 2500, seed=20, trial_offset=900)
-        monkeypatch.setattr(distributions, "_SPIKE_CHUNK", 700)
-        chunked = counterexample_spike_counts(spec, 2500, seed=20, trial_offset=900)
-        assert np.array_equal(whole, chunked)
-        assert np.array_equal(chunked, self.matrix_counts(spec, 2500, 20, 900))
-
-    def test_workers_invariant(self, monkeypatch):
-        # N = 1000 with 30-row chunks and a 1 us switch interval: threads
-        # interleave many short fills, each writing its own slice of the counts
+    def test_workers_invariant(self):
+        # a 1 us switch interval makes the threads interleave their fills,
+        # each writing its own slice of the counts
         spec = CounterexampleSpec(1000)
-        monkeypatch.setattr(distributions, "_SPIKE_CHUNK", 30000)
         serial = counterexample_spike_counts(spec, 3000, seed=21, workers=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
