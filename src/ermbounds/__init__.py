@@ -5,6 +5,7 @@ points, small-ball diagnostics, version-space probing, and rate experiments.
 from .distributions import (
     CounterexampleSpec,
     DesignSpec,
+    Moments,
     NoiseSpec,
     Sample,
     l21_norm,
@@ -12,6 +13,7 @@ from .distributions import (
     psi2_norm,
     sample_counterexample,
     sample_design,
+    sample_moments,
     sample_response,
 )
 from .erm import ClassSpec, ErmResult, brute_force_erm, excess_loss, solve_erm

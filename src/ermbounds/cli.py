@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .distributions import DesignSpec, NoiseSpec, make_sample
+from .distributions import DesignSpec, NoiseSpec, sample_moments
 from .erm import ClassSpec, solve_erm
 from .experiments import MainTheoremConfig, SweepConfig, make_t0, run_counterexample, run_persistence_sweep, verify_main_theorem
 from .fixed_points import alpha_star, beta_star, k_star
@@ -83,9 +83,14 @@ def _apply_dotted(config: dict, key: str, value) -> None:
     node[parts[-1]] = value
 
 
+def _known_key(schema: dict, key: str) -> bool:
+    # every report echoes its seed in its config, so a config may set one
+    return key in schema or key == "seed"
+
+
 def _validate_keys(config: dict, schema: dict, prefix: str = "") -> None:
     for key, value in config.items():
-        if key not in schema:
+        if not _known_key(schema, key):
             raise ConfigError(f"unknown config key {prefix + key!r}")
         if isinstance(value, dict) and key in ("design", "noise"):
             allowed = {"kind", "sigma", "p", "kappa", "n"}
@@ -119,11 +124,13 @@ def resolve_config(subcommand: str, config_path, overrides, flag_values: dict) -
         _apply_dotted(config, ROUTED_FLAGS.get(subcommand, {}).get(key, key), value)
     for text in overrides or ():
         key, value = _parse_override(text)
-        head = key.split(".")[0]
-        if head not in schema:
+        if not _known_key(schema, key.split(".")[0]):
             raise ConfigError(f"unknown config key {key!r}")
         _apply_dotted(config, key, value)
         _validate_keys(config, schema)
+    seed = config.get("seed", DEFAULT_SEED)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     return config
 
 
@@ -164,7 +171,7 @@ def _run_subcommand(args) -> tuple[Report, str, bool]:
             flag_values[name] = getattr(args, name)
     config = resolve_config(sub, args.config, args.set, flag_values)
     seed = args.seed if args.seed is not None else config.get("seed", DEFAULT_SEED)
-    config["seed"] = seed
+    config["seed"] = seed  # --seed wins over a config file and --set
     # workers is a scheduling hint, deliberately kept out of the echoed
     # config so reports stay byte-identical across worker counts
     workers = args.workers
@@ -194,8 +201,8 @@ def _run_subcommand(args) -> tuple[Report, str, bool]:
         cls = _class_from(config)
         design = _design_from(config, config["n"])
         noise = _noise_from(config)
-        sample = make_sample(cls, design, noise, config["N"], seed)
-        result = solve_erm(sample, cls, tol=config["tol"], max_iter=config["max_iter"])
+        moments = sample_moments(cls, design, noise, config["N"], seed)
+        result = solve_erm(moments, cls, tol=config["tol"], max_iter=config["max_iter"])
         report = Report(kind="erm", config=config, columns=("statistic", "value"))
         report.add_row(statistic="empirical_risk", value=result.empirical_risk)
         report.add_row(statistic="iterations", value=result.iterations)
@@ -361,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None, help=f"master seed (default 0x{DEFAULT_SEED:X})")
         sp.add_argument("--output", default=None, help="report path (default <subcommand>_report.<fmt>)")
         sp.add_argument("--format", choices=("csv", "json"), default="json")
-        sp.add_argument("--workers", type=_workers_count, default=default_workers, help=f"threads drawing Monte Carlo trials, also ${WORKERS_ENV}; 0 = every CPU this process may run on (default); never changes results")
+        sp.add_argument("--workers", type=_workers_count, default=default_workers, help=f"threads running Monte Carlo and persistence ERM trials, also ${WORKERS_ENV}; 0 = every CPU this process may run on (default); never changes results")
         for name, kind in VALUE_FLAGS.items():
             if name in SCHEMAS[sub] or name in ROUTED_FLAGS.get(sub, ()):
                 sp.add_argument(f"--{name}", type=kind, default=None)

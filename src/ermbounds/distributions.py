@@ -162,6 +162,54 @@ class Sample:
     def n(self) -> int:
         return self.design.shape[1]
 
+    def moments(self) -> Moments:
+        """The sample's moments, summed as one block."""
+        return _accumulate_moments([(self.design, self.responses)], self.N)
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Second moments of a sample: G = X^T X / N, b = X^T Y / N, c = Y^T Y / N.
+
+    They are all that squared-loss ERM over a linear class reads, since the
+    empirical risk (1/N) sum (<t, X_i> - Y_i)^2 equals t^T G t - 2 b^T t + c.
+    """
+
+    G: np.ndarray
+    b: np.ndarray
+    c: float
+    N: int
+
+    def __post_init__(self):
+        if self.G.ndim != 2 or self.G.shape[0] != self.G.shape[1] or self.b.shape != (self.G.shape[0],):
+            raise ValueError("moments need an n x n G and a length-n b")
+        if self.N < 1:
+            raise ValueError("N must be positive")
+        # a non-finite design entry makes a diagonal entry of G non-finite,
+        # and a non-finite response makes c non-finite
+        if not (np.all(np.isfinite(self.G)) and np.all(np.isfinite(self.b)) and math.isfinite(self.c)):
+            raise ValueError("sample contains non-finite values (or its moments overflow)")
+
+    @property
+    def n(self) -> int:
+        return self.G.shape[0]
+
+
+def _accumulate_moments(blocks, N: int) -> Moments:
+    """Moments of a sample given as (design rows, responses) blocks, summed in order."""
+    G = b = None
+    c = 0.0
+    # non-finite sums are rejected by Moments, not warned about here
+    with np.errstate(invalid="ignore", over="ignore"):
+        for X, Y in blocks:
+            if G is None:
+                G, b = X.T @ X, X.T @ Y
+            else:
+                G += X.T @ X
+                b += X.T @ Y
+            c += float(Y @ Y)
+    return Moments(G / N, b / N, c / N, N)
+
 
 def sample_design(spec: DesignSpec, N: int, seed: int, trial: int = 0) -> np.ndarray:
     """N iid rows with iid standardized coordinates, deterministic given (seed, trial)."""
@@ -186,6 +234,40 @@ def make_sample(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int, s
     X = sample_design(design_spec, N, seed, trial)
     Y = sample_response(class_spec, noise, X, seed, trial)
     return Sample(design=X, responses=Y, seed=seed)
+
+
+_MOMENT_BLOCK = 2**19  # design coordinates sample_moments draws per block
+
+
+def sample_moments(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int, seed: int, trial: int = 0) -> Moments:
+    """Moments of `make_sample`'s sample for one trial, without its whole design.
+
+    The noise and the design come from the same substreams as make_sample's.
+    The design is drawn in row blocks of about _MOMENT_BLOCK coordinates and
+    summed into (G, b, c) block by block, so a trial holds O(n^2 +
+    _MOMENT_BLOCK) numbers. Successive blocks continue one stream, which for
+    every design kind but symmetrized_pareto gives the rows of one
+    sample_coords call; symmetrized_pareto draws a call's magnitudes before
+    its signs, so its blocks have the right law but other values. With one
+    block (N * n <= _MOMENT_BLOCK) the moments equal `make_sample(...).moments()`
+    bit for bit; with more, the summation order differs.
+    """
+    if N < 1:
+        raise ValueError("N must be positive")
+    n = design_spec.n
+    t0 = np.asarray(class_spec.t0, dtype=np.float64)
+    if t0.shape != (n,):
+        raise ValueError("design dimension does not match the class dimension")
+    w = noise.sample(substream(seed, trial, NOISE_TAG), N)
+    rng = substream(seed, trial, DESIGN_TAG)
+    rows = max(1, _MOMENT_BLOCK // n)
+
+    def blocks():
+        for lo in range(0, N, rows):
+            X = design_spec.sample_coords(rng, (min(rows, N - lo), n))
+            yield X, X @ t0 + w[lo : lo + X.shape[0]]
+
+    return _accumulate_moments(blocks(), N)
 
 
 def l21_norm(noise: NoiseSpec) -> float:

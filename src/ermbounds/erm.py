@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Sample
+from .distributions import Moments, Sample
 from .geometry import as_vector, project_l1
 
 
@@ -84,37 +84,36 @@ def _power_lambda_max(G: np.ndarray, rel_tol: float = 0.005, max_iter: int = 100
     return best
 
 
-def solve_erm(sample: Sample, class_spec: ClassSpec, tol: float = 1e-9, max_iter: int = 100000) -> ErmResult:
-    """Minimize (1/N) sum (<t, X_i> - Y_i)^2 over ||t||_1 <= R.
+def _moments_of(data: Sample | Moments, class_spec: ClassSpec) -> Moments:
+    moments = data if isinstance(data, Moments) else data.moments()
+    if moments.n != class_spec.n:
+        raise ValueError("sample dimension does not match the class")
+    return moments
 
-    FISTA with step 1/L (L = twice the top eigenvalue of the empirical
-    second-moment matrix, padded 5% for the power-iteration slack) and a
-    restart whenever the objective would increase, so the accepted objective
-    sequence is non-increasing. Stops once the projected-gradient residual
-    ||t - P(t - grad/L)||_2 drops below tol.
+
+def solve_erm(data: Sample | Moments, class_spec: ClassSpec, tol: float = 1e-9, max_iter: int = 100000) -> ErmResult:
+    """Minimize (1/N) sum (<t, X_i> - Y_i)^2 = t^T G t - 2 b^T t + c over ||t||_1 <= R.
+
+    Reads only the moments (G, b, c) of the data; a Sample is reduced to them
+    first. FISTA with step 1/L (L = twice the top eigenvalue of G, padded 5%
+    for the power-iteration slack) and a restart whenever the objective would
+    increase, so the accepted objective sequence is non-increasing. Stops once
+    the projected-gradient residual ||t - P(t - grad/L)||_2 drops below tol.
+    The reported empirical risk is the objective at t_hat.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    X, Y = sample.design, sample.responses
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(Y))):
-        raise ValueError("sample contains non-finite values")
-    if X.shape[1] != class_spec.n:
-        raise ValueError("sample dimension does not match the class")
-    N = X.shape[0]
+    moments = _moments_of(data, class_spec)
+    G, b, c = moments.G, moments.b, moments.c
     R = class_spec.R
 
     if R == 0.0:
-        t = np.zeros(class_spec.n)
-        return ErmResult(t, float(np.mean(Y**2)), 0, 0.0, True)
+        return ErmResult(np.zeros(class_spec.n), c, 0, 0.0, True)
 
-    G = (X.T @ X) / N
-    b = (X.T @ Y) / N
-    c = float(Y @ Y) / N
     L = 2.0 * _power_lambda_max(G) * 1.05
     if L == 0.0:
         # X = 0: every feasible t has the same risk
-        t = np.zeros(class_spec.n)
-        return ErmResult(t, c, 0, 0.0, True)
+        return ErmResult(np.zeros(class_spec.n), c, 0, 0.0, True)
 
     # objective and gradient take the product G @ t, formed once per point
     def obj(t, Gt):
@@ -146,8 +145,9 @@ def solve_erm(sample: Sample, class_spec: ClassSpec, tol: float = 1e-9, max_iter
         residual = float(np.linalg.norm(t - project_l1(t - grad(Gt) / L, R)))
         if residual <= tol:
             break
-    risk = float(np.mean((X @ t - Y) ** 2))
-    return ErmResult(t, risk, iterations, residual, residual <= tol)
+    # the risk is a sum of squares; rounding in the expanded form can leave
+    # it a few ulps of c below zero
+    return ErmResult(t, max(f_t, 0.0), iterations, residual, residual <= tol)
 
 
 def excess_loss(t, class_spec: ClassSpec, sample: Sample) -> float:
@@ -214,14 +214,11 @@ def brute_force_erm(sample: Sample, class_spec: ClassSpec, resolution: float = 5
         raise ValueError("brute_force_erm is limited to n <= 4")
     if resolution <= 0:
         raise ValueError("resolution must be positive")
-    X, Y = sample.design, sample.responses
-    N = X.shape[0]
+    moments = _moments_of(sample, class_spec)
+    G, b, c = moments.G, moments.b, moments.c
     R = class_spec.R
     if R == 0.0:
         return np.zeros(class_spec.n)
-    G = (X.T @ X) / N
-    b = (X.T @ Y) / N
-    c = float(Y @ Y) / N
     _, t = _l1_lattice_objective_min(G, b, c, R, resolution)
     L = 2.0 * _power_lambda_max(G) * 1.05
     if L == 0.0:

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CounterexampleSpec, DesignSpec, NoiseSpec, counterexample_spike_counts, make_sample
+from .distributions import CounterexampleSpec, DesignSpec, NoiseSpec, counterexample_spike_counts, sample_moments
 from .erm import ClassSpec, solve_erm
 from .fixed_points import alpha_star, beta_star
 from .rates import RateInputs, rho_N, v1_v2
 from .reports import Report, wilson_interval
-from .rng import derive_seed
+from .rng import derive_seed, map_trials
 from .smallball import choose_tau
 
 # stage tags for deriving independent per-stage seeds
@@ -68,10 +68,11 @@ class SweepConfig:
     t0_shape: str = "zero"
     t0_fraction: float = 0.0
     constants: RateInputs | None = None
-    # accepted and never read: sweeps solve one trial at a time (see _cell_errors)
-    workers: int = 1
+    workers: int = 0  # threads solving a cell's ERM trials; 0 = every CPU
 
     def __post_init__(self):
+        if self.workers < 0:
+            raise ValueError("workers must be nonnegative")
         if self.trials < 20:
             raise ValueError("sweeps need at least 20 trials per cell")
         for grid, name in ((self.n_grid, "n_grid"), (self.N_grid, "N_grid"), (self.R_grid, "R_grid"), (self.sigma_grid, "sigma_grid")):
@@ -107,24 +108,25 @@ def _design_spec(config: SweepConfig, n: int) -> DesignSpec:
 
 
 def _cell_errors(config: SweepConfig, n: int, N: int, R: float, sigma: float) -> tuple[np.ndarray, int]:
-    """Squared errors ||t_hat - t0||_2^2 over the cell's trials, plus failures."""
+    """Squared errors ||t_hat - t0||_2^2 over the cell's trials, plus failures.
+
+    Each trial solves from its sample's moments, so it never holds its N x n
+    design; trials run on up to `config.workers` threads.
+    """
     design = _design_spec(config, n)
     noise = _noise_spec(config, sigma)
     t0 = make_t0(config.t0_shape, config.t0_fraction, n, R)
     cls = ClassSpec(n=n, R=R, t0=t0)
     cell_seed = derive_seed(config.seed, n, N, int(R * 2**20), int(sigma * 2**20))
-    errors = np.empty(config.trials)
-    failures = 0
-    # Serial on purpose: on 2 threads the persistence_regimes benchmark op
-    # ran faster (4.10 -> 2.77 s) but held two n=700, N=2800 trials at once,
-    # and its peak RSS rose from 151.9 to 178.6 MiB (+18%, the benchmark
-    # allows 5%).
-    for j in range(config.trials):
-        sample = make_sample(cls, design, noise, N, cell_seed, trial=j)
-        result = solve_erm(sample, cls, tol=config.tol, max_iter=config.max_iter)
-        if not result.converged:
-            failures += 1
-        errors[j] = float(np.sum((result.t_hat - t0) ** 2))
+
+    def trial(j: int) -> tuple[float, bool]:
+        moments = sample_moments(cls, design, noise, N, cell_seed, trial=j)
+        result = solve_erm(moments, cls, tol=config.tol, max_iter=config.max_iter)
+        return float(np.sum((result.t_hat - t0) ** 2)), result.converged
+
+    results = map_trials(trial, config.trials, config.workers)
+    errors = np.array([error for error, _ in results])
+    failures = sum(not converged for _, converged in results)
     return errors, failures
 
 
@@ -312,8 +314,8 @@ def verify_main_theorem(config: MainTheoremConfig) -> Report:
     # interpreter lock, and on 2 threads the verify_main benchmark op got
     # slower (2.39 -> 2.99 s).
     for j in range(config.trials):
-        sample = make_sample(cls, design, noise, config.N, trial_seed, trial=j)
-        result = solve_erm(sample, cls, tol=config.tol)
+        moments = sample_moments(cls, design, noise, config.N, trial_seed, trial=j)
+        result = solve_erm(moments, cls, tol=config.tol)
         errors[j] = float(np.linalg.norm(result.t_hat - t0))
     successes = int(np.sum(errors <= bound))
     frequency = successes / config.trials

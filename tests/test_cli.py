@@ -282,6 +282,7 @@ _SMALL_RUNS = {
     "alpha": ["--n", "8", "--N", "32", "--trials", "500", "--set", "design.kind=student_t", "--set", "design.p=4", "--set", "noise.kind=heavy_tailed", "--set", "noise.p=3"],
     "beta": ["--n", "8", "--N", "32", "--trials", "60"],
     "kstar": ["--n", "8", "--N", "32", "--trials", "60"],
+    "persistence": ["--trials", "20", "--set", "n_grid=[8]", "--set", "N_grid=[32,64]", "--set", "t0_shape=spike", "--set", "t0_fraction=0.5"],
     "verify-main": ["--n", "4", "--N", "64", "--trials", "30", "--delta", "0.2", "--set", "alpha_trials=1000", "--set", "beta_trials=30", "--set", "tau_draws=2000", "--set", "tau_directions=50"],
 }
 
@@ -295,3 +296,37 @@ def test_threaded_subcommands_identical_across_workers(sub, tmp_path, monkeypatc
         assert run([sub, *_SMALL_RUNS[sub], *workers, "--output", str(out)]) in (0, 3)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+@pytest.mark.parametrize("sub, extra", [("counterexample", ["--N", "100", "--trials", "2000"]), ("erm", ["--n", "8", "--N", "40"])])
+def test_echoed_config_reproduces_the_report(sub, extra, tmp_path):
+    # a report's config, passed back as --config, names its seed too
+    first = tmp_path / "first.json"
+    assert run([sub, *extra, "--seed", "77", "--output", str(first)]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(json.loads(first.read_text())["config"]))
+    again = tmp_path / "again.json"
+    assert run([sub, "--config", str(config), "--output", str(again)]) == 0
+    assert again.read_bytes() == first.read_bytes()
+
+
+def test_seed_precedence(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 5}))
+
+    def report(*args):
+        out = tmp_path / "ce.json"
+        assert run(["counterexample", "--N", "100", "--trials", "2000", *args, "--output", str(out)]) == 0
+        return out.read_bytes()
+
+    assert json.loads(report("--config", str(config)))["config"]["seed"] == 5
+    assert report("--config", str(config), "--set", "seed=6") == report("--seed", "6")
+    assert json.loads(report("--config", str(config), "--set", "seed=6", "--seed", "7"))["config"]["seed"] == 7
+
+
+@pytest.mark.parametrize("value", ["-1", "1.5", "abc", "true"])
+def test_bad_seed_in_config_exits_2(value, tmp_path, capsys):
+    out = tmp_path / "ce.json"
+    assert run(["counterexample", "--N", "100", "--trials", "200", "--set", f"seed={value}", "--output", str(out)]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()

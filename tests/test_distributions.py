@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from ermbounds import distributions
 from ermbounds.distributions import (
     CounterexampleSpec,
     DesignSpec,
+    Moments,
     counterexample_spike_counts,
     NoiseSpec,
     l21_norm,
@@ -15,9 +17,12 @@ from ermbounds.distributions import (
     psi2_norm,
     sample_counterexample,
     sample_design,
+    sample_moments,
     sample_response,
 )
-from ermbounds.erm import ClassSpec
+from ermbounds.erm import ClassSpec, solve_erm
+from ermbounds.experiments import make_t0
+from ermbounds.rng import DESIGN_TAG, substream
 
 ALL_DESIGNS = [
     DesignSpec("rademacher", 4),
@@ -255,3 +260,146 @@ def test_make_sample_shapes():
     cls = ClassSpec(n=4, R=1.0, t0=np.zeros(4))
     sample = make_sample(cls, DesignSpec("gaussian", 4), NoiseSpec("gaussian", sigma=0.5), 32, seed=18)
     assert sample.N == 32 and sample.n == 4
+
+
+def _record_blocks(monkeypatch):
+    """Patch DesignSpec.sample_coords to keep every block it returns."""
+    blocks = []
+    draw = DesignSpec.sample_coords
+
+    def recording(self, rng, size):
+        out = draw(self, rng, size)
+        blocks.append(out)
+        return out
+
+    monkeypatch.setattr(DesignSpec, "sample_coords", recording)
+    return blocks
+
+
+STREAMED_DESIGNS = [
+    DesignSpec("rademacher", 7),
+    DesignSpec("bounded_uniform", 7),
+    DesignSpec("gaussian", 7),
+    DesignSpec("student_t", 7, p=4.0),
+]
+
+
+class TestSampleMoments:
+    # 1000 coordinates per block is 142 rows of n = 7, so N = 1000 takes
+    # seven whole blocks and a partial one of 6 rows
+    N = 1000
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(distributions, "_MOMENT_BLOCK", 1000)
+
+    @staticmethod
+    def cls(n):
+        return ClassSpec(n=n, R=1.0, t0=make_t0("spike", 0.5, n, 1.0))
+
+    @pytest.mark.parametrize("design", STREAMED_DESIGNS, ids=lambda d: d.kind)
+    def test_blocks_continue_one_draw(self, design, small_blocks, monkeypatch):
+        blocks = _record_blocks(monkeypatch)
+        sample_moments(self.cls(7), design, NoiseSpec("gaussian", sigma=0.5), self.N, seed=23, trial=4)
+        assert [len(b) for b in blocks] == [142] * 7 + [6]
+        monkeypatch.undo()
+        one_call = design.sample_coords(substream(23, 4, DESIGN_TAG), (self.N, 7))
+        assert np.array_equal(np.vstack(blocks), one_call)
+
+    @pytest.mark.parametrize("design", STREAMED_DESIGNS, ids=lambda d: d.kind)
+    def test_streamed_moments_match_the_sample(self, design, small_blocks):
+        cls = self.cls(7)
+        noise = NoiseSpec("gaussian", sigma=0.5)
+        sample = make_sample(cls, design, noise, self.N, seed=29, trial=2)
+        X, Y = sample.design, sample.responses
+        m = sample_moments(cls, design, noise, self.N, seed=29, trial=2)
+        assert m.N == self.N and m.n == 7
+        G, b, c = X.T @ X / self.N, X.T @ Y / self.N, float(Y @ Y) / self.N
+        if design.kind == "rademacher":
+            # integer entries: every block sum is exact
+            assert np.array_equal(m.G, G)
+        else:
+            assert np.abs(m.G - G).max() <= 1e-13 * np.abs(G).max()
+        assert np.abs(m.b - b).max() <= 1e-13 * np.abs(b).max()
+        assert m.c == pytest.approx(c, rel=1e-13, abs=0.0)
+
+    def test_one_block_equals_the_sample_bit_for_bit(self):
+        # 350 x 700 coordinates fit one block at the module's budget
+        design, noise, cls = DesignSpec("gaussian", 700), NoiseSpec("gaussian", sigma=0.5), self.cls(700)
+        m = sample_moments(cls, design, noise, 350, seed=31)
+        ref = make_sample(cls, design, noise, 350, seed=31).moments()
+        assert np.array_equal(m.G, ref.G) and np.array_equal(m.b, ref.b) and m.c == ref.c
+
+    def test_rademacher_exact_across_the_module_budget(self, monkeypatch):
+        # one whole block at the module's own budget and a partial one
+        rows = distributions._MOMENT_BLOCK // 64
+        N = rows + 808
+        blocks = _record_blocks(monkeypatch)
+        design, noise, cls = DesignSpec("rademacher", 64), NoiseSpec("gaussian", sigma=0.5), self.cls(64)
+        m = sample_moments(cls, design, noise, N, seed=37)
+        assert [len(b) for b in blocks] == [rows, 808]
+        monkeypatch.undo()
+        X = make_sample(cls, design, noise, N, seed=37).design
+        assert np.array_equal(m.G, X.T @ X / N)
+
+    def test_symmetrized_pareto_blocks_keep_the_law(self, small_blocks, monkeypatch):
+        # a call draws all magnitudes before all signs, so blocks are not
+        # the rows of one call; test their law instead
+        p = 4.0
+        design = DesignSpec("symmetrized_pareto", 7, p=p)
+        blocks = _record_blocks(monkeypatch)
+        m = sample_moments(self.cls(7), design, NoiseSpec("zero"), 20000, seed=41)
+        X = np.vstack(blocks)
+        assert X.shape == (20000, 7)
+        assert np.abs(m.G - X.T @ X / 20000).max() <= 1e-13 * np.abs(m.G).max()
+        # |X| sqrt(p/(p-2)) is Pareto(p) on [1, inf), and the sign is fair
+        mags = np.abs(X).ravel() * math.sqrt(p / (p - 2.0))
+        assert stats.kstest(mags, stats.pareto(b=p).cdf).pvalue > 1e-3
+        positives = int(np.count_nonzero(X > 0))
+        assert stats.binomtest(positives, X.size).pvalue > 1e-3
+        # a sign must not depend on its magnitude
+        big = np.abs(X) > np.median(np.abs(X))
+        assert stats.binomtest(int(np.count_nonzero(X[big] > 0)), int(big.sum())).pvalue > 1e-3
+
+    def test_risk_from_moments(self, small_blocks):
+        for kind, seed in (("gaussian", 43), ("rademacher", 44), ("student_t", 45)):
+            design = DesignSpec(kind, 7, p=4.0 if kind == "student_t" else None)
+            cls, noise = self.cls(7), NoiseSpec("gaussian", sigma=0.5)
+            sample = make_sample(cls, design, noise, self.N, seed=seed)
+            result = solve_erm(sample_moments(cls, design, noise, self.N, seed=seed), cls, tol=1e-10)
+            direct = float(np.mean((sample.design @ result.t_hat - sample.responses) ** 2))
+            assert result.empirical_risk >= 0.0
+            assert result.empirical_risk == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+    def test_non_finite_draws_rejected(self, small_blocks, monkeypatch):
+        cls = self.cls(7)
+        # a NaN coordinate in the third block
+        draw = DesignSpec.sample_coords
+        calls = []
+
+        def poisoned(self, rng, size):
+            out = draw(self, rng, size)
+            calls.append(1)
+            if len(calls) == 3:
+                out[5, 2] = np.nan
+            return out
+
+        monkeypatch.setattr(DesignSpec, "sample_coords", poisoned)
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_moments(cls, DesignSpec("gaussian", 7), NoiseSpec("zero"), self.N, seed=47)
+        monkeypatch.undo()
+        # noise that overflows to inf
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            sample_moments(cls, DesignSpec("gaussian", 7), NoiseSpec("heavy_tailed", sigma=1e308, p=3.0), self.N, seed=47)
+
+    def test_shapes_checked(self):
+        cls = self.cls(7)
+        with pytest.raises(ValueError):
+            sample_moments(cls, DesignSpec("gaussian", 6), NoiseSpec("zero"), 10, seed=1)
+        with pytest.raises(ValueError):
+            sample_moments(cls, DesignSpec("gaussian", 7), NoiseSpec("zero"), 0, seed=1)
+        for G, b, N in ((np.eye(3)[:2], np.zeros(3), 4), (np.eye(3), np.zeros(2), 4), (np.zeros(3), np.zeros(3), 4), (np.eye(3), np.zeros(3), 0)):
+            with pytest.raises(ValueError):
+                Moments(G, b, 1.0, N)
+        with pytest.raises(ValueError, match="non-finite"):
+            Moments(np.eye(2), np.array([0.0, np.inf]), 1.0, 4)

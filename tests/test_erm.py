@@ -57,6 +57,35 @@ class TestSolve:
         with pytest.raises(ValueError):
             solve_erm(sample, cls)
 
+    def test_sample_and_its_moments_solve_alike(self):
+        cls = ClassSpec(n=12, R=1.0, t0=make_t0("spike", 0.5, 12, 1.0))
+        sample = make_sample(cls, DesignSpec("gaussian", 12), NoiseSpec("gaussian", sigma=0.5), 40, seed=5)
+        a, b = solve_erm(sample, cls, tol=1e-9), solve_erm(sample.moments(), cls, tol=1e-9)
+        assert np.array_equal(a.t_hat, b.t_hat)
+        assert (a.empirical_risk, a.iterations, a.kkt_residual) == (b.empirical_risk, b.iterations, b.kkt_residual)
+
+    def test_moments_dimension_checked(self):
+        sample = make_sample(ClassSpec(n=3, R=1.0, t0=np.zeros(3)), DesignSpec("gaussian", 3), NoiseSpec("zero"), 10, seed=6)
+        cls = ClassSpec(n=4, R=1.0, t0=np.zeros(4))
+        for data in (sample, sample.moments()):
+            with pytest.raises(ValueError, match="dimension"):
+                solve_erm(data, cls)
+
+    def test_risk_is_the_objective_at_t_hat(self):
+        # noisy: within rounding of the direct mean; noise-free and
+        # realizable: about zero, and never below it
+        for sigma in (0.5, 0.0):
+            cls = ClassSpec(n=6, R=1.0, t0=np.array([0.4, -0.3, 0.1, 0.0, 0.0, 0.0]))
+            noise = NoiseSpec("gaussian", sigma=sigma) if sigma else NoiseSpec("zero")
+            for seed in range(5):
+                sample = make_sample(cls, DesignSpec("gaussian", 6), noise, 60, seed=seed)
+                res = solve_erm(sample, cls, tol=1e-10)
+                assert res.empirical_risk >= 0.0
+                if sigma:
+                    assert res.empirical_risk == pytest.approx(objective(sample, res.t_hat), rel=1e-12, abs=0.0)
+                else:
+                    assert res.empirical_risk <= 1e-12
+
     def test_iteration_cap_reported(self):
         cls = ClassSpec(n=8, R=1.0, t0=np.zeros(8))
         sample = make_sample(cls, DesignSpec("gaussian", 8), NoiseSpec("gaussian", sigma=1.0), 6, seed=3)

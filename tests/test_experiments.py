@@ -1,8 +1,11 @@
+import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from ermbounds import distributions
 from ermbounds.distributions import DesignSpec, NoiseSpec
 from ermbounds.experiments import MainTheoremConfig, SweepConfig, make_t0, run_counterexample, run_persistence_sweep, verify_main_theorem
 from ermbounds.reports import Report, canonical_json, emit_report, wilson_interval
@@ -66,6 +69,9 @@ class TestCounterexample:
             assert s[field] == pytest.approx(value, rel=1e-13, abs=0.0)
 
 
+PINNED_ONE_BLOCK_DIGEST = "ebfb24bdaa2d0cc8589ca9b8a76679a10db0365dce25d45cb0968ada84ffb836"
+
+
 class TestPersistenceSweep:
     def test_noise_monotonicity(self):
         cfg = SweepConfig(design_kind="rademacher", noise_kind="gaussian", n_grid=(16,), N_grid=(64,), sigma_grid=(0.1, 0.5, 1.0), trials=20, seed=5, t0_shape="zero", t0_fraction=0.0)
@@ -89,6 +95,36 @@ class TestPersistenceSweep:
         rep4 = run_persistence_sweep(SweepConfig(**base, workers=4))
         assert rep1.to_csv() == rep4.to_csv()
         assert rep1.to_json() == rep4.to_json()
+
+    def test_threads_never_change_bytes_across_design_blocks(self):
+        # the large cell draws each trial's design in three blocks; a 1 us
+        # switch interval makes the trial threads interleave
+        n = 64
+        big = 2 * (distributions._MOMENT_BLOCK // n) + 101
+        base = dict(design_kind="gaussian", noise_kind="gaussian", n_grid=(n,), N_grid=(256, big), sigma_grid=(0.5,), trials=20, seed=13, t0_shape="spike", t0_fraction=0.5)
+        serial = run_persistence_sweep(SweepConfig(**base, workers=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = [run_persistence_sweep(SweepConfig(**base, workers=w)) for w in (2, 0)]
+        finally:
+            sys.setswitchinterval(interval)
+        for rep in threaded:
+            assert rep.to_csv() == serial.to_csv()
+            assert rep.to_json() == serial.to_json()
+
+    def test_one_block_cells_keep_their_bytes(self):
+        # every cell's trials fit one design block, so the moments equal those
+        # of the whole sample; CSV digest recorded at commit d3b9848, which
+        # solved from the whole sample
+        cfg = SweepConfig(design_kind="rademacher", noise_kind="gaussian", n_grid=(16,), N_grid=(64, 128), sigma_grid=(0.5,), trials=20, seed=9, t0_shape="spike", t0_fraction=0.5)
+        digest = hashlib.sha256(run_persistence_sweep(cfg).to_csv().encode()).hexdigest()
+        assert digest == PINNED_ONE_BLOCK_DIGEST
+
+    def test_workers_validated(self):
+        assert SweepConfig().workers == 0
+        with pytest.raises(ValueError, match="workers"):
+            SweepConfig(workers=-1)
 
     def test_seed_changes_results(self):
         base = dict(design_kind="gaussian", noise_kind="gaussian", n_grid=(8,), N_grid=(32,), sigma_grid=(0.5,), trials=20, t0_shape="zero", t0_fraction=0.0)
