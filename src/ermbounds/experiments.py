@@ -33,6 +33,11 @@ _STAGE_TRIALS = 13
 SWEEP_COLUMNS = ("design", "noise", "n", "N", "R", "sigma", "trials", "statistic", "value")
 
 
+def _seed_key(value: float) -> int:
+    """A sweep cell's seed entry for a float grid value."""
+    return int(value * 2**20)
+
+
 def make_t0(shape: str, fraction: float, n: int, R: float) -> np.ndarray:
     """True parameter with ||t0||_1 = fraction*R: all mass on one coordinate
     (spike), spread evenly (flat), or zero."""
@@ -75,9 +80,17 @@ class SweepConfig:
             raise ValueError("workers must be nonnegative")
         if self.trials < 20:
             raise ValueError("sweeps need at least 20 trials per cell")
-        for grid, name in ((self.n_grid, "n_grid"), (self.N_grid, "N_grid"), (self.R_grid, "R_grid"), (self.sigma_grid, "sigma_grid")):
+        # a cell's seed is keyed on its grid values, so two values with one
+        # key would make two cells draw the same samples
+        for grid, name, key in ((self.n_grid, "n_grid", int), (self.N_grid, "N_grid", int), (self.R_grid, "R_grid", _seed_key), (self.sigma_grid, "sigma_grid", _seed_key)):
             if len(grid) == 0:
                 raise ValueError(f"{name} must be nonempty")
+            seen = {}
+            for value in grid:
+                k = key(value)
+                if k in seen:
+                    raise ValueError(f"{name} values {seen[k]!r} and {value!r} give their cells the same seed key {k}, so they would draw the same samples")
+                seen[k] = value
 
     def to_record(self) -> dict:
         return {
@@ -117,7 +130,7 @@ def _cell_errors(config: SweepConfig, n: int, N: int, R: float, sigma: float) ->
     noise = _noise_spec(config, sigma)
     t0 = make_t0(config.t0_shape, config.t0_fraction, n, R)
     cls = ClassSpec(n=n, R=R, t0=t0)
-    cell_seed = derive_seed(config.seed, n, N, int(R * 2**20), int(sigma * 2**20))
+    cell_seed = derive_seed(config.seed, n, N, _seed_key(R), _seed_key(sigma))
 
     def trial(j: int) -> tuple[float, bool]:
         moments = sample_moments(cls, design, noise, N, cell_seed, trial=j)
@@ -261,7 +274,7 @@ class MainTheoremConfig:
     tol: float = 1e-8
     seed: int = 0x5EED
     gamma_override: float | None = None
-    workers: int = 0  # threads drawing the alpha and beta trials; 0 = every CPU
+    workers: int = 0  # threads drawing the alpha and beta trials (a gaussian design: alpha's noise blocks); 0 = every CPU; never changes results
 
     def to_record(self) -> dict:
         return {

@@ -7,6 +7,11 @@ and reduces it to a single n-vector Z; evaluating the supremum at any radius
 then only touches Z. That makes common random numbers across radii free:
 the whole fixed-point search runs on one batch of Z vectors, and the
 empirical criterion it bisects is a deterministic function of the radius.
+
+For a gaussian design Z has an exact law, so its batches are drawn from that
+law instead of from N x n samples: N^{-1/2} sum_i eps_i X_i is N(0, I_n),
+and given the noise w, N^{-1/2} sum_i eps_i w_i X_i is sqrt(mean w^2) N(0, I_n).
+Every other design kind draws each trial's sample.
 """
 
 from __future__ import annotations
@@ -19,10 +24,11 @@ import numpy as np
 from .distributions import DesignSpec, NoiseSpec, sample_design, sample_response
 from .erm import ClassSpec
 from .geometry import BallIntersection, support_l1l2_batch
-from .rng import SIGNS_TAG, map_trials, substream
+from .rng import DESIGN_TAG, LAW_TAG, NOISE_TAG, SIGNS_TAG, map_trials, substream
 
 DEFAULT_EXPECTATION_TRIALS = 200
 DEFAULT_QUANTILE_TRIALS = 1000
+_LAW_BLOCK = 2**16  # noise values one block of the exact multiplier law draws
 
 
 @dataclass(frozen=True)
@@ -69,8 +75,45 @@ class FixedPointEstimate:
         }
 
 
+def _law_normals(config: LocalizedSupConfig) -> np.ndarray:
+    """(trials, n) standard normals from the batch's own stream; row j depends
+    only on the seed and j, not on the trial count."""
+    return substream(config.seed, LAW_TAG, DESIGN_TAG, 0).standard_normal((config.trials, config.class_spec.n))
+
+
+def _noise_mean_squares(config: LocalizedSupConfig, noise: NoiseSpec) -> np.ndarray:
+    """Each trial's mean(w**2) over N noise values, without holding them all.
+
+    Trials are drawn in blocks of `rows` from one stream per block, a block
+    holding at most _LAW_BLOCK values at a time (a trial's N values come in
+    column pieces when N is larger). Every block draws all its rows, so a
+    trial's values do not depend on the trial count; blocks run on up to
+    `config.workers` threads.
+    """
+    N, trials = config.N, config.trials
+    rows = max(1, _LAW_BLOCK // N)
+    cols = min(N, _LAW_BLOCK)
+    out = np.empty(trials)
+
+    def block(b):
+        rng = substream(config.seed, LAW_TAG, NOISE_TAG, b)
+        total = np.zeros(rows)
+        for lo in range(0, N, cols):
+            w = noise.sample(rng, (rows, min(cols, N - lo)))
+            total += np.sum(w * w, axis=1)
+        out[b * rows : (b + 1) * rows] = (total / N)[: trials - b * rows]
+
+    map_trials(block, -(-trials // rows), config.workers)
+    return out
+
+
 def _rademacher_z_batch(config: LocalizedSupConfig) -> np.ndarray:
-    """Per-trial vectors Z_j = N^{-1/2} sum_i eps_i X_i, one row per trial."""
+    """Per-trial vectors Z_j = N^{-1/2} sum_i eps_i X_i, one row per trial.
+
+    A gaussian design draws them from their law N(0, I_n): n normals a trial.
+    """
+    if config.design.kind == "gaussian":
+        return _law_normals(config)
     N, n = config.N, config.class_spec.n
     out = np.empty((config.trials, n))
 
@@ -84,7 +127,14 @@ def _rademacher_z_batch(config: LocalizedSupConfig) -> np.ndarray:
 
 
 def _multiplier_z_batch(config: LocalizedSupConfig, noise: NoiseSpec) -> np.ndarray:
-    """Per-trial vectors Z_j = N^{-1/2} sum_i eps_i xi_i X_i."""
+    """Per-trial vectors Z_j = N^{-1/2} sum_i eps_i xi_i X_i.
+
+    A gaussian design draws them from their law given the noise,
+    sqrt(mean w^2) N(0, I_n): N noise values and n normals a trial. The scale
+    is linear in the noise, so doubling sigma doubles Z bit for bit.
+    """
+    if config.design.kind == "gaussian":
+        return np.sqrt(_noise_mean_squares(config, noise))[:, None] * _law_normals(config)
     N, n = config.N, config.class_spec.n
     out = np.empty((config.trials, n))
 
@@ -137,32 +187,29 @@ def _bisect_fixed_point(Z: np.ndarray, R: float, threshold, kind: str, r_lo: flo
     return FixedPointEstimate(hi, lo, hi, trials, stderr_at(hi), kind)
 
 
-def beta_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int = DEFAULT_EXPECTATION_TRIALS, seed: int = 0, r_lo: float | None = None, workers: int = 0) -> FixedPointEstimate:
-    """Fixed point where the localized Rademacher mean scales like gamma*r*sqrt(N)."""
+def _rademacher_fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int, seed: int, r_lo: float | None, workers: int, power: int, kind: str) -> FixedPointEstimate:
+    """Smallest radius where the localized Rademacher mean is at most gamma*r^power*sqrt(N)."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if class_spec.R == 0.0:
-        return FixedPointEstimate(0.0, 0.0, 0.0, trials, 0.0, "beta", ("degenerate_class",))
+        return FixedPointEstimate(0.0, 0.0, 0.0, trials, 0.0, kind, ("degenerate_class",))
     r_hi = 2.0 * class_spec.R * math.sqrt(class_spec.n)
     if r_lo is None:
         r_lo = 1e-8 * r_hi
     config = LocalizedSupConfig(class_spec, design, N, trials, seed, workers)
     Z = _rademacher_z_batch(config)
-    return _bisect_fixed_point(Z, class_spec.R, lambda r: gamma * r * math.sqrt(N), "beta", r_lo, r_hi)
+    # in this order the threshold is bit for bit gamma*r*sqrt(N) or gamma*r*r*sqrt(N)
+    return _bisect_fixed_point(Z, class_spec.R, lambda r: gamma * r * r ** (power - 1) * math.sqrt(N), kind, r_lo, r_hi)
+
+
+def beta_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int = DEFAULT_EXPECTATION_TRIALS, seed: int = 0, r_lo: float | None = None, workers: int = 0) -> FixedPointEstimate:
+    """Fixed point where the localized Rademacher mean scales like gamma*r*sqrt(N)."""
+    return _rademacher_fixed_point(class_spec, design, N, gamma, trials, seed, r_lo, workers, 1, "beta")
 
 
 def k_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int = DEFAULT_EXPECTATION_TRIALS, seed: int = 0, r_lo: float | None = None, workers: int = 0) -> FixedPointEstimate:
     """Fixed point with the quadratic normalization gamma*r^2*sqrt(N)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if class_spec.R == 0.0:
-        return FixedPointEstimate(0.0, 0.0, 0.0, trials, 0.0, "kstar", ("degenerate_class",))
-    r_hi = 2.0 * class_spec.R * math.sqrt(class_spec.n)
-    if r_lo is None:
-        r_lo = 1e-8 * r_hi
-    config = LocalizedSupConfig(class_spec, design, N, trials, seed, workers)
-    Z = _rademacher_z_batch(config)
-    return _bisect_fixed_point(Z, class_spec.R, lambda r: gamma * r * r * math.sqrt(N), "kstar", r_lo, r_hi)
+    return _rademacher_fixed_point(class_spec, design, N, gamma, trials, seed, r_lo, workers, 2, "kstar")
 
 
 def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, gamma: float, delta: float, trials: int = DEFAULT_QUANTILE_TRIALS, seed: int = 0, grid_ratio: float = 1.1, s_lo: float | None = None, workers: int = 0) -> FixedPointEstimate:

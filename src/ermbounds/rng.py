@@ -18,6 +18,9 @@ DESIGN_TAG = 0
 NOISE_TAG = 1
 SIGNS_TAG = 2
 DIRECTIONS_TAG = 3
+# Exact-law draws of a whole batch, keyed (LAW_TAG, tag, block): three
+# entries, so no per-trial key (trial, tag) or block key (block,) meets them.
+LAW_TAG = 4
 
 _MAX_KEY = 2**32 - 1
 

@@ -174,6 +174,7 @@ def test_criterion_6_main_theorem_coverage():
     start = time.time()
     freqs = {}
     criteria = {}
+    vacuous = {}
     for kind, p in (("gaussian", None), ("student_t", 4.0)):
         cfg = MainTheoremConfig(
             design=DesignSpec(kind, 32, p=p),
@@ -188,13 +189,15 @@ def test_criterion_6_main_theorem_coverage():
         rep = verify_main_theorem(cfg)
         freqs[kind] = rep.summary["frequency"]
         criteria[kind] = rep.summary["criterion"]
+        vacuous[kind] = rep.summary["bound_vacuous"]
     ok = all(f >= 0.85 for f in freqs.values())
     elapsed = time.time() - start
     record(
         6,
         ok,
         f"coverage gaussian {freqs['gaussian']:.3f}, student_t(4) {freqs['student_t']:.3f}, both >= 0.85 "
-        f"(theorem criteria {criteria['gaussian']:.3f}, {criteria['student_t']:.3f})",
+        f"(theorem criteria {criteria['gaussian']:.3f}, {criteria['student_t']:.3f}; "
+        f"bound_vacuous {vacuous['gaussian']}, {vacuous['student_t']}: a bound of at least 2R holds whatever the fixed points)",
         elapsed,
         900,
     )

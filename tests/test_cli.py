@@ -330,3 +330,10 @@ def test_bad_seed_in_config_exits_2(value, tmp_path, capsys):
     assert run(["counterexample", "--N", "100", "--trials", "200", "--set", f"seed={value}", "--output", str(out)]) == 2
     assert "seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_colliding_sweep_grid_exits_2(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert run(["persistence", "--set", "n_grid=[8]", "--set", "N_grid=[32]", "--set", "R_grid=[1.0,1.0000001]", "--output", str(out)]) == 2
+    assert "R_grid values 1.0 and 1.0000001" in capsys.readouterr().err
+    assert not out.exists()

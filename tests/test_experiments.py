@@ -126,6 +126,25 @@ class TestPersistenceSweep:
         with pytest.raises(ValueError, match="workers"):
             SweepConfig(workers=-1)
 
+    @pytest.mark.parametrize(
+        "grids, message",
+        [
+            # these two cells once drew the same samples and reported the same median_err2
+            (dict(R_grid=(1.0, 1.0000001)), "R_grid values 1.0 and 1.0000001"),
+            (dict(sigma_grid=(0.5, 0.25, 0.5)), "sigma_grid values 0.5 and 0.5"),
+            (dict(sigma_grid=(0.0, 1e-7)), "sigma_grid values 0.0 and 1e-07"),
+            (dict(N_grid=(32, 64, 32)), "N_grid values 32 and 32"),
+        ],
+        ids=["R_close", "sigma_repeated", "sigma_below_key_step", "N_repeated"],
+    )
+    def test_colliding_seed_keys_rejected(self, grids, message):
+        with pytest.raises(ValueError, match=message.replace(".", r"\.")):
+            SweepConfig(**{"n_grid": (8,), "N_grid": (32,), **grids})
+
+    def test_seed_keys_one_step_apart_accepted(self):
+        cfg = SweepConfig(n_grid=(8,), N_grid=(32,), R_grid=(1.0, 1.0 + 2**-20), sigma_grid=(0.0, 2**-20))
+        assert cfg.R_grid == (1.0, 1.0 + 2**-20)
+
     def test_seed_changes_results(self):
         base = dict(design_kind="gaussian", noise_kind="gaussian", n_grid=(8,), N_grid=(32,), sigma_grid=(0.5,), trials=20, t0_shape="zero", t0_fraction=0.0)
         rep1 = run_persistence_sweep(SweepConfig(**base, seed=1))

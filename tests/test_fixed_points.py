@@ -4,13 +4,16 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from ermbounds.distributions import DesignSpec, NoiseSpec, make_sample, sample_design
+from ermbounds import fixed_points
+from ermbounds.distributions import DesignSpec, NoiseSpec, make_sample, sample_design, sample_response
 from ermbounds.erm import ClassSpec
 from ermbounds.experiments import make_t0
 from ermbounds.fixed_points import (
     LocalizedSupConfig,
     _multiplier_z_batch,
+    _noise_mean_squares,
     _rademacher_z_batch,
     _sup_batch,
     alpha_star,
@@ -267,7 +270,7 @@ class TestWorkerCounts:
         # as the interpreter allows; a row written by the wrong trial or lost
         # would break bitwise equality with the serial loop
         cls = ClassSpec(n=24, R=1.0, t0=make_t0("flat", 0.5, 24, 1.0))
-        design = DesignSpec("gaussian", 24)
+        design = DesignSpec("bounded_uniform", 24)  # gaussian designs draw Z by law, without threads per trial
         noise = NoiseSpec("gaussian", sigma=0.5)
         serial = [_rademacher_z_batch(LocalizedSupConfig(cls, design, 48, 300, seed=26, workers=1)), _multiplier_z_batch(LocalizedSupConfig(cls, design, 48, 300, seed=26, workers=1), noise)]
         interval = sys.getswitchinterval()
@@ -298,3 +301,86 @@ class TestWorkerCounts:
             LocalizedSupConfig(cls_zero(4), DesignSpec("gaussian", 4), 8, 10, seed=0, workers=-1)
         with pytest.raises(ValueError, match="workers"):
             beta_star(cls_zero(4), DesignSpec("gaussian", 4), 8, gamma=0.1, trials=10, seed=0, workers=-2)
+
+
+def per_sample_z(cls, design, N, trials, seed, noise=None):
+    """Z rows built from whole samples: the design, the signs stream and the responses."""
+    Z = np.empty((trials, cls.n))
+    for j in range(trials):
+        X = sample_design(design, N, seed, trial=j)
+        eps = substream(seed, j, SIGNS_TAG).integers(0, 2, size=N) * 2.0 - 1.0
+        if noise is not None:
+            eps = eps * (X @ cls.t0 - sample_response(cls, noise, X, seed, trial=j))
+        Z[j] = (eps @ X) / math.sqrt(N)
+    return Z
+
+
+class TestGaussianLaw:
+    """A gaussian design draws Z from its exact law; it must match the law of
+    the Z built from whole samples (two-sample KS, fixed seeds)."""
+
+    N, n, trials = 64, 8, 1500
+    cls = ClassSpec(n=8, R=1.0, t0=make_t0("spike", 0.5, 8, 1.0))
+    design = DesignSpec("gaussian", 8)
+
+    def assert_same_law(self, fast, slow):
+        # one coordinate per trial keeps each sample iid; the sups at two
+        # radii check the joint law through the statistic the fixed points read
+        for a, b in ((fast[:, 0], slow[:, 0]), (fast[:, -1], slow[:, -1])):
+            assert stats.ks_2samp(a, b).pvalue > 1e-3
+        for radius in (0.3, 1.5):
+            assert stats.ks_2samp(_sup_batch(fast, 1.0, radius), _sup_batch(slow, 1.0, radius)).pvalue > 1e-3
+
+    def test_rademacher_law(self):
+        fast = _rademacher_z_batch(LocalizedSupConfig(self.cls, self.design, self.N, self.trials, seed=41))
+        self.assert_same_law(fast, per_sample_z(self.cls, self.design, self.N, self.trials, 42))
+
+    @pytest.mark.parametrize("noise", [NoiseSpec("gaussian", sigma=0.5), NoiseSpec("heavy_tailed", sigma=0.5, p=3.0)], ids=["gaussian", "heavy_tailed"])
+    def test_multiplier_law(self, noise):
+        fast = _multiplier_z_batch(LocalizedSupConfig(self.cls, self.design, self.N, self.trials, seed=43), noise)
+        self.assert_same_law(fast, per_sample_z(self.cls, self.design, self.N, self.trials, 44, noise))
+
+    @pytest.mark.parametrize("block", [fixed_points._LAW_BLOCK, 16], ids=["whole_rows", "row_pieces"])
+    def test_noise_mean_squares_chi2(self, monkeypatch, block):
+        # gaussian noise: N * mean(w^2) / sigma^2 is chi^2_N, whether a block
+        # holds many rows or a row comes in pieces (N = 40 > 16 draws 16, 16, 8)
+        monkeypatch.setattr(fixed_points, "_LAW_BLOCK", block)
+        N, sigma = 40, 0.5
+        config = LocalizedSupConfig(self.cls, self.design, N, 2000, seed=45)
+        msq = _noise_mean_squares(config, NoiseSpec("gaussian", sigma=sigma))
+        assert stats.kstest(N * msq / sigma**2, stats.chi2(N).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("noise", [NoiseSpec("zero"), NoiseSpec("gaussian", sigma=0.0)], ids=["zero", "sigma0"])
+    def test_zero_noise_gives_zero(self, noise):
+        Z = _multiplier_z_batch(LocalizedSupConfig(self.cls, self.design, self.N, 50, seed=46), noise)
+        assert Z.shape == (50, self.n) and np.array_equal(Z, np.zeros_like(Z))
+
+    def test_scale_covariance_across_row_pieces(self, monkeypatch):
+        monkeypatch.setattr(fixed_points, "_LAW_BLOCK", 16)
+        config = LocalizedSupConfig(self.cls, self.design, 40, 30, seed=47)
+        Z1 = _multiplier_z_batch(config, NoiseSpec("gaussian", sigma=0.5))
+        Z2 = _multiplier_z_batch(config, NoiseSpec("gaussian", sigma=1.0))
+        assert np.array_equal(Z2, 2.0 * Z1)
+
+    @pytest.mark.parametrize("block", [fixed_points._LAW_BLOCK, 16], ids=["whole_rows", "row_pieces"])
+    def test_identical_across_workers(self, monkeypatch, block):
+        monkeypatch.setattr(fixed_points, "_LAW_BLOCK", block)
+        noise = NoiseSpec("heavy_tailed", sigma=0.5, p=3.0)
+        batches = []
+        for workers in (1, 2, 0):
+            config = LocalizedSupConfig(self.cls, self.design, 512 if block > 16 else 40, 300, seed=48, workers=workers)
+            batches.append(_rademacher_z_batch(config).tobytes() + _multiplier_z_batch(config, noise).tobytes())
+        assert batches[0] == batches[1] == batches[2]
+
+    @pytest.mark.parametrize("noise", [NoiseSpec("heavy_tailed", sigma=0.5, p=3.0), NoiseSpec("bounded_symmetric", sigma=0.5, kappa=2.0)], ids=["heavy_tailed", "bounded_symmetric"])
+    def test_rows_independent_of_trial_count(self, noise):
+        # N = 512 puts 128 trials in a noise block; 300 trials end inside the
+        # third block, and these kinds draw a block's signs apart from the rest
+        def batches(trials):
+            config = LocalizedSupConfig(self.cls, self.design, 512, trials, seed=49)
+            return _rademacher_z_batch(config), _multiplier_z_batch(config, noise)
+
+        full = batches(300)
+        for k in (1, 127, 128, 200):
+            for a, b in zip(batches(k), full):
+                assert np.array_equal(a, b[:k])
