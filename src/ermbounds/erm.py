@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import Moments, Sample
-from .geometry import as_vector, project_l1
+from .geometry import as_vector, project_l1, project_l1_rows
 
 
 @dataclass(frozen=True)
@@ -54,34 +54,60 @@ class ErmResult:
     converged: bool
 
 
-def _power_lambda_max(G: np.ndarray, rel_tol: float = 0.005, max_iter: int = 1000) -> float:
-    """Largest eigenvalue of a PSD matrix by power iteration (about 1% accuracy).
+def _lambda_max(G: np.ndarray, rel_tol: float = 0.005, max_iter: int = 1000) -> np.ndarray:
+    """Largest eigenvalue of each PSD matrix of a (k, n, n) stack by power
+    iteration (about 1% accuracy).
 
     Two fixed random starts guard against a start vector sitting inside a
     lower eigenspace (easy to hit with small +-1 designs); the larger
-    estimate wins.
+    estimate wins. Each matrix iterates until its own estimate settles, and
+    leaves the stack then.
     """
-    n = G.shape[0]
-    best = 0.0
-    for start_seed in (0x9E3779B9, 0x85EBCA77):
-        v = np.random.Generator(np.random.PCG64(start_seed)).standard_normal(n)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        w = G @ v
-        for _ in range(max_iter):
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                lam = 0.0
-                break
-            v = w / norm
-            w = G @ v
-            lam_new = float(v @ w)
-            if abs(lam_new - lam) <= rel_tol * max(lam_new, 1e-300):
-                lam = lam_new
-                break
-            lam = lam_new
-        best = max(best, lam)
+    k, n = G.shape[:2]
+    best = np.zeros(k)
+    # a zero matrix gives w = 0; its rows divide by zero and report 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start_seed in (0x9E3779B9, 0x85EBCA77):
+            v = np.random.Generator(np.random.PCG64(start_seed)).standard_normal(n)
+            v /= np.linalg.norm(v)
+            lam, prev = np.zeros(k), np.zeros(k)
+            rows, Ga = np.arange(k), G
+            W = _matvec(Ga, np.tile(v, (k, 1)))
+            for _ in range(max_iter):
+                norm = np.sqrt(np.vecdot(W, W))
+                V = W / norm[:, None]
+                W = _matvec(Ga, V)
+                lam_new = np.vecdot(V, W)
+                done = (norm == 0.0) | (np.abs(lam_new - prev) <= rel_tol * np.maximum(lam_new, 1e-300))
+                if done.any():
+                    lam[rows[done]] = np.where(norm[done] == 0.0, 0.0, lam_new[done])
+                    if done.all():
+                        break
+                    keep = ~done
+                    rows, Ga, W, lam_new = rows[keep], Ga[keep], W[keep], lam_new[keep]
+                prev = lam_new
+            else:
+                lam[rows] = prev
+            best = np.maximum(best, lam)
     return best
+
+
+def _matvec(G: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Row i is G[i] @ V[i], by the same BLAS call as the 2-d product."""
+    return (G @ V[:, :, None])[:, :, 0]
+
+
+def _momentum(count: int) -> np.ndarray:
+    """FISTA's extrapolation weights (theta_j - 1)/theta_(j+1) for j < count,
+    from theta_0 = 1 and theta_(j+1) = (1 + sqrt(1 + 4 theta_j^2))/2; a row
+    that took j steps since its last restart extrapolates by entry j."""
+    weights = np.empty((count, 1))
+    theta = 1.0
+    for j in range(count):
+        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+        weights[j] = (theta - 1.0) / theta_next
+        theta = theta_next
+    return weights
 
 
 def _moments_of(data: Sample | Moments, class_spec: ClassSpec) -> Moments:
@@ -95,59 +121,94 @@ def solve_erm(data: Sample | Moments, class_spec: ClassSpec, tol: float = 1e-9, 
     """Minimize (1/N) sum (<t, X_i> - Y_i)^2 = t^T G t - 2 b^T t + c over ||t||_1 <= R.
 
     Reads only the moments (G, b, c) of the data; a Sample is reduced to them
-    first. FISTA with step 1/L (L = twice the top eigenvalue of G, padded 5%
-    for the power-iteration slack) and a restart whenever the objective would
+    first. The one-problem case of `solve_erms`, which describes the method.
+    """
+    return solve_erms([data], class_spec, tol=tol, max_iter=max_iter)[0]
+
+
+def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float = 1e-9, max_iter: int = 100000) -> list[ErmResult]:
+    """`solve_erm` for each of a list of Moments (or Samples) over one class, as one stacked run.
+
+    FISTA with step 1/L (L = twice the top eigenvalue of G, padded 5% for the
+    power-iteration slack) and a restart whenever the objective would
     increase, so the accepted objective sequence is non-increasing. Stops once
     the projected-gradient residual ||t - P(t - grad/L)||_2 drops below tol.
     The reported empirical risk is the objective at t_hat.
+
+    The problems share each step's numpy calls, over a (k, n, n) stack of the
+    G's, but every row does the arithmetic of a lone solve: its result has
+    the same bytes whatever the other rows are. A row leaves the stack when it
+    converges; the stack is gathered again only then.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    moments = _moments_of(data, class_spec)
-    G, b, c = moments.G, moments.b, moments.c
-    R = class_spec.R
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    moments = [_moments_of(m, class_spec) for m in moments]
+    n, R = class_spec.n, class_spec.R
+    results = [ErmResult(np.zeros(n), m.c, 0, 0.0, True) for m in moments]
+    if R == 0.0 or not moments:
+        return results
+    if len(moments) == 1:
+        G, b = moments[0].G[None], moments[0].b[None]
+    else:
+        G, b = np.stack([m.G for m in moments]), np.stack([m.b for m in moments])
+    c = np.array([m.c for m in moments])
 
-    if R == 0.0:
-        return ErmResult(np.zeros(class_spec.n), c, 0, 0.0, True)
+    L = 2.0 * _lambda_max(G) * 1.05
+    # L = 0 means X = 0: every feasible t has the same risk, and the row
+    # keeps its zero result
+    rows = np.flatnonzero(L != 0.0)
+    if rows.size == 0:
+        return results
+    if rows.size < len(moments):
+        G, b, c, L = G[rows], b[rows], c[rows], L[rows]
+    L = L[:, None]
 
-    L = 2.0 * _power_lambda_max(G) * 1.05
-    if L == 0.0:
-        # X = 0: every feasible t has the same risk
-        return ErmResult(np.zeros(class_spec.n), c, 0, 0.0, True)
+    def finish(done, iterations: int) -> None:
+        # the risk is a sum of squares; rounding in the expanded form can
+        # leave it a few ulps of c below zero
+        for j in np.flatnonzero(done):
+            results[rows[j]] = ErmResult(t[j].copy(), max(float(f_t[j]), 0.0), iterations, float(residual[j]), bool(residual[j] <= tol))
 
     # objective and gradient take the product G @ t, formed once per point
-    def obj(t, Gt):
-        return float(t @ Gt - 2.0 * (b @ t) + c)
-
-    def grad(Gt):
-        return 2.0 * (Gt - b)
-
-    t = project_l1(np.zeros(class_spec.n), R)
-    Gt = G @ t
+    t = project_l1_rows(np.zeros((rows.size, n)), R)
+    Gt = _matvec(G, t)
     y = t
-    theta = 1.0
-    f_t = obj(t, Gt)
-    residual = math.inf
-    iterations = 0
+    f_t = np.vecdot(t, Gt) - 2.0 * np.vecdot(b, t) + c
+    age = np.zeros(rows.size, dtype=np.intp)  # steps since the last restart
+    weights = _momentum(64)
     for iterations in range(1, max_iter + 1):
-        t_next = project_l1(y - grad(G @ y) / L, R)
-        Gt_next = G @ t_next
-        f_next = obj(t_next, Gt_next)
-        if f_next > f_t:
+        t_next = project_l1_rows(y - 2.0 * (_matvec(G, y) - b) / L, R)
+        Gt_next = _matvec(G, t_next)
+        f_next = np.vecdot(t_next, Gt_next) - 2.0 * np.vecdot(b, t_next) + c
+        worse = f_next > f_t
+        if worse.any():
             # restart: plain projected-gradient step from the last accepted point
-            theta = 1.0
-            t_next = project_l1(t - grad(Gt) / L, R)
-            Gt_next = G @ t_next
-            f_next = obj(t_next, Gt_next)
-        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-        y = t_next + ((theta - 1.0) / theta_next) * (t_next - t)
-        t, Gt, f_t, theta = t_next, Gt_next, f_next, theta_next
-        residual = float(np.linalg.norm(t - project_l1(t - grad(Gt) / L, R)))
-        if residual <= tol:
-            break
-    # the risk is a sum of squares; rounding in the expanded form can leave
-    # it a few ulps of c below zero
-    return ErmResult(t, max(f_t, 0.0), iterations, residual, residual <= tol)
+            r = slice(None) if worse.all() else np.flatnonzero(worse)
+            age[r] = 0
+            t_r = project_l1_rows(t[r] - 2.0 * (Gt[r] - b[r]) / L[r], R)
+            Gt_r = _matvec(G[r], t_r)
+            t_next[r], Gt_next[r] = t_r, Gt_r
+            f_next[r] = np.vecdot(t_r, Gt_r) - 2.0 * np.vecdot(b[r], t_r) + c[r]
+        if iterations > weights.shape[0]:
+            weights = _momentum(2 * weights.shape[0])
+        y = t_next + weights[age] * (t_next - t)
+        age += 1
+        t, Gt, f_t = t_next, Gt_next, f_next
+        d = t - project_l1_rows(t - 2.0 * (Gt - b) / L, R)
+        residual = np.sqrt(np.vecdot(d, d))
+        done = residual <= tol
+        if done.any():
+            finish(done, iterations)
+            if done.all():
+                break
+            keep = ~done
+            rows, G, b, c, L, age = rows[keep], G[keep], b[keep], c[keep], L[keep], age[keep]
+            t, Gt, y, f_t = t[keep], Gt[keep], y[keep], f_t[keep]
+    else:
+        finish(np.ones(rows.size, dtype=bool), max_iter)
+    return results
 
 
 def excess_loss(t, class_spec: ClassSpec, sample: Sample) -> float:
@@ -220,7 +281,7 @@ def brute_force_erm(sample: Sample, class_spec: ClassSpec, resolution: float = 5
     if R == 0.0:
         return np.zeros(class_spec.n)
     _, t = _l1_lattice_objective_min(G, b, c, R, resolution)
-    L = 2.0 * _power_lambda_max(G) * 1.05
+    L = 2.0 * float(_lambda_max(G[None])[0]) * 1.05
     if L == 0.0:
         return t
     for _ in range(refine_steps):

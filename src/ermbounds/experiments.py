@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import CounterexampleSpec, DesignSpec, NoiseSpec, counterexample_spike_counts, sample_moments
-from .erm import ClassSpec, solve_erm
+from .erm import ClassSpec, ErmResult, solve_erms
 from .fixed_points import alpha_star, beta_star
 from .rates import RateInputs, rho_N, v1_v2
 from .reports import Report, wilson_interval
@@ -29,6 +29,10 @@ _STAGE_TAU = 14
 _STAGE_ALPHA = 11
 _STAGE_BETA = 12
 _STAGE_TRIALS = 13
+
+# numbers in one stacked solve's G's: all 200 verify-main trials at n = 32,
+# one trial from n = 513 up
+_ERM_BATCH = 2**19
 
 SWEEP_COLUMNS = ("design", "noise", "n", "N", "R", "sigma", "trials", "statistic", "value")
 
@@ -78,6 +82,10 @@ class SweepConfig:
     def __post_init__(self):
         if self.workers < 0:
             raise ValueError("workers must be nonnegative")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be at least 1")
         if self.trials < 20:
             raise ValueError("sweeps need at least 20 trials per cell")
         # a cell's seed is keyed on its grid values, so two values with one
@@ -120,26 +128,31 @@ def _design_spec(config: SweepConfig, n: int) -> DesignSpec:
     return DesignSpec(kind=config.design_kind, n=n, p=config.design_p)
 
 
-def _cell_errors(config: SweepConfig, n: int, N: int, R: float, sigma: float) -> tuple[np.ndarray, int]:
-    """Squared errors ||t_hat - t0||_2^2 over the cell's trials, plus failures.
+def _erm_trials(cls: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, seed: int, trials: int, workers: int, **solver) -> list[ErmResult]:
+    """`solve_erms` results (with the `solver` settings) of trials
+    0..trials-1, each solved from `sample_moments`.
 
-    Each trial solves from its sample's moments, so it never holds its N x n
-    design; trials run on up to `config.workers` threads.
+    A trial never holds its N x n design. The trials are solved in stacked
+    batches whose G's hold at most _ERM_BATCH numbers, on up to `workers`
+    threads; neither changes a result.
     """
-    design = _design_spec(config, n)
-    noise = _noise_spec(config, sigma)
+    batch = max(1, _ERM_BATCH // (cls.n * cls.n))
+
+    def solve(i: int) -> list[ErmResult]:
+        moments = [sample_moments(cls, design, noise, N, seed, trial=j) for j in range(i * batch, min(trials, (i + 1) * batch))]
+        return solve_erms(moments, cls, **solver)
+
+    return [result for results in map_trials(solve, -(-trials // batch), workers) for result in results]
+
+
+def _cell_errors(config: SweepConfig, n: int, N: int, R: float, sigma: float) -> tuple[np.ndarray, int]:
+    """Squared errors ||t_hat - t0||_2^2 over the cell's trials, plus failures."""
     t0 = make_t0(config.t0_shape, config.t0_fraction, n, R)
     cls = ClassSpec(n=n, R=R, t0=t0)
     cell_seed = derive_seed(config.seed, n, N, _seed_key(R), _seed_key(sigma))
-
-    def trial(j: int) -> tuple[float, bool]:
-        moments = sample_moments(cls, design, noise, N, cell_seed, trial=j)
-        result = solve_erm(moments, cls, tol=config.tol, max_iter=config.max_iter)
-        return float(np.sum((result.t_hat - t0) ** 2)), result.converged
-
-    results = map_trials(trial, config.trials, config.workers)
-    errors = np.array([error for error, _ in results])
-    failures = sum(not converged for _, converged in results)
+    results = _erm_trials(cls, _design_spec(config, n), _noise_spec(config, sigma), N, cell_seed, config.trials, config.workers, tol=config.tol, max_iter=config.max_iter)
+    errors = np.array([float(np.sum((result.t_hat - t0) ** 2)) for result in results])
+    failures = sum(not result.converged for result in results)
     return errors, failures
 
 
@@ -274,7 +287,16 @@ class MainTheoremConfig:
     tol: float = 1e-8
     seed: int = 0x5EED
     gamma_override: float | None = None
-    workers: int = 0  # threads drawing the alpha and beta trials (a gaussian design: alpha's noise blocks); 0 = every CPU; never changes results
+    workers: int = 0  # threads drawing the alpha and beta trials (a gaussian design: alpha's noise blocks) and solving the ERM batches; 0 = every CPU; never changes results
+
+    def __post_init__(self):
+        for name in ("N", "trials", "beta_trials"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if self.tol <= 0:
+            raise ValueError("tol must be positive")
+        if self.workers < 0:
+            raise ValueError("workers must be nonnegative")
 
     def to_record(self) -> dict:
         return {
@@ -321,15 +343,8 @@ def verify_main_theorem(config: MainTheoremConfig) -> Report:
     beta = beta_star(cls, design, config.N, gamma_beta, trials=config.beta_trials, seed=derive_seed(config.seed, _STAGE_BETA), workers=config.workers)
     bound = 2.0 * max(alpha.value, beta.value)
 
-    trial_seed = derive_seed(config.seed, _STAGE_TRIALS)
-    errors = np.empty(config.trials)
-    # Serial on purpose: the short FISTA iterations at these sizes hold the
-    # interpreter lock, and on 2 threads the verify_main benchmark op got
-    # slower (2.39 -> 2.99 s).
-    for j in range(config.trials):
-        moments = sample_moments(cls, design, noise, config.N, trial_seed, trial=j)
-        result = solve_erm(moments, cls, tol=config.tol)
-        errors[j] = float(np.linalg.norm(result.t_hat - t0))
+    results = _erm_trials(cls, design, noise, config.N, derive_seed(config.seed, _STAGE_TRIALS), config.trials, config.workers, tol=config.tol)
+    errors = np.array([float(np.linalg.norm(result.t_hat - t0)) for result in results])
     successes = int(np.sum(errors <= bound))
     frequency = successes / config.trials
     criterion = 1.0 - config.delta - 2.0 * math.exp(-config.N * q_hat**2 / 2.0) - 0.05

@@ -52,19 +52,30 @@ def project_l1(v, radius: float) -> np.ndarray:
     arr = as_vector(v)
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    return project_l1_rows(arr[None, :], radius)[0]
+
+
+def project_l1_rows(V: np.ndarray, radius: float) -> np.ndarray:
+    """`project_l1` of each row of a (k, n) array, with the same bytes per row.
+
+    Does not validate: V must be a finite 2-d float64 array and radius
+    nonnegative. Rows already in the ball are returned unchanged (copied).
+    """
     if radius == 0.0:
-        return np.zeros_like(arr)
-    a = np.abs(arr)
-    if a.sum() <= radius * (1.0 + REL_SLACK):
-        return arr.copy()
-    u = np.sort(a)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, arr.size + 1)
+        return np.zeros_like(V)
+    A = np.abs(V)
+    inside = A.sum(axis=1) <= radius * (1.0 + REL_SLACK)
+    if inside.all():
+        return V.copy()
+    U = np.sort(A, axis=1)[:, ::-1]
+    css = np.cumsum(U, axis=1)
+    n = V.shape[1]
     # Largest k with u_k > (sum of top k - radius)/k; always holds at k=1.
-    feasible = u > (css - radius) / ks
-    k = np.nonzero(feasible)[0].max()
-    theta = (css[k] - radius) / (k + 1.0)
-    return np.sign(arr) * np.maximum(a - theta, 0.0)
+    feasible = U > (css - radius) / np.arange(1, n + 1)
+    k = (n - 1) - np.argmax(feasible[:, ::-1], axis=1)
+    theta = (css[np.arange(V.shape[0]), k] - radius) / (k + 1.0)
+    out = np.sign(V) * np.maximum(A - theta[:, None], 0.0)
+    return np.where(inside[:, None], V, out)
 
 
 def top_d_l2(z, d: int) -> float:

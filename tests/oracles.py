@@ -10,7 +10,9 @@ the float feasibility predicate instead of sorting breakpoints. The scalar
 realized suprema take one sample and sign vector at a time, with no trial
 loop or batch, and are compared row by row against the Z-batches. The mean
 localized Rademacher supremum and the top-d rearrangement bound are checked
-helpers that only the tests call.
+helpers that only the tests call. The scalar l1 projection, power iteration
+and FISTA loop are the one-problem code the stacked solver replaced, kept
+unchanged as the bitwise reference for its rows.
 """
 
 from __future__ import annotations
@@ -167,6 +169,95 @@ def certified_min_eigenvalue(G: np.ndarray, rel_tol: float = 0.01, max_iter: int
             break
         mu = mu_new
     return 1.0 / mu_new
+
+
+def project_l1_scalar(v: np.ndarray, radius: float) -> np.ndarray:
+    """The one-vector sort-based l1 projection the package used before it
+    projected row-wise; `project_l1` must keep its bytes."""
+    arr = np.asarray(v, dtype=np.float64)
+    if radius == 0.0:
+        return np.zeros_like(arr)
+    a = np.abs(arr)
+    if a.sum() <= radius * (1.0 + 1e-12):
+        return arr.copy()
+    u = np.sort(a)[::-1]
+    css = np.cumsum(u)
+    ks = np.arange(1, arr.size + 1)
+    feasible = u > (css - radius) / ks
+    k = np.nonzero(feasible)[0].max()
+    theta = (css[k] - radius) / (k + 1.0)
+    return np.sign(arr) * np.maximum(a - theta, 0.0)
+
+
+def power_lambda_max_scalar(G: np.ndarray, rel_tol: float = 0.005, max_iter: int = 1000) -> float:
+    """The one-matrix power iteration the solver used before it was stacked."""
+    n = G.shape[0]
+    best = 0.0
+    for start_seed in (0x9E3779B9, 0x85EBCA77):
+        v = np.random.Generator(np.random.PCG64(start_seed)).standard_normal(n)
+        v /= np.linalg.norm(v)
+        lam = 0.0
+        w = G @ v
+        for _ in range(max_iter):
+            norm = np.linalg.norm(w)
+            if norm == 0.0:
+                lam = 0.0
+                break
+            v = w / norm
+            w = G @ v
+            lam_new = float(v @ w)
+            if abs(lam_new - lam) <= rel_tol * max(lam_new, 1e-300):
+                lam = lam_new
+                break
+            lam = lam_new
+        best = max(best, lam)
+    return best
+
+
+def fista_erm_scalar(G: np.ndarray, b: np.ndarray, c: float, R: float, tol: float, max_iter: int) -> tuple:
+    """The one-problem FISTA loop the solver ran before it was stacked, which
+    every row of a stacked solve must reproduce bit for bit.
+
+    Returns (t_hat, risk, iterations, residual, converged, restarts); the
+    restart count is the only addition.
+    """
+    n = G.shape[0]
+    if R == 0.0:
+        return np.zeros(n), c, 0, 0.0, True, 0
+    L = 2.0 * power_lambda_max_scalar(G) * 1.05
+    if L == 0.0:
+        return np.zeros(n), c, 0, 0.0, True, 0
+
+    def obj(t, Gt):
+        return float(t @ Gt - 2.0 * (b @ t) + c)
+
+    def grad(Gt):
+        return 2.0 * (Gt - b)
+
+    t = project_l1_scalar(np.zeros(n), R)
+    Gt = G @ t
+    y = t
+    theta = 1.0
+    f_t = obj(t, Gt)
+    residual = math.inf
+    iterations = restarts = 0
+    for iterations in range(1, max_iter + 1):
+        t_next = project_l1_scalar(y - grad(G @ y) / L, R)
+        Gt_next = G @ t_next
+        f_next = obj(t_next, Gt_next)
+        if f_next > f_t:
+            restarts += 1
+            theta = 1.0
+            t_next = project_l1_scalar(t - grad(Gt) / L, R)
+            Gt_next = G @ t_next
+            f_next = obj(t_next, Gt_next)
+        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+        y = t_next + ((theta - 1.0) / theta_next) * (t_next - t)
+        t, Gt, f_t, theta = t_next, Gt_next, f_next, theta_next
+        residual = float(np.linalg.norm(t - project_l1_scalar(t - grad(Gt) / L, R)))
+        if residual <= tol:
+            break
+    return t, max(f_t, 0.0), iterations, residual, residual <= tol, restarts
 
 
 def rademacher_sup(design: np.ndarray, signs: np.ndarray, class_spec: ClassSpec, radius: float) -> float:

@@ -337,3 +337,31 @@ def test_colliding_sweep_grid_exits_2(tmp_path, capsys):
     assert run(["persistence", "--set", "n_grid=[8]", "--set", "N_grid=[32]", "--set", "R_grid=[1.0,1.0000001]", "--output", str(out)]) == 2
     assert "R_grid values 1.0 and 1.0000001" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_erm_iteration_cap_below_one_exits_2(value, tmp_path):
+    out = tmp_path / "erm.json"
+    proc = run_cli(["erm", "--set", f"max_iter={value}", "--output", str(out)], tmp_path)
+    assert proc.returncode == 2
+    assert "max_iter" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [(["--trials", "0"], "trials"), (["--N", "0"], "N"), (["--set", "beta_trials=0"], "beta_trials"), (["--set", "tol=0"], "tol")],
+)
+def test_verify_main_bad_config_exits_2_before_any_stage(args, field, tmp_path, capsys, monkeypatch):
+    from ermbounds import experiments
+
+    def stage(*args, **kwargs):
+        raise AssertionError("a Monte Carlo stage ran")
+
+    for name in ("choose_tau", "alpha_star", "beta_star", "solve_erms"):
+        monkeypatch.setattr(experiments, name, stage)
+    out = tmp_path / "vm.json"
+    assert run(["verify-main", *args, "--output", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()

@@ -3,10 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from ermbounds.distributions import DesignSpec, NoiseSpec, Sample, make_sample
-from ermbounds.erm import ClassSpec, brute_force_erm, excess_loss, solve_erm
+from ermbounds import erm
+from ermbounds.distributions import DesignSpec, Moments, NoiseSpec, Sample, make_sample, sample_moments
+from ermbounds.erm import ClassSpec, brute_force_erm, excess_loss, solve_erm, solve_erms
 from ermbounds.experiments import make_t0
-from oracles import certified_min_eigenvalue
+from oracles import certified_min_eigenvalue, fista_erm_scalar
 
 
 def objective(sample, t):
@@ -86,6 +87,15 @@ class TestSolve:
                 else:
                     assert res.empirical_risk <= 1e-12
 
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_iteration_cap_below_one_rejected(self, max_iter):
+        cls = ClassSpec(n=3, R=1.0, t0=np.zeros(3))
+        sample = make_sample(cls, DesignSpec("gaussian", 3), NoiseSpec("gaussian", sigma=1.0), 10, seed=1)
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_erm(sample, cls, max_iter=max_iter)
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_erms([sample.moments()], cls, max_iter=max_iter)
+
     def test_iteration_cap_reported(self):
         cls = ClassSpec(n=8, R=1.0, t0=np.zeros(8))
         sample = make_sample(cls, DesignSpec("gaussian", 8), NoiseSpec("gaussian", sigma=1.0), 6, seed=3)
@@ -119,6 +129,87 @@ class TestSolve:
             res = solve_erm(sample, cls, tol=1e-16, max_iter=iters)
             objs.append(objective(sample, res.t_hat))
         assert all(a >= b - 1e-12 for a, b in zip(objs, objs[1:]))
+
+
+def result_key(result):
+    return (result.t_hat.tobytes(), result.empirical_risk, result.iterations, result.kkt_residual, result.converged)
+
+
+def reference_key(moments, cls, tol, max_iter):
+    t, risk, iterations, residual, converged, _ = fista_erm_scalar(moments.G, moments.b, moments.c, cls.R, tol, max_iter)
+    return (t.tobytes(), risk, iterations, residual, converged)
+
+
+def trial_moments(kind, n, N, count, R=1.0, seed=23):
+    cls = ClassSpec(n=n, R=R, t0=make_t0("spike", 0.5, n, R))
+    design = DesignSpec(kind, n, p=4.0 if kind == "student_t" else None)
+    return cls, [sample_moments(cls, design, NoiseSpec("gaussian", sigma=0.5), N, seed, trial=j) for j in range(count)]
+
+
+class TestStacked:
+    # every row of a stacked solve must equal its lone solve and the scalar
+    # loop the stack replaced, byte for byte
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "student_t"])
+    @pytest.mark.parametrize("n, N", [(24, 10), (24, 200)], ids=["N<n", "N>n"])
+    def test_rows_equal_lone_solves(self, kind, n, N):
+        cls, moments = trial_moments(kind, n, N, 12)
+        stacked = solve_erms(moments, cls, tol=1e-9)
+        assert len(stacked) == len(moments)
+        for m, result in zip(moments, stacked):
+            assert result_key(result) == result_key(solve_erm(m, cls, tol=1e-9)) == reference_key(m, cls, 1e-9, 100000)
+            assert result.converged
+
+    def test_rows_that_restart(self):
+        cls, moments = trial_moments("rademacher", 24, 10, 12)
+        restarts = [fista_erm_scalar(m.G, m.b, m.c, cls.R, 1e-9, 100000)[5] for m in moments]
+        # every row restarts, and unequal counts mean that some restarts
+        # fall on steps where other rows go on
+        assert min(restarts) > 0 and len(set(restarts)) > 1
+        for m, result in zip(moments, solve_erms(moments, cls, tol=1e-9)):
+            assert result_key(result) == reference_key(m, cls, 1e-9, 100000)
+
+    def test_zero_gram_row(self):
+        cls, moments = trial_moments("gaussian", 12, 40, 4)
+        zero = Moments(np.zeros((12, 12)), np.zeros(12), 0.75, 40)
+        batch = moments[:2] + [zero] + moments[2:]
+        results = solve_erms(batch, cls, tol=1e-9)
+        assert result_key(results[2]) == (np.zeros(12).tobytes(), 0.75, 0, 0.0, True)
+        for m, result in zip(moments, results[:2] + results[3:]):
+            assert result_key(result) == result_key(solve_erm(m, cls, tol=1e-9))
+        assert [result_key(r) for r in solve_erms([zero, zero], cls)] == [result_key(results[2])] * 2
+
+    def test_zero_radius(self):
+        cls, moments = trial_moments("gaussian", 6, 20, 3, R=0.0)
+        for m, result in zip(moments, solve_erms(moments, cls)):
+            assert result_key(result) == (np.zeros(6).tobytes(), m.c, 0, 0.0, True)
+
+    def test_iteration_cap_splits_the_batch(self):
+        cls, moments = trial_moments("gaussian", 16, 12, 10)
+        free = [r.iterations for r in solve_erms(moments, cls, tol=1e-10)]
+        cap = sorted(free)[len(free) // 2]
+        assert min(free) < cap < max(free)
+        capped = solve_erms(moments, cls, tol=1e-10, max_iter=cap)
+        for m, iterations, result in zip(moments, free, capped):
+            assert result.converged == (iterations <= cap)
+            assert result.iterations == min(iterations, cap)
+            assert result_key(result) == result_key(solve_erm(m, cls, tol=1e-10, max_iter=cap)) == reference_key(m, cls, 1e-10, cap)
+
+    def test_empty_and_mismatched(self):
+        cls, moments = trial_moments("gaussian", 4, 8, 2)
+        assert solve_erms([], cls) == []
+        other = sample_moments(ClassSpec(n=5, R=1.0, t0=np.zeros(5)), DesignSpec("gaussian", 5), NoiseSpec("zero"), 8, seed=1)
+        with pytest.raises(ValueError, match="dimension"):
+            solve_erms([moments[0], other], cls)
+
+    def test_lone_solve_reads_g_in_place(self, monkeypatch):
+        # the one-problem stack is a view of the caller's G, not a copy
+        cls, (m,) = trial_moments("gaussian", 8, 20, 1)
+        seen = []
+        lambda_max = erm._lambda_max
+        monkeypatch.setattr(erm, "_lambda_max", lambda G: seen.append(G) or lambda_max(G))
+        solve_erm(m, cls)
+        assert seen[0].shape == (1, 8, 8) and np.shares_memory(seen[0], m.G)
 
 
 class TestBruteForce:

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ermbounds import distributions
+from ermbounds import distributions, experiments
 from ermbounds.distributions import DesignSpec, NoiseSpec
 from ermbounds.experiments import MainTheoremConfig, SweepConfig, make_t0, run_counterexample, run_persistence_sweep, verify_main_theorem
 from ermbounds.reports import Report, canonical_json, emit_report, wilson_interval
@@ -126,6 +126,27 @@ class TestPersistenceSweep:
         with pytest.raises(ValueError, match="workers"):
             SweepConfig(workers=-1)
 
+    @pytest.mark.parametrize("field, value", [("tol", 0.0), ("tol", -1e-9), ("max_iter", 0), ("max_iter", -5)])
+    def test_solver_settings_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SweepConfig(**{field: value})
+
+    def test_erm_batches_never_change_bytes(self, monkeypatch):
+        # 20 trials at n = 8 are one stacked solve; a budget of 3 G's splits
+        # them into 7 batches, run here on more threads than cores with a
+        # 1 us switch interval
+        cfg = dict(design_kind="gaussian", noise_kind="gaussian", n_grid=(8,), N_grid=(6, 64), sigma_grid=(0.5,), trials=20, seed=9, t0_shape="spike", t0_fraction=0.5)
+        whole = run_persistence_sweep(SweepConfig(**cfg, workers=1))
+        monkeypatch.setattr(experiments, "_ERM_BATCH", 3 * 8 * 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            split = run_persistence_sweep(SweepConfig(**cfg, workers=4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert split.to_csv() == whole.to_csv()
+        assert split.to_json() == whole.to_json()
+
     @pytest.mark.parametrize(
         "grids, message",
         [
@@ -158,7 +179,33 @@ class TestPersistenceSweep:
         assert flagged == [True]
 
 
+# sha256 of verify_main_theorem's JSON and CSV at the CLI defaults (gaussian
+# n = 32, sigma = 0.5), recorded at commit d65c029, which solved the ERM
+# trials one at a time
+PINNED_VERIFY_MAIN = ("6e950807d290159f4e549a91836c853cc5d974efa0d27a1bde912e40b8101277", "d2eabaa1eddabd7ce8bad5ab6370a2ab9bb2ca0916a91a8b395aa61fa02fc168")
+
+
 class TestVerifyMain:
+    @pytest.mark.parametrize(
+        "batch, workers",
+        [(None, 1), (None, 2), (None, 0), (64, 1), (64, 0), (7, 2)],
+        ids=["whole-w1", "whole-w2", "whole-w0", "b64-w1", "b64-w0", "b7-w2"],
+    )
+    def test_default_report_pinned(self, monkeypatch, batch, workers):
+        # the 200 trials are one stacked solve at n = 32; a smaller budget
+        # splits them into 4 or 29 batches
+        if batch is not None:
+            monkeypatch.setattr(experiments, "_ERM_BATCH", batch * 32 * 32)
+        cfg = MainTheoremConfig(design=DesignSpec("gaussian", 32), noise=NoiseSpec("gaussian", sigma=0.5), workers=workers)
+        rep = verify_main_theorem(cfg)
+        digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (rep.to_json(), rep.to_csv()))
+        assert digests == PINNED_VERIFY_MAIN
+
+    @pytest.mark.parametrize("field, value", [("trials", 0), ("beta_trials", 0), ("N", 0), ("tol", 0.0), ("workers", -1)])
+    def test_config_validated(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MainTheoremConfig(design=DesignSpec("gaussian", 4), noise=NoiseSpec("zero"), **{field: value})
+
     def test_mini_run_structure(self):
         cfg = MainTheoremConfig(
             design=DesignSpec("gaussian", 8),

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ermbounds.geometry import BallIntersection, project_l1, rearrangement_d, support_l1l2, support_l1l2_batch, top_d_l2
+from ermbounds.geometry import BallIntersection, project_l1, project_l1_rows, rearrangement_d, support_l1l2, support_l1l2_batch, top_d_l2
 
-from oracles import boundary_enum_2d, support_oracle
+from oracles import boundary_enum_2d, project_l1_scalar, support_oracle
 
 
 class TestProjectL1:
@@ -75,6 +75,22 @@ class TestProjectL1:
             assert np.abs(pu).sum() <= R * (1 + 1e-12) + 1e-15
             assert np.array_equal(project_l1(pu, R), pu)
             assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) * (1 + 1e-12)
+
+    def test_rows_match_the_scalar_projection_bytes(self):
+        # feasible, infeasible and tied rows mixed in one array; every row of
+        # project_l1_rows, and project_l1, has the scalar projection's bytes
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            V = rng.standard_normal((int(rng.integers(1, 9)), n)) * rng.uniform(0.01, 3.0)
+            V[0, : n // 2] = V[0, 0]  # ties in |v|
+            V[-1, :] *= -0.0 if rng.random() < 0.1 else 1.0
+            R = float(rng.choice([0.0, 0.5, 1.0, float(np.abs(V[0]).sum())]))
+            rows = project_l1_rows(V, R)
+            for v, row in zip(V, rows):
+                expected = project_l1_scalar(v, R).tobytes()
+                assert row.tobytes() == expected
+                assert project_l1(v, R).tobytes() == expected
 
 
 class TestTopD:
