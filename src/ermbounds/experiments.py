@@ -293,6 +293,8 @@ class MainTheoremConfig:
         for name in ("N", "trials", "beta_trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must lie in (0, 1)")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.workers < 0:

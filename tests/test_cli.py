@@ -351,7 +351,7 @@ def test_erm_iteration_cap_below_one_exits_2(value, tmp_path):
 
 @pytest.mark.parametrize(
     "args, field",
-    [(["--trials", "0"], "trials"), (["--N", "0"], "N"), (["--set", "beta_trials=0"], "beta_trials"), (["--set", "tol=0"], "tol")],
+    [(["--trials", "0"], "trials"), (["--N", "0"], "N"), (["--set", "beta_trials=0"], "beta_trials"), (["--set", "tol=0"], "tol"), (["--delta", "0"], "delta")],
 )
 def test_verify_main_bad_config_exits_2_before_any_stage(args, field, tmp_path, capsys, monkeypatch):
     from ermbounds import experiments

@@ -201,7 +201,7 @@ class TestVerifyMain:
         digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (rep.to_json(), rep.to_csv()))
         assert digests == PINNED_VERIFY_MAIN
 
-    @pytest.mark.parametrize("field, value", [("trials", 0), ("beta_trials", 0), ("N", 0), ("tol", 0.0), ("workers", -1)])
+    @pytest.mark.parametrize("field, value", [("trials", 0), ("beta_trials", 0), ("N", 0), ("tol", 0.0), ("workers", -1), ("delta", 0.0), ("delta", 1.0)])
     def test_config_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
             MainTheoremConfig(design=DesignSpec("gaussian", 4), noise=NoiseSpec("zero"), **{field: value})
