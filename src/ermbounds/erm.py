@@ -165,7 +165,7 @@ def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float = 1e-9,
         G, b, c, L = G[rows], b[rows], c[rows], L[rows]
     L = L[:, None]
 
-    def finish(done, iterations: int) -> None:
+    def finish(done, rows, t, f_t, residual, iterations: int) -> None:
         # the risk is a sum of squares; rounding in the expanded form can
         # leave it a few ulps of c below zero
         for j in np.flatnonzero(done):
@@ -200,14 +200,14 @@ def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float = 1e-9,
         residual = np.sqrt(np.vecdot(d, d))
         done = residual <= tol
         if done.any():
-            finish(done, iterations)
+            finish(done, rows, t, f_t, residual, iterations)
             if done.all():
                 break
             keep = ~done
             rows, G, b, c, L, age = rows[keep], G[keep], b[keep], c[keep], L[keep], age[keep]
-            t, Gt, y, f_t = t[keep], Gt[keep], y[keep], f_t[keep]
+            t, Gt, y, f_t, residual = t[keep], Gt[keep], y[keep], f_t[keep], residual[keep]
     else:
-        finish(np.ones(rows.size, dtype=bool), max_iter)
+        finish(np.ones(rows.size, dtype=bool), rows, t, f_t, residual, max_iter)
     return results
 
 

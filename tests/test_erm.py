@@ -195,6 +195,22 @@ class TestStacked:
             assert result.iterations == min(iterations, cap)
             assert result_key(result) == result_key(solve_erm(m, cls, tol=1e-10, max_iter=cap)) == reference_key(m, cls, 1e-10, cap)
 
+    def test_row_converging_on_the_last_step(self):
+        # a row that converges at exactly max_iter leaves the stack on the
+        # last step, ahead of rows the cap stops; each stopped row must keep
+        # its own residual
+        cls, moments = trial_moments("gaussian", 16, 12, 10)
+        free = [r.iterations for r in solve_erms(moments, cls, tol=1e-10)]
+        order = np.argsort(free, kind="stable")
+        first, later = int(order[0]), [int(j) for j in order if free[j] > free[order[0]]]
+        cap = free[first]
+        batch = [moments[first]] + [moments[j] for j in later]
+        capped = solve_erms(batch, cls, tol=1e-10, max_iter=cap)
+        assert capped[0].converged and capped[0].iterations == cap
+        assert len(later) > 1 and not any(r.converged for r in capped[1:])
+        for m, result in zip(batch, capped):
+            assert result_key(result) == reference_key(m, cls, 1e-10, cap)
+
     def test_empty_and_mismatched(self):
         cls, moments = trial_moments("gaussian", 4, 8, 2)
         assert solve_erms([], cls) == []
