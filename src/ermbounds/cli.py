@@ -2,9 +2,14 @@
 
 Every subcommand reads an optional JSON config file, applies dotted-key
 overrides and convenience flags, runs the corresponding library routine, and
-writes a report (CSV or JSON) to the output path. Unknown config keys are
-rejected outright, randomized runs always record their seed, and the
-fully-resolved configuration is echoed into the report.
+writes a report (CSV or JSON) to the output path. Unknown config keys and
+values of the wrong JSON type are rejected outright, randomized runs always
+record their seed, and the fully-resolved configuration is echoed into the
+report.
+
+Each subcommand is one entry of `SUBCOMMANDS`: its help line, its config
+defaults and its handler. The `persistence` and `verify-main` defaults are
+the field defaults of `SweepConfig` and `MainTheoremConfig`.
 
 Exit codes: 0 success, 2 configuration error, 3 flagged statistical failure.
 """
@@ -12,13 +17,16 @@ Exit codes: 0 success, 2 configuration error, 3 flagged statistical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
-from .distributions import DesignSpec, NoiseSpec, sample_moments
+from .distributions import DesignSpec, NoiseSpec, sample_design, sample_moments
 from .erm import ClassSpec, solve_erm
 from .experiments import MainTheoremConfig, SweepConfig, make_t0, run_counterexample, run_persistence_sweep, verify_main_theorem
 from .fixed_points import alpha_star, beta_star, k_star
@@ -31,35 +39,58 @@ from .versionspace import version_diameter
 DEFAULT_SEED = 0x5EED
 WORKERS_ENV = "ERMBOUNDS_WORKERS"
 
-SUBCOMMANDS = ("erm", "beta", "alpha", "kstar", "smallball", "version-space", "rates", "persistence", "counterexample", "verify-main")
+# convenience flags for config keys; a subcommand gets a flag only if its
+# defaults have the key the flag sets, and the flag takes that default's type
+VALUE_FLAGS = ("n", "N", "R", "sigma", "trials", "gamma", "delta", "u")
+
+# the sub-keys of a "design" or "noise" object: the fields its spec reads (a
+# design's n is the config's top-level n)
+_SPEC_KEYS = {"design": {f.name for f in fields(DesignSpec)} - {"n"}, "noise": {f.name for f in fields(NoiseSpec)}}
+_DESIGN_DEFAULT = {"kind": "gaussian"}
+_NOISE_DEFAULT = {"kind": "gaussian", "sigma": 0.5}
+
+# the JSON types a value may take, by the type of its key's default
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), list: (list,), dict: (dict,)}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", list: "a list", dict: "an object"}
 
 
 class ConfigError(Exception):
     pass
 
 
-# allowed keys and defaults per subcommand; None means "required"
-_DESIGN_DEFAULT = {"kind": "gaussian"}
-_NOISE_DEFAULT = {"kind": "gaussian", "sigma": 0.5}
+@dataclass(frozen=True)
+class Subcommand:
+    """One subcommand. handler: (config, seed, workers) -> (report, summary
+    line, passed); parts: "design"/"noise" -> the sub-keys that object
+    accepts; routes: value flag -> the dotted config key it sets instead of
+    its own name."""
 
-SCHEMAS = {
-    "erm": {"design": _DESIGN_DEFAULT, "noise": _NOISE_DEFAULT, "n": 16, "N": 128, "R": 1.0, "t0_shape": "spike", "t0_fraction": 0.5, "tol": 1e-9, "max_iter": 100000},
-    "beta": {"design": _DESIGN_DEFAULT, "n": 16, "N": 128, "R": 1.0, "gamma": 0.05, "trials": 200},
-    "alpha": {"design": _DESIGN_DEFAULT, "noise": _NOISE_DEFAULT, "n": 16, "N": 128, "R": 1.0, "gamma": 0.05, "delta": 0.1, "trials": 1000, "t0_shape": "spike", "t0_fraction": 0.5},
-    "kstar": {"design": _DESIGN_DEFAULT, "n": 16, "N": 128, "R": 1.0, "gamma": 0.05, "trials": 200},
-    "smallball": {"design": _DESIGN_DEFAULT, "n": 16, "action": "estimate_q", "u": 0.5, "p": 4.0, "directions": 500, "draws": 10000, "tau": 0.5, "r": 0.5, "R": 1.0, "N": 256, "trials": 50, "probes": 100},
-    "version-space": {"design": _DESIGN_DEFAULT, "n": 16, "N": 8, "R": 1.0, "t0_shape": "spike", "t0_fraction": 0.5, "probes": 1000},
-    "rates": {"n": 100, "N": 100, "R": 1.0, "sigma": 0.5, "c1": 1.0, "c2": 1.0, "c3": 1.0},
-    "persistence": {"design": {"kind": "rademacher"}, "noise": _NOISE_DEFAULT, "n_grid": [64], "N_grid": [512, 1024], "R_grid": [1.0], "sigma_grid": [0.5], "trials": 20, "tol": 1e-9, "t0_shape": "zero", "t0_fraction": 0.0},
-    "counterexample": {"N": 100, "trials": 100000},
-    "verify-main": {"design": _DESIGN_DEFAULT, "noise": _NOISE_DEFAULT, "n": 32, "N": 512, "R": 1.0, "delta": 0.1, "trials": 200, "t0_shape": "spike", "t0_fraction": 0.5, "alpha_trials": None, "beta_trials": 200, "tau_directions": 300, "tau_draws": 10000, "tol": 1e-8, "gamma_override": None},
-}
+    help: str
+    defaults: dict
+    handler: Callable
+    parts: dict = field(default_factory=lambda: _SPEC_KEYS)
+    routes: dict = field(default_factory=dict)
 
 
-# convenience flags for top-level config keys; a subcommand gets a flag only
-# if its schema has the key, or if it routes the flag into a nested key
-VALUE_FLAGS = {"n": int, "N": int, "R": float, "sigma": float, "trials": int, "gamma": float, "delta": float, "u": float}
-ROUTED_FLAGS = {"verify-main": {"sigma": "noise.sigma"}}  # flag -> dotted config key
+def _field_defaults(cls) -> dict:
+    """Defaults of a config class's fields, except `seed` and `workers`, which
+    have their own flags, and fields without one."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING and f.name not in ("seed", "workers")}
+
+
+def _sweep_schema() -> tuple[dict, dict]:
+    """`persistence` defaults and sub-keys from SweepConfig: its field
+    design_x or noise_x is sub-key x of "design" or "noise"."""
+    defaults, parts = {"design": {}, "noise": {}}, {"design": set(), "noise": set()}
+    for name, default in _field_defaults(SweepConfig).items():
+        part, _, sub = name.partition("_")
+        if part in parts:
+            parts[part].add(sub)
+            if default is not None:
+                defaults[part][sub] = default
+        else:
+            defaults[name] = list(default) if isinstance(default, tuple) else default
+    return defaults, parts
 
 
 def _parse_override(text: str):
@@ -83,25 +114,37 @@ def _apply_dotted(config: dict, key: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _known_key(schema: dict, key: str) -> bool:
+def _known_key(defaults: dict, key: str) -> bool:
     # every report echoes its seed in its config, so a config may set one
-    return key in schema or key == "seed"
+    return key in defaults or key == "seed"
 
 
-def _validate_keys(config: dict, schema: dict, prefix: str = "") -> None:
+def _validate_keys(config: dict, sub: Subcommand) -> None:
     for key, value in config.items():
-        if not _known_key(schema, key):
-            raise ConfigError(f"unknown config key {prefix + key!r}")
-        if isinstance(value, dict) and key in ("design", "noise"):
-            allowed = {"kind", "sigma", "p", "kappa", "n"}
-            for sub in value:
-                if sub not in allowed:
-                    raise ConfigError(f"unknown config key {prefix + key + '.' + sub!r}")
+        if not _known_key(sub.defaults, key):
+            raise ConfigError(f"unknown config key {key!r}")
+        if key in sub.parts and isinstance(value, dict):
+            for name in value:
+                if name not in sub.parts[key]:
+                    raise ConfigError(f"unknown config key {key + '.' + name!r}")
+
+
+def _check_types(config: dict, defaults: dict, prefix: str = "") -> None:
+    """Reject a value whose JSON type does not match its key's default; a key
+    whose default is None is left to the library."""
+    for key, default in defaults.items():
+        if default is None or key not in config:
+            continue
+        value, kind = config[key], type(default)
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+            raise ConfigError(f"config key {prefix + key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        if kind is dict:
+            _check_types(value, default, prefix + key + ".")
 
 
 def resolve_config(subcommand: str, config_path, overrides, flag_values: dict) -> dict:
-    schema = SCHEMAS[subcommand]
-    config = json.loads(json.dumps(schema))  # deep copy of defaults
+    sub = SUBCOMMANDS[subcommand]
+    config = json.loads(json.dumps(sub.defaults))  # deep copy of defaults
     if config_path is not None:
         if not os.path.exists(config_path):
             raise ConfigError(f"config file not found: {config_path}")
@@ -112,220 +155,160 @@ def resolve_config(subcommand: str, config_path, overrides, flag_values: dict) -
             raise ConfigError(f"config file {config_path} is not valid JSON: line {exc.lineno}, {exc.msg}")
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {config_path} must hold a JSON object")
-        _validate_keys(loaded, schema)
+        _validate_keys(loaded, sub)
         for key, value in loaded.items():
             if isinstance(value, dict) and isinstance(config.get(key), dict):
                 config[key].update(value)
             else:
                 config[key] = value
     for key, value in flag_values.items():
-        if value is None:
-            continue
-        _apply_dotted(config, ROUTED_FLAGS.get(subcommand, {}).get(key, key), value)
+        if value is not None:
+            _apply_dotted(config, sub.routes.get(key, key), value)
     for text in overrides or ():
         key, value = _parse_override(text)
-        if not _known_key(schema, key.split(".")[0]):
+        if not _known_key(sub.defaults, key.split(".")[0]):
             raise ConfigError(f"unknown config key {key!r}")
         _apply_dotted(config, key, value)
-        _validate_keys(config, schema)
+        _validate_keys(config, sub)
+    _check_types(config, sub.defaults)
     seed = config.get("seed", DEFAULT_SEED)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     return config
 
 
-def _design_from(config: dict, n: int) -> DesignSpec:
-    rec = dict(config.get("design", {"kind": "gaussian"}))
-    rec.pop("n", None)
-    return DesignSpec(n=n, **rec)
+def _design_from(config: dict) -> DesignSpec:
+    return DesignSpec(n=config["n"], **config["design"])
 
 
 def _noise_from(config: dict) -> NoiseSpec:
-    return NoiseSpec(**config.get("noise", {"kind": "zero"}))
+    return NoiseSpec(**config["noise"])
 
 
 def _class_from(config: dict) -> ClassSpec:
     n, R = config["n"], config["R"]
-    t0 = make_t0(config.get("t0_shape", "spike"), config.get("t0_fraction", 0.5), n, R)
+    t0 = make_t0(config.get("t0_shape", "zero"), config.get("t0_fraction", 0.0), n, R)
     return ClassSpec(n=n, R=R, t0=t0)
 
 
-def _fixed_point_report(kind: str, estimate, config: dict) -> tuple[Report, str, bool]:
+def _stats_result(kind: str, config: dict, stats: dict, summary: dict, line: str) -> tuple[Report, str, bool]:
+    """A handler's result: a (statistic, value) row per entry of `stats`,
+    `summary`, the summary line, and whether the summary says it passed."""
     report = Report(kind=kind, config=config, columns=("statistic", "value"))
-    rec = estimate.to_record()
-    report.add_row(statistic="value", value=rec["value"])
-    report.add_row(statistic="lower_bracket", value=rec["brackets"][0])
-    report.add_row(statistic="upper_bracket", value=rec["brackets"][1])
-    report.add_row(statistic="stderr", value=rec["stderr"])
-    report.add_row(statistic="trials", value=rec["trials"])
-    report.summary = {"estimate": rec, "passed": True}
-    summary = f"{kind}={rec['value']:.6g} bracket=[{rec['brackets'][0]:.6g},{rec['brackets'][1]:.6g}] flags={rec['flags']}"
-    return report, summary, True
+    for stat, value in stats.items():
+        report.add_row(statistic=stat, value=value)
+    report.summary = summary
+    return report, line, bool(summary["passed"])
 
 
-def _run_subcommand(args) -> tuple[Report, str, bool]:
-    sub = args.subcommand
-    flag_values = {}
-    for name in VALUE_FLAGS:
-        if hasattr(args, name):
-            flag_values[name] = getattr(args, name)
-    config = resolve_config(sub, args.config, args.set, flag_values)
-    seed = args.seed if args.seed is not None else config.get("seed", DEFAULT_SEED)
-    config["seed"] = seed  # --seed wins over a config file and --set
-    # workers is a scheduling hint, deliberately kept out of the echoed
-    # config so reports stay byte-identical across worker counts
-    workers = args.workers
+def _rates(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
+    inputs = RateInputs(**{key: config[key] for key in ("N", "n", "R", "sigma", "c1", "c2", "c3")})
+    rho = rho_N(inputs)
+    v1, v2, expo = v1_v2(inputs)
+    stats = {"rho_N": rho, "v1": v1, "v2": v2, "v_max": max(v1, v2), "probability_exponent": expo}
+    return _stats_result("rates", config, stats, {"rho_N": rho, "v1": v1, "v2": v2, "passed": True}, f"rho_N={rho:.6g} v1={v1:.6g} v2={v2:.6g}")
 
-    if sub == "rates":
-        inputs = RateInputs(N=config["N"], n=config["n"], R=config["R"], sigma=config["sigma"], c1=config["c1"], c2=config["c2"], c3=config["c3"])
-        rho = rho_N(inputs)
-        v1, v2, expo = v1_v2(inputs)
-        report = Report(kind="rates", config=config, columns=("statistic", "value"))
-        for stat, value in (("rho_N", rho), ("v1", v1), ("v2", v2), ("v_max", max(v1, v2)), ("probability_exponent", expo)):
-            report.add_row(statistic=stat, value=value)
-        report.summary = {"rho_N": rho, "v1": v1, "v2": v2, "passed": True}
-        return report, f"rho_N={rho:.6g} v1={v1:.6g} v2={v2:.6g}", True
 
-    if sub == "counterexample":
-        report = run_counterexample(config["N"], config["trials"], seed=seed, workers=workers)
-        s = report.summary
-        ok = bool(s["ez2_consistent"])
-        line = (
-            f"deviation_p={s['deviation_probability']:.6g} onesided_failure_p={s['onesided_failure_probability']:.6g} "
-            f"EZ2={s['empirical_EZ2']:.6g} (analytic {s['analytic_EZ2']:.6g})"
-        )
-        report.config = config
-        return report, line, ok
+def _counterexample(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
+    report = run_counterexample(config["N"], config["trials"], seed=seed, workers=workers)
+    s = report.summary
+    line = (
+        f"deviation_p={s['deviation_probability']:.6g} onesided_failure_p={s['onesided_failure_probability']:.6g} "
+        f"EZ2={s['empirical_EZ2']:.6g} (analytic {s['analytic_EZ2']:.6g})"
+    )
+    report.config = config
+    return report, line, bool(s["ez2_consistent"])
 
-    if sub == "erm":
-        cls = _class_from(config)
-        design = _design_from(config, config["n"])
-        noise = _noise_from(config)
-        moments = sample_moments(cls, design, noise, config["N"], seed)
-        result = solve_erm(moments, cls, tol=config["tol"], max_iter=config["max_iter"])
-        report = Report(kind="erm", config=config, columns=("statistic", "value"))
-        report.add_row(statistic="empirical_risk", value=result.empirical_risk)
-        report.add_row(statistic="iterations", value=result.iterations)
-        report.add_row(statistic="kkt_residual", value=result.kkt_residual)
-        report.add_row(statistic="error_l2", value=float(np.linalg.norm(result.t_hat - cls.t0)))
-        report.summary = {"t_hat": result.t_hat.tolist(), "converged": result.converged, "passed": result.converged}
-        return report, f"risk={result.empirical_risk:.6g} residual={result.kkt_residual:.3g} iters={result.iterations}", result.converged
 
-    if sub in ("beta", "kstar"):
-        cls = ClassSpec(n=config["n"], R=config["R"], t0=np.zeros(config["n"]))
-        design = _design_from(config, config["n"])
-        fn = beta_star if sub == "beta" else k_star
-        est = fn(cls, design, config["N"], config["gamma"], trials=config["trials"], seed=seed, workers=workers)
-        return _fixed_point_report(sub, est, config)
+def _erm(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
+    cls = _class_from(config)
+    moments = sample_moments(cls, _design_from(config), _noise_from(config), config["N"], seed)
+    result = solve_erm(moments, cls, tol=config["tol"], max_iter=config["max_iter"])
+    stats = {"empirical_risk": result.empirical_risk, "iterations": result.iterations, "kkt_residual": result.kkt_residual, "error_l2": float(np.linalg.norm(result.t_hat - cls.t0))}
+    return _stats_result("erm", config, stats, {"t_hat": result.t_hat.tolist(), "converged": result.converged, "passed": result.converged}, f"risk={result.empirical_risk:.6g} residual={result.kkt_residual:.3g} iters={result.iterations}")
 
-    if sub == "alpha":
-        cls = _class_from(config)
-        design = _design_from(config, config["n"])
-        noise = _noise_from(config)
-        est = alpha_star(cls, design, noise, config["N"], config["gamma"], config["delta"], trials=config["trials"], seed=seed, workers=workers)
-        return _fixed_point_report("alpha", est, config)
 
-    if sub == "smallball":
-        design = _design_from(config, config["n"])
-        action = config["action"]
-        report = Report(kind="smallball", config=config, columns=("statistic", "value"))
-        if action == "estimate_q":
-            est = estimate_Q(design, config["u"], config["directions"], config["draws"], seed)
-            report.add_row(statistic="q_hat", value=est.q_hat)
-            report.add_row(statistic="stderr", value=est.stderr)
-            report.summary = {"estimate": est.to_record(), "passed": True}
-            return report, f"Q_hat({config['u']:g})={est.q_hat:.6g} +- {est.stderr:.3g}", True
-        if action == "choose_tau":
-            choice = choose_tau(design, directions=config["directions"], draws=config["draws"], seed=seed)
-            for stat, value in (("tau", choice.tau), ("q_at_2tau", choice.q_at_2tau), ("gamma", choice.gamma), ("gamma_beta", choice.gamma_beta)):
-                report.add_row(statistic=stat, value=value)
-            ok = "small_ball_not_detectable" not in choice.flags
-            report.summary = {"choice": choice.to_record(), "passed": ok}
-            return report, f"tau={choice.tau:.6g} Q_hat(2tau)={choice.q_at_2tau:.6g} gamma={choice.gamma:.6g}", ok
-        if action == "moment_ratio":
-            ratio = moment_ratio_p2(design, config["p"], config["directions"], config["draws"], seed)
-            report.add_row(statistic="lp_l2_ratio", value=ratio)
-            report.summary = {"lp_l2_ratio": ratio, "passed": True}
-            return report, f"Lp/L2 ratio={ratio:.6g}", True
-        if action == "l2_l1":
-            ratio = l2_l1_ratio(design, config["directions"], config["draws"], seed)
-            report.add_row(statistic="l2_l1_ratio", value=ratio)
-            report.summary = {"l2_l1_ratio": ratio, "passed": True}
-            return report, f"L2/L1 ratio={ratio:.6g}", True
-        if action == "verify_counts":
-            cls = ClassSpec(n=config["n"], R=config["R"], t0=np.zeros(config["n"]))
-            result = verify_empirical_smallball(design, cls, config["tau"], config["r"], config["N"], trials=config["trials"], probes=config["probes"], seed=seed)
-            for stat, value in (("success_fraction", result.success_fraction), ("success_criterion", result.success_criterion), ("count_threshold", result.count_threshold), ("q_hat", result.q_hat)):
-                report.add_row(statistic=stat, value=value)
-            report.summary = {"result": result.to_record(), "passed": result.passed}
-            return report, f"success_fraction={result.success_fraction:.6g} criterion={result.success_criterion:.6g}", result.passed
-        raise ConfigError(f"unknown smallball action {action!r}")
+def _fixed_point(kind: str) -> Callable:
+    """The handler of the `alpha`, `beta` or `kstar` subcommand."""
 
-    if sub == "version-space":
-        cls = _class_from(config)
-        design_spec = _design_from(config, config["n"])
-        from .distributions import sample_design
+    def handler(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
+        cls, design = _class_from(config), _design_from(config)
+        if kind == "alpha":
+            est = alpha_star(cls, design, _noise_from(config), config["N"], config["gamma"], config["delta"], trials=config["trials"], seed=seed, workers=workers)
+        else:
+            fn = beta_star if kind == "beta" else k_star
+            est = fn(cls, design, config["N"], config["gamma"], trials=config["trials"], seed=seed, workers=workers)
+        rec = est.to_record()
+        lower, upper = rec["brackets"]
+        stats = {"value": rec["value"], "lower_bracket": lower, "upper_bracket": upper, "stderr": rec["stderr"], "trials": rec["trials"]}
+        return _stats_result(kind, config, stats, {"estimate": rec, "passed": True}, f"{kind}={rec['value']:.6g} bracket=[{lower:.6g},{upper:.6g}] flags={rec['flags']}")
 
-        X = sample_design(design_spec, config["N"], seed) if config["N"] > 0 else np.zeros((0, config["n"]))
-        probe = version_diameter(X, cls, probes=config["probes"], seed=derive_seed(seed, 1))
-        report = Report(kind="version_space", config=config, columns=("statistic", "value"))
-        report.add_row(statistic="radius_lb", value=probe.radius_lb)
-        report.add_row(statistic="nullspace_dim", value=probe.nullspace_dim)
-        report.add_row(statistic="directions", value=probe.directions)
-        report.summary = {"probe": probe.to_record(), "passed": True}
-        return report, f"radius_lb={probe.radius_lb:.6g} nullspace_dim={probe.nullspace_dim}", True
+    return handler
 
-    if sub == "persistence":
-        sweep = SweepConfig(
-            design_kind=config["design"]["kind"],
-            design_p=config["design"].get("p"),
-            noise_kind=config["noise"]["kind"],
-            noise_p=config["noise"].get("p"),
-            noise_kappa=config["noise"].get("kappa"),
-            n_grid=tuple(config["n_grid"]),
-            N_grid=tuple(config["N_grid"]),
-            R_grid=tuple(config["R_grid"]),
-            sigma_grid=tuple(config["sigma_grid"]),
-            trials=config["trials"],
-            tol=config["tol"],
-            seed=seed,
-            t0_shape=config["t0_shape"],
-            t0_fraction=config["t0_fraction"],
-            workers=workers,
-        )
-        report = run_persistence_sweep(sweep)
-        flagged_rows = [r for r in report.rows if r["statistic"] == "flagged" and r["value"]]
-        ok = not flagged_rows
-        report.summary["passed"] = ok
-        return report, f"cells={len(report.rows)//8} c_fit={report.summary['c_fit']:.6g} flagged_cells={len(flagged_rows)}", ok
 
-    if sub == "verify-main":
-        design = _design_from(config, config["n"])
-        noise = _noise_from(config)
-        cfg = MainTheoremConfig(
-            design=design,
-            noise=noise,
-            R=config["R"],
-            N=config["N"],
-            delta=config["delta"],
-            trials=config["trials"],
-            t0_shape=config["t0_shape"],
-            t0_fraction=config["t0_fraction"],
-            alpha_trials=config["alpha_trials"],
-            beta_trials=config["beta_trials"],
-            tau_directions=config["tau_directions"],
-            tau_draws=config["tau_draws"],
-            tol=config["tol"],
-            seed=seed,
-            gamma_override=config["gamma_override"],
-            workers=workers,
-        )
-        report = verify_main_theorem(cfg)
-        s = report.summary
-        report.config = config | {"resolved": report.config}
-        return report, f"frequency={s['frequency']:.6g} criterion={s['criterion']:.6g} bound={s['bound']:.6g}", bool(s["passed"])
+def _smallball(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
+    design = _design_from(config)
+    action = config["action"]
+    if action == "estimate_q":
+        est = estimate_Q(design, config["u"], config["directions"], config["draws"], seed)
+        return _stats_result("smallball", config, {"q_hat": est.q_hat, "stderr": est.stderr}, {"estimate": est.to_record(), "passed": True}, f"Q_hat({config['u']:g})={est.q_hat:.6g} +- {est.stderr:.3g}")
+    if action == "choose_tau":
+        choice = choose_tau(design, directions=config["directions"], draws=config["draws"], seed=seed)
+        stats = {"tau": choice.tau, "q_at_2tau": choice.q_at_2tau, "gamma": choice.gamma, "gamma_beta": choice.gamma_beta}
+        return _stats_result("smallball", config, stats, {"choice": choice.to_record(), "passed": "small_ball_not_detectable" not in choice.flags}, f"tau={choice.tau:.6g} Q_hat(2tau)={choice.q_at_2tau:.6g} gamma={choice.gamma:.6g}")
+    if action == "moment_ratio":
+        ratio = moment_ratio_p2(design, config["p"], config["directions"], config["draws"], seed)
+        return _stats_result("smallball", config, {"lp_l2_ratio": ratio}, {"lp_l2_ratio": ratio, "passed": True}, f"Lp/L2 ratio={ratio:.6g}")
+    if action == "l2_l1":
+        ratio = l2_l1_ratio(design, config["directions"], config["draws"], seed)
+        return _stats_result("smallball", config, {"l2_l1_ratio": ratio}, {"l2_l1_ratio": ratio, "passed": True}, f"L2/L1 ratio={ratio:.6g}")
+    if action == "verify_counts":
+        result = verify_empirical_smallball(design, _class_from(config), config["tau"], config["r"], config["N"], trials=config["trials"], probes=config["probes"], seed=seed)
+        stats = {"success_fraction": result.success_fraction, "success_criterion": result.success_criterion, "count_threshold": result.count_threshold, "q_hat": result.q_hat}
+        return _stats_result("smallball", config, stats, {"result": result.to_record(), "passed": result.passed}, f"success_fraction={result.success_fraction:.6g} criterion={result.success_criterion:.6g}")
+    raise ConfigError(f"unknown smallball action {action!r}")
 
-    raise ConfigError(f"unknown subcommand {sub!r}")
+
+def _version_space(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
+    cls = _class_from(config)
+    design = _design_from(config)
+    X = sample_design(design, config["N"], seed) if config["N"] > 0 else np.zeros((0, config["n"]))
+    probe = version_diameter(X, cls, probes=config["probes"], seed=derive_seed(seed, 1))
+    stats = {"radius_lb": probe.radius_lb, "nullspace_dim": probe.nullspace_dim, "directions": probe.directions}
+    return _stats_result("version_space", config, stats, {"probe": probe.to_record(), "passed": True}, f"radius_lb={probe.radius_lb:.6g} nullspace_dim={probe.nullspace_dim}")
+
+
+def _persistence(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
+    keys = {f"{part}_{name}": value for part in ("design", "noise") for name, value in config[part].items()}
+    keys.update((key, tuple(value) if isinstance(value, list) else value) for key, value in config.items() if key not in ("design", "noise"))
+    report = run_persistence_sweep(SweepConfig(**keys, workers=workers))
+    flagged_rows = [r for r in report.rows if r["statistic"] == "flagged" and r["value"]]
+    ok = not flagged_rows
+    report.summary["passed"] = ok
+    return report, f"cells={len(report.rows)//8} c_fit={report.summary['c_fit']:.6g} flagged_cells={len(flagged_rows)}", ok
+
+
+def _verify_main(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
+    keys = {key: value for key, value in config.items() if key not in ("design", "noise", "n")}
+    report = verify_main_theorem(MainTheoremConfig(design=_design_from(config), noise=_noise_from(config), workers=workers, **keys))
+    s = report.summary
+    report.config = config | {"resolved": report.config}
+    return report, f"frequency={s['frequency']:.6g} criterion={s['criterion']:.6g} bound={s['bound']:.6g}", bool(s["passed"])
+
+
+_SWEEP_DEFAULTS, _SWEEP_PARTS = _sweep_schema()
+SUBCOMMANDS = {
+    "erm": Subcommand("solve one constrained least-squares instance", {"design": _DESIGN_DEFAULT, "noise": _NOISE_DEFAULT, "n": 16, "N": 128, "R": 1.0, "t0_shape": "spike", "t0_fraction": 0.5, "tol": 1e-9, "max_iter": 100000}, _erm),
+    "beta": Subcommand("localized Rademacher fixed point (linear normalization)", {"design": _DESIGN_DEFAULT, "n": 16, "N": 128, "R": 1.0, "gamma": 0.05, "trials": 200}, _fixed_point("beta")),
+    "alpha": Subcommand("multiplier-process quantile fixed point", {"design": _DESIGN_DEFAULT, "noise": _NOISE_DEFAULT, "n": 16, "N": 128, "R": 1.0, "gamma": 0.05, "delta": 0.1, "trials": 1000, "t0_shape": "spike", "t0_fraction": 0.5}, _fixed_point("alpha")),
+    "kstar": Subcommand("localized Rademacher fixed point (quadratic normalization)", {"design": _DESIGN_DEFAULT, "n": 16, "N": 128, "R": 1.0, "gamma": 0.05, "trials": 200}, _fixed_point("kstar")),
+    "smallball": Subcommand("small-ball probability estimation and diagnostics", {"design": _DESIGN_DEFAULT, "n": 16, "action": "estimate_q", "u": 0.5, "p": 4.0, "directions": 500, "draws": 10000, "tau": 0.5, "r": 0.5, "R": 1.0, "N": 256, "trials": 50, "probes": 100}, _smallball),
+    "version-space": Subcommand("probe the version-space diameter", {"design": _DESIGN_DEFAULT, "n": 16, "N": 8, "R": 1.0, "t0_shape": "spike", "t0_fraction": 0.5, "probes": 1000}, _version_space),
+    "rates": Subcommand("closed-form rate predictions", {"n": 100, "N": 100, "R": 1.0, "sigma": 0.5, "c1": 1.0, "c2": 1.0, "c3": 1.0}, _rates),
+    "persistence": Subcommand("persistence-rate sweep comparing errors to predictions", _SWEEP_DEFAULTS, _persistence, parts=_SWEEP_PARTS),
+    "counterexample": Subcommand("one-sided vs two-sided deviation demonstration", {"N": 100, "trials": 100000}, _counterexample),
+    "verify-main": Subcommand("end-to-end check of the two-fixed-point error bound", {"design": _DESIGN_DEFAULT, "noise": _NOISE_DEFAULT, "n": 32, **_field_defaults(MainTheoremConfig)}, _verify_main, routes={"sigma": "noise.sigma"}),
+}
 
 
 def _workers_count(text: str) -> int:
@@ -349,29 +332,19 @@ def build_parser() -> argparse.ArgumentParser:
     except argparse.ArgumentTypeError:
         parser.error(f"{WORKERS_ENV} must be a nonnegative integer, got {env_workers!r}")
 
-    help_lines = {
-        "erm": "solve one constrained least-squares instance",
-        "beta": "localized Rademacher fixed point (linear normalization)",
-        "alpha": "multiplier-process quantile fixed point",
-        "kstar": "localized Rademacher fixed point (quadratic normalization)",
-        "smallball": "small-ball probability estimation and diagnostics",
-        "version-space": "probe the version-space diameter",
-        "rates": "closed-form rate predictions",
-        "persistence": "persistence-rate sweep comparing errors to predictions",
-        "counterexample": "one-sided vs two-sided deviation demonstration",
-        "verify-main": "end-to-end check of the two-fixed-point error bound",
-    }
-    for sub in SUBCOMMANDS:
-        sp = subparsers.add_parser(sub, help=help_lines[sub])
+    for name, sub in SUBCOMMANDS.items():
+        sp = subparsers.add_parser(name, help=sub.help)
         sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE", help="dotted-key config override (repeatable)")
         sp.add_argument("--seed", type=int, default=None, help=f"master seed (default 0x{DEFAULT_SEED:X})")
         sp.add_argument("--output", default=None, help="report path (default <subcommand>_report.<fmt>)")
         sp.add_argument("--format", choices=("csv", "json"), default="json")
         sp.add_argument("--workers", type=_workers_count, default=default_workers, help=f"threads running Monte Carlo and persistence ERM trials, also ${WORKERS_ENV}; 0 = every CPU this process may run on (default); never changes results")
-        for name, kind in VALUE_FLAGS.items():
-            if name in SCHEMAS[sub] or name in ROUTED_FLAGS.get(sub, ()):
-                sp.add_argument(f"--{name}", type=kind, default=None)
+        for flag in VALUE_FLAGS:
+            *parents, key = sub.routes.get(flag, flag).split(".")
+            defaults = functools.reduce(dict.get, parents, sub.defaults)
+            if key in defaults:
+                sp.add_argument(f"--{flag}", type=type(defaults[key]), default=None)
     return parser
 
 
@@ -381,12 +354,15 @@ def run(argv) -> int:
     if args.subcommand is None:
         parser.print_help()
         return 2
+    flag_values = {flag: getattr(args, flag) for flag in VALUE_FLAGS if hasattr(args, flag)}
     try:
-        report, line, ok = _run_subcommand(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+        config = resolve_config(args.subcommand, args.config, args.set, flag_values)
+        # --seed wins over a config file and --set; workers is a scheduling
+        # hint, kept out of the echoed config so reports stay byte-identical
+        # across worker counts
+        config["seed"] = args.seed if args.seed is not None else config.get("seed", DEFAULT_SEED)
+        report, line, ok = SUBCOMMANDS[args.subcommand].handler(config, config["seed"], args.workers)
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     output = args.output or f"{args.subcommand.replace('-', '_')}_report.{args.format}"

@@ -12,13 +12,13 @@ slack for Monte Carlo resolution at desk-scale trial counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .distributions import CounterexampleSpec, DesignSpec, NoiseSpec, counterexample_spike_counts, sample_moments
 from .erm import ClassSpec, ErmResult, solve_erms
-from .fixed_points import alpha_star, beta_star
+from .fixed_points import alpha_star, beta_star, quantile_trials
 from .rates import RateInputs, rho_N, v1_v2
 from .reports import Report, wilson_interval
 from .rng import derive_seed, map_trials
@@ -40,6 +40,18 @@ SWEEP_COLUMNS = ("design", "noise", "n", "N", "R", "sigma", "trials", "statistic
 def _seed_key(value: float) -> int:
     """A sweep cell's seed entry for a float grid value."""
     return int(value * 2**20)
+
+
+def _config_record(config) -> dict:
+    """A config dataclass as its reports echo it: every field but `workers`,
+    which never changes a result, with specs as their records and tuples as
+    lists."""
+    record = {}
+    for f in fields(config):
+        if f.name != "workers":
+            value = getattr(config, f.name)
+            record[f.name] = value.to_record() if hasattr(value, "to_record") else list(value) if isinstance(value, tuple) else value
+    return record
 
 
 def make_t0(shape: str, fraction: float, n: int, R: float) -> np.ndarray:
@@ -76,7 +88,6 @@ class SweepConfig:
     seed: int = 0x5EED
     t0_shape: str = "zero"
     t0_fraction: float = 0.0
-    constants: RateInputs | None = None
     workers: int = 0  # threads solving a cell's ERM trials; 0 = every CPU
 
     def __post_init__(self):
@@ -101,23 +112,7 @@ class SweepConfig:
                 seen[k] = value
 
     def to_record(self) -> dict:
-        return {
-            "design_kind": self.design_kind,
-            "design_p": self.design_p,
-            "noise_kind": self.noise_kind,
-            "noise_p": self.noise_p,
-            "noise_kappa": self.noise_kappa,
-            "n_grid": list(self.n_grid),
-            "N_grid": list(self.N_grid),
-            "R_grid": list(self.R_grid),
-            "sigma_grid": list(self.sigma_grid),
-            "trials": self.trials,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "seed": self.seed,
-            "t0_shape": self.t0_shape,
-            "t0_fraction": self.t0_fraction,
-        }
+        return _config_record(self)
 
 
 def _noise_spec(config: SweepConfig, sigma: float) -> NoiseSpec:
@@ -299,25 +294,10 @@ class MainTheoremConfig:
             raise ValueError("tol must be positive")
         if self.workers < 0:
             raise ValueError("workers must be nonnegative")
+        quantile_trials(self.delta / 4.0, self.alpha_trials)
 
     def to_record(self) -> dict:
-        return {
-            "design": self.design.to_record(),
-            "noise": self.noise.to_record(),
-            "R": self.R,
-            "N": self.N,
-            "delta": self.delta,
-            "trials": self.trials,
-            "t0_shape": self.t0_shape,
-            "t0_fraction": self.t0_fraction,
-            "alpha_trials": self.alpha_trials,
-            "beta_trials": self.beta_trials,
-            "tau_directions": self.tau_directions,
-            "tau_draws": self.tau_draws,
-            "tol": self.tol,
-            "seed": self.seed,
-            "gamma_override": self.gamma_override,
-        }
+        return _config_record(self)
 
 
 def verify_main_theorem(config: MainTheoremConfig) -> Report:
@@ -338,10 +318,7 @@ def verify_main_theorem(config: MainTheoremConfig) -> Report:
     gamma = config.gamma_override if config.gamma_override is not None else tau_choice.gamma
     gamma_beta = config.gamma_override if config.gamma_override is not None else tau_choice.gamma_beta
 
-    alpha_trials = config.alpha_trials
-    if alpha_trials is None:
-        alpha_trials = max(1000, int(math.ceil(50.0 / (config.delta / 4.0))))
-    alpha = alpha_star(cls, design, noise, config.N, gamma, config.delta / 4.0, trials=alpha_trials, seed=derive_seed(config.seed, _STAGE_ALPHA), workers=config.workers)
+    alpha = alpha_star(cls, design, noise, config.N, gamma, config.delta / 4.0, trials=quantile_trials(config.delta / 4.0, config.alpha_trials), seed=derive_seed(config.seed, _STAGE_ALPHA), workers=config.workers)
     beta = beta_star(cls, design, config.N, gamma_beta, trials=config.beta_trials, seed=derive_seed(config.seed, _STAGE_BETA), workers=config.workers)
     bound = 2.0 * max(alpha.value, beta.value)
 

@@ -212,6 +212,18 @@ def k_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, tria
     return _rademacher_fixed_point(class_spec, design, N, gamma, trials, seed, r_lo, workers, 2, "kstar")
 
 
+def quantile_trials(delta: float, trials: int | None = None) -> int:
+    """Monte Carlo trials that resolve the 1 - delta quantile, which takes at
+    least ceil(50/delta): `trials`, or ValueError if it is fewer; None gives
+    DEFAULT_QUANTILE_TRIALS raised to that minimum."""
+    need = math.ceil(50.0 / delta)
+    if trials is None:
+        return max(DEFAULT_QUANTILE_TRIALS, need)
+    if trials < need:
+        raise ValueError(f"need at least {need} trials to resolve the {1 - delta:.4g} quantile")
+    return trials
+
+
 def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, gamma: float, delta: float, trials: int = DEFAULT_QUANTILE_TRIALS, seed: int = 0, grid_ratio: float = 1.1, s_lo: float | None = None, workers: int = 0) -> FixedPointEstimate:
     """Quantile fixed point of the multiplier process.
 
@@ -225,8 +237,7 @@ def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: i
         raise ValueError("gamma must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    if trials < 50.0 / delta:
-        raise ValueError(f"need at least {math.ceil(50.0 / delta)} trials to resolve the {1 - delta:.4g} quantile")
+    quantile_trials(delta, trials)
     if class_spec.R == 0.0:
         return FixedPointEstimate(0.0, 0.0, 0.0, trials, 0.0, "alpha", ("degenerate_class",))
     s_hi = 2.0 * class_spec.R * math.sqrt(class_spec.n)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -6,7 +7,7 @@ import sys
 
 import pytest
 
-from ermbounds.cli import ROUTED_FLAGS, SCHEMAS, SUBCOMMANDS, build_parser, resolve_config, run
+from ermbounds.cli import SUBCOMMANDS, build_parser, resolve_config, run
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -244,8 +245,8 @@ def test_every_value_flag_is_a_schema_key():
             if not action.option_strings or action.dest in _COMMON_OPTIONS:
                 continue
             # a routed flag sets a nested key of the schema instead
-            head = ROUTED_FLAGS.get(sub, {}).get(action.dest, action.dest).split(".")[0]
-            assert head in SCHEMAS[sub], f"{sub} --{action.dest}"
+            head = SUBCOMMANDS[sub].routes.get(action.dest, action.dest).split(".")[0]
+            assert head in SUBCOMMANDS[sub].defaults, f"{sub} --{action.dest}"
 
 
 def test_counterexample_rejects_n(tmp_path, capsys):
@@ -298,7 +299,73 @@ def test_threaded_subcommands_identical_across_workers(sub, tmp_path, monkeypatc
     assert outs[0] == outs[1] == outs[2]
 
 
-@pytest.mark.parametrize("sub, extra", [("counterexample", ["--N", "100", "--trials", "2000"]), ("erm", ["--n", "8", "--N", "40"])])
+# one small run of every subcommand and of every smallball action
+_SMALLBALL = ["smallball", "--n", "4", "--set", "directions=40", "--set", "draws=2000"]
+_GOLDEN_RUNS = {
+    "erm": ["erm", "--n", "8", "--N", "40", "--set", "design.kind=student_t", "--set", "design.p=5", "--set", "noise.kind=heavy_tailed", "--set", "noise.p=3"],
+    "beta": ["beta", "--n", "8", "--N", "32", "--trials", "60", "--set", "design.kind=rademacher"],
+    "alpha": ["alpha", "--n", "8", "--N", "32", "--trials", "500", "--set", "noise.kind=bounded_symmetric", "--set", "noise.kappa=2"],
+    "kstar": ["kstar", "--n", "8", "--N", "32", "--trials", "60", "--set", "design.kind=bounded_uniform", "--set", "design.kappa=2"],
+    "smallball_estimate_q": [*_SMALLBALL, "--u", "0.3"],
+    "smallball_choose_tau": [*_SMALLBALL, "--set", "action=choose_tau"],
+    "smallball_moment_ratio": [*_SMALLBALL, "--set", "action=moment_ratio"],
+    "smallball_l2_l1": [*_SMALLBALL, "--set", "action=l2_l1"],
+    "smallball_verify_counts": [*_SMALLBALL, "--set", "action=verify_counts", "--set", "N=64", "--set", "trials=10", "--set", "probes=20"],
+    "version-space": ["version-space", "--n", "8", "--N", "4", "--set", "probes=100", "--set", "t0_shape=flat"],
+    "rates": ["rates", "--n", "50", "--N", "400", "--sigma", "0.3"],
+    "persistence": ["persistence", "--set", "n_grid=[8]", "--set", "N_grid=[32,64]", "--set", "sigma_grid=[0.25,0.5]", "--set", "design.kind=student_t", "--set", "design.p=5", "--set", "noise.kind=heavy_tailed", "--set", "noise.p=3"],
+    "counterexample": ["counterexample", "--N", "100", "--trials", "2000"],
+    "verify-main": ["verify-main", *_SMALL_RUNS["verify-main"]],
+}
+# sha256 of each run's report, recorded at commit 4167733
+_GOLDEN_DIGESTS = {
+    ("erm", "json"): "f2b0c205dd4e1baee4f6e22cb86516c4388680c1236c8d99c4e5fc3253b544fb",
+    ("erm", "csv"): "8f185586a9c7f33f07436c9a19b5d29cfc442e8b39802f89ff71d933ec33083e",
+    ("beta", "json"): "5d9fcc5cc864302d47bed77c3d572036fb00290960951b4dd274c8e3e0cc82b9",
+    ("beta", "csv"): "463a182ce925960322fa99a85b7e338d511137ab0b0e78e22e8e1a115ad73a96",
+    ("alpha", "json"): "da5c2caa6cea5f2dba7db4d3427d42a0595ac60d309fb5ab290cb933d3810969",
+    ("alpha", "csv"): "aa39840db082a78487b3049575a9a2c4feca5cc41c85d26866368eee983e22d8",
+    ("kstar", "json"): "94b1e1a499ff2e2ebeab3c03bfafa0c47955090e8d14741bf8a445f1aba8cfa3",
+    ("kstar", "csv"): "e0617248e1bfc1c2284d482cdf5110f1dab799e384435b4b1eafa9caa23ed658",
+    ("smallball_estimate_q", "json"): "0ccf14563d64a0b550dc01f0b18b004dbf67f9bb938af4d2bc7c63ae605af26e",
+    ("smallball_estimate_q", "csv"): "59a9c0c33872099412fd1ab0f444a3a248d4a4e7944c6f50d57f41ab967d1c9e",
+    ("smallball_choose_tau", "json"): "71a5676e28aac24ee19f205715559f2d193a9bcfcd41cc9387e73d4443a7cb69",
+    ("smallball_choose_tau", "csv"): "114c2c39d1a3f698d69c6013f374359341a5adcb709a008c57cabe7d34bf4a75",
+    ("smallball_moment_ratio", "json"): "b75e53914a0352edf5d0f3fc6d63619842063ac61221b5708254fc114b6baf61",
+    ("smallball_moment_ratio", "csv"): "8ba80145beb40ca6ec2da777ebb4b5b12eec8d4172c2a17fb8b34ec86009b4b7",
+    ("smallball_l2_l1", "json"): "fbd0ed3c40dcdad8325aa1aedf0ace6c49aa35eacc317d1bee79adac850ad81c",
+    ("smallball_l2_l1", "csv"): "3c876441af0e1b628c4f078d41e5a50c0402b25f44430caae5150cc187b39850",
+    ("smallball_verify_counts", "json"): "3d989f02493a6f6ec038553142d5561b6b83a0874fa73d8d86f4f537f9e3a56b",
+    ("smallball_verify_counts", "csv"): "ee0628364e5bea1a8a2bafc0e92a2a9070270f01f86e2fe2643d587bf76e463e",
+    ("version-space", "json"): "53b254c71a1391bfd474107b25a036477ab4045dc344a8770f02c60989c3eebc",
+    ("version-space", "csv"): "a9be535350fd978e8cd7894a41e5919d492ee94703ff1059b20da7e1a833a9ea",
+    ("rates", "json"): "7f168238d4fecae6ec34365a2837356bead303c741ae8cf8449f5bb6f28637c0",
+    ("rates", "csv"): "d7563770135a369b17eb33f9227a9f17951a8e4de323c51e824103ba08b32304",
+    ("persistence", "json"): "d4cb4b32b438831dc23bcdb0b4be2045bb44074cd7edb45e4bbc8387e810db49",
+    ("persistence", "csv"): "90c4725161e2018132a8404e5a0d039171032506c14f0d7beb318409e3110b39",
+    ("counterexample", "json"): "20fa2107944296ee4176b56b27816480f8a69675055ec73af7a560dc19859437",
+    ("counterexample", "csv"): "f6338d376b45cea9767ffe5afba4603480cc23f0659cc880cec1d64be5fe7368",
+    ("verify-main", "json"): "f1bc7c35a6a36bf3e4ca44e65a5f3f65741940f180b4f5cd8a3b090f472675d1",
+    ("verify-main", "csv"): "4a85d03c70bf33d854f518986a2d13d4f87bc2de0333ac89dc1dae60b1bb3a97",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(_GOLDEN_DIGESTS))
+def test_report_bytes_match_golden_digests(name, fmt, tmp_path):
+    out = tmp_path / f"report.{fmt}"
+    assert run([*_GOLDEN_RUNS[name], "--format", fmt, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_DIGESTS[name, fmt]
+
+
+@pytest.mark.parametrize(
+    "sub, extra",
+    [
+        ("counterexample", ["--N", "100", "--trials", "2000"]),
+        ("erm", ["--n", "8", "--N", "40"]),
+        # persistence and verify-main echo the library's record, which is not a CLI config
+        *((_GOLDEN_RUNS[name][0], _GOLDEN_RUNS[name][1:]) for name in sorted(_GOLDEN_RUNS) if name not in ("persistence", "verify-main")),
+    ],
+)
 def test_echoed_config_reproduces_the_report(sub, extra, tmp_path):
     # a report's config, passed back as --config, names its seed too
     first = tmp_path / "first.json"
@@ -351,7 +418,15 @@ def test_erm_iteration_cap_below_one_exits_2(value, tmp_path):
 
 @pytest.mark.parametrize(
     "args, field",
-    [(["--trials", "0"], "trials"), (["--N", "0"], "N"), (["--set", "beta_trials=0"], "beta_trials"), (["--set", "tol=0"], "tol"), (["--delta", "0"], "delta")],
+    [
+        (["--trials", "0"], "trials"),
+        (["--N", "0"], "N"),
+        (["--set", "beta_trials=0"], "beta_trials"),
+        (["--set", "tol=0"], "tol"),
+        (["--delta", "0"], "delta"),
+        # alpha runs at delta/4 = 0.025, which needs ceil(50/0.025) trials
+        (["--set", "alpha_trials=10"], "need at least 2000 trials"),
+    ],
 )
 def test_verify_main_bad_config_exits_2_before_any_stage(args, field, tmp_path, capsys, monkeypatch):
     from ermbounds import experiments
@@ -364,4 +439,74 @@ def test_verify_main_bad_config_exits_2_before_any_stage(args, field, tmp_path, 
     out = tmp_path / "vm.json"
     assert run(["verify-main", *args, "--output", str(out)]) == 2
     assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        # a design or noise object takes only the sub-keys its spec reads
+        (["erm", "--set", "design.sigma=1"], "'design.sigma'"),
+        (["erm", "--set", "noise.n=3"], "'noise.n'"),
+        (["persistence", "--set", "noise.sigma=3"], "'noise.sigma'"),  # its sigma comes from sigma_grid
+        (["verify-main", "--set", "design.n=5"], "'design.n'"),  # n is a top-level key
+        # a value takes its default's JSON type
+        (["erm", "--set", "n=abc"], "'n'"),
+        (["erm", "--set", "N=true"], "'N'"),
+        (["erm", "--set", "N=128.0"], "'N'"),
+        (["alpha", "--set", "gamma=abc"], "'gamma'"),
+        (["alpha", "--set", "delta=false"], "'delta'"),
+        (["erm", "--set", "t0_shape=3"], "'t0_shape'"),
+        (["persistence", "--set", "N_grid=512"], "'N_grid'"),
+        (["alpha", "--set", "noise=0.5"], "'noise'"),
+        (["verify-main", "--set", "noise.sigma=[1]"], "'noise.sigma'"),
+        (["smallball", "--set", "action=null"], "'action'"),
+    ],
+)
+def test_bad_config_value_exits_2(args, key, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run([*args, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_bad_value_in_config_file_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"trials": "20"}))
+    out = tmp_path / "ce.json"
+    assert run(["counterexample", "--config", str(config), "--output", str(out)]) == 2
+    assert "'trials' must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_value_types_accepted():
+    # a number default takes an int; a None default is left to the library
+    assert resolve_config("erm", None, ["R=2"], {})["R"] == 2
+    config = resolve_config("verify-main", None, ["gamma_override=1", "alpha_trials=3000", "design.p=5", "noise.kappa=2"], {})
+    assert (config["gamma_override"], config["alpha_trials"]) == (1, 3000)
+    assert config["design"] == {"kind": "gaussian", "p": 5}
+    assert config["noise"] == {"kind": "gaussian", "sigma": 0.5, "kappa": 2}
+
+
+def test_persistence_defaults_are_the_sweep_config_fields():
+    from dataclasses import fields
+
+    from ermbounds.experiments import SweepConfig
+
+    defaults = SUBCOMMANDS["persistence"].defaults
+    flat = {f"{part}_{name}": value for part in ("design", "noise") for name, value in defaults[part].items()}
+    flat.update((key, tuple(value) if isinstance(value, list) else value) for key, value in defaults.items() if key not in ("design", "noise"))
+    assert SweepConfig(**flat) == SweepConfig()
+    # every field but seed and workers is a key; the None ones are sub-keys without a default
+    keys = set(flat) | {f"{part}_{name}" for part, names in SUBCOMMANDS["persistence"].parts.items() for name in names}
+    assert keys == {f.name for f in fields(SweepConfig)} - {"seed", "workers"}
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_persistence_iteration_cap_below_one_exits_2(value, tmp_path, capsys):
+    out = tmp_path / "p.json"
+    assert run(["persistence", "--set", "n_grid=[8]", "--set", "N_grid=[32]", "--set", f"max_iter={value}", "--output", str(out)]) == 2
+    assert "max_iter must be at least 1" in capsys.readouterr().err
     assert not out.exists()

@@ -1,0 +1,27 @@
+"""Every demo prints exactly what it printed when its golden file was recorded
+(commit 4167733): the demos are deterministic, and their output is the
+library's behaviour on the paper's examples."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "demos"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def test_every_demo_has_a_golden_file():
+    assert sorted(p.stem for p in DEMOS) == sorted(p.stem for p in GOLDEN.glob("*.txt"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_prints_its_golden_output(demo, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, cwd=tmp_path, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()

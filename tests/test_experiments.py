@@ -126,6 +126,26 @@ class TestPersistenceSweep:
         with pytest.raises(ValueError, match="workers"):
             SweepConfig(workers=-1)
 
+    def test_to_record_is_every_field_but_workers(self):
+        record = SweepConfig(design_kind="student_t", design_p=5.0, workers=3).to_record()
+        assert record == {
+            "design_kind": "student_t",
+            "design_p": 5.0,
+            "noise_kind": "gaussian",
+            "noise_p": None,
+            "noise_kappa": None,
+            "n_grid": [64],
+            "N_grid": [512, 1024],
+            "R_grid": [1.0],
+            "sigma_grid": [0.5],
+            "trials": 20,
+            "tol": 1e-9,
+            "max_iter": 100000,
+            "seed": 0x5EED,
+            "t0_shape": "zero",
+            "t0_fraction": 0.0,
+        }
+
     @pytest.mark.parametrize("field, value", [("tol", 0.0), ("tol", -1e-9), ("max_iter", 0), ("max_iter", -5)])
     def test_solver_settings_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -205,6 +225,37 @@ class TestVerifyMain:
     def test_config_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
             MainTheoremConfig(design=DesignSpec("gaussian", 4), noise=NoiseSpec("zero"), **{field: value})
+
+    def test_alpha_trials_validated(self):
+        # alpha runs at delta/4 = 0.025, whose quantile needs ceil(50/0.025) = 2000 trials
+        def config(alpha_trials):
+            return MainTheoremConfig(design=DesignSpec("gaussian", 4), noise=NoiseSpec("zero"), alpha_trials=alpha_trials)
+
+        with pytest.raises(ValueError, match="need at least 2000 trials to resolve the 0.975 quantile"):
+            config(1999)
+        assert config(2000).alpha_trials == 2000
+        assert config(None).alpha_trials is None
+
+    def test_to_record_is_every_field_but_workers(self):
+        design, noise = DesignSpec("gaussian", 4), NoiseSpec("gaussian", sigma=0.5)
+        record = MainTheoremConfig(design=design, noise=noise, workers=3).to_record()
+        assert record == {
+            "design": design.to_record(),
+            "noise": noise.to_record(),
+            "R": 1.0,
+            "N": 512,
+            "delta": 0.1,
+            "trials": 200,
+            "t0_shape": "spike",
+            "t0_fraction": 0.5,
+            "alpha_trials": None,
+            "beta_trials": 200,
+            "tau_directions": 300,
+            "tau_draws": 10000,
+            "tol": 1e-8,
+            "seed": 0x5EED,
+            "gamma_override": None,
+        }
 
     def test_mini_run_structure(self):
         cfg = MainTheoremConfig(

@@ -19,6 +19,7 @@ from ermbounds.fixed_points import (
     alpha_star,
     beta_star,
     k_star,
+    quantile_trials,
 )
 from ermbounds.rng import SIGNS_TAG, substream
 from oracles import boundary_enum_2d, expected_rademacher_sup, multiplier_sup, rademacher_sup
@@ -191,6 +192,14 @@ class TestAlphaStar:
         cls = cls_zero(4)
         with pytest.raises(ValueError):
             alpha_star(cls, DesignSpec("gaussian", 4), NoiseSpec("zero"), 32, gamma=0.05, delta=0.01, trials=100, seed=18)
+
+    def test_quantile_trials_rule(self):
+        # at least ceil(50/delta) trials; by default 1000, raised to that
+        assert quantile_trials(0.1) == 1000
+        assert quantile_trials(0.025) == 2000
+        assert quantile_trials(0.1, 500) == 500
+        with pytest.raises(ValueError, match="need at least 500 trials to resolve the 0.9 quantile"):
+            quantile_trials(0.1, 499)
 
     @pytest.mark.parametrize("s_lo", [0.0, -1.0, 4.0, 5.0], ids=["zero", "negative", "at_s_hi", "above_s_hi"])
     def test_bracket_checked_at_boundary(self, s_lo):
