@@ -22,7 +22,7 @@ import json
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
-from typing import Callable
+from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
@@ -58,17 +58,33 @@ class ConfigError(Exception):
     pass
 
 
+def _nullable_types(cls) -> dict:
+    """Field name -> T for each field of `cls` annotated `T | None`."""
+    types = {}
+    for name, hint in get_type_hints(cls).items():
+        args = get_args(hint)
+        if type(None) in args:
+            (types[name],) = (arg for arg in args if arg is not type(None))
+    return types
+
+
+# the type of a "design" or "noise" sub-key whose default is None (p, kappa)
+_SPEC_NULLABLE = {"design": _nullable_types(DesignSpec), "noise": _nullable_types(NoiseSpec)}
+
+
 @dataclass(frozen=True)
 class Subcommand:
     """One subcommand. handler: (config, seed, workers) -> (report, summary
     line, passed); parts: "design"/"noise" -> the sub-keys that object
-    accepts; routes: value flag -> the dotted config key it sets instead of
-    its own name."""
+    accepts; nullable: key whose default is None -> the type of its other
+    values, nested like `defaults`; routes: value flag -> the dotted config
+    key it sets instead of its own name."""
 
     help: str
     defaults: dict
     handler: Callable
     parts: dict = field(default_factory=lambda: _SPEC_KEYS)
+    nullable: dict = field(default_factory=lambda: _SPEC_NULLABLE)
     routes: dict = field(default_factory=dict)
 
 
@@ -111,7 +127,11 @@ def _apply_dotted(config: dict, key: str, value) -> None:
         if part not in node or not isinstance(node[part], dict):
             node[part] = {}
         node = node[part]
-    node[parts[-1]] = value
+    # an object merges into the object it replaces, so {} changes nothing
+    if isinstance(value, dict) and isinstance(node.get(parts[-1]), dict):
+        node[parts[-1]].update(value)
+    else:
+        node[parts[-1]] = value
 
 
 def _known_key(defaults: dict, key: str) -> bool:
@@ -129,17 +149,22 @@ def _validate_keys(config: dict, sub: Subcommand) -> None:
                     raise ConfigError(f"unknown config key {key + '.' + name!r}")
 
 
-def _check_types(config: dict, defaults: dict, prefix: str = "") -> None:
-    """Reject a value whose JSON type does not match its key's default; a key
-    whose default is None is left to the library."""
-    for key, default in defaults.items():
-        if default is None or key not in config:
+def _check_types(config: dict, defaults: dict, nullable: dict, prefix: str = "") -> None:
+    """Reject a value whose JSON type does not match its key's default, or,
+    for a key whose default is None, is neither null nor of its `nullable`
+    type."""
+    for key, value in config.items():
+        default = defaults.get(key)
+        if default is not None:
+            kind, alternative = type(default), ""
+        elif key in nullable and value is not None:
+            kind, alternative = nullable[key], " or null"
+        else:
             continue
-        value, kind = config[key], type(default)
         if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
-            raise ConfigError(f"config key {prefix + key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+            raise ConfigError(f"config key {prefix + key!r} must be {_TYPE_NAMES[kind]}{alternative}, got {value!r}")
         if kind is dict:
-            _check_types(value, default, prefix + key + ".")
+            _check_types(value, default, nullable.get(key, {}), prefix + key + ".")
 
 
 def resolve_config(subcommand: str, config_path, overrides, flag_values: dict) -> dict:
@@ -157,10 +182,7 @@ def resolve_config(subcommand: str, config_path, overrides, flag_values: dict) -
             raise ConfigError(f"config file {config_path} must hold a JSON object")
         _validate_keys(loaded, sub)
         for key, value in loaded.items():
-            if isinstance(value, dict) and isinstance(config.get(key), dict):
-                config[key].update(value)
-            else:
-                config[key] = value
+            _apply_dotted(config, key, value)
     for key, value in flag_values.items():
         if value is not None:
             _apply_dotted(config, sub.routes.get(key, key), value)
@@ -170,7 +192,7 @@ def resolve_config(subcommand: str, config_path, overrides, flag_values: dict) -
             raise ConfigError(f"unknown config key {key!r}")
         _apply_dotted(config, key, value)
         _validate_keys(config, sub)
-    _check_types(config, sub.defaults)
+    _check_types(config, sub.defaults, sub.nullable)
     seed = config.get("seed", DEFAULT_SEED)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
@@ -307,7 +329,7 @@ SUBCOMMANDS = {
     "rates": Subcommand("closed-form rate predictions", {"n": 100, "N": 100, "R": 1.0, "sigma": 0.5, "c1": 1.0, "c2": 1.0, "c3": 1.0}, _rates),
     "persistence": Subcommand("persistence-rate sweep comparing errors to predictions", _SWEEP_DEFAULTS, _persistence, parts=_SWEEP_PARTS),
     "counterexample": Subcommand("one-sided vs two-sided deviation demonstration", {"N": 100, "trials": 100000}, _counterexample),
-    "verify-main": Subcommand("end-to-end check of the two-fixed-point error bound", {"design": _DESIGN_DEFAULT, "noise": _NOISE_DEFAULT, "n": 32, **_field_defaults(MainTheoremConfig)}, _verify_main, routes={"sigma": "noise.sigma"}),
+    "verify-main": Subcommand("end-to-end check of the two-fixed-point error bound", {"design": _DESIGN_DEFAULT, "noise": _NOISE_DEFAULT, "n": 32, **_field_defaults(MainTheoremConfig)}, _verify_main, nullable=_SPEC_NULLABLE | _nullable_types(MainTheoremConfig), routes={"sigma": "noise.sigma"}),
 }
 
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
 
 from .rng import DESIGN_TAG, NOISE_TAG, map_trials, substream
 
@@ -114,22 +113,6 @@ class NoiseSpec:
         x = 1.0 + rng.pareto(self.p, size=size)
         signs = rng.integers(0, 2, size=size) * 2.0 - 1.0
         return self.sigma * signs * x / math.sqrt(self.p / (self.p - 2.0))
-
-    def survival(self, t: np.ndarray) -> np.ndarray:
-        """Pr(|W| > t), exact for every kind."""
-        t = np.asarray(t, dtype=np.float64)
-        if self.kind == "zero" or self.sigma == 0.0:
-            return np.zeros_like(t)
-        if self.kind == "scaled_sign":
-            return (t < self.sigma).astype(np.float64)
-        if self.kind == "gaussian":
-            return 2.0 * stats.norm.sf(t / self.sigma)
-        if self.kind == "bounded_symmetric":
-            return np.where(t < self.sigma * self.kappa, 1.0 / self.kappa**2, 0.0)
-        a = self.sigma / math.sqrt(self.p / (self.p - 2.0))  # |W| >= a almost surely
-        with np.errstate(divide="ignore"):
-            tail = np.where(t > 0, (a / np.maximum(t, a)) ** self.p, 1.0)
-        return np.where(t < a, 1.0, tail)
 
     def to_record(self) -> dict:
         rec = {"kind": self.kind, "sigma": self.sigma}
@@ -275,7 +258,8 @@ def l21_norm(noise: NoiseSpec) -> float:
 
     Piecewise-constant survival functions integrate in closed form; the rest
     go through adaptive quadrature on the continuous part plus an analytic
-    tail, with relative error well under 1e-6.
+    tail, with relative error well under 1e-6. The quadrature is scipy's,
+    imported here so that importing the package needs numpy alone.
     """
     sigma = noise.sigma
     if noise.kind == "zero" or sigma == 0.0:
@@ -285,6 +269,8 @@ def l21_norm(noise: NoiseSpec) -> float:
     if noise.kind == "bounded_symmetric":
         # survival = 1/kappa^2 on [0, kappa*sigma): integral = sigma exactly
         return float(sigma)
+    from scipy import integrate, stats
+
     if noise.kind == "gaussian":
         val, _ = integrate.quad(lambda t: math.sqrt(2.0 * stats.norm.sf(t / sigma)), 0.0, 40.0 * sigma, epsabs=1e-13 * sigma, epsrel=1e-10, limit=200)
         return float(val)

@@ -70,8 +70,8 @@ def map_trials(fn, count: int, workers: int = 0) -> list:
     """[fn(0), ..., fn(count - 1)] in trial order, on up to `workers` threads.
 
     Threads, not processes: numpy's Generator fills and BLAS calls release
-    the interpreter lock, while a process pool would re-import scipy and
-    pickle every array. Each trial must draw only from its own substreams
+    the interpreter lock, while a process pool would re-import the package
+    and pickle every array. Each trial must draw only from its own substreams
     and write only its own output slot. If trials fail, the pending ones are
     cancelled and the exception of the first failing trial in trial order
     is raised, as the plain loop would raise it.

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .erm import ClassSpec
 from .rng import DIRECTIONS_TAG, substream
@@ -34,11 +33,17 @@ class VersionSpaceProbe:
 
 
 def nullspace_basis(design: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal null-space basis; singular values below rel_tol*max count as zero."""
+    """Orthonormal null-space basis, as columns; a singular value s counts as
+    zero unless s > rel_tol*max(s), the rank rule of scipy.linalg.null_space."""
     n = design.shape[1]
     if design.shape[0] == 0:
         return np.eye(n)
-    return scipy.linalg.null_space(design, rcond=rel_tol)
+    # numpy's SVD does not return on a design holding an inf
+    if not np.isfinite(design).all():
+        raise ValueError("design must not contain infs or NaNs")
+    _, s, vh = np.linalg.svd(design, full_matrices=True)
+    rank = np.count_nonzero(s > np.max(s, initial=0.0) * rel_tol)
+    return vh[rank:].T
 
 
 def max_steps_l1(t0: np.ndarray, U: np.ndarray, R: float) -> np.ndarray:

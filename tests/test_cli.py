@@ -350,6 +350,26 @@ _GOLDEN_DIGESTS = {
 }
 
 
+def test_cli_runs_without_scipy(tmp_path):
+    # scipy serves only l21_norm and the tests' reference oracles: importing
+    # the CLI and running every subcommand must leave it unloaded
+    assert {argv[0] for argv in _GOLDEN_RUNS.values()} == set(SUBCOMMANDS)
+    script = (
+        "import json, sys\n"
+        "import ermbounds\n"
+        "from ermbounds import cli\n"
+        "runs, out = json.loads(sys.argv[1]), sys.argv[2]\n"
+        "codes = [cli.run([*argv, '--output', f'{out}/{name}.json']) for name, argv in sorted(runs.items())]\n"
+        "print(json.dumps({'codes': codes, 'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(_GOLDEN_RUNS), str(tmp_path)], capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0] * len(_GOLDEN_RUNS)
+    assert result["scipy"] == []
+
+
 @pytest.mark.parametrize("name, fmt", sorted(_GOLDEN_DIGESTS))
 def test_report_bytes_match_golden_digests(name, fmt, tmp_path):
     out = tmp_path / f"report.{fmt}"
@@ -461,6 +481,15 @@ def test_verify_main_bad_config_exits_2_before_any_stage(args, field, tmp_path, 
         (["alpha", "--set", "noise=0.5"], "'noise'"),
         (["verify-main", "--set", "noise.sigma=[1]"], "'noise.sigma'"),
         (["smallball", "--set", "action=null"], "'action'"),
+        # a key whose default is None takes null or its annotated type
+        (["verify-main", "--set", "gamma_override=abc"], "'gamma_override'"),
+        (["verify-main", "--set", "alpha_trials=true"], "'alpha_trials'"),
+        (["verify-main", "--set", "alpha_trials=2000.5"], "'alpha_trials'"),
+        (["erm", "--set", "noise.kind=heavy_tailed", "--set", "noise.p=abc"], "'noise.p'"),
+        (["alpha", "--set", "design.kind=student_t", "--set", "design.p=abc"], "'design.p'"),
+        (["kstar", "--set", "design.kind=student_t", "--set", "design.p=abc"], "'design.p'"),
+        (["kstar", "--set", "design.kind=bounded_uniform", "--set", "design.kappa=true"], "'design.kappa'"),
+        (["persistence", "--set", "noise.kind=bounded_symmetric", "--set", "noise.kappa=abc"], "'noise.kappa'"),
     ],
 )
 def test_bad_config_value_exits_2(args, key, tmp_path, capsys):
@@ -482,12 +511,40 @@ def test_bad_value_in_config_file_exits_2(tmp_path, capsys):
 
 
 def test_config_value_types_accepted():
-    # a number default takes an int; a None default is left to the library
+    # a number default takes an int; a None default takes null or its annotated type
     assert resolve_config("erm", None, ["R=2"], {})["R"] == 2
     config = resolve_config("verify-main", None, ["gamma_override=1", "alpha_trials=3000", "design.p=5", "noise.kappa=2"], {})
     assert (config["gamma_override"], config["alpha_trials"]) == (1, 3000)
     assert config["design"] == {"kind": "gaussian", "p": 5}
     assert config["noise"] == {"kind": "gaussian", "sigma": 0.5, "kappa": 2}
+    config = resolve_config("verify-main", None, ["gamma_override=null", "alpha_trials=null", "design.p=null"], {})
+    assert config["gamma_override"] is config["alpha_trials"] is config["design"]["p"] is None
+
+
+@pytest.mark.parametrize(
+    "whole, dotted",
+    [
+        # an object given with --set merges into the current one, as in a config file
+        (["--set", "design={}"], []),
+        (["--set", "noise={}"], []),
+        (["--set", 'design={"kind":"rademacher"}'], ["--set", "design.kind=rademacher"]),
+        (["--set", 'noise={"kind":"heavy_tailed","p":3}'], ["--set", "noise.kind=heavy_tailed", "--set", "noise.p=3"]),
+    ],
+)
+def test_object_override_merges(whole, dotted, tmp_path):
+    outs = []
+    for args in (whole, dotted):
+        out = tmp_path / f"erm{len(outs)}.json"
+        assert run(["erm", "--n", "8", "--N", "40", *args, "--output", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_object_override_merges_like_a_config_file(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"noise": {"kind": "heavy_tailed", "p": 3}}))
+    resolved = resolve_config("erm", str(config), ['noise={"sigma":0.25}'], {})
+    assert resolved["noise"] == {"kind": "heavy_tailed", "sigma": 0.25, "p": 3}
 
 
 def test_persistence_defaults_are_the_sweep_config_fields():

@@ -101,6 +101,59 @@ class TestMaxSteps:
         assert steps.tolist() == [0.25, 0.25, 1.25, 0.25, 0.75, 0.25, 0.25, 0.25]
 
 
+def _with_singular_values(s, rows, cols, seed):
+    """A rows x cols design with singular values s, between random orthogonal factors."""
+    rng = np.random.default_rng(seed)
+    left, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+    right, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+    return left[:, : len(s)] @ np.diag(s) @ right[:, : len(s)].T
+
+
+_TOL = 1e-10
+_NULLSPACE_DESIGNS = {
+    "tall": np.random.default_rng(1).standard_normal((12, 5)),
+    "wide": np.random.default_rng(2).standard_normal((5, 12)),
+    "square": np.random.default_rng(3).standard_normal((8, 8)),
+    "wide_gaussian_design": sample_design(DesignSpec("gaussian", 40), 25, seed=4),
+    "duplicated_rows": np.vstack([np.random.default_rng(5).standard_normal((3, 10))] * 3),
+    "all_zero": np.zeros((4, 6)),
+    # the smallest singular value sits 1e-13 above or below rel_tol*max(s) = 1e-10,
+    # a hundred times the SVD's rounding error
+    "just_above_tol": _with_singular_values([1.0, 0.5, _TOL * (1.0 + 1e-3)], 4, 7, seed=6),
+    "just_below_tol": _with_singular_values([1.0, 0.5, _TOL * (1.0 - 1e-3)], 4, 7, seed=6),
+}
+_NULLSPACE_DIMS = {"tall": 0, "wide": 7, "square": 0, "wide_gaussian_design": 15, "duplicated_rows": 7, "all_zero": 6, "just_above_tol": 4, "just_below_tol": 5}
+
+
+class TestNullspaceBasis:
+    @pytest.mark.parametrize("name", sorted(_NULLSPACE_DESIGNS))
+    def test_matches_scipy_null_space_bytes(self, name):
+        import scipy.linalg
+
+        design = _NULLSPACE_DESIGNS[name]
+        basis = nullspace_basis(design, rel_tol=_TOL)
+        reference = scipy.linalg.null_space(design, rcond=_TOL)
+        assert basis.shape == reference.shape == (design.shape[1], _NULLSPACE_DIMS[name])
+        assert basis.dtype == reference.dtype
+        assert basis.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_NULLSPACE_DESIGNS))
+    def test_orthonormal_and_annihilated(self, name):
+        design = _NULLSPACE_DESIGNS[name]
+        basis = nullspace_basis(design, rel_tol=_TOL)
+        assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+        assert np.allclose(design @ basis, 0.0, atol=1e-9)
+
+    def test_no_rows_gives_the_identity(self):
+        assert np.array_equal(nullspace_basis(np.zeros((0, 5))), np.eye(5))
+
+    def test_rejects_nonfinite_design(self):
+        design = np.ones((3, 4))
+        design[1, 2] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            nullspace_basis(design)
+
+
 class TestVersionDiameter:
     def test_full_rank_design(self):
         X = sample_design(DesignSpec("gaussian", 5), 12, seed=1)
