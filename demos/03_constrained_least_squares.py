@@ -16,7 +16,7 @@ res = solve_erm(sample, cls, tol=1e-10)
 print("solver:   t_hat =", np.round(res.t_hat, 6))
 print("          risk =", res.empirical_risk, "iterations =", res.iterations, "residual =", res.kkt_residual)
 
-t_oracle = brute_force_erm(sample, cls, resolution=5e-3)
+t_oracle = brute_force_erm(sample, cls)
 risk_oracle = float(np.mean((sample.design @ t_oracle - sample.responses) ** 2))
 print("oracle:   t =", np.round(t_oracle, 6), "risk =", risk_oracle)
 print("objective gap:", abs(res.empirical_risk - risk_oracle))

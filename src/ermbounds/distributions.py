@@ -286,12 +286,13 @@ def l21_norm(noise: NoiseSpec) -> float:
     return float(a + body + tail)
 
 
-def psi2_norm(samples, tol: float = 1e-9) -> float:
+def psi2_norm(samples) -> float:
     """Empirical subgaussian norm: the c solving mean(exp(x^2/c^2)) = 2.
 
     The criterion is strictly decreasing in c, so bisection on the bracket
-    [max|x|/sqrt(log 2m), max|x|/sqrt(log 2)] converges; the bracket also
-    keeps every exponent below log(2m), so nothing overflows.
+    [max|x|/sqrt(log 2m), max|x|/sqrt(log 2)] converges, to a relative width
+    of 1e-9; the bracket also keeps every exponent below log(2m), so nothing
+    overflows.
     """
     x = np.asarray(samples, dtype=np.float64).ravel()
     if x.size < 1000:
@@ -316,7 +317,7 @@ def psi2_norm(samples, tol: float = 1e-9) -> float:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * hi:
+        if hi - lo <= 1e-9 * hi:
             break
     return 0.5 * (lo + hi)
 
@@ -348,29 +349,26 @@ class CounterexampleSpec:
         return self.fourth_moment**0.25 / math.sqrt(self.second_moment)
 
 
-_ATOMIC_BLOCK = 1024  # stream granularity: fixed, so chunking cannot change draws
+_ATOMIC_BLOCK = 1024  # stream granularity: fixed, so the trial count cannot change draws
 
 
-def sample_counterexample(spec: CounterexampleSpec, trials: int, seed: int, trial_offset: int = 0) -> np.ndarray:
+def sample_counterexample(spec: CounterexampleSpec, trials: int, seed: int) -> np.ndarray:
     """(trials, N) matrix of iid draws, streamed in fixed-size trial blocks.
 
-    Block boundaries are pinned to absolute trial indices, so assembling the
-    matrix in pieces of any size reproduces the same draws.
+    Block b holds trials b*_ATOMIC_BLOCK onward and draws all its rows from
+    its own stream, so a trial's draws do not depend on the trial count.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     block = _ATOMIC_BLOCK
     out = np.empty((trials, spec.N), dtype=np.float64)
-    first_block = trial_offset // block
-    last_block = (trial_offset + trials - 1) // block
-    for b in range(first_block, last_block + 1):
+    for b in range((trials - 1) // block + 1):
         rng = substream(seed, b)
         u = rng.random((block, spec.N))
         signs = rng.integers(0, 2, size=(block, spec.N)) * 2.0 - 1.0
         z = signs * np.where(u < 1.0 / spec.N**2, spec.spike, 1.0)
-        lo = max(b * block, trial_offset)
-        hi = min((b + 1) * block, trial_offset + trials)
-        out[lo - trial_offset : hi - trial_offset] = z[lo - b * block : hi - b * block]
+        hi = min((b + 1) * block, trials)
+        out[b * block : hi] = z[: hi - b * block]
     return out
 
 

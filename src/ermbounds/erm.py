@@ -41,9 +41,6 @@ class ClassSpec:
             raise ValueError("t0 must satisfy ||t0||_1 <= R")
         object.__setattr__(self, "t0", t0)
 
-    def to_record(self) -> dict:
-        return {"n": self.n, "R": self.R, "t0": self.t0.tolist()}
-
 
 @dataclass(frozen=True)
 class ErmResult:
@@ -54,14 +51,14 @@ class ErmResult:
     converged: bool
 
 
-def _lambda_max(G: np.ndarray, rel_tol: float = 0.005, max_iter: int = 1000) -> np.ndarray:
+def _lambda_max(G: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of each PSD matrix of a (k, n, n) stack by power
     iteration (about 1% accuracy).
 
     Two fixed random starts guard against a start vector sitting inside a
     lower eigenspace (easy to hit with small +-1 designs); the larger
-    estimate wins. Each matrix iterates until its own estimate settles, and
-    leaves the stack then.
+    estimate wins. Each matrix iterates until its own estimate moves by at
+    most 0.5% in one step (or for 1000 steps), and leaves the stack then.
     """
     k, n = G.shape[:2]
     best = np.zeros(k)
@@ -73,12 +70,12 @@ def _lambda_max(G: np.ndarray, rel_tol: float = 0.005, max_iter: int = 1000) -> 
             lam, prev = np.zeros(k), np.zeros(k)
             rows, Ga = np.arange(k), G
             W = _matvec(Ga, np.tile(v, (k, 1)))
-            for _ in range(max_iter):
+            for _ in range(1000):
                 norm = np.sqrt(np.vecdot(W, W))
                 V = W / norm[:, None]
                 W = _matvec(Ga, V)
                 lam_new = np.vecdot(V, W)
-                done = (norm == 0.0) | (np.abs(lam_new - prev) <= rel_tol * np.maximum(lam_new, 1e-300))
+                done = (norm == 0.0) | (np.abs(lam_new - prev) <= 0.005 * np.maximum(lam_new, 1e-300))
                 if done.any():
                     lam[rows[done]] = np.where(norm[done] == 0.0, 0.0, lam_new[done])
                     if done.all():
@@ -266,24 +263,23 @@ def _l1_lattice_objective_min(G, b, c, R, resolution):
     return best_val, best_t
 
 
-def brute_force_erm(sample: Sample, class_spec: ClassSpec, resolution: float = 5e-3, refine_steps: int = 100) -> np.ndarray:
-    """Exhaustive-grid minimizer over R*B1, polished by projected-gradient steps.
+def brute_force_erm(sample: Sample, class_spec: ClassSpec) -> np.ndarray:
+    """Exhaustive-grid minimizer over R*B1 on the lattice of spacing 5e-3,
+    polished by 100 projected-gradient steps.
 
     Only meant as an oracle for small problems (n <= 4).
     """
     if class_spec.n > 4:
         raise ValueError("brute_force_erm is limited to n <= 4")
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
     moments = _moments_of(sample, class_spec)
     G, b, c = moments.G, moments.b, moments.c
     R = class_spec.R
     if R == 0.0:
         return np.zeros(class_spec.n)
-    _, t = _l1_lattice_objective_min(G, b, c, R, resolution)
+    _, t = _l1_lattice_objective_min(G, b, c, R, 5e-3)
     L = 2.0 * float(_lambda_max(G[None])[0]) * 1.05
     if L == 0.0:
         return t
-    for _ in range(refine_steps):
+    for _ in range(100):
         t = project_l1(t - 2.0 * (G @ t - b) / L, R)
     return t

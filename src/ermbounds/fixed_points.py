@@ -155,8 +155,9 @@ def _sup_batch(Z: np.ndarray, R: float, radius: float) -> np.ndarray:
     return support_l1l2_batch(Z, BallIntersection(2.0 * R, radius, Z.shape[1]))
 
 
-def _bisect_fixed_point(Z: np.ndarray, R: float, threshold, kind: str, r_lo: float, r_hi: float, rel_width: float = 1e-2) -> FixedPointEstimate:
-    """Smallest radius where mean supremum <= threshold(r), by bisection.
+def _bisect_fixed_point(Z: np.ndarray, R: float, threshold, kind: str, r_lo: float, r_hi: float) -> FixedPointEstimate:
+    """Smallest radius where mean supremum <= threshold(r), by bisection to a
+    bracket of relative width 1%.
 
     Valid because mean_sup(r)/r is non-increasing in r (the localized sets
     are star-shaped), so the criterion changes sign exactly once.
@@ -178,7 +179,7 @@ def _bisect_fixed_point(Z: np.ndarray, R: float, threshold, kind: str, r_lo: flo
     if not ok(r_hi):
         return FixedPointEstimate(r_hi, r_hi, r_hi, trials, stderr_at(r_hi), kind, ("not_satisfied_within_upper",))
     lo, hi = r_lo, r_hi
-    while hi - lo > rel_width * hi:
+    while hi - lo > 1e-2 * hi:
         mid = 0.5 * (lo + hi)
         if ok(mid):
             hi = mid
@@ -187,29 +188,28 @@ def _bisect_fixed_point(Z: np.ndarray, R: float, threshold, kind: str, r_lo: flo
     return FixedPointEstimate(hi, lo, hi, trials, stderr_at(hi), kind)
 
 
-def _rademacher_fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int, seed: int, r_lo: float | None, workers: int, power: int, kind: str) -> FixedPointEstimate:
-    """Smallest radius where the localized Rademacher mean is at most gamma*r^power*sqrt(N)."""
+def _rademacher_fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int, seed: int, workers: int, power: int, kind: str) -> FixedPointEstimate:
+    """Smallest radius in [1e-8 r_hi, r_hi], r_hi = 2R sqrt(n), where the
+    localized Rademacher mean is at most gamma*r^power*sqrt(N)."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if class_spec.R == 0.0:
         return FixedPointEstimate(0.0, 0.0, 0.0, trials, 0.0, kind, ("degenerate_class",))
     r_hi = 2.0 * class_spec.R * math.sqrt(class_spec.n)
-    if r_lo is None:
-        r_lo = 1e-8 * r_hi
     config = LocalizedSupConfig(class_spec, design, N, trials, seed, workers)
     Z = _rademacher_z_batch(config)
     # in this order the threshold is bit for bit gamma*r*sqrt(N) or gamma*r*r*sqrt(N)
-    return _bisect_fixed_point(Z, class_spec.R, lambda r: gamma * r * r ** (power - 1) * math.sqrt(N), kind, r_lo, r_hi)
+    return _bisect_fixed_point(Z, class_spec.R, lambda r: gamma * r * r ** (power - 1) * math.sqrt(N), kind, 1e-8 * r_hi, r_hi)
 
 
-def beta_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int = DEFAULT_EXPECTATION_TRIALS, seed: int = 0, r_lo: float | None = None, workers: int = 0) -> FixedPointEstimate:
+def beta_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int = DEFAULT_EXPECTATION_TRIALS, seed: int = 0, workers: int = 0) -> FixedPointEstimate:
     """Fixed point where the localized Rademacher mean scales like gamma*r*sqrt(N)."""
-    return _rademacher_fixed_point(class_spec, design, N, gamma, trials, seed, r_lo, workers, 1, "beta")
+    return _rademacher_fixed_point(class_spec, design, N, gamma, trials, seed, workers, 1, "beta")
 
 
-def k_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int = DEFAULT_EXPECTATION_TRIALS, seed: int = 0, r_lo: float | None = None, workers: int = 0) -> FixedPointEstimate:
+def k_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int = DEFAULT_EXPECTATION_TRIALS, seed: int = 0, workers: int = 0) -> FixedPointEstimate:
     """Fixed point with the quadratic normalization gamma*r^2*sqrt(N)."""
-    return _rademacher_fixed_point(class_spec, design, N, gamma, trials, seed, r_lo, workers, 2, "kstar")
+    return _rademacher_fixed_point(class_spec, design, N, gamma, trials, seed, workers, 2, "kstar")
 
 
 def quantile_trials(delta: float, trials: int | None = None) -> int:
@@ -224,10 +224,11 @@ def quantile_trials(delta: float, trials: int | None = None) -> int:
     return trials
 
 
-def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, gamma: float, delta: float, trials: int = DEFAULT_QUANTILE_TRIALS, seed: int = 0, grid_ratio: float = 1.1, s_lo: float | None = None, workers: int = 0) -> FixedPointEstimate:
+def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, gamma: float, delta: float, trials: int = DEFAULT_QUANTILE_TRIALS, seed: int = 0, workers: int = 0) -> FixedPointEstimate:
     """Quantile fixed point of the multiplier process.
 
-    Scans a geometric radius grid for the smallest s whose empirical success
+    Scans a geometric radius grid of ratio 1.1 from 1e-6 s_hi up to
+    s_hi = 2R sqrt(n) for the smallest s whose empirical success
     probability Pr(phi_N(s) <= gamma*s^2*sqrt(N)) reaches 1 - delta. A grid
     is used instead of bisection because the success probability need not be
     monotone at Monte Carlo resolution; estimates within two standard errors
@@ -241,12 +242,9 @@ def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: i
     if class_spec.R == 0.0:
         return FixedPointEstimate(0.0, 0.0, 0.0, trials, 0.0, "alpha", ("degenerate_class",))
     s_hi = 2.0 * class_spec.R * math.sqrt(class_spec.n)
-    if s_lo is None:
-        s_lo = 1e-6 * s_hi
-    if not 0.0 < s_lo < s_hi:
-        raise ValueError(f"s_lo must lie in (0, {s_hi:.6g}), the upper end of the radius grid")
-    steps = int(math.ceil(math.log(s_hi / s_lo) / math.log(grid_ratio)))
-    grid = s_lo * grid_ratio ** np.arange(steps + 1)
+    s_lo = 1e-6 * s_hi
+    steps = int(math.ceil(math.log(s_hi / s_lo) / math.log(1.1)))
+    grid = s_lo * 1.1 ** np.arange(steps + 1)
     grid[-1] = s_hi
 
     config = LocalizedSupConfig(class_spec, design, N, trials, seed, workers)
@@ -265,7 +263,5 @@ def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: i
             lower = float(prev) if prev is not None else float(s)
             return FixedPointEstimate(float(s), lower, float(s), trials, stderr, "alpha", tuple(flags))
         prev = s
-    sups = _sup_batch(Z, class_spec.R, float(grid[-1]))
-    p_hat = float(np.mean(sups <= gamma * grid[-1] ** 2 * sqN))
-    stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
+    # the last pass ran at grid[-1] = s_hi; its stderr is the reported one
     return FixedPointEstimate(float(grid[-1]), float(grid[-2]), float(grid[-1]), trials, stderr, "alpha", ("grid_exhausted",))

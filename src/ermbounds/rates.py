@@ -1,9 +1,10 @@
 """Closed-form rate calculators for the persistence problem over l1 balls.
 
-All suppressed constants default to 1 and are configurable; experiments fit
-an empirical constant instead of trusting these. Log arguments at or below 1
-clamp the log to 0 and mark the evaluation as a branch mismatch, since the
-branch conditions only keep the arguments above 1 up to constants.
+The suppressed constants c1..c3 default to 1 and are configurable;
+experiments fit an empirical constant instead of trusting these. Log
+arguments at or below 1 clamp the log to 0 and mark the evaluation as a
+branch mismatch, since the branch conditions only keep the arguments above 1
+up to constants.
 
 Note on v1: the printed branch condition switches constants between the
 expression (c1) and the condition; a single constant c1 is used for both
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class RateInputs:
-    """Problem parameters plus the configurable constants c1..c7."""
+    """Problem parameters plus the configurable constants c1..c3."""
 
     N: int
     n: int
@@ -28,10 +29,6 @@ class RateInputs:
     c1: float = 1.0
     c2: float = 1.0
     c3: float = 1.0
-    c4: float = 1.0
-    c5: float = 1.0
-    c6: float = 1.0
-    c7: float = 1.0
 
     def __post_init__(self):
         if self.N < 1 or self.n < 1:
@@ -40,18 +37,9 @@ class RateInputs:
             raise ValueError("R must be positive")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        for name in ("c1", "c2", "c3", "c4", "c5", "c6", "c7"):
+        for name in ("c1", "c2", "c3"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-
-    def to_record(self) -> dict:
-        return {
-            "N": self.N,
-            "n": self.n,
-            "R": self.R,
-            "sigma": self.sigma,
-            "constants": [self.c1, self.c2, self.c3, self.c4, self.c5, self.c6, self.c7],
-        }
 
 
 def _clamped_log(arg: float, context: str) -> float:

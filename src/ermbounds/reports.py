@@ -31,10 +31,11 @@ def content_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval (z = 1.96) for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    z = 1.96
     p = successes / trials
     denom = 1.0 + z * z / trials
     centre = (p + z * z / (2.0 * trials)) / denom

@@ -12,7 +12,6 @@ random ones.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -48,12 +47,13 @@ MAX_PAIRS = 2048
 
 
 def probe_rows(n: int, count: int) -> int:
-    """Number of rows `probe_directions` returns at the default pair cap, without drawing them."""
+    """Number of rows `probe_directions` returns, without drawing them."""
     return count + n + 2 * min(n * (n - 1) // 2, MAX_PAIRS)
 
 
-def probe_directions(design: DesignSpec, count: int, seed: int, max_pairs: int = MAX_PAIRS) -> tuple[np.ndarray, int]:
-    """Unit probe directions: `count` random ones plus canonical and 2-sparse ones.
+def probe_directions(design: DesignSpec, count: int, seed: int) -> tuple[np.ndarray, int]:
+    """Unit probe directions: `count` random ones plus canonical and 2-sparse
+    ones, the latter on at most MAX_PAIRS coordinate pairs.
 
     Returns the stacked directions and the number of random rows (the
     structured rows follow them).
@@ -64,8 +64,8 @@ def probe_directions(design: DesignSpec, count: int, seed: int, max_pairs: int =
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     structured = [np.eye(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if len(pairs) > max_pairs:
-        idx = rng.choice(len(pairs), size=max_pairs, replace=False)
+    if len(pairs) > MAX_PAIRS:
+        idx = rng.choice(len(pairs), size=MAX_PAIRS, replace=False)
         pairs = [pairs[k] for k in np.sort(idx)]
     if pairs:
         plus = np.zeros((len(pairs), n))
@@ -185,18 +185,15 @@ class TauChoice:
         }
 
 
-def default_tau_grid(points: int = 20, lo: float = 0.05, hi: float = 1.0) -> np.ndarray:
-    return np.geomspace(lo, hi, points)
-
-
 def choose_tau(design: DesignSpec, tau_grid=None, directions: int = 500, draws: int = 10000, seed: int = 0) -> TauChoice:
-    """Maximize tau^2 * Q_hat(2 tau) over the grid.
+    """Maximize tau^2 * Q_hat(2 tau) over the grid (by default 20 geometric
+    points from 0.05 to 1).
 
     Returns the argmax tau, its Q estimate, the induced multiplier-process
     level gamma = tau^2 Q_hat(2 tau)/16 and the quadratic-process level
     gamma_beta = tau Q_hat(2 tau)/16.
     """
-    grid = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=np.float64)
+    grid = np.geomspace(0.05, 1.0, 20) if tau_grid is None else np.asarray(tau_grid, dtype=np.float64)
     if grid.size == 0:
         raise ValueError("tau grid must be nonempty")
     qs = np.array([est.q_hat for est in estimate_Q(design, 2.0 * grid, directions, draws, seed)])
@@ -240,15 +237,8 @@ class SmallBallCountReport:
             "flags": list(self.flags),
         }
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "min_count", "threshold", "pass"])
-            for i, count in enumerate(self.min_counts):
-                writer.writerow([i, int(count), f"{self.count_threshold:.17g}", int(count >= self.count_threshold)])
 
-
-def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: float, r: float, N: int, trials: int = 50, probes: int = 100, seed: int = 0, q_hat: float | None = None, beta_estimate=None, csv_path=None) -> SmallBallCountReport:
+def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: float, r: float, N: int, trials: int = 50, probes: int = 100, seed: int = 0, q_hat: float | None = None, beta_estimate=None) -> SmallBallCountReport:
     """Statistical test of the uniform empirical small-ball count property.
 
     Per trial, draws a fresh design sample and probes functions h = <v, .>
@@ -299,7 +289,7 @@ def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: f
             flags.append("beta_hypothesis_not_certified")
     else:
         flags.append("beta_hypothesis_not_checked")
-    report = SmallBallCountReport(
+    return SmallBallCountReport(
         tau=tau,
         r=r,
         N=N,
@@ -312,6 +302,3 @@ def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: f
         min_counts=min_counts,
         flags=tuple(flags),
     )
-    if csv_path is not None:
-        report.write_csv(csv_path)
-    return report

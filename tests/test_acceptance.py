@@ -50,7 +50,7 @@ def test_criterion_1_erm_oracle_equivalence():
         cls = ClassSpec(n=n, R=1.0, t0=t0)
         sample = make_sample(cls, DesignSpec("rademacher", n), NoiseSpec("gaussian", sigma=0.5), N, seed=1000 + i)
         res = solve_erm(sample, cls, tol=1e-10)
-        t_oracle = brute_force_erm(sample, cls, resolution=5e-3)
+        t_oracle = brute_force_erm(sample, cls)
         worst = max(worst, abs(objective(sample, res.t_hat) - objective(sample, t_oracle)))
     elapsed = time.time() - start
     record(1, worst <= 1e-6, f"max objective gap {worst:.2e} <= 1e-6 on 20 instances", elapsed, 60)

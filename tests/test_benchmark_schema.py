@@ -3,6 +3,8 @@
 Checks names and fields only; no timing is read or gated. The bench modules
 are loaded in a child interpreter: bench/oracles.py shares its module name
 with tests/oracles.py, and importing it here would shadow the test oracles.
+The child also imports the package, so that a traced function or a call the
+benchmark makes that the package no longer has fails here.
 """
 
 import json
@@ -18,7 +20,11 @@ BENCH = ROOT / "bench"
 
 _PROBE = """
 import json, tracing, workloads
-print(json.dumps({"workloads": list(workloads.WORKLOADS), "per_layer": tracing.PER_LAYER}))
+import ermbounds.cli
+tracer = tracing.Tracer()
+tracer.install()
+gap = workloads._own_erm_gap(1, workloads.PR_N_LOW)
+print(json.dumps({"workloads": list(workloads.WORKLOADS), "per_layer": tracing.PER_LAYER, "missing": tracer.missing, "erm_gap": gap, "gap_tol": workloads.FW_GAP_TOL}))
 """
 
 
@@ -29,7 +35,8 @@ def spec():
 
 @pytest.fixture(scope="module")
 def scripts():
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave bench/ as it is
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")  # leave bench/ as it is
     proc = subprocess.run([sys.executable, "-c", _PROBE], cwd=BENCH, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -47,6 +54,15 @@ def test_per_layer_names_match_the_tracer(spec, scripts):
     for m in spec["per_layer"]:
         assert set(m) == {"name", "unit", "better"}
         assert m["better"] in ("lower", "higher")
+
+
+def test_traced_names_exist(scripts):
+    assert scripts["missing"] == []
+
+
+def test_benchmark_erm_call_solves(scripts):
+    # _own_erm_gap builds Sample(X, Y, seed) and calls solve_erm(..., tol=)
+    assert scripts["erm_gap"] <= scripts["gap_tol"]
 
 
 def test_end_to_end_entries_are_complete(spec):

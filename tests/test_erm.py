@@ -239,13 +239,13 @@ class TestBruteForce:
             cls = ClassSpec(n=n, R=1.0, t0=t0)
             sample = make_sample(cls, DesignSpec("rademacher", n), NoiseSpec("gaussian", sigma=0.5), N, seed=100 + i)
             res = solve_erm(sample, cls, tol=1e-10)
-            t_oracle = brute_force_erm(sample, cls, resolution=5e-3)
+            t_oracle = brute_force_erm(sample, cls)
             assert objective(sample, res.t_hat) == pytest.approx(objective(sample, t_oracle), abs=1e-6)
 
     def test_noise_free_recovers_t0(self):
         cls = ClassSpec(n=2, R=1.0, t0=np.array([0.5, -0.4]))
         sample = make_sample(cls, DesignSpec("gaussian", 2), NoiseSpec("zero"), 10, seed=6)
-        t = brute_force_erm(sample, cls, resolution=5e-3)
+        t = brute_force_erm(sample, cls)
         assert np.linalg.norm(t - cls.t0) <= 5e-3
 
     def test_zero_radius(self):

@@ -201,13 +201,20 @@ class TestAlphaStar:
         with pytest.raises(ValueError, match="need at least 500 trials to resolve the 0.9 quantile"):
             quantile_trials(0.1, 499)
 
-    @pytest.mark.parametrize("s_lo", [0.0, -1.0, 4.0, 5.0], ids=["zero", "negative", "at_s_hi", "above_s_hi"])
-    def test_bracket_checked_at_boundary(self, s_lo):
-        # s_hi = 2R*sqrt(n) = 4 here; a bracket that is empty or reaches
-        # below zero must fail before any sampling, not deep in the grid scan
+    def test_grid_exhausted_record_pinned(self):
+        # no grid point reaches 1 - delta, and at s_hi = 2R*sqrt(n) = 4 the
+        # success probability is 0.492, strictly between 0 and 1 - delta, so
+        # the pinned stderr is that of a real estimate at s_hi
         cls = cls_zero(4)
-        with pytest.raises(ValueError, match="s_lo"):
-            alpha_star(cls, DesignSpec("gaussian", 4), NoiseSpec("zero"), 32, gamma=0.05, delta=0.1, trials=500, seed=18, s_lo=s_lo)
+        est = alpha_star(cls, DesignSpec("gaussian", 4), NoiseSpec("gaussian", sigma=1.0), 32, gamma=0.03, delta=0.1, trials=500, seed=31)
+        assert est.to_record() == {
+            "kind": "alpha",
+            "value": 4.0,
+            "brackets": [3.652638177914751, 4.0],
+            "trials": 500,
+            "stderr": 0.022357817424784557,
+            "flags": ["grid_exhausted"],
+        }
 
     def test_dense_scan_oracle(self):
         cls = cls_zero(32)

@@ -250,11 +250,3 @@ class TestVerifyCounts:
         assert rep.hypothesis_certified
         assert rep.success_fraction >= rep.success_criterion
         assert rep.passed
-
-    def test_csv_emission(self, tmp_path):
-        cls = ClassSpec(n=2, R=1.0, t0=np.zeros(2))
-        path = tmp_path / "counts.csv"
-        rep = verify_empirical_smallball(DesignSpec("gaussian", 2), cls, tau=0.3, r=0.5, N=32, trials=5, seed=22, csv_path=path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "trial,min_count,threshold,pass"
-        assert len(lines) == 6
