@@ -20,6 +20,18 @@ DESIGN_KINDS = ("rademacher", "bounded_uniform", "gaussian", "student_t", "symme
 NOISE_KINDS = ("zero", "scaled_sign", "gaussian", "bounded_symmetric", "heavy_tailed")
 
 
+def random_signs(rng: np.random.Generator, size) -> np.ndarray:
+    """Fair +-1 values of the given shape, as float64.
+
+    Draws the same values, and uses the same stream, as
+    `rng.integers(0, 2, size=size) * 2.0 - 1.0`: int32 and int64 draws below
+    2**32 take one 32-bit path, and the int32 array is half the size.
+    """
+    signs = rng.integers(0, 2, size=size, dtype=np.int32) * 2.0
+    signs -= 1.0
+    return signs
+
+
 @dataclass(frozen=True)
 class DesignSpec:
     """Coordinate distribution of the design vector X, standardized to variance 1.
@@ -52,7 +64,7 @@ class DesignSpec:
     def sample_coords(self, rng: np.random.Generator, size) -> np.ndarray:
         """Draw iid standardized coordinates of the given shape."""
         if self.kind == "rademacher":
-            return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
+            return random_signs(rng, size)
         if self.kind == "bounded_uniform":
             return rng.uniform(-1.0, 1.0, size=size) * math.sqrt(3.0)
         if self.kind == "gaussian":
@@ -61,7 +73,7 @@ class DesignSpec:
             return rng.standard_t(self.p, size=size) * math.sqrt((self.p - 2.0) / self.p)
         # symmetrized Pareto with tail index p, scaled to unit variance
         x = 1.0 + rng.pareto(self.p, size=size)
-        signs = rng.integers(0, 2, size=size) * 2.0 - 1.0
+        signs = random_signs(rng, size)
         return signs * x / math.sqrt(self.p / (self.p - 2.0))
 
     def to_record(self) -> dict:
@@ -102,16 +114,16 @@ class NoiseSpec:
         if self.kind == "zero" or self.sigma == 0.0:
             return np.zeros(size, dtype=np.float64)
         if self.kind == "scaled_sign":
-            return self.sigma * (rng.integers(0, 2, size=size) * 2.0 - 1.0)
+            return self.sigma * random_signs(rng, size)
         if self.kind == "gaussian":
             return self.sigma * rng.standard_normal(size)
         if self.kind == "bounded_symmetric":
-            signs = rng.integers(0, 2, size=size) * 2.0 - 1.0
+            signs = random_signs(rng, size)
             hit = rng.random(size=size) < 1.0 / self.kappa**2
             return self.sigma * self.kappa * signs * hit
         # heavy_tailed: symmetrized Pareto scaled to sd sigma
         x = 1.0 + rng.pareto(self.p, size=size)
-        signs = rng.integers(0, 2, size=size) * 2.0 - 1.0
+        signs = random_signs(rng, size)
         return self.sigma * signs * x / math.sqrt(self.p / (self.p - 2.0))
 
     def to_record(self) -> dict:
@@ -178,20 +190,27 @@ class Moments:
         return self.G.shape[0]
 
 
-def _accumulate_moments(blocks, N: int) -> Moments:
-    """Moments of a sample given as (design rows, responses) blocks, summed in order."""
+def _accumulate_moments(blocks, N: int, gram_dtype=np.float64) -> Moments:
+    """Moments of a sample given as (design rows, responses) blocks, summed in order.
+
+    The Gram X^T X is formed and summed in `gram_dtype` and divided by N in
+    float64. float32 is exact, and so equals float64 bit for bit, for +-1
+    designs with N <= 2**24: every partial sum is then an integer of
+    magnitude at most N.
+    """
     G = b = None
     c = 0.0
     # non-finite sums are rejected by Moments, not warned about here
     with np.errstate(invalid="ignore", over="ignore"):
         for X, Y in blocks:
+            Xg = X.astype(gram_dtype, copy=False)
             if G is None:
-                G, b = X.T @ X, X.T @ Y
+                G, b = Xg.T @ Xg, X.T @ Y
             else:
-                G += X.T @ X
+                G += Xg.T @ Xg
                 b += X.T @ Y
             c += float(Y @ Y)
-    return Moments(G / N, b / N, c / N, N)
+    return Moments(np.divide(G, N, dtype=np.float64), b / N, c / N, N)
 
 
 def sample_design(spec: DesignSpec, N: int, seed: int, trial: int = 0) -> np.ndarray:
@@ -233,7 +252,8 @@ def sample_moments(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int
     sample_coords call; symmetrized_pareto draws a call's magnitudes before
     its signs, so its blocks have the right law but other values. With one
     block (N * n <= _MOMENT_BLOCK) the moments equal `make_sample(...).moments()`
-    bit for bit; with more, the summation order differs.
+    bit for bit; with more, the summation order differs. A rademacher
+    design forms its Gram in float32 while N <= 2**24, which is exact.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -250,7 +270,8 @@ def sample_moments(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int
             X = design_spec.sample_coords(rng, (min(rows, N - lo), n))
             yield X, X @ t0 + w[lo : lo + X.shape[0]]
 
-    return _accumulate_moments(blocks(), N)
+    exact_single = design_spec.kind == "rademacher" and N <= 2**24
+    return _accumulate_moments(blocks(), N, np.float32 if exact_single else np.float64)
 
 
 def l21_norm(noise: NoiseSpec) -> float:
@@ -365,7 +386,7 @@ def sample_counterexample(spec: CounterexampleSpec, trials: int, seed: int) -> n
     for b in range((trials - 1) // block + 1):
         rng = substream(seed, b)
         u = rng.random((block, spec.N))
-        signs = rng.integers(0, 2, size=(block, spec.N)) * 2.0 - 1.0
+        signs = random_signs(rng, (block, spec.N))
         z = signs * np.where(u < 1.0 / spec.N**2, spec.spike, 1.0)
         hi = min((b + 1) * block, trials)
         out[b * block : hi] = z[: hi - b * block]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DesignSpec, NoiseSpec, sample_design, sample_response
+from .distributions import DesignSpec, NoiseSpec, random_signs, sample_design, sample_response
 from .erm import ClassSpec
 from .geometry import BallIntersection, support_l1l2_batch
 from .rng import DESIGN_TAG, LAW_TAG, NOISE_TAG, SIGNS_TAG, map_trials, substream
@@ -119,7 +119,7 @@ def _rademacher_z_batch(config: LocalizedSupConfig) -> np.ndarray:
 
     def trial(j):
         X = sample_design(config.design, N, config.seed, trial=j)
-        eps = substream(config.seed, j, SIGNS_TAG).integers(0, 2, size=N) * 2.0 - 1.0
+        eps = random_signs(substream(config.seed, j, SIGNS_TAG), N)
         out[j] = (eps @ X) / math.sqrt(N)
 
     map_trials(trial, config.trials, config.workers)
@@ -142,7 +142,7 @@ def _multiplier_z_batch(config: LocalizedSupConfig, noise: NoiseSpec) -> np.ndar
         X = sample_design(config.design, N, config.seed, trial=j)
         Y = sample_response(config.class_spec, noise, X, config.seed, trial=j)
         xi = X @ config.class_spec.t0 - Y
-        eps = substream(config.seed, j, SIGNS_TAG).integers(0, 2, size=N) * 2.0 - 1.0
+        eps = random_signs(substream(config.seed, j, SIGNS_TAG), N)
         out[j] = ((eps * xi) @ X) / math.sqrt(N)
 
     map_trials(trial, config.trials, config.workers)
