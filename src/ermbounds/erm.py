@@ -94,6 +94,27 @@ def _matvec(G: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (G @ V[:, :, None])[:, :, 0]
 
 
+def _rounding_allowance(G: np.ndarray, R: float) -> np.ndarray:
+    """Per matrix of a (k, n, n) stack, a bound on the rounding in the
+    upper-model check d^T (G t - G x) <= (L/2) ||d||^2, per unit of ||d||_2.
+
+    For a PSD G, |G_ij| <= max_i G_ii =: g, and the points have ||.||_2 <=
+    ||.||_1 <= 3R (extrapolated points at most 3R, the others R), so each
+    product, the recurrence and the dot product err by well under
+    16 n^2 eps g R ||d||_2. The maximum is exact in any order.
+    """
+    n = G.shape[-1]
+    return 16.0 * n * n * np.finfo(np.float64).eps * R * np.diagonal(G, axis1=1, axis2=2).max(axis=1)
+
+
+def _breaks_upper_model(d: np.ndarray, Gd: np.ndarray, L: np.ndarray, allowance: np.ndarray) -> np.ndarray:
+    """Rows where the step d, with product Gd = G t_new - G x, breaks
+    f(t_new) <= f(x) + grad f(x)^T d + (L/2) ||d||^2 by more than rounding;
+    for the quadratic f the condition is d^T G d <= (L/2) ||d||^2."""
+    dd = np.vecdot(d, d)
+    return np.vecdot(d, Gd) > 0.5 * L[:, 0] * dd + allowance * np.sqrt(dd)
+
+
 def _momentum(count: int) -> np.ndarray:
     """FISTA's extrapolation weights (theta_j - 1)/theta_(j+1) for j < count,
     from theta_0 = 1 and theta_(j+1) = (1 + sqrt(1 + 4 theta_j^2))/2; a row
@@ -161,6 +182,7 @@ def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float = 1e-9,
     if rows.size < len(moments):
         G, b, c, L = G[rows], b[rows], c[rows], L[rows]
     L = L[:, None]
+    allowance = _rounding_allowance(G, R)
 
     def finish(done, rows, t, f_t, residual, iterations: int) -> None:
         # the risk is a sum of squares; rounding in the expanded form can
@@ -168,29 +190,48 @@ def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float = 1e-9,
         for j in np.flatnonzero(done):
             results[rows[j]] = ErmResult(t[j].copy(), max(float(f_t[j]), 0.0), iterations, float(residual[j]), bool(residual[j] <= tol))
 
-    # objective and gradient take the product G @ t, formed once per point
+    def step(r, x, Gx):
+        """Projected-gradient steps from the points x, with products Gx, of
+        the stack rows r; a row whose step breaks the upper model doubles its
+        L and steps again. Returns the new points and their products."""
+        t_new = project_l1_rows(x - 2.0 * (Gx - b[r]) / L[r], R)
+        Gt_new = _matvec(G[r], t_new)
+        failed = _breaks_upper_model(t_new - x, Gt_new - Gx, L[r], allowance[r])
+        if failed.any():
+            r = np.arange(L.shape[0])[r]
+            while failed.any():
+                j = np.flatnonzero(failed)
+                rj = r[j]
+                L[rj] *= 2.0
+                t_new[j] = project_l1_rows(x[j] - 2.0 * (Gx[j] - b[rj]) / L[rj], R)
+                Gt_new[j] = _matvec(G[rj], t_new[j])
+                failed[j] = _breaks_upper_model(t_new[j] - x[j], Gt_new[j] - Gx[j], L[rj], allowance[rj])
+        return t_new, Gt_new
+
+    # objective and gradient take the product G @ t, formed once per point;
+    # the extrapolated point's product G @ y comes from the recurrence
     t = project_l1_rows(np.zeros((rows.size, n)), R)
     Gt = _matvec(G, t)
-    y = t
+    y, Gy = t, Gt
     f_t = np.vecdot(t, Gt) - 2.0 * np.vecdot(b, t) + c
     age = np.zeros(rows.size, dtype=np.intp)  # steps since the last restart
     weights = _momentum(64)
     for iterations in range(1, max_iter + 1):
-        t_next = project_l1_rows(y - 2.0 * (_matvec(G, y) - b) / L, R)
-        Gt_next = _matvec(G, t_next)
+        t_next, Gt_next = step(slice(None), y, Gy)
         f_next = np.vecdot(t_next, Gt_next) - 2.0 * np.vecdot(b, t_next) + c
         worse = f_next > f_t
         if worse.any():
             # restart: plain projected-gradient step from the last accepted point
             r = slice(None) if worse.all() else np.flatnonzero(worse)
             age[r] = 0
-            t_r = project_l1_rows(t[r] - 2.0 * (Gt[r] - b[r]) / L[r], R)
-            Gt_r = _matvec(G[r], t_r)
+            t_r, Gt_r = step(r, t[r], Gt[r])
             t_next[r], Gt_next[r] = t_r, Gt_r
             f_next[r] = np.vecdot(t_r, Gt_r) - 2.0 * np.vecdot(b[r], t_r) + c[r]
         if iterations > weights.shape[0]:
             weights = _momentum(2 * weights.shape[0])
-        y = t_next + weights[age] * (t_next - t)
+        w = weights[age]
+        y = t_next + w * (t_next - t)
+        Gy = Gt_next + w * (Gt_next - Gt)
         age += 1
         t, Gt, f_t = t_next, Gt_next, f_next
         d = t - project_l1_rows(t - 2.0 * (Gt - b) / L, R)
@@ -201,8 +242,8 @@ def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float = 1e-9,
             if done.all():
                 break
             keep = ~done
-            rows, G, b, c, L, age = rows[keep], G[keep], b[keep], c[keep], L[keep], age[keep]
-            t, Gt, y, f_t, residual = t[keep], Gt[keep], y[keep], f_t[keep], residual[keep]
+            rows, G, b, c, L, allowance, age = rows[keep], G[keep], b[keep], c[keep], L[keep], allowance[keep], age[keep]
+            t, Gt, y, Gy, f_t, residual = t[keep], Gt[keep], y[keep], Gy[keep], f_t[keep], residual[keep]
     else:
         finish(np.ones(rows.size, dtype=bool), rows, t, f_t, residual, max_iter)
     return results

@@ -38,8 +38,9 @@ SWEEP_COLUMNS = ("design", "noise", "n", "N", "R", "sigma", "trials", "statistic
 
 
 def _seed_key(value: float) -> int:
-    """A sweep cell's seed entry for a float grid value."""
-    return int(value * 2**20)
+    """A sweep cell's seed entry for a float grid value: its float64 bits,
+    with -0.0 read as 0.0, so distinct values key distinct seeds."""
+    return int(np.float64(float(value) + 0.0).view(np.uint64))
 
 
 def _config_record(config) -> dict:

@@ -163,16 +163,18 @@ def _bisect_fixed_point(Z: np.ndarray, R: float, threshold, kind: str, r_lo: flo
     are star-shaped), so the criterion changes sign exactly once.
     """
     trials = Z.shape[0]
+    sups = {}  # radius -> suprema, so no radius is scanned twice
 
-    def mean_sup(r):
-        return float(_sup_batch(Z, R, r).mean())
+    def sups_at(r):
+        if r not in sups:
+            sups[r] = _sup_batch(Z, R, r)
+        return sups[r]
 
     def ok(r):
-        return mean_sup(r) <= threshold(r)
+        return float(sups_at(r).mean()) <= threshold(r)
 
     def stderr_at(r):
-        sups = _sup_batch(Z, R, r)
-        return float(sups.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        return float(sups_at(r).std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
 
     if ok(r_lo):
         return FixedPointEstimate(r_lo, r_lo, r_lo, trials, stderr_at(r_lo), kind, ("at_lower_bracket",))

@@ -11,13 +11,14 @@ realized suprema take one sample and sign vector at a time, with no trial
 loop or batch, and are compared row by row against the Z-batches. The mean
 localized Rademacher supremum and the top-d rearrangement bound are checked
 helpers that only the tests call. The scalar l1 projection, power iteration
-and FISTA loop are the one-problem code the stacked solver replaced, kept
-unchanged as the bitwise reference for its rows.
+and FISTA loop are one-problem code, the bitwise reference for the rows of
+the stacked solver.
 """
 
 from __future__ import annotations
 
 import math
+import types
 
 import numpy as np
 
@@ -215,18 +216,26 @@ def power_lambda_max_scalar(G: np.ndarray, rel_tol: float = 0.005, max_iter: int
 
 
 def fista_erm_scalar(G: np.ndarray, b: np.ndarray, c: float, R: float, tol: float, max_iter: int) -> tuple:
-    """The one-problem FISTA loop the solver ran before it was stacked, which
-    every row of a stacked solve must reproduce bit for bit.
+    """The one-problem FISTA loop that every row of a stacked solve must
+    reproduce bit for bit.
 
-    Returns (t_hat, risk, iterations, residual, converged, restarts); the
-    restart count is the only addition.
+    One product G @ t per step: the extrapolated point y = t_next + w (t_next
+    - t) takes G @ y = G t_next + w (G t_next - G t). Every projected-gradient
+    step from a point x is checked against the upper model d^T G d <= (L/2)
+    ||d||^2 (d = t_new - x, G d = G t_new - G x) up to a rounding allowance;
+    a failed step doubles L and is redone.
+
+    Returns (t_hat, risk, iterations, residual, converged, log); `log` holds
+    the restart and raise counts and every accepted step as (x, t_new, L).
     """
     n = G.shape[0]
+    log = types.SimpleNamespace(restarts=0, raises=0, steps=[])
     if R == 0.0:
-        return np.zeros(n), c, 0, 0.0, True, 0
+        return np.zeros(n), c, 0, 0.0, True, log
     L = 2.0 * power_lambda_max_scalar(G) * 1.05
     if L == 0.0:
-        return np.zeros(n), c, 0, 0.0, True, 0
+        return np.zeros(n), c, 0, 0.0, True, log
+    allowance = 16.0 * n * n * np.finfo(np.float64).eps * R * np.diagonal(G).max()
 
     def obj(t, Gt):
         return float(t @ Gt - 2.0 * (b @ t) + c)
@@ -234,30 +243,43 @@ def fista_erm_scalar(G: np.ndarray, b: np.ndarray, c: float, R: float, tol: floa
     def grad(Gt):
         return 2.0 * (Gt - b)
 
+    def step(x, Gx):
+        nonlocal L
+        while True:
+            t_new = project_l1_scalar(x - grad(Gx) / L, R)
+            Gt_new = G @ t_new
+            d = t_new - x
+            dd = float(d @ d)
+            if float(d @ (Gt_new - Gx)) <= 0.5 * L * dd + allowance * math.sqrt(dd):
+                log.steps.append((x, t_new, L))
+                return t_new, Gt_new
+            L *= 2.0
+            log.raises += 1
+
     t = project_l1_scalar(np.zeros(n), R)
     Gt = G @ t
-    y = t
+    y, Gy = t, Gt
     theta = 1.0
     f_t = obj(t, Gt)
     residual = math.inf
-    iterations = restarts = 0
+    iterations = 0
     for iterations in range(1, max_iter + 1):
-        t_next = project_l1_scalar(y - grad(G @ y) / L, R)
-        Gt_next = G @ t_next
+        t_next, Gt_next = step(y, Gy)
         f_next = obj(t_next, Gt_next)
         if f_next > f_t:
-            restarts += 1
+            log.restarts += 1
             theta = 1.0
-            t_next = project_l1_scalar(t - grad(Gt) / L, R)
-            Gt_next = G @ t_next
+            t_next, Gt_next = step(t, Gt)
             f_next = obj(t_next, Gt_next)
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-        y = t_next + ((theta - 1.0) / theta_next) * (t_next - t)
+        w = (theta - 1.0) / theta_next
+        y = t_next + w * (t_next - t)
+        Gy = Gt_next + w * (Gt_next - Gt)
         t, Gt, f_t, theta = t_next, Gt_next, f_next, theta_next
         residual = float(np.linalg.norm(t - project_l1_scalar(t - grad(Gt) / L, R)))
         if residual <= tol:
             break
-    return t, max(f_t, 0.0), iterations, residual, residual <= tol, restarts
+    return t, max(f_t, 0.0), iterations, residual, residual <= tol, log
 
 
 def rademacher_sup(design: np.ndarray, signs: np.ndarray, class_spec: ClassSpec, radius: float) -> float:

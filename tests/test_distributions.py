@@ -15,6 +15,7 @@ from ermbounds.distributions import (
     l21_norm,
     make_sample,
     psi2_norm,
+    random_signs,
     sample_counterexample,
     sample_design,
     sample_moments,
@@ -22,7 +23,7 @@ from ermbounds.distributions import (
 )
 from ermbounds.erm import ClassSpec, solve_erm
 from ermbounds.experiments import make_t0
-from ermbounds.rng import DESIGN_TAG, substream
+from ermbounds.rng import DESIGN_TAG, NOISE_TAG, substream
 
 ALL_DESIGNS = [
     DesignSpec("rademacher", 4),
@@ -31,6 +32,27 @@ ALL_DESIGNS = [
     DesignSpec("student_t", 4, p=4.0),
     DesignSpec("symmetrized_pareto", 4, p=4.0),
 ]
+
+
+class TestRandomSigns:
+    # the int64 expression every sign draw used before random_signs
+    @staticmethod
+    def old(rng, size):
+        return rng.integers(0, 2, size=size) * 2.0 - 1.0
+
+    @pytest.mark.parametrize("size", [7, (1000,), (37, 5)], ids=["scalar", "1d", "2d"])
+    def test_same_values_and_stream(self, size):
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        signs = random_signs(a, size)
+        assert signs.dtype == np.float64
+        assert np.array_equal(signs, self.old(b, size))
+        assert a.random() == b.random()
+
+    def test_stream_continued_across_blocks(self):
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        blocks = [random_signs(a, (rows, 6)) for rows in (10, 10, 3)]
+        assert np.array_equal(np.vstack(blocks), self.old(b, (23, 6)))
+        assert a.integers(0, 2**62) == b.integers(0, 2**62)
 
 
 class TestDesignSampling:
@@ -337,6 +359,20 @@ class TestSampleMoments:
         monkeypatch.undo()
         X = make_sample(cls, design, noise, N, seed=37).design
         assert np.array_equal(m.G, X.T @ X / N)
+
+    def test_rademacher_single_precision_gram_is_exact(self, monkeypatch):
+        # two whole blocks at the module's budget and a partial one: the
+        # float32 Gram equals a float64 accumulation of the same blocks
+        n = 64
+        N = 2 * (distributions._MOMENT_BLOCK // n) + 101
+        blocks = _record_blocks(monkeypatch)
+        design, noise, cls = DesignSpec("rademacher", n), NoiseSpec("gaussian", sigma=0.5), self.cls(n)
+        m = sample_moments(cls, design, noise, N, seed=41, trial=3)
+        assert len(blocks) == 3
+        w = noise.sample(substream(41, 3, NOISE_TAG), N)
+        bounds = np.cumsum([0] + [len(X) for X in blocks])
+        ref = distributions._accumulate_moments([(X, X @ cls.t0 + w[lo:hi]) for X, lo, hi in zip(blocks, bounds, bounds[1:])], N)
+        assert np.array_equal(m.G, ref.G) and np.array_equal(m.b, ref.b) and m.c == ref.c
 
     def test_symmetrized_pareto_blocks_keep_the_law(self, small_blocks, monkeypatch):
         # a call draws all magnitudes before all signs, so blocks are not

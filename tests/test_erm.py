@@ -106,13 +106,15 @@ class TestSolve:
     @pytest.mark.parametrize(
         "kind, n, N, digest, iterations",
         [
-            ("gaussian", 12, 40, "4f6aaaf726bd348242a2152c95b379ee35c9fcbb70a5bd3d77c1d635dcc03dae", 43),
-            ("rademacher", 24, 10, "9377c7ba02b12803c2bdabf6b01b9138b02e5956506e42be404f5a62fd62ab05", 66),
+            ("gaussian", 12, 40, "cecb3e6b367eff54195438001ead31a37bad807aa4b752a83a0828b2cfb450fd", 43),
+            ("rademacher", 24, 10, "93b392bff3d05a80282e5f288a68c8e5c8b49891322a232f1358e14f47695c6c", 66),
         ],
+        ids=["gaussian", "rademacher"],
     )
     def test_recorded_solution_bytes(self, kind, n, N, digest, iterations):
-        # t_hat bytes and iteration counts recorded at commit 382c668, before
-        # each G @ t product was shared between objective and gradient
+        # t_hat bytes recorded when the extrapolated point's product G @ y
+        # came to be formed by recurrence, one matvec per step; the
+        # iteration counts are those of the two-matvec loop before it
         cls = ClassSpec(n=n, R=1.0, t0=make_t0("spike", 0.5, n, 1.0))
         sample = make_sample(cls, DesignSpec(kind, n), NoiseSpec("gaussian", sigma=0.5), N, seed=17)
         res = solve_erm(sample, cls, tol=1e-9)
@@ -162,7 +164,7 @@ class TestStacked:
 
     def test_rows_that_restart(self):
         cls, moments = trial_moments("rademacher", 24, 10, 12)
-        restarts = [fista_erm_scalar(m.G, m.b, m.c, cls.R, 1e-9, 100000)[5] for m in moments]
+        restarts = [fista_erm_scalar(m.G, m.b, m.c, cls.R, 1e-9, 100000)[5].restarts for m in moments]
         # every row restarts, and unequal counts mean that some restarts
         # fall on steps where other rows go on
         assert min(restarts) > 0 and len(set(restarts)) > 1
@@ -226,6 +228,73 @@ class TestStacked:
         monkeypatch.setattr(erm, "_lambda_max", lambda G: seen.append(G) or lambda_max(G))
         solve_erm(m, cls)
         assert seen[0].shape == (1, 8, 8) and np.shares_memory(seen[0], m.G)
+
+
+def count_matvec_rows(monkeypatch):
+    """Rows that erm._matvec multiplies from now on, in a one-item list."""
+    rows = [0]
+    matvec = erm._matvec
+
+    def counting(G, V):
+        rows[0] += V.shape[0]
+        return matvec(G, V)
+
+    monkeypatch.setattr(erm, "_matvec", counting)
+    return rows
+
+
+class TestStep:
+    # a trial whose power iteration settles on the second eigenvalue 1.3098
+    # instead of 2.1514, so the padded L is below twice the top eigenvalue
+    def underestimated(self):
+        cls = ClassSpec(n=4, R=1.0, t0=np.zeros(4))
+        return cls, sample_moments(cls, DesignSpec("rademacher", 4), NoiseSpec("gaussian", sigma=0.5), 8, seed=77, trial=148)
+
+    def test_underestimate_raises_l(self):
+        cls, m = self.underestimated()
+        assert 2.0 * 1.05 * erm._lambda_max(m.G[None])[0] < 2.0 * np.linalg.eigvalsh(m.G)[-1]
+        *key, log = fista_erm_scalar(m.G, m.b, m.c, cls.R, 1e-9, 100000)
+        assert log.raises >= 1 and key[4]
+        # every accepted step meets the upper model, checked with an exact G @ d
+        for x, t_new, L in log.steps:
+            d = t_new - x
+            assert d @ (m.G @ d) <= 0.5 * L * (d @ d)
+        others = trial_moments("rademacher", 4, 8, 6)[1]
+        stacked = solve_erms(others[:3] + [m] + others[3:], cls, tol=1e-9)
+        assert result_key(stacked[3]) == result_key(solve_erm(m, cls, tol=1e-9)) == reference_key(m, cls, 1e-9, 100000)
+
+    def test_rounding_never_raises_l(self):
+        # steps of about 1e-12 along the top eigenvector with L exactly twice
+        # its eigenvalue: d^T G d = (L/2) ||d||^2 up to rounding, and the two
+        # separately rounded products often put the computed side above
+        rng = np.random.default_rng(0)
+        n, raw = 64, 0
+        for _ in range(100):
+            X = rng.choice([-1.0, 1.0], size=(32, n))
+            G = X.T @ X / 32
+            lam, V = np.linalg.eigh(G)
+            x = rng.standard_normal(n)
+            x /= np.abs(x).sum()
+            t = x + V[:, -1] * 1e-12 * rng.uniform(0.5, 2.0)
+            d, Gd = (t - x)[None], (erm._matvec(G[None], t[None]) - erm._matvec(G[None], x[None]))
+            L = np.array([[2.0 * lam[-1]]])
+            raw += erm._breaks_upper_model(d, Gd, L, np.zeros(1))[0]
+            assert not erm._breaks_upper_model(d, Gd, L, erm._rounding_allowance(G[None], 1.0))[0]
+        assert raw > 0
+
+    def test_one_matvec_per_step(self, monkeypatch):
+        # the budget: the power iteration's own products, one for the start,
+        # one per iteration, and one per restart and per raised L
+        cls, (m,) = trial_moments("rademacher", 64, 32, 1)
+        rows = count_matvec_rows(monkeypatch)
+        erm._lambda_max(m.G[None])
+        power_rows = rows[0]
+        rows[0] = 0
+        result = solve_erm(m, cls, tol=1e-9)
+        _, _, iterations, _, converged, log = fista_erm_scalar(m.G, m.b, m.c, cls.R, 1e-9, 100000)
+        assert result.converged and converged and result.iterations == iterations
+        assert log.restarts > 0
+        assert rows[0] == power_rows + 1 + iterations + log.restarts + log.raises
 
 
 class TestBruteForce:

@@ -69,7 +69,7 @@ class TestCounterexample:
             assert s[field] == pytest.approx(value, rel=1e-13, abs=0.0)
 
 
-PINNED_ONE_BLOCK_DIGEST = "ebfb24bdaa2d0cc8589ca9b8a76679a10db0365dce25d45cb0968ada84ffb836"
+PINNED_ONE_BLOCK_DIGEST = "634cb29c14f4ad14ba09a894240f4bd706ed0654139da4af7f41d9bc6ec334c9"
 
 
 class TestPersistenceSweep:
@@ -116,7 +116,9 @@ class TestPersistenceSweep:
     def test_one_block_cells_keep_their_bytes(self):
         # every cell's trials fit one design block, so the moments equal those
         # of the whole sample; CSV digest recorded at commit d3b9848, which
-        # solved from the whole sample
+        # solved from the whole sample, and re-recorded when FISTA came to take
+        # one matvec per step and cells came to be keyed on the float64 bits
+        # of their grid values
         cfg = SweepConfig(design_kind="rademacher", noise_kind="gaussian", n_grid=(16,), N_grid=(64, 128), sigma_grid=(0.5,), trials=20, seed=9, t0_shape="spike", t0_fraction=0.5)
         digest = hashlib.sha256(run_persistence_sweep(cfg).to_csv().encode()).hexdigest()
         assert digest == PINNED_ONE_BLOCK_DIGEST
@@ -170,17 +172,38 @@ class TestPersistenceSweep:
     @pytest.mark.parametrize(
         "grids, message",
         [
-            # these two cells once drew the same samples and reported the same median_err2
-            (dict(R_grid=(1.0, 1.0000001)), "R_grid values 1.0 and 1.0000001"),
             (dict(sigma_grid=(0.5, 0.25, 0.5)), "sigma_grid values 0.5 and 0.5"),
-            (dict(sigma_grid=(0.0, 1e-7)), "sigma_grid values 0.0 and 1e-07"),
+            (dict(sigma_grid=(0.0, -0.0)), "sigma_grid values 0.0 and -0.0"),
             (dict(N_grid=(32, 64, 32)), "N_grid values 32 and 32"),
         ],
-        ids=["R_close", "sigma_repeated", "sigma_below_key_step", "N_repeated"],
+        ids=["sigma_repeated", "sigma_signed_zero", "N_repeated"],
     )
     def test_colliding_seed_keys_rejected(self, grids, message):
         with pytest.raises(ValueError, match=message.replace(".", r"\.")):
             SweepConfig(**{"n_grid": (8,), "N_grid": (32,), **grids})
+
+    @pytest.mark.parametrize(
+        "grids",
+        # keyed on int(value * 2**20), each pair once drew the same samples
+        # and so had to be rejected
+        [dict(R_grid=(1.0, 1.0000001)), dict(sigma_grid=(0.0, 1e-7))],
+        ids=["R_close", "sigma_below_key_step"],
+    )
+    def test_close_grid_values_draw_different_samples(self, monkeypatch, grids):
+        drawn = []
+        sample_moments = experiments.sample_moments
+
+        def recording(cls, design, noise, N, seed, trial=0):
+            moments = sample_moments(cls, design, noise, N, seed, trial)
+            drawn.append((seed, trial, moments.G.tobytes()))
+            return moments
+
+        monkeypatch.setattr(experiments, "sample_moments", recording)
+        run_persistence_sweep(SweepConfig(**{"n_grid": (8,), "N_grid": (32,), "trials": 20, **grids}))
+        first = [(seed, G) for seed, trial, G in drawn if trial == 0]
+        assert len(first) == 2
+        (seed_a, G_a), (seed_b, G_b) = first
+        assert seed_a != seed_b and G_a != G_b
 
     def test_seed_keys_one_step_apart_accepted(self):
         cfg = SweepConfig(n_grid=(8,), N_grid=(32,), R_grid=(1.0, 1.0 + 2**-20), sigma_grid=(0.0, 2**-20))
@@ -201,8 +224,9 @@ class TestPersistenceSweep:
 
 # sha256 of verify_main_theorem's JSON and CSV at the CLI defaults (gaussian
 # n = 32, sigma = 0.5), recorded at commit d65c029, which solved the ERM
-# trials one at a time
-PINNED_VERIFY_MAIN = ("6e950807d290159f4e549a91836c853cc5d974efa0d27a1bde912e40b8101277", "d2eabaa1eddabd7ce8bad5ab6370a2ab9bb2ca0916a91a8b395aa61fa02fc168")
+# trials one at a time, and re-recorded when FISTA came to take one matvec per
+# step with a checked step size
+PINNED_VERIFY_MAIN = ("5bac87d8114f3a550715eae3c9aefbfa0033ffdd64775d118b89ac8729d5ca02", "2e60fc597e3e46f9d38c23e7686be9c1887affc1586f7568ba9d36d7f5c93971")
 
 
 class TestVerifyMain:

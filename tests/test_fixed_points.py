@@ -130,6 +130,18 @@ class TestBetaStar:
         first = min(passing)
         assert first / step <= est.value <= first * 1.02
 
+    def test_each_radius_scanned_once(self, monkeypatch):
+        # at the `beta` CLI defaults the bisection evaluates 9 radii; the
+        # returned one's stderr comes from the suprema its test computed
+        radii = []
+        sup_batch = fixed_points._sup_batch
+        monkeypatch.setattr(fixed_points, "_sup_batch", lambda Z, R, r: radii.append(r) or sup_batch(Z, R, r))
+        cls, design = cls_zero(16), DesignSpec("rademacher", 16)
+        est = beta_star(cls, design, 128, 0.05, trials=200, seed=0)
+        assert len(radii) == len(set(radii)) == 9
+        Z = _rademacher_z_batch(LocalizedSupConfig(cls, design, 128, 200, 0))
+        assert est.stderr == float(sup_batch(Z, 1.0, est.value).std(ddof=1) / math.sqrt(200))
+
     def test_monotone_in_gamma(self):
         cls = cls_zero(16)
         design = DesignSpec("gaussian", 16)
