@@ -1,10 +1,15 @@
 """Empirical risk minimization of the squared loss over a scaled l1 ball.
 
-The solver is accelerated projected gradient with fixed step 1/L and a
+The solver is accelerated projected gradient (FISTA) with step 1/L and a
 monotone restart; the objective is a convex quadratic and the feasible set
-has a cheap exact projection, so this is both simple and fast. Stopping is
-by the projected-gradient fixed-point residual, which certifies optimality
-for a convex problem.
+has a cheap exact projection, so this is both simple and fast. Each step
+multiplies by G once: the extrapolated point y = t_next + w (t_next - t)
+has G y = G t_next + w (G t_next - G t), from products already formed. L
+starts from a power-iteration estimate of the top eigenvalue, and every
+step is checked against the quadratic upper model with that L; a failed
+check doubles L and redoes the step (backtracking, Beck & Teboulle 2009).
+Stopping is by the projected-gradient fixed-point residual, which certifies
+optimality for a convex problem.
 """
 
 from __future__ import annotations
@@ -149,9 +154,15 @@ def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float = 1e-9,
 
     FISTA with step 1/L (L = twice the top eigenvalue of G, padded 5% for the
     power-iteration slack) and a restart whenever the objective would
-    increase, so the accepted objective sequence is non-increasing. Stops once
-    the projected-gradient residual ||t - P(t - grad/L)||_2 drops below tol.
-    The reported empirical risk is the objective at t_hat.
+    increase, so the accepted objective sequence is non-increasing. A step
+    takes one product G @ t_next; G @ y comes from the recurrence
+    G t_next + w (G t_next - G t), and a restarted row (w = 0) has
+    G y = G t_next exactly. Every projected-gradient step from a point x,
+    the restart step from t included, must meet the upper model
+    d^T (G t_new - G x) <= (L/2) ||d||^2 (d = t_new - x) up to a rounding
+    allowance; a row that fails doubles its L and redoes the step. Stops
+    once the projected-gradient residual ||t - P(t - grad/L)||_2 drops below
+    tol. The reported empirical risk is the objective at t_hat.
 
     The problems share each step's numpy calls, over a (k, n, n) stack of the
     G's, but every row does the arithmetic of a lone solve: its result has

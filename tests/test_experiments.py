@@ -189,7 +189,7 @@ class TestPersistenceSweep:
         [dict(R_grid=(1.0, 1.0000001)), dict(sigma_grid=(0.0, 1e-7))],
         ids=["R_close", "sigma_below_key_step"],
     )
-    def test_close_grid_values_draw_different_samples(self, monkeypatch, grids):
+    def test_close_values_draw_apart(self, monkeypatch, grids):
         drawn = []
         sample_moments = experiments.sample_moments
 
