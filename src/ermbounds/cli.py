@@ -292,6 +292,9 @@ def _smallball(config: dict, seed: int, workers: int) -> tuple[Report, str, bool
 
 
 def _version_space(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
+    # N = 0 is valid: with no data the null space is the whole space
+    if config["N"] < 0:
+        raise ValueError("sample size N must be nonnegative")
     cls = _class_from(config)
     design = _design_from(config)
     X = sample_design(design, config["N"], seed) if config["N"] > 0 else np.zeros((0, config["n"]))

@@ -5,9 +5,10 @@ monotone restart; the objective is a convex quadratic and the feasible set
 has a cheap exact projection, so this is both simple and fast. Each step
 multiplies by G once: the extrapolated point y = t_next + w (t_next - t)
 has G y = G t_next + w (G t_next - G t), from products already formed. L
-starts from a power-iteration estimate of the top eigenvalue, and every
-step is checked against the quadratic upper model with that L; a failed
-check doubles L and redoes the step (backtracking, Beck & Teboulle 2009).
+starts at twice the largest diagonal entry of G, at most twice the top
+eigenvalue, and every step is checked against the quadratic upper model
+with that L; a failed check doubles L and redoes the step (backtracking,
+Beck & Teboulle 2009).
 Stopping is by the projected-gradient fixed-point residual, which certifies
 optimality for a convex problem.
 """
@@ -56,60 +57,24 @@ class ErmResult:
     converged: bool
 
 
-def _lambda_max(G: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of each PSD matrix of a (k, n, n) stack by power
-    iteration (about 1% accuracy).
-
-    Two fixed random starts guard against a start vector sitting inside a
-    lower eigenspace (easy to hit with small +-1 designs); the larger
-    estimate wins. Each matrix iterates until its own estimate moves by at
-    most 0.5% in one step (or for 1000 steps), and leaves the stack then.
-    """
-    k, n = G.shape[:2]
-    best = np.zeros(k)
-    # a zero matrix gives w = 0; its rows divide by zero and report 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for start_seed in (0x9E3779B9, 0x85EBCA77):
-            v = np.random.Generator(np.random.PCG64(start_seed)).standard_normal(n)
-            v /= np.linalg.norm(v)
-            lam, prev = np.zeros(k), np.zeros(k)
-            rows, Ga = np.arange(k), G
-            W = _matvec(Ga, np.tile(v, (k, 1)))
-            for _ in range(1000):
-                norm = np.sqrt(np.vecdot(W, W))
-                V = W / norm[:, None]
-                W = _matvec(Ga, V)
-                lam_new = np.vecdot(V, W)
-                done = (norm == 0.0) | (np.abs(lam_new - prev) <= 0.005 * np.maximum(lam_new, 1e-300))
-                if done.any():
-                    lam[rows[done]] = np.where(norm[done] == 0.0, 0.0, lam_new[done])
-                    if done.all():
-                        break
-                    keep = ~done
-                    rows, Ga, W, lam_new = rows[keep], Ga[keep], W[keep], lam_new[keep]
-                prev = lam_new
-            else:
-                lam[rows] = prev
-            best = np.maximum(best, lam)
-    return best
-
-
 def _matvec(G: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Row i is G[i] @ V[i], by the same BLAS call as the 2-d product."""
     return (G @ V[:, :, None])[:, :, 0]
 
 
-def _rounding_allowance(G: np.ndarray, R: float) -> np.ndarray:
-    """Per matrix of a (k, n, n) stack, a bound on the rounding in the
-    upper-model check d^T (G t - G x) <= (L/2) ||d||^2, per unit of ||d||_2.
+def _rounding_allowance(G: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per matrix of a (k, n, n) stack, g = max_i G_ii and a bound on the
+    rounding in the upper-model check d^T (G t - G x) <= (L/2) ||d||^2, per
+    unit of ||d||_2.
 
-    For a PSD G, |G_ij| <= max_i G_ii =: g, and the points have ||.||_2 <=
-    ||.||_1 <= 3R (extrapolated points at most 3R, the others R), so each
-    product, the recurrence and the dot product err by well under
-    16 n^2 eps g R ||d||_2. The maximum is exact in any order.
+    For a PSD G, |G_ij| <= g, and the points have ||.||_2 <= ||.||_1 <= 3R
+    (extrapolated points at most 3R, the others R), so each product, the
+    recurrence and the dot product err by well under 16 n^2 eps g R ||d||_2.
+    The maximum is exact in any order.
     """
     n = G.shape[-1]
-    return 16.0 * n * n * np.finfo(np.float64).eps * R * np.diagonal(G, axis1=1, axis2=2).max(axis=1)
+    g = np.diagonal(G, axis1=1, axis2=2).max(axis=1)
+    return g, 16.0 * n * n * np.finfo(np.float64).eps * R * g
 
 
 def _breaks_upper_model(d: np.ndarray, Gd: np.ndarray, L: np.ndarray, allowance: np.ndarray) -> np.ndarray:
@@ -152,17 +117,19 @@ def solve_erm(data: Sample | Moments, class_spec: ClassSpec, tol: float = 1e-9, 
 def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float = 1e-9, max_iter: int = 100000) -> list[ErmResult]:
     """`solve_erm` for each of a list of Moments (or Samples) over one class, as one stacked run.
 
-    FISTA with step 1/L (L = twice the top eigenvalue of G, padded 5% for the
-    power-iteration slack) and a restart whenever the objective would
-    increase, so the accepted objective sequence is non-increasing. A step
-    takes one product G @ t_next; G @ y comes from the recurrence
+    FISTA with step 1/L and a restart whenever the objective would increase,
+    so the accepted objective sequence is non-increasing. A step takes one
+    product G @ t_next; G @ y comes from the recurrence
     G t_next + w (G t_next - G t), and a restarted row (w = 0) has
-    G y = G t_next exactly. Every projected-gradient step from a point x,
-    the restart step from t included, must meet the upper model
-    d^T (G t_new - G x) <= (L/2) ||d||^2 (d = t_new - x) up to a rounding
-    allowance; a row that fails doubles its L and redoes the step. Stops
-    once the projected-gradient residual ||t - P(t - grad/L)||_2 drops below
-    tol. The reported empirical risk is the objective at t_hat.
+    G y = G t_next exactly. L starts at 2 max_i G_ii, which for a PSD G is
+    at most twice its top eigenvalue lambda_max. Every projected-gradient
+    step from a point x, the restart step from t included, must meet the
+    upper model d^T (G t_new - G x) <= (L/2) ||d||^2 (d = t_new - x) up to a
+    rounding allowance; a row that fails doubles its L and redoes the step.
+    A step fails only while (L/2) ||d||^2 < d^T G d <= lambda_max ||d||^2,
+    so L stays below 4 lambda_max. Stops once the projected-gradient
+    residual ||t - P(t - grad/L)||_2 drops below tol. The reported empirical
+    risk is the objective at t_hat.
 
     The problems share each step's numpy calls, over a (k, n, n) stack of the
     G's, but every row does the arithmetic of a lone solve: its result has
@@ -184,16 +151,16 @@ def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float = 1e-9,
         G, b = np.stack([m.G for m in moments]), np.stack([m.b for m in moments])
     c = np.array([m.c for m in moments])
 
-    L = 2.0 * _lambda_max(G) * 1.05
+    g, allowance = _rounding_allowance(G, R)
+    L = 2.0 * g
     # L = 0 means X = 0: every feasible t has the same risk, and the row
     # keeps its zero result
     rows = np.flatnonzero(L != 0.0)
     if rows.size == 0:
         return results
     if rows.size < len(moments):
-        G, b, c, L = G[rows], b[rows], c[rows], L[rows]
+        G, b, c, L, allowance = G[rows], b[rows], c[rows], L[rows], allowance[rows]
     L = L[:, None]
-    allowance = _rounding_allowance(G, R)
 
     def finish(done, rows, t, f_t, residual, iterations: int) -> None:
         # the risk is a sum of squares; rounding in the expanded form can
@@ -317,7 +284,9 @@ def _l1_lattice_objective_min(G, b, c, R, resolution):
 
 def brute_force_erm(sample: Sample, class_spec: ClassSpec) -> np.ndarray:
     """Exhaustive-grid minimizer over R*B1 on the lattice of spacing 5e-3,
-    polished by 100 projected-gradient steps.
+    polished by 100 projected-gradient steps of size 1/L, L = 2 lambda_max(G)
+    from an exact eigensolver, so the oracle shares no step rule with the
+    solver it checks.
 
     Only meant as an oracle for small problems (n <= 4).
     """
@@ -329,8 +298,8 @@ def brute_force_erm(sample: Sample, class_spec: ClassSpec) -> np.ndarray:
     if R == 0.0:
         return np.zeros(class_spec.n)
     _, t = _l1_lattice_objective_min(G, b, c, R, 5e-3)
-    L = 2.0 * float(_lambda_max(G[None])[0]) * 1.05
-    if L == 0.0:
+    L = 2.0 * float(np.linalg.eigvalsh(G)[-1])
+    if L <= 0.0:
         return t
     for _ in range(100):
         t = project_l1(t - 2.0 * (G @ t - b) / L, R)

@@ -58,6 +58,8 @@ def _config_record(config) -> dict:
 def make_t0(shape: str, fraction: float, n: int, R: float) -> np.ndarray:
     """True parameter with ||t0||_1 = fraction*R: all mass on one coordinate
     (spike), spread evenly (flat), or zero."""
+    if n < 1:
+        raise ValueError("dimension n must be positive")
     if shape == "zero" or fraction == 0.0:
         return np.zeros(n)
     if not 0.0 <= fraction <= 1.0:

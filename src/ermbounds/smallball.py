@@ -142,14 +142,21 @@ def paley_zygmund_Q(kappa2: float, p: float, u: float) -> float:
     return ((1.0 - u * u) / kappa2**2) ** (p / (p - 2.0))
 
 
+def _probe_projections(design: DesignSpec, directions: int, draws: int, seed: int, tag: int) -> np.ndarray:
+    """|<X_i, t>| for `draws` fresh draws X_i (substream `tag`) and the probe
+    directions t, one column per direction."""
+    if draws < 1:
+        raise ValueError("draws must be positive")
+    T, _ = probe_directions(design, directions, seed)
+    X = design.sample_coords(substream(seed, DIRECTIONS_TAG, tag), (draws, design.n))
+    return np.abs(X @ T.T)
+
+
 def moment_ratio_p2(design: DesignSpec, p: float, directions: int = 200, draws: int = 100000, seed: int = 0) -> float:
     """Max over probed directions of the empirical Lp/L2 ratio of <X, t>."""
     if p < 2:
         raise ValueError("p must be at least 2")
-    T, _ = probe_directions(design, directions, seed)
-    rng = substream(seed, DIRECTIONS_TAG, 2)
-    X = design.sample_coords(rng, (draws, design.n))
-    proj = np.abs(X @ T.T)
+    proj = _probe_projections(design, directions, draws, seed, 2)
     lp = np.mean(proj**p, axis=0) ** (1.0 / p)
     l2 = np.sqrt(np.mean(proj**2, axis=0))
     return float(np.max(lp / l2))
@@ -157,10 +164,7 @@ def moment_ratio_p2(design: DesignSpec, p: float, directions: int = 200, draws: 
 
 def l2_l1_ratio(design: DesignSpec, directions: int = 200, draws: int = 100000, seed: int = 0) -> float:
     """Max over probed directions of the empirical L2/L1 ratio of <X, t>."""
-    T, _ = probe_directions(design, directions, seed)
-    rng = substream(seed, DIRECTIONS_TAG, 3)
-    X = design.sample_coords(rng, (draws, design.n))
-    proj = np.abs(X @ T.T)
+    proj = _probe_projections(design, directions, draws, seed, 3)
     l2 = np.sqrt(np.mean(proj**2, axis=0))
     l1 = np.mean(proj, axis=0)
     return float(np.max(l2 / l1))
@@ -252,6 +256,8 @@ def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: f
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
+    if trials < 1:
+        raise ValueError("trials must be positive")
     if r > 2.0 * class_spec.R * (1.0 + 1e-12):
         raise ValueError("r exceeds the diameter of the difference class")
     if q_hat is None:

@@ -10,9 +10,9 @@ the float feasibility predicate instead of sorting breakpoints. The scalar
 realized suprema take one sample and sign vector at a time, with no trial
 loop or batch, and are compared row by row against the Z-batches. The mean
 localized Rademacher supremum and the top-d rearrangement bound are checked
-helpers that only the tests call. The scalar l1 projection, power iteration
-and FISTA loop are one-problem code, the bitwise reference for the rows of
-the stacked solver.
+helpers that only the tests call. The scalar l1 projection and FISTA loop
+are one-problem code, the bitwise reference for the rows of the stacked
+solver.
 """
 
 from __future__ import annotations
@@ -190,40 +190,15 @@ def project_l1_scalar(v: np.ndarray, radius: float) -> np.ndarray:
     return np.sign(arr) * np.maximum(a - theta, 0.0)
 
 
-def power_lambda_max_scalar(G: np.ndarray, rel_tol: float = 0.005, max_iter: int = 1000) -> float:
-    """The one-matrix power iteration the solver used before it was stacked."""
-    n = G.shape[0]
-    best = 0.0
-    for start_seed in (0x9E3779B9, 0x85EBCA77):
-        v = np.random.Generator(np.random.PCG64(start_seed)).standard_normal(n)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        w = G @ v
-        for _ in range(max_iter):
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                lam = 0.0
-                break
-            v = w / norm
-            w = G @ v
-            lam_new = float(v @ w)
-            if abs(lam_new - lam) <= rel_tol * max(lam_new, 1e-300):
-                lam = lam_new
-                break
-            lam = lam_new
-        best = max(best, lam)
-    return best
-
-
 def fista_erm_scalar(G: np.ndarray, b: np.ndarray, c: float, R: float, tol: float, max_iter: int) -> tuple:
     """The one-problem FISTA loop that every row of a stacked solve must
     reproduce bit for bit.
 
-    One product G @ t per step: the extrapolated point y = t_next + w (t_next
-    - t) takes G @ y = G t_next + w (G t_next - G t). Every projected-gradient
-    step from a point x is checked against the upper model d^T G d <= (L/2)
-    ||d||^2 (d = t_new - x, G d = G t_new - G x) up to a rounding allowance;
-    a failed step doubles L and is redone.
+    L starts at 2 max_i G_ii. One product G @ t per step: the extrapolated
+    point y = t_next + w (t_next - t) takes G @ y = G t_next + w (G t_next -
+    G t). Every projected-gradient step from a point x is checked against the
+    upper model d^T G d <= (L/2) ||d||^2 (d = t_new - x, G d = G t_new - G x)
+    up to a rounding allowance; a failed step doubles L and is redone.
 
     Returns (t_hat, risk, iterations, residual, converged, log); `log` holds
     the restart and raise counts and every accepted step as (x, t_new, L).
@@ -232,10 +207,11 @@ def fista_erm_scalar(G: np.ndarray, b: np.ndarray, c: float, R: float, tol: floa
     log = types.SimpleNamespace(restarts=0, raises=0, steps=[])
     if R == 0.0:
         return np.zeros(n), c, 0, 0.0, True, log
-    L = 2.0 * power_lambda_max_scalar(G) * 1.05
+    g = float(np.diagonal(G).max())
+    L = 2.0 * g
     if L == 0.0:
         return np.zeros(n), c, 0, 0.0, True, log
-    allowance = 16.0 * n * n * np.finfo(np.float64).eps * R * np.diagonal(G).max()
+    allowance = 16.0 * n * n * np.finfo(np.float64).eps * R * g
 
     def obj(t, Gt):
         return float(t @ Gt - 2.0 * (b @ t) + c)

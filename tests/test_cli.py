@@ -321,10 +321,10 @@ _GOLDEN_RUNS = {
 # sha256 of each run's report, recorded at commit 4167733; erm, persistence
 # and verify-main re-recorded when FISTA came to take one matvec per step
 # with a checked step size, and sweep cells came to be keyed on the float64
-# bits of their grid values
+# bits of their grid values, and again when L came to start at 2 max_i G_ii
 _GOLDEN_DIGESTS = {
-    ("erm", "json"): "1900d96947498e985aa2a2463111214e3ecf9fdfe362c46db45f69d0c8770ab1",
-    ("erm", "csv"): "2239d95ef88c5a4cc6d6e1693c3d72fb5540ecf4dfb6d448e300cd78c7c79622",
+    ("erm", "json"): "7d83c30f931c88ced97d0cc0e26f70ce61374045a57858a597d81ca108867c0e",
+    ("erm", "csv"): "4c83d1f71a609c49bd7eb7eeced5b4139ceea4541a56410f769a0ca8dd147965",
     ("beta", "json"): "5d9fcc5cc864302d47bed77c3d572036fb00290960951b4dd274c8e3e0cc82b9",
     ("beta", "csv"): "463a182ce925960322fa99a85b7e338d511137ab0b0e78e22e8e1a115ad73a96",
     ("alpha", "json"): "da5c2caa6cea5f2dba7db4d3427d42a0595ac60d309fb5ab290cb933d3810969",
@@ -345,12 +345,12 @@ _GOLDEN_DIGESTS = {
     ("version-space", "csv"): "a9be535350fd978e8cd7894a41e5919d492ee94703ff1059b20da7e1a833a9ea",
     ("rates", "json"): "7f168238d4fecae6ec34365a2837356bead303c741ae8cf8449f5bb6f28637c0",
     ("rates", "csv"): "d7563770135a369b17eb33f9227a9f17951a8e4de323c51e824103ba08b32304",
-    ("persistence", "json"): "f1257be8143026026ed9201bd4d394348448375b931099e03a69ff525d6feb84",
-    ("persistence", "csv"): "d4cab7962c8488605df05b2d36be5805924baec294bc554648819f76aa80bddc",
+    ("persistence", "json"): "654d94671d59039f73c5f87cd9b3a33940c6b52735cac3971880e08367cb8529",
+    ("persistence", "csv"): "d2080385512d9b68996189da4a88e1874d0d17777174caacd6f6745ab1e3b80d",
     ("counterexample", "json"): "20fa2107944296ee4176b56b27816480f8a69675055ec73af7a560dc19859437",
     ("counterexample", "csv"): "f6338d376b45cea9767ffe5afba4603480cc23f0659cc880cec1d64be5fe7368",
-    ("verify-main", "json"): "afb0cd07cec824edd8240a144f1f9148620cb658791183ca97bf88d56b338303",
-    ("verify-main", "csv"): "96359f9f38d676eddc477f3956ad58779ac1b671e1c7cce672435eff9f148442",
+    ("verify-main", "json"): "70dc2466e33581ef21fb452a7f35310c7cca7efcde2083dafcbdc9594c672e68",
+    ("verify-main", "csv"): "5abbb8942f46ec9cbbe77ddb0339f0f9ed2f28a06b7a858b4655c994815ab41b",
 }
 
 
@@ -513,6 +513,28 @@ def test_bad_config_value_exits_2(args, key, tmp_path, capsys):
     assert run([*args, "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert key in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["erm", "--n", "0"], "dimension n must be positive"),
+        (["alpha", "--n", "0"], "dimension n must be positive"),
+        (["version-space", "--n", "0"], "dimension n must be positive"),
+        (["version-space", "--N", "-1"], "sample size N must be nonnegative"),
+        # each would average over no samples and report a NaN
+        (["smallball", "--set", "action=verify_counts", "--set", "trials=0"], "trials must be positive"),
+        (["smallball", "--set", "action=moment_ratio", "--set", "draws=0"], "draws must be positive"),
+        (["smallball", "--set", "action=l2_l1", "--set", "draws=0"], "draws must be positive"),
+    ],
+)
+def test_bad_size_exits_2(args, message, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run([*args, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
     assert "Traceback" not in err
     assert not out.exists()
 

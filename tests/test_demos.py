@@ -1,7 +1,7 @@
 """Every demo prints exactly what it printed when its golden file was recorded
 (commit 4167733; demos 03 and 07 again when FISTA came to take one matvec per
 step and sweep cells came to be keyed on the float64 bits of their grid
-values): the demos are deterministic, and their output is the library's
+values, and demo 03 when L came to start at 2 max_i G_ii): the demos are deterministic, and their output is the library's
 behaviour on the paper's examples."""
 
 import os

@@ -106,15 +106,14 @@ class TestSolve:
     @pytest.mark.parametrize(
         "kind, n, N, digest, iterations",
         [
-            ("gaussian", 12, 40, "cecb3e6b367eff54195438001ead31a37bad807aa4b752a83a0828b2cfb450fd", 43),
-            ("rademacher", 24, 10, "93b392bff3d05a80282e5f288a68c8e5c8b49891322a232f1358e14f47695c6c", 66),
+            ("gaussian", 12, 40, "581c28d5b7f6897838eb5dc5fa2f3f3a8f96bd4e72bfe5cf74c118ecd7058c1f", 46),
+            ("rademacher", 24, 10, "080bc5befcd52daf7672b596a882c4034214bfd7acbdf2375e968694b6214a97", 52),
         ],
         ids=["gaussian", "rademacher"],
     )
     def test_recorded_solution_bytes(self, kind, n, N, digest, iterations):
-        # t_hat bytes recorded when the extrapolated point's product G @ y
-        # came to be formed by recurrence, one matvec per step; the
-        # iteration counts are those of the two-matvec loop before it
+        # t_hat bytes and iteration counts recorded when L came to start at
+        # 2 max_i G_ii and to be raised only by the checked step
         cls = ClassSpec(n=n, R=1.0, t0=make_t0("spike", 0.5, n, 1.0))
         sample = make_sample(cls, DesignSpec(kind, n), NoiseSpec("gaussian", sigma=0.5), N, seed=17)
         res = solve_erm(sample, cls, tol=1e-9)
@@ -224,8 +223,8 @@ class TestStacked:
         # the one-problem stack is a view of the caller's G, not a copy
         cls, (m,) = trial_moments("gaussian", 8, 20, 1)
         seen = []
-        lambda_max = erm._lambda_max
-        monkeypatch.setattr(erm, "_lambda_max", lambda G: seen.append(G) or lambda_max(G))
+        rounding_allowance = erm._rounding_allowance
+        monkeypatch.setattr(erm, "_rounding_allowance", lambda G, R: seen.append(G) or rounding_allowance(G, R))
         solve_erm(m, cls)
         assert seen[0].shape == (1, 8, 8) and np.shares_memory(seen[0], m.G)
 
@@ -243,25 +242,38 @@ def count_matvec_rows(monkeypatch):
     return rows
 
 
-class TestStep:
-    # a trial whose power iteration settles on the second eigenvalue 1.3098
-    # instead of 2.1514, so the padded L is below twice the top eigenvalue
-    def underestimated(self):
-        cls = ClassSpec(n=4, R=1.0, t0=np.zeros(4))
-        return cls, sample_moments(cls, DesignSpec("rademacher", 4), NoiseSpec("gaussian", sigma=0.5), 8, seed=77, trial=148)
+def near_collinear_moments(n, N, seed):
+    """Moments of a design whose columns are one shared column plus 1e-3
+    noise: the top eigenvalue of G is about n times its largest diagonal entry."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N, 1)) + 1e-3 * rng.standard_normal((N, n))
+    Y = X[:, 0] * 0.5 + 0.5 * rng.standard_normal(N)
+    return Moments(X.T @ X / N, X.T @ Y / N, float(Y @ Y / N), N)
 
+
+class TestStep:
     def test_underestimate_raises_l(self):
-        cls, m = self.underestimated()
-        assert 2.0 * 1.05 * erm._lambda_max(m.G[None])[0] < 2.0 * np.linalg.eigvalsh(m.G)[-1]
-        *key, log = fista_erm_scalar(m.G, m.b, m.c, cls.R, 1e-9, 100000)
-        assert log.raises >= 1 and key[4]
-        # every accepted step meets the upper model, checked with an exact G @ d
-        for x, t_new, L in log.steps:
-            d = t_new - x
-            assert d @ (m.G @ d) <= 0.5 * L * (d @ d)
-        others = trial_moments("rademacher", 4, 8, 6)[1]
-        stacked = solve_erms(others[:3] + [m] + others[3:], cls, tol=1e-9)
-        assert result_key(stacked[3]) == result_key(solve_erm(m, cls, tol=1e-9)) == reference_key(m, cls, 1e-9, 100000)
+        # L starts at 2 max_i G_ii <= 2 lambda_max, and a step fails only while
+        # (L/2) ||d||^2 < d^T G d <= lambda_max ||d||^2, so L stays below
+        # 4 lambda_max; near-collinear designs start far below and raise L
+        cls, rademacher = trial_moments("rademacher", 8, 12, 4)
+        student_t = trial_moments("student_t", 8, 40, 4)[1]
+        collinear = [near_collinear_moments(8, 30, seed) for seed in range(4)]
+        moments = rademacher + student_t + collinear
+        raises = []
+        for m in moments:
+            lam = np.linalg.eigvalsh(m.G)[-1]
+            *key, log = fista_erm_scalar(m.G, m.b, m.c, cls.R, 1e-9, 100000)
+            assert key[4]
+            raises.append(log.raises)
+            # every accepted step meets the upper model, checked with an exact G @ d
+            for x, t_new, L in log.steps:
+                assert L <= 4.0 * lam
+                d = t_new - x
+                assert d @ (m.G @ d) <= 0.5 * L * (d @ d)
+        assert min(raises[-4:]) > 0
+        for m, result in zip(moments, solve_erms(moments, cls, tol=1e-9)):
+            assert result_key(result) == reference_key(m, cls, 1e-9, 100000)
 
     def test_rounding_never_raises_l(self):
         # steps of about 1e-12 along the top eigenvector with L exactly twice
@@ -279,22 +291,19 @@ class TestStep:
             d, Gd = (t - x)[None], (erm._matvec(G[None], t[None]) - erm._matvec(G[None], x[None]))
             L = np.array([[2.0 * lam[-1]]])
             raw += erm._breaks_upper_model(d, Gd, L, np.zeros(1))[0]
-            assert not erm._breaks_upper_model(d, Gd, L, erm._rounding_allowance(G[None], 1.0))[0]
+            assert not erm._breaks_upper_model(d, Gd, L, erm._rounding_allowance(G[None], 1.0)[1])[0]
         assert raw > 0
 
     def test_one_matvec_per_step(self, monkeypatch):
-        # the budget: the power iteration's own products, one for the start,
-        # one per iteration, and one per restart and per raised L
+        # the budget: one product for the start, one per iteration, and one
+        # per restart and per raised L
         cls, (m,) = trial_moments("rademacher", 64, 32, 1)
         rows = count_matvec_rows(monkeypatch)
-        erm._lambda_max(m.G[None])
-        power_rows = rows[0]
-        rows[0] = 0
         result = solve_erm(m, cls, tol=1e-9)
         _, _, iterations, _, converged, log = fista_erm_scalar(m.G, m.b, m.c, cls.R, 1e-9, 100000)
         assert result.converged and converged and result.iterations == iterations
         assert log.restarts > 0
-        assert rows[0] == power_rows + 1 + iterations + log.restarts + log.raises
+        assert rows[0] == 1 + iterations + log.restarts + log.raises
 
 
 class TestBruteForce:

@@ -69,7 +69,7 @@ class TestCounterexample:
             assert s[field] == pytest.approx(value, rel=1e-13, abs=0.0)
 
 
-PINNED_ONE_BLOCK_DIGEST = "634cb29c14f4ad14ba09a894240f4bd706ed0654139da4af7f41d9bc6ec334c9"
+PINNED_ONE_BLOCK_DIGEST = "c500514759a7fee04c3ddd827b62d6d91e29a1c9d89d86ba9195e43e4e51f549"
 
 
 class TestPersistenceSweep:
@@ -118,7 +118,7 @@ class TestPersistenceSweep:
         # of the whole sample; CSV digest recorded at commit d3b9848, which
         # solved from the whole sample, and re-recorded when FISTA came to take
         # one matvec per step and cells came to be keyed on the float64 bits
-        # of their grid values
+        # of their grid values, and again when L came to start at 2 max_i G_ii
         cfg = SweepConfig(design_kind="rademacher", noise_kind="gaussian", n_grid=(16,), N_grid=(64, 128), sigma_grid=(0.5,), trials=20, seed=9, t0_shape="spike", t0_fraction=0.5)
         digest = hashlib.sha256(run_persistence_sweep(cfg).to_csv().encode()).hexdigest()
         assert digest == PINNED_ONE_BLOCK_DIGEST
@@ -225,8 +225,8 @@ class TestPersistenceSweep:
 # sha256 of verify_main_theorem's JSON and CSV at the CLI defaults (gaussian
 # n = 32, sigma = 0.5), recorded at commit d65c029, which solved the ERM
 # trials one at a time, and re-recorded when FISTA came to take one matvec per
-# step with a checked step size
-PINNED_VERIFY_MAIN = ("5bac87d8114f3a550715eae3c9aefbfa0033ffdd64775d118b89ac8729d5ca02", "2e60fc597e3e46f9d38c23e7686be9c1887affc1586f7568ba9d36d7f5c93971")
+# step with a checked step size and when L came to start at 2 max_i G_ii
+PINNED_VERIFY_MAIN = ("b97b8346892483699496fb879c2e5d4e9446091338cda6b1bbd04d0088d69b15", "61c2a36a90ed0a98eefed5a75190916cdd26f32ca33da7145d55a8f291c690fd")
 
 
 class TestVerifyMain:
