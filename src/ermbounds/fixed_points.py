@@ -5,8 +5,14 @@ class sections, so each realized supremum is an exact support-function
 evaluation. One trial draws a sample (and signs, and noise where relevant)
 and reduces it to a single n-vector Z; evaluating the supremum at any radius
 then only touches Z. That makes common random numbers across radii free:
-the whole fixed-point search runs on one batch of Z vectors, and the
-empirical criterion it bisects is a deterministic function of the radius.
+the whole fixed-point search runs on one batch of Z vectors, prepared once
+(`SupportRows` sorts it and forms its cumulative sums), and the empirical
+criterion it searches is a deterministic function of the radius.
+
+The localized sets are star-shaped, so each trial's supremum divided by the
+radius is non-increasing. Hence the mean criterion of beta* and k* changes
+sign once, and each trial's success in alpha*'s quantile criterion switches
+on at most once along its grid: both searches bisect.
 
 For a gaussian design Z has an exact law, so its batches are drawn from that
 law instead of from N x n samples: N^{-1/2} sum_i eps_i X_i is N(0, I_n),
@@ -23,7 +29,7 @@ import numpy as np
 
 from .distributions import DesignSpec, NoiseSpec, random_signs, sample_design, sample_response
 from .erm import ClassSpec
-from .geometry import BallIntersection, support_l1l2_batch
+from .geometry import SupportRows
 from .rng import DESIGN_TAG, LAW_TAG, NOISE_TAG, SIGNS_TAG, map_trials, substream
 
 DEFAULT_EXPECTATION_TRIALS = 200
@@ -149,10 +155,12 @@ def _multiplier_z_batch(config: LocalizedSupConfig, noise: NoiseSpec) -> np.ndar
     return out
 
 
-def _sup_batch(Z: np.ndarray, R: float, radius: float) -> np.ndarray:
+def _sup_batch(rows: SupportRows, R: float, radius: float) -> np.ndarray:
+    """Each row's supremum over 2R*B1 ∩ radius*B2: the one per-radius step of
+    every fixed-point search."""
     if radius <= 0.0:
-        return np.zeros(Z.shape[0])
-    return support_l1l2_batch(Z, BallIntersection(2.0 * R, radius, Z.shape[1]))
+        return np.zeros(rows.shape[0])
+    return rows.at(2.0 * R, radius)
 
 
 def _bisect_fixed_point(Z: np.ndarray, R: float, threshold, kind: str, r_lo: float, r_hi: float) -> FixedPointEstimate:
@@ -163,11 +171,12 @@ def _bisect_fixed_point(Z: np.ndarray, R: float, threshold, kind: str, r_lo: flo
     are star-shaped), so the criterion changes sign exactly once.
     """
     trials = Z.shape[0]
+    rows = SupportRows(Z)
     sups = {}  # radius -> suprema, so no radius is scanned twice
 
     def sups_at(r):
         if r not in sups:
-            sups[r] = _sup_batch(Z, R, r)
+            sups[r] = _sup_batch(rows, R, r)
         return sups[r]
 
     def ok(r):
@@ -229,12 +238,16 @@ def quantile_trials(delta: float, trials: int | None = None) -> int:
 def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, gamma: float, delta: float, trials: int = DEFAULT_QUANTILE_TRIALS, seed: int = 0, workers: int = 0) -> FixedPointEstimate:
     """Quantile fixed point of the multiplier process.
 
-    Scans a geometric radius grid of ratio 1.1 from 1e-6 s_hi up to
-    s_hi = 2R sqrt(n) for the smallest s whose empirical success
-    probability Pr(phi_N(s) <= gamma*s^2*sqrt(N)) reaches 1 - delta. A grid
-    is used instead of bisection because the success probability need not be
-    monotone at Monte Carlo resolution; estimates within two standard errors
-    of the target get a Wilson flag.
+    The smallest s on a geometric radius grid of ratio 1.1, from 1e-6 s_hi up
+    to s_hi = 2R sqrt(n), whose empirical success probability
+    p_hat(s) = Pr(phi_N(s) <= gamma*s^2*sqrt(N)) reaches 1 - delta. The
+    localized sets are star-shaped, so each trial's phi_N(s)/s is
+    non-increasing and phi_N(s)/s^2 falls by a factor of at least 1.094 per
+    grid step, far beyond rounding. Each trial's success therefore switches
+    on at most once along the grid, p_hat is monotone on the common random
+    numbers, and bisecting over grid indices finds the same point as a scan
+    with at most ceil(log2(grid size)) + 1 evaluations. Estimates within two
+    standard errors of the target get a Wilson flag.
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -250,20 +263,30 @@ def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: i
     grid[-1] = s_hi
 
     config = LocalizedSupConfig(class_spec, design, N, trials, seed, workers)
-    Z = _multiplier_z_batch(config, noise)
+    rows = SupportRows(_multiplier_z_batch(config, noise))
     target = 1.0 - delta
     sqN = math.sqrt(N)
-    prev = None
-    for s in grid:
-        sups = _sup_batch(Z, class_spec.R, float(s))
-        p_hat = float(np.mean(sups <= gamma * s * s * sqN))
-        stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
-        if p_hat >= target:
-            flags = []
-            if p_hat - target < 2.0 * stderr:
-                flags.append("wilson_marginal")
-            lower = float(prev) if prev is not None else float(s)
-            return FixedPointEstimate(float(s), lower, float(s), trials, stderr, "alpha", tuple(flags))
-        prev = s
-    # the last pass ran at grid[-1] = s_hi; its stderr is the reported one
-    return FixedPointEstimate(float(grid[-1]), float(grid[-2]), float(grid[-1]), trials, stderr, "alpha", ("grid_exhausted",))
+    p_hats = {}  # grid index -> success probability
+
+    def p_hat(i):
+        if i not in p_hats:
+            s = grid[i]
+            p_hats[i] = float(np.mean(_sup_batch(rows, class_spec.R, float(s)) <= gamma * s * s * sqN))
+        return p_hats[i]
+
+    def stderr(p):
+        return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+
+    if p_hat(steps) < target:
+        return FixedPointEstimate(float(grid[-1]), float(grid[-2]), float(grid[-1]), trials, stderr(p_hats[steps]), "alpha", ("grid_exhausted",))
+    lo, hi = 0, steps  # the first success lies in [lo, hi], and hi succeeds
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if p_hat(mid) >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    p = p_hats[hi]
+    flags = ("wilson_marginal",) if p - target < 2.0 * stderr(p) else ()
+    lower = float(grid[hi - 1]) if hi > 0 else float(grid[hi])
+    return FixedPointEstimate(float(grid[hi]), lower, float(grid[hi]), trials, stderr(p), "alpha", flags)

@@ -3,13 +3,15 @@
 Everything here is a pure function of its arguments: Euclidean projection
 onto a scaled l1 ball, the l2 norm of the top-d entries of the decreasing
 rearrangement, and the exact support function of an l1/l2 ball
-intersection. These are the kernels behind every localized supremum
+intersection, which `SupportRows` evaluates at many radii on one batch
+prepared once. These are the kernels behind every localized supremum
 computed elsewhere in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +101,89 @@ def rearrangement_d(l1_radius: float, l2_radius: float, dim: int) -> int:
     return min(max(raw, 1), dim)
 
 
+class SupportRows:
+    """A batch of row vectors prepared for the support function at many radii.
+
+    Construction checks the batch; the radius-free terms of
+    `support_l1l2_batch` are formed once, on first need: max|z| and ||z||_2
+    for the two closed-form branches, and for the branch between them the
+    decreasing rearrangement, its breakpoint values and the segment bounds.
+    `at(rho, s)` then does only the work that depends on the radii, with the
+    same operations in the same order, so its bytes are those of a one-shot
+    evaluation.
+    """
+
+    def __init__(self, Z):
+        Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+        if Z.ndim != 2:
+            raise ValueError("Z must be a vector or a matrix of row vectors")
+        if not np.all(np.isfinite(Z)):
+            raise ValueError("entries must be finite")
+        self.Z = Z
+        self.shape = Z.shape
+
+    @cached_property
+    def _max_abs(self) -> np.ndarray:
+        return np.abs(self.Z).max(axis=1)
+
+    @cached_property
+    def _l2(self) -> np.ndarray:
+        return np.sqrt((self.Z * self.Z).sum(axis=1))
+
+    @cached_property
+    def _breakpoints(self) -> tuple:
+        m, n = self.shape
+        U = -np.sort(-np.abs(self.Z), axis=1)  # decreasing rearrangement
+        zero_col = np.zeros((m, 1))
+        P1 = np.concatenate([zero_col, np.cumsum(U, axis=1)], axis=1)  # P1[:, k] = sum of top k
+        P2 = np.concatenate([zero_col, np.cumsum(U * U, axis=1)], axis=1)
+
+        # Breakpoint candidates lam = U[:, j] for j < n, plus lam = 0 at j = n.
+        lam_b = np.concatenate([U, zero_col], axis=1)
+        j = np.arange(n + 1)
+        q_b = P2 - 2.0 * lam_b * P1 + j * lam_b**2
+        root_q_b = np.sqrt(np.maximum(q_b, 0.0))
+
+        # With k coordinates active the objective is
+        # rho*lam + s*sqrt(Q_k - 2*m_k*lam + k*lam^2) on the segment
+        # [U[:, k], U[:, k-1]] (U[:, n] = 0), widened by a tolerance.
+        k = np.arange(1, n + 1)
+        m_k = P1[:, 1:]
+        Q_k = P2[:, 1:]
+        A = np.maximum(k * Q_k - m_k**2, 0.0)
+        tol = REL_SLACK * (U[:, :1] + 1.0)
+        seg_lo = np.concatenate([U[:, 1:], zero_col], axis=1) - tol
+        seg_hi = U + tol
+        return lam_b, root_q_b, k, m_k, Q_k, A, seg_lo, seg_hi, -tol
+
+    def at(self, rho: float, s: float) -> np.ndarray:
+        """Row-wise sup{<z,t> : ||t||_1 <= rho, ||t||_2 <= s}; see `support_l1l2_batch`."""
+        rho, s = float(rho), float(s)
+        # Trivial branches. ||t||_2 <= ||t||_1 makes the l2 cap inactive when
+        # s >= rho; ||t||_1 <= sqrt(n)||t||_2 makes the l1 cap inactive when
+        # rho >= s*sqrt(n). Returned in closed form so these cases are exact.
+        if s >= rho:
+            return rho * self._max_abs
+        if rho >= s * np.sqrt(self.shape[1]):
+            return s * self._l2
+
+        lam_b, root_q_b, k, m_k, Q_k, A, seg_lo, seg_hi, neg_tol = self._breakpoints
+        g_break = rho * lam_b + s * root_q_b
+
+        # Interior stationary points: the segment objective's stationary point is
+        # lam = m_k/k - (rho/k)*sqrt((k*Q_k - m_k^2)/(s^2*k - rho^2)),
+        # valid only when s^2*k > rho^2 and lam falls inside the segment.
+        D = s * s * k - rho * rho
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam_st = (m_k - rho * np.sqrt(A / D)) / k
+        valid = (D > 0) & np.isfinite(lam_st) & (lam_st >= seg_lo) & (lam_st <= seg_hi) & (lam_st >= neg_tol)
+        lam_st = np.clip(lam_st, 0.0, None)
+        q_st = Q_k - 2.0 * lam_st * m_k + k * lam_st**2
+        g_st = np.where(valid, rho * lam_st + s * np.sqrt(np.maximum(q_st, 0.0)), np.inf)
+
+        return np.minimum(g_break.min(axis=1), g_st.min(axis=1))
+
+
 def support_l1l2_batch(Z, ball: BallIntersection) -> np.ndarray:
     """Row-wise support function sup{<z,t> : ||t||_1 <= rho, ||t||_2 <= s}.
 
@@ -108,58 +193,12 @@ def support_l1l2_batch(Z, ball: BallIntersection) -> np.ndarray:
     interior stationary point of each inter-breakpoint segment (where the
     objective is rho*lam + s*sqrt(quadratic), so the stationary point has a
     closed form). The minimum over the candidates is the exact value.
+    To evaluate one batch at many radii, prepare it once as `SupportRows`.
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    if Z.ndim != 2:
-        raise ValueError("Z must be a vector or a matrix of row vectors")
-    if not np.all(np.isfinite(Z)):
-        raise ValueError("entries must be finite")
-    m, n = Z.shape
-    if n != ball.dim:
-        raise ValueError(f"dimension mismatch: vectors have {n} entries, set has dim {ball.dim}")
-    rho, s = float(ball.l1_radius), float(ball.l2_radius)
-
-    absZ = np.abs(Z)
-    # Trivial branches. ||t||_2 <= ||t||_1 makes the l2 cap inactive when
-    # s >= rho; ||t||_1 <= sqrt(n)||t||_2 makes the l1 cap inactive when
-    # rho >= s*sqrt(n). Returned in closed form so these cases are exact.
-    if s >= rho:
-        return rho * absZ.max(axis=1)
-    if rho >= s * np.sqrt(n):
-        return s * np.sqrt((Z * Z).sum(axis=1))
-
-    U = -np.sort(-absZ, axis=1)  # decreasing rearrangement
-    zero_col = np.zeros((m, 1))
-    P1 = np.concatenate([zero_col, np.cumsum(U, axis=1)], axis=1)  # P1[:, k] = sum of top k
-    P2 = np.concatenate([zero_col, np.cumsum(U * U, axis=1)], axis=1)
-
-    # Breakpoint candidates lam = U[:, j] for j < n, plus lam = 0 at j = n.
-    lam_b = np.concatenate([U, zero_col], axis=1)
-    j = np.arange(n + 1)
-    q_b = P2 - 2.0 * lam_b * P1 + j * lam_b**2
-    g_break = rho * lam_b + s * np.sqrt(np.maximum(q_b, 0.0))
-
-    # Interior stationary points: with k coordinates active, the objective is
-    # rho*lam + s*sqrt(Q_k - 2*m_k*lam + k*lam^2); its stationary point is
-    # lam = m_k/k - (rho/k)*sqrt((k*Q_k - m_k^2)/(s^2*k - rho^2)),
-    # valid only when s^2*k > rho^2 and lam falls inside the segment.
-    k = np.arange(1, n + 1)
-    m_k = P1[:, 1:]
-    Q_k = P2[:, 1:]
-    D = s * s * k - rho * rho
-    A = np.maximum(k * Q_k - m_k**2, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam_st = (m_k - rho * np.sqrt(A / D)) / k
-    seg_lo = np.concatenate([U[:, 1:], zero_col], axis=1)
-    seg_hi = U
-    scale = U[:, :1] + 1.0
-    tol = REL_SLACK * scale
-    valid = (D > 0) & np.isfinite(lam_st) & (lam_st >= seg_lo - tol) & (lam_st <= seg_hi + tol) & (lam_st >= -tol)
-    lam_st = np.clip(lam_st, 0.0, None)
-    q_st = Q_k - 2.0 * lam_st * m_k + k * lam_st**2
-    g_st = np.where(valid, rho * lam_st + s * np.sqrt(np.maximum(q_st, 0.0)), np.inf)
-
-    return np.minimum(g_break.min(axis=1), g_st.min(axis=1))
+    rows = SupportRows(Z)
+    if rows.shape[1] != ball.dim:
+        raise ValueError(f"dimension mismatch: vectors have {rows.shape[1]} entries, set has dim {ball.dim}")
+    return rows.at(ball.l1_radius, ball.l2_radius)
 
 
 def support_l1l2(z, ball: BallIntersection) -> float:

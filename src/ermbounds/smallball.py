@@ -249,8 +249,9 @@ def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: f
     with ||v||_2 >= r and v feasible for the symmetric difference set
     2R*B1; records the minimum over probes of
     |{i : |h(X_i)| >= tau ||h||_L2}| and checks it against N*Q_hat(2 tau)/4.
-    The count criterion is scale invariant, so probes are random directions
-    (plus canonical ones) scaled to the feasible range [r, 2R/||w||_1].
+    The count criterion is scale invariant, so probes are `probes` random
+    directions plus the n canonical ones, scaled to the feasible range
+    [r, 2R/||w||_1].
     Whether the sufficient condition r > beta_hat could be certified is
     reported alongside; the count test itself runs either way.
     """
@@ -258,6 +259,8 @@ def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: f
         raise ValueError("tau must be nonnegative")
     if trials < 1:
         raise ValueError("trials must be positive")
+    if probes < 0:
+        raise ValueError("probes must be nonnegative")
     if r > 2.0 * class_spec.R * (1.0 + 1e-12):
         raise ValueError("r exceeds the diameter of the difference class")
     if q_hat is None:
@@ -266,7 +269,7 @@ def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: f
     n = design.n
 
     rng_dir = substream(seed, DIRECTIONS_TAG, 7)
-    dirs = rng_dir.standard_normal((max(probes, 100), n))
+    dirs = rng_dir.standard_normal((probes, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     dirs = np.vstack([dirs, np.eye(n)])
     # scale each direction to the smallest feasible norm >= r (the count

@@ -12,7 +12,9 @@ loop or batch, and are compared row by row against the Z-batches. The mean
 localized Rademacher supremum and the top-d rearrangement bound are checked
 helpers that only the tests call. The scalar l1 projection and FISTA loop
 are one-problem code, the bitwise reference for the rows of the stacked
-solver.
+solver. The one-shot support kernel re-sorts its batch at every call, and the
+linear alpha scan tries every grid radius in turn: the bitwise references for
+the prepared batch and for the grid bisection.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import types
 
 import numpy as np
 
-from ermbounds.distributions import DesignSpec, Sample
+from ermbounds.distributions import DesignSpec, NoiseSpec, Sample
 from ermbounds.erm import ClassSpec
-from ermbounds.fixed_points import LocalizedSupConfig, _rademacher_z_batch, _sup_batch
-from ermbounds.geometry import BallIntersection, support_l1l2
+from ermbounds.fixed_points import FixedPointEstimate, LocalizedSupConfig, _multiplier_z_batch, _rademacher_z_batch, _sup_batch
+from ermbounds.geometry import REL_SLACK, BallIntersection, SupportRows, support_l1l2
 from ermbounds.rng import DIRECTIONS_TAG, substream
 
 
@@ -301,10 +303,82 @@ def expected_rademacher_sup(config: LocalizedSupConfig, radius: float) -> tuple[
     The standard error is only meaningful from about 30 trials up.
     """
     Z = _rademacher_z_batch(config)
-    sups = _sup_batch(Z, config.class_spec.R, radius)
+    sups = _sup_batch(SupportRows(Z), config.class_spec.R, radius)
     mean = float(sups.mean())
     stderr = float(sups.std(ddof=1) / math.sqrt(len(sups))) if len(sups) > 1 else 0.0
     return mean, stderr
+
+
+def support_l1l2_batch_oneshot(Z: np.ndarray, rho: float, s: float) -> np.ndarray:
+    """The support kernel as one call that sorts its batch: what
+    `SupportRows(Z).at(rho, s)` must reproduce bit for bit."""
+    m, n = Z.shape
+    absZ = np.abs(Z)
+    if s >= rho:
+        return rho * absZ.max(axis=1)
+    if rho >= s * np.sqrt(n):
+        return s * np.sqrt((Z * Z).sum(axis=1))
+
+    U = -np.sort(-absZ, axis=1)
+    zero_col = np.zeros((m, 1))
+    P1 = np.concatenate([zero_col, np.cumsum(U, axis=1)], axis=1)
+    P2 = np.concatenate([zero_col, np.cumsum(U * U, axis=1)], axis=1)
+
+    lam_b = np.concatenate([U, zero_col], axis=1)
+    j = np.arange(n + 1)
+    q_b = P2 - 2.0 * lam_b * P1 + j * lam_b**2
+    g_break = rho * lam_b + s * np.sqrt(np.maximum(q_b, 0.0))
+
+    k = np.arange(1, n + 1)
+    m_k = P1[:, 1:]
+    Q_k = P2[:, 1:]
+    D = s * s * k - rho * rho
+    A = np.maximum(k * Q_k - m_k**2, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam_st = (m_k - rho * np.sqrt(A / D)) / k
+    seg_lo = np.concatenate([U[:, 1:], zero_col], axis=1)
+    seg_hi = U
+    scale = U[:, :1] + 1.0
+    tol = REL_SLACK * scale
+    valid = (D > 0) & np.isfinite(lam_st) & (lam_st >= seg_lo - tol) & (lam_st <= seg_hi + tol) & (lam_st >= -tol)
+    lam_st = np.clip(lam_st, 0.0, None)
+    q_st = Q_k - 2.0 * lam_st * m_k + k * lam_st**2
+    g_st = np.where(valid, rho * lam_st + s * np.sqrt(np.maximum(q_st, 0.0)), np.inf)
+
+    return np.minimum(g_break.min(axis=1), g_st.min(axis=1))
+
+
+def alpha_grid(class_spec: ClassSpec) -> np.ndarray:
+    """alpha_star's radius grid: ratio 1.1 from 1e-6 s_hi, ending at s_hi = 2R sqrt(n)."""
+    s_hi = 2.0 * class_spec.R * math.sqrt(class_spec.n)
+    s_lo = 1e-6 * s_hi
+    steps = int(math.ceil(math.log(s_hi / s_lo) / math.log(1.1)))
+    grid = s_lo * 1.1 ** np.arange(steps + 1)
+    grid[-1] = s_hi
+    return grid
+
+
+def alpha_star_linear(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, gamma: float, delta: float, trials: int, seed: int) -> FixedPointEstimate:
+    """alpha_star as a scan of every grid radius in turn, each evaluated by
+    the one-shot kernel: the record the grid bisection must reproduce.
+    Expects a class with R > 0 and valid gamma, delta and trials."""
+    grid = alpha_grid(class_spec)
+    Z = _multiplier_z_batch(LocalizedSupConfig(class_spec, design, N, trials, seed), noise)
+    target = 1.0 - delta
+    sqN = math.sqrt(N)
+    prev = None
+    for s in grid:
+        sups = support_l1l2_batch_oneshot(Z, 2.0 * class_spec.R, float(s))
+        p_hat = float(np.mean(sups <= gamma * s * s * sqN))
+        stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
+        if p_hat >= target:
+            flags = []
+            if p_hat - target < 2.0 * stderr:
+                flags.append("wilson_marginal")
+            lower = float(prev) if prev is not None else float(s)
+            return FixedPointEstimate(float(s), lower, float(s), trials, stderr, "alpha", tuple(flags))
+        prev = s
+    return FixedPointEstimate(float(grid[-1]), float(grid[-2]), float(grid[-1]), trials, stderr, "alpha", ("grid_exhausted",))
 
 
 def lemma_dsum_bound(n: int, d: int, kappa: float, C: float = 1.0) -> float:

@@ -386,7 +386,7 @@ def test_bisection_scans_each_radius_once(name, monkeypatch, tmp_path):
     # the bisection keeps each radius's suprema, and its reports keep their bytes
     radii = []
     sup_batch = fixed_points._sup_batch
-    monkeypatch.setattr(fixed_points, "_sup_batch", lambda Z, R, r: radii.append(r) or sup_batch(Z, R, r))
+    monkeypatch.setattr(fixed_points, "_sup_batch", lambda rows, R, r: radii.append(r) or sup_batch(rows, R, r))
     out = tmp_path / "report.json"
     assert run([*_GOLDEN_RUNS[name], "--output", str(out)]) == 0
     assert len(radii) == len(set(radii)) > 1
@@ -528,6 +528,8 @@ def test_bad_config_value_exits_2(args, key, tmp_path, capsys):
         (["smallball", "--set", "action=verify_counts", "--set", "trials=0"], "trials must be positive"),
         (["smallball", "--set", "action=moment_ratio", "--set", "draws=0"], "draws must be positive"),
         (["smallball", "--set", "action=l2_l1", "--set", "draws=0"], "draws must be positive"),
+        # probes=0 is valid (the n canonical directions); a negative count is not
+        (["smallball", "--set", "action=verify_counts", "--set", "probes=-1"], "probes must be nonnegative"),
     ],
 )
 def test_bad_size_exits_2(args, message, tmp_path, capsys):

@@ -21,8 +21,9 @@ from ermbounds.fixed_points import (
     k_star,
     quantile_trials,
 )
+from ermbounds.geometry import SupportRows
 from ermbounds.rng import SIGNS_TAG, substream
-from oracles import boundary_enum_2d, expected_rademacher_sup, multiplier_sup, rademacher_sup
+from oracles import alpha_grid, alpha_star_linear, boundary_enum_2d, expected_rademacher_sup, multiplier_sup, rademacher_sup
 
 
 def cls_zero(n, R=1.0):
@@ -122,7 +123,7 @@ class TestBetaStar:
         N, gamma, trials, seed = 512, 0.05, 150, 10
         est = beta_star(cls, design, N, gamma, trials=trials, seed=seed)
         # same Monte Carlo criterion, scanned on a 50-point geometric grid
-        Z = _rademacher_z_batch(LocalizedSupConfig(cls, design, N, trials, seed))
+        Z = SupportRows(_rademacher_z_batch(LocalizedSupConfig(cls, design, N, trials, seed)))
         r_hi = 2.0 * math.sqrt(64)
         grid = np.geomspace(1e-8 * r_hi, r_hi, 50)
         step = grid[1] / grid[0]
@@ -135,11 +136,11 @@ class TestBetaStar:
         # returned one's stderr comes from the suprema its test computed
         radii = []
         sup_batch = fixed_points._sup_batch
-        monkeypatch.setattr(fixed_points, "_sup_batch", lambda Z, R, r: radii.append(r) or sup_batch(Z, R, r))
+        monkeypatch.setattr(fixed_points, "_sup_batch", lambda rows, R, r: radii.append(r) or sup_batch(rows, R, r))
         cls, design = cls_zero(16), DesignSpec("rademacher", 16)
         est = beta_star(cls, design, 128, 0.05, trials=200, seed=0)
         assert len(radii) == len(set(radii)) == 9
-        Z = _rademacher_z_batch(LocalizedSupConfig(cls, design, 128, 200, 0))
+        Z = SupportRows(_rademacher_z_batch(LocalizedSupConfig(cls, design, 128, 200, 0)))
         assert est.stderr == float(sup_batch(Z, 1.0, est.value).std(ddof=1) / math.sqrt(200))
 
     def test_monotone_in_gamma(self):
@@ -151,7 +152,7 @@ class TestBetaStar:
     def test_star_shaped_ratio_per_trial(self):
         cls = cls_zero(12, R=0.4)
         config = LocalizedSupConfig(cls, DesignSpec("gaussian", 12), 64, 100, seed=12)
-        Z = _rademacher_z_batch(config)
+        Z = SupportRows(_rademacher_z_batch(config))
         radii = [0.1, 0.2, 0.5, 1.0, 2.0]
         sups = {r: _sup_batch(Z, cls.R, r) for r in radii}
         for r1, r2 in zip(radii, radii[1:]):
@@ -170,7 +171,7 @@ class TestKStar:
         design = DesignSpec("rademacher", 64)
         N, gamma, trials, seed = 512, 0.05, 150, 14
         est = k_star(cls, design, N, gamma, trials=trials, seed=seed)
-        Z = _rademacher_z_batch(LocalizedSupConfig(cls, design, N, trials, seed))
+        Z = SupportRows(_rademacher_z_batch(LocalizedSupConfig(cls, design, N, trials, seed)))
         r_hi = 2.0 * math.sqrt(64)
         grid = np.geomspace(1e-8 * r_hi, r_hi, 50)
         step = grid[1] / grid[0]
@@ -235,7 +236,7 @@ class TestAlphaStar:
         N, gamma, delta, seed = 256, 0.05, 0.1, 19
         est = alpha_star(cls, design, noise, N, gamma, delta, trials=600, seed=seed)
         # brute scan: 200-point grid over the same range with 10x the trials
-        Z = _multiplier_z_batch(LocalizedSupConfig(cls, design, N, 6000, seed=seed + 1), noise)
+        Z = SupportRows(_multiplier_z_batch(LocalizedSupConfig(cls, design, N, 6000, seed=seed + 1), noise))
         s_hi = 2.0 * math.sqrt(32)
         grid = np.geomspace(1e-6 * s_hi, s_hi, 200)
         sqN = math.sqrt(N)
@@ -247,6 +248,52 @@ class TestAlphaStar:
                 break
         assert oracle is not None
         assert abs(math.log(est.value / oracle)) <= math.log(1.1) + math.log(grid[1] / grid[0])
+
+    @pytest.mark.parametrize(
+        "n, kind, noise, gamma, delta, seed, flags",
+        [
+            (4, "gaussian", NoiseSpec("zero"), 0.05, 0.1, 16, []),  # first grid point, lower bracket = value
+            (8, "gaussian", NoiseSpec("gaussian", sigma=0.5), 0.05, 0.1, 8, ["wilson_marginal"]),
+            (8, "student_t", NoiseSpec("gaussian", sigma=0.5), 0.05, 0.1, 1, ["wilson_marginal"]),
+            (4, "gaussian", NoiseSpec("gaussian", sigma=1.0), 0.03, 0.1, 31, ["grid_exhausted"]),
+            (16, "rademacher", NoiseSpec("heavy_tailed", sigma=0.5, p=3.0), 0.3, 0.25, 2, []),
+            (16, "bounded_uniform", NoiseSpec("bounded_symmetric", sigma=0.5, kappa=2.0), 1.0, 0.1, 3, []),
+        ],
+    )
+    def test_bisection_matches_linear_scan(self, n, kind, noise, gamma, delta, seed, flags):
+        cls = ClassSpec(n=n, R=1.0, t0=make_t0("spike", 0.5, n, 1.0))
+        design = DesignSpec(kind, n, p=4.0) if kind == "student_t" else DesignSpec(kind, n)
+        est = alpha_star(cls, design, noise, 32, gamma, delta, trials=500, seed=seed)
+        assert est.to_record() == alpha_star_linear(cls, design, noise, 32, gamma, delta, 500, seed).to_record()
+        assert list(est.flags) == flags
+
+    def test_bisection_scans_few_radii_once(self, monkeypatch):
+        # the heavy-tailed alpha benchmark's shape: 146 grid radii, of which
+        # the bisection evaluates at most ceil(log2 146) + 1 = 9, none twice
+        radii = []
+        sup_batch = fixed_points._sup_batch
+        monkeypatch.setattr(fixed_points, "_sup_batch", lambda rows, R, r: radii.append(r) or sup_batch(rows, R, r))
+        cls = ClassSpec(n=256, R=1.0, t0=make_t0("spike", 0.5, 256, 1.0))
+        design = DesignSpec("student_t", 256, p=4.0)
+        noise = NoiseSpec("heavy_tailed", sigma=0.5, p=3.0)
+        alpha_star(cls, design, noise, 256, 0.3, 0.1, trials=500, seed=4)
+        assert len(alpha_grid(cls)) == 146
+        assert 1 < len(radii) == len(set(radii)) <= math.ceil(math.log2(146)) + 1
+
+    @pytest.mark.parametrize("kind, noise", [("gaussian", NoiseSpec("gaussian", sigma=0.5)), ("student_t", NoiseSpec("heavy_tailed", sigma=0.5, p=3.0))])
+    def test_each_trial_switches_on_once_along_the_grid(self, kind, noise):
+        # phi(s)/s^2 falls by at least 1.094 per grid step, so each trial's
+        # success indicator is a step function of the grid index
+        cls = ClassSpec(n=12, R=1.0, t0=make_t0("spike", 0.5, 12, 1.0))
+        design = DesignSpec(kind, 12, p=4.0) if kind == "student_t" else DesignSpec(kind, 12)
+        rows = SupportRows(_multiplier_z_batch(LocalizedSupConfig(cls, design, 64, 300, seed=5), noise))
+        grid = alpha_grid(cls)
+        gamma, sqN = 0.05, math.sqrt(64)
+        ok = np.array([_sup_batch(rows, 1.0, float(s)) <= gamma * s * s * sqN for s in grid])
+        assert np.all(ok[1:] >= ok[:-1])
+        # not vacuous: the trials switch on at many different grid points
+        switch = np.argmax(ok, axis=0)[ok[-1]]
+        assert len(np.unique(switch)) >= 5
 
     def test_noise_ordering_in_sigma(self):
         cls = cls_zero(8)
@@ -267,12 +314,12 @@ class TestAlphaStar:
         Z2 = _multiplier_z_batch(config1, NoiseSpec("gaussian", sigma=1.0))
         assert np.array_equal(Z2, 2.0 * Z1)
         for s in (0.2, 0.7, 1.9):
-            phi1 = _sup_batch(Z1, 1.0, s)
-            phi2 = _sup_batch(Z2, 1.0, s)
+            phi1 = _sup_batch(SupportRows(Z1), 1.0, s)
+            phi2 = _sup_batch(SupportRows(Z2), 1.0, s)
             assert np.array_equal(phi2, 2.0 * phi1)
         Z3 = _multiplier_z_batch(config1, NoiseSpec("gaussian", sigma=1.5))
-        phi3 = _sup_batch(Z3, 1.0, 0.7)
-        assert np.allclose(phi3, 3.0 * _sup_batch(Z1, 1.0, 0.7), rtol=1e-12, atol=0.0)
+        phi3 = _sup_batch(SupportRows(Z3), 1.0, 0.7)
+        assert np.allclose(phi3, 3.0 * _sup_batch(SupportRows(Z1), 1.0, 0.7), rtol=1e-12, atol=0.0)
 
 
 class TestWorkerCounts:
@@ -317,8 +364,8 @@ class TestWorkerCounts:
         noise = NoiseSpec("gaussian", sigma=0.5)
         N, trials, seed, radius = 40, 16, 27, 0.6
         config = LocalizedSupConfig(cls, design, N, trials, seed, workers)
-        rad = _sup_batch(_rademacher_z_batch(config), cls.R, radius)
-        mult = _sup_batch(_multiplier_z_batch(config, noise), cls.R, radius)
+        rad = _sup_batch(SupportRows(_rademacher_z_batch(config)), cls.R, radius)
+        mult = _sup_batch(SupportRows(_multiplier_z_batch(config, noise)), cls.R, radius)
         for j in range(trials):
             signs = substream(seed, j, SIGNS_TAG).integers(0, 2, size=N) * 2.0 - 1.0
             assert rad[j] == rademacher_sup(sample_design(design, N, seed, trial=j), signs, cls, radius)
@@ -357,7 +404,7 @@ class TestGaussianLaw:
         for a, b in ((fast[:, 0], slow[:, 0]), (fast[:, -1], slow[:, -1])):
             assert stats.ks_2samp(a, b).pvalue > 1e-3
         for radius in (0.3, 1.5):
-            assert stats.ks_2samp(_sup_batch(fast, 1.0, radius), _sup_batch(slow, 1.0, radius)).pvalue > 1e-3
+            assert stats.ks_2samp(_sup_batch(SupportRows(fast), 1.0, radius), _sup_batch(SupportRows(slow), 1.0, radius)).pvalue > 1e-3
 
     def test_rademacher_law(self):
         fast = _rademacher_z_batch(LocalizedSupConfig(self.cls, self.design, self.N, self.trials, seed=41))

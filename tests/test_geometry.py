@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ermbounds.geometry import BallIntersection, project_l1, project_l1_rows, rearrangement_d, support_l1l2, support_l1l2_batch, top_d_l2
+from ermbounds.geometry import BallIntersection, SupportRows, project_l1, project_l1_rows, rearrangement_d, support_l1l2, support_l1l2_batch, top_d_l2
 
-from oracles import boundary_enum_2d, project_l1_scalar, support_oracle
+from oracles import boundary_enum_2d, project_l1_scalar, support_l1l2_batch_oneshot, support_oracle
 
 
 class TestProjectL1:
@@ -220,3 +220,53 @@ class TestSupport:
         batch = support_l1l2_batch(Z, ball)
         for i in range(50):
             assert batch[i] == support_l1l2(Z[i], ball)
+
+
+def awkward_rows(rng, n):
+    """Gaussian rows, a zero row, rows with tied entries and Pareto-tailed rows."""
+    gaussian = rng.standard_normal((20, n))
+    ties = np.round(rng.standard_normal((6, n)), 1)
+    ties[0] = 0.7
+    ties[1, : n // 2] = -ties[1, n // 2 : 2 * (n // 2)]
+    heavy = rng.choice([-1.0, 1.0], size=(6, n)) * (rng.pareto(1.5, size=(6, n)) + 1.0) ** 3
+    return np.vstack([gaussian, np.zeros((1, n)), ties, heavy])
+
+
+class TestSupportRows:
+    @pytest.mark.parametrize("n", [1, 2, 9, 64])
+    def test_prepared_matches_oneshot_bitwise(self, n):
+        # one prepared batch, radii in all three branches and in shuffled
+        # order: s >= rho, rho >= s*sqrt(n), and the sorted branch between
+        rng = np.random.default_rng(100 + n)
+        Z = awkward_rows(rng, n)
+        rows = SupportRows(Z)
+        rho = 2.0
+        radii = [rho, 3.0, rho / math.sqrt(n), rho / (2.0 * math.sqrt(n)), 1e-9, *rng.uniform(rho / math.sqrt(n), rho, 8)]
+        for s in rng.permutation(radii):
+            expected = support_l1l2_batch_oneshot(Z, rho, float(s))
+            assert rows.at(rho, float(s)).tobytes() == expected.tobytes()
+            assert support_l1l2_batch(Z, BallIntersection(rho, float(s), n)).tobytes() == expected.tobytes()
+
+    def test_prepared_batch_keeps_its_bytes_across_radii(self):
+        # the cached terms are read, never written: a radius evaluated
+        # before and after a sweep of others gives the same bytes
+        rng = np.random.default_rng(7)
+        rows = SupportRows(awkward_rows(rng, 16))
+        first = rows.at(2.0, 0.9).tobytes()
+        for s in np.geomspace(1e-3, 5.0, 40):
+            rows.at(2.0, float(s))
+        assert rows.at(2.0, 0.9).tobytes() == first
+
+    def test_closed_form_branches_never_sort(self):
+        rows = SupportRows(np.random.default_rng(8).standard_normal((5, 4)))
+        rows.at(1.0, 2.0)
+        rows.at(4.0, 1.0)
+        assert "_breakpoints" not in vars(rows)
+        rows.at(1.5, 1.0)
+        assert "_breakpoints" in vars(rows)
+
+    def test_rejects_nonfinite_and_bad_shape(self):
+        with pytest.raises(ValueError, match="finite"):
+            SupportRows(np.array([[1.0, np.nan]]))
+        with pytest.raises(ValueError, match="row vectors"):
+            SupportRows(np.zeros((2, 2, 2)))

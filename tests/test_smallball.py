@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ermbounds.distributions import DesignSpec
+from ermbounds.distributions import DesignSpec, sample_design
 from ermbounds.erm import ClassSpec
 from ermbounds.fixed_points import beta_star
 from ermbounds.smallball import (
@@ -218,6 +218,19 @@ class TestVerifyCounts:
         cls = ClassSpec(n=1, R=1.0, t0=np.zeros(1))
         rep = verify_empirical_smallball(DesignSpec("rademacher", 1), cls, tau=0.5, r=0.5, N=128, trials=10, seed=18)
         assert np.all(rep.min_counts == 128)
+
+    def test_probe_count_is_taken_as_given(self):
+        # probes=0 leaves only the n canonical directions, and the random
+        # directions of a smaller count are the first of a larger one's, so
+        # fewer probes can only raise each trial's minimum count
+        design, cls = DesignSpec("gaussian", 4), ClassSpec(n=4, R=1.0, t0=np.zeros(4))
+        reps = {p: verify_empirical_smallball(design, cls, tau=0.5, r=0.5, N=64, trials=6, probes=p, seed=22, q_hat=0.5) for p in (0, 20, 100)}
+        canonical = [(np.abs(sample_design(design, 64, 22, trial=j)) >= 0.5).sum(axis=0).min() for j in range(6)]
+        assert np.array_equal(reps[0].min_counts, canonical)
+        assert np.all(reps[0].min_counts >= reps[20].min_counts)
+        assert np.all(reps[20].min_counts >= reps[100].min_counts)
+        with pytest.raises(ValueError, match="probes must be nonnegative"):
+            verify_empirical_smallball(design, cls, tau=0.5, r=0.5, N=64, trials=6, probes=-1, seed=22, q_hat=0.5)
 
     def test_infeasible_radius(self):
         cls = ClassSpec(n=4, R=1.0, t0=np.zeros(4))
