@@ -4,12 +4,15 @@ Every subcommand reads an optional JSON config file, applies dotted-key
 overrides and convenience flags, runs the corresponding library routine, and
 writes a report (CSV or JSON) to the output path. Unknown config keys and
 values of the wrong JSON type are rejected outright, randomized runs always
-record their seed, and the fully-resolved configuration is echoed into the
-report.
+record their seed, and the fully-resolved configuration, seed included, is
+echoed into the report: passed back as `--config`, it reproduces the report.
 
 Each subcommand is one entry of `SUBCOMMANDS`: its help line, its config
 defaults and its handler. The `persistence` and `verify-main` defaults are
 the field defaults of `SweepConfig` and `MainTheoremConfig`.
+
+The number of threads running trials is no config key: it never changes a
+result, so it is a process setting, which `rng` reads from the environment.
 
 Exit codes: 0 success, 2 configuration error, 3 flagged statistical failure.
 """
@@ -32,12 +35,9 @@ from .experiments import MainTheoremConfig, SweepConfig, make_t0, run_counterexa
 from .fixed_points import alpha_star, beta_star, k_star
 from .rates import RateInputs, rho_N, v1_v2
 from .reports import Report, emit_report
-from .rng import derive_seed
+from .rng import DEFAULT_SEED, WORKERS_ENV, derive_seed, trial_workers
 from .smallball import choose_tau, estimate_Q, l2_l1_ratio, moment_ratio_p2, verify_empirical_smallball
 from .versionspace import version_diameter
-
-DEFAULT_SEED = 0x5EED
-WORKERS_ENV = "ERMBOUNDS_WORKERS"
 
 # convenience flags for config keys; a subcommand gets a flag only if its
 # defaults have the key the flag sets, and the flag takes that default's type
@@ -74,7 +74,7 @@ _SPEC_NULLABLE = {"design": _nullable_types(DesignSpec), "noise": _nullable_type
 
 @dataclass(frozen=True)
 class Subcommand:
-    """One subcommand. handler: (config, seed, workers) -> (report, summary
+    """One subcommand. handler: config, seed included -> (report, summary
     line, passed); parts: "design"/"noise" -> the sub-keys that object
     accepts; nullable: key whose default is None -> the type of its other
     values, nested like `defaults`; routes: value flag -> the dotted config
@@ -89,9 +89,9 @@ class Subcommand:
 
 
 def _field_defaults(cls) -> dict:
-    """Defaults of a config class's fields, except `seed` and `workers`, which
-    have their own flags, and fields without one."""
-    return {f.name: f.default for f in fields(cls) if f.default is not MISSING and f.name not in ("seed", "workers")}
+    """Defaults of a config class's fields, except `seed`, which has its own
+    flag, and fields without one."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING and f.name != "seed"}
 
 
 def _sweep_schema() -> tuple[dict, dict]:
@@ -223,7 +223,7 @@ def _stats_result(kind: str, config: dict, stats: dict, summary: dict, line: str
     return report, line, bool(summary["passed"])
 
 
-def _rates(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
+def _rates(config: dict) -> tuple[Report, str, bool]:
     inputs = RateInputs(**{key: config[key] for key in ("N", "n", "R", "sigma", "c1", "c2", "c3")})
     rho = rho_N(inputs)
     v1, v2, expo = v1_v2(inputs)
@@ -231,8 +231,8 @@ def _rates(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
     return _stats_result("rates", config, stats, {"rho_N": rho, "v1": v1, "v2": v2, "passed": True}, f"rho_N={rho:.6g} v1={v1:.6g} v2={v2:.6g}")
 
 
-def _counterexample(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
-    report = run_counterexample(config["N"], config["trials"], seed=seed, workers=workers)
+def _counterexample(config: dict) -> tuple[Report, str, bool]:
+    report = run_counterexample(config["N"], config["trials"], seed=config["seed"])
     s = report.summary
     line = (
         f"deviation_p={s['deviation_probability']:.6g} onesided_failure_p={s['onesided_failure_probability']:.6g} "
@@ -242,9 +242,9 @@ def _counterexample(config: dict, seed: int, workers: int) -> tuple[Report, str,
     return report, line, bool(s["ez2_consistent"])
 
 
-def _erm(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
+def _erm(config: dict) -> tuple[Report, str, bool]:
     cls = _class_from(config)
-    moments = sample_moments(cls, _design_from(config), _noise_from(config), config["N"], seed)
+    moments = sample_moments(cls, _design_from(config), _noise_from(config), config["N"], config["seed"])
     result = solve_erm(moments, cls, tol=config["tol"], max_iter=config["max_iter"])
     stats = {"empirical_risk": result.empirical_risk, "iterations": result.iterations, "kkt_residual": result.kkt_residual, "error_l2": float(np.linalg.norm(result.t_hat - cls.t0))}
     return _stats_result("erm", config, stats, {"t_hat": result.t_hat.tolist(), "converged": result.converged, "passed": result.converged}, f"risk={result.empirical_risk:.6g} residual={result.kkt_residual:.3g} iters={result.iterations}")
@@ -253,13 +253,13 @@ def _erm(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
 def _fixed_point(kind: str) -> Callable:
     """The handler of the `alpha`, `beta` or `kstar` subcommand."""
 
-    def handler(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
+    def handler(config: dict) -> tuple[Report, str, bool]:
         cls, design = _class_from(config), _design_from(config)
         if kind == "alpha":
-            est = alpha_star(cls, design, _noise_from(config), config["N"], config["gamma"], config["delta"], trials=config["trials"], seed=seed, workers=workers)
+            est = alpha_star(cls, design, _noise_from(config), config["N"], config["gamma"], config["delta"], trials=config["trials"], seed=config["seed"])
         else:
             fn = beta_star if kind == "beta" else k_star
-            est = fn(cls, design, config["N"], config["gamma"], trials=config["trials"], seed=seed, workers=workers)
+            est = fn(cls, design, config["N"], config["gamma"], trials=config["trials"], seed=config["seed"])
         rec = est.to_record()
         lower, upper = rec["brackets"]
         stats = {"value": rec["value"], "lower_bracket": lower, "upper_bracket": upper, "stderr": rec["stderr"], "trials": rec["trials"]}
@@ -268,8 +268,8 @@ def _fixed_point(kind: str) -> Callable:
     return handler
 
 
-def _smallball(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
-    design = _design_from(config)
+def _smallball(config: dict) -> tuple[Report, str, bool]:
+    design, seed = _design_from(config), config["seed"]
     action = config["action"]
     if action == "estimate_q":
         est = estimate_Q(design, config["u"], config["directions"], config["draws"], seed)
@@ -291,33 +291,34 @@ def _smallball(config: dict, seed: int, workers: int) -> tuple[Report, str, bool
     raise ConfigError(f"unknown smallball action {action!r}")
 
 
-def _version_space(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
+def _version_space(config: dict) -> tuple[Report, str, bool]:
     # N = 0 is valid: with no data the null space is the whole space
     if config["N"] < 0:
         raise ValueError("sample size N must be nonnegative")
     cls = _class_from(config)
     design = _design_from(config)
-    X = sample_design(design, config["N"], seed) if config["N"] > 0 else np.zeros((0, config["n"]))
-    probe = version_diameter(X, cls, probes=config["probes"], seed=derive_seed(seed, 1))
+    X = sample_design(design, config["N"], config["seed"]) if config["N"] > 0 else np.zeros((0, config["n"]))
+    probe = version_diameter(X, cls, probes=config["probes"], seed=derive_seed(config["seed"], 1))
     stats = {"radius_lb": probe.radius_lb, "nullspace_dim": probe.nullspace_dim, "directions": probe.directions}
     return _stats_result("version_space", config, stats, {"probe": probe.to_record(), "passed": True}, f"radius_lb={probe.radius_lb:.6g} nullspace_dim={probe.nullspace_dim}")
 
 
-def _persistence(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
+def _persistence(config: dict) -> tuple[Report, str, bool]:
     keys = {f"{part}_{name}": value for part in ("design", "noise") for name, value in config[part].items()}
     keys.update((key, tuple(value) if isinstance(value, list) else value) for key, value in config.items() if key not in ("design", "noise"))
-    report = run_persistence_sweep(SweepConfig(**keys, workers=workers))
+    report = run_persistence_sweep(SweepConfig(**keys))
     flags = [r["value"] for r in report.rows if r["statistic"] == "flagged"]  # one row per cell
     ok = not any(flags)
+    report.config = config
     report.summary["passed"] = ok
     return report, f"cells={len(flags)} c_fit={report.summary['c_fit']:.6g} flagged_cells={sum(flags)}", ok
 
 
-def _verify_main(config: dict, seed: int, workers: int) -> tuple[Report, str, bool]:
+def _verify_main(config: dict) -> tuple[Report, str, bool]:
     keys = {key: value for key, value in config.items() if key not in ("design", "noise", "n")}
-    report = verify_main_theorem(MainTheoremConfig(design=_design_from(config), noise=_noise_from(config), workers=workers, **keys))
+    report = verify_main_theorem(MainTheoremConfig(design=_design_from(config), noise=_noise_from(config), **keys))
     s = report.summary
-    report.config = config | {"resolved": report.config}
+    report.config = config
     return report, f"frequency={s['frequency']:.6g} criterion={s['criterion']:.6g} bound={s['bound']:.6g}", bool(s["passed"])
 
 
@@ -336,35 +337,18 @@ SUBCOMMANDS = {
 }
 
 
-def _workers_count(text: str) -> int:
-    """A `--workers` or `$ERMBOUNDS_WORKERS` value: a nonnegative integer."""
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ermbounds", description="Constrained least squares over l1 balls: fixed points, small-ball diagnostics, rate experiments.")
     parser.add_argument("--version", action="version", version="ermbounds 0.1.0")
     subparsers = parser.add_subparsers(dest="subcommand", metavar="{" + ",".join(SUBCOMMANDS) + "}")
-    env_workers = os.environ.get(WORKERS_ENV, "")
-    try:
-        default_workers = _workers_count(env_workers or "0")
-    except argparse.ArgumentTypeError:
-        parser.error(f"{WORKERS_ENV} must be a nonnegative integer, got {env_workers!r}")
-
+    threads = f"${WORKERS_ENV} sets the threads running Monte Carlo and ERM trials: 0 or unset = every CPU this process may run on; never changes results"
     for name, sub in SUBCOMMANDS.items():
-        sp = subparsers.add_parser(name, help=sub.help)
+        sp = subparsers.add_parser(name, help=sub.help, epilog=threads)
         sp.add_argument("--config", default=None, help="JSON config file")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE", help="dotted-key config override (repeatable)")
         sp.add_argument("--seed", type=int, default=None, help=f"master seed (default 0x{DEFAULT_SEED:X})")
         sp.add_argument("--output", default=None, help="report path (default <subcommand>_report.<fmt>)")
         sp.add_argument("--format", choices=("csv", "json"), default="json")
-        sp.add_argument("--workers", type=_workers_count, default=default_workers, help=f"threads running Monte Carlo and persistence ERM trials, also ${WORKERS_ENV}; 0 = every CPU this process may run on (default); never changes results")
         for flag in VALUE_FLAGS:
             *parents, key = sub.routes.get(flag, flag).split(".")
             defaults = functools.reduce(dict.get, parents, sub.defaults)
@@ -381,12 +365,11 @@ def run(argv) -> int:
         return 2
     flag_values = {flag: getattr(args, flag) for flag in VALUE_FLAGS if hasattr(args, flag)}
     try:
+        trial_workers(0)  # a bad $ERMBOUNDS_WORKERS fails here, before any stage runs
         config = resolve_config(args.subcommand, args.config, args.set, flag_values)
-        # --seed wins over a config file and --set; workers is a scheduling
-        # hint, kept out of the echoed config so reports stay byte-identical
-        # across worker counts
+        # --seed wins over a config file and --set
         config["seed"] = args.seed if args.seed is not None else config.get("seed", DEFAULT_SEED)
-        report, line, ok = SUBCOMMANDS[args.subcommand].handler(config, config["seed"], args.workers)
+        report, line, ok = SUBCOMMANDS[args.subcommand].handler(config)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

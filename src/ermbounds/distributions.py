@@ -393,13 +393,13 @@ def sample_counterexample(spec: CounterexampleSpec, trials: int, seed: int) -> n
     return out
 
 
-def counterexample_spike_counts(spec: CounterexampleSpec, trials: int, seed: int, workers: int = 0) -> np.ndarray:
+def counterexample_spike_counts(spec: CounterexampleSpec, trials: int, seed: int) -> np.ndarray:
     """Per-trial spike counts #{i : |Z_i| > 1} of `sample_counterexample`'s rows.
 
     Each stream block draws only the uniforms `u` that `sample_counterexample`
     draws first from the same substream, so the counts are exactly those of
     its matrix, while the signs and the matrix itself are never drawn. Blocks
-    run on up to `workers` threads.
+    run on `map_trials` threads.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -412,5 +412,5 @@ def counterexample_spike_counts(spec: CounterexampleSpec, trials: int, seed: int
         u = substream(seed, b).random((hi - lo, spec.N))
         counts[lo:hi] = np.count_nonzero(u < threshold, axis=1)
 
-    map_trials(count_block, (trials - 1) // block + 1, workers)
+    map_trials(count_block, (trials - 1) // block + 1)
     return counts

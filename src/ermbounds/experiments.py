@@ -12,6 +12,7 @@ slack for Monte Carlo resolution at desk-scale trial counts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -21,7 +22,7 @@ from .erm import ClassSpec, ErmResult, solve_erms
 from .fixed_points import alpha_star, beta_star, quantile_trials
 from .rates import RateInputs, rho_N, v1_v2
 from .reports import Report, wilson_interval
-from .rng import derive_seed, map_trials
+from .rng import DEFAULT_SEED, derive_seed, map_trials
 from .smallball import choose_tau
 
 # stage tags for deriving independent per-stage seeds
@@ -44,14 +45,12 @@ def _seed_key(value: float) -> int:
 
 
 def _config_record(config) -> dict:
-    """A config dataclass as its reports echo it: every field but `workers`,
-    which never changes a result, with specs as their records and tuples as
-    lists."""
+    """A config dataclass as its reports echo it: specs as their records and
+    tuples as lists."""
     record = {}
     for f in fields(config):
-        if f.name != "workers":
-            value = getattr(config, f.name)
-            record[f.name] = value.to_record() if hasattr(value, "to_record") else list(value) if isinstance(value, tuple) else value
+        value = getattr(config, f.name)
+        record[f.name] = value.to_record() if hasattr(value, "to_record") else list(value) if isinstance(value, tuple) else value
     return record
 
 
@@ -88,14 +87,11 @@ class SweepConfig:
     trials: int = 20
     tol: float = 1e-9
     max_iter: int = 100000
-    seed: int = 0x5EED
+    seed: int = DEFAULT_SEED
     t0_shape: str = "zero"
     t0_fraction: float = 0.0
-    workers: int = 0  # threads solving a cell's ERM trials; 0 = every CPU
 
     def __post_init__(self):
-        if self.workers < 0:
-            raise ValueError("workers must be nonnegative")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
@@ -104,11 +100,13 @@ class SweepConfig:
             raise ValueError("sweeps need at least 20 trials per cell")
         # a cell's seed is keyed on its grid values, so two values with one
         # key would make two cells draw the same samples
-        for grid, name, key in ((self.n_grid, "n_grid", int), (self.N_grid, "N_grid", int), (self.R_grid, "R_grid", _seed_key), (self.sigma_grid, "sigma_grid", _seed_key)):
+        for grid, name, kind, key in ((self.n_grid, "n_grid", numbers.Integral, int), (self.N_grid, "N_grid", numbers.Integral, int), (self.R_grid, "R_grid", numbers.Real, _seed_key), (self.sigma_grid, "sigma_grid", numbers.Real, _seed_key)):
             if len(grid) == 0:
                 raise ValueError(f"{name} must be nonempty")
             seen = {}
             for value in grid:
+                if isinstance(value, bool) or not isinstance(value, kind):
+                    raise ValueError(f"{name} entries must be {'integers' if kind is numbers.Integral else 'numbers'}, got {value!r}")
                 k = key(value)
                 if k in seen:
                     raise ValueError(f"{name} values {seen[k]!r} and {value!r} give their cells the same seed key {k}, so they would draw the same samples")
@@ -126,12 +124,12 @@ def _design_spec(config: SweepConfig, n: int) -> DesignSpec:
     return DesignSpec(kind=config.design_kind, n=n, p=config.design_p)
 
 
-def _erm_trials(cls: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, seed: int, trials: int, workers: int, **solver) -> list[ErmResult]:
+def _erm_trials(cls: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, seed: int, trials: int, **solver) -> list[ErmResult]:
     """`solve_erms` results (with the `solver` settings) of trials
     0..trials-1, each solved from `sample_moments`.
 
     A trial never holds its N x n design. The trials are solved in stacked
-    batches whose G's hold at most _ERM_BATCH numbers, on up to `workers`
+    batches whose G's hold at most _ERM_BATCH numbers, on `map_trials`
     threads; neither changes a result.
     """
     batch = max(1, _ERM_BATCH // (cls.n * cls.n))
@@ -140,7 +138,7 @@ def _erm_trials(cls: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, se
         moments = [sample_moments(cls, design, noise, N, seed, trial=j) for j in range(i * batch, min(trials, (i + 1) * batch))]
         return solve_erms(moments, cls, **solver)
 
-    return [result for results in map_trials(solve, -(-trials // batch), workers) for result in results]
+    return [result for results in map_trials(solve, -(-trials // batch)) for result in results]
 
 
 def _cell_errors(config: SweepConfig, n: int, N: int, R: float, sigma: float) -> tuple[np.ndarray, int]:
@@ -148,7 +146,7 @@ def _cell_errors(config: SweepConfig, n: int, N: int, R: float, sigma: float) ->
     t0 = make_t0(config.t0_shape, config.t0_fraction, n, R)
     cls = ClassSpec(n=n, R=R, t0=t0)
     cell_seed = derive_seed(config.seed, n, N, _seed_key(R), _seed_key(sigma))
-    results = _erm_trials(cls, _design_spec(config, n), _noise_spec(config, sigma), N, cell_seed, config.trials, config.workers, tol=config.tol, max_iter=config.max_iter)
+    results = _erm_trials(cls, _design_spec(config, n), _noise_spec(config, sigma), N, cell_seed, config.trials, tol=config.tol, max_iter=config.max_iter)
     errors = np.array([float(np.sum((result.t_hat - t0) ** 2)) for result in results])
     failures = sum(not result.converged for result in results)
     return errors, failures
@@ -215,7 +213,7 @@ def run_persistence_sweep(config: SweepConfig) -> Report:
     return report
 
 
-def run_counterexample(N: int, trials: int, seed: int = 0x5EED, workers: int = 0) -> Report:
+def run_counterexample(N: int, trials: int, seed: int = DEFAULT_SEED) -> Report:
     """Estimate the two-sided deviation and the one-sided failure probability.
 
     (a) Pr(|P_N Z^2 - E Z^2| > E Z^2 / 2): spoiled by a single spike, so it
@@ -225,15 +223,15 @@ def run_counterexample(N: int, trials: int, seed: int = 0x5EED, workers: int = 0
 
     Z^2 is 1 or spike^2, so each trial is described by its spike count k and
     every statistic follows from the counts: P_N Z^2 = (N - k + k spike^2)/N.
-    The counts come from the draws of `sample_counterexample` on up to
-    `workers` threads, without building its matrix.
+    The counts come from the draws of `sample_counterexample`, without
+    building its matrix.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     spec = CounterexampleSpec(N)
     ez2 = spec.second_moment
     s2 = spec.spike * spec.spike
-    k = counterexample_spike_counts(spec, trials, seed, workers=workers)
+    k = counterexample_spike_counts(spec, trials, seed)
     pn = ((N - k) + k * s2) / N
     deviation = int(np.count_nonzero(np.abs(pn - ez2) > ez2 / 2.0))
     onesided_failure = int(np.count_nonzero(pn < ez2 / 2.0))
@@ -283,9 +281,8 @@ class MainTheoremConfig:
     tau_directions: int = 300
     tau_draws: int = 10000
     tol: float = 1e-8
-    seed: int = 0x5EED
+    seed: int = DEFAULT_SEED
     gamma_override: float | None = None
-    workers: int = 0  # threads drawing the alpha and beta trials (a gaussian design: alpha's noise blocks) and solving the ERM batches; 0 = every CPU; never changes results
 
     def __post_init__(self):
         for name in ("N", "trials", "beta_trials"):
@@ -295,8 +292,6 @@ class MainTheoremConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.workers < 0:
-            raise ValueError("workers must be nonnegative")
         quantile_trials(self.delta / 4.0, self.alpha_trials)
 
     def to_record(self) -> dict:
@@ -321,11 +316,11 @@ def verify_main_theorem(config: MainTheoremConfig) -> Report:
     gamma = config.gamma_override if config.gamma_override is not None else tau_choice.gamma
     gamma_beta = config.gamma_override if config.gamma_override is not None else tau_choice.gamma_beta
 
-    alpha = alpha_star(cls, design, noise, config.N, gamma, config.delta / 4.0, trials=quantile_trials(config.delta / 4.0, config.alpha_trials), seed=derive_seed(config.seed, _STAGE_ALPHA), workers=config.workers)
-    beta = beta_star(cls, design, config.N, gamma_beta, trials=config.beta_trials, seed=derive_seed(config.seed, _STAGE_BETA), workers=config.workers)
+    alpha = alpha_star(cls, design, noise, config.N, gamma, config.delta / 4.0, trials=quantile_trials(config.delta / 4.0, config.alpha_trials), seed=derive_seed(config.seed, _STAGE_ALPHA))
+    beta = beta_star(cls, design, config.N, gamma_beta, trials=config.beta_trials, seed=derive_seed(config.seed, _STAGE_BETA))
     bound = 2.0 * max(alpha.value, beta.value)
 
-    results = _erm_trials(cls, design, noise, config.N, derive_seed(config.seed, _STAGE_TRIALS), config.trials, config.workers, tol=config.tol)
+    results = _erm_trials(cls, design, noise, config.N, derive_seed(config.seed, _STAGE_TRIALS), config.trials, tol=config.tol)
     errors = np.array([float(np.linalg.norm(result.t_hat - t0)) for result in results])
     successes = int(np.sum(errors <= bound))
     frequency = successes / config.trials

@@ -39,23 +39,19 @@ _LAW_BLOCK = 2**16  # noise values one block of the exact multiplier law draws
 
 @dataclass(frozen=True)
 class LocalizedSupConfig:
-    """One Monte Carlo setup: class, design, sample size, replication count,
-    and the threads that draw the trials (0: every CPU; never changes results)."""
+    """One Monte Carlo setup: class, design, sample size and replication count."""
 
     class_spec: ClassSpec
     design: DesignSpec
     N: int
     trials: int
     seed: int
-    workers: int = 0
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.N < 1:
             raise ValueError("N must be >= 1")
-        if self.workers < 0:
-            raise ValueError(f"workers must be a nonnegative integer, got {self.workers}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +89,8 @@ def _noise_mean_squares(config: LocalizedSupConfig, noise: NoiseSpec) -> np.ndar
     Trials are drawn in blocks of `rows` from one stream per block, a block
     holding at most _LAW_BLOCK values at a time (a trial's N values come in
     column pieces when N is larger). Every block draws all its rows, so a
-    trial's values do not depend on the trial count; blocks run on up to
-    `config.workers` threads.
+    trial's values do not depend on the trial count; blocks run on
+    `map_trials` threads.
     """
     N, trials = config.N, config.trials
     rows = max(1, _LAW_BLOCK // N)
@@ -109,7 +105,7 @@ def _noise_mean_squares(config: LocalizedSupConfig, noise: NoiseSpec) -> np.ndar
             total += np.sum(w * w, axis=1)
         out[b * rows : (b + 1) * rows] = (total / N)[: trials - b * rows]
 
-    map_trials(block, -(-trials // rows), config.workers)
+    map_trials(block, -(-trials // rows))
     return out
 
 
@@ -128,7 +124,7 @@ def _rademacher_z_batch(config: LocalizedSupConfig) -> np.ndarray:
         eps = random_signs(substream(config.seed, j, SIGNS_TAG), N)
         out[j] = (eps @ X) / math.sqrt(N)
 
-    map_trials(trial, config.trials, config.workers)
+    map_trials(trial, config.trials)
     return out
 
 
@@ -151,7 +147,7 @@ def _multiplier_z_batch(config: LocalizedSupConfig, noise: NoiseSpec) -> np.ndar
         eps = random_signs(substream(config.seed, j, SIGNS_TAG), N)
         out[j] = ((eps * xi) @ X) / math.sqrt(N)
 
-    map_trials(trial, config.trials, config.workers)
+    map_trials(trial, config.trials)
     return out
 
 
@@ -199,7 +195,7 @@ def _bisect_fixed_point(Z: np.ndarray, R: float, threshold, kind: str, r_lo: flo
     return FixedPointEstimate(hi, lo, hi, trials, stderr_at(hi), kind)
 
 
-def _rademacher_fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int, seed: int, workers: int, power: int, kind: str) -> FixedPointEstimate:
+def _rademacher_fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int, seed: int, power: int, kind: str) -> FixedPointEstimate:
     """Smallest radius in [1e-8 r_hi, r_hi], r_hi = 2R sqrt(n), where the
     localized Rademacher mean is at most gamma*r^power*sqrt(N)."""
     if gamma <= 0:
@@ -207,20 +203,20 @@ def _rademacher_fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, g
     if class_spec.R == 0.0:
         return FixedPointEstimate(0.0, 0.0, 0.0, trials, 0.0, kind, ("degenerate_class",))
     r_hi = 2.0 * class_spec.R * math.sqrt(class_spec.n)
-    config = LocalizedSupConfig(class_spec, design, N, trials, seed, workers)
+    config = LocalizedSupConfig(class_spec, design, N, trials, seed)
     Z = _rademacher_z_batch(config)
     # in this order the threshold is bit for bit gamma*r*sqrt(N) or gamma*r*r*sqrt(N)
     return _bisect_fixed_point(Z, class_spec.R, lambda r: gamma * r * r ** (power - 1) * math.sqrt(N), kind, 1e-8 * r_hi, r_hi)
 
 
-def beta_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int = DEFAULT_EXPECTATION_TRIALS, seed: int = 0, workers: int = 0) -> FixedPointEstimate:
+def beta_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int = DEFAULT_EXPECTATION_TRIALS, seed: int = 0) -> FixedPointEstimate:
     """Fixed point where the localized Rademacher mean scales like gamma*r*sqrt(N)."""
-    return _rademacher_fixed_point(class_spec, design, N, gamma, trials, seed, workers, 1, "beta")
+    return _rademacher_fixed_point(class_spec, design, N, gamma, trials, seed, 1, "beta")
 
 
-def k_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int = DEFAULT_EXPECTATION_TRIALS, seed: int = 0, workers: int = 0) -> FixedPointEstimate:
+def k_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int = DEFAULT_EXPECTATION_TRIALS, seed: int = 0) -> FixedPointEstimate:
     """Fixed point with the quadratic normalization gamma*r^2*sqrt(N)."""
-    return _rademacher_fixed_point(class_spec, design, N, gamma, trials, seed, workers, 2, "kstar")
+    return _rademacher_fixed_point(class_spec, design, N, gamma, trials, seed, 2, "kstar")
 
 
 def quantile_trials(delta: float, trials: int | None = None) -> int:
@@ -235,7 +231,7 @@ def quantile_trials(delta: float, trials: int | None = None) -> int:
     return trials
 
 
-def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, gamma: float, delta: float, trials: int = DEFAULT_QUANTILE_TRIALS, seed: int = 0, workers: int = 0) -> FixedPointEstimate:
+def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, gamma: float, delta: float, trials: int = DEFAULT_QUANTILE_TRIALS, seed: int = 0) -> FixedPointEstimate:
     """Quantile fixed point of the multiplier process.
 
     The smallest s on a geometric radius grid of ratio 1.1, from 1e-6 s_hi up
@@ -262,7 +258,7 @@ def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: i
     grid = s_lo * 1.1 ** np.arange(steps + 1)
     grid[-1] = s_hi
 
-    config = LocalizedSupConfig(class_spec, design, N, trials, seed, workers)
+    config = LocalizedSupConfig(class_spec, design, N, trials, seed)
     rows = SupportRows(_multiplier_z_batch(config, noise))
     target = 1.0 - delta
     sqN = math.sqrt(N)

@@ -24,6 +24,9 @@ LAW_TAG = 4
 
 _MAX_KEY = 2**32 - 1
 
+DEFAULT_SEED = 0x5EED  # the master seed of a run that names none
+WORKERS_ENV = "ERMBOUNDS_WORKERS"
+
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Generator for the stream keyed by a master seed and an index path."""
@@ -50,15 +53,22 @@ def derive_seed(seed: int, *path: int) -> int:
     return (int(hi) << 32) | int(lo)
 
 
-def trial_workers(workers: int, count: int) -> int:
-    """Threads `map_trials` starts for `count` trials when asked for `workers`.
+def trial_workers(count: int) -> int:
+    """Threads `map_trials` starts for `count` trials.
 
-    0 asks for every CPU this process may run on; any request is capped at
-    that number and at `count`.
+    The count is a process setting, read from $ERMBOUNDS_WORKERS on each
+    call, because it never changes a result. Unset or 0 asks for every CPU
+    this process may run on; any request is capped at that number and at
+    `count`.
     """
-    workers, count = int(workers), int(count)
+    text = os.environ.get(WORKERS_ENV, "")
+    try:
+        workers = int(text or 0)
+    except ValueError:
+        workers = -1  # rejected below, like a negative count
     if workers < 0:
-        raise ValueError(f"workers must be a nonnegative integer, got {workers}")
+        raise ValueError(f"{WORKERS_ENV} must be a nonnegative integer, got {text!r}")
+    count = int(count)
     if count < 0:
         raise ValueError(f"count must be a nonnegative integer, got {count}")
     affinity = getattr(os, "sched_getaffinity", None)
@@ -66,8 +76,8 @@ def trial_workers(workers: int, count: int) -> int:
     return min(workers or cpus, cpus, count)
 
 
-def map_trials(fn, count: int, workers: int = 0) -> list:
-    """[fn(0), ..., fn(count - 1)] in trial order, on up to `workers` threads.
+def map_trials(fn, count: int) -> list:
+    """[fn(0), ..., fn(count - 1)] in trial order, on `trial_workers(count)` threads.
 
     Threads, not processes: numpy's Generator fills and BLAS calls release
     the interpreter lock, while a process pool would re-import the package
@@ -76,7 +86,7 @@ def map_trials(fn, count: int, workers: int = 0) -> list:
     cancelled and the exception of the first failing trial in trial order
     is raised, as the plain loop would raise it.
     """
-    threads = trial_workers(workers, count)
+    threads = trial_workers(count)
     if threads <= 1:
         return [fn(j) for j in range(count)]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -274,17 +274,19 @@ def test_criterion_9_version_space_beta_domination():
     record(9, ok, f"radius_lb <= beta + 2*width in {hits}/100 trials (need 90); full-rank radius always 0: {full_rank_zero}", elapsed, 300)
 
 
-def test_criterion_10_determinism_across_worker_counts():
+def test_criterion_10_determinism_across_worker_counts(monkeypatch):
     start = time.time()
     outputs = []
-    for workers in (1, 4):
+    for workers in ("1", "4"):
+        # every stage below reads the thread count from the environment
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
         chunks = []
         rep = run_counterexample(100, 5000, seed=SEED)
         chunks.append(rep.to_csv() + rep.to_json())
-        sweep = SweepConfig(design_kind="gaussian", noise_kind="gaussian", n_grid=(8,), N_grid=(32, 64), sigma_grid=(0.5,), trials=20, seed=SEED, t0_shape="zero", t0_fraction=0.0, workers=workers)
+        sweep = SweepConfig(design_kind="gaussian", noise_kind="gaussian", n_grid=(8,), N_grid=(32, 64), sigma_grid=(0.5,), trials=20, seed=SEED, t0_shape="zero", t0_fraction=0.0)
         rep = run_persistence_sweep(sweep)
         chunks.append(rep.to_csv() + rep.to_json())
-        vm = MainTheoremConfig(design=DesignSpec("gaussian", 8), noise=NoiseSpec("gaussian", sigma=0.5), N=64, delta=0.2, trials=30, alpha_trials=1000, beta_trials=50, tau_directions=50, tau_draws=2000, seed=SEED, workers=workers)
+        vm = MainTheoremConfig(design=DesignSpec("gaussian", 8), noise=NoiseSpec("gaussian", sigma=0.5), N=64, delta=0.2, trials=30, alpha_trials=1000, beta_trials=50, tau_directions=50, tau_draws=2000, seed=SEED)
         rep = verify_main_theorem(vm)
         chunks.append(rep.to_csv() + rep.to_json())
         est = estimate_Q(DesignSpec("gaussian", 8), 0.5, directions=100, draws=5000, seed=SEED)

@@ -35,23 +35,17 @@ class TestHelp:
 
     @pytest.mark.parametrize("value", ["abc", "-2", "1.5"])
     def test_bad_workers_env_var_exits_2(self, tmp_path, value):
-        proc = run_cli(["rates"], tmp_path, ERMBOUNDS_WORKERS=value)
-        assert proc.returncode == 2
-        assert "ERMBOUNDS_WORKERS" in proc.stderr
-        assert repr(value) in proc.stderr
-        assert not (tmp_path / "rates_report.json").exists()
+        # rates starts no threads; counterexample does
+        for sub in ("rates", "counterexample"):
+            proc = run_cli([sub], tmp_path, ERMBOUNDS_WORKERS=value)
+            assert proc.returncode == 2
+            assert "ERMBOUNDS_WORKERS" in proc.stderr
+            assert repr(value) in proc.stderr
+            assert not (tmp_path / f"{sub}_report.json").exists()
 
     def test_workers_env_var_accepted(self, tmp_path):
         proc = run_cli(["rates", "--output", str(tmp_path / "r.json")], tmp_path, ERMBOUNDS_WORKERS="2")
         assert proc.returncode == 0, proc.stderr
-
-    @pytest.mark.parametrize("value", ["-3", "abc"])
-    def test_bad_workers_flag_exits_2(self, tmp_path, value):
-        proc = run_cli(["rates", "--workers", value], tmp_path)
-        assert proc.returncode == 2
-        assert "--workers" in proc.stderr
-        assert repr(value) in proc.stderr
-        assert not (tmp_path / "rates_report.json").exists()
 
 
 class TestRates:
@@ -191,7 +185,6 @@ class TestSubcommandRuns:
         )
         assert proc.returncode in (0, 3), proc.stderr
         config = json.loads(out.read_text())["config"]
-        assert config["resolved"]["noise"]["sigma"] == 3.0
         assert config["noise"]["sigma"] == 3.0
         assert "sigma" not in config
 
@@ -230,7 +223,7 @@ def test_run_function_no_subcommand():
 
 
 # options every subcommand takes; all others set a config key
-_COMMON_OPTIONS = {"help", "config", "set", "seed", "output", "format", "workers"}
+_COMMON_OPTIONS = {"help", "config", "set", "seed", "output", "format"}
 
 
 def _subparsers():
@@ -274,7 +267,7 @@ def test_worker_flag_never_changes_report_bytes(tmp_path):
     outs = []
     for workers, name in ((1, "w1.json"), (3, "w3.json")):
         out = tmp_path / name
-        proc = run_cli(["counterexample", "--N", "100", "--trials", "2000", "--workers", str(workers), "--output", str(out)], tmp_path)
+        proc = run_cli(["counterexample", "--N", "100", "--trials", "2000", "--output", str(out)], tmp_path, ERMBOUNDS_WORKERS=str(workers))
         assert proc.returncode == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
@@ -291,11 +284,14 @@ _SMALL_RUNS = {
 
 @pytest.mark.parametrize("sub", sorted(_SMALL_RUNS))
 def test_threaded_subcommands_identical_across_workers(sub, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("ERMBOUNDS_WORKERS", raising=False)
     outs = []
-    for workers in (["--workers", "1"], ["--workers", "2"], []):
+    for workers in ("1", "2", None):
+        if workers is None:
+            monkeypatch.delenv("ERMBOUNDS_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
         out = tmp_path / f"{sub}{len(outs)}.json"
-        assert run([sub, *_SMALL_RUNS[sub], *workers, "--output", str(out)]) in (0, 3)
+        assert run([sub, *_SMALL_RUNS[sub], "--output", str(out)]) in (0, 3)
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
 
@@ -321,7 +317,9 @@ _GOLDEN_RUNS = {
 # sha256 of each run's report, recorded at commit 4167733; erm, persistence
 # and verify-main re-recorded when FISTA came to take one matvec per step
 # with a checked step size, and sweep cells came to be keyed on the float64
-# bits of their grid values, and again when L came to start at 2 max_i G_ii
+# bits of their grid values, and again when L came to start at 2 max_i G_ii;
+# the persistence and verify-main JSON re-recorded when they came to echo the
+# CLI config, which replays, in place of the library's record
 _GOLDEN_DIGESTS = {
     ("erm", "json"): "7d83c30f931c88ced97d0cc0e26f70ce61374045a57858a597d81ca108867c0e",
     ("erm", "csv"): "4c83d1f71a609c49bd7eb7eeced5b4139ceea4541a56410f769a0ca8dd147965",
@@ -345,11 +343,11 @@ _GOLDEN_DIGESTS = {
     ("version-space", "csv"): "a9be535350fd978e8cd7894a41e5919d492ee94703ff1059b20da7e1a833a9ea",
     ("rates", "json"): "7f168238d4fecae6ec34365a2837356bead303c741ae8cf8449f5bb6f28637c0",
     ("rates", "csv"): "d7563770135a369b17eb33f9227a9f17951a8e4de323c51e824103ba08b32304",
-    ("persistence", "json"): "654d94671d59039f73c5f87cd9b3a33940c6b52735cac3971880e08367cb8529",
+    ("persistence", "json"): "ad62a0414085416bde1184b15ed168e4673782ac96392231966de9cef5d42e70",
     ("persistence", "csv"): "d2080385512d9b68996189da4a88e1874d0d17777174caacd6f6745ab1e3b80d",
     ("counterexample", "json"): "20fa2107944296ee4176b56b27816480f8a69675055ec73af7a560dc19859437",
     ("counterexample", "csv"): "f6338d376b45cea9767ffe5afba4603480cc23f0659cc880cec1d64be5fe7368",
-    ("verify-main", "json"): "70dc2466e33581ef21fb452a7f35310c7cca7efcde2083dafcbdc9594c672e68",
+    ("verify-main", "json"): "5aecc4bba86921c476c4a36c25ac18a19ba2ab8f8c882eb2593b217fb60bb245",
     ("verify-main", "csv"): "5abbb8942f46ec9cbbe77ddb0339f0f9ed2f28a06b7a858b4655c994815ab41b",
 }
 
@@ -398,8 +396,9 @@ def test_bisection_scans_each_radius_once(name, monkeypatch, tmp_path):
     [
         ("counterexample", ["--N", "100", "--trials", "2000"]),
         ("erm", ["--n", "8", "--N", "40"]),
-        # persistence and verify-main echo the library's record, which is not a CLI config
-        *((_GOLDEN_RUNS[name][0], _GOLDEN_RUNS[name][1:]) for name in sorted(_GOLDEN_RUNS) if name not in ("persistence", "verify-main")),
+        # every subcommand and smallball action at the golden runs' sizes; the
+        # two added last keep the earlier cases' ids
+        *((_GOLDEN_RUNS[name][0], _GOLDEN_RUNS[name][1:]) for name in [*sorted(set(_GOLDEN_RUNS) - {"persistence", "verify-main"}), "persistence", "verify-main"]),
     ],
 )
 def test_echoed_config_reproduces_the_report(sub, extra, tmp_path):
@@ -530,6 +529,13 @@ def test_bad_config_value_exits_2(args, key, tmp_path, capsys):
         (["smallball", "--set", "action=l2_l1", "--set", "draws=0"], "draws must be positive"),
         # probes=0 is valid (the n canonical directions); a negative count is not
         (["smallball", "--set", "action=verify_counts", "--set", "probes=-1"], "probes must be nonnegative"),
+        # a sweep's sizes are integers and its R and sigma numbers, not booleans
+        (["persistence", "--set", "n_grid=[8.0]"], "n_grid entries must be integers, got 8.0"),
+        (["persistence", "--set", "n_grid=[1.5]"], "n_grid entries must be integers, got 1.5"),
+        (["persistence", "--set", "n_grid=[true]"], "n_grid entries must be integers, got True"),
+        (["persistence", "--set", "n_grid=[8]", "--set", "N_grid=[16.5]"], "N_grid entries must be integers, got 16.5"),
+        (["persistence", "--set", "R_grid=[true]"], "R_grid entries must be numbers, got True"),
+        (["persistence", "--set", "sigma_grid=[true]"], "sigma_grid entries must be numbers, got True"),
     ],
 )
 def test_bad_size_exits_2(args, message, tmp_path, capsys):
@@ -596,9 +602,9 @@ def test_persistence_defaults_are_the_sweep_config_fields():
     flat = {f"{part}_{name}": value for part in ("design", "noise") for name, value in defaults[part].items()}
     flat.update((key, tuple(value) if isinstance(value, list) else value) for key, value in defaults.items() if key not in ("design", "noise"))
     assert SweepConfig(**flat) == SweepConfig()
-    # every field but seed and workers is a key; the None ones are sub-keys without a default
+    # every field but seed is a key; the None ones are sub-keys without a default
     keys = set(flat) | {f"{part}_{name}" for part, names in SUBCOMMANDS["persistence"].parts.items() for name in names}
-    assert keys == {f.name for f in fields(SweepConfig)} - {"seed", "workers"}
+    assert keys == {f.name for f in fields(SweepConfig)} - {"seed"}
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])

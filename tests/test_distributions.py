@@ -255,15 +255,19 @@ class TestSpikeCounts:
         k = counterexample_spike_counts(spec, 5000, seed=19)
         assert 10 <= np.count_nonzero(k) <= 100
 
-    def test_workers_invariant(self):
+    def test_workers_invariant(self, monkeypatch):
         # a 1 us switch interval makes the threads interleave their fills,
         # each writing its own slice of the counts
         spec = CounterexampleSpec(1000)
-        serial = counterexample_spike_counts(spec, 3000, seed=21, workers=1)
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", "1")
+        serial = counterexample_spike_counts(spec, 3000, seed=21)
+        threaded = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = [counterexample_spike_counts(spec, 3000, seed=21, workers=w) for w in (2, 0)]
+            for workers in ("2", "0"):
+                monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
+                threaded.append(counterexample_spike_counts(spec, 3000, seed=21))
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(serial, k) for k in threaded)

@@ -38,10 +38,14 @@ class TestCounterexample:
         stats = {r["statistic"]: r for r in rep.rows}
         assert stats["deviation_probability"]["ci_low"] <= s["deviation_probability"] <= stats["deviation_probability"]["ci_high"]
 
-    def test_block_chunking_invariant(self):
+    def test_block_chunking_invariant(self, monkeypatch):
         # the stream blocks are spread over 1, 2 and every thread; 5000
         # trials are four whole blocks and a partial one
-        a, b, c = (run_counterexample(100, 5000, seed=3, workers=w) for w in (1, 2, 0))
+        reports = []
+        for workers in ("1", "2", "0"):
+            monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
+            reports.append(run_counterexample(100, 5000, seed=3))
+        a, b, c = reports
         assert a.to_csv() == b.to_csv() == c.to_csv()
         assert a.to_json() == b.to_json() == c.to_json()
 
@@ -89,24 +93,30 @@ class TestPersistenceSweep:
         s2 = slopes["n=64,R=1,sigma=1,branch2=1"]
         assert abs(s2 - s1) >= 0.3
 
-    def test_worker_count_never_changes_bytes(self):
-        base = dict(design_kind="gaussian", noise_kind="gaussian", n_grid=(8,), N_grid=(32, 64), sigma_grid=(0.5,), trials=20, seed=9, t0_shape="spike", t0_fraction=0.5)
-        rep1 = run_persistence_sweep(SweepConfig(**base, workers=1))
-        rep4 = run_persistence_sweep(SweepConfig(**base, workers=4))
+    def test_worker_count_never_changes_bytes(self, monkeypatch):
+        cfg = SweepConfig(design_kind="gaussian", noise_kind="gaussian", n_grid=(8,), N_grid=(32, 64), sigma_grid=(0.5,), trials=20, seed=9, t0_shape="spike", t0_fraction=0.5)
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", "1")
+        rep1 = run_persistence_sweep(cfg)
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", "4")
+        rep4 = run_persistence_sweep(cfg)
         assert rep1.to_csv() == rep4.to_csv()
         assert rep1.to_json() == rep4.to_json()
 
-    def test_threads_never_change_bytes_across_design_blocks(self):
+    def test_threads_never_change_bytes_across_design_blocks(self, monkeypatch):
         # the large cell draws each trial's design in three blocks; a 1 us
         # switch interval makes the trial threads interleave
         n = 64
         big = 2 * (distributions._MOMENT_BLOCK // n) + 101
-        base = dict(design_kind="gaussian", noise_kind="gaussian", n_grid=(n,), N_grid=(256, big), sigma_grid=(0.5,), trials=20, seed=13, t0_shape="spike", t0_fraction=0.5)
-        serial = run_persistence_sweep(SweepConfig(**base, workers=1))
+        cfg = SweepConfig(design_kind="gaussian", noise_kind="gaussian", n_grid=(n,), N_grid=(256, big), sigma_grid=(0.5,), trials=20, seed=13, t0_shape="spike", t0_fraction=0.5)
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", "1")
+        serial = run_persistence_sweep(cfg)
+        threaded = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = [run_persistence_sweep(SweepConfig(**base, workers=w)) for w in (2, 0)]
+            for workers in ("2", "0"):
+                monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
+                threaded.append(run_persistence_sweep(cfg))
         finally:
             sys.setswitchinterval(interval)
         for rep in threaded:
@@ -123,13 +133,13 @@ class TestPersistenceSweep:
         digest = hashlib.sha256(run_persistence_sweep(cfg).to_csv().encode()).hexdigest()
         assert digest == PINNED_ONE_BLOCK_DIGEST
 
-    def test_workers_validated(self):
-        assert SweepConfig().workers == 0
-        with pytest.raises(ValueError, match="workers"):
-            SweepConfig(workers=-1)
+    def test_workers_validated(self, monkeypatch):
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", "-1")
+        with pytest.raises(ValueError, match="ERMBOUNDS_WORKERS must be a nonnegative integer, got '-1'"):
+            run_persistence_sweep(SweepConfig(n_grid=(8,), N_grid=(32,)))
 
     def test_to_record_is_every_field_but_workers(self):
-        record = SweepConfig(design_kind="student_t", design_p=5.0, workers=3).to_record()
+        record = SweepConfig(design_kind="student_t", design_p=5.0).to_record()
         assert record == {
             "design_kind": "student_t",
             "design_p": 5.0,
@@ -157,13 +167,15 @@ class TestPersistenceSweep:
         # 20 trials at n = 8 are one stacked solve; a budget of 3 G's splits
         # them into 7 batches, run here on more threads than cores with a
         # 1 us switch interval
-        cfg = dict(design_kind="gaussian", noise_kind="gaussian", n_grid=(8,), N_grid=(6, 64), sigma_grid=(0.5,), trials=20, seed=9, t0_shape="spike", t0_fraction=0.5)
-        whole = run_persistence_sweep(SweepConfig(**cfg, workers=1))
+        cfg = SweepConfig(design_kind="gaussian", noise_kind="gaussian", n_grid=(8,), N_grid=(6, 64), sigma_grid=(0.5,), trials=20, seed=9, t0_shape="spike", t0_fraction=0.5)
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", "1")
+        whole = run_persistence_sweep(cfg)
         monkeypatch.setattr(experiments, "_ERM_BATCH", 3 * 8 * 8)
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", "4")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            split = run_persistence_sweep(SweepConfig(**cfg, workers=4))
+            split = run_persistence_sweep(cfg)
         finally:
             sys.setswitchinterval(interval)
         assert split.to_csv() == whole.to_csv()
@@ -240,12 +252,13 @@ class TestVerifyMain:
         # splits them into 4 or 29 batches
         if batch is not None:
             monkeypatch.setattr(experiments, "_ERM_BATCH", batch * 32 * 32)
-        cfg = MainTheoremConfig(design=DesignSpec("gaussian", 32), noise=NoiseSpec("gaussian", sigma=0.5), workers=workers)
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", str(workers))
+        cfg = MainTheoremConfig(design=DesignSpec("gaussian", 32), noise=NoiseSpec("gaussian", sigma=0.5))
         rep = verify_main_theorem(cfg)
         digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (rep.to_json(), rep.to_csv()))
         assert digests == PINNED_VERIFY_MAIN
 
-    @pytest.mark.parametrize("field, value", [("trials", 0), ("beta_trials", 0), ("N", 0), ("tol", 0.0), ("workers", -1), ("delta", 0.0), ("delta", 1.0)])
+    @pytest.mark.parametrize("field, value", [("trials", 0), ("beta_trials", 0), ("N", 0), ("tol", 0.0), ("delta", 0.0), ("delta", 1.0)])
     def test_config_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
             MainTheoremConfig(design=DesignSpec("gaussian", 4), noise=NoiseSpec("zero"), **{field: value})
@@ -262,7 +275,7 @@ class TestVerifyMain:
 
     def test_to_record_is_every_field_but_workers(self):
         design, noise = DesignSpec("gaussian", 4), NoiseSpec("gaussian", sigma=0.5)
-        record = MainTheoremConfig(design=design, noise=noise, workers=3).to_record()
+        record = MainTheoremConfig(design=design, noise=noise).to_record()
         assert record == {
             "design": design.to_record(),
             "noise": noise.to_record(),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ermbounds import fixed_points
+from ermbounds import fixed_points, rng
 from ermbounds.distributions import DesignSpec, NoiseSpec, make_sample, sample_design, sample_response
 from ermbounds.erm import ClassSpec
 from ermbounds.experiments import make_t0
@@ -324,46 +324,51 @@ class TestAlphaStar:
 
 class TestWorkerCounts:
     # BLAS threads stay at the test-run default here; the benchmark pins them
-    def test_fixed_points_identical_across_workers(self):
+    def test_fixed_points_identical_across_workers(self, monkeypatch):
         cls = ClassSpec(n=16, R=1.0, t0=make_t0("spike", 0.5, 16, 1.0))
         design = DesignSpec("student_t", 16, p=4.0)
         noise = NoiseSpec("heavy_tailed", sigma=0.5, p=3.0)
         records = []
-        for workers in (1, 2, 0):
+        for workers in ("1", "2", "0"):
+            monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
             records.append(
                 (
-                    alpha_star(cls, design, noise, 64, gamma=0.3, delta=0.1, trials=500, seed=22, workers=workers).to_record(),
-                    beta_star(cls, design, 64, gamma=0.05, trials=60, seed=23, workers=workers).to_record(),
-                    k_star(cls, design, 64, gamma=0.05, trials=60, seed=24, workers=workers).to_record(),
-                    expected_rademacher_sup(LocalizedSupConfig(cls, design, 64, 60, seed=25, workers=workers), 0.5),
+                    alpha_star(cls, design, noise, 64, gamma=0.3, delta=0.1, trials=500, seed=22).to_record(),
+                    beta_star(cls, design, 64, gamma=0.05, trials=60, seed=23).to_record(),
+                    k_star(cls, design, 64, gamma=0.05, trials=60, seed=24).to_record(),
+                    expected_rademacher_sup(LocalizedSupConfig(cls, design, 64, 60, seed=25), 0.5),
                 )
             )
         assert repr(records[0]) == repr(records[1]) == repr(records[2])
 
-    def test_z_batches_identical_under_fast_switching(self):
+    def test_z_batches_identical_under_fast_switching(self, monkeypatch):
         # a thread switch every microsecond interleaves the trials as finely
         # as the interpreter allows; a row written by the wrong trial or lost
         # would break bitwise equality with the serial loop
         cls = ClassSpec(n=24, R=1.0, t0=make_t0("flat", 0.5, 24, 1.0))
         design = DesignSpec("bounded_uniform", 24)  # gaussian designs draw Z by law, without threads per trial
         noise = NoiseSpec("gaussian", sigma=0.5)
-        serial = [_rademacher_z_batch(LocalizedSupConfig(cls, design, 48, 300, seed=26, workers=1)), _multiplier_z_batch(LocalizedSupConfig(cls, design, 48, 300, seed=26, workers=1), noise)]
+        config = LocalizedSupConfig(cls, design, 48, 300, seed=26)
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", "1")
+        serial = [_rademacher_z_batch(config), _multiplier_z_batch(config, noise)]
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", "0")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = [_rademacher_z_batch(LocalizedSupConfig(cls, design, 48, 300, seed=26, workers=0)), _multiplier_z_batch(LocalizedSupConfig(cls, design, 48, 300, seed=26, workers=0), noise)]
+            threaded = [_rademacher_z_batch(config), _multiplier_z_batch(config, noise)]
         finally:
             sys.setswitchinterval(interval)
         for a, b in zip(serial, threaded):
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("workers", [2, 0])
-    def test_threaded_rows_match_scalar_oracles(self, workers):
+    def test_threaded_rows_match_scalar_oracles(self, workers, monkeypatch):
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", str(workers))
         cls = ClassSpec(n=12, R=1.0, t0=make_t0("spike", 0.5, 12, 1.0))
         design = DesignSpec("student_t", 12, p=5.0)
         noise = NoiseSpec("gaussian", sigma=0.5)
         N, trials, seed, radius = 40, 16, 27, 0.6
-        config = LocalizedSupConfig(cls, design, N, trials, seed, workers)
+        config = LocalizedSupConfig(cls, design, N, trials, seed)
         rad = _sup_batch(SupportRows(_rademacher_z_batch(config)), cls.R, radius)
         mult = _sup_batch(SupportRows(_multiplier_z_batch(config, noise)), cls.R, radius)
         for j in range(trials):
@@ -371,11 +376,27 @@ class TestWorkerCounts:
             assert rad[j] == rademacher_sup(sample_design(design, N, seed, trial=j), signs, cls, radius)
             assert mult[j] == multiplier_sup(make_sample(cls, design, noise, N, seed, trial=j), cls, radius, signs)
 
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            LocalizedSupConfig(cls_zero(4), DesignSpec("gaussian", 4), 8, 10, seed=0, workers=-1)
-        with pytest.raises(ValueError, match="workers"):
-            beta_star(cls_zero(4), DesignSpec("gaussian", 4), 8, gamma=0.1, trials=10, seed=0, workers=-2)
+    def test_negative_workers_rejected(self, monkeypatch):
+        # a rademacher design draws its trials on threads; a gaussian one
+        # draws beta's Z from its law and starts none
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", "-2")
+        with pytest.raises(ValueError, match="ERMBOUNDS_WORKERS must be a nonnegative integer, got '-2'"):
+            beta_star(cls_zero(4), DesignSpec("rademacher", 4), 8, gamma=0.1, trials=10, seed=0)
+
+    def test_alpha_star_honours_the_variable(self, monkeypatch):
+        monkeypatch.setattr(rng.os, "sched_getaffinity", lambda pid: set(range(8)))
+        pools = []
+        executor = rng.ThreadPoolExecutor
+        monkeypatch.setattr(rng, "ThreadPoolExecutor", lambda max_workers: pools.append(max_workers) or executor(max_workers=max_workers))
+        cls = ClassSpec(n=8, R=1.0, t0=make_t0("spike", 0.5, 8, 1.0))
+        records = []
+        # one thread runs the trials in the caller's thread, with no pool
+        for workers, threads in (("1", []), ("3", [3]), ("0", [8])):
+            monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
+            pools.clear()
+            records.append(alpha_star(cls, DesignSpec("student_t", 8, p=4.0), NoiseSpec("gaussian", sigma=0.5), 32, gamma=0.3, delta=0.1, trials=500, seed=28).to_record())
+            assert pools == threads
+        assert records[0] == records[1] == records[2]
 
 
 def per_sample_z(cls, design, N, trials, seed, noise=None):
@@ -442,8 +463,9 @@ class TestGaussianLaw:
         monkeypatch.setattr(fixed_points, "_LAW_BLOCK", block)
         noise = NoiseSpec("heavy_tailed", sigma=0.5, p=3.0)
         batches = []
-        for workers in (1, 2, 0):
-            config = LocalizedSupConfig(self.cls, self.design, 512 if block > 16 else 40, 300, seed=48, workers=workers)
+        for workers in ("1", "2", "0"):
+            monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
+            config = LocalizedSupConfig(self.cls, self.design, 512 if block > 16 else 40, 300, seed=48)
             batches.append(_rademacher_z_batch(config).tobytes() + _multiplier_z_batch(config, noise).tobytes())
         assert batches[0] == batches[1] == batches[2]
 
