@@ -27,12 +27,11 @@ from .experiments import (
 )
 from .fixed_points import (
     FixedPointEstimate,
-    LocalizedSupConfig,
     alpha_star,
     beta_star,
     k_star,
 )
-from .geometry import BallIntersection, project_l1, rearrangement_d, support_l1l2, support_l1l2_batch, top_d_l2
+from .geometry import SupportRows, project_l1, rearrangement_d, support_l1l2_batch, top_d_l2
 from .rates import RateInputs, rho_N, v1_v2
 from .reports import Report, emit_report, wilson_interval
 from .rng import derive_seed, substream

@@ -285,7 +285,8 @@ def _smallball(config: dict) -> tuple[Report, str, bool]:
         ratio = l2_l1_ratio(design, config["directions"], config["draws"], seed)
         return _stats_result("smallball", config, {"l2_l1_ratio": ratio}, {"l2_l1_ratio": ratio, "passed": True}, f"L2/L1 ratio={ratio:.6g}")
     if action == "verify_counts":
-        result = verify_empirical_smallball(design, _class_from(config), config["tau"], config["r"], config["N"], trials=config["trials"], probes=config["probes"], seed=seed)
+        q_hat = estimate_Q(design, 2.0 * config["tau"], config["directions"], config["draws"], seed).q_hat
+        result = verify_empirical_smallball(design, _class_from(config), config["tau"], config["r"], config["N"], q_hat, trials=config["trials"], probes=config["probes"], seed=seed)
         stats = {"success_fraction": result.success_fraction, "success_criterion": result.success_criterion, "count_threshold": result.count_threshold, "q_hat": result.q_hat}
         return _stats_result("smallball", config, stats, {"result": result.to_record(), "passed": result.passed}, f"success_fraction={result.success_fraction:.6g} criterion={result.success_criterion:.6g}")
     raise ConfigError(f"unknown smallball action {action!r}")

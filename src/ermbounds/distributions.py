@@ -40,15 +40,14 @@ class DesignSpec:
     n               dimension of X
     p               tail/moment parameter, required (> 2) for student_t and
                     symmetrized_pareto
-    kappa           half-width of the uniform before standardization; the
-                    standardized bound is sqrt(3) regardless, since a
-                    variance-1 uniform law is pinned up to this rescaling
+
+    bounded_uniform has no parameter: the variance-1 uniform law is
+    sqrt(3) U(-1, 1) whatever the width before standardization.
     """
 
     kind: str
     n: int
     p: float | None = None
-    kappa: float | None = None
 
     def __post_init__(self):
         if self.kind not in DESIGN_KINDS:
@@ -58,8 +57,6 @@ class DesignSpec:
         if self.kind in ("student_t", "symmetrized_pareto"):
             if self.p is None or self.p <= 2:
                 raise ValueError(f"{self.kind} requires a moment parameter p > 2")
-        if self.kind == "bounded_uniform" and self.kappa is not None and self.kappa <= 0:
-            raise ValueError("bounded_uniform kappa must be positive")
 
     def sample_coords(self, rng: np.random.Generator, size) -> np.ndarray:
         """Draw iid standardized coordinates of the given shape."""
@@ -80,8 +77,6 @@ class DesignSpec:
         rec = {"kind": self.kind, "n": self.n}
         if self.p is not None:
             rec["p"] = self.p
-        if self.kappa is not None:
-            rec["kappa"] = self.kappa
         return rec
 
 

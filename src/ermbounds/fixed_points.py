@@ -29,29 +29,12 @@ import numpy as np
 
 from .distributions import DesignSpec, NoiseSpec, random_signs, sample_design, sample_response
 from .erm import ClassSpec
-from .geometry import SupportRows
+from .geometry import SupportRows, support_l1l2_batch
 from .rng import DESIGN_TAG, LAW_TAG, NOISE_TAG, SIGNS_TAG, map_trials, substream
 
 DEFAULT_EXPECTATION_TRIALS = 200
 DEFAULT_QUANTILE_TRIALS = 1000
 _LAW_BLOCK = 2**16  # noise values one block of the exact multiplier law draws
-
-
-@dataclass(frozen=True)
-class LocalizedSupConfig:
-    """One Monte Carlo setup: class, design, sample size and replication count."""
-
-    class_spec: ClassSpec
-    design: DesignSpec
-    N: int
-    trials: int
-    seed: int
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -77,13 +60,7 @@ class FixedPointEstimate:
         }
 
 
-def _law_normals(config: LocalizedSupConfig) -> np.ndarray:
-    """(trials, n) standard normals from the batch's own stream; row j depends
-    only on the seed and j, not on the trial count."""
-    return substream(config.seed, LAW_TAG, DESIGN_TAG, 0).standard_normal((config.trials, config.class_spec.n))
-
-
-def _noise_mean_squares(config: LocalizedSupConfig, noise: NoiseSpec) -> np.ndarray:
+def _noise_mean_squares(N: int, trials: int, seed: int, noise: NoiseSpec) -> np.ndarray:
     """Each trial's mean(w**2) over N noise values, without holding them all.
 
     Trials are drawn in blocks of `rows` from one stream per block, a block
@@ -92,13 +69,12 @@ def _noise_mean_squares(config: LocalizedSupConfig, noise: NoiseSpec) -> np.ndar
     trial's values do not depend on the trial count; blocks run on
     `map_trials` threads.
     """
-    N, trials = config.N, config.trials
     rows = max(1, _LAW_BLOCK // N)
     cols = min(N, _LAW_BLOCK)
     out = np.empty(trials)
 
     def block(b):
-        rng = substream(config.seed, LAW_TAG, NOISE_TAG, b)
+        rng = substream(seed, LAW_TAG, NOISE_TAG, b)
         total = np.zeros(rows)
         for lo in range(0, N, cols):
             w = noise.sample(rng, (rows, min(cols, N - lo)))
@@ -109,54 +85,35 @@ def _noise_mean_squares(config: LocalizedSupConfig, noise: NoiseSpec) -> np.ndar
     return out
 
 
-def _rademacher_z_batch(config: LocalizedSupConfig) -> np.ndarray:
-    """Per-trial vectors Z_j = N^{-1/2} sum_i eps_i X_i, one row per trial.
+def _z_batch(class_spec: ClassSpec, design: DesignSpec, N: int, trials: int, seed: int, noise: NoiseSpec | None) -> np.ndarray:
+    """Per-trial vectors Z_j = N^{-1/2} sum_i eps_i xi_i X_i, one row per trial:
+    the Rademacher process (xi = 1) when `noise` is None, else the multiplier
+    process (xi = <t0, X> - Y).
 
-    A gaussian design draws them from their law N(0, I_n): n normals a trial.
+    A gaussian design draws them from their law: N(0, I_n), n normals a
+    trial (row j depends only on the seed and j), times sqrt(mean w^2) given
+    the noise, which takes N noise values a trial. The scale is linear in
+    the noise, so doubling sigma doubles Z bit for bit.
     """
-    if config.design.kind == "gaussian":
-        return _law_normals(config)
-    N, n = config.N, config.class_spec.n
-    out = np.empty((config.trials, n))
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    n = class_spec.n
+    if design.kind == "gaussian":
+        Z = substream(seed, LAW_TAG, DESIGN_TAG, 0).standard_normal((trials, n))
+        return Z if noise is None else np.sqrt(_noise_mean_squares(N, trials, seed, noise))[:, None] * Z
+    out = np.empty((trials, n))
 
     def trial(j):
-        X = sample_design(config.design, N, config.seed, trial=j)
-        eps = random_signs(substream(config.seed, j, SIGNS_TAG), N)
+        X = sample_design(design, N, seed, trial=j)
+        eps = random_signs(substream(seed, j, SIGNS_TAG), N)
+        if noise is not None:
+            eps *= X @ class_spec.t0 - sample_response(class_spec, noise, X, seed, trial=j)
         out[j] = (eps @ X) / math.sqrt(N)
 
-    map_trials(trial, config.trials)
+    map_trials(trial, trials)
     return out
-
-
-def _multiplier_z_batch(config: LocalizedSupConfig, noise: NoiseSpec) -> np.ndarray:
-    """Per-trial vectors Z_j = N^{-1/2} sum_i eps_i xi_i X_i.
-
-    A gaussian design draws them from their law given the noise,
-    sqrt(mean w^2) N(0, I_n): N noise values and n normals a trial. The scale
-    is linear in the noise, so doubling sigma doubles Z bit for bit.
-    """
-    if config.design.kind == "gaussian":
-        return np.sqrt(_noise_mean_squares(config, noise))[:, None] * _law_normals(config)
-    N, n = config.N, config.class_spec.n
-    out = np.empty((config.trials, n))
-
-    def trial(j):
-        X = sample_design(config.design, N, config.seed, trial=j)
-        Y = sample_response(config.class_spec, noise, X, config.seed, trial=j)
-        xi = X @ config.class_spec.t0 - Y
-        eps = random_signs(substream(config.seed, j, SIGNS_TAG), N)
-        out[j] = ((eps * xi) @ X) / math.sqrt(N)
-
-    map_trials(trial, config.trials)
-    return out
-
-
-def _sup_batch(rows: SupportRows, R: float, radius: float) -> np.ndarray:
-    """Each row's supremum over 2R*B1 ∩ radius*B2: the one per-radius step of
-    every fixed-point search."""
-    if radius <= 0.0:
-        return np.zeros(rows.shape[0])
-    return rows.at(2.0 * R, radius)
 
 
 def _bisect_fixed_point(Z: np.ndarray, R: float, threshold, kind: str, r_lo: float, r_hi: float) -> FixedPointEstimate:
@@ -172,7 +129,7 @@ def _bisect_fixed_point(Z: np.ndarray, R: float, threshold, kind: str, r_lo: flo
 
     def sups_at(r):
         if r not in sups:
-            sups[r] = _sup_batch(rows, R, r)
+            sups[r] = support_l1l2_batch(rows, 2.0 * R, r)
         return sups[r]
 
     def ok(r):
@@ -203,8 +160,7 @@ def _rademacher_fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, g
     if class_spec.R == 0.0:
         return FixedPointEstimate(0.0, 0.0, 0.0, trials, 0.0, kind, ("degenerate_class",))
     r_hi = 2.0 * class_spec.R * math.sqrt(class_spec.n)
-    config = LocalizedSupConfig(class_spec, design, N, trials, seed)
-    Z = _rademacher_z_batch(config)
+    Z = _z_batch(class_spec, design, N, trials, seed, None)
     # in this order the threshold is bit for bit gamma*r*sqrt(N) or gamma*r*r*sqrt(N)
     return _bisect_fixed_point(Z, class_spec.R, lambda r: gamma * r * r ** (power - 1) * math.sqrt(N), kind, 1e-8 * r_hi, r_hi)
 
@@ -258,8 +214,7 @@ def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: i
     grid = s_lo * 1.1 ** np.arange(steps + 1)
     grid[-1] = s_hi
 
-    config = LocalizedSupConfig(class_spec, design, N, trials, seed)
-    rows = SupportRows(_multiplier_z_batch(config, noise))
+    rows = SupportRows(_z_batch(class_spec, design, N, trials, seed, noise))
     target = 1.0 - delta
     sqN = math.sqrt(N)
     p_hats = {}  # grid index -> success probability
@@ -267,7 +222,7 @@ def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: i
     def p_hat(i):
         if i not in p_hats:
             s = grid[i]
-            p_hats[i] = float(np.mean(_sup_batch(rows, class_spec.R, float(s)) <= gamma * s * s * sqN))
+            p_hats[i] = float(np.mean(support_l1l2_batch(rows, 2.0 * class_spec.R, float(s)) <= gamma * s * s * sqN))
         return p_hats[i]
 
     def stderr(p):

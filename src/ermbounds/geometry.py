@@ -3,14 +3,13 @@
 Everything here is a pure function of its arguments: Euclidean projection
 onto a scaled l1 ball, the l2 norm of the top-d entries of the decreasing
 rearrangement, and the exact support function of an l1/l2 ball
-intersection, which `SupportRows` evaluates at many radii on one batch
-prepared once. These are the kernels behind every localized supremum
-computed elsewhere in the package.
+intersection, `support_l1l2_batch`, which evaluates each radius pair on a
+batch of rows prepared once as `SupportRows`. These are the kernels behind
+every localized supremum computed elsewhere in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,21 +26,6 @@ def as_vector(v) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("vector entries must be finite")
     return arr
-
-
-@dataclass(frozen=True)
-class BallIntersection:
-    """The set {t : ||t||_1 <= l1_radius, ||t||_2 <= l2_radius} in R^dim."""
-
-    l1_radius: float
-    l2_radius: float
-    dim: int
-
-    def __post_init__(self):
-        if self.l1_radius < 0 or self.l2_radius < 0:
-            raise ValueError("ball radii must be nonnegative")
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
 
 
 def project_l1(v, radius: float) -> np.ndarray:
@@ -108,9 +92,8 @@ class SupportRows:
     `support_l1l2_batch` are formed once, on first need: max|z| and ||z||_2
     for the two closed-form branches, and for the branch between them the
     decreasing rearrangement, its breakpoint values and the segment bounds.
-    `at(rho, s)` then does only the work that depends on the radii, with the
-    same operations in the same order, so its bytes are those of a one-shot
-    evaluation.
+    `support_l1l2_batch(rows, rho, s)` then does only the work that depends
+    on the radii.
     """
 
     def __init__(self, Z):
@@ -156,35 +139,8 @@ class SupportRows:
         seg_hi = U + tol
         return lam_b, root_q_b, k, m_k, Q_k, A, seg_lo, seg_hi, -tol
 
-    def at(self, rho: float, s: float) -> np.ndarray:
-        """Row-wise sup{<z,t> : ||t||_1 <= rho, ||t||_2 <= s}; see `support_l1l2_batch`."""
-        rho, s = float(rho), float(s)
-        # Trivial branches. ||t||_2 <= ||t||_1 makes the l2 cap inactive when
-        # s >= rho; ||t||_1 <= sqrt(n)||t||_2 makes the l1 cap inactive when
-        # rho >= s*sqrt(n). Returned in closed form so these cases are exact.
-        if s >= rho:
-            return rho * self._max_abs
-        if rho >= s * np.sqrt(self.shape[1]):
-            return s * self._l2
 
-        lam_b, root_q_b, k, m_k, Q_k, A, seg_lo, seg_hi, neg_tol = self._breakpoints
-        g_break = rho * lam_b + s * root_q_b
-
-        # Interior stationary points: the segment objective's stationary point is
-        # lam = m_k/k - (rho/k)*sqrt((k*Q_k - m_k^2)/(s^2*k - rho^2)),
-        # valid only when s^2*k > rho^2 and lam falls inside the segment.
-        D = s * s * k - rho * rho
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam_st = (m_k - rho * np.sqrt(A / D)) / k
-        valid = (D > 0) & np.isfinite(lam_st) & (lam_st >= seg_lo) & (lam_st <= seg_hi) & (lam_st >= neg_tol)
-        lam_st = np.clip(lam_st, 0.0, None)
-        q_st = Q_k - 2.0 * lam_st * m_k + k * lam_st**2
-        g_st = np.where(valid, rho * lam_st + s * np.sqrt(np.maximum(q_st, 0.0)), np.inf)
-
-        return np.minimum(g_break.min(axis=1), g_st.min(axis=1))
-
-
-def support_l1l2_batch(Z, ball: BallIntersection) -> np.ndarray:
+def support_l1l2_batch(rows: SupportRows, rho: float, s: float) -> np.ndarray:
     """Row-wise support function sup{<z,t> : ||t||_1 <= rho, ||t||_2 <= s}.
 
     Evaluated through the dual form min over lam >= 0 of
@@ -193,15 +149,30 @@ def support_l1l2_batch(Z, ball: BallIntersection) -> np.ndarray:
     interior stationary point of each inter-breakpoint segment (where the
     objective is rho*lam + s*sqrt(quadratic), so the stationary point has a
     closed form). The minimum over the candidates is the exact value.
-    To evaluate one batch at many radii, prepare it once as `SupportRows`.
     """
-    rows = SupportRows(Z)
-    if rows.shape[1] != ball.dim:
-        raise ValueError(f"dimension mismatch: vectors have {rows.shape[1]} entries, set has dim {ball.dim}")
-    return rows.at(ball.l1_radius, ball.l2_radius)
+    rho, s = float(rho), float(s)
+    if rho < 0 or s < 0:
+        raise ValueError("ball radii must be nonnegative")
+    # Trivial branches. ||t||_2 <= ||t||_1 makes the l2 cap inactive when
+    # s >= rho; ||t||_1 <= sqrt(n)||t||_2 makes the l1 cap inactive when
+    # rho >= s*sqrt(n). Returned in closed form so these cases are exact.
+    if s >= rho:
+        return rho * rows._max_abs
+    if rho >= s * np.sqrt(rows.shape[1]):
+        return s * rows._l2
 
+    lam_b, root_q_b, k, m_k, Q_k, A, seg_lo, seg_hi, neg_tol = rows._breakpoints
+    g_break = rho * lam_b + s * root_q_b
 
-def support_l1l2(z, ball: BallIntersection) -> float:
-    """Exact support function of an l1/l2 ball intersection at z."""
-    arr = as_vector(z)
-    return float(support_l1l2_batch(arr[None, :], ball)[0])
+    # Interior stationary points: the segment objective's stationary point is
+    # lam = m_k/k - (rho/k)*sqrt((k*Q_k - m_k^2)/(s^2*k - rho^2)),
+    # valid only when s^2*k > rho^2 and lam falls inside the segment.
+    D = s * s * k - rho * rho
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam_st = (m_k - rho * np.sqrt(A / D)) / k
+    valid = (D > 0) & np.isfinite(lam_st) & (lam_st >= seg_lo) & (lam_st <= seg_hi) & (lam_st >= neg_tol)
+    lam_st = np.clip(lam_st, 0.0, None)
+    q_st = Q_k - 2.0 * lam_st * m_k + k * lam_st**2
+    g_st = np.where(valid, rho * lam_st + s * np.sqrt(np.maximum(q_st, 0.0)), np.inf)
+
+    return np.minimum(g_break.min(axis=1), g_st.min(axis=1))

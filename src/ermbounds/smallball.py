@@ -78,6 +78,18 @@ def probe_directions(design: DesignSpec, count: int, seed: int) -> tuple[np.ndar
     return np.vstack([raw] + structured), count
 
 
+def _probe_projections(design: DesignSpec, directions: int, draws: int, seed: int, tag: int) -> tuple[np.ndarray, np.ndarray]:
+    """The probe directions T, one per row, and |<X_i, t>| for `draws` fresh
+    draws X_i (substream `tag`), one column per direction."""
+    if draws < 1:
+        raise ValueError("draws must be positive")
+    T, _ = probe_directions(design, directions, seed)
+    X = design.sample_coords(substream(seed, DIRECTIONS_TAG, tag), (draws, design.n))
+    P = X @ T.T
+    np.abs(P, out=P)  # in place: P is the largest array of a choose_tau run
+    return T, P
+
+
 def estimate_Q(design: DesignSpec, u: float | np.ndarray, directions: int = 500, draws: int = 10000, seed: int = 0) -> SmallBallEstimate | tuple[SmallBallEstimate, ...]:
     """Estimate inf over unit directions t of Pr(|<X, t>| >= u).
 
@@ -104,11 +116,7 @@ def estimate_Q(design: DesignSpec, u: float | np.ndarray, directions: int = 500,
     thresholds = [u] if us.ndim == 0 else us.tolist()
 
     if any(v != 0.0 for v in thresholds):
-        T, n_random = probe_directions(design, directions, seed)
-        rng_sel = substream(seed, DIRECTIONS_TAG, 0)
-        X = design.sample_coords(rng_sel, (draws, design.n))
-        P = X @ T.T
-        np.abs(P, out=P)
+        T, P = _probe_projections(design, directions, draws, seed, 0)
         rng_est = substream(seed, DIRECTIONS_TAG, 1)
         X2 = design.sample_coords(rng_est, (draws, design.n))
 
@@ -124,8 +132,9 @@ def estimate_Q(design: DesignSpec, u: float | np.ndarray, directions: int = 500,
         q_hat = float(np.mean(np.abs(X2 @ T[worst]) >= v))
         stderr = math.sqrt(max(q_hat * (1.0 - q_hat), 0.0) / draws)
         flags = []
-        if probs[n_random:].size and probs[:n_random].size:
-            if probs[n_random:].min() < probs[:n_random].min():
+        # the first `directions` probes are the random ones
+        if probs[directions:].size and probs[:directions].size:
+            if probs[directions:].min() < probs[:directions].min():
                 flags.append("structured_below_random")
         estimates.append(SmallBallEstimate(v, q_hat, T.shape[0], draws, stderr, T[worst].copy(), tuple(flags)))
     return estimates[0] if us.ndim == 0 else tuple(estimates)
@@ -142,21 +151,11 @@ def paley_zygmund_Q(kappa2: float, p: float, u: float) -> float:
     return ((1.0 - u * u) / kappa2**2) ** (p / (p - 2.0))
 
 
-def _probe_projections(design: DesignSpec, directions: int, draws: int, seed: int, tag: int) -> np.ndarray:
-    """|<X_i, t>| for `draws` fresh draws X_i (substream `tag`) and the probe
-    directions t, one column per direction."""
-    if draws < 1:
-        raise ValueError("draws must be positive")
-    T, _ = probe_directions(design, directions, seed)
-    X = design.sample_coords(substream(seed, DIRECTIONS_TAG, tag), (draws, design.n))
-    return np.abs(X @ T.T)
-
-
 def moment_ratio_p2(design: DesignSpec, p: float, directions: int = 200, draws: int = 100000, seed: int = 0) -> float:
     """Max over probed directions of the empirical Lp/L2 ratio of <X, t>."""
     if p < 2:
         raise ValueError("p must be at least 2")
-    proj = _probe_projections(design, directions, draws, seed, 2)
+    _, proj = _probe_projections(design, directions, draws, seed, 2)
     lp = np.mean(proj**p, axis=0) ** (1.0 / p)
     l2 = np.sqrt(np.mean(proj**2, axis=0))
     return float(np.max(lp / l2))
@@ -164,7 +163,7 @@ def moment_ratio_p2(design: DesignSpec, p: float, directions: int = 200, draws: 
 
 def l2_l1_ratio(design: DesignSpec, directions: int = 200, draws: int = 100000, seed: int = 0) -> float:
     """Max over probed directions of the empirical L2/L1 ratio of <X, t>."""
-    proj = _probe_projections(design, directions, draws, seed, 3)
+    _, proj = _probe_projections(design, directions, draws, seed, 3)
     l2 = np.sqrt(np.mean(proj**2, axis=0))
     l1 = np.mean(proj, axis=0)
     return float(np.max(l2 / l1))
@@ -242,13 +241,14 @@ class SmallBallCountReport:
         }
 
 
-def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: float, r: float, N: int, trials: int = 50, probes: int = 100, seed: int = 0, q_hat: float | None = None, beta_estimate=None) -> SmallBallCountReport:
+def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: float, r: float, N: int, q_hat: float, trials: int = 50, probes: int = 100, seed: int = 0, beta_estimate=None) -> SmallBallCountReport:
     """Statistical test of the uniform empirical small-ball count property.
 
     Per trial, draws a fresh design sample and probes functions h = <v, .>
     with ||v||_2 >= r and v feasible for the symmetric difference set
     2R*B1; records the minimum over probes of
-    |{i : |h(X_i)| >= tau ||h||_L2}| and checks it against N*Q_hat(2 tau)/4.
+    |{i : |h(X_i)| >= tau ||h||_L2}| and checks it against N*q_hat/4, where
+    q_hat estimates Q(2 tau) (see `estimate_Q`).
     The count criterion is scale invariant, so probes are `probes` random
     directions plus the n canonical ones, scaled to the feasible range
     [r, 2R/||w||_1].
@@ -263,8 +263,6 @@ def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: f
         raise ValueError("probes must be nonnegative")
     if r > 2.0 * class_spec.R * (1.0 + 1e-12):
         raise ValueError("r exceeds the diameter of the difference class")
-    if q_hat is None:
-        q_hat = estimate_Q(design, 2.0 * tau, seed=seed).q_hat
     threshold = N * q_hat / 4.0
     n = design.n
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from ermbounds.distributions import DesignSpec, NoiseSpec, Sample
 from ermbounds.erm import ClassSpec
-from ermbounds.fixed_points import FixedPointEstimate, LocalizedSupConfig, _multiplier_z_batch, _rademacher_z_batch, _sup_batch
-from ermbounds.geometry import REL_SLACK, BallIntersection, SupportRows, support_l1l2
+from ermbounds.fixed_points import FixedPointEstimate, _z_batch
+from ermbounds.geometry import REL_SLACK, SupportRows, support_l1l2_batch
 from ermbounds.rng import DIRECTIONS_TAG, substream
 
 
@@ -277,7 +277,7 @@ def rademacher_sup(design: np.ndarray, signs: np.ndarray, class_spec: ClassSpec,
         return 0.0
     N = design.shape[0]
     z = (signs @ design) / math.sqrt(N)
-    return support_l1l2(z, BallIntersection(2.0 * class_spec.R, radius, class_spec.n))
+    return float(support_l1l2_batch(SupportRows(z), 2.0 * class_spec.R, radius)[0])
 
 
 def multiplier_sup(sample: Sample, class_spec: ClassSpec, s: float, signs: np.ndarray) -> float:
@@ -294,16 +294,16 @@ def multiplier_sup(sample: Sample, class_spec: ClassSpec, s: float, signs: np.nd
     N = X.shape[0]
     xi = X @ class_spec.t0 - Y
     z = ((signs * xi) @ X) / math.sqrt(N)
-    return support_l1l2(z, BallIntersection(2.0 * class_spec.R, s, class_spec.n))
+    return float(support_l1l2_batch(SupportRows(z), 2.0 * class_spec.R, s)[0])
 
 
-def expected_rademacher_sup(config: LocalizedSupConfig, radius: float) -> tuple[float, float]:
+def expected_rademacher_sup(class_spec: ClassSpec, design: DesignSpec, N: int, trials: int, seed: int, radius: float) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the localized Rademacher supremum.
 
     The standard error is only meaningful from about 30 trials up.
     """
-    Z = _rademacher_z_batch(config)
-    sups = _sup_batch(SupportRows(Z), config.class_spec.R, radius)
+    Z = _z_batch(class_spec, design, N, trials, seed, None)
+    sups = support_l1l2_batch(SupportRows(Z), 2.0 * class_spec.R, radius)
     mean = float(sups.mean())
     stderr = float(sups.std(ddof=1) / math.sqrt(len(sups))) if len(sups) > 1 else 0.0
     return mean, stderr
@@ -311,7 +311,7 @@ def expected_rademacher_sup(config: LocalizedSupConfig, radius: float) -> tuple[
 
 def support_l1l2_batch_oneshot(Z: np.ndarray, rho: float, s: float) -> np.ndarray:
     """The support kernel as one call that sorts its batch: what
-    `SupportRows(Z).at(rho, s)` must reproduce bit for bit."""
+    `support_l1l2_batch(SupportRows(Z), rho, s)` must reproduce bit for bit."""
     m, n = Z.shape
     absZ = np.abs(Z)
     if s >= rho:
@@ -363,7 +363,7 @@ def alpha_star_linear(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpe
     the one-shot kernel: the record the grid bisection must reproduce.
     Expects a class with R > 0 and valid gamma, delta and trials."""
     grid = alpha_grid(class_spec)
-    Z = _multiplier_z_batch(LocalizedSupConfig(class_spec, design, N, trials, seed), noise)
+    Z = _z_batch(class_spec, design, N, trials, seed, noise)
     target = 1.0 - delta
     sqN = math.sqrt(N)
     prev = None

@@ -17,7 +17,7 @@ from ermbounds.distributions import DesignSpec, NoiseSpec, make_sample, sample_d
 from ermbounds.erm import ClassSpec, brute_force_erm, solve_erm
 from ermbounds.experiments import MainTheoremConfig, SweepConfig, run_counterexample, run_persistence_sweep, verify_main_theorem
 from ermbounds.fixed_points import beta_star
-from ermbounds.geometry import BallIntersection, support_l1l2
+from ermbounds.geometry import SupportRows, support_l1l2_batch
 from ermbounds.rates import RateInputs, rho_N
 from ermbounds.smallball import choose_tau, estimate_Q, moment_ratio_p2, paley_zygmund_Q, verify_empirical_smallball
 from ermbounds.versionspace import version_diameter
@@ -65,15 +65,15 @@ def test_criterion_2_support_function_exactness():
         z = rng.standard_normal(n) * rng.uniform(0.2, 3)
         s = float(rng.uniform(0.05, 2.0))
         rho = float(rng.uniform(0.05, 1.2)) * s * math.sqrt(n)
-        mine = support_l1l2(z, BallIntersection(rho, s, n))
+        mine = float(support_l1l2_batch(SupportRows(z), rho, s)[0])
         worst = max(worst, abs(mine - support_oracle(z, rho, s)))
     branch_exact = True
     for _ in range(20):
         z = rng.standard_normal(10)
         rho = float(rng.uniform(0.1, 2.0))
-        branch_exact &= support_l1l2(z, BallIntersection(rho, 2.0 * rho, 10)) == rho * np.abs(z).max()
+        branch_exact &= float(support_l1l2_batch(SupportRows(z), rho, 2.0 * rho)[0]) == rho * np.abs(z).max()
         s = float(rng.uniform(0.1, 2.0))
-        branch_exact &= support_l1l2(z, BallIntersection(4.0 * s * math.sqrt(10), s, 10)) == s * math.sqrt(float((z * z).sum()))
+        branch_exact &= float(support_l1l2_batch(SupportRows(z), 4.0 * s * math.sqrt(10), s)[0]) == s * math.sqrt(float((z * z).sum()))
     elapsed = time.time() - start
     record(2, worst <= 1e-6 and branch_exact, f"max oracle gap {worst:.2e} <= 1e-6, trivial branches exact: {branch_exact}", elapsed, 10)
 

@@ -19,12 +19,16 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
 
 _PROBE = """
-import json, tracing, workloads
+import json, os, tempfile, tracing, workloads
 import ermbounds.cli
 tracer = tracing.Tracer()
 tracer.install()
 gap = workloads._own_erm_gap(1, workloads.PR_N_LOW)
-print(json.dumps({"workloads": list(workloads.WORKLOADS), "per_layer": tracing.PER_LAYER, "missing": tracer.missing, "erm_gap": gap, "gap_tol": workloads.FW_GAP_TOL}))
+tracer.reset()
+with tempfile.TemporaryDirectory() as tmp:
+    code = ermbounds.cli.run(["beta", "--n", "8", "--N", "32", "--trials", "60", "--set", "design.kind=rademacher", "--output", os.path.join(tmp, "beta.json")])
+beta = tracer.snapshot()
+print(json.dumps({"workloads": list(workloads.WORKLOADS), "per_layer": tracing.PER_LAYER, "missing": tracer.missing, "erm_gap": gap, "gap_tol": workloads.FW_GAP_TOL, "beta_code": code, "beta_trace": beta}))
 """
 
 
@@ -63,6 +67,15 @@ def test_traced_names_exist(scripts):
 def test_benchmark_erm_call_solves(scripts):
     # _own_erm_gap builds Sample(X, Y, seed) and calls solve_erm(..., tol=)
     assert scripts["erm_gap"] <= scripts["gap_tol"]
+
+
+def test_tracer_sees_the_fixed_point_searches(scripts):
+    # the searches evaluate the support function through the name the tracer
+    # wraps, so each evaluation they make is counted
+    trace = scripts["beta_trace"]
+    assert scripts["beta_code"] == 0
+    assert trace["fixed_points.sup_evals"] > 0
+    assert trace["fixed_points.sup_evals"] == trace["geometry.support_l1l2_batch.calls"]
 
 
 def test_end_to_end_entries_are_complete(spec):

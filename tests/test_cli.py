@@ -302,7 +302,7 @@ _GOLDEN_RUNS = {
     "erm": ["erm", "--n", "8", "--N", "40", "--set", "design.kind=student_t", "--set", "design.p=5", "--set", "noise.kind=heavy_tailed", "--set", "noise.p=3"],
     "beta": ["beta", "--n", "8", "--N", "32", "--trials", "60", "--set", "design.kind=rademacher"],
     "alpha": ["alpha", "--n", "8", "--N", "32", "--trials", "500", "--set", "noise.kind=bounded_symmetric", "--set", "noise.kappa=2"],
-    "kstar": ["kstar", "--n", "8", "--N", "32", "--trials", "60", "--set", "design.kind=bounded_uniform", "--set", "design.kappa=2"],
+    "kstar": ["kstar", "--n", "8", "--N", "32", "--trials", "60", "--set", "design.kind=bounded_uniform"],
     "smallball_estimate_q": [*_SMALLBALL, "--u", "0.3"],
     "smallball_choose_tau": [*_SMALLBALL, "--set", "action=choose_tau"],
     "smallball_moment_ratio": [*_SMALLBALL, "--set", "action=moment_ratio"],
@@ -319,7 +319,10 @@ _GOLDEN_RUNS = {
 # with a checked step size, and sweep cells came to be keyed on the float64
 # bits of their grid values, and again when L came to start at 2 max_i G_ii;
 # the persistence and verify-main JSON re-recorded when they came to echo the
-# CLI config, which replays, in place of the library's record
+# CLI config, which replays, in place of the library's record;
+# smallball_verify_counts re-recorded when its Q estimate came to use the
+# run's directions and draws, and kstar's JSON when its run stopped setting
+# design.kappa, a key the bounded_uniform law never read
 _GOLDEN_DIGESTS = {
     ("erm", "json"): "7d83c30f931c88ced97d0cc0e26f70ce61374045a57858a597d81ca108867c0e",
     ("erm", "csv"): "4c83d1f71a609c49bd7eb7eeced5b4139ceea4541a56410f769a0ca8dd147965",
@@ -327,7 +330,7 @@ _GOLDEN_DIGESTS = {
     ("beta", "csv"): "463a182ce925960322fa99a85b7e338d511137ab0b0e78e22e8e1a115ad73a96",
     ("alpha", "json"): "da5c2caa6cea5f2dba7db4d3427d42a0595ac60d309fb5ab290cb933d3810969",
     ("alpha", "csv"): "aa39840db082a78487b3049575a9a2c4feca5cc41c85d26866368eee983e22d8",
-    ("kstar", "json"): "94b1e1a499ff2e2ebeab3c03bfafa0c47955090e8d14741bf8a445f1aba8cfa3",
+    ("kstar", "json"): "78e3e7709e7f7fd5b03208d2dc5c9e98be5c6d313794a0fc65264a26f2315870",
     ("kstar", "csv"): "e0617248e1bfc1c2284d482cdf5110f1dab799e384435b4b1eafa9caa23ed658",
     ("smallball_estimate_q", "json"): "0ccf14563d64a0b550dc01f0b18b004dbf67f9bb938af4d2bc7c63ae605af26e",
     ("smallball_estimate_q", "csv"): "59a9c0c33872099412fd1ab0f444a3a248d4a4e7944c6f50d57f41ab967d1c9e",
@@ -337,8 +340,8 @@ _GOLDEN_DIGESTS = {
     ("smallball_moment_ratio", "csv"): "8ba80145beb40ca6ec2da777ebb4b5b12eec8d4172c2a17fb8b34ec86009b4b7",
     ("smallball_l2_l1", "json"): "fbd0ed3c40dcdad8325aa1aedf0ace6c49aa35eacc317d1bee79adac850ad81c",
     ("smallball_l2_l1", "csv"): "3c876441af0e1b628c4f078d41e5a50c0402b25f44430caae5150cc187b39850",
-    ("smallball_verify_counts", "json"): "3d989f02493a6f6ec038553142d5561b6b83a0874fa73d8d86f4f537f9e3a56b",
-    ("smallball_verify_counts", "csv"): "ee0628364e5bea1a8a2bafc0e92a2a9070270f01f86e2fe2643d587bf76e463e",
+    ("smallball_verify_counts", "json"): "8f2f82e878ca905b5fda5ed192dd40b27dc97c504c1bccd3596bcb3b756d23a5",
+    ("smallball_verify_counts", "csv"): "701882a4ec06b08c7b00a8a6484a34b2678bcd7314c887f888e498d7e1192ca4",
     ("version-space", "json"): "53b254c71a1391bfd474107b25a036477ab4045dc344a8770f02c60989c3eebc",
     ("version-space", "csv"): "a9be535350fd978e8cd7894a41e5919d492ee94703ff1059b20da7e1a833a9ea",
     ("rates", "json"): "7f168238d4fecae6ec34365a2837356bead303c741ae8cf8449f5bb6f28637c0",
@@ -383,12 +386,25 @@ def test_report_bytes_match_golden_digests(name, fmt, tmp_path):
 def test_bisection_scans_each_radius_once(name, monkeypatch, tmp_path):
     # the bisection keeps each radius's suprema, and its reports keep their bytes
     radii = []
-    sup_batch = fixed_points._sup_batch
-    monkeypatch.setattr(fixed_points, "_sup_batch", lambda rows, R, r: radii.append(r) or sup_batch(rows, R, r))
+    sup_batch = fixed_points.support_l1l2_batch
+    monkeypatch.setattr(fixed_points, "support_l1l2_batch", lambda rows, rho, r: radii.append(r) or sup_batch(rows, rho, r))
     out = tmp_path / "report.json"
     assert run([*_GOLDEN_RUNS[name], "--output", str(out)]) == 0
     assert len(radii) == len(set(radii)) > 1
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_DIGESTS[name, "json"]
+
+
+def test_verify_counts_estimates_q_with_its_directions_and_draws(tmp_path):
+    # verify_counts compares counts against N*Q_hat(2 tau)/4, with Q_hat the
+    # estimate_q action's at u = 2 tau for the same seed, directions and draws
+    common = ["smallball", "--n", "4", "--seed", "9", "--set", "directions=7", "--set", "draws=1000"]
+    q_hats = {}
+    for action, extra in (("verify_counts", ["--set", "tau=0.4", "--set", "N=64", "--set", "trials=5", "--set", "probes=5"]), ("estimate_q", ["--u", "0.8"])):
+        out = tmp_path / f"{action}.json"
+        assert run([*common, "--set", f"action={action}", *extra, "--output", str(out)]) in (0, 3)
+        summary = json.loads(out.read_text())["summary"]
+        q_hats[action] = (summary["result"] if action == "verify_counts" else summary["estimate"])["q_hat"]
+    assert q_hats["verify_counts"] == q_hats["estimate_q"]
 
 
 @pytest.mark.parametrize(

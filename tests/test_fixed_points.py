@@ -11,17 +11,14 @@ from ermbounds.distributions import DesignSpec, NoiseSpec, make_sample, sample_d
 from ermbounds.erm import ClassSpec
 from ermbounds.experiments import make_t0
 from ermbounds.fixed_points import (
-    LocalizedSupConfig,
-    _multiplier_z_batch,
     _noise_mean_squares,
-    _rademacher_z_batch,
-    _sup_batch,
+    _z_batch,
     alpha_star,
     beta_star,
     k_star,
     quantile_trials,
 )
-from ermbounds.geometry import SupportRows
+from ermbounds.geometry import SupportRows, support_l1l2_batch
 from ermbounds.rng import SIGNS_TAG, substream
 from oracles import alpha_grid, alpha_star_linear, boundary_enum_2d, expected_rademacher_sup, multiplier_sup, rademacher_sup
 
@@ -76,8 +73,7 @@ class TestRealizedSups:
 
 class TestExpectedSup:
     def test_degenerate_localization(self):
-        config = LocalizedSupConfig(cls_zero(3), DesignSpec("rademacher", 3), 4, 50, seed=5)
-        mean, stderr = expected_rademacher_sup(config, 0.0)
+        mean, stderr = expected_rademacher_sup(cls_zero(3), DesignSpec("rademacher", 3), 4, 50, 5, 0.0)
         assert mean == 0.0 and stderr == 0.0
 
     def test_exhaustive_sign_enumeration_n1(self):
@@ -87,8 +83,7 @@ class TestExpectedSup:
         enumeration = [abs(sum(p)) / 2.0 for p in itertools.product([-1, 1], repeat=4)]
         exact = sum(enumeration) / 16.0
         assert exact == 0.75
-        config = LocalizedSupConfig(ClassSpec(n=1, R=10.0, t0=np.zeros(1)), DesignSpec("rademacher", 1), 4, 4000, seed=6)
-        mean, stderr = expected_rademacher_sup(config, 1.0)
+        mean, stderr = expected_rademacher_sup(ClassSpec(n=1, R=10.0, t0=np.zeros(1)), DesignSpec("rademacher", 1), 4, 4000, 6, 1.0)
         assert abs(mean - exact) <= 4.0 * stderr
 
     def test_stderr_scaling(self):
@@ -96,8 +91,8 @@ class TestExpectedSup:
         design = DesignSpec("gaussian", 8)
         ratios = []
         for seed in range(4):
-            _, se1 = expected_rademacher_sup(LocalizedSupConfig(cls, design, 32, 400, seed=seed), 0.5)
-            _, se2 = expected_rademacher_sup(LocalizedSupConfig(cls, design, 32, 800, seed=seed), 0.5)
+            _, se1 = expected_rademacher_sup(cls, design, 32, 400, seed, 0.5)
+            _, se2 = expected_rademacher_sup(cls, design, 32, 800, seed, 0.5)
             ratios.append(se2 / se1)
         assert 0.6 <= float(np.median(ratios)) <= 0.85
 
@@ -123,11 +118,11 @@ class TestBetaStar:
         N, gamma, trials, seed = 512, 0.05, 150, 10
         est = beta_star(cls, design, N, gamma, trials=trials, seed=seed)
         # same Monte Carlo criterion, scanned on a 50-point geometric grid
-        Z = SupportRows(_rademacher_z_batch(LocalizedSupConfig(cls, design, N, trials, seed)))
+        Z = SupportRows(_z_batch(cls, design, N, trials, seed, None))
         r_hi = 2.0 * math.sqrt(64)
         grid = np.geomspace(1e-8 * r_hi, r_hi, 50)
         step = grid[1] / grid[0]
-        passing = [r for r in grid if _sup_batch(Z, 1.0, float(r)).mean() <= gamma * r * math.sqrt(N)]
+        passing = [r for r in grid if support_l1l2_batch(Z, 2.0, float(r)).mean() <= gamma * r * math.sqrt(N)]
         first = min(passing)
         assert first / step <= est.value <= first * 1.02
 
@@ -135,13 +130,13 @@ class TestBetaStar:
         # at the `beta` CLI defaults the bisection evaluates 9 radii; the
         # returned one's stderr comes from the suprema its test computed
         radii = []
-        sup_batch = fixed_points._sup_batch
-        monkeypatch.setattr(fixed_points, "_sup_batch", lambda rows, R, r: radii.append(r) or sup_batch(rows, R, r))
+        sup_batch = fixed_points.support_l1l2_batch
+        monkeypatch.setattr(fixed_points, "support_l1l2_batch", lambda rows, rho, r: radii.append(r) or sup_batch(rows, rho, r))
         cls, design = cls_zero(16), DesignSpec("rademacher", 16)
         est = beta_star(cls, design, 128, 0.05, trials=200, seed=0)
         assert len(radii) == len(set(radii)) == 9
-        Z = SupportRows(_rademacher_z_batch(LocalizedSupConfig(cls, design, 128, 200, 0)))
-        assert est.stderr == float(sup_batch(Z, 1.0, est.value).std(ddof=1) / math.sqrt(200))
+        Z = SupportRows(_z_batch(cls, design, 128, 200, 0, None))
+        assert est.stderr == float(sup_batch(Z, 2.0, est.value).std(ddof=1) / math.sqrt(200))
 
     def test_monotone_in_gamma(self):
         cls = cls_zero(16)
@@ -151,10 +146,9 @@ class TestBetaStar:
 
     def test_star_shaped_ratio_per_trial(self):
         cls = cls_zero(12, R=0.4)
-        config = LocalizedSupConfig(cls, DesignSpec("gaussian", 12), 64, 100, seed=12)
-        Z = SupportRows(_rademacher_z_batch(config))
+        Z = SupportRows(_z_batch(cls, DesignSpec("gaussian", 12), 64, 100, 12, None))
         radii = [0.1, 0.2, 0.5, 1.0, 2.0]
-        sups = {r: _sup_batch(Z, cls.R, r) for r in radii}
+        sups = {r: support_l1l2_batch(Z, 2.0 * cls.R, r) for r in radii}
         for r1, r2 in zip(radii, radii[1:]):
             assert np.all(sups[r1] / r1 >= sups[r2] / r2 - 1e-12)
 
@@ -171,11 +165,11 @@ class TestKStar:
         design = DesignSpec("rademacher", 64)
         N, gamma, trials, seed = 512, 0.05, 150, 14
         est = k_star(cls, design, N, gamma, trials=trials, seed=seed)
-        Z = SupportRows(_rademacher_z_batch(LocalizedSupConfig(cls, design, N, trials, seed)))
+        Z = SupportRows(_z_batch(cls, design, N, trials, seed, None))
         r_hi = 2.0 * math.sqrt(64)
         grid = np.geomspace(1e-8 * r_hi, r_hi, 50)
         step = grid[1] / grid[0]
-        passing = [r for r in grid if _sup_batch(Z, 1.0, float(r)).mean() <= gamma * r * r * math.sqrt(N)]
+        passing = [r for r in grid if support_l1l2_batch(Z, 2.0, float(r)).mean() <= gamma * r * r * math.sqrt(N)]
         first = min(passing)
         assert first / step <= est.value <= first * 1.02
 
@@ -236,13 +230,13 @@ class TestAlphaStar:
         N, gamma, delta, seed = 256, 0.05, 0.1, 19
         est = alpha_star(cls, design, noise, N, gamma, delta, trials=600, seed=seed)
         # brute scan: 200-point grid over the same range with 10x the trials
-        Z = SupportRows(_multiplier_z_batch(LocalizedSupConfig(cls, design, N, 6000, seed=seed + 1), noise))
+        Z = SupportRows(_z_batch(cls, design, N, 6000, seed + 1, noise))
         s_hi = 2.0 * math.sqrt(32)
         grid = np.geomspace(1e-6 * s_hi, s_hi, 200)
         sqN = math.sqrt(N)
         oracle = None
         for s in grid:
-            sups = _sup_batch(Z, 1.0, float(s))
+            sups = support_l1l2_batch(Z, 2.0, float(s))
             if np.mean(sups <= gamma * s * s * sqN) >= 1.0 - delta:
                 oracle = float(s)
                 break
@@ -271,8 +265,8 @@ class TestAlphaStar:
         # the heavy-tailed alpha benchmark's shape: 146 grid radii, of which
         # the bisection evaluates at most ceil(log2 146) + 1 = 9, none twice
         radii = []
-        sup_batch = fixed_points._sup_batch
-        monkeypatch.setattr(fixed_points, "_sup_batch", lambda rows, R, r: radii.append(r) or sup_batch(rows, R, r))
+        sup_batch = fixed_points.support_l1l2_batch
+        monkeypatch.setattr(fixed_points, "support_l1l2_batch", lambda rows, rho, r: radii.append(r) or sup_batch(rows, rho, r))
         cls = ClassSpec(n=256, R=1.0, t0=make_t0("spike", 0.5, 256, 1.0))
         design = DesignSpec("student_t", 256, p=4.0)
         noise = NoiseSpec("heavy_tailed", sigma=0.5, p=3.0)
@@ -286,10 +280,10 @@ class TestAlphaStar:
         # success indicator is a step function of the grid index
         cls = ClassSpec(n=12, R=1.0, t0=make_t0("spike", 0.5, 12, 1.0))
         design = DesignSpec(kind, 12, p=4.0) if kind == "student_t" else DesignSpec(kind, 12)
-        rows = SupportRows(_multiplier_z_batch(LocalizedSupConfig(cls, design, 64, 300, seed=5), noise))
+        rows = SupportRows(_z_batch(cls, design, 64, 300, 5, noise))
         grid = alpha_grid(cls)
         gamma, sqN = 0.05, math.sqrt(64)
-        ok = np.array([_sup_batch(rows, 1.0, float(s)) <= gamma * s * s * sqN for s in grid])
+        ok = np.array([support_l1l2_batch(rows, 2.0, float(s)) <= gamma * s * s * sqN for s in grid])
         assert np.all(ok[1:] >= ok[:-1])
         # not vacuous: the trials switch on at many different grid points
         switch = np.argmax(ok, axis=0)[ok[-1]]
@@ -309,17 +303,17 @@ class TestAlphaStar:
         # supremum bit for bit (same streams, power-of-two scaling)
         cls = cls_zero(8)
         design = DesignSpec("gaussian", 8)
-        config1 = LocalizedSupConfig(cls, design, 32, 50, seed=21)
-        Z1 = _multiplier_z_batch(config1, NoiseSpec("gaussian", sigma=0.5))
-        Z2 = _multiplier_z_batch(config1, NoiseSpec("gaussian", sigma=1.0))
+        config1 = (cls, design, 32, 50, 21)
+        Z1 = _z_batch(*config1, NoiseSpec("gaussian", sigma=0.5))
+        Z2 = _z_batch(*config1, NoiseSpec("gaussian", sigma=1.0))
         assert np.array_equal(Z2, 2.0 * Z1)
         for s in (0.2, 0.7, 1.9):
-            phi1 = _sup_batch(SupportRows(Z1), 1.0, s)
-            phi2 = _sup_batch(SupportRows(Z2), 1.0, s)
+            phi1 = support_l1l2_batch(SupportRows(Z1), 2.0, s)
+            phi2 = support_l1l2_batch(SupportRows(Z2), 2.0, s)
             assert np.array_equal(phi2, 2.0 * phi1)
-        Z3 = _multiplier_z_batch(config1, NoiseSpec("gaussian", sigma=1.5))
-        phi3 = _sup_batch(SupportRows(Z3), 1.0, 0.7)
-        assert np.allclose(phi3, 3.0 * _sup_batch(SupportRows(Z1), 1.0, 0.7), rtol=1e-12, atol=0.0)
+        Z3 = _z_batch(*config1, NoiseSpec("gaussian", sigma=1.5))
+        phi3 = support_l1l2_batch(SupportRows(Z3), 2.0, 0.7)
+        assert np.allclose(phi3, 3.0 * support_l1l2_batch(SupportRows(Z1), 2.0, 0.7), rtol=1e-12, atol=0.0)
 
 
 class TestWorkerCounts:
@@ -336,7 +330,7 @@ class TestWorkerCounts:
                     alpha_star(cls, design, noise, 64, gamma=0.3, delta=0.1, trials=500, seed=22).to_record(),
                     beta_star(cls, design, 64, gamma=0.05, trials=60, seed=23).to_record(),
                     k_star(cls, design, 64, gamma=0.05, trials=60, seed=24).to_record(),
-                    expected_rademacher_sup(LocalizedSupConfig(cls, design, 64, 60, seed=25), 0.5),
+                    expected_rademacher_sup(cls, design, 64, 60, 25, 0.5),
                 )
             )
         assert repr(records[0]) == repr(records[1]) == repr(records[2])
@@ -348,14 +342,14 @@ class TestWorkerCounts:
         cls = ClassSpec(n=24, R=1.0, t0=make_t0("flat", 0.5, 24, 1.0))
         design = DesignSpec("bounded_uniform", 24)  # gaussian designs draw Z by law, without threads per trial
         noise = NoiseSpec("gaussian", sigma=0.5)
-        config = LocalizedSupConfig(cls, design, 48, 300, seed=26)
+        config = (cls, design, 48, 300, 26)
         monkeypatch.setenv("ERMBOUNDS_WORKERS", "1")
-        serial = [_rademacher_z_batch(config), _multiplier_z_batch(config, noise)]
+        serial = [_z_batch(*config, None), _z_batch(*config, noise)]
         monkeypatch.setenv("ERMBOUNDS_WORKERS", "0")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = [_rademacher_z_batch(config), _multiplier_z_batch(config, noise)]
+            threaded = [_z_batch(*config, None), _z_batch(*config, noise)]
         finally:
             sys.setswitchinterval(interval)
         for a, b in zip(serial, threaded):
@@ -368,9 +362,9 @@ class TestWorkerCounts:
         design = DesignSpec("student_t", 12, p=5.0)
         noise = NoiseSpec("gaussian", sigma=0.5)
         N, trials, seed, radius = 40, 16, 27, 0.6
-        config = LocalizedSupConfig(cls, design, N, trials, seed)
-        rad = _sup_batch(SupportRows(_rademacher_z_batch(config)), cls.R, radius)
-        mult = _sup_batch(SupportRows(_multiplier_z_batch(config, noise)), cls.R, radius)
+        config = (cls, design, N, trials, seed)
+        rad = support_l1l2_batch(SupportRows(_z_batch(*config, None)), 2.0 * cls.R, radius)
+        mult = support_l1l2_batch(SupportRows(_z_batch(*config, noise)), 2.0 * cls.R, radius)
         for j in range(trials):
             signs = substream(seed, j, SIGNS_TAG).integers(0, 2, size=N) * 2.0 - 1.0
             assert rad[j] == rademacher_sup(sample_design(design, N, seed, trial=j), signs, cls, radius)
@@ -425,15 +419,15 @@ class TestGaussianLaw:
         for a, b in ((fast[:, 0], slow[:, 0]), (fast[:, -1], slow[:, -1])):
             assert stats.ks_2samp(a, b).pvalue > 1e-3
         for radius in (0.3, 1.5):
-            assert stats.ks_2samp(_sup_batch(SupportRows(fast), 1.0, radius), _sup_batch(SupportRows(slow), 1.0, radius)).pvalue > 1e-3
+            assert stats.ks_2samp(support_l1l2_batch(SupportRows(fast), 2.0, radius), support_l1l2_batch(SupportRows(slow), 2.0, radius)).pvalue > 1e-3
 
     def test_rademacher_law(self):
-        fast = _rademacher_z_batch(LocalizedSupConfig(self.cls, self.design, self.N, self.trials, seed=41))
+        fast = _z_batch(self.cls, self.design, self.N, self.trials, 41, None)
         self.assert_same_law(fast, per_sample_z(self.cls, self.design, self.N, self.trials, 42))
 
     @pytest.mark.parametrize("noise", [NoiseSpec("gaussian", sigma=0.5), NoiseSpec("heavy_tailed", sigma=0.5, p=3.0)], ids=["gaussian", "heavy_tailed"])
     def test_multiplier_law(self, noise):
-        fast = _multiplier_z_batch(LocalizedSupConfig(self.cls, self.design, self.N, self.trials, seed=43), noise)
+        fast = _z_batch(self.cls, self.design, self.N, self.trials, 43, noise)
         self.assert_same_law(fast, per_sample_z(self.cls, self.design, self.N, self.trials, 44, noise))
 
     @pytest.mark.parametrize("block", [fixed_points._LAW_BLOCK, 16], ids=["whole_rows", "row_pieces"])
@@ -442,20 +436,19 @@ class TestGaussianLaw:
         # holds many rows or a row comes in pieces (N = 40 > 16 draws 16, 16, 8)
         monkeypatch.setattr(fixed_points, "_LAW_BLOCK", block)
         N, sigma = 40, 0.5
-        config = LocalizedSupConfig(self.cls, self.design, N, 2000, seed=45)
-        msq = _noise_mean_squares(config, NoiseSpec("gaussian", sigma=sigma))
+        msq = _noise_mean_squares(N, 2000, 45, NoiseSpec("gaussian", sigma=sigma))
         assert stats.kstest(N * msq / sigma**2, stats.chi2(N).cdf).pvalue > 1e-3
 
     @pytest.mark.parametrize("noise", [NoiseSpec("zero"), NoiseSpec("gaussian", sigma=0.0)], ids=["zero", "sigma0"])
     def test_zero_noise_gives_zero(self, noise):
-        Z = _multiplier_z_batch(LocalizedSupConfig(self.cls, self.design, self.N, 50, seed=46), noise)
+        Z = _z_batch(self.cls, self.design, self.N, 50, 46, noise)
         assert Z.shape == (50, self.n) and np.array_equal(Z, np.zeros_like(Z))
 
     def test_scale_covariance_across_row_pieces(self, monkeypatch):
         monkeypatch.setattr(fixed_points, "_LAW_BLOCK", 16)
-        config = LocalizedSupConfig(self.cls, self.design, 40, 30, seed=47)
-        Z1 = _multiplier_z_batch(config, NoiseSpec("gaussian", sigma=0.5))
-        Z2 = _multiplier_z_batch(config, NoiseSpec("gaussian", sigma=1.0))
+        config = (self.cls, self.design, 40, 30, 47)
+        Z1 = _z_batch(*config, NoiseSpec("gaussian", sigma=0.5))
+        Z2 = _z_batch(*config, NoiseSpec("gaussian", sigma=1.0))
         assert np.array_equal(Z2, 2.0 * Z1)
 
     @pytest.mark.parametrize("block", [fixed_points._LAW_BLOCK, 16], ids=["whole_rows", "row_pieces"])
@@ -465,8 +458,8 @@ class TestGaussianLaw:
         batches = []
         for workers in ("1", "2", "0"):
             monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
-            config = LocalizedSupConfig(self.cls, self.design, 512 if block > 16 else 40, 300, seed=48)
-            batches.append(_rademacher_z_batch(config).tobytes() + _multiplier_z_batch(config, noise).tobytes())
+            config = (self.cls, self.design, 512 if block > 16 else 40, 300, 48)
+            batches.append(_z_batch(*config, None).tobytes() + _z_batch(*config, noise).tobytes())
         assert batches[0] == batches[1] == batches[2]
 
     @pytest.mark.parametrize("noise", [NoiseSpec("heavy_tailed", sigma=0.5, p=3.0), NoiseSpec("bounded_symmetric", sigma=0.5, kappa=2.0)], ids=["heavy_tailed", "bounded_symmetric"])
@@ -474,8 +467,8 @@ class TestGaussianLaw:
         # N = 512 puts 128 trials in a noise block; 300 trials end inside the
         # third block, and these kinds draw a block's signs apart from the rest
         def batches(trials):
-            config = LocalizedSupConfig(self.cls, self.design, 512, trials, seed=49)
-            return _rademacher_z_batch(config), _multiplier_z_batch(config, noise)
+            config = (self.cls, self.design, 512, trials, 49)
+            return _z_batch(*config, None), _z_batch(*config, noise)
 
         full = batches(300)
         for k in (1, 127, 128, 200):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ermbounds.geometry import BallIntersection, SupportRows, project_l1, project_l1_rows, rearrangement_d, support_l1l2, support_l1l2_batch, top_d_l2
+from ermbounds.geometry import SupportRows, project_l1, project_l1_rows, rearrangement_d, support_l1l2_batch, top_d_l2
 
 from oracles import boundary_enum_2d, project_l1_scalar, support_l1l2_batch_oneshot, support_oracle
 
@@ -114,6 +114,11 @@ class TestTopD:
         assert top_d_l2(z, 10) == pytest.approx(expected, rel=1e-15)
 
 
+def support(z, rho, s):
+    """The support function at one vector."""
+    return float(support_l1l2_batch(SupportRows(z), rho, s)[0])
+
+
 class TestSupport:
     def test_l2_slack_branch_exact(self):
         rng = np.random.default_rng(0)
@@ -121,7 +126,7 @@ class TestSupport:
             z = rng.standard_normal(8)
             rho = float(rng.uniform(0.1, 2.0))
             s = rho * float(rng.uniform(1.0, 3.0))
-            assert support_l1l2(z, BallIntersection(rho, s, 8)) == rho * np.abs(z).max()
+            assert support(z, rho, s) == rho * np.abs(z).max()
 
     def test_l1_slack_branch_exact(self):
         rng = np.random.default_rng(1)
@@ -129,17 +134,13 @@ class TestSupport:
             z = rng.standard_normal(8)
             s = float(rng.uniform(0.1, 2.0))
             rho = s * math.sqrt(8) * float(rng.uniform(1.0, 3.0))
-            assert support_l1l2(z, BallIntersection(rho, s, 8)) == s * math.sqrt((z * z).sum())
+            assert support(z, rho, s) == s * math.sqrt((z * z).sum())
 
     def test_rejects_negative_radii(self):
         with pytest.raises(ValueError):
-            BallIntersection(-1.0, 1.0, 2)
+            support_l1l2_batch(SupportRows(np.ones(2)), -1.0, 1.0)
         with pytest.raises(ValueError):
-            BallIntersection(1.0, -1.0, 2)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            support_l1l2(np.ones(3), BallIntersection(1.0, 1.0, 2))
+            support_l1l2_batch(SupportRows(np.ones(2)), 1.0, -1.0)
 
     def test_iterative_maximization_oracle(self):
         rng = np.random.default_rng(2024)
@@ -148,14 +149,14 @@ class TestSupport:
             z = rng.standard_normal(n) * rng.uniform(0.2, 3)
             s = float(rng.uniform(0.05, 2.0))
             rho = float(rng.uniform(0.5, 1.5)) * s * math.sqrt(n) * rng.uniform(0.1, 1.0)
-            mine = support_l1l2(z, BallIntersection(rho, s, n))
+            mine = support(z, rho, s)
             ref = support_oracle(z, rho, s)
             assert mine == pytest.approx(ref, abs=1e-6)
 
     def test_seeded_normal_case(self):
         rng = np.random.default_rng(50)
         z = rng.standard_normal(50)
-        mine = support_l1l2(z, BallIntersection(2.0, 0.5, 50))
+        mine = support(z, 2.0, 0.5)
         ref = support_oracle(z, 2.0, 0.5)
         assert mine == pytest.approx(ref, abs=1e-6)
 
@@ -165,21 +166,20 @@ class TestSupport:
             z = rng.standard_normal(2) * 2.0
             rho = float(rng.uniform(0.3, 2.5))
             s = float(rng.uniform(0.2, 1.5))
-            mine = support_l1l2(z, BallIntersection(rho, s, 2))
+            mine = support(z, rho, s)
             ref = boundary_enum_2d(z, rho, s, points=100000)
             assert mine >= ref - 1e-12
             assert mine == pytest.approx(ref, abs=1e-4)
 
     def test_positive_homogeneity_and_symmetry(self):
         rng = np.random.default_rng(3)
-        ball = BallIntersection(1.3, 0.4, 12)
         for _ in range(200):
             z = rng.standard_normal(12)
-            base = support_l1l2(z, ball)
-            assert support_l1l2(2.0 * z, ball) == pytest.approx(2.0 * base, rel=1e-12)
+            base = support(z, 1.3, 0.4)
+            assert support(2.0 * z, 1.3, 0.4) == pytest.approx(2.0 * base, rel=1e-12)
             c = float(rng.uniform(0.1, 5.0))
-            assert support_l1l2(c * z, ball) == pytest.approx(c * base, rel=1e-11)
-            assert support_l1l2(-z, ball) == base
+            assert support(c * z, 1.3, 0.4) == pytest.approx(c * base, rel=1e-11)
+            assert support(-z, 1.3, 0.4) == base
 
     def test_monotone_in_radii(self):
         rng = np.random.default_rng(4)
@@ -187,10 +187,10 @@ class TestSupport:
         rhos = [0.2, 0.5, 1.0, 2.0]
         ss = [0.1, 0.3, 0.8, 1.5]
         for s in ss:
-            vals = [support_l1l2(z, BallIntersection(r, s, 15)) for r in rhos]
+            vals = [support(z, r, s) for r in rhos]
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
         for r in rhos:
-            vals = [support_l1l2(z, BallIntersection(r, s, 15)) for s in ss]
+            vals = [support(z, r, s) for s in ss]
             assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_top_d_sandwich(self):
@@ -202,7 +202,7 @@ class TestSupport:
             z = rng.standard_normal(n)
             s = float(rng.uniform(0.1, 2.0))
             rho = s * math.sqrt(d)
-            sup = support_l1l2(z, BallIntersection(rho, s, n))
+            sup = support(z, rho, s)
             td = s * top_d_l2(z, d)
             assert sup <= 2.0 * td + 1e-12
             assert sup >= td - 1e-12
@@ -216,10 +216,9 @@ class TestSupport:
     def test_batch_matches_scalar_bitwise(self):
         rng = np.random.default_rng(6)
         Z = rng.standard_normal((50, 9))
-        ball = BallIntersection(1.1, 0.5, 9)
-        batch = support_l1l2_batch(Z, ball)
+        batch = support_l1l2_batch(SupportRows(Z), 1.1, 0.5)
         for i in range(50):
-            assert batch[i] == support_l1l2(Z[i], ball)
+            assert batch[i] == support(Z[i], 1.1, 0.5)
 
 
 def awkward_rows(rng, n):
@@ -244,25 +243,25 @@ class TestSupportRows:
         radii = [rho, 3.0, rho / math.sqrt(n), rho / (2.0 * math.sqrt(n)), 1e-9, *rng.uniform(rho / math.sqrt(n), rho, 8)]
         for s in rng.permutation(radii):
             expected = support_l1l2_batch_oneshot(Z, rho, float(s))
-            assert rows.at(rho, float(s)).tobytes() == expected.tobytes()
-            assert support_l1l2_batch(Z, BallIntersection(rho, float(s), n)).tobytes() == expected.tobytes()
+            assert support_l1l2_batch(rows, rho, float(s)).tobytes() == expected.tobytes()
+            assert support_l1l2_batch(SupportRows(Z), rho, float(s)).tobytes() == expected.tobytes()
 
     def test_prepared_batch_keeps_its_bytes_across_radii(self):
         # the cached terms are read, never written: a radius evaluated
         # before and after a sweep of others gives the same bytes
         rng = np.random.default_rng(7)
         rows = SupportRows(awkward_rows(rng, 16))
-        first = rows.at(2.0, 0.9).tobytes()
+        first = support_l1l2_batch(rows, 2.0, 0.9).tobytes()
         for s in np.geomspace(1e-3, 5.0, 40):
-            rows.at(2.0, float(s))
-        assert rows.at(2.0, 0.9).tobytes() == first
+            support_l1l2_batch(rows, 2.0, float(s))
+        assert support_l1l2_batch(rows, 2.0, 0.9).tobytes() == first
 
     def test_closed_form_branches_never_sort(self):
         rows = SupportRows(np.random.default_rng(8).standard_normal((5, 4)))
-        rows.at(1.0, 2.0)
-        rows.at(4.0, 1.0)
+        support_l1l2_batch(rows, 1.0, 2.0)
+        support_l1l2_batch(rows, 4.0, 1.0)
         assert "_breakpoints" not in vars(rows)
-        rows.at(1.5, 1.0)
+        support_l1l2_batch(rows, 1.5, 1.0)
         assert "_breakpoints" in vars(rows)
 
     def test_rejects_nonfinite_and_bad_shape(self):

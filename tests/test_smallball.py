@@ -210,13 +210,15 @@ class TestChooseTau:
 class TestVerifyCounts:
     def test_tau_zero_counts_everything(self):
         cls = ClassSpec(n=4, R=1.0, t0=np.zeros(4))
-        rep = verify_empirical_smallball(DesignSpec("gaussian", 4), cls, tau=0.0, r=0.5, N=64, trials=10, seed=17)
+        q_hat = estimate_Q(DesignSpec("gaussian", 4), 0.0, seed=17).q_hat
+        rep = verify_empirical_smallball(DesignSpec("gaussian", 4), cls, tau=0.0, r=0.5, N=64, trials=10, seed=17, q_hat=q_hat)
         assert np.all(rep.min_counts == 64)
         assert rep.success_fraction == 1.0
 
     def test_rademacher_single_coordinate_counts(self):
         cls = ClassSpec(n=1, R=1.0, t0=np.zeros(1))
-        rep = verify_empirical_smallball(DesignSpec("rademacher", 1), cls, tau=0.5, r=0.5, N=128, trials=10, seed=18)
+        q_hat = estimate_Q(DesignSpec("rademacher", 1), 1.0, seed=18).q_hat
+        rep = verify_empirical_smallball(DesignSpec("rademacher", 1), cls, tau=0.5, r=0.5, N=128, trials=10, seed=18, q_hat=q_hat)
         assert np.all(rep.min_counts == 128)
 
     def test_probe_count_is_taken_as_given(self):
@@ -234,8 +236,9 @@ class TestVerifyCounts:
 
     def test_infeasible_radius(self):
         cls = ClassSpec(n=4, R=1.0, t0=np.zeros(4))
+        q_hat = estimate_Q(DesignSpec("gaussian", 4), 1.0, seed=19).q_hat
         with pytest.raises(ValueError):
-            verify_empirical_smallball(DesignSpec("gaussian", 4), cls, tau=0.5, r=2.5, N=64, trials=5, seed=19)
+            verify_empirical_smallball(DesignSpec("gaussian", 4), cls, tau=0.5, r=2.5, N=64, trials=5, seed=19, q_hat=q_hat)
 
     def test_gaussian_cell_passes(self):
         design = DesignSpec("gaussian", 32)
