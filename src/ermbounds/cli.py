@@ -36,7 +36,7 @@ from .fixed_points import alpha_star, beta_star, k_star
 from .rates import RateInputs, rho_N, v1_v2
 from .reports import Report, emit_report
 from .rng import DEFAULT_SEED, WORKERS_ENV, derive_seed, trial_workers
-from .smallball import choose_tau, estimate_Q, l2_l1_ratio, moment_ratio_p2, verify_empirical_smallball
+from .smallball import check_count_inputs, choose_tau, estimate_Q, l2_l1_ratio, moment_ratio_p2, verify_empirical_smallball
 from .versionspace import version_diameter
 
 # convenience flags for config keys; a subcommand gets a flag only if its
@@ -285,8 +285,10 @@ def _smallball(config: dict) -> tuple[Report, str, bool]:
         ratio = l2_l1_ratio(design, config["directions"], config["draws"], seed)
         return _stats_result("smallball", config, {"l2_l1_ratio": ratio}, {"l2_l1_ratio": ratio, "passed": True}, f"L2/L1 ratio={ratio:.6g}")
     if action == "verify_counts":
+        cls = _class_from(config)
+        check_count_inputs(cls, config["tau"], config["r"], config["trials"], config["probes"])
         q_hat = estimate_Q(design, 2.0 * config["tau"], config["directions"], config["draws"], seed).q_hat
-        result = verify_empirical_smallball(design, _class_from(config), config["tau"], config["r"], config["N"], q_hat, trials=config["trials"], probes=config["probes"], seed=seed)
+        result = verify_empirical_smallball(design, cls, config["tau"], config["r"], config["N"], q_hat, trials=config["trials"], probes=config["probes"], seed=seed)
         stats = {"success_fraction": result.success_fraction, "success_criterion": result.success_criterion, "count_threshold": result.count_threshold, "q_hat": result.q_hat}
         return _stats_result("smallball", config, stats, {"result": result.to_record(), "passed": result.passed}, f"success_fraction={result.success_fraction:.6g} criterion={result.success_criterion:.6g}")
     raise ConfigError(f"unknown smallball action {action!r}")

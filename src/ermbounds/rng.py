@@ -82,9 +82,11 @@ def map_trials(fn, count: int) -> list:
     Threads, not processes: numpy's Generator fills and BLAS calls release
     the interpreter lock, while a process pool would re-import the package
     and pickle every array. Each trial must draw only from its own substreams
-    and write only its own output slot. If trials fail, the pending ones are
-    cancelled and the exception of the first failing trial in trial order
-    is raised, as the plain loop would raise it.
+    and write only its own output slot, or add into a shared total under a
+    lock where the sum is exact in any order (integer counts). If trials
+    fail, the pending ones are cancelled and the exception of the first
+    failing trial in trial order is raised, as the plain loop would raise
+    it.
     """
     threads = trial_workers(count)
     if threads <= 1:

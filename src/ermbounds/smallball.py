@@ -13,13 +13,14 @@ random ones.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distributions import DesignSpec, sample_design
 from .erm import ClassSpec
-from .rng import DIRECTIONS_TAG, substream
+from .rng import DIRECTIONS_TAG, map_trials, substream
 
 
 @dataclass(frozen=True)
@@ -44,6 +45,10 @@ class SmallBallEstimate:
 
 
 MAX_PAIRS = 2048
+# rows of P = |X T^T| one threshold count reads at a time: 128 rows of a
+# 1324-direction P take 1.4 MB, so a block stays in a core's cache across
+# the thresholds
+COUNT_BLOCK_ROWS = 128
 
 
 def probe_rows(n: int, count: int) -> int:
@@ -90,6 +95,33 @@ def _probe_projections(design: DesignSpec, directions: int, draws: int, seed: in
     return T, P
 
 
+def _count_at_least(P: np.ndarray, thresholds) -> np.ndarray:
+    """int32 counts #{i : P[i, d] >= v}, one row per threshold v in input
+    order and one column per direction d.
+
+    P's rows are counted in blocks of COUNT_BLOCK_ROWS on `map_trials`, each
+    block against every threshold, and the block counts are added into one
+    total. Integer counts add exactly in any order, and each is at most
+    P.shape[0], so the result is the same for every thread count and block
+    size.
+    """
+    total = np.zeros((len(thresholds), P.shape[1]), dtype=np.int32)
+    lock = threading.Lock()
+
+    def count_block(b: int) -> None:
+        block = P[b * COUNT_BLOCK_ROWS : (b + 1) * COUNT_BLOCK_ROWS]
+        counts = np.empty_like(total)
+        mask = np.empty(block.shape, dtype=bool)
+        for k, v in enumerate(thresholds):
+            np.greater_equal(block, v, out=mask)
+            np.add.reduce(mask, axis=0, dtype=np.int32, out=counts[k])
+        with lock:
+            np.add(total, counts, out=total)
+
+    map_trials(count_block, -(-P.shape[0] // COUNT_BLOCK_ROWS))
+    return total
+
+
 def estimate_Q(design: DesignSpec, u: float | np.ndarray, directions: int = 500, draws: int = 10000, seed: int = 0) -> SmallBallEstimate | tuple[SmallBallEstimate, ...]:
     """Estimate inf over unit directions t of Pr(|<X, t>| >= u).
 
@@ -115,8 +147,11 @@ def estimate_Q(design: DesignSpec, u: float | np.ndarray, directions: int = 500,
     # a scalar keeps its own type: the estimate's `u` is echoed into reports
     thresholds = [u] if us.ndim == 0 else us.tolist()
 
-    if any(v != 0.0 for v in thresholds):
+    positive = [v for v in thresholds if v != 0.0]
+    if positive:
         T, P = _probe_projections(design, directions, draws, seed, 0)
+        counts = iter(_count_at_least(P, positive))
+        del P  # the counts are all the loop reads of P; free it before X2
         rng_est = substream(seed, DIRECTIONS_TAG, 1)
         X2 = design.sample_coords(rng_est, (draws, design.n))
 
@@ -127,7 +162,7 @@ def estimate_Q(design: DesignSpec, u: float | np.ndarray, directions: int = 500,
             e1[0] = 1.0
             estimates.append(SmallBallEstimate(0.0, 1.0, probe_rows(design.n, directions), draws, 0.0, e1))
             continue
-        probs = (P >= v).sum(axis=0, dtype=np.int32) / draws
+        probs = next(counts) / draws
         worst = int(np.argmin(probs))
         q_hat = float(np.mean(np.abs(X2 @ T[worst]) >= v))
         stderr = math.sqrt(max(q_hat * (1.0 - q_hat), 0.0) / draws)
@@ -241,6 +276,19 @@ class SmallBallCountReport:
         }
 
 
+def check_count_inputs(class_spec: ClassSpec, tau: float, r: float, trials: int, probes: int) -> None:
+    """Reject arguments `verify_empirical_smallball` cannot run with, before
+    a caller spends an `estimate_Q` call on its q_hat."""
+    if tau < 0:
+        raise ValueError("tau must be nonnegative")
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if probes < 0:
+        raise ValueError("probes must be nonnegative")
+    if r > 2.0 * class_spec.R * (1.0 + 1e-12):
+        raise ValueError("r exceeds the diameter of the difference class")
+
+
 def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: float, r: float, N: int, q_hat: float, trials: int = 50, probes: int = 100, seed: int = 0, beta_estimate=None) -> SmallBallCountReport:
     """Statistical test of the uniform empirical small-ball count property.
 
@@ -255,14 +303,7 @@ def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: f
     Whether the sufficient condition r > beta_hat could be certified is
     reported alongside; the count test itself runs either way.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if probes < 0:
-        raise ValueError("probes must be nonnegative")
-    if r > 2.0 * class_spec.R * (1.0 + 1e-12):
-        raise ValueError("r exceeds the diameter of the difference class")
+    check_count_inputs(class_spec, tau, r, trials, probes)
     threshold = N * q_hat / 4.0
     n = design.n
 
@@ -280,11 +321,14 @@ def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: f
     dirs = dirs[feasible]
 
     min_counts = np.empty(trials)
-    for j in range(trials):
+
+    def count_trial(j: int) -> None:
         X = np.asarray(sample_design(design, N, seed, trial=j))
         proj = np.abs(X @ dirs.T)  # |h(X_i)| for unit-scaled h; threshold scales the same way
         counts = (proj >= tau).sum(axis=0)
         min_counts[j] = counts.min()
+
+    map_trials(count_trial, trials)
     success_fraction = float(np.mean(min_counts >= threshold))
     criterion = 1.0 - 2.0 * math.exp(-N * q_hat**2 / 2.0) - 0.05
 

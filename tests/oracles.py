@@ -128,6 +128,12 @@ def direction_probability(design: DesignSpec, direction: np.ndarray, u: float, d
     return float(np.mean(np.abs(X @ (t / norm)) >= u))
 
 
+def count_at_least_reference(P: np.ndarray, thresholds) -> np.ndarray:
+    """#{i : P[i, d] >= v} per threshold v (rows) and column d, from one
+    whole pass over P per threshold: the reference for the blocked count."""
+    return np.stack([(P >= v).sum(axis=0, dtype=np.int32) for v in thresholds])
+
+
 def max_step_l1(t0: np.ndarray, u: np.ndarray, R: float, iters: int = 60) -> float:
     """Largest s >= 0 with ||t0 + s*u||_1 <= R, for a unit direction u.
 

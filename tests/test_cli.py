@@ -408,6 +408,28 @@ def test_verify_counts_estimates_q_with_its_directions_and_draws(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("tau=-1", "tau must be nonnegative"),
+        ("trials=0", "trials must be positive"),
+        ("probes=-1", "probes must be nonnegative"),
+        ("r=2.5", "r exceeds the diameter"),  # R = 1
+    ],
+)
+def test_verify_counts_checks_inputs_before_estimating_q(setting, message, tmp_path, capsys, monkeypatch):
+    from ermbounds import cli
+
+    def estimate(*args, **kwargs):
+        raise AssertionError("estimate_Q ran")
+
+    monkeypatch.setattr(cli, "estimate_Q", estimate)
+    out = tmp_path / "counts.json"
+    assert run(["smallball", "--set", "action=verify_counts", "--set", setting, "--output", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "sub, extra",
     [
         ("counterexample", ["--N", "100", "--trials", "2000"]),

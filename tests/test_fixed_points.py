@@ -20,6 +20,7 @@ from ermbounds.fixed_points import (
 )
 from ermbounds.geometry import SupportRows, support_l1l2_batch
 from ermbounds.rng import SIGNS_TAG, substream
+from ermbounds.smallball import choose_tau, estimate_Q
 from oracles import alpha_grid, alpha_star_linear, boundary_enum_2d, expected_rademacher_sup, multiplier_sup, rademacher_sup
 
 
@@ -376,6 +377,16 @@ class TestWorkerCounts:
         monkeypatch.setenv("ERMBOUNDS_WORKERS", "-2")
         with pytest.raises(ValueError, match="ERMBOUNDS_WORKERS must be a nonnegative integer, got '-2'"):
             beta_star(cls_zero(4), DesignSpec("rademacher", 4), 8, gamma=0.1, trials=10, seed=0)
+
+    def test_unparsable_workers_rejected_by_smallball(self, monkeypatch):
+        # estimate_Q counts its thresholds on threads, so it and choose_tau
+        # read the variable too
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", "abc")
+        design = DesignSpec("gaussian", 4)
+        with pytest.raises(ValueError, match="ERMBOUNDS_WORKERS must be a nonnegative integer, got 'abc'"):
+            estimate_Q(design, 0.5, directions=10, draws=1000, seed=0)
+        with pytest.raises(ValueError, match="ERMBOUNDS_WORKERS must be a nonnegative integer, got 'abc'"):
+            choose_tau(design, directions=10, draws=1000, seed=0)
 
     def test_alpha_star_honours_the_variable(self, monkeypatch):
         monkeypatch.setattr(rng.os, "sched_getaffinity", lambda pid: set(range(8)))

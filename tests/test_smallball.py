@@ -1,13 +1,19 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from ermbounds import rng
 from ermbounds.distributions import DesignSpec, sample_design
 from ermbounds.erm import ClassSpec
 from ermbounds.fixed_points import beta_star
 from ermbounds.smallball import (
+    COUNT_BLOCK_ROWS,
+    _count_at_least,
+    _probe_projections,
     choose_tau,
     estimate_Q,
     l2_l1_ratio,
@@ -17,7 +23,7 @@ from ermbounds.smallball import (
     probe_rows,
     verify_empirical_smallball,
 )
-from oracles import direction_probability
+from oracles import count_at_least_reference, direction_probability
 
 
 class TestEstimateQ:
@@ -110,6 +116,60 @@ class TestEstimateQGrid:
     def test_two_dimensional_grid_rejected(self):
         with pytest.raises(ValueError):
             estimate_Q(DesignSpec("gaussian", 4), np.ones((2, 2)), draws=1000)
+
+
+class TestCountAtLeast:
+    # unsorted, repeated, and 0.0, which every entry meets
+    THRESHOLDS = [0.7, 0.0, 1.3, 0.3, 0.7, 2.0, 0.0, 0.05]
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    @pytest.mark.parametrize("rows", [1000, 1001, 1023, COUNT_BLOCK_ROWS - 1, COUNT_BLOCK_ROWS, COUNT_BLOCK_ROWS + 1, 8 * COUNT_BLOCK_ROWS, 10000])
+    def test_equals_one_pass_count(self, rows, workers, monkeypatch):
+        # fewer rows than one block, a ragged last block, exact multiples
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
+        _, P = _probe_projections(DesignSpec("gaussian", 6), 40, rows, 31, 0)
+        got = _count_at_least(P, self.THRESHOLDS)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, count_at_least_reference(P, self.THRESHOLDS))
+        assert np.all(got[[1, 6]] == rows)
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_threshold_ties_count(self, workers, monkeypatch):
+        # |<X, e_i>| = 1 exactly on a rademacher design, so u = 1.0 ties
+        # every canonical entry, which `>=` counts
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
+        n, directions, rows = 5, 30, 1001
+        _, P = _probe_projections(DesignSpec("rademacher", n), directions, rows, 32, 0)
+        got = _count_at_least(P, [1.0, 0.5, 1.0])
+        assert np.array_equal(got, count_at_least_reference(P, [1.0, 0.5, 1.0]))
+        assert np.all(got[0, directions : directions + n] == rows)
+
+    def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
+        # every block adds into one total; a lost or doubled update would
+        # break equality with the one-pass count
+        monkeypatch.setattr(rng.os, "sched_getaffinity", lambda pid: set(range(6)))
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", "6")
+        _, P = _probe_projections(DesignSpec("gaussian", 4), 20, 4000, 33, 0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _count_at_least(P, self.THRESHOLDS)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got, count_at_least_reference(P, self.THRESHOLDS))
+
+    def test_no_draws_by_directions_temporary_besides_p(self):
+        # the threshold counts read P in blocks, and P is freed before the
+        # second-pass draws, so the peak stays within P plus an eighth
+        design, directions, draws = DesignSpec("gaussian", 32), 300, 10000
+        p_bytes = draws * probe_rows(design.n, directions) * np.dtype(np.float64).itemsize
+        tracemalloc.start()
+        try:
+            estimate_Q(design, np.geomspace(0.1, 2.0, 20), directions, draws, seed=34)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p_bytes <= peak < p_bytes + p_bytes / 8
 
 
 class TestPaleyZygmund:
@@ -233,6 +293,15 @@ class TestVerifyCounts:
         assert np.all(reps[20].min_counts >= reps[100].min_counts)
         with pytest.raises(ValueError, match="probes must be nonnegative"):
             verify_empirical_smallball(design, cls, tau=0.5, r=0.5, N=64, trials=6, probes=-1, seed=22, q_hat=0.5)
+
+    def test_identical_across_workers(self, monkeypatch):
+        design, cls = DesignSpec("student_t", 6, p=4.0), ClassSpec(n=6, R=1.0, t0=np.zeros(6))
+        reports = []
+        for workers in ("1", "3"):
+            monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
+            reports.append(verify_empirical_smallball(design, cls, tau=0.4, r=0.5, N=64, trials=12, probes=10, seed=35, q_hat=0.4))
+        assert reports[0].min_counts.tobytes() == reports[1].min_counts.tobytes()
+        assert reports[0].to_record() == reports[1].to_record()
 
     def test_infeasible_radius(self):
         cls = ClassSpec(n=4, R=1.0, t0=np.zeros(4))
