@@ -30,6 +30,6 @@ print(f"induced levels: gamma = {choice.gamma:.5f} (multiplier), gamma_beta = {c
 
 cls = ClassSpec(n=16, R=1.0, t0=np.zeros(16))
 beta = beta_star(cls, design, 256, choice.gamma_beta, trials=100, seed=3)
-rep = verify_empirical_smallball(design, cls, tau=choice.tau, r=1.0, N=256, trials=40, seed=3, q_hat=choice.q_at_2tau, beta_estimate=beta)
+rep = verify_empirical_smallball(design, cls, tau=choice.tau, r=1.0, N=256, trials=40, probes=100, seed=3, q_hat=choice.q_at_2tau, beta_estimate=beta)
 print(f"\ncount test: min count over probes >= {rep.count_threshold:.1f} in {rep.success_fraction:.0%} of trials")
 print(f"criterion {rep.success_criterion:.3f}, passed={rep.passed}, sufficient condition certified={rep.hypothesis_certified}")

@@ -16,7 +16,7 @@ from .distributions import (
     sample_moments,
     sample_response,
 )
-from .erm import ClassSpec, ErmResult, brute_force_erm, excess_loss, solve_erm, solve_erms
+from .erm import ClassSpec, ErmResult, excess_loss, solve_erm, solve_erms
 from .experiments import (
     MainTheoremConfig,
     SweepConfig,

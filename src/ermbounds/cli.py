@@ -68,23 +68,24 @@ def _nullable_types(cls) -> dict:
     return types
 
 
-# the type of a "design" or "noise" sub-key whose default is None (p, kappa)
-_SPEC_NULLABLE = {"design": _nullable_types(DesignSpec), "noise": _nullable_types(NoiseSpec)}
+# key whose default is None -> the type of its other values, nested like a
+# subcommand's defaults: the "design" and "noise" sub-keys p and kappa, and
+# verify-main's alpha_trials and gamma_override. Unknown keys are rejected
+# before types are checked, so one map serves every subcommand.
+_NULLABLE = {"design": _nullable_types(DesignSpec), "noise": _nullable_types(NoiseSpec), **_nullable_types(MainTheoremConfig)}
 
 
 @dataclass(frozen=True)
 class Subcommand:
     """One subcommand. handler: config, seed included -> (report, summary
     line, passed); parts: "design"/"noise" -> the sub-keys that object
-    accepts; nullable: key whose default is None -> the type of its other
-    values, nested like `defaults`; routes: value flag -> the dotted config
-    key it sets instead of its own name."""
+    accepts; routes: value flag -> the dotted config key it sets instead of
+    its own name."""
 
     help: str
     defaults: dict
     handler: Callable
     parts: dict = field(default_factory=lambda: _SPEC_KEYS)
-    nullable: dict = field(default_factory=lambda: _SPEC_NULLABLE)
     routes: dict = field(default_factory=dict)
 
 
@@ -192,7 +193,7 @@ def resolve_config(subcommand: str, config_path, overrides, flag_values: dict) -
             raise ConfigError(f"unknown config key {key!r}")
         _apply_dotted(config, key, value)
         _validate_keys(config, sub)
-    _check_types(config, sub.defaults, sub.nullable)
+    _check_types(config, sub.defaults, _NULLABLE)
     seed = config.get("seed", DEFAULT_SEED)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
@@ -272,10 +273,10 @@ def _smallball(config: dict) -> tuple[Report, str, bool]:
     design, seed = _design_from(config), config["seed"]
     action = config["action"]
     if action == "estimate_q":
-        est = estimate_Q(design, config["u"], config["directions"], config["draws"], seed)
+        (est,) = estimate_Q(design, [config["u"]], config["directions"], config["draws"], seed)
         return _stats_result("smallball", config, {"q_hat": est.q_hat, "stderr": est.stderr}, {"estimate": est.to_record(), "passed": True}, f"Q_hat({config['u']:g})={est.q_hat:.6g} +- {est.stderr:.3g}")
     if action == "choose_tau":
-        choice = choose_tau(design, directions=config["directions"], draws=config["draws"], seed=seed)
+        choice = choose_tau(design, config["directions"], config["draws"], seed)
         stats = {"tau": choice.tau, "q_at_2tau": choice.q_at_2tau, "gamma": choice.gamma, "gamma_beta": choice.gamma_beta}
         return _stats_result("smallball", config, stats, {"choice": choice.to_record(), "passed": "small_ball_not_detectable" not in choice.flags}, f"tau={choice.tau:.6g} Q_hat(2tau)={choice.q_at_2tau:.6g} gamma={choice.gamma:.6g}")
     if action == "moment_ratio":
@@ -286,9 +287,9 @@ def _smallball(config: dict) -> tuple[Report, str, bool]:
         return _stats_result("smallball", config, {"l2_l1_ratio": ratio}, {"l2_l1_ratio": ratio, "passed": True}, f"L2/L1 ratio={ratio:.6g}")
     if action == "verify_counts":
         cls = _class_from(config)
-        check_count_inputs(cls, config["tau"], config["r"], config["trials"], config["probes"])
-        q_hat = estimate_Q(design, 2.0 * config["tau"], config["directions"], config["draws"], seed).q_hat
-        result = verify_empirical_smallball(design, cls, config["tau"], config["r"], config["N"], q_hat, trials=config["trials"], probes=config["probes"], seed=seed)
+        check_count_inputs(cls, config["tau"], config["r"], config["N"], config["trials"], config["probes"])
+        (est,) = estimate_Q(design, [2.0 * config["tau"]], config["directions"], config["draws"], seed)
+        result = verify_empirical_smallball(design, cls, config["tau"], config["r"], config["N"], est.q_hat, config["trials"], config["probes"], seed)
         stats = {"success_fraction": result.success_fraction, "success_criterion": result.success_criterion, "count_threshold": result.count_threshold, "q_hat": result.q_hat}
         return _stats_result("smallball", config, stats, {"result": result.to_record(), "passed": result.passed}, f"success_fraction={result.success_fraction:.6g} criterion={result.success_criterion:.6g}")
     raise ConfigError(f"unknown smallball action {action!r}")
@@ -336,7 +337,7 @@ SUBCOMMANDS = {
     "rates": Subcommand("closed-form rate predictions", {"n": 100, "N": 100, "R": 1.0, "sigma": 0.5, "c1": 1.0, "c2": 1.0, "c3": 1.0}, _rates),
     "persistence": Subcommand("persistence-rate sweep comparing errors to predictions", _SWEEP_DEFAULTS, _persistence, parts=_SWEEP_PARTS),
     "counterexample": Subcommand("one-sided vs two-sided deviation demonstration", {"N": 100, "trials": 100000}, _counterexample),
-    "verify-main": Subcommand("end-to-end check of the two-fixed-point error bound", {"design": _DESIGN_DEFAULT, "noise": _NOISE_DEFAULT, "n": 32, **_field_defaults(MainTheoremConfig)}, _verify_main, nullable=_SPEC_NULLABLE | _nullable_types(MainTheoremConfig), routes={"sigma": "noise.sigma"}),
+    "verify-main": Subcommand("end-to-end check of the two-fixed-point error bound", {"design": _DESIGN_DEFAULT, "noise": _NOISE_DEFAULT, "n": 32, **_field_defaults(MainTheoremConfig)}, _verify_main, routes={"sigma": "noise.sigma"}),
 }
 
 

@@ -73,12 +73,6 @@ class DesignSpec:
         signs = random_signs(rng, size)
         return signs * x / math.sqrt(self.p / (self.p - 2.0))
 
-    def to_record(self) -> dict:
-        rec = {"kind": self.kind, "n": self.n}
-        if self.p is not None:
-            rec["p"] = self.p
-        return rec
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -120,14 +114,6 @@ class NoiseSpec:
         x = 1.0 + rng.pareto(self.p, size=size)
         signs = random_signs(rng, size)
         return self.sigma * signs * x / math.sqrt(self.p / (self.p - 2.0))
-
-    def to_record(self) -> dict:
-        rec = {"kind": self.kind, "sigma": self.sigma}
-        if self.p is not None:
-            rec["p"] = self.p
-        if self.kappa is not None:
-            rec["kappa"] = self.kappa
-        return rec
 
 
 @dataclass(frozen=True)

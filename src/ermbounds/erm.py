@@ -15,14 +15,13 @@ optimality for a convex problem.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import Moments, Sample
-from .geometry import as_vector, project_l1, project_l1_rows
+from .geometry import as_vector, project_l1_rows
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ def _moments_of(data: Sample | Moments, class_spec: ClassSpec) -> Moments:
     return moments
 
 
-def solve_erm(data: Sample | Moments, class_spec: ClassSpec, tol: float = 1e-9, max_iter: int = 100000) -> ErmResult:
+def solve_erm(data: Sample | Moments, class_spec: ClassSpec, tol: float, max_iter: int = 100000) -> ErmResult:
     """Minimize (1/N) sum (<t, X_i> - Y_i)^2 = t^T G t - 2 b^T t + c over ||t||_1 <= R.
 
     Reads only the moments (G, b, c) of the data; a Sample is reduced to them
@@ -114,7 +113,7 @@ def solve_erm(data: Sample | Moments, class_spec: ClassSpec, tol: float = 1e-9, 
     return solve_erms([data], class_spec, tol=tol, max_iter=max_iter)[0]
 
 
-def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float = 1e-9, max_iter: int = 100000) -> list[ErmResult]:
+def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float, max_iter: int = 100000) -> list[ErmResult]:
     """`solve_erm` for each of a list of Moments (or Samples) over one class, as one stacked run.
 
     FISTA with step 1/L and a restart whenever the objective would increase,
@@ -242,65 +241,3 @@ def excess_loss(t, class_spec: ClassSpec, sample: Sample) -> float:
     delta = X @ (t - class_spec.t0)
     xi = X @ class_spec.t0 - Y
     return float(np.mean(delta**2) + 2.0 * np.mean(xi * delta))
-
-
-def _l1_lattice_objective_min(G, b, c, R, resolution):
-    """Exact minimum of the quadratic over the lattice resolution*Z^n inside R*B1."""
-    n = G.shape[0]
-    m = int(math.floor(R / resolution))
-    axis = np.arange(-m, m + 1)
-    best_val = math.inf
-    best_t = np.zeros(n)
-    if n == 1:
-        ts = axis[:, None] * resolution
-        vals = np.einsum("ij,jk,ik->i", ts, G, ts) - 2.0 * ts @ b + c
-        i = int(np.argmin(vals))
-        return vals[i], ts[i]
-    # enumerate leading n-2 coordinates, vectorize the trailing plane
-    lead_ranges = [axis] * (n - 2)
-    g2, g3 = np.meshgrid(axis, axis, indexing="ij")
-    g2 = g2.ravel()
-    g3 = g3.ravel()
-    plane_abs = np.abs(g2) + np.abs(g3)
-    for lead in itertools.product(*lead_ranges):
-        lead_abs = sum(abs(k) for k in lead)
-        if lead_abs > m:
-            continue
-        mask = plane_abs <= m - lead_abs
-        if not mask.any():
-            continue
-        pts = np.empty((int(mask.sum()), n))
-        for j, k in enumerate(lead):
-            pts[:, j] = k * resolution
-        pts[:, n - 2] = g2[mask] * resolution
-        pts[:, n - 1] = g3[mask] * resolution
-        vals = np.einsum("ij,jk,ik->i", pts, G, pts) - 2.0 * pts @ b + c
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_t = pts[i].copy()
-    return best_val, best_t
-
-
-def brute_force_erm(sample: Sample, class_spec: ClassSpec) -> np.ndarray:
-    """Exhaustive-grid minimizer over R*B1 on the lattice of spacing 5e-3,
-    polished by 100 projected-gradient steps of size 1/L, L = 2 lambda_max(G)
-    from an exact eigensolver, so the oracle shares no step rule with the
-    solver it checks.
-
-    Only meant as an oracle for small problems (n <= 4).
-    """
-    if class_spec.n > 4:
-        raise ValueError("brute_force_erm is limited to n <= 4")
-    moments = _moments_of(sample, class_spec)
-    G, b, c = moments.G, moments.b, moments.c
-    R = class_spec.R
-    if R == 0.0:
-        return np.zeros(class_spec.n)
-    _, t = _l1_lattice_objective_min(G, b, c, R, 5e-3)
-    L = 2.0 * float(np.linalg.eigvalsh(G)[-1])
-    if L <= 0.0:
-        return t
-    for _ in range(100):
-        t = project_l1(t - 2.0 * (G @ t - b) / L, R)
-    return t

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,16 +42,6 @@ def _seed_key(value: float) -> int:
     """A sweep cell's seed entry for a float grid value: its float64 bits,
     with -0.0 read as 0.0, so distinct values key distinct seeds."""
     return int(np.float64(float(value) + 0.0).view(np.uint64))
-
-
-def _config_record(config) -> dict:
-    """A config dataclass as its reports echo it: specs as their records and
-    tuples as lists."""
-    record = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        record[f.name] = value.to_record() if hasattr(value, "to_record") else list(value) if isinstance(value, tuple) else value
-    return record
 
 
 def make_t0(shape: str, fraction: float, n: int, R: float) -> np.ndarray:
@@ -112,9 +102,6 @@ class SweepConfig:
                     raise ValueError(f"{name} values {seen[k]!r} and {value!r} give their cells the same seed key {k}, so they would draw the same samples")
                 seen[k] = value
 
-    def to_record(self) -> dict:
-        return _config_record(self)
-
 
 def _noise_spec(config: SweepConfig, sigma: float) -> NoiseSpec:
     return NoiseSpec(kind=config.noise_kind, sigma=sigma, p=config.noise_p, kappa=config.noise_kappa)
@@ -159,7 +146,7 @@ def run_persistence_sweep(config: SweepConfig) -> Report:
     error <= c * max(v1, v2) from the 0.9 quantiles, and log-log slopes of
     the median error in N within each (n, R, sigma, v2-branch) regime.
     """
-    report = Report(kind="persistence", config=config.to_record(), columns=SWEEP_COLUMNS)
+    report = Report(kind="persistence", config=asdict(config), columns=SWEEP_COLUMNS)
     cells = []
     for n in config.n_grid:
         for R in config.R_grid:
@@ -213,7 +200,7 @@ def run_persistence_sweep(config: SweepConfig) -> Report:
     return report
 
 
-def run_counterexample(N: int, trials: int, seed: int = DEFAULT_SEED) -> Report:
+def run_counterexample(N: int, trials: int, seed: int) -> Report:
     """Estimate the two-sided deviation and the one-sided failure probability.
 
     (a) Pr(|P_N Z^2 - E Z^2| > E Z^2 / 2): spoiled by a single spike, so it
@@ -294,9 +281,6 @@ class MainTheoremConfig:
             raise ValueError("tol must be positive")
         quantile_trials(self.delta / 4.0, self.alpha_trials)
 
-    def to_record(self) -> dict:
-        return _config_record(self)
-
 
 def verify_main_theorem(config: MainTheoremConfig) -> Report:
     """End-to-end check of the two-fixed-point error bound.
@@ -327,7 +311,7 @@ def verify_main_theorem(config: MainTheoremConfig) -> Report:
     criterion = 1.0 - config.delta - 2.0 * math.exp(-config.N * q_hat**2 / 2.0) - 0.05
     ci = wilson_interval(successes, config.trials)
 
-    report = Report(kind="verify_main", config=config.to_record(), columns=("statistic", "value"))
+    report = Report(kind="verify_main", config=asdict(config), columns=("statistic", "value"))
     for stat, value in (
         ("tau", tau_choice.tau),
         ("q_hat", q_hat),

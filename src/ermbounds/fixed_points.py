@@ -32,7 +32,6 @@ from .erm import ClassSpec
 from .geometry import SupportRows, support_l1l2_batch
 from .rng import DESIGN_TAG, LAW_TAG, NOISE_TAG, SIGNS_TAG, map_trials, substream
 
-DEFAULT_EXPECTATION_TRIALS = 200
 DEFAULT_QUANTILE_TRIALS = 1000
 _LAW_BLOCK = 2**16  # noise values one block of the exact multiplier law draws
 
@@ -165,17 +164,17 @@ def _rademacher_fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, g
     return _bisect_fixed_point(Z, class_spec.R, lambda r: gamma * r * r ** (power - 1) * math.sqrt(N), kind, 1e-8 * r_hi, r_hi)
 
 
-def beta_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int = DEFAULT_EXPECTATION_TRIALS, seed: int = 0) -> FixedPointEstimate:
+def beta_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int, seed: int) -> FixedPointEstimate:
     """Fixed point where the localized Rademacher mean scales like gamma*r*sqrt(N)."""
     return _rademacher_fixed_point(class_spec, design, N, gamma, trials, seed, 1, "beta")
 
 
-def k_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int = DEFAULT_EXPECTATION_TRIALS, seed: int = 0) -> FixedPointEstimate:
+def k_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int, seed: int) -> FixedPointEstimate:
     """Fixed point with the quadratic normalization gamma*r^2*sqrt(N)."""
     return _rademacher_fixed_point(class_spec, design, N, gamma, trials, seed, 2, "kstar")
 
 
-def quantile_trials(delta: float, trials: int | None = None) -> int:
+def quantile_trials(delta: float, trials: int | None) -> int:
     """Monte Carlo trials that resolve the 1 - delta quantile, which takes at
     least ceil(50/delta): `trials`, or ValueError if it is fewer; None gives
     DEFAULT_QUANTILE_TRIALS raised to that minimum."""
@@ -187,7 +186,7 @@ def quantile_trials(delta: float, trials: int | None = None) -> int:
     return trials
 
 
-def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, gamma: float, delta: float, trials: int = DEFAULT_QUANTILE_TRIALS, seed: int = 0) -> FixedPointEstimate:
+def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, gamma: float, delta: float, trials: int, seed: int) -> FixedPointEstimate:
     """Quantile fixed point of the multiplier process.
 
     The smallest s on a geometric radius grid of ratio 1.1, from 1e-6 s_hi up

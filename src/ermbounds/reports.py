@@ -80,7 +80,7 @@ class Report:
         return canonical_json(self.to_json_obj()) + "\n"
 
 
-def emit_report(report: Report, path, fmt: str = "csv") -> None:
+def emit_report(report: Report, path, fmt: str) -> None:
     """Write the report to path as csv or json."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")

@@ -45,6 +45,13 @@ class SmallBallEstimate:
 
 
 MAX_PAIRS = 2048
+# fewest draws a probe estimate accepts: a small-ball probability needs
+# them for quantile resolution, and a moment ratio over few draws can read
+# 0/0 (one rademacher draw is 0 on a 2-sparse direction with probability 1/2)
+MIN_DRAWS = 1000
+# the thresholds tau that `choose_tau` scans (read-only: every caller shares it)
+TAU_GRID = np.geomspace(0.05, 1.0, 20)
+TAU_GRID.setflags(write=False)
 # rows of P = |X T^T| one threshold count reads at a time: 128 rows of a
 # 1324-direction P take 1.4 MB, so a block stays in a core's cache across
 # the thresholds
@@ -83,11 +90,18 @@ def probe_directions(design: DesignSpec, count: int, seed: int) -> tuple[np.ndar
     return np.vstack([raw] + structured), count
 
 
+def _check_probe_sizes(directions: int, draws: int) -> None:
+    """Reject probe sizes `estimate_Q`, `moment_ratio_p2` and `l2_l1_ratio`
+    cannot run with, before they draw."""
+    if directions < 0:
+        raise ValueError(f"directions must be nonnegative, got {directions}")
+    if draws < MIN_DRAWS:
+        raise ValueError(f"draws must be positive and at least {MIN_DRAWS}, got {draws}")
+
+
 def _probe_projections(design: DesignSpec, directions: int, draws: int, seed: int, tag: int) -> tuple[np.ndarray, np.ndarray]:
     """The probe directions T, one per row, and |<X_i, t>| for `draws` fresh
     draws X_i (substream `tag`), one column per direction."""
-    if draws < 1:
-        raise ValueError("draws must be positive")
     T, _ = probe_directions(design, directions, seed)
     X = design.sample_coords(substream(seed, DIRECTIONS_TAG, tag), (draws, design.n))
     P = X @ T.T
@@ -122,8 +136,11 @@ def _count_at_least(P: np.ndarray, thresholds) -> np.ndarray:
     return total
 
 
-def estimate_Q(design: DesignSpec, u: float | np.ndarray, directions: int = 500, draws: int = 10000, seed: int = 0) -> SmallBallEstimate | tuple[SmallBallEstimate, ...]:
-    """Estimate inf over unit directions t of Pr(|<X, t>| >= u).
+def estimate_Q(design: DesignSpec, u, directions: int, draws: int, seed: int) -> tuple[SmallBallEstimate, ...]:
+    """Estimate inf over unit directions t of Pr(|<X, t>| >= u), for each
+    threshold u of the 1-D sequence `u`; returns one SmallBallEstimate per
+    threshold, in input order, each echoing its threshold as given (a zero
+    threshold as 0.0).
 
     Two passes over independent draw sets: the first selects the worst
     direction, the second re-estimates its probability, so the reported value
@@ -131,21 +148,17 @@ def estimate_Q(design: DesignSpec, u: float | np.ndarray, directions: int = 500,
     rather than a minimum dragged down by selection noise. Isotropy makes
     ||<X, t>||_L2 = 1 for unit t, so u is used as an absolute threshold.
 
-    `u` is one threshold or a 1-D array of thresholds. A float returns one
-    SmallBallEstimate; an array returns a tuple of them in input order. All
-    thresholds of an array share one set of probe directions and draws, so
-    each entry equals the estimate a separate call with that threshold and
-    the same seed returns.
+    All thresholds share one set of probe directions and draws, so each
+    entry equals the estimate a one-threshold call with the same seed
+    returns.
     """
     us = np.asarray(u, dtype=np.float64)
-    if us.ndim > 1:
-        raise ValueError("u must be a threshold or a 1-D array of thresholds")
+    if us.ndim != 1:
+        raise ValueError("u must be a 1-D sequence of thresholds")
     if np.any(us < 0):
         raise ValueError("u must be nonnegative")
-    if draws < 1000:
-        raise ValueError("need at least 1e3 draws per direction for quantile resolution")
-    # a scalar keeps its own type: the estimate's `u` is echoed into reports
-    thresholds = [u] if us.ndim == 0 else us.tolist()
+    _check_probe_sizes(directions, draws)
+    thresholds = list(u)
 
     positive = [v for v in thresholds if v != 0.0]
     if positive:
@@ -172,7 +185,7 @@ def estimate_Q(design: DesignSpec, u: float | np.ndarray, directions: int = 500,
             if probs[directions:].min() < probs[:directions].min():
                 flags.append("structured_below_random")
         estimates.append(SmallBallEstimate(v, q_hat, T.shape[0], draws, stderr, T[worst].copy(), tuple(flags)))
-    return estimates[0] if us.ndim == 0 else tuple(estimates)
+    return tuple(estimates)
 
 
 def paley_zygmund_Q(kappa2: float, p: float, u: float) -> float:
@@ -186,18 +199,20 @@ def paley_zygmund_Q(kappa2: float, p: float, u: float) -> float:
     return ((1.0 - u * u) / kappa2**2) ** (p / (p - 2.0))
 
 
-def moment_ratio_p2(design: DesignSpec, p: float, directions: int = 200, draws: int = 100000, seed: int = 0) -> float:
+def moment_ratio_p2(design: DesignSpec, p: float, directions: int, draws: int, seed: int) -> float:
     """Max over probed directions of the empirical Lp/L2 ratio of <X, t>."""
     if p < 2:
         raise ValueError("p must be at least 2")
+    _check_probe_sizes(directions, draws)
     _, proj = _probe_projections(design, directions, draws, seed, 2)
     lp = np.mean(proj**p, axis=0) ** (1.0 / p)
     l2 = np.sqrt(np.mean(proj**2, axis=0))
     return float(np.max(lp / l2))
 
 
-def l2_l1_ratio(design: DesignSpec, directions: int = 200, draws: int = 100000, seed: int = 0) -> float:
+def l2_l1_ratio(design: DesignSpec, directions: int, draws: int, seed: int) -> float:
     """Max over probed directions of the empirical L2/L1 ratio of <X, t>."""
+    _check_probe_sizes(directions, draws)
     _, proj = _probe_projections(design, directions, draws, seed, 3)
     l2 = np.sqrt(np.mean(proj**2, axis=0))
     l1 = np.mean(proj, axis=0)
@@ -210,7 +225,6 @@ class TauChoice:
     q_at_2tau: float
     gamma: float
     gamma_beta: float
-    grid: tuple
     flags: tuple = field(default_factory=tuple)
 
     def to_record(self) -> dict:
@@ -223,26 +237,22 @@ class TauChoice:
         }
 
 
-def choose_tau(design: DesignSpec, tau_grid=None, directions: int = 500, draws: int = 10000, seed: int = 0) -> TauChoice:
-    """Maximize tau^2 * Q_hat(2 tau) over the grid (by default 20 geometric
-    points from 0.05 to 1).
+def choose_tau(design: DesignSpec, directions: int, draws: int, seed: int) -> TauChoice:
+    """Maximize tau^2 * Q_hat(2 tau) over TAU_GRID.
 
     Returns the argmax tau, its Q estimate, the induced multiplier-process
     level gamma = tau^2 Q_hat(2 tau)/16 and the quadratic-process level
     gamma_beta = tau Q_hat(2 tau)/16.
     """
-    grid = np.geomspace(0.05, 1.0, 20) if tau_grid is None else np.asarray(tau_grid, dtype=np.float64)
-    if grid.size == 0:
-        raise ValueError("tau grid must be nonempty")
-    qs = np.array([est.q_hat for est in estimate_Q(design, 2.0 * grid, directions, draws, seed)])
-    scores = grid**2 * qs
+    qs = np.array([est.q_hat for est in estimate_Q(design, 2.0 * TAU_GRID, directions, draws, seed)])
+    scores = TAU_GRID**2 * qs
     best = int(np.argmax(scores))
     flags = ()
     if np.all(qs == 0.0):
         flags = ("small_ball_not_detectable",)
-    tau = float(grid[best])
+    tau = float(TAU_GRID[best])
     q = float(qs[best])
-    return TauChoice(tau, q, tau * tau * q / 16.0, tau * q / 16.0, tuple(float(t) for t in grid), flags)
+    return TauChoice(tau, q, tau * tau * q / 16.0, tau * q / 16.0, flags)
 
 
 @dataclass(frozen=True)
@@ -276,11 +286,13 @@ class SmallBallCountReport:
         }
 
 
-def check_count_inputs(class_spec: ClassSpec, tau: float, r: float, trials: int, probes: int) -> None:
+def check_count_inputs(class_spec: ClassSpec, tau: float, r: float, N: int, trials: int, probes: int) -> None:
     """Reject arguments `verify_empirical_smallball` cannot run with, before
     a caller spends an `estimate_Q` call on its q_hat."""
     if tau < 0:
         raise ValueError("tau must be nonnegative")
+    if N < 1:
+        raise ValueError("N must be at least 1")
     if trials < 1:
         raise ValueError("trials must be positive")
     if probes < 0:
@@ -289,7 +301,7 @@ def check_count_inputs(class_spec: ClassSpec, tau: float, r: float, trials: int,
         raise ValueError("r exceeds the diameter of the difference class")
 
 
-def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: float, r: float, N: int, q_hat: float, trials: int = 50, probes: int = 100, seed: int = 0, beta_estimate=None) -> SmallBallCountReport:
+def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: float, r: float, N: int, q_hat: float, trials: int, probes: int, seed: int, beta_estimate=None) -> SmallBallCountReport:
     """Statistical test of the uniform empirical small-ball count property.
 
     Per trial, draws a fresh design sample and probes functions h = <v, .>
@@ -303,7 +315,7 @@ def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: f
     Whether the sufficient condition r > beta_hat could be certified is
     reported alongside; the count test itself runs either way.
     """
-    check_count_inputs(class_spec, tau, r, trials, probes)
+    check_count_inputs(class_spec, tau, r, N, trials, probes)
     threshold = N * q_hat / 4.0
     n = design.n
 

@@ -16,6 +16,8 @@ import numpy as np
 from .erm import ClassSpec
 from .rng import DIRECTIONS_TAG, substream
 
+NULLSPACE_REL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class VersionSpaceProbe:
@@ -32,9 +34,10 @@ class VersionSpaceProbe:
         }
 
 
-def nullspace_basis(design: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
+def nullspace_basis(design: np.ndarray) -> np.ndarray:
     """Orthonormal null-space basis, as columns; a singular value s counts as
-    zero unless s > rel_tol*max(s), the rank rule of scipy.linalg.null_space."""
+    zero unless s > NULLSPACE_REL_TOL*max(s), the rank rule of
+    scipy.linalg.null_space."""
     n = design.shape[1]
     if design.shape[0] == 0:
         return np.eye(n)
@@ -42,7 +45,7 @@ def nullspace_basis(design: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
     if not np.isfinite(design).all():
         raise ValueError("design must not contain infs or NaNs")
     _, s, vh = np.linalg.svd(design, full_matrices=True)
-    rank = np.count_nonzero(s > np.max(s, initial=0.0) * rel_tol)
+    rank = np.count_nonzero(s > np.max(s, initial=0.0) * NULLSPACE_REL_TOL)
     return vh[rank:].T
 
 
@@ -105,7 +108,7 @@ def max_steps_l1(t0: np.ndarray, U: np.ndarray, R: float) -> np.ndarray:
     return steps
 
 
-def version_diameter(design: np.ndarray, class_spec: ClassSpec, probes: int = 1000, seed: int = 0) -> VersionSpaceProbe:
+def version_diameter(design: np.ndarray, class_spec: ClassSpec, probes: int, seed: int) -> VersionSpaceProbe:
     """Probe the farthest version-space point from t0 along null-space directions.
 
     Both u and -u are probed for every direction (the step set need not be

@@ -12,6 +12,7 @@ loop or batch, and are compared row by row against the Z-batches. The mean
 localized Rademacher supremum and the top-d rearrangement bound are checked
 helpers that only the tests call. The scalar l1 projection and FISTA loop
 are one-problem code, the bitwise reference for the rows of the stacked
+solver. The exhaustive-grid ERM minimizer shares no step rule with that
 solver. The one-shot support kernel re-sorts its batch at every call, and the
 linear alpha scan tries every grid radius in turn: the bitwise references for
 the prepared batch and for the grid bisection.
@@ -19,6 +20,7 @@ the prepared batch and for the grid bisection.
 
 from __future__ import annotations
 
+import itertools
 import math
 import types
 
@@ -27,7 +29,7 @@ import numpy as np
 from ermbounds.distributions import DesignSpec, NoiseSpec, Sample
 from ermbounds.erm import ClassSpec
 from ermbounds.fixed_points import FixedPointEstimate, _z_batch
-from ermbounds.geometry import REL_SLACK, SupportRows, support_l1l2_batch
+from ermbounds.geometry import REL_SLACK, SupportRows, project_l1, support_l1l2_batch
 from ermbounds.rng import DIRECTIONS_TAG, substream
 
 
@@ -264,6 +266,68 @@ def fista_erm_scalar(G: np.ndarray, b: np.ndarray, c: float, R: float, tol: floa
         if residual <= tol:
             break
     return t, max(f_t, 0.0), iterations, residual, residual <= tol, log
+
+
+def _l1_lattice_objective_min(G, b, c, R, resolution):
+    """Exact minimum of the quadratic over the lattice resolution*Z^n inside R*B1."""
+    n = G.shape[0]
+    m = int(math.floor(R / resolution))
+    axis = np.arange(-m, m + 1)
+    best_val = math.inf
+    best_t = np.zeros(n)
+    if n == 1:
+        ts = axis[:, None] * resolution
+        vals = np.einsum("ij,jk,ik->i", ts, G, ts) - 2.0 * ts @ b + c
+        i = int(np.argmin(vals))
+        return vals[i], ts[i]
+    # enumerate leading n-2 coordinates, vectorize the trailing plane
+    lead_ranges = [axis] * (n - 2)
+    g2, g3 = np.meshgrid(axis, axis, indexing="ij")
+    g2 = g2.ravel()
+    g3 = g3.ravel()
+    plane_abs = np.abs(g2) + np.abs(g3)
+    for lead in itertools.product(*lead_ranges):
+        lead_abs = sum(abs(k) for k in lead)
+        if lead_abs > m:
+            continue
+        mask = plane_abs <= m - lead_abs
+        if not mask.any():
+            continue
+        pts = np.empty((int(mask.sum()), n))
+        for j, k in enumerate(lead):
+            pts[:, j] = k * resolution
+        pts[:, n - 2] = g2[mask] * resolution
+        pts[:, n - 1] = g3[mask] * resolution
+        vals = np.einsum("ij,jk,ik->i", pts, G, pts) - 2.0 * pts @ b + c
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val = float(vals[i])
+            best_t = pts[i].copy()
+    return best_val, best_t
+
+
+def brute_force_erm(sample: Sample, class_spec: ClassSpec) -> np.ndarray:
+    """Exhaustive-grid minimizer over R*B1 on the lattice of spacing 5e-3,
+    polished by 100 projected-gradient steps of size 1/L, L = 2 lambda_max(G)
+    from an exact eigensolver, so the oracle shares no step rule with the
+    solver it checks.
+
+    Only meant as an oracle for small problems (n <= 4).
+    """
+    if class_spec.n > 4:
+        raise ValueError("brute_force_erm is limited to n <= 4")
+    moments = sample.moments()
+    G, b, c = moments.G, moments.b, moments.c
+    R = class_spec.R
+    if R == 0.0:
+        return np.zeros(class_spec.n)
+    _, t = _l1_lattice_objective_min(G, b, c, R, 5e-3)
+    L = 2.0 * float(np.linalg.eigvalsh(G)[-1])
+    if L <= 0.0:
+        return t
+    for _ in range(100):
+        t = project_l1(t - 2.0 * (G @ t - b) / L, R)
+    return t
 
 
 def rademacher_sup(design: np.ndarray, signs: np.ndarray, class_spec: ClassSpec, radius: float) -> float:

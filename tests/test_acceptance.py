@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from ermbounds.distributions import DesignSpec, NoiseSpec, make_sample, sample_design
-from ermbounds.erm import ClassSpec, brute_force_erm, solve_erm
+from ermbounds.erm import ClassSpec, solve_erm
 from ermbounds.experiments import MainTheoremConfig, SweepConfig, run_counterexample, run_persistence_sweep, verify_main_theorem
 from ermbounds.fixed_points import beta_star
 from ermbounds.geometry import SupportRows, support_l1l2_batch
@@ -22,7 +22,7 @@ from ermbounds.rates import RateInputs, rho_N
 from ermbounds.smallball import choose_tau, estimate_Q, moment_ratio_p2, paley_zygmund_Q, verify_empirical_smallball
 from ermbounds.versionspace import version_diameter
 
-from oracles import fit_loglog_slope, support_oracle
+from oracles import brute_force_erm, fit_loglog_slope, support_oracle
 
 SEED = 0x5EED
 
@@ -205,10 +205,10 @@ def test_criterion_6_main_theorem_coverage():
 
 def test_criterion_7_smallball_suite():
     start = time.time()
-    exact_one = estimate_Q(DesignSpec("gaussian", 8), 0.0, seed=SEED).q_hat == 1.0
+    exact_one = estimate_Q(DesignSpec("gaussian", 8), [0.0], 500, 10000, seed=SEED)[0].q_hat == 1.0
 
     expected = 2.0 * stats.norm.sf(0.5)
-    est = estimate_Q(DesignSpec("gaussian", 8), 0.5, directions=300, draws=20000, seed=SEED)
+    (est,) = estimate_Q(DesignSpec("gaussian", 8), [0.5], directions=300, draws=20000, seed=SEED)
     gauss_ok = abs(est.q_hat - expected) <= 3.0 * est.stderr
 
     pz_value_ok = paley_zygmund_Q(1.0, 4.0, 0.5) == pytest.approx(0.5625, rel=1e-15)
@@ -216,7 +216,7 @@ def test_criterion_7_smallball_suite():
     for design, p in ((DesignSpec("gaussian", 6), 4.0), (DesignSpec("rademacher", 6), 4.0), (DesignSpec("bounded_uniform", 6), 4.0), (DesignSpec("student_t", 6, p=4.0), 3.0)):
         kappa2 = max(moment_ratio_p2(design, p, directions=100, draws=50000, seed=SEED), 1.0)
         for u in (0.1, 0.25, 0.5):
-            q = estimate_Q(design, u, directions=100, draws=20000, seed=SEED)
+            (q,) = estimate_Q(design, [u], directions=100, draws=20000, seed=SEED)
             domination &= q.q_hat + 3.0 * q.stderr >= paley_zygmund_Q(kappa2, p, u)
     ok = exact_one and gauss_ok and pz_value_ok and domination
     elapsed = time.time() - start
@@ -236,7 +236,7 @@ def test_criterion_8_empirical_smallball_counts():
     cls = ClassSpec(n=32, R=1.0, t0=np.zeros(32))
     choice = choose_tau(design, directions=300, draws=20000, seed=SEED)
     beta = beta_star(cls, design, 256, choice.gamma_beta, trials=100, seed=SEED)
-    rep = verify_empirical_smallball(design, cls, tau=choice.tau, r=1.0, N=256, trials=50, seed=SEED, q_hat=choice.q_at_2tau, beta_estimate=beta)
+    rep = verify_empirical_smallball(design, cls, tau=choice.tau, r=1.0, N=256, trials=50, probes=100, seed=SEED, q_hat=choice.q_at_2tau, beta_estimate=beta)
     ok = rep.success_fraction >= 0.9
     elapsed = time.time() - start
     record(
@@ -289,7 +289,7 @@ def test_criterion_10_determinism_across_worker_counts(monkeypatch):
         vm = MainTheoremConfig(design=DesignSpec("gaussian", 8), noise=NoiseSpec("gaussian", sigma=0.5), N=64, delta=0.2, trials=30, alpha_trials=1000, beta_trials=50, tau_directions=50, tau_draws=2000, seed=SEED)
         rep = verify_main_theorem(vm)
         chunks.append(rep.to_csv() + rep.to_json())
-        est = estimate_Q(DesignSpec("gaussian", 8), 0.5, directions=100, draws=5000, seed=SEED)
+        (est,) = estimate_Q(DesignSpec("gaussian", 8), [0.5], directions=100, draws=5000, seed=SEED)
         chunks.append(repr(est.to_record()))
         beta = beta_star(ClassSpec(n=8, R=1.0, t0=np.zeros(8)), DesignSpec("gaussian", 8), 64, 0.05, trials=50, seed=SEED)
         chunks.append(repr(beta.to_record()))

@@ -414,6 +414,7 @@ def test_verify_counts_estimates_q_with_its_directions_and_draws(tmp_path):
         ("trials=0", "trials must be positive"),
         ("probes=-1", "probes must be nonnegative"),
         ("r=2.5", "r exceeds the diameter"),  # R = 1
+        ("N=0", "N must be at least 1"),
     ],
 )
 def test_verify_counts_checks_inputs_before_estimating_q(setting, message, tmp_path, capsys, monkeypatch):
@@ -579,6 +580,26 @@ def test_bad_config_value_exits_2(args, key, tmp_path, capsys):
 def test_bad_size_exits_2(args, message, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run([*args, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        # one rademacher draw is 0 on (e1 - e2)/sqrt(2) with probability 1/2,
+        # so a moment ratio over one draw can read 0/0
+        ("draws=1", "draws must be positive and at least 1000, got 1"),
+        ("directions=-1", "directions must be nonnegative, got -1"),
+    ],
+)
+@pytest.mark.parametrize("action", ["estimate_q", "choose_tau", "moment_ratio", "l2_l1", "verify_counts"])
+def test_probe_sizes_checked_before_drawing(action, setting, message, fmt, tmp_path, capsys):
+    out = tmp_path / f"report.{fmt}"
+    assert run(["smallball", "--n", "2", "--set", "design.kind=rademacher", "--set", f"action={action}", "--set", setting, "--format", fmt, "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err

@@ -5,9 +5,9 @@ import pytest
 
 from ermbounds import erm
 from ermbounds.distributions import DesignSpec, Moments, NoiseSpec, Sample, make_sample, sample_moments
-from ermbounds.erm import ClassSpec, brute_force_erm, excess_loss, solve_erm, solve_erms
+from ermbounds.erm import ClassSpec, excess_loss, solve_erm, solve_erms
 from ermbounds.experiments import make_t0
-from oracles import certified_min_eigenvalue, fista_erm_scalar
+from oracles import brute_force_erm, certified_min_eigenvalue, fista_erm_scalar
 
 
 def objective(sample, t):
@@ -18,7 +18,7 @@ class TestSolve:
     def test_zero_radius_degenerate(self):
         cls = ClassSpec(n=3, R=0.0, t0=np.zeros(3))
         sample = make_sample(cls, DesignSpec("gaussian", 3), NoiseSpec("gaussian", sigma=1.0), 20, seed=1)
-        res = solve_erm(sample, cls)
+        res = solve_erm(sample, cls, tol=1e-9)
         assert np.array_equal(res.t_hat, np.zeros(3))
         assert res.empirical_risk == pytest.approx(float(np.mean(sample.responses**2)), rel=1e-15)
 
@@ -56,7 +56,7 @@ class TestSolve:
         X = np.array([[1.0, np.nan], [0.0, 1.0]])
         sample = Sample(design=X, responses=np.zeros(2), seed=0)
         with pytest.raises(ValueError):
-            solve_erm(sample, cls)
+            solve_erm(sample, cls, tol=1e-9)
 
     def test_sample_and_its_moments_solve_alike(self):
         cls = ClassSpec(n=12, R=1.0, t0=make_t0("spike", 0.5, 12, 1.0))
@@ -70,7 +70,7 @@ class TestSolve:
         cls = ClassSpec(n=4, R=1.0, t0=np.zeros(4))
         for data in (sample, sample.moments()):
             with pytest.raises(ValueError, match="dimension"):
-                solve_erm(data, cls)
+                solve_erm(data, cls, tol=1e-9)
 
     def test_risk_is_the_objective_at_t_hat(self):
         # noisy: within rounding of the direct mean; noise-free and
@@ -92,9 +92,9 @@ class TestSolve:
         cls = ClassSpec(n=3, R=1.0, t0=np.zeros(3))
         sample = make_sample(cls, DesignSpec("gaussian", 3), NoiseSpec("gaussian", sigma=1.0), 10, seed=1)
         with pytest.raises(ValueError, match="max_iter"):
-            solve_erm(sample, cls, max_iter=max_iter)
+            solve_erm(sample, cls, tol=1e-9, max_iter=max_iter)
         with pytest.raises(ValueError, match="max_iter"):
-            solve_erms([sample.moments()], cls, max_iter=max_iter)
+            solve_erms([sample.moments()], cls, tol=1e-9, max_iter=max_iter)
 
     def test_iteration_cap_reported(self):
         cls = ClassSpec(n=8, R=1.0, t0=np.zeros(8))
@@ -178,11 +178,11 @@ class TestStacked:
         assert result_key(results[2]) == (np.zeros(12).tobytes(), 0.75, 0, 0.0, True)
         for m, result in zip(moments, results[:2] + results[3:]):
             assert result_key(result) == result_key(solve_erm(m, cls, tol=1e-9))
-        assert [result_key(r) for r in solve_erms([zero, zero], cls)] == [result_key(results[2])] * 2
+        assert [result_key(r) for r in solve_erms([zero, zero], cls, tol=1e-9)] == [result_key(results[2])] * 2
 
     def test_zero_radius(self):
         cls, moments = trial_moments("gaussian", 6, 20, 3, R=0.0)
-        for m, result in zip(moments, solve_erms(moments, cls)):
+        for m, result in zip(moments, solve_erms(moments, cls, tol=1e-9)):
             assert result_key(result) == (np.zeros(6).tobytes(), m.c, 0, 0.0, True)
 
     def test_iteration_cap_splits_the_batch(self):
@@ -214,10 +214,10 @@ class TestStacked:
 
     def test_empty_and_mismatched(self):
         cls, moments = trial_moments("gaussian", 4, 8, 2)
-        assert solve_erms([], cls) == []
+        assert solve_erms([], cls, tol=1e-9) == []
         other = sample_moments(ClassSpec(n=5, R=1.0, t0=np.zeros(5)), DesignSpec("gaussian", 5), NoiseSpec("zero"), 8, seed=1)
         with pytest.raises(ValueError, match="dimension"):
-            solve_erms([moments[0], other], cls)
+            solve_erms([moments[0], other], cls, tol=1e-9)
 
     def test_lone_solve_reads_g_in_place(self, monkeypatch):
         # the one-problem stack is a view of the caller's G, not a copy
@@ -225,7 +225,7 @@ class TestStacked:
         seen = []
         rounding_allowance = erm._rounding_allowance
         monkeypatch.setattr(erm, "_rounding_allowance", lambda G, R: seen.append(G) or rounding_allowance(G, R))
-        solve_erm(m, cls)
+        solve_erm(m, cls, tol=1e-9)
         assert seen[0].shape == (1, 8, 8) and np.shares_memory(seen[0], m.G)
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -82,6 +83,7 @@ class TestPersistenceSweep:
         rep = run_persistence_sweep(cfg)
         meds = [r["value"] for r in rep.rows if r["statistic"] == "median_err2"]
         assert all(a <= b for a, b in zip(meds, meds[1:]))
+        assert rep.config == asdict(cfg)
 
     def test_regime_separation(self):
         # straddling the branch threshold N = n^2 sigma^2 / R^2 = 4096 the
@@ -137,26 +139,6 @@ class TestPersistenceSweep:
         monkeypatch.setenv("ERMBOUNDS_WORKERS", "-1")
         with pytest.raises(ValueError, match="ERMBOUNDS_WORKERS must be a nonnegative integer, got '-1'"):
             run_persistence_sweep(SweepConfig(n_grid=(8,), N_grid=(32,)))
-
-    def test_to_record_is_every_field_but_workers(self):
-        record = SweepConfig(design_kind="student_t", design_p=5.0).to_record()
-        assert record == {
-            "design_kind": "student_t",
-            "design_p": 5.0,
-            "noise_kind": "gaussian",
-            "noise_p": None,
-            "noise_kappa": None,
-            "n_grid": [64],
-            "N_grid": [512, 1024],
-            "R_grid": [1.0],
-            "sigma_grid": [0.5],
-            "trials": 20,
-            "tol": 1e-9,
-            "max_iter": 100000,
-            "seed": 0x5EED,
-            "t0_shape": "zero",
-            "t0_fraction": 0.0,
-        }
 
     @pytest.mark.parametrize("field, value", [("tol", 0.0), ("tol", -1e-9), ("max_iter", 0), ("max_iter", -5)])
     def test_solver_settings_validated(self, field, value):
@@ -237,8 +219,11 @@ class TestPersistenceSweep:
 # sha256 of verify_main_theorem's JSON and CSV at the CLI defaults (gaussian
 # n = 32, sigma = 0.5), recorded at commit d65c029, which solved the ERM
 # trials one at a time, and re-recorded when FISTA came to take one matvec per
-# step with a checked step size and when L came to start at 2 max_i G_ii
-PINNED_VERIFY_MAIN = ("b97b8346892483699496fb879c2e5d4e9446091338cda6b1bbd04d0088d69b15", "61c2a36a90ed0a98eefed5a75190916cdd26f32ca33da7145d55a8f291c690fd")
+# step with a checked step size and when L came to start at 2 max_i G_ii; the
+# JSON again when the config echo became dataclasses.asdict(config), which
+# writes the design's and noise's unset p and kappa as null (rows and summary
+# unchanged)
+PINNED_VERIFY_MAIN = ("7f476dda199d8599858547ae2fd6f7f9ac8094c9b84b68ef5f125d37340e4fa6", "61c2a36a90ed0a98eefed5a75190916cdd26f32ca33da7145d55a8f291c690fd")
 
 
 class TestVerifyMain:
@@ -273,27 +258,6 @@ class TestVerifyMain:
         assert config(2000).alpha_trials == 2000
         assert config(None).alpha_trials is None
 
-    def test_to_record_is_every_field_but_workers(self):
-        design, noise = DesignSpec("gaussian", 4), NoiseSpec("gaussian", sigma=0.5)
-        record = MainTheoremConfig(design=design, noise=noise).to_record()
-        assert record == {
-            "design": design.to_record(),
-            "noise": noise.to_record(),
-            "R": 1.0,
-            "N": 512,
-            "delta": 0.1,
-            "trials": 200,
-            "t0_shape": "spike",
-            "t0_fraction": 0.5,
-            "alpha_trials": None,
-            "beta_trials": 200,
-            "tau_directions": 300,
-            "tau_draws": 10000,
-            "tol": 1e-8,
-            "seed": 0x5EED,
-            "gamma_override": None,
-        }
-
     def test_mini_run_structure(self):
         cfg = MainTheoremConfig(
             design=DesignSpec("gaussian", 8),
@@ -314,6 +278,7 @@ class TestVerifyMain:
         stats = {r["statistic"] for r in rep.rows}
         assert {"tau", "q_hat", "gamma", "alpha_hat", "beta_hat", "bound", "frequency", "criterion"} <= stats
         assert isinstance(s["passed"], bool)
+        assert rep.config == asdict(cfg)
 
 
 class TestReports:

@@ -203,8 +203,8 @@ class TestAlphaStar:
 
     def test_quantile_trials_rule(self):
         # at least ceil(50/delta) trials; by default 1000, raised to that
-        assert quantile_trials(0.1) == 1000
-        assert quantile_trials(0.025) == 2000
+        assert quantile_trials(0.1, None) == 1000
+        assert quantile_trials(0.025, None) == 2000
         assert quantile_trials(0.1, 500) == 500
         with pytest.raises(ValueError, match="need at least 500 trials to resolve the 0.9 quantile"):
             quantile_trials(0.1, 499)
@@ -384,7 +384,7 @@ class TestWorkerCounts:
         monkeypatch.setenv("ERMBOUNDS_WORKERS", "abc")
         design = DesignSpec("gaussian", 4)
         with pytest.raises(ValueError, match="ERMBOUNDS_WORKERS must be a nonnegative integer, got 'abc'"):
-            estimate_Q(design, 0.5, directions=10, draws=1000, seed=0)
+            estimate_Q(design, [0.5], directions=10, draws=1000, seed=0)
         with pytest.raises(ValueError, match="ERMBOUNDS_WORKERS must be a nonnegative integer, got 'abc'"):
             choose_tau(design, directions=10, draws=1000, seed=0)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ermbounds import rng
+from ermbounds import rng, smallball
 from ermbounds.distributions import DesignSpec, sample_design
 from ermbounds.erm import ClassSpec
 from ermbounds.fixed_points import beta_star
@@ -28,7 +28,7 @@ from oracles import count_at_least_reference, direction_probability
 
 class TestEstimateQ:
     def test_zero_threshold_is_one(self):
-        est = estimate_Q(DesignSpec("gaussian", 6), 0.0, seed=1)
+        (est,) = estimate_Q(DesignSpec("gaussian", 6), [0.0], 500, 10000, seed=1)
         assert est.q_hat == 1.0 and est.stderr == 0.0
 
     @pytest.mark.parametrize("n", [1, 6, 16, 70])
@@ -39,11 +39,11 @@ class TestEstimateQ:
         zero, positive = estimate_Q(design, np.array([0.0, 0.5]), directions=40, draws=1000, seed=5)
         rows = probe_directions(design, 40, seed=5)[0].shape[0]
         assert zero.directions == positive.directions == rows == probe_rows(n, 40)
-        assert estimate_Q(design, 0.0, directions=40, draws=1000, seed=5).directions == rows
+        assert estimate_Q(design, [0.0], directions=40, draws=1000, seed=5)[0].directions == rows
 
     def test_draw_floor(self):
         with pytest.raises(ValueError):
-            estimate_Q(DesignSpec("gaussian", 4), 0.5, draws=500)
+            estimate_Q(DesignSpec("gaussian", 4), [0.5], 500, draws=500, seed=0)
 
     def test_rademacher_basis_direction(self):
         e1 = np.zeros(5)
@@ -63,20 +63,20 @@ class TestEstimateQ:
         # every direction of an isotropic gaussian has the same law, so the
         # two-pass estimate is an unbiased binomial proportion of 2(1-Phi(0.5))
         expected = 2.0 * stats.norm.sf(0.5)
-        est = estimate_Q(DesignSpec("gaussian", 8), 0.5, directions=300, draws=20000, seed=4)
+        (est,) = estimate_Q(DesignSpec("gaussian", 8), [0.5], directions=300, draws=20000, seed=4)
         assert abs(est.q_hat - expected) <= 3.0 * est.stderr
 
     def test_monotone_in_u(self):
         design = DesignSpec("rademacher", 8)
         grid = [0.0, 0.3, 0.6, 1.01, 1.5]
-        ests = [estimate_Q(design, u, directions=200, draws=20000, seed=5) for u in grid]
+        ests = [estimate_Q(design, [u], directions=200, draws=20000, seed=5)[0] for u in grid]
         for a, b in zip(ests, ests[1:]):
             assert b.q_hat <= a.q_hat + 3.0 * max(a.stderr, b.stderr)
 
     def test_two_sparse_flags_rademacher(self):
         # for random signs the 2-sparse directions are strict small-ball
         # minimizers, which the estimate is expected to flag
-        est = estimate_Q(DesignSpec("rademacher", 8), 0.5, directions=200, draws=20000, seed=6)
+        (est,) = estimate_Q(DesignSpec("rademacher", 8), [0.5], directions=200, draws=20000, seed=6)
         assert est.q_hat == pytest.approx(0.5, abs=0.02)
         assert "structured_below_random" in est.flags
 
@@ -98,7 +98,7 @@ class TestEstimateQGrid:
         assert isinstance(grid_ests, tuple) and len(grid_ests) == len(self.GRID)
         assert [est.q_hat for est in grid_ests] == self.RECORDED_Q[kind]
         for u, got in zip(self.GRID, grid_ests):
-            want = estimate_Q(design, u, directions=60, draws=2000, seed=24)
+            (want,) = estimate_Q(design, [u], directions=60, draws=2000, seed=24)
             assert got.u == want.u
             assert got.q_hat == want.q_hat
             assert got.stderr == want.stderr
@@ -111,11 +111,36 @@ class TestEstimateQGrid:
 
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError):
-            estimate_Q(DesignSpec("gaussian", 4), np.array([0.5, -0.1, 1.0]), draws=1000)
+            estimate_Q(DesignSpec("gaussian", 4), np.array([0.5, -0.1, 1.0]), 500, draws=1000, seed=0)
 
     def test_two_dimensional_grid_rejected(self):
         with pytest.raises(ValueError):
-            estimate_Q(DesignSpec("gaussian", 4), np.ones((2, 2)), draws=1000)
+            estimate_Q(DesignSpec("gaussian", 4), np.ones((2, 2)), 500, draws=1000, seed=0)
+
+    def test_bare_float_rejected(self):
+        with pytest.raises(ValueError, match="u must be a 1-D sequence of thresholds"):
+            estimate_Q(DesignSpec("gaussian", 4), 0.5, 500, draws=1000, seed=0)
+
+
+class TestProbeSizes:
+    @pytest.mark.parametrize(
+        "directions, draws, message",
+        [(500, 999, "draws must be positive and at least 1000, got 999"), (500, 0, "draws must be positive"), (-1, 1000, "directions must be nonnegative, got -1")],
+    )
+    def test_rejected_by_every_probe_estimate(self, directions, draws, message):
+        # one rademacher draw is 0 on (e1 - e2)/sqrt(2) with probability 1/2,
+        # so a ratio over few draws can read 0/0
+        design = DesignSpec("rademacher", 2)
+        calls = {
+            "estimate_Q": lambda: estimate_Q(design, [0.5], directions, draws, seed=0),
+            "estimate_Q at u = 0": lambda: estimate_Q(design, [0.0], directions, draws, seed=0),
+            "choose_tau": lambda: choose_tau(design, directions, draws, seed=0),
+            "moment_ratio_p2": lambda: moment_ratio_p2(design, 4.0, directions, draws, seed=0),
+            "l2_l1_ratio": lambda: l2_l1_ratio(design, directions, draws, seed=0),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 class TestCountAtLeast:
@@ -203,7 +228,7 @@ class TestPaleyZygmund:
         # probability must dominate the closed-form bound
         kappa2 = max(moment_ratio_p2(design, p, directions=100, draws=50000, seed=7), 1.0)
         for u in (0.1, 0.25, 0.5):
-            est = estimate_Q(design, u, directions=100, draws=20000, seed=8)
+            (est,) = estimate_Q(design, [u], directions=100, draws=20000, seed=8)
             assert est.q_hat + 3.0 * est.stderr >= paley_zygmund_Q(kappa2, p, u)
 
 
@@ -240,15 +265,15 @@ class TestChooseTau:
         scores = taus**2 * 2.0 * stats.norm.sf(2.0 * taus)
         tau_analytic = float(taus[np.argmax(scores)])
         choice = choose_tau(DesignSpec("gaussian", 8), directions=200, draws=20000, seed=15)
-        grid = np.asarray(choice.grid)
+        grid = smallball.TAU_GRID
         step = float(np.log(grid[1] / grid[0]))
         assert abs(math.log(choice.tau / tau_analytic)) <= step
         assert choice.gamma == pytest.approx(choice.tau**2 * choice.q_at_2tau / 16.0, rel=1e-15)
         assert choice.gamma_beta == pytest.approx(choice.tau * choice.q_at_2tau / 16.0, rel=1e-15)
 
-    def test_rademacher_grid_max(self):
-        grid = np.geomspace(0.05, 0.49, 12)
-        choice = choose_tau(DesignSpec("rademacher", 16), tau_grid=grid, directions=200, draws=20000, seed=16)
+    def test_rademacher_grid_max(self, monkeypatch):
+        monkeypatch.setattr(smallball, "TAU_GRID", np.geomspace(0.05, 0.49, 12))
+        choice = choose_tau(DesignSpec("rademacher", 16), directions=200, draws=20000, seed=16)
         assert choice.tau == pytest.approx(0.49, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -262,23 +287,19 @@ class TestChooseTau:
         assert choice.tau == tau
         assert choice.q_at_2tau == q_at_2tau
 
-    def test_empty_grid(self):
-        with pytest.raises(ValueError):
-            choose_tau(DesignSpec("gaussian", 4), tau_grid=[])
-
 
 class TestVerifyCounts:
     def test_tau_zero_counts_everything(self):
         cls = ClassSpec(n=4, R=1.0, t0=np.zeros(4))
-        q_hat = estimate_Q(DesignSpec("gaussian", 4), 0.0, seed=17).q_hat
-        rep = verify_empirical_smallball(DesignSpec("gaussian", 4), cls, tau=0.0, r=0.5, N=64, trials=10, seed=17, q_hat=q_hat)
+        q_hat = estimate_Q(DesignSpec("gaussian", 4), [0.0], 500, 10000, seed=17)[0].q_hat
+        rep = verify_empirical_smallball(DesignSpec("gaussian", 4), cls, tau=0.0, r=0.5, N=64, trials=10, probes=100, seed=17, q_hat=q_hat)
         assert np.all(rep.min_counts == 64)
         assert rep.success_fraction == 1.0
 
     def test_rademacher_single_coordinate_counts(self):
         cls = ClassSpec(n=1, R=1.0, t0=np.zeros(1))
-        q_hat = estimate_Q(DesignSpec("rademacher", 1), 1.0, seed=18).q_hat
-        rep = verify_empirical_smallball(DesignSpec("rademacher", 1), cls, tau=0.5, r=0.5, N=128, trials=10, seed=18, q_hat=q_hat)
+        q_hat = estimate_Q(DesignSpec("rademacher", 1), [1.0], 500, 10000, seed=18)[0].q_hat
+        rep = verify_empirical_smallball(DesignSpec("rademacher", 1), cls, tau=0.5, r=0.5, N=128, trials=10, probes=100, seed=18, q_hat=q_hat)
         assert np.all(rep.min_counts == 128)
 
     def test_probe_count_is_taken_as_given(self):
@@ -305,16 +326,16 @@ class TestVerifyCounts:
 
     def test_infeasible_radius(self):
         cls = ClassSpec(n=4, R=1.0, t0=np.zeros(4))
-        q_hat = estimate_Q(DesignSpec("gaussian", 4), 1.0, seed=19).q_hat
+        q_hat = estimate_Q(DesignSpec("gaussian", 4), [1.0], 500, 10000, seed=19)[0].q_hat
         with pytest.raises(ValueError):
-            verify_empirical_smallball(DesignSpec("gaussian", 4), cls, tau=0.5, r=2.5, N=64, trials=5, seed=19, q_hat=q_hat)
+            verify_empirical_smallball(DesignSpec("gaussian", 4), cls, tau=0.5, r=2.5, N=64, trials=5, probes=100, seed=19, q_hat=q_hat)
 
     def test_gaussian_cell_passes(self):
         design = DesignSpec("gaussian", 32)
         cls = ClassSpec(n=32, R=1.0, t0=np.zeros(32))
         choice = choose_tau(design, directions=200, draws=20000, seed=20)
         beta = beta_star(cls, design, 256, choice.gamma_beta, trials=100, seed=20)
-        rep = verify_empirical_smallball(design, cls, tau=choice.tau, r=1.0, N=256, trials=40, seed=20, q_hat=choice.q_at_2tau, beta_estimate=beta)
+        rep = verify_empirical_smallball(design, cls, tau=choice.tau, r=1.0, N=256, trials=40, probes=100, seed=20, q_hat=choice.q_at_2tau, beta_estimate=beta)
         assert rep.success_fraction >= 0.9
         # at this desk-scale cell the sufficient condition is out of reach
         # inside the class; the report must say so rather than hide it
@@ -331,7 +352,7 @@ class TestVerifyCounts:
         choice = choose_tau(design, directions=20, draws=20000, seed=21)
         beta = beta_star(cls, design, 10000, choice.gamma_beta, trials=5000, seed=21)
         assert "not_satisfied_within_upper" not in beta.flags
-        rep = verify_empirical_smallball(design, cls, tau=choice.tau, r=0.5, N=10000, trials=30, seed=21, q_hat=choice.q_at_2tau, beta_estimate=beta)
+        rep = verify_empirical_smallball(design, cls, tau=choice.tau, r=0.5, N=10000, trials=30, probes=100, seed=21, q_hat=choice.q_at_2tau, beta_estimate=beta)
         assert rep.hypothesis_certified
         assert rep.success_fraction >= rep.success_criterion
         assert rep.passed

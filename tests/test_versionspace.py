@@ -117,7 +117,7 @@ _NULLSPACE_DESIGNS = {
     "wide_gaussian_design": sample_design(DesignSpec("gaussian", 40), 25, seed=4),
     "duplicated_rows": np.vstack([np.random.default_rng(5).standard_normal((3, 10))] * 3),
     "all_zero": np.zeros((4, 6)),
-    # the smallest singular value sits 1e-13 above or below rel_tol*max(s) = 1e-10,
+    # the smallest singular value sits 1e-13 above or below NULLSPACE_REL_TOL*max(s) = 1e-10,
     # a hundred times the SVD's rounding error
     "just_above_tol": _with_singular_values([1.0, 0.5, _TOL * (1.0 + 1e-3)], 4, 7, seed=6),
     "just_below_tol": _with_singular_values([1.0, 0.5, _TOL * (1.0 - 1e-3)], 4, 7, seed=6),
@@ -131,7 +131,7 @@ class TestNullspaceBasis:
         import scipy.linalg
 
         design = _NULLSPACE_DESIGNS[name]
-        basis = nullspace_basis(design, rel_tol=_TOL)
+        basis = nullspace_basis(design)
         reference = scipy.linalg.null_space(design, rcond=_TOL)
         assert basis.shape == reference.shape == (design.shape[1], _NULLSPACE_DIMS[name])
         assert basis.dtype == reference.dtype
@@ -140,7 +140,7 @@ class TestNullspaceBasis:
     @pytest.mark.parametrize("name", sorted(_NULLSPACE_DESIGNS))
     def test_orthonormal_and_annihilated(self, name):
         design = _NULLSPACE_DESIGNS[name]
-        basis = nullspace_basis(design, rel_tol=_TOL)
+        basis = nullspace_basis(design)
         assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
         assert np.allclose(design @ basis, 0.0, atol=1e-9)
 
