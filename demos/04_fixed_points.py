@@ -16,8 +16,8 @@ N = 512
 
 beta = beta_star(cls, design, N, gamma=0.1, trials=200, seed=1)
 k = k_star(cls, design, N, gamma=0.1, trials=200, seed=1)
-print(f"beta* = {beta.value:.4f}  bracket [{beta.lower_bracket:.4f}, {beta.upper_bracket:.4f}] flags={beta.flags}")
-print(f"k*    = {k.value:.4f}  bracket [{k.lower_bracket:.4f}, {k.upper_bracket:.4f}] flags={k.flags}")
+print(f"beta* = {beta.value:.4f}  bracket [{beta.brackets[0]:.4f}, {beta.brackets[1]:.4f}] flags={beta.flags}")
+print(f"k*    = {k.value:.4f}  bracket [{k.brackets[0]:.4f}, {k.brackets[1]:.4f}] flags={k.flags}")
 
 print("\nalpha* grows with the noise level (same random streams):")
 for sigma in (0.0, 0.1, 0.5, 1.0):

@@ -34,7 +34,7 @@ from .erm import ClassSpec, solve_erm
 from .experiments import MainTheoremConfig, SweepConfig, make_t0, run_counterexample, run_persistence_sweep, verify_main_theorem
 from .fixed_points import alpha_star, beta_star, k_star
 from .rates import RateInputs, rho_N, v1_v2
-from .reports import Report, emit_report
+from .reports import Report, emit_report, record
 from .rng import DEFAULT_SEED, WORKERS_ENV, derive_seed, trial_workers
 from .smallball import check_count_inputs, choose_tau, estimate_Q, l2_l1_ratio, moment_ratio_p2, verify_empirical_smallball
 from .versionspace import version_diameter
@@ -261,7 +261,7 @@ def _fixed_point(kind: str) -> Callable:
         else:
             fn = beta_star if kind == "beta" else k_star
             est = fn(cls, design, config["N"], config["gamma"], trials=config["trials"], seed=config["seed"])
-        rec = est.to_record()
+        rec = record(est)
         lower, upper = rec["brackets"]
         stats = {"value": rec["value"], "lower_bracket": lower, "upper_bracket": upper, "stderr": rec["stderr"], "trials": rec["trials"]}
         return _stats_result(kind, config, stats, {"estimate": rec, "passed": True}, f"{kind}={rec['value']:.6g} bracket=[{lower:.6g},{upper:.6g}] flags={rec['flags']}")
@@ -274,11 +274,11 @@ def _smallball(config: dict) -> tuple[Report, str, bool]:
     action = config["action"]
     if action == "estimate_q":
         (est,) = estimate_Q(design, [config["u"]], config["directions"], config["draws"], seed)
-        return _stats_result("smallball", config, {"q_hat": est.q_hat, "stderr": est.stderr}, {"estimate": est.to_record(), "passed": True}, f"Q_hat({config['u']:g})={est.q_hat:.6g} +- {est.stderr:.3g}")
+        return _stats_result("smallball", config, {"q_hat": est.q_hat, "stderr": est.stderr}, {"estimate": record(est), "passed": True}, f"Q_hat({config['u']:g})={est.q_hat:.6g} +- {est.stderr:.3g}")
     if action == "choose_tau":
         choice = choose_tau(design, config["directions"], config["draws"], seed)
         stats = {"tau": choice.tau, "q_at_2tau": choice.q_at_2tau, "gamma": choice.gamma, "gamma_beta": choice.gamma_beta}
-        return _stats_result("smallball", config, stats, {"choice": choice.to_record(), "passed": "small_ball_not_detectable" not in choice.flags}, f"tau={choice.tau:.6g} Q_hat(2tau)={choice.q_at_2tau:.6g} gamma={choice.gamma:.6g}")
+        return _stats_result("smallball", config, stats, {"choice": record(choice), "passed": "small_ball_not_detectable" not in choice.flags}, f"tau={choice.tau:.6g} Q_hat(2tau)={choice.q_at_2tau:.6g} gamma={choice.gamma:.6g}")
     if action == "moment_ratio":
         ratio = moment_ratio_p2(design, config["p"], config["directions"], config["draws"], seed)
         return _stats_result("smallball", config, {"lp_l2_ratio": ratio}, {"lp_l2_ratio": ratio, "passed": True}, f"Lp/L2 ratio={ratio:.6g}")
@@ -291,7 +291,7 @@ def _smallball(config: dict) -> tuple[Report, str, bool]:
         (est,) = estimate_Q(design, [2.0 * config["tau"]], config["directions"], config["draws"], seed)
         result = verify_empirical_smallball(design, cls, config["tau"], config["r"], config["N"], est.q_hat, config["trials"], config["probes"], seed)
         stats = {"success_fraction": result.success_fraction, "success_criterion": result.success_criterion, "count_threshold": result.count_threshold, "q_hat": result.q_hat}
-        return _stats_result("smallball", config, stats, {"result": result.to_record(), "passed": result.passed}, f"success_fraction={result.success_fraction:.6g} criterion={result.success_criterion:.6g}")
+        return _stats_result("smallball", config, stats, {"result": record(result), "passed": result.passed}, f"success_fraction={result.success_fraction:.6g} criterion={result.success_criterion:.6g}")
     raise ConfigError(f"unknown smallball action {action!r}")
 
 
@@ -304,7 +304,7 @@ def _version_space(config: dict) -> tuple[Report, str, bool]:
     X = sample_design(design, config["N"], config["seed"]) if config["N"] > 0 else np.zeros((0, config["n"]))
     probe = version_diameter(X, cls, probes=config["probes"], seed=derive_seed(config["seed"], 1))
     stats = {"radius_lb": probe.radius_lb, "nullspace_dim": probe.nullspace_dim, "directions": probe.directions}
-    return _stats_result("version_space", config, stats, {"probe": probe.to_record(), "passed": True}, f"radius_lb={probe.radius_lb:.6g} nullspace_dim={probe.nullspace_dim}")
+    return _stats_result("version_space", config, stats, {"probe": record(probe), "passed": True}, f"radius_lb={probe.radius_lb:.6g} nullspace_dim={probe.nullspace_dim}")
 
 
 def _persistence(config: dict) -> tuple[Report, str, bool]:
@@ -368,17 +368,20 @@ def run(argv) -> int:
         parser.print_help()
         return 2
     flag_values = {flag: getattr(args, flag) for flag in VALUE_FLAGS if hasattr(args, flag)}
+    output = args.output or f"{args.subcommand.replace('-', '_')}_report.{args.format}"
     try:
         trial_workers(0)  # a bad $ERMBOUNDS_WORKERS fails here, before any stage runs
         config = resolve_config(args.subcommand, args.config, args.set, flag_values)
         # --seed wins over a config file and --set
         config["seed"] = args.seed if args.seed is not None else config.get("seed", DEFAULT_SEED)
+        # a report that has nowhere to go fails before its run, not after
+        if not os.path.isdir(os.path.dirname(output) or "."):
+            raise ConfigError(f"output directory of {output!r} does not exist")
         report, line, ok = SUBCOMMANDS[args.subcommand].handler(config)
+        emit_report(report, output, args.format)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    output = args.output or f"{args.subcommand.replace('-', '_')}_report.{args.format}"
-    emit_report(report, output, args.format)
     print(f"{args.subcommand}: {line} -> {output}")
     return 0 if ok else 3
 

@@ -18,6 +18,9 @@ from .rng import DESIGN_TAG, NOISE_TAG, map_trials, substream
 
 DESIGN_KINDS = ("rademacher", "bounded_uniform", "gaussian", "student_t", "symmetrized_pareto")
 NOISE_KINDS = ("zero", "scaled_sign", "gaussian", "bounded_symmetric", "heavy_tailed")
+# integral_0^inf sqrt(2 Pr(G > x)) dx for a standard gaussian G, the L_{2,1}
+# norm of N(0, 1) (adaptive quadrature to infinity, error estimate 6e-14)
+GAUSSIAN_L21 = 1.3037853169509233
 
 
 def random_signs(rng: np.random.Generator, size) -> np.ndarray:
@@ -256,36 +259,22 @@ def sample_moments(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int
 
 
 def l21_norm(noise: NoiseSpec) -> float:
-    """The norm integral_0^inf sqrt(Pr(|W| > t)) dt.
+    """The norm integral_0^inf sqrt(Pr(|W| > t)) dt, in closed form.
 
-    Piecewise-constant survival functions integrate in closed form; the rest
-    go through adaptive quadrature on the continuous part plus an analytic
-    tail, with relative error well under 1e-6. The quadrature is scipy's,
-    imported here so that importing the package needs numpy alone.
+    A gaussian W gives sigma*GAUSSIAN_L21 (substitute t = sigma*x). A
+    heavy-tailed W has survival 1 on [0, a) and (a/t)^p after, with
+    a = sigma*sqrt((p-2)/p), so the integral is a + 2a/(p-2) = sigma*sqrt(p/(p-2)).
+    The piecewise-constant survivals of scaled_sign and bounded_symmetric
+    (1/kappa^2 on [0, kappa*sigma)) both integrate to sigma.
     """
     sigma = noise.sigma
     if noise.kind == "zero" or sigma == 0.0:
         return 0.0
-    if noise.kind == "scaled_sign":
-        return float(sigma)
-    if noise.kind == "bounded_symmetric":
-        # survival = 1/kappa^2 on [0, kappa*sigma): integral = sigma exactly
-        return float(sigma)
-    from scipy import integrate, stats
-
     if noise.kind == "gaussian":
-        val, _ = integrate.quad(lambda t: math.sqrt(2.0 * stats.norm.sf(t / sigma)), 0.0, 40.0 * sigma, epsabs=1e-13 * sigma, epsrel=1e-10, limit=200)
-        return float(val)
-    # heavy_tailed: survival is 1 on [0, a), (a/t)^p after, with a = sigma/sqrt(p/(p-2))
-    p = noise.p
-    a = sigma / math.sqrt(p / (p - 2.0))
-    body = 0.0
-    for k in range(6):  # decade-split keeps quad's roundoff in check
-        lo, hi = a * 10.0**k, a * 10.0 ** (k + 1)
-        seg, _ = integrate.quad(lambda t: (a / t) ** (p / 2.0), lo, hi, epsrel=1e-10, limit=200)
-        body += seg
-    tail = a * (1e6) ** (1.0 - p / 2.0) * 2.0 / (p - 2.0)
-    return float(a + body + tail)
+        return sigma * GAUSSIAN_L21
+    if noise.kind == "heavy_tailed":
+        return sigma * math.sqrt(noise.p / (noise.p - 2.0))
+    return float(sigma)
 
 
 def psi2_norm(samples) -> float:

@@ -21,7 +21,7 @@ from .distributions import CounterexampleSpec, DesignSpec, NoiseSpec, counterexa
 from .erm import ClassSpec, ErmResult, solve_erms
 from .fixed_points import alpha_star, beta_star, quantile_trials
 from .rates import RateInputs, rho_N, v1_v2
-from .reports import Report, wilson_interval
+from .reports import Report, record, wilson_interval
 from .rng import DEFAULT_SEED, derive_seed, map_trials
 from .smallball import choose_tau
 
@@ -337,9 +337,9 @@ def verify_main_theorem(config: MainTheoremConfig) -> Report:
         # every ERM error is at most the class diameter 2R, so such a bound
         # is met whatever the fixed points are
         "bound_vacuous": bool(bound >= 2.0 * config.R),
-        "alpha": alpha.to_record(),
-        "beta": beta.to_record(),
-        "tau": tau_choice.to_record(),
+        "alpha": record(alpha),
+        "beta": record(beta),
+        "tau": record(tau_choice),
         "estimator_flags": flags,
     }
     return report

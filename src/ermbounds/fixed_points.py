@@ -41,22 +41,11 @@ class FixedPointEstimate:
     """A fixed-point radius with its bracket and Monte Carlo uncertainty."""
 
     value: float
-    lower_bracket: float
-    upper_bracket: float
+    brackets: tuple[float, float]
     trials: int
     stderr: float
     kind: str
     flags: tuple = field(default_factory=tuple)
-
-    def to_record(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "brackets": [self.lower_bracket, self.upper_bracket],
-            "trials": self.trials,
-            "stderr": self.stderr,
-            "flags": list(self.flags),
-        }
 
 
 def _noise_mean_squares(N: int, trials: int, seed: int, noise: NoiseSpec) -> np.ndarray:
@@ -138,9 +127,9 @@ def _bisect_fixed_point(Z: np.ndarray, R: float, threshold, kind: str, r_lo: flo
         return float(sups_at(r).std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
 
     if ok(r_lo):
-        return FixedPointEstimate(r_lo, r_lo, r_lo, trials, stderr_at(r_lo), kind, ("at_lower_bracket",))
+        return FixedPointEstimate(r_lo, (r_lo, r_lo), trials, stderr_at(r_lo), kind, ("at_lower_bracket",))
     if not ok(r_hi):
-        return FixedPointEstimate(r_hi, r_hi, r_hi, trials, stderr_at(r_hi), kind, ("not_satisfied_within_upper",))
+        return FixedPointEstimate(r_hi, (r_hi, r_hi), trials, stderr_at(r_hi), kind, ("not_satisfied_within_upper",))
     lo, hi = r_lo, r_hi
     while hi - lo > 1e-2 * hi:
         mid = 0.5 * (lo + hi)
@@ -148,7 +137,7 @@ def _bisect_fixed_point(Z: np.ndarray, R: float, threshold, kind: str, r_lo: flo
             hi = mid
         else:
             lo = mid
-    return FixedPointEstimate(hi, lo, hi, trials, stderr_at(hi), kind)
+    return FixedPointEstimate(hi, (lo, hi), trials, stderr_at(hi), kind)
 
 
 def _rademacher_fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int, seed: int, power: int, kind: str) -> FixedPointEstimate:
@@ -157,7 +146,7 @@ def _rademacher_fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, g
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if class_spec.R == 0.0:
-        return FixedPointEstimate(0.0, 0.0, 0.0, trials, 0.0, kind, ("degenerate_class",))
+        return FixedPointEstimate(0.0, (0.0, 0.0), trials, 0.0, kind, ("degenerate_class",))
     r_hi = 2.0 * class_spec.R * math.sqrt(class_spec.n)
     Z = _z_batch(class_spec, design, N, trials, seed, None)
     # in this order the threshold is bit for bit gamma*r*sqrt(N) or gamma*r*r*sqrt(N)
@@ -206,7 +195,7 @@ def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: i
         raise ValueError("delta must lie in (0, 1)")
     quantile_trials(delta, trials)
     if class_spec.R == 0.0:
-        return FixedPointEstimate(0.0, 0.0, 0.0, trials, 0.0, "alpha", ("degenerate_class",))
+        return FixedPointEstimate(0.0, (0.0, 0.0), trials, 0.0, "alpha", ("degenerate_class",))
     s_hi = 2.0 * class_spec.R * math.sqrt(class_spec.n)
     s_lo = 1e-6 * s_hi
     steps = int(math.ceil(math.log(s_hi / s_lo) / math.log(1.1)))
@@ -228,7 +217,7 @@ def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: i
         return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
 
     if p_hat(steps) < target:
-        return FixedPointEstimate(float(grid[-1]), float(grid[-2]), float(grid[-1]), trials, stderr(p_hats[steps]), "alpha", ("grid_exhausted",))
+        return FixedPointEstimate(float(grid[-1]), (float(grid[-2]), float(grid[-1])), trials, stderr(p_hats[steps]), "alpha", ("grid_exhausted",))
     lo, hi = 0, steps  # the first success lies in [lo, hi], and hi succeeds
     while lo < hi:
         mid = (lo + hi) // 2
@@ -239,4 +228,4 @@ def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: i
     p = p_hats[hi]
     flags = ("wilson_marginal",) if p - target < 2.0 * stderr(p) else ()
     lower = float(grid[hi - 1]) if hi > 0 else float(grid[hi])
-    return FixedPointEstimate(float(grid[hi]), lower, float(grid[hi]), trials, stderr(p), "alpha", flags)
+    return FixedPointEstimate(float(grid[hi]), (lower, float(grid[hi])), trials, stderr(p), "alpha", flags)

@@ -10,7 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+
+import numpy as np
 
 SCHEMA_VERSION = 1
 
@@ -29,6 +31,17 @@ def canonical_json(obj) -> str:
 
 def content_hash(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode()).hexdigest()
+
+
+def record(result) -> dict:
+    """The report record of a result dataclass: every field but its arrays,
+    with tuples as lists."""
+    out = {}
+    for f in fields(result):
+        value = getattr(result, f.name)
+        if not isinstance(value, np.ndarray):
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

@@ -33,16 +33,6 @@ class SmallBallEstimate:
     argmin_direction: np.ndarray
     flags: tuple = field(default_factory=tuple)
 
-    def to_record(self) -> dict:
-        return {
-            "u": self.u,
-            "q_hat": self.q_hat,
-            "directions": self.directions,
-            "draws": self.draws,
-            "stderr": self.stderr,
-            "flags": list(self.flags),
-        }
-
 
 MAX_PAIRS = 2048
 # fewest draws a probe estimate accepts: a small-ball probability needs
@@ -74,20 +64,16 @@ def probe_directions(design: DesignSpec, count: int, seed: int) -> tuple[np.ndar
     rng = substream(seed, DIRECTIONS_TAG)
     raw = rng.standard_normal((count, n))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
-    structured = [np.eye(n)]
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if len(pairs) > MAX_PAIRS:
-        idx = rng.choice(len(pairs), size=MAX_PAIRS, replace=False)
-        pairs = [pairs[k] for k in np.sort(idx)]
-    if pairs:
-        plus = np.zeros((len(pairs), n))
-        minus = np.zeros((len(pairs), n))
-        for row, (i, j) in enumerate(pairs):
-            plus[row, i] = plus[row, j] = 1.0 / math.sqrt(2.0)
-            minus[row, i] = 1.0 / math.sqrt(2.0)
-            minus[row, j] = -1.0 / math.sqrt(2.0)
-        structured += [plus, minus]
-    return np.vstack([raw] + structured), count
+    i, j = np.triu_indices(n, 1)  # the pairs i < j in lexicographic order
+    if i.size > MAX_PAIRS:
+        keep = np.sort(rng.choice(i.size, size=MAX_PAIRS, replace=False))
+        i, j = i[keep], j[keep]
+    rows = np.arange(i.size)
+    plus = np.zeros((i.size, n))
+    minus = np.zeros((i.size, n))
+    plus[rows, i] = plus[rows, j] = minus[rows, i] = 1.0 / math.sqrt(2.0)
+    minus[rows, j] = -1.0 / math.sqrt(2.0)
+    return np.vstack([raw, np.eye(n), plus, minus]), count
 
 
 def _check_probe_sizes(directions: int, draws: int) -> None:
@@ -227,15 +213,6 @@ class TauChoice:
     gamma_beta: float
     flags: tuple = field(default_factory=tuple)
 
-    def to_record(self) -> dict:
-        return {
-            "tau": self.tau,
-            "q_at_2tau": self.q_at_2tau,
-            "gamma": self.gamma,
-            "gamma_beta": self.gamma_beta,
-            "flags": list(self.flags),
-        }
-
 
 def choose_tau(design: DesignSpec, directions: int, draws: int, seed: int) -> TauChoice:
     """Maximize tau^2 * Q_hat(2 tau) over TAU_GRID.
@@ -270,20 +247,6 @@ class SmallBallCountReport:
     hypothesis_certified: bool
     min_counts: np.ndarray
     flags: tuple = field(default_factory=tuple)
-
-    def to_record(self) -> dict:
-        return {
-            "tau": self.tau,
-            "r": self.r,
-            "N": self.N,
-            "q_hat": self.q_hat,
-            "count_threshold": self.count_threshold,
-            "success_fraction": self.success_fraction,
-            "success_criterion": self.success_criterion,
-            "passed": self.passed,
-            "hypothesis_certified": self.hypothesis_certified,
-            "flags": list(self.flags),
-        }
 
 
 def check_count_inputs(class_spec: ClassSpec, tau: float, r: float, N: int, trials: int, probes: int) -> None:

@@ -26,13 +26,6 @@ class VersionSpaceProbe:
     nullspace_dim: int
     witness: np.ndarray
 
-    def to_record(self) -> dict:
-        return {
-            "radius_lb": self.radius_lb,
-            "directions": self.directions,
-            "nullspace_dim": self.nullspace_dim,
-        }
-
 
 def nullspace_basis(design: np.ndarray) -> np.ndarray:
     """Orthonormal null-space basis, as columns; a singular value s counts as

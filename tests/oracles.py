@@ -15,7 +15,9 @@ are one-problem code, the bitwise reference for the rows of the stacked
 solver. The exhaustive-grid ERM minimizer shares no step rule with that
 solver. The one-shot support kernel re-sorts its batch at every call, and the
 linear alpha scan tries every grid radius in turn: the bitwise references for
-the prepared batch and for the grid bisection.
+the prepared batch and for the grid bisection. The probe-direction builder
+walks a Python list of coordinate pairs, one row at a time: the bitwise
+reference for the indexed build of the 2-sparse probes.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from ermbounds.erm import ClassSpec
 from ermbounds.fixed_points import FixedPointEstimate, _z_batch
 from ermbounds.geometry import REL_SLACK, SupportRows, project_l1, support_l1l2_batch
 from ermbounds.rng import DIRECTIONS_TAG, substream
+from ermbounds.smallball import MAX_PAIRS
 
 
 def project_l1_reference(v: np.ndarray, radius: float) -> np.ndarray:
@@ -128,6 +131,29 @@ def direction_probability(design: DesignSpec, direction: np.ndarray, u: float, d
     rng = substream(seed, trial, DIRECTIONS_TAG)
     X = design.sample_coords(rng, (draws, design.n))
     return float(np.mean(np.abs(X @ (t / norm)) >= u))
+
+
+def probe_directions_reference(design: DesignSpec, count: int, seed: int) -> tuple[np.ndarray, int]:
+    """`smallball.probe_directions` built from a list of its coordinate pairs,
+    one row per pair: the same stream, the same pair sample and the same bytes."""
+    n = design.n
+    rng = substream(seed, DIRECTIONS_TAG)
+    raw = rng.standard_normal((count, n))
+    raw /= np.linalg.norm(raw, axis=1, keepdims=True)
+    structured = [np.eye(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if len(pairs) > MAX_PAIRS:
+        idx = rng.choice(len(pairs), size=MAX_PAIRS, replace=False)
+        pairs = [pairs[k] for k in np.sort(idx)]
+    if pairs:
+        plus = np.zeros((len(pairs), n))
+        minus = np.zeros((len(pairs), n))
+        for row, (i, j) in enumerate(pairs):
+            plus[row, i] = plus[row, j] = 1.0 / math.sqrt(2.0)
+            minus[row, i] = 1.0 / math.sqrt(2.0)
+            minus[row, j] = -1.0 / math.sqrt(2.0)
+        structured += [plus, minus]
+    return np.vstack([raw] + structured), count
 
 
 def count_at_least_reference(P: np.ndarray, thresholds) -> np.ndarray:
@@ -446,9 +472,9 @@ def alpha_star_linear(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpe
             if p_hat - target < 2.0 * stderr:
                 flags.append("wilson_marginal")
             lower = float(prev) if prev is not None else float(s)
-            return FixedPointEstimate(float(s), lower, float(s), trials, stderr, "alpha", tuple(flags))
+            return FixedPointEstimate(float(s), (lower, float(s)), trials, stderr, "alpha", tuple(flags))
         prev = s
-    return FixedPointEstimate(float(grid[-1]), float(grid[-2]), float(grid[-1]), trials, stderr, "alpha", ("grid_exhausted",))
+    return FixedPointEstimate(float(grid[-1]), (float(grid[-2]), float(grid[-1])), trials, stderr, "alpha", ("grid_exhausted",))
 
 
 def lemma_dsum_bound(n: int, d: int, kappa: float, C: float = 1.0) -> float:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from ermbounds import reports
 from ermbounds.distributions import DesignSpec, NoiseSpec, make_sample, sample_design
 from ermbounds.erm import ClassSpec, solve_erm
 from ermbounds.experiments import MainTheoremConfig, SweepConfig, run_counterexample, run_persistence_sweep, verify_main_theorem
@@ -263,7 +264,7 @@ def test_criterion_9_version_space_beta_domination():
         X = sample_design(design, N, seed=SEED + 7000 + i)
         probe = version_diameter(X, cls, probes=500, seed=i)
         beta = betas[N]
-        width = beta.upper_bracket - beta.lower_bracket
+        width = beta.brackets[1] - beta.brackets[0]
         if probe.radius_lb <= beta.value + 2.0 * width:
             hits += 1
         if N >= 64 and probe.nullspace_dim == 0 and probe.radius_lb != 0.0:
@@ -290,9 +291,9 @@ def test_criterion_10_determinism_across_worker_counts(monkeypatch):
         rep = verify_main_theorem(vm)
         chunks.append(rep.to_csv() + rep.to_json())
         (est,) = estimate_Q(DesignSpec("gaussian", 8), [0.5], directions=100, draws=5000, seed=SEED)
-        chunks.append(repr(est.to_record()))
+        chunks.append(repr(reports.record(est)))
         beta = beta_star(ClassSpec(n=8, R=1.0, t0=np.zeros(8)), DesignSpec("gaussian", 8), 64, 0.05, trials=50, seed=SEED)
-        chunks.append(repr(beta.to_record()))
+        chunks.append(repr(reports.record(beta)))
         outputs.append("".join(chunks))
     ok = outputs[0] == outputs[1]
     elapsed = time.time() - start

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import pytest
 
 from ermbounds import fixed_points
 from ermbounds.cli import SUBCOMMANDS, build_parser, resolve_config, run
+from ermbounds.distributions import NOISE_KINDS
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -356,22 +358,26 @@ _GOLDEN_DIGESTS = {
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    # scipy serves only l21_norm and the tests' reference oracles: importing
-    # the CLI and running every subcommand must leave it unloaded
+    # scipy serves only the tests' reference oracles: importing the CLI,
+    # running every subcommand and taking l21_norm of every noise kind must
+    # leave it unloaded
     assert {argv[0] for argv in _GOLDEN_RUNS.values()} == set(SUBCOMMANDS)
     script = (
         "import json, sys\n"
         "import ermbounds\n"
         "from ermbounds import cli\n"
+        "from ermbounds.distributions import NOISE_KINDS, NoiseSpec, l21_norm\n"
         "runs, out = json.loads(sys.argv[1]), sys.argv[2]\n"
         "codes = [cli.run([*argv, '--output', f'{out}/{name}.json']) for name, argv in sorted(runs.items())]\n"
-        "print(json.dumps({'codes': codes, 'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n"
+        "norms = [l21_norm(NoiseSpec(kind, sigma=0.5, p=3.0, kappa=2.0)) for kind in NOISE_KINDS]\n"
+        "print(json.dumps({'codes': codes, 'norms': norms, 'scipy': sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')}))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(_GOLDEN_RUNS), str(tmp_path)], capture_output=True, text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0] * len(_GOLDEN_RUNS)
+    assert len(result["norms"]) == len(NOISE_KINDS) and all(math.isfinite(x) for x in result["norms"])
     assert result["scipy"] == []
 
 
@@ -478,6 +484,33 @@ def test_colliding_sweep_grid_exits_2(tmp_path, capsys):
     assert run(["persistence", "--set", "n_grid=[8]", "--set", "N_grid=[32]", "--set", "R_grid=[1.0,1.0]", "--output", str(out)]) == 2
     assert "R_grid values 1.0 and 1.0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_missing_output_directory_exits_2(tmp_path):
+    out = tmp_path / "missing" / "r.json"
+    proc = run_cli(["rates", "--output", str(out)], tmp_path)
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and "does not exist" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not out.parent.exists()
+
+
+@pytest.mark.parametrize("name", ["rates", "persistence", "verify-main"])
+def test_missing_output_directory_is_found_before_the_run(name, tmp_path, monkeypatch):
+    # the handler, which holds the whole run, is never called
+    calls = []
+    monkeypatch.setitem(SUBCOMMANDS, name, dataclasses.replace(SUBCOMMANDS[name], handler=calls.append))
+    out = tmp_path / "missing" / "r.json"
+    assert run([name, "--output", str(out)]) == 2
+    assert calls == []
+    assert not out.parent.exists()
+
+
+def test_failed_report_write_exits_2(tmp_path, capsys):
+    # the directory exists, but the output path is a directory itself
+    assert run(["rates", "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "failed writing report" in err
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])

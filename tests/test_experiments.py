@@ -1,7 +1,7 @@
 import hashlib
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import pytest
 from ermbounds import distributions, experiments
 from ermbounds.distributions import DesignSpec, NoiseSpec
 from ermbounds.experiments import MainTheoremConfig, SweepConfig, make_t0, run_counterexample, run_persistence_sweep, verify_main_theorem
-from ermbounds.reports import Report, canonical_json, emit_report, wilson_interval
+from ermbounds.reports import Report, canonical_json, emit_report, record, wilson_interval
 
 
 class TestMakeT0:
@@ -315,6 +315,20 @@ class TestReports:
         rep = Report(kind="t", config={}, columns=("a",))
         with pytest.raises(OSError, match="/nonexistent/dir/x.csv"):
             emit_report(rep, "/nonexistent/dir/x.csv", "csv")
+
+    def test_record_drops_arrays_and_lists_tuples(self):
+        @dataclass(frozen=True)
+        class Result:
+            value: float
+            count: int
+            ok: bool
+            witness: np.ndarray
+            bracket: tuple
+            flags: tuple = ()
+
+        rec = record(Result(0.5, 3, True, np.ones(4), (0.25, 0.75), ("marginal",)))
+        assert rec == {"value": 0.5, "count": 3, "ok": True, "bracket": [0.25, 0.75], "flags": ["marginal"]}
+        assert canonical_json(rec) == '{"bracket":[0.25,0.75],"count":3,"flags":["marginal"],"ok":true,"value":0.5}'
 
     def test_wilson_interval(self):
         lo, hi = wilson_interval(90, 100)

@@ -19,6 +19,7 @@ from ermbounds.fixed_points import (
     quantile_trials,
 )
 from ermbounds.geometry import SupportRows, support_l1l2_batch
+from ermbounds.reports import record
 from ermbounds.rng import SIGNS_TAG, substream
 from ermbounds.smallball import choose_tau, estimate_Q
 from oracles import alpha_grid, alpha_star_linear, boundary_enum_2d, expected_rademacher_sup, multiplier_sup, rademacher_sup
@@ -101,7 +102,7 @@ class TestExpectedSup:
 class TestBetaStar:
     def test_huge_gamma_collapses(self):
         est = beta_star(cls_zero(8), DesignSpec("rademacher", 8), 64, gamma=1e6, trials=50, seed=7)
-        assert est.value == est.lower_bracket
+        assert est.value == est.brackets[0]
         assert "at_lower_bracket" in est.flags
 
     def test_degenerate_class(self):
@@ -159,7 +160,7 @@ class TestKStar:
         # the quadratic threshold gamma*r^2*sqrt(N) is tiny near r_lo, so the
         # collapse needs gamma large enough that the crossing drops below r_lo
         est = k_star(cls_zero(8), DesignSpec("rademacher", 8), 64, gamma=1e15, trials=50, seed=13)
-        assert est.value == est.lower_bracket
+        assert est.value == est.brackets[0]
 
     def test_grid_scan_oracle(self):
         cls = cls_zero(64)
@@ -215,7 +216,7 @@ class TestAlphaStar:
         # the pinned stderr is that of a real estimate at s_hi
         cls = cls_zero(4)
         est = alpha_star(cls, DesignSpec("gaussian", 4), NoiseSpec("gaussian", sigma=1.0), 32, gamma=0.03, delta=0.1, trials=500, seed=31)
-        assert est.to_record() == {
+        assert record(est) == {
             "kind": "alpha",
             "value": 4.0,
             "brackets": [3.652638177914751, 4.0],
@@ -259,7 +260,7 @@ class TestAlphaStar:
         cls = ClassSpec(n=n, R=1.0, t0=make_t0("spike", 0.5, n, 1.0))
         design = DesignSpec(kind, n, p=4.0) if kind == "student_t" else DesignSpec(kind, n)
         est = alpha_star(cls, design, noise, 32, gamma, delta, trials=500, seed=seed)
-        assert est.to_record() == alpha_star_linear(cls, design, noise, 32, gamma, delta, 500, seed).to_record()
+        assert record(est) == record(alpha_star_linear(cls, design, noise, 32, gamma, delta, 500, seed))
         assert list(est.flags) == flags
 
     def test_bisection_scans_few_radii_once(self, monkeypatch):
@@ -328,9 +329,9 @@ class TestWorkerCounts:
             monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
             records.append(
                 (
-                    alpha_star(cls, design, noise, 64, gamma=0.3, delta=0.1, trials=500, seed=22).to_record(),
-                    beta_star(cls, design, 64, gamma=0.05, trials=60, seed=23).to_record(),
-                    k_star(cls, design, 64, gamma=0.05, trials=60, seed=24).to_record(),
+                    record(alpha_star(cls, design, noise, 64, gamma=0.3, delta=0.1, trials=500, seed=22)),
+                    record(beta_star(cls, design, 64, gamma=0.05, trials=60, seed=23)),
+                    record(k_star(cls, design, 64, gamma=0.05, trials=60, seed=24)),
                     expected_rademacher_sup(cls, design, 64, 60, 25, 0.5),
                 )
             )
@@ -399,7 +400,7 @@ class TestWorkerCounts:
         for workers, threads in (("1", []), ("3", [3]), ("0", [8])):
             monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
             pools.clear()
-            records.append(alpha_star(cls, DesignSpec("student_t", 8, p=4.0), NoiseSpec("gaussian", sigma=0.5), 32, gamma=0.3, delta=0.1, trials=500, seed=28).to_record())
+            records.append(record(alpha_star(cls, DesignSpec("student_t", 8, p=4.0), NoiseSpec("gaussian", sigma=0.5), 32, gamma=0.3, delta=0.1, trials=500, seed=28)))
             assert pools == threads
         assert records[0] == records[1] == records[2]
 

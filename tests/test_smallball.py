@@ -10,6 +10,7 @@ from ermbounds import rng, smallball
 from ermbounds.distributions import DesignSpec, sample_design
 from ermbounds.erm import ClassSpec
 from ermbounds.fixed_points import beta_star
+from ermbounds.reports import record
 from ermbounds.smallball import (
     COUNT_BLOCK_ROWS,
     _count_at_least,
@@ -23,7 +24,7 @@ from ermbounds.smallball import (
     probe_rows,
     verify_empirical_smallball,
 )
-from oracles import count_at_least_reference, direction_probability
+from oracles import count_at_least_reference, direction_probability, probe_directions_reference
 
 
 class TestEstimateQ:
@@ -40,6 +41,16 @@ class TestEstimateQ:
         rows = probe_directions(design, 40, seed=5)[0].shape[0]
         assert zero.directions == positive.directions == rows == probe_rows(n, 40)
         assert estimate_Q(design, [0.0], directions=40, draws=1000, seed=5)[0].directions == rows
+
+    @pytest.mark.parametrize("n", [8, 65, 100])
+    def test_probe_directions_match_pair_list_reference(self, n):
+        # n = 8 probes all 28 pairs; n = 65 and 100 sample MAX_PAIRS of theirs
+        design = DesignSpec("gaussian", n)
+        T, count = probe_directions(design, 30, seed=7)
+        T_ref, count_ref = probe_directions_reference(design, 30, seed=7)
+        assert count == count_ref == 30
+        assert T.shape == T_ref.shape == (probe_rows(n, 30), n)
+        assert T.tobytes() == T_ref.tobytes()
 
     def test_draw_floor(self):
         with pytest.raises(ValueError):
@@ -322,7 +333,7 @@ class TestVerifyCounts:
             monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
             reports.append(verify_empirical_smallball(design, cls, tau=0.4, r=0.5, N=64, trials=12, probes=10, seed=35, q_hat=0.4))
         assert reports[0].min_counts.tobytes() == reports[1].min_counts.tobytes()
-        assert reports[0].to_record() == reports[1].to_record()
+        assert record(reports[0]) == record(reports[1])
 
     def test_infeasible_radius(self):
         cls = ClassSpec(n=4, R=1.0, t0=np.zeros(4))

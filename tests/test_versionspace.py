@@ -229,7 +229,7 @@ class TestBetaDomination:
             beta = beta_star(cls, design, N, choice.gamma_beta, trials=60, seed=100 + trial)
             X = sample_design(design, N, seed=200 + trial)
             probe = version_diameter(X, cls, probes=400, seed=trial)
-            width = beta.upper_bracket - beta.lower_bracket
+            width = beta.brackets[1] - beta.brackets[0]
             if probe.radius_lb <= beta.value + 2.0 * width:
                 hits += 1
         assert hits >= 0.9 * trials
