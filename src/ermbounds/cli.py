@@ -43,9 +43,6 @@ from .versionspace import version_diameter
 # defaults have the key the flag sets, and the flag takes that default's type
 VALUE_FLAGS = ("n", "N", "R", "sigma", "trials", "gamma", "delta", "u")
 
-# the sub-keys of a "design" or "noise" object: the fields its spec reads (a
-# design's n is the config's top-level n)
-_SPEC_KEYS = {"design": {f.name for f in fields(DesignSpec)} - {"n"}, "noise": {f.name for f in fields(NoiseSpec)}}
 _DESIGN_DEFAULT = {"kind": "gaussian"}
 _NOISE_DEFAULT = {"kind": "gaussian", "sigma": 0.5}
 
@@ -78,14 +75,13 @@ _NULLABLE = {"design": _nullable_types(DesignSpec), "noise": _nullable_types(Noi
 @dataclass(frozen=True)
 class Subcommand:
     """One subcommand. handler: config, seed included -> (report, summary
-    line, passed); parts: "design"/"noise" -> the sub-keys that object
-    accepts; routes: value flag -> the dotted config key it sets instead of
-    its own name."""
+    line, passed); routes: value flag -> the dotted config key it sets
+    instead of its own name. A "design" or "noise" object accepts the
+    sub-keys its default has, plus its nullable ones."""
 
     help: str
     defaults: dict
     handler: Callable
-    parts: dict = field(default_factory=lambda: _SPEC_KEYS)
     routes: dict = field(default_factory=dict)
 
 
@@ -95,19 +91,18 @@ def _field_defaults(cls) -> dict:
     return {f.name: f.default for f in fields(cls) if f.default is not MISSING and f.name != "seed"}
 
 
-def _sweep_schema() -> tuple[dict, dict]:
-    """`persistence` defaults and sub-keys from SweepConfig: its field
-    design_x or noise_x is sub-key x of "design" or "noise"."""
-    defaults, parts = {"design": {}, "noise": {}}, {"design": set(), "noise": set()}
+def _sweep_schema() -> dict:
+    """`persistence` defaults from SweepConfig: its field design_x or noise_x
+    is sub-key x of "design" or "noise"; the None ones are nullable."""
+    defaults = {"design": {}, "noise": {}}
     for name, default in _field_defaults(SweepConfig).items():
         part, _, sub = name.partition("_")
-        if part in parts:
-            parts[part].add(sub)
+        if part in defaults:
             if default is not None:
                 defaults[part][sub] = default
         else:
             defaults[name] = list(default) if isinstance(default, tuple) else default
-    return defaults, parts
+    return defaults
 
 
 def _parse_override(text: str):
@@ -144,9 +139,10 @@ def _validate_keys(config: dict, sub: Subcommand) -> None:
     for key, value in config.items():
         if not _known_key(sub.defaults, key):
             raise ConfigError(f"unknown config key {key!r}")
-        if key in sub.parts and isinstance(value, dict):
+        default = sub.defaults.get(key)
+        if isinstance(default, dict) and isinstance(value, dict):
             for name in value:
-                if name not in sub.parts[key]:
+                if name not in default and name not in _NULLABLE[key]:
                     raise ConfigError(f"unknown config key {key + '.' + name!r}")
 
 
@@ -239,7 +235,6 @@ def _counterexample(config: dict) -> tuple[Report, str, bool]:
         f"deviation_p={s['deviation_probability']:.6g} onesided_failure_p={s['onesided_failure_probability']:.6g} "
         f"EZ2={s['empirical_EZ2']:.6g} (analytic {s['analytic_EZ2']:.6g})"
     )
-    report.config = config
     return report, line, bool(s["ez2_consistent"])
 
 
@@ -326,7 +321,6 @@ def _verify_main(config: dict) -> tuple[Report, str, bool]:
     return report, f"frequency={s['frequency']:.6g} criterion={s['criterion']:.6g} bound={s['bound']:.6g}", bool(s["passed"])
 
 
-_SWEEP_DEFAULTS, _SWEEP_PARTS = _sweep_schema()
 SUBCOMMANDS = {
     "erm": Subcommand("solve one constrained least-squares instance", {"design": _DESIGN_DEFAULT, "noise": _NOISE_DEFAULT, "n": 16, "N": 128, "R": 1.0, "t0_shape": "spike", "t0_fraction": 0.5, "tol": 1e-9, "max_iter": 100000}, _erm),
     "beta": Subcommand("localized Rademacher fixed point (linear normalization)", {"design": _DESIGN_DEFAULT, "n": 16, "N": 128, "R": 1.0, "gamma": 0.05, "trials": 200}, _fixed_point("beta")),
@@ -335,7 +329,7 @@ SUBCOMMANDS = {
     "smallball": Subcommand("small-ball probability estimation and diagnostics", {"design": _DESIGN_DEFAULT, "n": 16, "action": "estimate_q", "u": 0.5, "p": 4.0, "directions": 500, "draws": 10000, "tau": 0.5, "r": 0.5, "R": 1.0, "N": 256, "trials": 50, "probes": 100}, _smallball),
     "version-space": Subcommand("probe the version-space diameter", {"design": _DESIGN_DEFAULT, "n": 16, "N": 8, "R": 1.0, "t0_shape": "spike", "t0_fraction": 0.5, "probes": 1000}, _version_space),
     "rates": Subcommand("closed-form rate predictions", {"n": 100, "N": 100, "R": 1.0, "sigma": 0.5, "c1": 1.0, "c2": 1.0, "c3": 1.0}, _rates),
-    "persistence": Subcommand("persistence-rate sweep comparing errors to predictions", _SWEEP_DEFAULTS, _persistence, parts=_SWEEP_PARTS),
+    "persistence": Subcommand("persistence-rate sweep comparing errors to predictions", _sweep_schema(), _persistence),
     "counterexample": Subcommand("one-sided vs two-sided deviation demonstration", {"N": 100, "trials": 100000}, _counterexample),
     "verify-main": Subcommand("end-to-end check of the two-fixed-point error bound", {"design": _DESIGN_DEFAULT, "noise": _NOISE_DEFAULT, "n": 32, **_field_defaults(MainTheoremConfig)}, _verify_main, routes={"sigma": "noise.sigma"}),
 }
@@ -377,6 +371,8 @@ def run(argv) -> int:
         # a report that has nowhere to go fails before its run, not after
         if not os.path.isdir(os.path.dirname(output) or "."):
             raise ConfigError(f"output directory of {output!r} does not exist")
+        if os.path.isdir(output):
+            raise ConfigError(f"output {output!r} is a directory")
         report, line, ok = SUBCOMMANDS[args.subcommand].handler(config)
         emit_report(report, output, args.format)
     except (ConfigError, ValueError, OSError) as exc:

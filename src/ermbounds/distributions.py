@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import DESIGN_TAG, NOISE_TAG, map_trials, substream
+from .rng import DESIGN_TAG, NOISE_TAG, substream
 
 DESIGN_KINDS = ("rademacher", "bounded_uniform", "gaussian", "student_t", "symmetrized_pareto")
 NOISE_KINDS = ("zero", "scaled_sign", "gaussian", "bounded_symmetric", "heavy_tailed")
@@ -340,47 +340,11 @@ class CounterexampleSpec:
         return self.fourth_moment**0.25 / math.sqrt(self.second_moment)
 
 
-_ATOMIC_BLOCK = 1024  # stream granularity: fixed, so the trial count cannot change draws
-
-
 def sample_counterexample(spec: CounterexampleSpec, trials: int, seed: int) -> np.ndarray:
-    """(trials, N) matrix of iid draws, streamed in fixed-size trial blocks.
-
-    Block b holds trials b*_ATOMIC_BLOCK onward and draws all its rows from
-    its own stream, so a trial's draws do not depend on the trial count.
-    """
+    """(trials, N) matrix of iid draws: its uniforms, then its signs, from
+    one stream."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    block = _ATOMIC_BLOCK
-    out = np.empty((trials, spec.N), dtype=np.float64)
-    for b in range((trials - 1) // block + 1):
-        rng = substream(seed, b)
-        u = rng.random((block, spec.N))
-        signs = random_signs(rng, (block, spec.N))
-        z = signs * np.where(u < 1.0 / spec.N**2, spec.spike, 1.0)
-        hi = min((b + 1) * block, trials)
-        out[b * block : hi] = z[: hi - b * block]
-    return out
-
-
-def counterexample_spike_counts(spec: CounterexampleSpec, trials: int, seed: int) -> np.ndarray:
-    """Per-trial spike counts #{i : |Z_i| > 1} of `sample_counterexample`'s rows.
-
-    Each stream block draws only the uniforms `u` that `sample_counterexample`
-    draws first from the same substream, so the counts are exactly those of
-    its matrix, while the signs and the matrix itself are never drawn. Blocks
-    run on `map_trials` threads.
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    block = _ATOMIC_BLOCK
-    threshold = 1.0 / spec.N**2
-    counts = np.empty(trials, dtype=np.int64)
-
-    def count_block(b: int) -> None:
-        lo, hi = b * block, min((b + 1) * block, trials)
-        u = substream(seed, b).random((hi - lo, spec.N))
-        counts[lo:hi] = np.count_nonzero(u < threshold, axis=1)
-
-    map_trials(count_block, (trials - 1) // block + 1)
-    return counts
+    rng = substream(seed)
+    u = rng.random((trials, spec.N))
+    return random_signs(rng, (trials, spec.N)) * np.where(u < 1.0 / spec.N**2, spec.spike, 1.0)

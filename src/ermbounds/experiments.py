@@ -17,12 +17,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .distributions import CounterexampleSpec, DesignSpec, NoiseSpec, counterexample_spike_counts, sample_moments
+from .distributions import CounterexampleSpec, DesignSpec, NoiseSpec, sample_moments
 from .erm import ClassSpec, ErmResult, solve_erms
 from .fixed_points import alpha_star, beta_star, quantile_trials
 from .rates import RateInputs, rho_N, v1_v2
 from .reports import Report, record, wilson_interval
-from .rng import DEFAULT_SEED, derive_seed, map_trials
+from .rng import DEFAULT_SEED, derive_seed, map_trials, substream
 from .smallball import choose_tau
 
 # stage tags for deriving independent per-stage seeds
@@ -210,15 +210,15 @@ def run_counterexample(N: int, trials: int, seed: int) -> Report:
 
     Z^2 is 1 or spike^2, so each trial is described by its spike count k and
     every statistic follows from the counts: P_N Z^2 = (N - k + k spike^2)/N.
-    The counts come from the draws of `sample_counterexample`, without
-    building its matrix.
+    Each of a trial's N coordinates spikes on its own with probability 1/N^2,
+    so k ~ Binomial(N, 1/N^2) exactly, and the counts are drawn from that law.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     spec = CounterexampleSpec(N)
     ez2 = spec.second_moment
     s2 = spec.spike * spec.spike
-    k = counterexample_spike_counts(spec, trials, seed)
+    k = substream(seed).binomial(N, 1.0 / N**2, size=trials)
     pn = ((N - k) + k * s2) / N
     deviation = int(np.count_nonzero(np.abs(pn - ez2) > ez2 / 2.0))
     onesided_failure = int(np.count_nonzero(pn < ez2 / 2.0))

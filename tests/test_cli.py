@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-from ermbounds import fixed_points
-from ermbounds.cli import SUBCOMMANDS, build_parser, resolve_config, run
+from ermbounds import fixed_points, reports
+from ermbounds.cli import _NULLABLE, SUBCOMMANDS, build_parser, resolve_config, run
 from ermbounds.distributions import NOISE_KINDS
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -37,9 +37,9 @@ class TestHelp:
 
     @pytest.mark.parametrize("value", ["abc", "-2", "1.5"])
     def test_bad_workers_env_var_exits_2(self, tmp_path, value):
-        # rates starts no threads; counterexample does
-        for sub in ("rates", "counterexample"):
-            proc = run_cli([sub], tmp_path, ERMBOUNDS_WORKERS=value)
+        # rates starts no threads; beta on a rademacher design does
+        for sub, *args in (["rates"], ["beta", "--set", "design.kind=rademacher"]):
+            proc = run_cli([sub, *args], tmp_path, ERMBOUNDS_WORKERS=value)
             assert proc.returncode == 2
             assert "ERMBOUNDS_WORKERS" in proc.stderr
             assert repr(value) in proc.stderr
@@ -269,7 +269,7 @@ def test_worker_flag_never_changes_report_bytes(tmp_path):
     outs = []
     for workers, name in ((1, "w1.json"), (3, "w3.json")):
         out = tmp_path / name
-        proc = run_cli(["counterexample", "--N", "100", "--trials", "2000", "--output", str(out)], tmp_path, ERMBOUNDS_WORKERS=str(workers))
+        proc = run_cli(["beta", "--n", "8", "--N", "32", "--trials", "60", "--set", "design.kind=rademacher", "--output", str(out)], tmp_path, ERMBOUNDS_WORKERS=str(workers))
         assert proc.returncode == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
@@ -504,11 +504,18 @@ def test_missing_output_directory_is_found_before_the_run(name, tmp_path, monkey
     assert run([name, "--output", str(out)]) == 2
     assert calls == []
     assert not out.parent.exists()
+    # nor when the output names an existing directory
+    assert run([name, "--output", str(tmp_path)]) == 2
+    assert calls == []
 
 
-def test_failed_report_write_exits_2(tmp_path, capsys):
-    # the directory exists, but the output path is a directory itself
-    assert run(["rates", "--output", str(tmp_path)]) == 2
+def test_failed_report_write_exits_2(tmp_path, capsys, monkeypatch):
+    # the path passes the pre-run checks, but opening it fails
+    def refuse(*args, **kwargs):
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(reports, "open", refuse, raising=False)
+    assert run(["rates", "--output", str(tmp_path / "r.json")]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "failed writing report" in err
 
@@ -694,8 +701,8 @@ def test_persistence_defaults_are_the_sweep_config_fields():
     flat = {f"{part}_{name}": value for part in ("design", "noise") for name, value in defaults[part].items()}
     flat.update((key, tuple(value) if isinstance(value, list) else value) for key, value in defaults.items() if key not in ("design", "noise"))
     assert SweepConfig(**flat) == SweepConfig()
-    # every field but seed is a key; the None ones are sub-keys without a default
-    keys = set(flat) | {f"{part}_{name}" for part, names in SUBCOMMANDS["persistence"].parts.items() for name in names}
+    # every field but seed is a key; the None ones are the nullable sub-keys
+    keys = set(flat) | {f"{part}_{name}" for part in ("design", "noise") for name in _NULLABLE[part]}
     assert keys == {f.name for f in fields(SweepConfig)} - {"seed"}
 
 

@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from ermbounds.distributions import (
     CounterexampleSpec,
     DesignSpec,
     Moments,
-    counterexample_spike_counts,
     NoiseSpec,
     l21_norm,
     make_sample,
@@ -22,7 +20,7 @@ from ermbounds.distributions import (
     sample_response,
 )
 from ermbounds.erm import ClassSpec, solve_erm
-from ermbounds.experiments import make_t0
+from ermbounds.experiments import make_t0, run_counterexample
 from ermbounds.rng import DESIGN_TAG, NOISE_TAG, substream
 
 ALL_DESIGNS = [
@@ -222,60 +220,50 @@ class TestCounterexample:
         sd = math.sqrt(p * (1 - p) / Z.size)
         assert abs(frac - p) <= 3.0 * sd
 
-    def test_chunked_assembly_identical(self):
-        # one stream per 1024-trial block: a trial's draws do not depend on
-        # the trial count, which counterexample_spike_counts relies on
-        spec = CounterexampleSpec(100)
-        whole = sample_counterexample(spec, 3000, seed=17)
-        for k in (1000, 1025, 2049):
-            assert np.array_equal(sample_counterexample(spec, k, seed=17), whole[:k])
-
     def test_small_N_rejected(self):
         with pytest.raises(ValueError):
             CounterexampleSpec(99)
 
 
 class TestSpikeCounts:
+    """The law of a trial's spike count k, which is all `run_counterexample`
+    reads of a trial: k ~ Binomial(N, 1/N^2), and for N >= 100 a trial
+    deviates exactly when k >= 1."""
+
     @staticmethod
     def matrix_counts(spec, trials, seed):
         Z = sample_counterexample(spec, trials, seed=seed)
         return (np.abs(Z) > 1.0).sum(axis=1)
 
-    @pytest.mark.parametrize("trials", [1, 1023, 1025, 5000])
-    def test_equal_to_matrix_counts(self, trials):
-        spec = CounterexampleSpec(100)
-        k = counterexample_spike_counts(spec, trials, seed=19)
-        assert k.dtype == np.int64 and k.shape == (trials,)
-        assert np.array_equal(k, self.matrix_counts(spec, trials, 19))
-
     def test_spikes_present(self):
-        # about one trial in N carries a spike; the equality above must not
-        # hold only because every count is zero
+        # about one trial in N carries a spike
         spec = CounterexampleSpec(100)
-        k = counterexample_spike_counts(spec, 5000, seed=19)
+        k = self.matrix_counts(spec, 5000, 19)
         assert 10 <= np.count_nonzero(k) <= 100
-
-    def test_workers_invariant(self, monkeypatch):
-        # a 1 us switch interval makes the threads interleave their fills,
-        # each writing its own slice of the counts
-        spec = CounterexampleSpec(1000)
-        monkeypatch.setenv("ERMBOUNDS_WORKERS", "1")
-        serial = counterexample_spike_counts(spec, 3000, seed=21)
-        threaded = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for workers in ("2", "0"):
-                monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
-                threaded.append(counterexample_spike_counts(spec, 3000, seed=21))
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(np.array_equal(serial, k) for k in threaded)
-        assert np.array_equal(serial, self.matrix_counts(spec, 3000, 21))
 
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
-            counterexample_spike_counts(CounterexampleSpec(100), 0, seed=1)
+            sample_counterexample(CounterexampleSpec(100), 0, seed=1)
+
+    @pytest.mark.parametrize("N", [100, 1000])
+    def test_deviation_probability_is_the_law(self, N):
+        trials = 200000
+        p = 1.0 - (1.0 - 1.0 / N**2) ** N
+        dev_p = run_counterexample(N, trials, seed=23).summary["deviation_probability"]
+        assert abs(dev_p - p) <= 4.0 * math.sqrt(p * (1.0 - p) / trials)
+
+    @pytest.mark.parametrize("N", [100, 1000])
+    def test_run_counts_match_matrix_counts(self, N):
+        # the run's P(k >= 1) against the spike counts of the direct matrix,
+        # a two-sample test of the two proportions; the matrix is drawn as
+        # 50 independent 1000-trial matrices to bound its memory
+        trials = 50000
+        counts = np.concatenate([self.matrix_counts(CounterexampleSpec(N), 1000, seed) for seed in range(100, 150)])
+        spiked = np.count_nonzero(counts)
+        dev = round(run_counterexample(N, trials, seed=25).summary["deviation_probability"] * trials)
+        pooled = (spiked + dev) / (2 * trials)
+        se = math.sqrt(2.0 * pooled * (1.0 - pooled) / trials)
+        assert abs(spiked - dev) / trials <= 4.0 * se
 
 
 def test_make_sample_shapes():

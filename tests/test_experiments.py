@@ -39,22 +39,31 @@ class TestCounterexample:
         stats = {r["statistic"]: r for r in rep.rows}
         assert stats["deviation_probability"]["ci_low"] <= s["deviation_probability"] <= stats["deviation_probability"]["ci_high"]
 
-    def test_block_chunking_invariant(self, monkeypatch):
-        # the stream blocks are spread over 1, 2 and every thread; 5000
-        # trials are four whole blocks and a partial one
-        reports = []
-        for workers in ("1", "2", "0"):
-            monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
-            reports.append(run_counterexample(100, 5000, seed=3))
-        a, b, c = reports
-        assert a.to_csv() == b.to_csv() == c.to_csv()
-        assert a.to_json() == b.to_json() == c.to_json()
+    def test_counts_are_one_draw_on_one_thread(self, monkeypatch):
+        streams, draws = [], []
 
-    # summaries recorded from the per-draw matrix path this one replaced
-    # (commit c5c8804); at N = 100 and 1000, spike^2 = 4N exactly, so the
-    # sums are exact integers and the fields are equal
+        class Counting:
+            def __getattr__(self, name):
+                draws.append(name)
+                return getattr(np.random.Generator(np.random.Philox(0)), name)
+
+        def substream(*key):
+            streams.append(key)
+            return Counting()
+
+        def no_threads(fn, count):
+            raise AssertionError("run_counterexample started trials on threads")
+
+        monkeypatch.setattr(experiments, "substream", substream)
+        monkeypatch.setattr(experiments, "map_trials", no_threads)
+        run_counterexample(100, 5000, seed=3)
+        assert streams == [(3,)] and draws == ["binomial"]
+
+    # summaries recorded when the spike counts came to be drawn from their
+    # Binomial(N, 1/N^2) law; at N = 100 and 1000, spike^2 = 4N exactly, so
+    # the sums are exact integers and the fields are equal
     PINNED = {
-        (100, 5000, 3): (0.0078, 0.0, 1.031122, 0.004983314042104109),
+        (100, 5000, 3): (0.0106, 0.0, 1.04389, 0.005917800886799081),
         (1000, 4000, 5): (0.0015, 0.0, 1.0059985, 0.0024488755336887656),
     }
     FIELDS = ("deviation_probability", "onesided_failure_probability", "empirical_EZ2", "empirical_EZ2_stderr")
@@ -65,11 +74,10 @@ class TestCounterexample:
         assert tuple(s[f] for f in self.FIELDS) == self.PINNED[key]
 
     def test_pinned_summary_inexact_spike(self):
-        # at N = 2000, spike^2 = 8000.000000000001: the matrix path's sums
-        # depended on where the spikes fell in numpy's pairwise summation,
-        # so only agreement to rounding is expected
+        # at N = 2000, spike^2 = 8000.000000000001, so the sums carry
+        # rounding and only agreement to rounding is expected
         s = run_counterexample(2000, 20000, seed=1).summary
-        pinned = (0.0008, 0.0, 1.0031996, 0.0007998998400199841)
+        pinned = (0.00045, 0.0, 1.001799775, 0.0005999249325084338)
         for field, value in zip(self.FIELDS, pinned):
             assert s[field] == pytest.approx(value, rel=1e-13, abs=0.0)
 
