@@ -17,6 +17,15 @@ on at most once along its grid: both searches bisect.
 For a gaussian design Z has an exact law, so its batches are drawn from that
 law instead of from N x n samples: N^{-1/2} sum_i eps_i X_i is N(0, I_n),
 and given the noise w, N^{-1/2} sum_i eps_i w_i X_i is sqrt(mean w^2) N(0, I_n).
+For gaussian noise N mean(w^2)/sigma^2 is chi^2_N, one draw a trial.
+
+A student-t design is a gaussian scale mixture: a standardized t_p
+coordinate is G sqrt((p - 2)/chi^2_p) with G ~ N(0, 1) independent of the
+chi^2_p. So given the mixing variables and the multipliers xi, each
+coordinate of Z is N(0, M_k) on its own, M_k = (1/N) sum_i xi_i^2 (p - 2)/chi^2_{p,ik},
+and the signs drop out: a trial draws N x n chi-squares (2(E_1 + ... + E_{p/2})
+from standard exponentials when p is 4 or 6, where that is the faster draw)
+and n normals, instead of N x n t-variates and N signs.
 Every other design kind draws each trial's sample.
 """
 
@@ -34,6 +43,7 @@ from .rng import DESIGN_TAG, LAW_TAG, NOISE_TAG, SIGNS_TAG, map_trials, substrea
 
 DEFAULT_QUANTILE_TRIALS = 1000
 _LAW_BLOCK = 2**16  # noise values one block of the exact multiplier law draws
+_CHI2_BLOCK = 2**14  # chi-squares one block of a student-t trial draws
 
 
 @dataclass(frozen=True)
@@ -48,15 +58,20 @@ class FixedPointEstimate:
     flags: tuple = field(default_factory=tuple)
 
 
-def _noise_mean_squares(N: int, trials: int, seed: int, noise: NoiseSpec) -> np.ndarray:
-    """Each trial's mean(w**2) over N noise values, without holding them all.
+def _noise_rms(N: int, trials: int, seed: int, noise: NoiseSpec) -> np.ndarray:
+    """Each trial's sqrt(mean(w**2)) over N noise values, without holding them all.
 
-    Trials are drawn in blocks of `rows` from one stream per block, a block
-    holding at most _LAW_BLOCK values at a time (a trial's N values come in
-    column pieces when N is larger). Every block draws all its rows, so a
-    trial's values do not depend on the trial count; blocks run on
-    `map_trials` threads.
+    Gaussian noise draws it from its law, sigma * sqrt(chi^2_N / N): one
+    chi-square a trial from one stream, so row j is the stream's j-th draw
+    whatever the trial count, and the scale is linear in sigma (doubling
+    sigma doubles it bit for bit). Other kinds draw their trials in blocks
+    of `rows` from one stream per block, a block holding at most _LAW_BLOCK
+    values at a time (a trial's N values come in column pieces when N is
+    larger). Every block draws all its rows, so a trial's values do not
+    depend on the trial count; blocks run on `map_trials` threads.
     """
+    if noise.kind == "gaussian":
+        return noise.sigma * np.sqrt(substream(seed, LAW_TAG, NOISE_TAG, 0).chisquare(N, size=trials) / N)
     rows = max(1, _LAW_BLOCK // N)
     cols = min(N, _LAW_BLOCK)
     out = np.empty(trials)
@@ -67,21 +82,36 @@ def _noise_mean_squares(N: int, trials: int, seed: int, noise: NoiseSpec) -> np.
         for lo in range(0, N, cols):
             w = noise.sample(rng, (rows, min(cols, N - lo)))
             total += np.sum(w * w, axis=1)
-        out[b * rows : (b + 1) * rows] = (total / N)[: trials - b * rows]
+        out[b * rows : (b + 1) * rows] = np.sqrt(total / N)[: trials - b * rows]
 
     map_trials(block, -(-trials // rows))
     return out
 
 
+def _chisquare(rng: np.random.Generator, p: float, size: tuple) -> np.ndarray:
+    """chi^2_p values: 2(E_1 + ... + E_{p/2}) for p of 4 or 6, where that sum
+    of standard exponentials draws faster than rng.chisquare, else rng.chisquare."""
+    if p in (4.0, 6.0):
+        return 2.0 * rng.standard_exponential((int(p) // 2, *size)).sum(axis=0)
+    return rng.chisquare(p, size)
+
+
 def _z_batch(class_spec: ClassSpec, design: DesignSpec, N: int, trials: int, seed: int, noise: NoiseSpec | None) -> np.ndarray:
     """Per-trial vectors Z_j = N^{-1/2} sum_i eps_i xi_i X_i, one row per trial:
     the Rademacher process (xi = 1) when `noise` is None, else the multiplier
-    process (xi = <t0, X> - Y).
+    process (xi = <t0, X> - Y = -w).
 
     A gaussian design draws them from their law: N(0, I_n), n normals a
     trial (row j depends only on the seed and j), times sqrt(mean w^2) given
-    the noise, which takes N noise values a trial. The scale is linear in
-    the noise, so doubling sigma doubles Z bit for bit.
+    the noise (see _noise_rms). The scale is linear in the noise, so
+    doubling sigma doubles Z bit for bit.
+
+    A student-t design draws them from its gaussian scale-mixture law:
+    trial j takes its noise w from (seed, j, NOISE_TAG), as sample_response
+    does, then from (seed, j, DESIGN_TAG) the N x n chi-squares in row
+    blocks of at most _CHI2_BLOCK values, summed into
+    M = (1/N) sum_i xi_i^2 (p - 2)/chi^2_{p,i}, and n normals G; its row is
+    sqrt(M) * G. Row j depends only on the seed and j.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -90,17 +120,29 @@ def _z_batch(class_spec: ClassSpec, design: DesignSpec, N: int, trials: int, see
     n = class_spec.n
     if design.kind == "gaussian":
         Z = substream(seed, LAW_TAG, DESIGN_TAG, 0).standard_normal((trials, n))
-        return Z if noise is None else np.sqrt(_noise_mean_squares(N, trials, seed, noise))[:, None] * Z
+        return Z if noise is None else _noise_rms(N, trials, seed, noise)[:, None] * Z
     out = np.empty((trials, n))
+    rows = max(1, _CHI2_BLOCK // n)
 
-    def trial(j):
+    def student_t_trial(j):
+        xi2 = None if noise is None else noise.sample(substream(seed, j, NOISE_TAG), N) ** 2
+        rng = substream(seed, j, DESIGN_TAG)
+        total = np.zeros(n)
+        for lo in range(0, N, rows):
+            scale = (design.p - 2.0) / _chisquare(rng, design.p, (min(rows, N - lo), n))
+            if xi2 is not None:
+                scale *= xi2[lo : lo + rows, None]
+            total += scale.sum(axis=0)
+        out[j] = np.sqrt(total / N) * rng.standard_normal(n)
+
+    def sample_trial(j):
         X = sample_design(design, N, seed, trial=j)
         eps = random_signs(substream(seed, j, SIGNS_TAG), N)
         if noise is not None:
             eps *= X @ class_spec.t0 - sample_response(class_spec, noise, X, seed, trial=j)
         out[j] = (eps @ X) / math.sqrt(N)
 
-    map_trials(trial, trials)
+    map_trials(student_t_trial if design.kind == "student_t" else sample_trial, trials)
     return out
 
 

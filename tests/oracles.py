@@ -17,7 +17,9 @@ solver. The one-shot support kernel re-sorts its batch at every call, and the
 linear alpha scan tries every grid radius in turn: the bitwise references for
 the prepared batch and for the grid bisection. The probe-direction builder
 walks a Python list of coordinate pairs, one row at a time: the bitwise
-reference for the indexed build of the 2-sparse probes.
+reference for the indexed build of the 2-sparse probes. The student-t
+scale-mixture Z is built one trial at a time in a plain loop from the
+substreams the batch reads: the bitwise reference for its rows.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ import types
 
 import numpy as np
 
+from ermbounds import fixed_points
 from ermbounds.distributions import DesignSpec, NoiseSpec, Sample
 from ermbounds.erm import ClassSpec
 from ermbounds.fixed_points import FixedPointEstimate, _z_batch
 from ermbounds.geometry import REL_SLACK, SupportRows, project_l1, support_l1l2_batch
-from ermbounds.rng import DIRECTIONS_TAG, substream
+from ermbounds.rng import DESIGN_TAG, DIRECTIONS_TAG, NOISE_TAG, substream
 from ermbounds.smallball import MAX_PAIRS
 
 
@@ -403,6 +406,33 @@ def expected_rademacher_sup(class_spec: ClassSpec, design: DesignSpec, N: int, t
     mean = float(sups.mean())
     stderr = float(sups.std(ddof=1) / math.sqrt(len(sups))) if len(sups) > 1 else 0.0
     return mean, stderr
+
+
+def student_t_law_z(class_spec: ClassSpec, design: DesignSpec, N: int, trials: int, seed: int, noise: NoiseSpec | None = None) -> np.ndarray:
+    """Student-t Z rows from the gaussian scale-mixture law, one trial at a time.
+
+    Trial j takes its noise from (seed, j, NOISE_TAG), then from
+    (seed, j, DESIGN_TAG) chi^2_p in blocks of fixed_points._CHI2_BLOCK // n
+    rows (2(E_1 + ... + E_{p/2}) for p of 4 or 6) and n normals G; the row is
+    sqrt(M) G with M = (1/N) sum_i w_i^2 (p - 2)/chi^2_{p,i} (w = 1 for the
+    Rademacher process).
+    """
+    n, p = class_spec.n, design.p
+    rows = max(1, fixed_points._CHI2_BLOCK // n)
+    Z = np.empty((trials, n))
+    for j in range(trials):
+        w2 = np.ones(N) if noise is None else noise.sample(substream(seed, j, NOISE_TAG), N) ** 2
+        rng = substream(seed, j, DESIGN_TAG)
+        M = np.zeros(n)
+        for lo in range(0, N, rows):
+            hi = min(lo + rows, N)
+            if p in (4.0, 6.0):
+                chi2 = 2.0 * sum(rng.standard_exponential((int(p) // 2, hi - lo, n)))
+            else:
+                chi2 = rng.chisquare(p, (hi - lo, n))
+            M += ((p - 2.0) / chi2 * w2[lo:hi, None]).sum(axis=0)
+        Z[j] = np.sqrt(M / N) * rng.standard_normal(n)
+    return Z
 
 
 def support_l1l2_batch_oneshot(Z: np.ndarray, rho: float, s: float) -> np.ndarray:

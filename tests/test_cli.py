@@ -324,7 +324,9 @@ _GOLDEN_RUNS = {
 # CLI config, which replays, in place of the library's record;
 # smallball_verify_counts re-recorded when its Q estimate came to use the
 # run's directions and draws, and kstar's JSON when its run stopped setting
-# design.kappa, a key the bounded_uniform law never read
+# design.kappa, a key the bounded_uniform law never read; verify-main's JSON
+# when alpha came to draw gaussian noise's mean square as one chi-square a
+# trial (only the alpha stderr moved)
 _GOLDEN_DIGESTS = {
     ("erm", "json"): "7d83c30f931c88ced97d0cc0e26f70ce61374045a57858a597d81ca108867c0e",
     ("erm", "csv"): "4c83d1f71a609c49bd7eb7eeced5b4139ceea4541a56410f769a0ca8dd147965",
@@ -352,7 +354,7 @@ _GOLDEN_DIGESTS = {
     ("persistence", "csv"): "d2080385512d9b68996189da4a88e1874d0d17777174caacd6f6745ab1e3b80d",
     ("counterexample", "json"): "20fa2107944296ee4176b56b27816480f8a69675055ec73af7a560dc19859437",
     ("counterexample", "csv"): "f6338d376b45cea9767ffe5afba4603480cc23f0659cc880cec1d64be5fe7368",
-    ("verify-main", "json"): "5aecc4bba86921c476c4a36c25ac18a19ba2ab8f8c882eb2593b217fb60bb245",
+    ("verify-main", "json"): "32f293d6e5bf83f585fac85b83ea24a12731c938200c4400aa53a89df100ba1e",
     ("verify-main", "csv"): "5abbb8942f46ec9cbbe77ddb0339f0f9ed2f28a06b7a858b4655c994815ab41b",
 }
 

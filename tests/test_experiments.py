@@ -230,8 +230,9 @@ class TestPersistenceSweep:
 # step with a checked step size and when L came to start at 2 max_i G_ii; the
 # JSON again when the config echo became dataclasses.asdict(config), which
 # writes the design's and noise's unset p and kappa as null (rows and summary
-# unchanged)
-PINNED_VERIFY_MAIN = ("7f476dda199d8599858547ae2fd6f7f9ac8094c9b84b68ef5f125d37340e4fa6", "61c2a36a90ed0a98eefed5a75190916cdd26f32ca33da7145d55a8f291c690fd")
+# unchanged); the JSON again when alpha came to draw gaussian noise's mean
+# square as one chi-square a trial (only the alpha stderr moved)
+PINNED_VERIFY_MAIN = ("33f1febaf23e7516c65eb7f542e880ad6d1d09c056a913e63a84eec598750f43", "61c2a36a90ed0a98eefed5a75190916cdd26f32ca33da7145d55a8f291c690fd")
 
 
 class TestVerifyMain:

@@ -11,7 +11,7 @@ from ermbounds.distributions import DesignSpec, NoiseSpec, make_sample, sample_d
 from ermbounds.erm import ClassSpec
 from ermbounds.experiments import make_t0
 from ermbounds.fixed_points import (
-    _noise_mean_squares,
+    _noise_rms,
     _z_batch,
     alpha_star,
     beta_star,
@@ -22,7 +22,7 @@ from ermbounds.geometry import SupportRows, support_l1l2_batch
 from ermbounds.reports import record
 from ermbounds.rng import SIGNS_TAG, substream
 from ermbounds.smallball import choose_tau, estimate_Q
-from oracles import alpha_grid, alpha_star_linear, boundary_enum_2d, expected_rademacher_sup, multiplier_sup, rademacher_sup
+from oracles import alpha_grid, alpha_star_linear, boundary_enum_2d, expected_rademacher_sup, multiplier_sup, rademacher_sup, student_t_law_z
 
 
 def cls_zero(n, R=1.0):
@@ -212,7 +212,7 @@ class TestAlphaStar:
 
     def test_grid_exhausted_record_pinned(self):
         # no grid point reaches 1 - delta, and at s_hi = 2R*sqrt(n) = 4 the
-        # success probability is 0.492, strictly between 0 and 1 - delta, so
+        # success probability is 0.504, strictly between 0 and 1 - delta, so
         # the pinned stderr is that of a real estimate at s_hi
         cls = cls_zero(4)
         est = alpha_star(cls, DesignSpec("gaussian", 4), NoiseSpec("gaussian", sigma=1.0), 32, gamma=0.03, delta=0.1, trials=500, seed=31)
@@ -221,7 +221,7 @@ class TestAlphaStar:
             "value": 4.0,
             "brackets": [3.652638177914751, 4.0],
             "trials": 500,
-            "stderr": 0.022357817424784557,
+            "stderr": 0.022359964221796064,
             "flags": ["grid_exhausted"],
         }
 
@@ -249,11 +249,13 @@ class TestAlphaStar:
         "n, kind, noise, gamma, delta, seed, flags",
         [
             (4, "gaussian", NoiseSpec("zero"), 0.05, 0.1, 16, []),  # first grid point, lower bracket = value
-            (8, "gaussian", NoiseSpec("gaussian", sigma=0.5), 0.05, 0.1, 8, ["wilson_marginal"]),
-            (8, "student_t", NoiseSpec("gaussian", sigma=0.5), 0.05, 0.1, 1, ["wilson_marginal"]),
+            (8, "gaussian", NoiseSpec("gaussian", sigma=0.5), 0.05, 0.1, 8, []),
+            (8, "student_t", NoiseSpec("gaussian", sigma=0.5), 0.05, 0.1, 1, []),
             (4, "gaussian", NoiseSpec("gaussian", sigma=1.0), 0.03, 0.1, 31, ["grid_exhausted"]),
             (16, "rademacher", NoiseSpec("heavy_tailed", sigma=0.5, p=3.0), 0.3, 0.25, 2, []),
             (16, "bounded_uniform", NoiseSpec("bounded_symmetric", sigma=0.5, kappa=2.0), 1.0, 0.1, 3, []),
+            (8, "gaussian", NoiseSpec("gaussian", sigma=0.5), 0.05, 0.1, 24, ["wilson_marginal"]),
+            (8, "student_t", NoiseSpec("gaussian", sigma=0.5), 0.05, 0.1, 4, ["wilson_marginal"]),
         ],
     )
     def test_bisection_matches_linear_scan(self, n, kind, noise, gamma, delta, seed, flags):
@@ -361,7 +363,7 @@ class TestWorkerCounts:
     def test_threaded_rows_match_scalar_oracles(self, workers, monkeypatch):
         monkeypatch.setenv("ERMBOUNDS_WORKERS", str(workers))
         cls = ClassSpec(n=12, R=1.0, t0=make_t0("spike", 0.5, 12, 1.0))
-        design = DesignSpec("student_t", 12, p=5.0)
+        design = DesignSpec("symmetrized_pareto", 12, p=5.0)  # gaussian and student-t designs draw Z by law
         noise = NoiseSpec("gaussian", sigma=0.5)
         N, trials, seed, radius = 40, 16, 27, 0.6
         config = (cls, design, N, trials, seed)
@@ -417,13 +419,15 @@ def per_sample_z(cls, design, N, trials, seed, noise=None):
     return Z
 
 
-class TestGaussianLaw:
-    """A gaussian design draws Z from its exact law; it must match the law of
-    the Z built from whole samples (two-sample KS, fixed seeds)."""
+class ExactLaw:
+    """Gaussian and student-t designs draw Z from its exact law; that must match
+    the law of the Z built from whole samples (two-sample KS, fixed seeds),
+    without drawing a sample. Each subclass runs these checks on one design."""
 
     N, n, trials = 64, 8, 1500
     cls = ClassSpec(n=8, R=1.0, t0=make_t0("spike", 0.5, 8, 1.0))
-    design = DesignSpec("gaussian", 8)
+    design: DesignSpec
+    block: str  # the module constant that sets the size of the design's law blocks
 
     def assert_same_law(self, fast, slow):
         # one coordinate per trial keeps each sample iid; the sups at two
@@ -442,42 +446,37 @@ class TestGaussianLaw:
         fast = _z_batch(self.cls, self.design, self.N, self.trials, 43, noise)
         self.assert_same_law(fast, per_sample_z(self.cls, self.design, self.N, self.trials, 44, noise))
 
-    @pytest.mark.parametrize("block", [fixed_points._LAW_BLOCK, 16], ids=["whole_rows", "row_pieces"])
-    def test_noise_mean_squares_chi2(self, monkeypatch, block):
-        # gaussian noise: N * mean(w^2) / sigma^2 is chi^2_N, whether a block
-        # holds many rows or a row comes in pieces (N = 40 > 16 draws 16, 16, 8)
-        monkeypatch.setattr(fixed_points, "_LAW_BLOCK", block)
-        N, sigma = 40, 0.5
-        msq = _noise_mean_squares(N, 2000, 45, NoiseSpec("gaussian", sigma=sigma))
-        assert stats.kstest(N * msq / sigma**2, stats.chi2(N).cdf).pvalue > 1e-3
-
     @pytest.mark.parametrize("noise", [NoiseSpec("zero"), NoiseSpec("gaussian", sigma=0.0)], ids=["zero", "sigma0"])
     def test_zero_noise_gives_zero(self, noise):
         Z = _z_batch(self.cls, self.design, self.N, 50, 46, noise)
         assert Z.shape == (50, self.n) and np.array_equal(Z, np.zeros_like(Z))
 
-    def test_scale_covariance_across_row_pieces(self, monkeypatch):
-        monkeypatch.setattr(fixed_points, "_LAW_BLOCK", 16)
-        config = (self.cls, self.design, 40, 30, 47)
-        Z1 = _z_batch(*config, NoiseSpec("gaussian", sigma=0.5))
-        Z2 = _z_batch(*config, NoiseSpec("gaussian", sigma=1.0))
-        assert np.array_equal(Z2, 2.0 * Z1)
+    def test_never_draws_a_sample(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exact-law Z batch drew a sample")
 
-    @pytest.mark.parametrize("block", [fixed_points._LAW_BLOCK, 16], ids=["whole_rows", "row_pieces"])
+        monkeypatch.setattr(fixed_points, "sample_design", refuse)
+        monkeypatch.setattr(DesignSpec, "sample_coords", refuse)
+        for noise in (None, NoiseSpec("gaussian", sigma=0.5), NoiseSpec("heavy_tailed", sigma=0.5, p=3.0)):
+            assert _z_batch(self.cls, self.design, self.N, 20, 50, noise).shape == (20, self.n)
+
+    @pytest.mark.parametrize("block", ["default", 16], ids=["whole_rows", "row_pieces"])
     def test_identical_across_workers(self, monkeypatch, block):
-        monkeypatch.setattr(fixed_points, "_LAW_BLOCK", block)
+        if block != "default":
+            monkeypatch.setattr(fixed_points, self.block, block)
         noise = NoiseSpec("heavy_tailed", sigma=0.5, p=3.0)
         batches = []
         for workers in ("1", "2", "0"):
             monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
-            config = (self.cls, self.design, 512 if block > 16 else 40, 300, 48)
+            config = (self.cls, self.design, 512 if block == "default" else 40, 300, 48)
             batches.append(_z_batch(*config, None).tobytes() + _z_batch(*config, noise).tobytes())
         assert batches[0] == batches[1] == batches[2]
 
-    @pytest.mark.parametrize("noise", [NoiseSpec("heavy_tailed", sigma=0.5, p=3.0), NoiseSpec("bounded_symmetric", sigma=0.5, kappa=2.0)], ids=["heavy_tailed", "bounded_symmetric"])
+    @pytest.mark.parametrize("noise", [NoiseSpec("heavy_tailed", sigma=0.5, p=3.0), NoiseSpec("bounded_symmetric", sigma=0.5, kappa=2.0), NoiseSpec("gaussian", sigma=0.5)], ids=["heavy_tailed", "bounded_symmetric", "gaussian"])
     def test_rows_independent_of_trial_count(self, noise):
-        # N = 512 puts 128 trials in a noise block; 300 trials end inside the
-        # third block, and these kinds draw a block's signs apart from the rest
+        # N = 512 puts 128 trials in a noise block of the gaussian design;
+        # 300 trials end inside the third block, and these kinds draw a
+        # block's signs apart from the rest
         def batches(trials):
             config = (self.cls, self.design, 512, trials, 49)
             return _z_batch(*config, None), _z_batch(*config, noise)
@@ -486,3 +485,69 @@ class TestGaussianLaw:
         for k in (1, 127, 128, 200):
             for a, b in zip(batches(k), full):
                 assert np.array_equal(a, b[:k])
+
+
+class TestGaussianLaw(ExactLaw):
+    design = DesignSpec("gaussian", 8)
+    block = "_LAW_BLOCK"
+
+    @pytest.mark.parametrize("block", [fixed_points._LAW_BLOCK, 16], ids=["whole_rows", "row_pieces"])
+    def test_noise_mean_squares_chi2(self, monkeypatch, block):
+        # gaussian noise: N * mean(w^2) / sigma^2 is chi^2_N, one draw a
+        # trial, so the block size of the other kinds' draws changes nothing
+        N, sigma = 40, 0.5
+        noise = NoiseSpec("gaussian", sigma=sigma)
+        whole = _noise_rms(N, 2000, 45, noise)
+        monkeypatch.setattr(fixed_points, "_LAW_BLOCK", block)
+        rms = _noise_rms(N, 2000, 45, noise)
+        assert np.array_equal(rms, whole)
+        assert stats.kstest(N * (rms / sigma) ** 2, stats.chi2(N).cdf).pvalue > 1e-3
+
+    @pytest.mark.parametrize("block", [fixed_points._LAW_BLOCK, 16], ids=["whole_rows", "row_pieces"])
+    def test_noise_mean_squares_binomial(self, monkeypatch, block):
+        # bounded_symmetric noise is +-kappa*sigma with probability 1/kappa^2,
+        # else 0, so N * mean(w^2) / (kappa*sigma)^2 is Binomial(N, 1/kappa^2),
+        # whether a block holds many rows or a row comes in pieces (N = 40 > 16
+        # draws 16, 16, 8)
+        monkeypatch.setattr(fixed_points, "_LAW_BLOCK", block)
+        N, sigma, kappa = 40, 0.5, 2.0
+        hits = N * (_noise_rms(N, 4000, 45, NoiseSpec("bounded_symmetric", sigma=sigma, kappa=kappa)) / (kappa * sigma)) ** 2
+        counts = np.bincount(np.rint(hits).astype(int), minlength=N + 1)
+        expected = len(hits) * stats.binom(N, 1.0 / kappa**2).pmf(np.arange(N + 1))
+        keep = expected >= 5.0  # pool the thin tails into one cell
+        observed = np.append(counts[keep], counts[~keep].sum())
+        expected = np.append(expected[keep], expected[~keep].sum())
+        assert stats.chisquare(observed, expected * observed.sum() / expected.sum()).pvalue > 1e-3
+
+    def test_scale_covariance_across_row_pieces(self, monkeypatch):
+        # gaussian noise takes one chi-square a trial; scaled_sign noise still
+        # comes in row pieces
+        monkeypatch.setattr(fixed_points, "_LAW_BLOCK", 16)
+        for noise in ("gaussian", "scaled_sign"):
+            config = (self.cls, self.design, 40, 30, 47)
+            Z1 = _z_batch(*config, NoiseSpec(noise, sigma=0.5))
+            Z2 = _z_batch(*config, NoiseSpec(noise, sigma=1.0))
+            assert np.array_equal(Z2, 2.0 * Z1)
+
+
+class TestStudentTLaw(ExactLaw):
+    """p = 4 draws its chi-squares as sums of exponentials."""
+
+    design = DesignSpec("student_t", 8, p=4.0)
+    block = "_CHI2_BLOCK"
+
+    @pytest.mark.parametrize("noise", [None, NoiseSpec("heavy_tailed", sigma=0.5, p=3.0)], ids=["rademacher", "heavy_tailed"])
+    @pytest.mark.parametrize("block", ["default", 16], ids=["whole_rows", "row_pieces"])
+    def test_rows_match_law_oracle(self, monkeypatch, noise, block):
+        # bitwise: the same substreams, blocks and sums, one trial at a time;
+        # 16 puts 2 rows in a chi-square block, so N = 40 takes 20 blocks
+        if block != "default":
+            monkeypatch.setattr(fixed_points, "_CHI2_BLOCK", block)
+        config = (self.cls, self.design, 40, 25, 51)
+        assert _z_batch(*config, noise).tobytes() == student_t_law_z(*config, noise).tobytes()
+
+
+class TestStudentT5Law(TestStudentTLaw):
+    """p = 5 draws its chi-squares with rng.chisquare."""
+
+    design = DesignSpec("student_t", 8, p=5.0)
