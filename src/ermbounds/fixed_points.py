@@ -39,7 +39,7 @@ import numpy as np
 from .distributions import DesignSpec, NoiseSpec, random_signs, sample_design, sample_response
 from .erm import ClassSpec
 from .geometry import SupportRows, support_l1l2_batch
-from .rng import DESIGN_TAG, LAW_TAG, NOISE_TAG, SIGNS_TAG, map_trials, substream
+from .rng import DESIGN_TAG, LAW_TAG, NOISE_TAG, SIGNS_TAG, map_trials, substream, trial_workers
 
 DEFAULT_QUANTILE_TRIALS = 1000
 _LAW_BLOCK = 2**16  # noise values one block of the exact multiplier law draws
@@ -112,11 +112,15 @@ def _z_batch(class_spec: ClassSpec, design: DesignSpec, N: int, trials: int, see
     blocks of at most _CHI2_BLOCK values, summed into
     M = (1/N) sum_i xi_i^2 (p - 2)/chi^2_{p,i}, and n normals G; its row is
     sqrt(M) * G. Row j depends only on the seed and j.
+
+    Every design reads $ERMBOUNDS_WORKERS before it draws, so a bad value
+    fails here even where the law path starts no threads.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if N < 1:
         raise ValueError("N must be >= 1")
+    trial_workers(trials)
     n = class_spec.n
     if design.kind == "gaussian":
         Z = substream(seed, LAW_TAG, DESIGN_TAG, 0).standard_normal((trials, n))

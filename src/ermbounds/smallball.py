@@ -42,10 +42,15 @@ MIN_DRAWS = 1000
 # the thresholds tau that `choose_tau` scans (read-only: every caller shares it)
 TAU_GRID = np.geomspace(0.05, 1.0, 20)
 TAU_GRID.setflags(write=False)
-# rows of P = |X T^T| one threshold count reads at a time: 128 rows of a
-# 1324-direction P take 1.4 MB, so a block stays in a core's cache across
-# the thresholds
-COUNT_BLOCK_ROWS = 128
+# rows of P = |X T^T| formed at a time: no probe estimate holds a draws x
+# directions array, only X and one block of P per thread (96 rows of a
+# 1324-direction P take 1.0 MB, so a block stays in a core's cache across
+# the thresholds). A multiple of 24: on OpenBLAS 0.3.31 at one thread, a
+# gemm over 24k rows of X starting at a multiple of 24 gives every row the
+# bits of the whole X @ T.T at each probe shape measured (128-row blocks
+# do not), so the blocked counts and column sums keep the whole product's
+# results.
+COUNT_BLOCK_ROWS = 96
 
 
 def probe_rows(n: int, count: int) -> int:
@@ -85,31 +90,45 @@ def _check_probe_sizes(directions: int, draws: int) -> None:
         raise ValueError(f"draws must be positive and at least {MIN_DRAWS}, got {draws}")
 
 
-def _probe_projections(design: DesignSpec, directions: int, draws: int, seed: int, tag: int) -> tuple[np.ndarray, np.ndarray]:
-    """The probe directions T, one per row, and |<X_i, t>| for `draws` fresh
-    draws X_i (substream `tag`), one column per direction."""
+def _probe_draws(design: DesignSpec, directions: int, draws: int, seed: int, tag: int) -> tuple[np.ndarray, np.ndarray]:
+    """`draws` fresh draws X (substream `tag`) and the probe directions T,
+    one per row each."""
     T, _ = probe_directions(design, directions, seed)
-    X = design.sample_coords(substream(seed, DIRECTIONS_TAG, tag), (draws, design.n))
-    P = X @ T.T
-    np.abs(P, out=P)  # in place: P is the largest array of a choose_tau run
-    return T, P
+    return design.sample_coords(substream(seed, DIRECTIONS_TAG, tag), (draws, design.n)), T
 
 
-def _count_at_least(P: np.ndarray, thresholds) -> np.ndarray:
-    """int32 counts #{i : P[i, d] >= v}, one row per threshold v in input
-    order and one column per direction d.
+def _row_blocks(rows: int) -> list[slice]:
+    """The row blocks of P = |X T^T|: COUNT_BLOCK_ROWS rows each from row 0,
+    the last one short. A one-row remainder joins the block before it, since
+    numpy computes a one-row product by gemv, whose bits differ from gemm's."""
+    edges = [*range(0, rows, COUNT_BLOCK_ROWS), rows]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
 
-    P's rows are counted in blocks of COUNT_BLOCK_ROWS on `map_trials`, each
-    block against every threshold, and the block counts are added into one
-    total. Integer counts add exactly in any order, and each is at most
-    P.shape[0], so the result is the same for every thread count and block
-    size.
+
+def _abs_rows(X: np.ndarray, T: np.ndarray, rows: slice) -> np.ndarray:
+    """The rows `rows` of P = |X T^T|."""
+    P = X[rows] @ T.T
+    return np.abs(P, out=P)
+
+
+def _count_at_least(X: np.ndarray, T: np.ndarray, thresholds) -> np.ndarray:
+    """int32 counts #{i : |<X_i, T_d>| >= v}, one row per threshold v in
+    input order and one column per direction d.
+
+    Each `map_trials` thread forms one row block of P = |X T^T| at a time
+    (see `_row_blocks`), counts it against every threshold and adds the block
+    counts into one total. Integer counts add exactly in any order, and each
+    is at most X.shape[0], so the result is the same for every thread count;
+    no draws x directions array is held.
     """
-    total = np.zeros((len(thresholds), P.shape[1]), dtype=np.int32)
+    blocks = _row_blocks(X.shape[0])
+    total = np.zeros((len(thresholds), T.shape[0]), dtype=np.int32)
     lock = threading.Lock()
 
     def count_block(b: int) -> None:
-        block = P[b * COUNT_BLOCK_ROWS : (b + 1) * COUNT_BLOCK_ROWS]
+        block = _abs_rows(X, T, blocks[b])
         counts = np.empty_like(total)
         mask = np.empty(block.shape, dtype=bool)
         for k, v in enumerate(thresholds):
@@ -118,8 +137,28 @@ def _count_at_least(P: np.ndarray, thresholds) -> np.ndarray:
         with lock:
             np.add(total, counts, out=total)
 
-    map_trials(count_block, -(-P.shape[0] // COUNT_BLOCK_ROWS))
+    map_trials(count_block, len(blocks))
     return total
+
+
+def _column_means(X: np.ndarray, T: np.ndarray, powers) -> list[np.ndarray]:
+    """np.mean(P**power, axis=0) for P = |X T^T|, one array per power in
+    input order, bit for bit, without holding P.
+
+    numpy sums axis 0 of a C-ordered array row by row, so stacking the sum
+    carried so far on top of each block's rows and reducing that stack adds
+    the rows in the whole array's order.
+    """
+    sums = np.zeros((len(powers), T.shape[0]))
+    stack = np.empty((COUNT_BLOCK_ROWS + 2, T.shape[0]))  # the carried sums, a block, a joined remainder row
+    for rows in _row_blocks(X.shape[0]):
+        block = _abs_rows(X, T, rows)
+        carried = stack[: block.shape[0] + 1]
+        for total, power in zip(sums, powers):
+            carried[0] = total
+            np.power(block, power, out=carried[1:])
+            np.add.reduce(carried, axis=0, out=total)
+    return [total / X.shape[0] for total in sums]
 
 
 def estimate_Q(design: DesignSpec, u, directions: int, draws: int, seed: int) -> tuple[SmallBallEstimate, ...]:
@@ -148,9 +187,8 @@ def estimate_Q(design: DesignSpec, u, directions: int, draws: int, seed: int) ->
 
     positive = [v for v in thresholds if v != 0.0]
     if positive:
-        T, P = _probe_projections(design, directions, draws, seed, 0)
-        counts = iter(_count_at_least(P, positive))
-        del P  # the counts are all the loop reads of P; free it before X2
+        X, T = _probe_draws(design, directions, draws, seed, 0)
+        counts = iter(_count_at_least(X, T, positive))
         rng_est = substream(seed, DIRECTIONS_TAG, 1)
         X2 = design.sample_coords(rng_est, (draws, design.n))
 
@@ -190,19 +228,15 @@ def moment_ratio_p2(design: DesignSpec, p: float, directions: int, draws: int, s
     if p < 2:
         raise ValueError("p must be at least 2")
     _check_probe_sizes(directions, draws)
-    _, proj = _probe_projections(design, directions, draws, seed, 2)
-    lp = np.mean(proj**p, axis=0) ** (1.0 / p)
-    l2 = np.sqrt(np.mean(proj**2, axis=0))
-    return float(np.max(lp / l2))
+    mean_p, mean_2 = _column_means(*_probe_draws(design, directions, draws, seed, 2), [p, 2])
+    return float(np.max(mean_p ** (1.0 / p) / np.sqrt(mean_2)))
 
 
 def l2_l1_ratio(design: DesignSpec, directions: int, draws: int, seed: int) -> float:
     """Max over probed directions of the empirical L2/L1 ratio of <X, t>."""
     _check_probe_sizes(directions, draws)
-    _, proj = _probe_projections(design, directions, draws, seed, 3)
-    l2 = np.sqrt(np.mean(proj**2, axis=0))
-    l1 = np.mean(proj, axis=0)
-    return float(np.max(l2 / l1))
+    mean_2, mean_1 = _column_means(*_probe_draws(design, directions, draws, seed, 3), [2, 1])
+    return float(np.max(np.sqrt(mean_2) / mean_1))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,9 @@ the prepared batch and for the grid bisection. The probe-direction builder
 walks a Python list of coordinate pairs, one row at a time: the bitwise
 reference for the indexed build of the 2-sparse probes. The student-t
 scale-mixture Z is built one trial at a time in a plain loop from the
-substreams the batch reads: the bitwise reference for its rows.
+substreams the batch reads: the bitwise reference for its rows. The moment
+ratios take column means of the whole draws x directions matrix |X T^T|:
+the bitwise references for the row-blocked sums.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from ermbounds.erm import ClassSpec
 from ermbounds.fixed_points import FixedPointEstimate, _z_batch
 from ermbounds.geometry import REL_SLACK, SupportRows, project_l1, support_l1l2_batch
 from ermbounds.rng import DESIGN_TAG, DIRECTIONS_TAG, NOISE_TAG, substream
-from ermbounds.smallball import MAX_PAIRS
+from ermbounds.smallball import MAX_PAIRS, probe_directions
 
 
 def project_l1_reference(v: np.ndarray, radius: float) -> np.ndarray:
@@ -514,3 +516,28 @@ def lemma_dsum_bound(n: int, d: int, kappa: float, C: float = 1.0) -> float:
     if kappa < 0 or C <= 0:
         raise ValueError("kappa must be nonnegative and C positive")
     return C * kappa * math.sqrt(d * math.log(math.e * n / d))
+
+
+def probe_projections(design: DesignSpec, directions: int, draws: int, seed: int, tag: int) -> tuple[np.ndarray, np.ndarray]:
+    """The probe directions T and the whole P = |X T^T| for `draws` fresh
+    draws X (substream `tag`), one column per direction: the draws
+    x directions matrix the blocked small-ball estimates never hold."""
+    T, _ = probe_directions(design, directions, seed)
+    X = design.sample_coords(substream(seed, DIRECTIONS_TAG, tag), (draws, design.n))
+    return T, np.abs(X @ T.T)
+
+
+def moment_ratio_p2_whole(design: DesignSpec, p: float, directions: int, draws: int, seed: int) -> float:
+    """`moment_ratio_p2` from whole-matrix column means of P: its bitwise reference."""
+    _, proj = probe_projections(design, directions, draws, seed, 2)
+    lp = np.mean(proj**p, axis=0) ** (1.0 / p)
+    l2 = np.sqrt(np.mean(proj**2, axis=0))
+    return float(np.max(lp / l2))
+
+
+def l2_l1_ratio_whole(design: DesignSpec, directions: int, draws: int, seed: int) -> float:
+    """`l2_l1_ratio` from whole-matrix column means of P: its bitwise reference."""
+    _, proj = probe_projections(design, directions, draws, seed, 3)
+    l2 = np.sqrt(np.mean(proj**2, axis=0))
+    l1 = np.mean(proj, axis=0)
+    return float(np.max(l2 / l1))

@@ -381,6 +381,14 @@ class TestWorkerCounts:
         with pytest.raises(ValueError, match="ERMBOUNDS_WORKERS must be a nonnegative integer, got '-2'"):
             beta_star(cls_zero(4), DesignSpec("rademacher", 4), 8, gamma=0.1, trials=10, seed=0)
 
+    @pytest.mark.parametrize("design", [DesignSpec("gaussian", 4), DesignSpec("rademacher", 4), DesignSpec("student_t", 4, p=4.0)], ids=["gaussian", "rademacher", "student_t"])
+    def test_unparsable_workers_rejected_by_every_design(self, monkeypatch, design):
+        # the gaussian law path starts no thread, yet it reads the variable
+        # before it draws, as the threaded paths do
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", "abc")
+        with pytest.raises(ValueError, match="ERMBOUNDS_WORKERS must be a nonnegative integer, got 'abc'"):
+            beta_star(cls_zero(4), design, 8, gamma=0.1, trials=10, seed=0)
+
     def test_unparsable_workers_rejected_by_smallball(self, monkeypatch):
         # estimate_Q counts its thresholds on threads, so it and choose_tau
         # read the variable too
@@ -445,6 +453,24 @@ class ExactLaw:
     def test_multiplier_law(self, noise):
         fast = _z_batch(self.cls, self.design, self.N, self.trials, 43, noise)
         self.assert_same_law(fast, per_sample_z(self.cls, self.design, self.N, self.trials, 44, noise))
+
+    def test_row_law_under_sparse_noise(self):
+        # kappa = 8 makes about one noise value in 64 nonzero, so a trial's
+        # multipliers are dominated by one or two w_i, and the coordinates of
+        # its row share those few rows of the design. The scale-free spread
+        # sum Z_k^4 / (sum Z_k^2)^2 of one row reads that coupling: weighting
+        # each design row by the mean w^2 instead of its own w_i^2 averages
+        # the mixing variables away and shrinks it. All-zero rows (no w_i
+        # drawn) are dropped on both sides.
+        noise = NoiseSpec("bounded_symmetric", sigma=0.5, kappa=8.0)
+
+        def spread(Z):
+            Z2 = Z[np.any(Z != 0.0, axis=1)] ** 2
+            return (Z2**2).sum(axis=1) / Z2.sum(axis=1) ** 2
+
+        fast = _z_batch(self.cls, self.design, self.N, self.trials, 52, noise)
+        slow = per_sample_z(self.cls, self.design, self.N, self.trials, 53, noise)
+        assert stats.ks_2samp(spread(fast), spread(slow)).pvalue > 1e-3
 
     @pytest.mark.parametrize("noise", [NoiseSpec("zero"), NoiseSpec("gaussian", sigma=0.0)], ids=["zero", "sigma0"])
     def test_zero_noise_gives_zero(self, noise):

@@ -1,4 +1,7 @@
+import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -13,8 +16,11 @@ from ermbounds.fixed_points import beta_star
 from ermbounds.reports import record
 from ermbounds.smallball import (
     COUNT_BLOCK_ROWS,
+    _abs_rows,
+    _column_means,
     _count_at_least,
-    _probe_projections,
+    _probe_draws,
+    _row_blocks,
     choose_tau,
     estimate_Q,
     l2_l1_ratio,
@@ -24,7 +30,9 @@ from ermbounds.smallball import (
     probe_rows,
     verify_empirical_smallball,
 )
-from oracles import count_at_least_reference, direction_probability, probe_directions_reference
+from oracles import count_at_least_reference, direction_probability, l2_l1_ratio_whole, moment_ratio_p2_whole, probe_directions_reference
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 class TestEstimateQ:
@@ -154,19 +162,25 @@ class TestProbeSizes:
                 call()
 
 
+def whole_p(X, T):
+    """The whole draws x directions matrix |X T^T| the blocked path never holds."""
+    return np.abs(X @ T.T)
+
+
 class TestCountAtLeast:
     # unsorted, repeated, and 0.0, which every entry meets
     THRESHOLDS = [0.7, 0.0, 1.3, 0.3, 0.7, 2.0, 0.0, 0.05]
 
     @pytest.mark.parametrize("workers", ["1", "2", "3"])
-    @pytest.mark.parametrize("rows", [1000, 1001, 1023, COUNT_BLOCK_ROWS - 1, COUNT_BLOCK_ROWS, COUNT_BLOCK_ROWS + 1, 8 * COUNT_BLOCK_ROWS, 10000])
+    @pytest.mark.parametrize("rows", [1000, 1001, 1023, 127, 128, 129, 1024, 10000, COUNT_BLOCK_ROWS - 1, COUNT_BLOCK_ROWS, COUNT_BLOCK_ROWS + 1, 8 * COUNT_BLOCK_ROWS])
     def test_equals_one_pass_count(self, rows, workers, monkeypatch):
-        # fewer rows than one block, a ragged last block, exact multiples
+        # fewer rows than one block, a ragged last block, a one-row
+        # remainder, exact multiples
         monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
-        _, P = _probe_projections(DesignSpec("gaussian", 6), 40, rows, 31, 0)
-        got = _count_at_least(P, self.THRESHOLDS)
+        X, T = _probe_draws(DesignSpec("gaussian", 6), 40, rows, 31, 0)
+        got = _count_at_least(X, T, self.THRESHOLDS)
         assert got.dtype == np.int32
-        assert np.array_equal(got, count_at_least_reference(P, self.THRESHOLDS))
+        assert np.array_equal(got, count_at_least_reference(whole_p(X, T), self.THRESHOLDS))
         assert np.all(got[[1, 6]] == rows)
 
     @pytest.mark.parametrize("workers", ["1", "2", "3"])
@@ -175,9 +189,9 @@ class TestCountAtLeast:
         # every canonical entry, which `>=` counts
         monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
         n, directions, rows = 5, 30, 1001
-        _, P = _probe_projections(DesignSpec("rademacher", n), directions, rows, 32, 0)
-        got = _count_at_least(P, [1.0, 0.5, 1.0])
-        assert np.array_equal(got, count_at_least_reference(P, [1.0, 0.5, 1.0]))
+        X, T = _probe_draws(DesignSpec("rademacher", n), directions, rows, 32, 0)
+        got = _count_at_least(X, T, [1.0, 0.5, 1.0])
+        assert np.array_equal(got, count_at_least_reference(whole_p(X, T), [1.0, 0.5, 1.0]))
         assert np.all(got[0, directions : directions + n] == rows)
 
     def test_more_threads_than_cores_under_fast_switching(self, monkeypatch):
@@ -185,27 +199,67 @@ class TestCountAtLeast:
         # break equality with the one-pass count
         monkeypatch.setattr(rng.os, "sched_getaffinity", lambda pid: set(range(6)))
         monkeypatch.setenv("ERMBOUNDS_WORKERS", "6")
-        _, P = _probe_projections(DesignSpec("gaussian", 4), 20, 4000, 33, 0)
+        X, T = _probe_draws(DesignSpec("gaussian", 4), 20, 4000, 33, 0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = _count_at_least(P, self.THRESHOLDS)
+            got = _count_at_least(X, T, self.THRESHOLDS)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(got, count_at_least_reference(P, self.THRESHOLDS))
+        assert np.array_equal(got, count_at_least_reference(whole_p(X, T), self.THRESHOLDS))
 
-    def test_no_draws_by_directions_temporary_besides_p(self):
-        # the threshold counts read P in blocks, and P is freed before the
-        # second-pass draws, so the peak stays within P plus an eighth
+    @pytest.mark.parametrize(
+        "rows, sizes",
+        [(1, [1]), (COUNT_BLOCK_ROWS, [COUNT_BLOCK_ROWS]), (COUNT_BLOCK_ROWS + 1, [COUNT_BLOCK_ROWS + 1]), (2 * COUNT_BLOCK_ROWS + 1, [COUNT_BLOCK_ROWS, COUNT_BLOCK_ROWS + 1]), (2 * COUNT_BLOCK_ROWS + 2, [COUNT_BLOCK_ROWS, COUNT_BLOCK_ROWS, 2])],
+    )
+    def test_row_blocks_start_at_block_multiples(self, rows, sizes):
+        # a one-row remainder would be a gemv; it joins the block before it
+        blocks = _row_blocks(rows)
+        assert [b.stop - b.start for b in blocks] == sizes
+        assert blocks[0].start == 0 and blocks[-1].stop == rows
+        assert all(b.start % COUNT_BLOCK_ROWS == 0 for b in blocks)
+
+    def test_blocks_reproduce_whole_product(self):
+        # at one BLAS thread, gemm blocks of a multiple of 24 rows get the
+        # whole product's bits, at verify-main's shape (n = 32, 1324
+        # directions) too, where 128-row blocks would not; a one-row block
+        # would be a gemv, whose last row differs at the small shapes. A child
+        # process, since the BLAS thread count is read at load time.
+        shapes = [("gaussian", 4, 40, 10 * COUNT_BLOCK_ROWS + 41), ("gaussian", 4, 40, 20 * COUNT_BLOCK_ROWS + 1), ("student_t", 4, 40, 20 * COUNT_BLOCK_ROWS + 1), ("gaussian", 32, 300, 10007)]
+        script = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from ermbounds.distributions import DesignSpec\n"
+            "from ermbounds.smallball import _abs_rows, _probe_draws, _row_blocks\n"
+            "for kind, n, directions, rows in json.loads(sys.argv[1]):\n"
+            "    X, T = _probe_draws(DesignSpec(kind, n, p=4.0 if kind == 'student_t' else None), directions, rows, 38, 0)\n"
+            "    blocks = np.vstack([_abs_rows(X, T, b) for b in _row_blocks(rows)])\n"
+            "    print(int((blocks != np.abs(X @ T.T)).sum()))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC), OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(shapes)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"] * len(shapes)
+
+    def test_probe_estimates_hold_no_draws_by_directions_array(self):
+        # P is formed a block at a time, so each estimate's peak is X plus a
+        # few blocks: at these sizes (P would be 106 MB) well under an
+        # eighth of P
         design, directions, draws = DesignSpec("gaussian", 32), 300, 10000
         p_bytes = draws * probe_rows(design.n, directions) * np.dtype(np.float64).itemsize
-        tracemalloc.start()
-        try:
-            estimate_Q(design, np.geomspace(0.1, 2.0, 20), directions, draws, seed=34)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert p_bytes <= peak < p_bytes + p_bytes / 8
+        calls = {
+            "estimate_Q": lambda: estimate_Q(design, np.geomspace(0.1, 2.0, 20), directions, draws, seed=34),
+            "moment_ratio_p2": lambda: moment_ratio_p2(design, 4.0, directions, draws, seed=34),
+            "l2_l1_ratio": lambda: l2_l1_ratio(design, directions, draws, seed=34),
+        }
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < p_bytes / 8, name
 
 
 class TestPaleyZygmund:
@@ -267,6 +321,21 @@ class TestMomentRatios:
     def test_l2_l1_bounded_uniform_envelope(self):
         ratio = l2_l1_ratio(DesignSpec("bounded_uniform", 6), directions=10, draws=50000, seed=14)
         assert ratio <= 2.0
+
+    @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+    @pytest.mark.parametrize("draws", [10 * COUNT_BLOCK_ROWS + 41, 20 * COUNT_BLOCK_ROWS + 1], ids=["ragged", "one_row_remainder"])
+    def test_blocked_sums_match_whole_matrix(self, kind, draws):
+        # the column sums carry from block to block in row order, so the
+        # ratios keep the bits of the whole-matrix means
+        design = DesignSpec(kind, 4)
+        for p in (2.0, 3.0, 4.0, 7.5):
+            assert moment_ratio_p2(design, p, 40, draws, 35) == moment_ratio_p2_whole(design, p, 40, draws, 35)
+        assert l2_l1_ratio(design, 40, draws, 36) == l2_l1_ratio_whole(design, 40, draws, 36)
+        X, T = _probe_draws(design, 40, draws, 37, 2)
+        P = whole_p(X, T)
+        got = _column_means(X, T, [3.0, 2, 1])
+        for mean, want in zip(got, (np.mean(P**3.0, axis=0), np.mean(P**2, axis=0), np.mean(P, axis=0))):
+            assert mean.tobytes() == want.tobytes()
 
 
 class TestChooseTau:
