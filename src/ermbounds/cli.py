@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
@@ -149,7 +150,7 @@ def _validate_keys(config: dict, sub: Subcommand) -> None:
 def _check_types(config: dict, defaults: dict, nullable: dict, prefix: str = "") -> None:
     """Reject a value whose JSON type does not match its key's default, or,
     for a key whose default is None, is neither null nor of its `nullable`
-    type."""
+    type, and a number that is NaN or infinite."""
     for key, value in config.items():
         default = defaults.get(key)
         if default is not None:
@@ -160,6 +161,8 @@ def _check_types(config: dict, defaults: dict, nullable: dict, prefix: str = "")
             continue
         if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
             raise ConfigError(f"config key {prefix + key!r} must be {_TYPE_NAMES[kind]}{alternative}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"config key {prefix + key!r} must be a finite number, got {value!r}")
         if kind is dict:
             _check_types(value, default, nullable.get(key, {}), prefix + key + ".")
 

@@ -49,8 +49,8 @@ def make_t0(shape: str, fraction: float, n: int, R: float) -> np.ndarray:
     (spike), spread evenly (flat), or zero."""
     if n < 1:
         raise ValueError("dimension n must be positive")
-    if shape == "zero" or fraction == 0.0:
-        return np.zeros(n)
+    if shape not in ("zero", "spike", "flat"):
+        raise ValueError(f"unknown t0 shape {shape!r}")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("t0 fraction must lie in [0, 1]")
     t0 = np.zeros(n)
@@ -58,8 +58,6 @@ def make_t0(shape: str, fraction: float, n: int, R: float) -> np.ndarray:
         t0[0] = fraction * R
     elif shape == "flat":
         t0[:] = fraction * R / n
-    else:
-        raise ValueError(f"unknown t0 shape {shape!r}")
     return t0
 
 
@@ -97,6 +95,8 @@ class SweepConfig:
             for value in grid:
                 if isinstance(value, bool) or not isinstance(value, kind):
                     raise ValueError(f"{name} entries must be {'integers' if kind is numbers.Integral else 'numbers'}, got {value!r}")
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{name} entries must be finite numbers, got {value!r}")
                 k = key(value)
                 if k in seen:
                     raise ValueError(f"{name} values {seen[k]!r} and {value!r} give their cells the same seed key {k}, so they would draw the same samples")

@@ -12,7 +12,8 @@ criterion it searches is a deterministic function of the radius.
 The localized sets are star-shaped, so each trial's supremum divided by the
 radius is non-increasing. Hence the mean criterion of beta* and k* changes
 sign once, and each trial's success in alpha*'s quantile criterion switches
-on at most once along its grid: both searches bisect.
+on at most once as the radius grows: one bisection (`_fixed_point`) finds
+all three.
 
 For a gaussian design Z has an exact law, so its batches are drawn from that
 law instead of from N x n samples: N^{-1/2} sum_i eps_i X_i is N(0, I_n),
@@ -150,53 +151,62 @@ def _z_batch(class_spec: ClassSpec, design: DesignSpec, N: int, trials: int, see
     return out
 
 
-def _bisect_fixed_point(Z: np.ndarray, R: float, threshold, kind: str, r_lo: float, r_hi: float) -> FixedPointEstimate:
-    """Smallest radius where mean supremum <= threshold(r), by bisection to a
-    bracket of relative width 1%.
+def _fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int, seed: int, noise: NoiseSpec | None, kind: str, holds, assess) -> FixedPointEstimate:
+    """Smallest radius r in [1e-8 r_hi, r_hi], r_hi = 2R sqrt(n), at which
+    `holds(r, sups)` is true of the trials' suprema at r, by bisection with
+    arithmetic midpoints to a bracket [lo, hi] of relative width 1%.
 
-    Valid because mean_sup(r)/r is non-increasing in r (the localized sets
-    are star-shaped), so the criterion changes sign exactly once.
+    Valid because holds is monotone in r: each trial's supremum over r is
+    non-increasing (the localized sets are star-shaped), so the criterion
+    switches on once along the radii. The batch of Z (the Rademacher process
+    when `noise` is None, else the multiplier process) is drawn once, and
+    each radius's suprema are kept, so no radius is evaluated twice. The
+    estimate is hi, with the stderr and extra flags `assess(r, sups)` gives
+    at r = hi. It is flagged at_lower_bracket when holds at 1e-8 r_hi, and
+    not_satisfied_within_upper, with lo = hi = r_hi, when not at r_hi.
     """
-    trials = Z.shape[0]
-    rows = SupportRows(Z)
-    sups = {}  # radius -> suprema, so no radius is scanned twice
-
-    def sups_at(r):
-        if r not in sups:
-            sups[r] = support_l1l2_batch(rows, 2.0 * R, r)
-        return sups[r]
-
-    def ok(r):
-        return float(sups_at(r).mean()) <= threshold(r)
-
-    def stderr_at(r):
-        return float(sups_at(r).std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-
-    if ok(r_lo):
-        return FixedPointEstimate(r_lo, (r_lo, r_lo), trials, stderr_at(r_lo), kind, ("at_lower_bracket",))
-    if not ok(r_hi):
-        return FixedPointEstimate(r_hi, (r_hi, r_hi), trials, stderr_at(r_hi), kind, ("not_satisfied_within_upper",))
-    lo, hi = r_lo, r_hi
-    while hi - lo > 1e-2 * hi:
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            hi = mid
-        else:
-            lo = mid
-    return FixedPointEstimate(hi, (lo, hi), trials, stderr_at(hi), kind)
-
-
-def _rademacher_fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int, seed: int, power: int, kind: str) -> FixedPointEstimate:
-    """Smallest radius in [1e-8 r_hi, r_hi], r_hi = 2R sqrt(n), where the
-    localized Rademacher mean is at most gamma*r^power*sqrt(N)."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     if class_spec.R == 0.0:
         return FixedPointEstimate(0.0, (0.0, 0.0), trials, 0.0, kind, ("degenerate_class",))
     r_hi = 2.0 * class_spec.R * math.sqrt(class_spec.n)
-    Z = _z_batch(class_spec, design, N, trials, seed, None)
-    # in this order the threshold is bit for bit gamma*r*sqrt(N) or gamma*r*r*sqrt(N)
-    return _bisect_fixed_point(Z, class_spec.R, lambda r: gamma * r * r ** (power - 1) * math.sqrt(N), kind, 1e-8 * r_hi, r_hi)
+    rows = SupportRows(_z_batch(class_spec, design, N, trials, seed, noise))
+    sups = {}  # radius -> suprema, so no radius is scanned twice
+
+    def sups_at(r):
+        if r not in sups:
+            sups[r] = support_l1l2_batch(rows, 2.0 * class_spec.R, r)
+        return sups[r]
+
+    lo, hi = 1e-8 * r_hi, r_hi
+    if holds(lo, sups_at(lo)):
+        hi, flags = lo, ("at_lower_bracket",)
+    elif not holds(hi, sups_at(hi)):
+        lo, flags = hi, ("not_satisfied_within_upper",)
+    else:
+        flags = ()
+        while hi - lo > 1e-2 * hi:
+            mid = 0.5 * (lo + hi)
+            if holds(mid, sups_at(mid)):
+                hi = mid
+            else:
+                lo = mid
+    stderr, more = assess(hi, sups_at(hi))
+    return FixedPointEstimate(hi, (lo, hi), trials, stderr, kind, flags + more)
+
+
+def _rademacher_fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int, seed: int, power: int, kind: str) -> FixedPointEstimate:
+    """Smallest radius where the localized Rademacher mean is at most
+    gamma*r^power*sqrt(N)."""
+
+    def holds(r, sups):
+        # in this order the threshold is bit for bit gamma*r*sqrt(N) or gamma*r*r*sqrt(N)
+        return float(sups.mean()) <= gamma * r * r ** (power - 1) * math.sqrt(N)
+
+    def assess(r, sups):
+        return (float(sups.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0), ()
+
+    return _fixed_point(class_spec, design, N, gamma, trials, seed, None, kind, holds, assess)
 
 
 def beta_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int, seed: int) -> FixedPointEstimate:
@@ -224,54 +234,26 @@ def quantile_trials(delta: float, trials: int | None) -> int:
 def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, gamma: float, delta: float, trials: int, seed: int) -> FixedPointEstimate:
     """Quantile fixed point of the multiplier process.
 
-    The smallest s on a geometric radius grid of ratio 1.1, from 1e-6 s_hi up
-    to s_hi = 2R sqrt(n), whose empirical success probability
-    p_hat(s) = Pr(phi_N(s) <= gamma*s^2*sqrt(N)) reaches 1 - delta. The
-    localized sets are star-shaped, so each trial's phi_N(s)/s is
-    non-increasing and phi_N(s)/s^2 falls by a factor of at least 1.094 per
-    grid step, far beyond rounding. Each trial's success therefore switches
-    on at most once along the grid, p_hat is monotone on the common random
-    numbers, and bisecting over grid indices finds the same point as a scan
-    with at most ceil(log2(grid size)) + 1 evaluations. Estimates within two
-    standard errors of the target get a Wilson flag.
+    The smallest s whose empirical success probability
+    p_hat(s) = Pr(phi_N(s) <= gamma*s^2*sqrt(N)) reaches 1 - delta, found by
+    the same bisection as beta* and k* (see _fixed_point). Each trial's
+    phi_N(s)/s is non-increasing, so once a trial succeeds it succeeds at
+    every larger s, and p_hat is monotone on the common random numbers. The
+    stderr is the binomial one of p_hat at the estimate, and an estimate
+    within two standard errors above the target gets a Wilson flag.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     quantile_trials(delta, trials)
-    if class_spec.R == 0.0:
-        return FixedPointEstimate(0.0, (0.0, 0.0), trials, 0.0, "alpha", ("degenerate_class",))
-    s_hi = 2.0 * class_spec.R * math.sqrt(class_spec.n)
-    s_lo = 1e-6 * s_hi
-    steps = int(math.ceil(math.log(s_hi / s_lo) / math.log(1.1)))
-    grid = s_lo * 1.1 ** np.arange(steps + 1)
-    grid[-1] = s_hi
-
-    rows = SupportRows(_z_batch(class_spec, design, N, trials, seed, noise))
     target = 1.0 - delta
     sqN = math.sqrt(N)
-    p_hats = {}  # grid index -> success probability
 
-    def p_hat(i):
-        if i not in p_hats:
-            s = grid[i]
-            p_hats[i] = float(np.mean(support_l1l2_batch(rows, 2.0 * class_spec.R, float(s)) <= gamma * s * s * sqN))
-        return p_hats[i]
+    def p_hat(s, sups):
+        return float(np.mean(sups <= gamma * s * s * sqN))
 
-    def stderr(p):
-        return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+    def assess(s, sups):
+        p = p_hat(s, sups)
+        stderr = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+        return stderr, (("wilson_marginal",) if p >= target and p - target < 2.0 * stderr else ())
 
-    if p_hat(steps) < target:
-        return FixedPointEstimate(float(grid[-1]), (float(grid[-2]), float(grid[-1])), trials, stderr(p_hats[steps]), "alpha", ("grid_exhausted",))
-    lo, hi = 0, steps  # the first success lies in [lo, hi], and hi succeeds
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if p_hat(mid) >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    p = p_hats[hi]
-    flags = ("wilson_marginal",) if p - target < 2.0 * stderr(p) else ()
-    lower = float(grid[hi - 1]) if hi > 0 else float(grid[hi])
-    return FixedPointEstimate(float(grid[hi]), (lower, float(grid[hi])), trials, stderr(p), "alpha", flags)
+    return _fixed_point(class_spec, design, N, gamma, trials, seed, noise, "alpha", lambda s, sups: p_hat(s, sups) >= target, assess)

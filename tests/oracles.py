@@ -13,9 +13,9 @@ localized Rademacher supremum and the top-d rearrangement bound are checked
 helpers that only the tests call. The scalar l1 projection and FISTA loop
 are one-problem code, the bitwise reference for the rows of the stacked
 solver. The exhaustive-grid ERM minimizer shares no step rule with that
-solver. The one-shot support kernel re-sorts its batch at every call, and the
-linear alpha scan tries every grid radius in turn: the bitwise references for
-the prepared batch and for the grid bisection. The probe-direction builder
+solver. The one-shot support kernel re-sorts its batch at every call: the
+bitwise reference for the prepared batch and for the criterion at the
+brackets of a fixed-point search. The probe-direction builder
 walks a Python list of coordinate pairs, one row at a time: the bitwise
 reference for the indexed build of the 2-sparse probes. The student-t
 scale-mixture Z is built one trial at a time in a plain loop from the
@@ -35,7 +35,7 @@ import numpy as np
 from ermbounds import fixed_points
 from ermbounds.distributions import DesignSpec, NoiseSpec, Sample
 from ermbounds.erm import ClassSpec
-from ermbounds.fixed_points import FixedPointEstimate, _z_batch
+from ermbounds.fixed_points import _z_batch
 from ermbounds.geometry import REL_SLACK, SupportRows, project_l1, support_l1l2_batch
 from ermbounds.rng import DESIGN_TAG, DIRECTIONS_TAG, NOISE_TAG, substream
 from ermbounds.smallball import MAX_PAIRS, probe_directions
@@ -308,7 +308,7 @@ def _l1_lattice_objective_min(G, b, c, R, resolution):
     best_t = np.zeros(n)
     if n == 1:
         ts = axis[:, None] * resolution
-        vals = np.einsum("ij,jk,ik->i", ts, G, ts) - 2.0 * ts @ b + c
+        vals = np.vecdot(ts @ G, ts) - 2.0 * ts @ b + c
         i = int(np.argmin(vals))
         return vals[i], ts[i]
     # enumerate leading n-2 coordinates, vectorize the trailing plane
@@ -329,7 +329,7 @@ def _l1_lattice_objective_min(G, b, c, R, resolution):
             pts[:, j] = k * resolution
         pts[:, n - 2] = g2[mask] * resolution
         pts[:, n - 1] = g3[mask] * resolution
-        vals = np.einsum("ij,jk,ik->i", pts, G, pts) - 2.0 * pts @ b + c
+        vals = np.vecdot(pts @ G, pts) - 2.0 * pts @ b + c
         i = int(np.argmin(vals))
         if vals[i] < best_val:
             best_val = float(vals[i])
@@ -474,39 +474,6 @@ def support_l1l2_batch_oneshot(Z: np.ndarray, rho: float, s: float) -> np.ndarra
     g_st = np.where(valid, rho * lam_st + s * np.sqrt(np.maximum(q_st, 0.0)), np.inf)
 
     return np.minimum(g_break.min(axis=1), g_st.min(axis=1))
-
-
-def alpha_grid(class_spec: ClassSpec) -> np.ndarray:
-    """alpha_star's radius grid: ratio 1.1 from 1e-6 s_hi, ending at s_hi = 2R sqrt(n)."""
-    s_hi = 2.0 * class_spec.R * math.sqrt(class_spec.n)
-    s_lo = 1e-6 * s_hi
-    steps = int(math.ceil(math.log(s_hi / s_lo) / math.log(1.1)))
-    grid = s_lo * 1.1 ** np.arange(steps + 1)
-    grid[-1] = s_hi
-    return grid
-
-
-def alpha_star_linear(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, gamma: float, delta: float, trials: int, seed: int) -> FixedPointEstimate:
-    """alpha_star as a scan of every grid radius in turn, each evaluated by
-    the one-shot kernel: the record the grid bisection must reproduce.
-    Expects a class with R > 0 and valid gamma, delta and trials."""
-    grid = alpha_grid(class_spec)
-    Z = _z_batch(class_spec, design, N, trials, seed, noise)
-    target = 1.0 - delta
-    sqN = math.sqrt(N)
-    prev = None
-    for s in grid:
-        sups = support_l1l2_batch_oneshot(Z, 2.0 * class_spec.R, float(s))
-        p_hat = float(np.mean(sups <= gamma * s * s * sqN))
-        stderr = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / trials)
-        if p_hat >= target:
-            flags = []
-            if p_hat - target < 2.0 * stderr:
-                flags.append("wilson_marginal")
-            lower = float(prev) if prev is not None else float(s)
-            return FixedPointEstimate(float(s), (lower, float(s)), trials, stderr, "alpha", tuple(flags))
-        prev = s
-    return FixedPointEstimate(float(grid[-1]), (float(grid[-2]), float(grid[-1])), trials, stderr, "alpha", ("grid_exhausted",))
 
 
 def lemma_dsum_bound(n: int, d: int, kappa: float, C: float = 1.0) -> float:

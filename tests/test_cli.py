@@ -326,14 +326,15 @@ _GOLDEN_RUNS = {
 # run's directions and draws, and kstar's JSON when its run stopped setting
 # design.kappa, a key the bounded_uniform law never read; verify-main's JSON
 # when alpha came to draw gaussian noise's mean square as one chi-square a
-# trial (only the alpha stderr moved)
+# trial (only the alpha stderr moved); alpha and verify-main's JSON when alpha
+# came to bisect to 1% like beta and kstar instead of scanning a ratio-1.1 grid
 _GOLDEN_DIGESTS = {
     ("erm", "json"): "7d83c30f931c88ced97d0cc0e26f70ce61374045a57858a597d81ca108867c0e",
     ("erm", "csv"): "4c83d1f71a609c49bd7eb7eeced5b4139ceea4541a56410f769a0ca8dd147965",
     ("beta", "json"): "5d9fcc5cc864302d47bed77c3d572036fb00290960951b4dd274c8e3e0cc82b9",
     ("beta", "csv"): "463a182ce925960322fa99a85b7e338d511137ab0b0e78e22e8e1a115ad73a96",
-    ("alpha", "json"): "da5c2caa6cea5f2dba7db4d3427d42a0595ac60d309fb5ab290cb933d3810969",
-    ("alpha", "csv"): "aa39840db082a78487b3049575a9a2c4feca5cc41c85d26866368eee983e22d8",
+    ("alpha", "json"): "d536d83b315812c585d3f4a82d0c7813b72fc74ccb1b31340783679c13d30b25",
+    ("alpha", "csv"): "dbe0e511413a4e7e5fb50bb23bb792157d0476cf6f8e1346ce2fc4891880a5ab",
     ("kstar", "json"): "78e3e7709e7f7fd5b03208d2dc5c9e98be5c6d313794a0fc65264a26f2315870",
     ("kstar", "csv"): "e0617248e1bfc1c2284d482cdf5110f1dab799e384435b4b1eafa9caa23ed658",
     ("smallball_estimate_q", "json"): "0ccf14563d64a0b550dc01f0b18b004dbf67f9bb938af4d2bc7c63ae605af26e",
@@ -354,7 +355,7 @@ _GOLDEN_DIGESTS = {
     ("persistence", "csv"): "d2080385512d9b68996189da4a88e1874d0d17777174caacd6f6745ab1e3b80d",
     ("counterexample", "json"): "20fa2107944296ee4176b56b27816480f8a69675055ec73af7a560dc19859437",
     ("counterexample", "csv"): "f6338d376b45cea9767ffe5afba4603480cc23f0659cc880cec1d64be5fe7368",
-    ("verify-main", "json"): "32f293d6e5bf83f585fac85b83ea24a12731c938200c4400aa53a89df100ba1e",
+    ("verify-main", "json"): "85a2b8187545a0ec2dcf73cc2c168d3fb873b210c888e8b86065c08e878b0fdf",
     ("verify-main", "csv"): "5abbb8942f46ec9cbbe77ddb0339f0f9ed2f28a06b7a858b4655c994815ab41b",
 }
 
@@ -390,7 +391,7 @@ def test_report_bytes_match_golden_digests(name, fmt, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_DIGESTS[name, fmt]
 
 
-@pytest.mark.parametrize("name", ["beta", "kstar"])
+@pytest.mark.parametrize("name", ["alpha", "beta", "kstar"])
 def test_bisection_scans_each_radius_once(name, monkeypatch, tmp_path):
     # the bisection keeps each radius's suprema, and its reports keep their bytes
     radii = []
@@ -586,6 +587,17 @@ def test_verify_main_bad_config_exits_2_before_any_stage(args, field, tmp_path, 
         (["kstar", "--set", "design.kind=student_t", "--set", "design.p=abc"], "'design.p'"),
         (["kstar", "--set", "design.kind=bounded_uniform", "--set", "design.kappa=true"], "'design.kappa'"),
         (["persistence", "--set", "noise.kind=bounded_symmetric", "--set", "noise.kappa=abc"], "'noise.kappa'"),
+        # a number must be finite, a flag's or a nullable key's too
+        (["beta", "--set", "gamma=NaN"], "config key 'gamma' must be a finite number"),
+        (["alpha", "--set", "gamma=NaN"], "config key 'gamma' must be a finite number"),
+        (["smallball", "--u", "nan"], "config key 'u' must be a finite number"),
+        (["rates", "--sigma", "inf"], "config key 'sigma' must be a finite number"),
+        (["verify-main", "--set", "gamma_override=Infinity"], "config key 'gamma_override' must be a finite number"),
+        (["alpha", "--set", "design.kind=student_t", "--set", "design.p=-Infinity"], "config key 'design.p' must be a finite number"),
+        (["persistence", "--set", "R_grid=[1.0,NaN]"], "R_grid entries must be finite numbers, got nan"),
+        (["persistence", "--set", "sigma_grid=[Infinity]"], "sigma_grid entries must be finite numbers, got inf"),
+        # a t0 shape is checked even where its fraction makes t0 zero
+        (["erm", "--set", "t0_shape=bogus", "--set", "t0_fraction=0"], "unknown t0 shape 'bogus'"),
     ],
 )
 def test_bad_config_value_exits_2(args, key, tmp_path, capsys):

@@ -22,6 +22,8 @@ class TestMakeT0:
         with pytest.raises(ValueError):
             make_t0("blob", 0.5, 4, 1.0)
         with pytest.raises(ValueError):
+            make_t0("blob", 0.0, 4, 1.0)
+        with pytest.raises(ValueError):
             make_t0("spike", 1.5, 4, 1.0)
 
 
@@ -231,8 +233,10 @@ class TestPersistenceSweep:
 # JSON again when the config echo became dataclasses.asdict(config), which
 # writes the design's and noise's unset p and kappa as null (rows and summary
 # unchanged); the JSON again when alpha came to draw gaussian noise's mean
-# square as one chi-square a trial (only the alpha stderr moved)
-PINNED_VERIFY_MAIN = ("33f1febaf23e7516c65eb7f542e880ad6d1d09c056a913e63a84eec598750f43", "61c2a36a90ed0a98eefed5a75190916cdd26f32ca33da7145d55a8f291c690fd")
+# square as one chi-square a trial (only the alpha stderr moved); both when
+# alpha came to bisect to 1% like beta instead of scanning a ratio-1.1 grid
+# (only alpha_hat and the alpha summary moved)
+PINNED_VERIFY_MAIN = ("c38133734c351f9d01b60193c836eef3ee0457b16284b423cad032d643a4cf38", "57bbde727c591f21e71c257315e96561303fd3245ba9bbe24e72c1e6663875f9")
 
 
 class TestVerifyMain:

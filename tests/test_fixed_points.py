@@ -22,7 +22,7 @@ from ermbounds.geometry import SupportRows, support_l1l2_batch
 from ermbounds.reports import record
 from ermbounds.rng import SIGNS_TAG, substream
 from ermbounds.smallball import choose_tau, estimate_Q
-from oracles import alpha_grid, alpha_star_linear, boundary_enum_2d, expected_rademacher_sup, multiplier_sup, rademacher_sup, student_t_law_z
+from oracles import boundary_enum_2d, expected_rademacher_sup, multiplier_sup, rademacher_sup, student_t_law_z, support_l1l2_batch_oneshot
 
 
 def cls_zero(n, R=1.0):
@@ -187,15 +187,18 @@ class TestKStar:
 
 
 class TestAlphaStar:
-    def test_zero_noise_grid_minimum(self):
+    def test_zero_noise_at_lower_bracket(self):
+        # zero noise makes every supremum 0, so the criterion holds at 1e-8 r_hi
         cls = cls_zero(4)
         est = alpha_star(cls, DesignSpec("gaussian", 4), NoiseSpec("zero"), 32, gamma=0.05, delta=0.1, trials=500, seed=16)
-        assert est.value == pytest.approx(1e-6 * 2.0 * math.sqrt(4), rel=1e-12)
+        r_lo = 1e-8 * 2.0 * math.sqrt(4)
+        assert (est.value, est.brackets, est.flags) == (r_lo, (r_lo, r_lo), ("at_lower_bracket",))
 
-    def test_huge_gamma_grid_minimum(self):
+    def test_huge_gamma_at_lower_bracket(self):
         cls = cls_zero(4)
         est = alpha_star(cls, DesignSpec("gaussian", 4), NoiseSpec("gaussian", sigma=0.5), 32, gamma=1e9, delta=0.1, trials=500, seed=17)
-        assert est.value == pytest.approx(1e-6 * 2.0 * math.sqrt(4), rel=1e-12)
+        r_lo = 1e-8 * 2.0 * math.sqrt(4)
+        assert (est.value, est.brackets, est.flags) == (r_lo, (r_lo, r_lo), ("at_lower_bracket",))
 
     def test_requires_quantile_resolution(self):
         cls = cls_zero(4)
@@ -210,19 +213,19 @@ class TestAlphaStar:
         with pytest.raises(ValueError, match="need at least 500 trials to resolve the 0.9 quantile"):
             quantile_trials(0.1, 499)
 
-    def test_grid_exhausted_record_pinned(self):
-        # no grid point reaches 1 - delta, and at s_hi = 2R*sqrt(n) = 4 the
-        # success probability is 0.504, strictly between 0 and 1 - delta, so
-        # the pinned stderr is that of a real estimate at s_hi
+    def test_unmet_record_pinned(self):
+        # the criterion fails at r_hi = 2R*sqrt(n) = 4, where the success
+        # probability is 0.504, strictly between 0 and 1 - delta, so the
+        # pinned stderr is that of a real estimate at r_hi
         cls = cls_zero(4)
         est = alpha_star(cls, DesignSpec("gaussian", 4), NoiseSpec("gaussian", sigma=1.0), 32, gamma=0.03, delta=0.1, trials=500, seed=31)
         assert record(est) == {
             "kind": "alpha",
             "value": 4.0,
-            "brackets": [3.652638177914751, 4.0],
+            "brackets": [4.0, 4.0],
             "trials": 500,
             "stderr": 0.022359964221796064,
-            "flags": ["grid_exhausted"],
+            "flags": ["not_satisfied_within_upper"],
         }
 
     def test_dense_scan_oracle(self):
@@ -243,49 +246,34 @@ class TestAlphaStar:
                 oracle = float(s)
                 break
         assert oracle is not None
-        assert abs(math.log(est.value / oracle)) <= math.log(1.1) + math.log(grid[1] / grid[0])
-
-    @pytest.mark.parametrize(
-        "n, kind, noise, gamma, delta, seed, flags",
-        [
-            (4, "gaussian", NoiseSpec("zero"), 0.05, 0.1, 16, []),  # first grid point, lower bracket = value
-            (8, "gaussian", NoiseSpec("gaussian", sigma=0.5), 0.05, 0.1, 8, []),
-            (8, "student_t", NoiseSpec("gaussian", sigma=0.5), 0.05, 0.1, 1, []),
-            (4, "gaussian", NoiseSpec("gaussian", sigma=1.0), 0.03, 0.1, 31, ["grid_exhausted"]),
-            (16, "rademacher", NoiseSpec("heavy_tailed", sigma=0.5, p=3.0), 0.3, 0.25, 2, []),
-            (16, "bounded_uniform", NoiseSpec("bounded_symmetric", sigma=0.5, kappa=2.0), 1.0, 0.1, 3, []),
-            (8, "gaussian", NoiseSpec("gaussian", sigma=0.5), 0.05, 0.1, 24, ["wilson_marginal"]),
-            (8, "student_t", NoiseSpec("gaussian", sigma=0.5), 0.05, 0.1, 4, ["wilson_marginal"]),
-        ],
-    )
-    def test_bisection_matches_linear_scan(self, n, kind, noise, gamma, delta, seed, flags):
-        cls = ClassSpec(n=n, R=1.0, t0=make_t0("spike", 0.5, n, 1.0))
-        design = DesignSpec(kind, n, p=4.0) if kind == "student_t" else DesignSpec(kind, n)
-        est = alpha_star(cls, design, noise, 32, gamma, delta, trials=500, seed=seed)
-        assert record(est) == record(alpha_star_linear(cls, design, noise, 32, gamma, delta, 500, seed))
-        assert list(est.flags) == flags
+        # the bisection resolves 1%, the scan its grid step
+        assert abs(math.log(est.value / oracle)) <= math.log(1.01) + math.log(grid[1] / grid[0])
 
     def test_bisection_scans_few_radii_once(self, monkeypatch):
-        # the heavy-tailed alpha benchmark's shape: 146 grid radii, of which
-        # the bisection evaluates at most ceil(log2 146) + 1 = 9, none twice
+        # the heavy-tailed alpha benchmark's shape: halving [1e-8 r_hi, r_hi],
+        # r_hi = 32, to 1% of an estimate near 0.8 takes at most 12 midpoints
+        # besides the two ends, and no radius is evaluated twice
         radii = []
         sup_batch = fixed_points.support_l1l2_batch
         monkeypatch.setattr(fixed_points, "support_l1l2_batch", lambda rows, rho, r: radii.append(r) or sup_batch(rows, rho, r))
         cls = ClassSpec(n=256, R=1.0, t0=make_t0("spike", 0.5, 256, 1.0))
         design = DesignSpec("student_t", 256, p=4.0)
         noise = NoiseSpec("heavy_tailed", sigma=0.5, p=3.0)
-        alpha_star(cls, design, noise, 256, 0.3, 0.1, trials=500, seed=4)
-        assert len(alpha_grid(cls)) == 146
-        assert 1 < len(radii) == len(set(radii)) <= math.ceil(math.log2(146)) + 1
+        est = alpha_star(cls, design, noise, 256, 0.3, 0.1, trials=500, seed=4)
+        assert 0.5 < est.value < 1.0
+        assert len(radii) == len(set(radii)) <= 2 + math.ceil(math.log2(32.0 / (0.01 * est.value))) == 14
 
     @pytest.mark.parametrize("kind, noise", [("gaussian", NoiseSpec("gaussian", sigma=0.5)), ("student_t", NoiseSpec("heavy_tailed", sigma=0.5, p=3.0))])
     def test_each_trial_switches_on_once_along_the_grid(self, kind, noise):
-        # phi(s)/s^2 falls by at least 1.094 per grid step, so each trial's
-        # success indicator is a step function of the grid index
+        # phi(s)/s is non-increasing, so each trial's success indicator
+        # phi(s) <= gamma*s^2*sqrt(N) is a step function of the radius, here
+        # on a geometric grid over the search range [1e-8 r_hi, r_hi]: p_hat is
+        # monotone, and bisecting it finds where it first reaches 1 - delta
         cls = ClassSpec(n=12, R=1.0, t0=make_t0("spike", 0.5, 12, 1.0))
         design = DesignSpec(kind, 12, p=4.0) if kind == "student_t" else DesignSpec(kind, 12)
         rows = SupportRows(_z_batch(cls, design, 64, 300, 5, noise))
-        grid = alpha_grid(cls)
+        r_hi = 2.0 * math.sqrt(12)
+        grid = np.geomspace(1e-8 * r_hi, r_hi, 400)
         gamma, sqN = 0.05, math.sqrt(64)
         ok = np.array([support_l1l2_batch(rows, 2.0, float(s)) <= gamma * s * s * sqN for s in grid])
         assert np.all(ok[1:] >= ok[:-1])
@@ -318,6 +306,73 @@ class TestAlphaStar:
         Z3 = _z_batch(*config1, NoiseSpec("gaussian", sigma=1.5))
         phi3 = support_l1l2_batch(SupportRows(Z3), 2.0, 0.7)
         assert np.allclose(phi3, 3.0 * support_l1l2_batch(SupportRows(Z1), 2.0, 0.7), rtol=1e-12, atol=0.0)
+
+
+def _search_case(fixed_point, n, kind, noise, gamma, delta, N, trials, seed, flags):
+    return pytest.param(fixed_point, n, kind, noise, gamma, delta, N, trials, seed, flags, id=f"{fixed_point}-{kind}-n{n}-seed{seed}")
+
+
+class TestSearch:
+    # alpha, beta and kstar share one bisection; alpha runs on the eight
+    # shapes its radius grid was checked on, beta and kstar over the design kinds
+    @pytest.mark.parametrize(
+        "fixed_point, n, kind, noise, gamma, delta, N, trials, seed, flags",
+        [
+            _search_case("alpha", 4, "gaussian", NoiseSpec("zero"), 0.05, 0.1, 32, 500, 16, ["at_lower_bracket"]),
+            _search_case("alpha", 8, "gaussian", NoiseSpec("gaussian", sigma=0.5), 0.05, 0.1, 32, 500, 8, []),
+            _search_case("alpha", 8, "student_t", NoiseSpec("gaussian", sigma=0.5), 0.05, 0.1, 32, 500, 1, []),
+            _search_case("alpha", 4, "gaussian", NoiseSpec("gaussian", sigma=1.0), 0.03, 0.1, 32, 500, 31, ["not_satisfied_within_upper"]),
+            _search_case("alpha", 16, "rademacher", NoiseSpec("heavy_tailed", sigma=0.5, p=3.0), 0.3, 0.25, 32, 500, 2, []),
+            _search_case("alpha", 16, "bounded_uniform", NoiseSpec("bounded_symmetric", sigma=0.5, kappa=2.0), 1.0, 0.1, 32, 500, 3, []),
+            _search_case("alpha", 8, "gaussian", NoiseSpec("gaussian", sigma=0.5), 0.05, 0.1, 32, 500, 24, []),
+            _search_case("alpha", 8, "student_t", NoiseSpec("gaussian", sigma=0.5), 0.05, 0.1, 32, 500, 4, []),
+            _search_case("beta", 8, "gaussian", None, 0.3, None, 32, 60, 5, []),
+            _search_case("beta", 16, "rademacher", None, 0.3, None, 64, 60, 6, []),
+            _search_case("beta", 12, "student_t", None, 0.3, None, 64, 60, 7, []),
+            _search_case("kstar", 16, "bounded_uniform", None, 0.05, None, 64, 60, 8, []),
+            _search_case("kstar", 12, "symmetrized_pareto", None, 0.05, None, 64, 60, 9, []),
+            _search_case("kstar", 8, "gaussian", None, 0.05, None, 32, 60, 10, []),
+        ],
+    )
+    def test_brackets_the_crossing(self, fixed_point, n, kind, noise, gamma, delta, N, trials, seed, flags, monkeypatch):
+        radii = []
+        sup_batch = fixed_points.support_l1l2_batch
+        monkeypatch.setattr(fixed_points, "support_l1l2_batch", lambda rows, rho, r: radii.append(r) or sup_batch(rows, rho, r))
+        cls = ClassSpec(n=n, R=1.0, t0=make_t0("spike", 0.5, n, 1.0))
+        design = DesignSpec(kind, n, p=4.0) if kind in ("student_t", "symmetrized_pareto") else DesignSpec(kind, n)
+        if fixed_point == "alpha":
+            est = alpha_star(cls, design, noise, N, gamma, delta, trials=trials, seed=seed)
+        else:
+            est = (beta_star if fixed_point == "beta" else k_star)(cls, design, N, gamma, trials=trials, seed=seed)
+        # the criterion recomputed from the one-shot kernel on the same Z
+        Z = _z_batch(cls, design, N, trials, seed, noise)
+        sqN = math.sqrt(N)
+
+        def holds(r):
+            sups = support_l1l2_batch_oneshot(Z, 2.0, r)
+            if fixed_point == "alpha":
+                return float(np.mean(sups <= gamma * r * r * sqN)) >= 1.0 - delta
+            return float(sups.mean()) <= (gamma * r if fixed_point == "beta" else gamma * r * r) * sqN
+
+        r_hi = 2.0 * math.sqrt(n)
+        lo, hi = est.brackets
+        assert est.value == hi and [f for f in est.flags if f != "wilson_marginal"] == flags
+        if "at_lower_bracket" in flags:
+            assert lo == hi == 1e-8 * r_hi and holds(hi)
+        elif "not_satisfied_within_upper" in flags:
+            assert lo == hi == r_hi and not holds(hi)
+        else:
+            assert not holds(lo) and holds(hi) and 0.0 < hi - lo <= 0.01 * hi
+        # no radius twice, and no more midpoints than halving r_hi down to 1% of hi takes
+        assert len(radii) == len(set(radii)) <= 2 + max(0, math.ceil(math.log2(r_hi / (0.01 * hi))))
+        # the stderr at hi, and alpha's Wilson flag when p_hat(hi) is within two of them of 1 - delta
+        sups = support_l1l2_batch_oneshot(Z, 2.0, hi)
+        if fixed_point == "alpha":
+            p = float(np.mean(sups <= gamma * hi * hi * sqN))
+            assert est.stderr == math.sqrt(p * (1.0 - p) / trials)
+            assert ("wilson_marginal" in est.flags) == (1.0 - delta <= p < 1.0 - delta + 2.0 * est.stderr)
+        else:
+            assert est.stderr == float(sups.std(ddof=1) / math.sqrt(trials))
 
 
 class TestWorkerCounts:
