@@ -41,7 +41,7 @@ class DesignSpec:
 
     kind            one of DESIGN_KINDS
     n               dimension of X
-    p               tail/moment parameter, required (> 2) for student_t and
+    p               tail/moment parameter, required (finite, > 2) for student_t and
                     symmetrized_pareto
 
     bounded_uniform has no parameter: the variance-1 uniform law is
@@ -58,8 +58,8 @@ class DesignSpec:
         if self.n < 1:
             raise ValueError("dimension n must be positive")
         if self.kind in ("student_t", "symmetrized_pareto"):
-            if self.p is None or self.p <= 2:
-                raise ValueError(f"{self.kind} requires a moment parameter p > 2")
+            if self.p is None or not 2 < self.p < math.inf:
+                raise ValueError(f"{self.kind} requires a finite moment parameter p > 2")
 
     def sample_coords(self, rng: np.random.Generator, size) -> np.ndarray:
         """Draw iid standardized coordinates of the given shape."""
@@ -94,13 +94,13 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.kind != "zero" and self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if self.kind == "heavy_tailed" and (self.p is None or self.p <= 2):
-            raise ValueError("heavy_tailed noise requires p > 2 (L_{2,1} diverges otherwise)")
+        if self.kind != "zero" and not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and nonnegative")
+        if self.kind == "heavy_tailed" and (self.p is None or not 2 < self.p < math.inf):
+            raise ValueError("heavy_tailed noise requires a finite p > 2 (L_{2,1} diverges otherwise)")
         if self.kind == "bounded_symmetric":
-            if self.kappa is None or self.kappa < 1:
-                raise ValueError("bounded_symmetric requires kappa >= 1")
+            if self.kappa is None or not 1 <= self.kappa < math.inf:
+                raise ValueError("bounded_symmetric requires a finite kappa >= 1")
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         if self.kind == "zero" or self.sigma == 0.0:

@@ -37,8 +37,8 @@ class ClassSpec:
     t0: np.ndarray
 
     def __post_init__(self):
-        if self.R < 0:
-            raise ValueError("R must be nonnegative")
+        if not 0 <= self.R < math.inf:
+            raise ValueError("R must be finite and nonnegative")
         t0 = as_vector(self.t0) if np.asarray(self.t0).size else None
         if t0 is None or t0.shape[0] != self.n:
             raise ValueError("t0 must be a length-n vector")

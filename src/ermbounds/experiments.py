@@ -80,8 +80,8 @@ class SweepConfig:
     t0_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.trials < 20:
@@ -212,6 +212,9 @@ def run_counterexample(N: int, trials: int, seed: int) -> Report:
     every statistic follows from the counts: P_N Z^2 = (N - k + k spike^2)/N.
     Each of a trial's N coordinates spikes on its own with probability 1/N^2,
     so k ~ Binomial(N, 1/N^2) exactly, and the counts are drawn from that law.
+    One spike already gives P_N Z^2 = 5 - 1/N, so for N >= 100 the deviation
+    event is k >= 1, of probability 1 - (1 - 1/N^2)^N, reported beside its
+    estimate.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -227,6 +230,7 @@ def run_counterexample(N: int, trials: int, seed: int) -> Report:
     sum_z2 = float(count - spikes) + spikes * s2
     sum_z4 = float(count - spikes) + spikes * (s2 * s2)
     dev_p = deviation / trials
+    exact_dev_p = float(-np.expm1(N * np.log1p(-1.0 / N**2)))
     fail_p = onesided_failure / trials
     dev_ci = wilson_interval(deviation, trials)
     fail_ci = wilson_interval(onesided_failure, trials)
@@ -235,12 +239,14 @@ def run_counterexample(N: int, trials: int, seed: int) -> Report:
     config = {"N": N, "trials": trials, "seed": seed}
     report = Report(kind="counterexample", config=config, columns=("statistic", "value", "ci_low", "ci_high"))
     report.add_row(statistic="deviation_probability", value=dev_p, ci_low=dev_ci[0], ci_high=dev_ci[1])
+    report.add_row(statistic="analytic_deviation_probability", value=exact_dev_p, ci_low="", ci_high="")
     report.add_row(statistic="onesided_failure_probability", value=fail_p, ci_low=fail_ci[0], ci_high=fail_ci[1])
     report.add_row(statistic="empirical_EZ2", value=emp_ez2, ci_low="", ci_high="")
     report.add_row(statistic="analytic_EZ2", value=ez2, ci_low="", ci_high="")
     report.add_row(statistic="analytic_L4_L2_ratio", value=spec.l4_l2_ratio(), ci_low="", ci_high="")
     report.summary = {
         "deviation_probability": dev_p,
+        "analytic_deviation_probability": exact_dev_p,
         "onesided_failure_probability": fail_p,
         "empirical_EZ2": emp_ez2,
         "empirical_EZ2_stderr": ez2_stderr,
@@ -277,8 +283,8 @@ class MainTheoremConfig:
                 raise ValueError(f"{name} must be at least 1")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie in (0, 1)")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         quantile_trials(self.delta / 4.0, self.alpha_trials)
 
 

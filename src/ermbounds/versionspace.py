@@ -2,9 +2,10 @@
 
 The version space of t0 on a realized design is every feasible t agreeing
 with t0 on all sample points, i.e. t0 plus the null space of the design
-intersected with the ball. Probing random and basis-aligned null-space
-directions and stepping as far as the l1 constraint allows gives a certified
-lower bound on the farthest version-space point from t0.
+intersected with the ball. Probing null-space directions (random ones and
+the projections of the canonical vectors) and stepping as far as the l1
+constraint allows gives a certified lower bound on the farthest
+version-space point from t0.
 """
 
 from __future__ import annotations
@@ -17,6 +18,12 @@ from .erm import ClassSpec
 from .rng import DIRECTIONS_TAG, substream
 
 NULLSPACE_REL_TOL = 1e-10
+# probes are formed, projected and stepped along this many rows at a time
+PROBE_BLOCK = 128
+# One projection v - Q(Qᵀv) leaves a row-space part of about eps*|v|. A result
+# shorter than this fraction of v is projected again, and one that shrinks by
+# the same fraction again is taken to lie in the row space, where it is zero.
+REPROJECT_BELOW = 1e-3
 
 
 @dataclass(frozen=True)
@@ -30,7 +37,10 @@ class VersionSpaceProbe:
 def nullspace_basis(design: np.ndarray) -> np.ndarray:
     """Orthonormal null-space basis, as columns; a singular value s counts as
     zero unless s > NULLSPACE_REL_TOL*max(s), the rank rule of
-    scipy.linalg.null_space."""
+    scipy.linalg.null_space.
+
+    `version_diameter` never forms this n x (n - rank) basis; it is the
+    reference its row-space projections are tested against."""
     n = design.shape[1]
     if design.shape[0] == 0:
         return np.eye(n)
@@ -101,28 +111,97 @@ def max_steps_l1(t0: np.ndarray, U: np.ndarray, R: float) -> np.ndarray:
     return steps
 
 
+def row_space(design: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the design's row space, as the columns of an
+    n x rank matrix, by `nullspace_basis`'s rank rule.
+
+    Xᵀ = QR is a reduced QR, and R has X's singular values. Only a
+    rank-deficient design takes R's SVD with vectors, R = U_R S V_Rᵀ, and
+    keeps Q U_R[:, :rank].
+    """
+    n = design.shape[1]
+    if design.shape[0] == 0:
+        return np.zeros((n, 0))
+    # LAPACK does not return a meaningful factor of a design holding an inf
+    if not np.isfinite(design).all():
+        raise ValueError("design must not contain infs or NaNs")
+    q, r = np.linalg.qr(design.T)
+    s = np.linalg.svd(r, compute_uv=False)
+    rank = np.count_nonzero(s > np.max(s, initial=0.0) * NULLSPACE_REL_TOL)
+    if rank == s.size:
+        return q
+    u_r = np.linalg.svd(r)[0]
+    return q @ u_r[:, :rank]
+
+
+def _project_out(V: np.ndarray, VQ: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """V - VQ Qᵀ, with VQ = V Q: the rows of V projected on the null space
+    (see REPROJECT_BELOW)."""
+    P = V - VQ @ Q.T
+    short = np.flatnonzero(np.linalg.norm(P, axis=1) < REPROJECT_BELOW * np.linalg.norm(V, axis=1))
+    if short.size:
+        once = P[short]
+        twice = once - (once @ Q) @ Q.T
+        twice[np.linalg.norm(twice, axis=1) < REPROJECT_BELOW * np.linalg.norm(once, axis=1)] = 0.0
+        P[short] = twice
+    return P
+
+
+def null_probes(Q: np.ndarray, probes: int, seed: int):
+    """The probe directions of `version_diameter`, unnormalized, in row
+    blocks of at most PROBE_BLOCK: `probes` isotropic gaussians, then the n
+    canonical vectors, each projected on the orthogonal complement of the
+    columns of Q (orthonormal, n x rank).
+
+    A projected gaussian is a standard gaussian of the null space, whatever
+    basis LAPACK returned; the projection of e_i is column i of the null
+    space's projector.
+    """
+    n = Q.shape[0]
+    rng = substream(seed, DIRECTIONS_TAG)
+    for lo in range(0, probes, PROBE_BLOCK):
+        g = rng.standard_normal((min(PROBE_BLOCK, probes - lo), n))
+        yield _project_out(g, g @ Q, Q)
+    for lo in range(0, n, PROBE_BLOCK):
+        e = np.eye(min(PROBE_BLOCK, n - lo), n, k=lo)
+        yield _project_out(e, Q[lo : lo + e.shape[0]], Q)
+
+
 def version_diameter(design: np.ndarray, class_spec: ClassSpec, probes: int, seed: int) -> VersionSpaceProbe:
     """Probe the farthest version-space point from t0 along null-space directions.
 
-    Both u and -u are probed for every direction (the step set need not be
-    symmetric), together with the basis-aligned null-space directions. The
-    result is a lower bound on the true maximum with the stated probe count.
+    The null space is never formed: `row_space` gives an orthonormal basis
+    Q of the row space from a thin QR, and every probe v is replaced by
+    v - Q(Qᵀv) (`null_probes`), `probes` random gaussians and the n
+    canonical vectors, in row blocks. Each direction u is scaled to unit
+    length and stepped along with both signs, u by `max_steps_l1(t0, U)`
+    and -u by `max_steps_l1(-t0, U)`, since the step set need not be
+    symmetric: 2*probes + 2n directions, less two for each canonical vector
+    inside the row space (its projection is zero). The best step and its
+    witness are kept across blocks. The result is a lower bound on the true
+    maximum, and its witness lies in the ball.
     """
+    if probes < 0:
+        raise ValueError("probes must be nonnegative")
     design = np.asarray(design, dtype=np.float64)
     if design.ndim != 2 or design.shape[1] != class_spec.n:
         raise ValueError("design must be an N x n matrix matching the class")
-    basis = nullspace_basis(design)
-    dim = basis.shape[1]
+    Q = row_space(design)
+    dim = class_spec.n - Q.shape[1]
+    t0 = class_spec.t0
     if dim == 0:
-        return VersionSpaceProbe(0.0, 0, 0, class_spec.t0.copy())
-    rng = substream(seed, DIRECTIONS_TAG)
-    coeffs = rng.standard_normal((probes, dim))
-    U = coeffs @ basis.T
-    norms = np.linalg.norm(U, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    U /= norms
-    U = np.vstack([U, -U, basis.T, -basis.T])
-    steps = max_steps_l1(class_spec.t0, U, class_spec.R)
-    best = int(np.argmax(steps))
-    witness = class_spec.t0 + steps[best] * U[best]
-    return VersionSpaceProbe(float(steps[best]), U.shape[0], dim, witness)
+        return VersionSpaceProbe(0.0, 0, 0, t0.copy())
+    best, witness, directions = 0.0, t0.copy(), 0
+    for V in null_probes(Q, probes, seed):
+        norms = np.linalg.norm(V, axis=1)
+        live = norms > 0.0
+        if not live.any():
+            continue
+        U = V[live] / norms[live, None]
+        directions += 2 * U.shape[0]
+        for sign in (1.0, -1.0):
+            steps = max_steps_l1(sign * t0, U, class_spec.R)
+            i = int(np.argmax(steps))
+            if steps[i] > best:
+                best, witness = float(steps[i]), t0 + (sign * steps[i]) * U[i]
+    return VersionSpaceProbe(best, directions, dim, witness)

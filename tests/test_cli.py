@@ -327,7 +327,10 @@ _GOLDEN_RUNS = {
 # design.kappa, a key the bounded_uniform law never read; verify-main's JSON
 # when alpha came to draw gaussian noise's mean square as one chi-square a
 # trial (only the alpha stderr moved); alpha and verify-main's JSON when alpha
-# came to bisect to 1% like beta and kstar instead of scanning a ratio-1.1 grid
+# came to bisect to 1% like beta and kstar instead of scanning a ratio-1.1 grid;
+# version-space when its probes came to be projections of gaussians and of the
+# canonical vectors on the null space, and counterexample when it came to
+# report its exact deviation probability
 _GOLDEN_DIGESTS = {
     ("erm", "json"): "7d83c30f931c88ced97d0cc0e26f70ce61374045a57858a597d81ca108867c0e",
     ("erm", "csv"): "4c83d1f71a609c49bd7eb7eeced5b4139ceea4541a56410f769a0ca8dd147965",
@@ -347,14 +350,14 @@ _GOLDEN_DIGESTS = {
     ("smallball_l2_l1", "csv"): "3c876441af0e1b628c4f078d41e5a50c0402b25f44430caae5150cc187b39850",
     ("smallball_verify_counts", "json"): "8f2f82e878ca905b5fda5ed192dd40b27dc97c504c1bccd3596bcb3b756d23a5",
     ("smallball_verify_counts", "csv"): "701882a4ec06b08c7b00a8a6484a34b2678bcd7314c887f888e498d7e1192ca4",
-    ("version-space", "json"): "53b254c71a1391bfd474107b25a036477ab4045dc344a8770f02c60989c3eebc",
-    ("version-space", "csv"): "a9be535350fd978e8cd7894a41e5919d492ee94703ff1059b20da7e1a833a9ea",
+    ("version-space", "json"): "56708884bd561d7334ca4ca11f383cec2a9efdf741074e1dab534ec67cb1adb4",
+    ("version-space", "csv"): "7a6524fe885a29b6c4e3c0916b25edaaffac765c5cf11998c24a9d8572fb08b9",
     ("rates", "json"): "7f168238d4fecae6ec34365a2837356bead303c741ae8cf8449f5bb6f28637c0",
     ("rates", "csv"): "d7563770135a369b17eb33f9227a9f17951a8e4de323c51e824103ba08b32304",
     ("persistence", "json"): "ad62a0414085416bde1184b15ed168e4673782ac96392231966de9cef5d42e70",
     ("persistence", "csv"): "d2080385512d9b68996189da4a88e1874d0d17777174caacd6f6745ab1e3b80d",
-    ("counterexample", "json"): "20fa2107944296ee4176b56b27816480f8a69675055ec73af7a560dc19859437",
-    ("counterexample", "csv"): "f6338d376b45cea9767ffe5afba4603480cc23f0659cc880cec1d64be5fe7368",
+    ("counterexample", "json"): "cb255f6158c6895e14a830a7d3aeeb321cf10697263edd347e0c2cd6f0b58f9b",
+    ("counterexample", "csv"): "c146ec6c423a84ac00c0b23c181344bcf7cbd0954b2230c9fc6bc83e51cb91e2",
     ("verify-main", "json"): "85a2b8187545a0ec2dcf73cc2c168d3fb873b210c888e8b86065c08e878b0fdf",
     ("verify-main", "csv"): "5abbb8942f46ec9cbbe77ddb0339f0f9ed2f28a06b7a858b4655c994815ab41b",
 }
@@ -629,6 +632,8 @@ def test_bad_config_value_exits_2(args, key, tmp_path, capsys):
         (["persistence", "--set", "n_grid=[8]", "--set", "N_grid=[16.5]"], "N_grid entries must be integers, got 16.5"),
         (["persistence", "--set", "R_grid=[true]"], "R_grid entries must be numbers, got True"),
         (["persistence", "--set", "sigma_grid=[true]"], "sigma_grid entries must be numbers, got True"),
+        # a negative version-space probe count is refused like the small-ball one
+        (["version-space", "--set", "probes=-5"], "probes must be nonnegative"),
     ],
 )
 def test_bad_size_exits_2(args, message, tmp_path, capsys):

@@ -3,7 +3,10 @@
 step and sweep cells came to be keyed on the float64 bits of their grid
 values, and demo 03 when L came to start at 2 max_i G_ii, and again when it
 came to certify its solve by the Frank-Wolfe gap in place of the grid
-oracle, and demo 04 when alpha* came to bisect to 1% like beta* and k*): the demos are deterministic, and their output is the library's
+oracle, and demo 04 when alpha* came to bisect to 1% like beta* and k*,
+demo 06 when the version-space probes came to be projections of gaussians
+and of the canonical vectors, and demo 08 when it came to print the exact
+deviation probability): the demos are deterministic, and their output is the library's
 behaviour on the paper's examples."""
 
 import os

@@ -81,6 +81,12 @@ class TestDesignSampling:
         with pytest.raises(ValueError):
             DesignSpec("symmetrized_pareto", 4, p=1.5)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    @pytest.mark.parametrize("kind", ["student_t", "symmetrized_pareto"])
+    def test_nonfinite_moment_parameter(self, kind, p):
+        with pytest.raises(ValueError, match="finite moment parameter p > 2"):
+            DesignSpec(kind, 4, p=p)
+
     @pytest.mark.parametrize("spec", ALL_DESIGNS, ids=lambda s: s.kind)
     def test_isotropy(self, spec):
         rng = np.random.default_rng(11)
@@ -162,6 +168,16 @@ class TestL21Norm:
     def test_divergent_tail_rejected(self):
         with pytest.raises(ValueError):
             NoiseSpec("heavy_tailed", sigma=1.0, p=2.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "kind, field, message",
+        [("gaussian", "sigma", "sigma must be finite"), ("heavy_tailed", "p", "finite p > 2"), ("bounded_symmetric", "kappa", "finite kappa >= 1")],
+    )
+    def test_nonfinite_parameter_rejected(self, kind, field, message, value):
+        params = {"sigma": 1.0, "p": 3.0, "kappa": 2.0, field: value}
+        with pytest.raises(ValueError, match=message):
+            NoiseSpec(kind, **params)
 
 
 class TestPsi2:

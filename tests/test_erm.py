@@ -14,6 +14,12 @@ def objective(sample, t):
     return float(np.mean((sample.design @ t - sample.responses) ** 2))
 
 
+@pytest.mark.parametrize("R", [-1.0, float("nan"), float("inf")])
+def test_class_radius_must_be_finite_and_nonnegative(R):
+    with pytest.raises(ValueError, match="R must be finite and nonnegative"):
+        ClassSpec(n=3, R=R, t0=np.zeros(3))
+
+
 class TestSolve:
     def test_zero_radius_degenerate(self):
         cls = ClassSpec(n=3, R=0.0, t0=np.zeros(3))

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -150,7 +151,7 @@ class TestPersistenceSweep:
         with pytest.raises(ValueError, match="ERMBOUNDS_WORKERS must be a nonnegative integer, got '-1'"):
             run_persistence_sweep(SweepConfig(n_grid=(8,), N_grid=(32,)))
 
-    @pytest.mark.parametrize("field, value", [("tol", 0.0), ("tol", -1e-9), ("max_iter", 0), ("max_iter", -5)])
+    @pytest.mark.parametrize("field, value", [("tol", 0.0), ("tol", -1e-9), ("tol", math.nan), ("tol", math.inf), ("max_iter", 0), ("max_iter", -5)])
     def test_solver_settings_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
             SweepConfig(**{field: value})
@@ -256,7 +257,7 @@ class TestVerifyMain:
         digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (rep.to_json(), rep.to_csv()))
         assert digests == PINNED_VERIFY_MAIN
 
-    @pytest.mark.parametrize("field, value", [("trials", 0), ("beta_trials", 0), ("N", 0), ("tol", 0.0), ("delta", 0.0), ("delta", 1.0)])
+    @pytest.mark.parametrize("field, value", [("trials", 0), ("beta_trials", 0), ("N", 0), ("tol", 0.0), ("tol", math.nan), ("tol", math.inf), ("delta", 0.0), ("delta", 1.0), ("delta", math.nan)])
     def test_config_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
             MainTheoremConfig(design=DesignSpec("gaussian", 4), noise=NoiseSpec("zero"), **{field: value})
@@ -347,6 +348,17 @@ class TestReports:
         lo, hi = wilson_interval(90, 100)
         assert 0.82 < lo < 0.9 < hi < 0.95
         assert wilson_interval(0, 10)[0] == 0.0
+
+    @pytest.mark.parametrize("N", [100, 1000, 4096])
+    def test_counterexample_exact_deviation_probability(self, N):
+        # one spike gives P_N Z^2 = 5 - 1/N, so the deviation event is k >= 1
+        from fractions import Fraction
+
+        rep = run_counterexample(N, 200000, seed=12)
+        exact = float(1 - (1 - Fraction(1, N * N)) ** N)
+        assert rep.summary["analytic_deviation_probability"] == pytest.approx(exact, rel=1e-14)
+        row = next(row for row in rep.rows if row["statistic"] == "deviation_probability")
+        assert row["ci_low"] <= exact <= row["ci_high"]
 
     def test_golden_counterexample(self, tmp_path):
         # frozen after the first verified run; byte-level regression guard

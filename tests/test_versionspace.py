@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from ermbounds.distributions import DesignSpec, sample_design
 from ermbounds.erm import ClassSpec
 from ermbounds.fixed_points import beta_star
 from ermbounds.smallball import choose_tau
-from ermbounds.versionspace import max_steps_l1, nullspace_basis, version_diameter
+from ermbounds import versionspace
+from ermbounds.versionspace import max_steps_l1, null_probes, nullspace_basis, row_space, version_diameter
 from oracles import max_step_l1
 
 
@@ -154,7 +156,92 @@ class TestNullspaceBasis:
             nullspace_basis(design)
 
 
+def _projector_tol(design):
+    """How closely two backward-stable factorizations agree on the null
+    space's projector: 1e-12, or Wedin's eps*||X||/s_min, s_min the smallest
+    singular value kept (just_above_tol keeps 1e-10, which fixes its
+    direction only to about 2e-6)."""
+    s = np.linalg.svd(design, compute_uv=False)
+    kept = s[s > np.max(s, initial=0.0) * _TOL]
+    if kept.size == 0:
+        return 1e-12
+    return max(1e-12, 10.0 * np.finfo(float).eps * kept[0] / kept[-1])
+
+
+class TestRowSpace:
+    # nullspace_basis is the reference: one null-space basis B, and the
+    # projector on the null space is B Bᵀ
+
+    @pytest.mark.parametrize("name", sorted(_NULLSPACE_DESIGNS))
+    def test_nullspace_dim(self, name):
+        design = _NULLSPACE_DESIGNS[name]
+        probe = version_diameter(design, cls_zero(design.shape[1]), probes=20, seed=0)
+        assert probe.nullspace_dim == _NULLSPACE_DIMS[name]
+
+    @pytest.mark.parametrize("name", sorted(_NULLSPACE_DESIGNS))
+    def test_complements_the_null_space(self, name):
+        design = _NULLSPACE_DESIGNS[name]
+        n = design.shape[1]
+        Q = row_space(design)
+        B = nullspace_basis(design)
+        assert Q.shape == (n, n - B.shape[1])
+        assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max(initial=0.0) <= 1e-12
+        assert np.abs(Q @ Q.T + B @ B.T - np.eye(n)).max() <= _projector_tol(design)
+
+    @pytest.mark.parametrize("name", sorted(_NULLSPACE_DESIGNS))
+    def test_probes_are_annihilated(self, name):
+        design = _NULLSPACE_DESIGNS[name]
+        n = design.shape[1]
+        blocks = list(null_probes(row_space(design), 300, seed=1))
+        U = np.vstack(blocks)
+        assert U.shape == (300 + n, n)
+        assert max(block.shape[0] for block in blocks) <= versionspace.PROBE_BLOCK
+        norms = np.linalg.norm(U, axis=1)
+        U = U[norms > 0.0] / norms[norms > 0.0, None]
+        assert np.abs(design @ U.T).max(initial=0.0) <= 1e-9 * np.linalg.norm(design, 2)
+
+    @pytest.mark.parametrize("name", sorted(_NULLSPACE_DESIGNS))
+    def test_canonical_probes_are_the_projector(self, name):
+        design = _NULLSPACE_DESIGNS[name]
+        B = nullspace_basis(design)
+        canonical = np.vstack(list(null_probes(row_space(design), 0, seed=1)))
+        assert np.abs(canonical - B @ B.T).max() <= _projector_tol(design)
+
+    def test_canonical_vectors_inside_the_row_space(self):
+        # the rows span e_0 and e_1 through a generic basis, so projecting
+        # e_0 or e_1 leaves rounding noise only: it is dropped, not
+        # normalized into a direction the design does not annihilate
+        design = np.random.default_rng(9).standard_normal((3, 2)) @ np.eye(2, 6)
+        assert np.abs(np.vstack(list(null_probes(row_space(design), 0, seed=1)))[:2]).max() == 0.0
+        t0 = np.array([0.2, -0.3, 0.0, 0.1, 0.0, 0.0])
+        probe = version_diameter(design, ClassSpec(n=6, R=1.0, t0=t0), probes=50, seed=2)
+        assert probe.nullspace_dim == 4
+        assert probe.directions == 2 * 50 + 2 * 4
+        assert np.abs(probe.witness).sum() <= 1.0
+        assert np.abs(design @ (probe.witness - t0)).max() <= 1e-12
+        assert 0.0 < probe.radius_lb <= 2.0
+
+    def test_memory_of_one_call(self):
+        # no null-space basis and no stack of every probe: the call holds the
+        # row-space factor and one block of probes (an n x n basis alone is 7.6 MiB)
+        X = sample_design(DesignSpec("gaussian", 1000), 500, seed=10)
+        cls = ClassSpec(n=1000, R=1.0, t0=np.eye(1000)[0] * 0.5)
+        tracemalloc.start()
+        try:
+            probe = version_diameter(X, cls, probes=1000, seed=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probe.nullspace_dim == 500 and probe.directions == 4000
+        assert peak < 16 * 2**20
+
+
 class TestVersionDiameter:
+    def test_negative_probes_rejected_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(versionspace, "row_space", None)
+        with pytest.raises(ValueError, match="probes must be nonnegative"):
+            version_diameter(np.zeros((2, 4)), cls_zero(4), probes=-5, seed=0)
+
     def test_full_rank_design(self):
         X = sample_design(DesignSpec("gaussian", 5), 12, seed=1)
         probe = version_diameter(X, cls_zero(5), probes=200, seed=1)
@@ -204,6 +291,19 @@ class TestVersionDiameter:
             assert np.abs(probe.witness).sum() <= cls.R * (1.0 + 1e-10)
             scale = np.abs(X).max()
             assert np.abs(X @ (probe.witness - t0)).max() <= 1e-8 * scale
+
+    def test_both_signs_probed(self):
+        # the null space is the line of w = (1, 1, 1)/sqrt(3), and every
+        # canonical projection points along +w; from t0 = (0.5, 0, 0) the
+        # ball reaches 0.5/sqrt(3) along +w but 0.5*sqrt(3) along -w
+        X = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
+        t0 = np.array([0.5, 0.0, 0.0])
+        w = np.ones(3) / math.sqrt(3.0)
+        probe = version_diameter(X, ClassSpec(n=3, R=1.0, t0=t0), probes=0, seed=0)
+        assert probe.directions == 6
+        assert probe.radius_lb == pytest.approx(max_step_l1(t0, -w, 1.0), rel=1e-12)
+        assert probe.radius_lb == pytest.approx(0.5 * math.sqrt(3.0), rel=1e-12)
+        assert np.allclose(probe.witness, t0 - probe.radius_lb * w, atol=1e-15)
 
     def test_boundary_t0(self):
         # t0 on the l1 sphere: stepping away is only possible along
