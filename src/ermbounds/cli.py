@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 configuration error, 3 flagged statistical failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
@@ -358,7 +359,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc serves a block of its mmap threshold or more from a fresh mapping and
+# raises the threshold to the size of each such block it frees. After one
+# command, then, multi-MB arrays (a 500 x 1000 design and the QR buffers of
+# `version_diameter` are 3.8 MiB each) come from the heap, where a small
+# object that outlives them decides whether the next one reuses their pages:
+# peak memory of repeated in-process runs stepped up by 3.7 MiB at an
+# unpredictable run. Fixed thresholds keep arrays of MALLOC_MMAP_BYTES or more
+# mapped and returned with each use, and trim the heap past twice that, the
+# ratio glibc keeps itself. Lower thresholds map or trim the smaller blocks
+# that ERM solves and trial threads reuse, and page faults then cost time.
+MALLOC_MMAP_BYTES = 2**21
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+@functools.cache
+def _fix_malloc_thresholds() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return
+    mallopt(_M_MMAP_THRESHOLD, MALLOC_MMAP_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * MALLOC_MMAP_BYTES)
+
+
 def run(argv) -> int:
+    _fix_malloc_thresholds()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.subcommand is None:

@@ -226,18 +226,21 @@ _MOMENT_BLOCK = 2**19  # design coordinates sample_moments draws per block
 
 
 def sample_moments(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int, seed: int, trial: int = 0) -> Moments:
-    """Moments of `make_sample`'s sample for one trial, without its whole design.
+    """Moments of one trial's sample, without its whole design.
 
-    The noise and the design come from the same substreams as make_sample's.
-    The design is drawn in row blocks of about _MOMENT_BLOCK coordinates and
-    summed into (G, b, c) block by block, so a trial holds O(n^2 +
-    _MOMENT_BLOCK) numbers. Successive blocks continue one stream, which for
-    every design kind but symmetrized_pareto gives the rows of one
-    sample_coords call; symmetrized_pareto draws a call's magnitudes before
-    its signs, so its blocks have the right law but other values. With one
-    block (N * n <= _MOMENT_BLOCK) the moments equal `make_sample(...).moments()`
-    bit for bit; with more, the summation order differs. A rademacher
-    design forms its Gram in float32 while N <= 2**24, which is exact.
+    A gaussian design draws them from their exact law (see
+    `_gaussian_moments`): O(n^2) draws a trial whatever N, which depend only
+    on (seed, trial). Every other kind draws the noise and the design from
+    the same substreams as make_sample. The design is drawn in row blocks of
+    about _MOMENT_BLOCK coordinates and summed into (G, b, c) block by block,
+    so a trial holds O(n^2 + _MOMENT_BLOCK) numbers. Successive blocks
+    continue one stream, which for every streamed kind but
+    symmetrized_pareto gives the rows of one sample_coords call;
+    symmetrized_pareto draws a call's magnitudes before its signs, so its
+    blocks have the right law but other values. With one block (N * n <=
+    _MOMENT_BLOCK) the moments equal `make_sample(...).moments()` bit for
+    bit; with more, the summation order differs. A rademacher design forms
+    its Gram in float32 while N <= 2**24, which is exact.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -245,6 +248,8 @@ def sample_moments(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int
     t0 = np.asarray(class_spec.t0, dtype=np.float64)
     if t0.shape != (n,):
         raise ValueError("design dimension does not match the class dimension")
+    if design_spec.kind == "gaussian":
+        return _gaussian_moments(t0, noise, N, seed, trial)
     w = noise.sample(substream(seed, trial, NOISE_TAG), N)
     rng = substream(seed, trial, DESIGN_TAG)
     rows = max(1, _MOMENT_BLOCK // n)
@@ -256,6 +261,52 @@ def sample_moments(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int
 
     exact_single = design_spec.kind == "rademacher" and N <= 2**24
     return _accumulate_moments(blocks(), N, np.float32 if exact_single else np.float64)
+
+
+def _gaussian_moments(t0: np.ndarray, noise: NoiseSpec, N: int, seed: int, trial: int) -> Moments:
+    """A gaussian design's moments, drawn from their law.
+
+    The noise w is independent of X, so a rotation of R^N taking w to
+    ||w|| e_1 leaves the law of X unchanged, and (X^T X, X^T w) has the law
+    of (x1 x1^T + W, ||w|| x1), with x1 ~ N(0, I_n) and W ~ Wishart_n(N - 1,
+    I) independent. W = L L^T: by Bartlett's decomposition (Odell & Feiveson
+    1966) when N - 1 >= n, with L lower-triangular, N(0, 1) below the
+    diagonal and L_ii = sqrt(chi^2_{N-1-i}); else with L an n x (N - 1)
+    gaussian matrix. The trial's design stream draws x1, then L's entries
+    below the diagonal (row by row), then its chi-square values: n(n+1)/2 + n
+    values; its noise stream gives ||w|| (see `_noise_norm`).
+    c = ((x1^T t0 + ||w||)^2 + ||L^T t0||^2) / N is ||X t0 + w||^2 / N
+    written as a sum of squares, so it is never negative.
+    """
+    n = t0.shape[0]
+    rng = substream(seed, trial, DESIGN_TAG)
+    x1 = rng.standard_normal(n)
+    if N - 1 >= n:
+        L = np.zeros((n, n))
+        L[np.tri(n, k=-1, dtype=bool)] = rng.standard_normal(n * (n - 1) // 2)
+        np.fill_diagonal(L, np.sqrt(rng.chisquare(N - 1 - np.arange(n))))
+    else:
+        L = rng.standard_normal((n, N - 1))
+    # non-finite sums are rejected by Moments, not warned about here
+    with np.errstate(invalid="ignore", over="ignore"):
+        w_norm = _noise_norm(noise, N, seed, trial)
+        S = np.outer(x1, x1) + L @ L.T
+        Lt0 = L.T @ t0
+        b = (S @ t0 + w_norm * x1) / N
+        r = float(x1 @ t0) + w_norm
+        c = (r * r + float(Lt0 @ Lt0)) / N
+    return Moments(S / N, b, c, N)
+
+
+def _noise_norm(noise: NoiseSpec, N: int, seed: int, trial: int) -> float:
+    """||w||_2 of the trial's N noise values, from its noise stream: sigma
+    sqrt(chi^2_N), one draw, for gaussian noise; else the norm of the values
+    make_sample draws."""
+    rng = substream(seed, trial, NOISE_TAG)
+    if noise.kind == "gaussian":
+        return noise.sigma * math.sqrt(rng.chisquare(N))
+    w = noise.sample(rng, N)
+    return math.sqrt(w @ w)
 
 
 def l21_norm(noise: NoiseSpec) -> float:

@@ -314,6 +314,7 @@ def verify_main_theorem(config: MainTheoremConfig) -> Report:
     errors = np.array([float(np.linalg.norm(result.t_hat - t0)) for result in results])
     successes = int(np.sum(errors <= bound))
     frequency = successes / config.trials
+    error_q = float(np.quantile(errors, 1.0 - config.delta))
     criterion = 1.0 - config.delta - 2.0 * math.exp(-config.N * q_hat**2 / 2.0) - 0.05
     ci = wilson_interval(successes, config.trials)
 
@@ -343,6 +344,10 @@ def verify_main_theorem(config: MainTheoremConfig) -> Report:
         # every ERM error is at most the class diameter 2R, so such a bound
         # is met whatever the fixed points are
         "bound_vacuous": bool(bound >= 2.0 * config.R),
+        # how loose the bound is: its ratio to the (1 - delta) error
+        # quantile, which the theorem puts below it; null when that quantile is 0
+        "error_q": error_q,
+        "slack": bound / error_q if error_q > 0.0 else None,
         "alpha": record(alpha),
         "beta": record(beta),
         "tau": record(tau_choice),

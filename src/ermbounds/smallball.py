@@ -51,6 +51,10 @@ TAU_GRID.setflags(write=False)
 # do not), so the blocked counts and column sums keep the whole product's
 # results.
 COUNT_BLOCK_ROWS = 96
+# a block's count per threshold is at most its rows, COUNT_BLOCK_ROWS plus a
+# joined remainder row, and `_count_at_least` keeps it in a uint8
+if COUNT_BLOCK_ROWS + 1 > np.iinfo(np.uint8).max:
+    raise ImportError(f"COUNT_BLOCK_ROWS = {COUNT_BLOCK_ROWS}: a block's counts overflow uint8")
 
 
 def probe_rows(n: int, count: int) -> int:
@@ -118,10 +122,11 @@ def _count_at_least(X: np.ndarray, T: np.ndarray, thresholds) -> np.ndarray:
     input order and one column per direction d.
 
     Each `map_trials` thread forms one row block of P = |X T^T| at a time
-    (see `_row_blocks`), counts it against every threshold and adds the block
-    counts into one total. Integer counts add exactly in any order, and each
-    is at most X.shape[0], so the result is the same for every thread count;
-    no draws x directions array is held.
+    (see `_row_blocks`), counts it against every threshold in uint8 (a block
+    has at most COUNT_BLOCK_ROWS + 1 rows) and adds the block counts into
+    one int32 total. Integer counts add exactly in any order, and each is at
+    most X.shape[0], so the result is the same for every thread count; no
+    draws x directions array is held.
     """
     blocks = _row_blocks(X.shape[0])
     total = np.zeros((len(thresholds), T.shape[0]), dtype=np.int32)
@@ -129,11 +134,11 @@ def _count_at_least(X: np.ndarray, T: np.ndarray, thresholds) -> np.ndarray:
 
     def count_block(b: int) -> None:
         block = _abs_rows(X, T, blocks[b])
-        counts = np.empty_like(total)
+        counts = np.empty(total.shape, dtype=np.uint8)
         mask = np.empty(block.shape, dtype=bool)
         for k, v in enumerate(thresholds):
             np.greater_equal(block, v, out=mask)
-            np.add.reduce(mask, axis=0, dtype=np.int32, out=counts[k])
+            np.add.reduce(mask.view(np.uint8), axis=0, dtype=np.uint8, out=counts[k])
         with lock:
             np.add(total, counts, out=total)
 

@@ -21,7 +21,9 @@ reference for the indexed build of the 2-sparse probes. The student-t
 scale-mixture Z is built one trial at a time in a plain loop from the
 substreams the batch reads: the bitwise reference for its rows. The moment
 ratios take column means of the whole draws x directions matrix |X T^T|:
-the bitwise references for the row-blocked sums.
+the bitwise references for the row-blocked sums. The streamed moments draw a
+trial's whole design, gaussian included, in row blocks: the reference the
+gaussian moment law is tested against.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import types
 
 import numpy as np
 
-from ermbounds import fixed_points
-from ermbounds.distributions import DesignSpec, NoiseSpec, Sample
+from ermbounds import distributions, fixed_points
+from ermbounds.distributions import DesignSpec, Moments, NoiseSpec, Sample
 from ermbounds.erm import ClassSpec
 from ermbounds.fixed_points import _z_batch
 from ermbounds.geometry import REL_SLACK, SupportRows, project_l1, support_l1l2_batch
@@ -165,6 +167,24 @@ def count_at_least_reference(P: np.ndarray, thresholds) -> np.ndarray:
     """#{i : P[i, d] >= v} per threshold v (rows) and column d, from one
     whole pass over P per threshold: the reference for the blocked count."""
     return np.stack([(P >= v).sum(axis=0, dtype=np.int32) for v in thresholds])
+
+
+def streamed_moments(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, seed: int, trial: int = 0) -> Moments:
+    """Moments of `make_sample`'s sample for one trial, whatever the design
+    kind: the noise and the design from the same substreams, the design
+    drawn and summed in row blocks of about distributions._MOMENT_BLOCK
+    coordinates. With one block they equal `make_sample(...).moments()` bit
+    for bit."""
+    n = design.n
+    t0 = np.asarray(class_spec.t0, dtype=np.float64)
+    w = noise.sample(substream(seed, trial, NOISE_TAG), N)
+    rng = substream(seed, trial, DESIGN_TAG)
+    rows = max(1, distributions._MOMENT_BLOCK // n)
+    blocks = []
+    for lo in range(0, N, rows):
+        X = design.sample_coords(rng, (min(rows, N - lo), n))
+        blocks.append((X, X @ t0 + w[lo : lo + X.shape[0]]))
+    return distributions._accumulate_moments(blocks, N)
 
 
 def max_step_l1(t0: np.ndarray, u: np.ndarray, R: float, iters: int = 60) -> float:

@@ -298,3 +298,22 @@ def test_criterion_10_determinism_across_worker_counts(monkeypatch):
     ok = outputs[0] == outputs[1]
     elapsed = time.time() - start
     record(10, ok, f"reports byte-identical across worker counts over {len(chunks)} report kinds", elapsed, 300)
+
+
+def test_criterion_11_main_theorem_not_vacuous():
+    # at N = 2**19 the bound falls below the class diameter 2R; beta* is 0
+    # there (the criterion holds at the lower bracket), so the flags are not
+    # required to be empty
+    start = time.time()
+    cfg = MainTheoremConfig(design=DesignSpec("gaussian", 32), noise=NoiseSpec("gaussian", sigma=0.5), N=2**19, seed=SEED)
+    s = verify_main_theorem(cfg).summary
+    ok = not s["bound_vacuous"] and s["passed"] and s["bound"] < 2.0 * cfg.R
+    elapsed = time.time() - start
+    record(
+        11,
+        ok,
+        f"N = 2^19: bound {s['bound']:.3f} < 2R = {2.0 * cfg.R:g}, coverage {s['frequency']:.3f} >= criterion {s['criterion']:.3f}, "
+        f"error quantile {s['error_q']:.4f} (slack {s['slack']:.0f}x), flags {s['estimator_flags']}",
+        elapsed,
+        5,
+    )

@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ermbounds import fixed_points, reports
@@ -329,8 +331,10 @@ _GOLDEN_RUNS = {
 # trial (only the alpha stderr moved); alpha and verify-main's JSON when alpha
 # came to bisect to 1% like beta and kstar instead of scanning a ratio-1.1 grid;
 # version-space when its probes came to be projections of gaussians and of the
-# canonical vectors on the null space, and counterexample when it came to
-# report its exact deviation probability
+# canonical vectors on the null space, counterexample when it came to
+# report its exact deviation probability, and verify-main when its gaussian
+# ERM trials came to draw their moments from their law and its summary gained
+# error_q and slack
 _GOLDEN_DIGESTS = {
     ("erm", "json"): "7d83c30f931c88ced97d0cc0e26f70ce61374045a57858a597d81ca108867c0e",
     ("erm", "csv"): "4c83d1f71a609c49bd7eb7eeced5b4139ceea4541a56410f769a0ca8dd147965",
@@ -358,8 +362,8 @@ _GOLDEN_DIGESTS = {
     ("persistence", "csv"): "d2080385512d9b68996189da4a88e1874d0d17777174caacd6f6745ab1e3b80d",
     ("counterexample", "json"): "cb255f6158c6895e14a830a7d3aeeb321cf10697263edd347e0c2cd6f0b58f9b",
     ("counterexample", "csv"): "c146ec6c423a84ac00c0b23c181344bcf7cbd0954b2230c9fc6bc83e51cb91e2",
-    ("verify-main", "json"): "85a2b8187545a0ec2dcf73cc2c168d3fb873b210c888e8b86065c08e878b0fdf",
-    ("verify-main", "csv"): "5abbb8942f46ec9cbbe77ddb0339f0f9ed2f28a06b7a858b4655c994815ab41b",
+    ("verify-main", "json"): "6244738bf518c9404b668a437a5e8dcb270ead977e9d862d4a485318d6944716",
+    ("verify-main", "csv"): "885bdba176d452600af975ca6a7b6bbb21b834171f9059360e2873e704598915",
 }
 
 
@@ -731,3 +735,24 @@ def test_persistence_iteration_cap_below_one_exits_2(value, tmp_path, capsys):
     assert run(["persistence", "--set", "n_grid=[8]", "--set", "N_grid=[32]", "--set", f"max_iter={value}", "--output", str(out)]) == 2
     assert "max_iter must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+class _Mallinfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+def test_large_arrays_stay_mapped_after_a_run(tmp_path):
+    # glibc would raise its mmap threshold past 4 MiB on freeing the 8 MiB
+    # block and serve the next 4 MiB array from the heap
+    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+    if mallinfo2 is None:
+        pytest.skip("needs glibc's mallinfo2")
+    mallinfo2.restype = _Mallinfo2
+    assert run(["rates", "--output", str(tmp_path / "r.json")]) == 0
+    big = np.ones(2**20)
+    del big
+    mapped = mallinfo2().hblks
+    block = np.ones(2**19)
+    assert mallinfo2().hblks == mapped + 1
+    del block
+    assert mallinfo2().hblks == mapped

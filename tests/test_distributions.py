@@ -19,9 +19,11 @@ from ermbounds.distributions import (
     sample_moments,
     sample_response,
 )
-from ermbounds.erm import ClassSpec, solve_erm
+from ermbounds.erm import ClassSpec, solve_erm, solve_erms
 from ermbounds.experiments import make_t0, run_counterexample
 from ermbounds.rng import DESIGN_TAG, NOISE_TAG, substream
+
+from oracles import streamed_moments
 
 ALL_DESIGNS = [
     DesignSpec("rademacher", 4),
@@ -302,12 +304,16 @@ def _record_blocks(monkeypatch):
     return blocks
 
 
+# each design with the moments it streams: a gaussian design's
+# sample_moments come from their law (see TestGaussianLaw), so its case
+# checks the streamed reference that law is tested against
 STREAMED_DESIGNS = [
-    DesignSpec("rademacher", 7),
-    DesignSpec("bounded_uniform", 7),
-    DesignSpec("gaussian", 7),
-    DesignSpec("student_t", 7, p=4.0),
+    (DesignSpec("rademacher", 7), sample_moments),
+    (DesignSpec("bounded_uniform", 7), sample_moments),
+    (DesignSpec("gaussian", 7), streamed_moments),
+    (DesignSpec("student_t", 7, p=4.0), sample_moments),
 ]
+STREAMED_IDS = [design.kind for design, _ in STREAMED_DESIGNS]
 
 
 class TestSampleMoments:
@@ -323,22 +329,22 @@ class TestSampleMoments:
     def cls(n):
         return ClassSpec(n=n, R=1.0, t0=make_t0("spike", 0.5, n, 1.0))
 
-    @pytest.mark.parametrize("design", STREAMED_DESIGNS, ids=lambda d: d.kind)
-    def test_blocks_continue_one_draw(self, design, small_blocks, monkeypatch):
+    @pytest.mark.parametrize("design, moments", STREAMED_DESIGNS, ids=STREAMED_IDS)
+    def test_blocks_continue_one_draw(self, design, moments, small_blocks, monkeypatch):
         blocks = _record_blocks(monkeypatch)
-        sample_moments(self.cls(7), design, NoiseSpec("gaussian", sigma=0.5), self.N, seed=23, trial=4)
+        moments(self.cls(7), design, NoiseSpec("gaussian", sigma=0.5), self.N, seed=23, trial=4)
         assert [len(b) for b in blocks] == [142] * 7 + [6]
         monkeypatch.undo()
         one_call = design.sample_coords(substream(23, 4, DESIGN_TAG), (self.N, 7))
         assert np.array_equal(np.vstack(blocks), one_call)
 
-    @pytest.mark.parametrize("design", STREAMED_DESIGNS, ids=lambda d: d.kind)
-    def test_streamed_moments_match_the_sample(self, design, small_blocks):
+    @pytest.mark.parametrize("design, moments", STREAMED_DESIGNS, ids=STREAMED_IDS)
+    def test_streamed_moments_match_the_sample(self, design, moments, small_blocks):
         cls = self.cls(7)
         noise = NoiseSpec("gaussian", sigma=0.5)
         sample = make_sample(cls, design, noise, self.N, seed=29, trial=2)
         X, Y = sample.design, sample.responses
-        m = sample_moments(cls, design, noise, self.N, seed=29, trial=2)
+        m = moments(cls, design, noise, self.N, seed=29, trial=2)
         assert m.N == self.N and m.n == 7
         G, b, c = X.T @ X / self.N, X.T @ Y / self.N, float(Y @ Y) / self.N
         if design.kind == "rademacher":
@@ -351,7 +357,7 @@ class TestSampleMoments:
 
     def test_one_block_equals_the_sample_bit_for_bit(self):
         # 350 x 700 coordinates fit one block at the module's budget
-        design, noise, cls = DesignSpec("gaussian", 700), NoiseSpec("gaussian", sigma=0.5), self.cls(700)
+        design, noise, cls = DesignSpec("bounded_uniform", 700), NoiseSpec("gaussian", sigma=0.5), self.cls(700)
         m = sample_moments(cls, design, noise, 350, seed=31)
         ref = make_sample(cls, design, noise, 350, seed=31).moments()
         assert np.array_equal(m.G, ref.G) and np.array_equal(m.b, ref.b) and m.c == ref.c
@@ -402,7 +408,7 @@ class TestSampleMoments:
         assert stats.binomtest(int(np.count_nonzero(X[big] > 0)), int(big.sum())).pvalue > 1e-3
 
     def test_risk_from_moments(self, small_blocks):
-        for kind, seed in (("gaussian", 43), ("rademacher", 44), ("student_t", 45)):
+        for kind, seed in (("bounded_uniform", 43), ("rademacher", 44), ("student_t", 45)):
             design = DesignSpec(kind, 7, p=4.0 if kind == "student_t" else None)
             cls, noise = self.cls(7), NoiseSpec("gaussian", sigma=0.5)
             sample = make_sample(cls, design, noise, self.N, seed=seed)
@@ -426,11 +432,11 @@ class TestSampleMoments:
 
         monkeypatch.setattr(DesignSpec, "sample_coords", poisoned)
         with pytest.raises(ValueError, match="non-finite"):
-            sample_moments(cls, DesignSpec("gaussian", 7), NoiseSpec("zero"), self.N, seed=47)
+            sample_moments(cls, DesignSpec("bounded_uniform", 7), NoiseSpec("zero"), self.N, seed=47)
         monkeypatch.undo()
         # noise that overflows to inf
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
-            sample_moments(cls, DesignSpec("gaussian", 7), NoiseSpec("heavy_tailed", sigma=1e308, p=3.0), self.N, seed=47)
+            sample_moments(cls, DesignSpec("bounded_uniform", 7), NoiseSpec("heavy_tailed", sigma=1e308, p=3.0), self.N, seed=47)
 
     def test_shapes_checked(self):
         cls = self.cls(7)
@@ -443,3 +449,102 @@ class TestSampleMoments:
                 Moments(G, b, 1.0, N)
         with pytest.raises(ValueError, match="non-finite"):
             Moments(np.eye(2), np.array([0.0, np.inf]), 1.0, 4)
+
+
+class _CountingGenerator:
+    """A Generator that adds the size of each draw to `counts[key]`."""
+
+    def __init__(self, rng, counts, key):
+        self._rng, self._counts, self._key = rng, counts, key
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self._counts[self._key] = self._counts.get(self._key, 0) + np.size(out)
+            return out
+
+        return draw
+
+
+class TestGaussianLaw:
+    """sample_moments of a gaussian design, drawn from the law of
+    (X^T X, X^T w), against the moments of whole streamed samples."""
+
+    @staticmethod
+    def cls(n):
+        return ClassSpec(n=n, R=1.0, t0=make_t0("spike", 0.5, n, 1.0))
+
+    @staticmethod
+    def law(cls, noise, N, seed, trials):
+        return [sample_moments(cls, DesignSpec("gaussian", cls.n), noise, N, seed, trial=j) for j in range(trials)]
+
+    @pytest.mark.parametrize("noise", [NoiseSpec("gaussian", sigma=0.5), NoiseSpec("heavy_tailed", sigma=0.5, p=3.0)], ids=["gaussian", "heavy_tailed"])
+    def test_erm_error_and_risk_match_streamed_samples(self, noise):
+        # two-sample KS tests of what the ERM stage reads, 600 trials a side
+        n, N, trials = 32, 512, 600
+        cls = self.cls(n)
+
+        def erm_stats(moments):
+            results = solve_erms(moments, cls, tol=1e-8)
+            return np.array([np.linalg.norm(r.t_hat - cls.t0) for r in results]), np.array([r.empirical_risk for r in results])
+
+        law = erm_stats(self.law(cls, noise, N, 61, trials))
+        ref = erm_stats([streamed_moments(cls, DesignSpec("gaussian", n), noise, N, 62, trial=j) for j in range(trials)])
+        for name, a, b in zip(("error", "risk"), law, ref):
+            assert stats.ks_2samp(a, b).pvalue > 1e-3, name
+
+    @pytest.mark.parametrize("N", [20, 3], ids=["bartlett", "fewer_rows"])
+    def test_monte_carlo_means(self, N):
+        # E G = I, E b = t0 and E c = ||t0||^2 + sigma^2, each to 5 standard
+        # errors of a sample of N gaussian rows (n = 5: N = 3 takes W = Z Z^T)
+        n, sigma, trials = 5, 0.5, 4000
+        t0 = np.array([0.3, -0.2, 0.0, 0.1, 0.0])
+        cls = ClassSpec(n=n, R=1.0, t0=t0)
+        moments = self.law(cls, NoiseSpec("gaussian", sigma=sigma), N, 59, trials)
+        s2 = float(t0 @ t0) + sigma**2
+        checks = (
+            (np.mean([m.G for m in moments], axis=0), np.eye(n), np.sqrt((1.0 + np.eye(n)) / N)),
+            (np.mean([m.b for m in moments], axis=0), t0, np.sqrt((s2 + t0**2) / N)),
+            (np.mean([m.c for m in moments]), s2, math.sqrt(2.0 / N) * s2),
+        )
+        for mean, truth, sd in checks:
+            assert np.all(np.abs(mean - truth) <= 5.0 * sd / math.sqrt(trials))
+
+    def test_risk_at_t0_is_the_noise_mean_square(self):
+        # t0^T G t0 - 2 b^T t0 + c = ||w||^2 / N, with ||w||^2 = sigma^2 chi^2_N
+        # drawn once from the trial's noise stream
+        n, N, sigma = 6, 40, 0.5
+        cls = self.cls(n)
+        for j, m in enumerate(self.law(cls, NoiseSpec("gaussian", sigma=sigma), N, 71, 50)):
+            risk = float(cls.t0 @ m.G @ cls.t0 - 2.0 * m.b @ cls.t0 + m.c)
+            w2 = sigma**2 * substream(71, j, NOISE_TAG).chisquare(N)
+            assert risk == pytest.approx(w2 / N, rel=1e-12, abs=1e-14)
+
+    @pytest.mark.parametrize("N", [1, 3, 8, 9, 40])
+    def test_moments_are_a_gram_of_N_rows(self, N):
+        # n = 8: N <= 8 takes W = Z Z^T, N >= 9 Bartlett's L L^T; the Gram of
+        # N rows (X_i, Y_i) is PSD of rank min(N, n + 1)
+        n = 8
+        (m,) = self.law(self.cls(n), NoiseSpec("gaussian", sigma=0.5), N, 67, 1)
+        gram = N * np.block([[m.G, m.b[:, None]], [m.b[None, :], np.array([[m.c]])]])
+        assert np.linalg.eigvalsh(gram).min() >= -1e-12 * N
+        assert np.linalg.matrix_rank(gram) == min(N, n + 1)
+        assert np.linalg.matrix_rank(m.G) == min(N, n)
+
+    @pytest.mark.parametrize("noise", [NoiseSpec("heavy_tailed", sigma=1e308, p=3.0), NoiseSpec("gaussian", sigma=1e308)], ids=["heavy_tailed", "gaussian"])
+    def test_non_finite_noise_rejected(self, noise):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            sample_moments(self.cls(7), DesignSpec("gaussian", 7), noise, 1000, seed=47)
+
+    def test_draws_do_not_grow_with_N(self, monkeypatch):
+        # x1, L's n(n - 1)/2 entries below the diagonal and its n chi-square
+        # values; gaussian noise takes one chi-square value
+        n, N = 32, 2**19
+        counts = {}
+        real = distributions.substream
+        monkeypatch.setattr(distributions, "substream", lambda seed, *path: _CountingGenerator(real(seed, *path), counts, path))
+        m = sample_moments(self.cls(n), DesignSpec("gaussian", n), NoiseSpec("gaussian", sigma=0.5), N, seed=53, trial=7)
+        assert m.N == N
+        assert counts == {(7, DESIGN_TAG): n * (n + 1) // 2 + n, (7, NOISE_TAG): 1}

@@ -116,11 +116,12 @@ class TestPersistenceSweep:
         assert rep1.to_json() == rep4.to_json()
 
     def test_threads_never_change_bytes_across_design_blocks(self, monkeypatch):
-        # the large cell draws each trial's design in three blocks; a 1 us
-        # switch interval makes the trial threads interleave
+        # the large cell draws each trial's design in three blocks (a
+        # gaussian design would not stream); a 1 us switch interval makes
+        # the trial threads interleave
         n = 64
         big = 2 * (distributions._MOMENT_BLOCK // n) + 101
-        cfg = SweepConfig(design_kind="gaussian", noise_kind="gaussian", n_grid=(n,), N_grid=(256, big), sigma_grid=(0.5,), trials=20, seed=13, t0_shape="spike", t0_fraction=0.5)
+        cfg = SweepConfig(design_kind="bounded_uniform", noise_kind="gaussian", n_grid=(n,), N_grid=(256, big), sigma_grid=(0.5,), trials=20, seed=13, t0_shape="spike", t0_fraction=0.5)
         monkeypatch.setenv("ERMBOUNDS_WORKERS", "1")
         serial = run_persistence_sweep(cfg)
         threaded = []
@@ -236,8 +237,10 @@ class TestPersistenceSweep:
 # unchanged); the JSON again when alpha came to draw gaussian noise's mean
 # square as one chi-square a trial (only the alpha stderr moved); both when
 # alpha came to bisect to 1% like beta instead of scanning a ratio-1.1 grid
-# (only alpha_hat and the alpha summary moved)
-PINNED_VERIFY_MAIN = ("c38133734c351f9d01b60193c836eef3ee0457b16284b423cad032d643a4cf38", "57bbde727c591f21e71c257315e96561303fd3245ba9bbe24e72c1e6663875f9")
+# (only alpha_hat and the alpha summary moved); both when the gaussian ERM
+# trials came to draw their moments from the law of (X^T X, X^T w) and the
+# summary gained error_q and slack
+PINNED_VERIFY_MAIN = ("daa733f1425910ab8d1a48172462fe72fe484f547f879a40708866ab135fb468", "18c9fea169ada1616d31aada78bb5d964b065046bc3361c51970f60ed83737e1")
 
 
 class TestVerifyMain:

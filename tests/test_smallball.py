@@ -172,10 +172,12 @@ class TestCountAtLeast:
     THRESHOLDS = [0.7, 0.0, 1.3, 0.3, 0.7, 2.0, 0.0, 0.05]
 
     @pytest.mark.parametrize("workers", ["1", "2", "3"])
-    @pytest.mark.parametrize("rows", [1000, 1001, 1023, 127, 128, 129, 1024, 10000, COUNT_BLOCK_ROWS - 1, COUNT_BLOCK_ROWS, COUNT_BLOCK_ROWS + 1, 8 * COUNT_BLOCK_ROWS])
+    @pytest.mark.parametrize("rows", [1000, 1001, 1023, 127, 128, 129, 1024, 10000, COUNT_BLOCK_ROWS - 1, COUNT_BLOCK_ROWS, COUNT_BLOCK_ROWS + 1, 8 * COUNT_BLOCK_ROWS, 3 * COUNT_BLOCK_ROWS + 1])
     def test_equals_one_pass_count(self, rows, workers, monkeypatch):
         # fewer rows than one block, a ragged last block, a one-row
-        # remainder, exact multiples
+        # remainder, exact multiples; blocks count in uint8, so the last
+        # case's 97-row block meets threshold 0.0 in every row and its total,
+        # 289, passes uint8's 255
         monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
         X, T = _probe_draws(DesignSpec("gaussian", 6), 40, rows, 31, 0)
         got = _count_at_least(X, T, self.THRESHOLDS)
