@@ -84,19 +84,6 @@ def _breaks_upper_model(d: np.ndarray, Gd: np.ndarray, L: np.ndarray, allowance:
     return np.vecdot(d, Gd) > 0.5 * L[:, 0] * dd + allowance * np.sqrt(dd)
 
 
-def _momentum(count: int) -> np.ndarray:
-    """FISTA's extrapolation weights (theta_j - 1)/theta_(j+1) for j < count,
-    from theta_0 = 1 and theta_(j+1) = (1 + sqrt(1 + 4 theta_j^2))/2; a row
-    that took j steps since its last restart extrapolates by entry j."""
-    weights = np.empty((count, 1))
-    theta = 1.0
-    for j in range(count):
-        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
-        weights[j] = (theta - 1.0) / theta_next
-        theta = theta_next
-    return weights
-
-
 def _moments_of(data: Sample | Moments, class_spec: ClassSpec) -> Moments:
     moments = data if isinstance(data, Moments) else data.moments()
     if moments.n != class_spec.n:
@@ -191,8 +178,9 @@ def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float, max_it
     Gt = _matvec(G, t)
     y, Gy = t, Gt
     f_t = np.vecdot(t, Gt) - 2.0 * np.vecdot(b, t) + c
-    age = np.zeros(rows.size, dtype=np.intp)  # steps since the last restart
-    weights = _momentum(64)
+    # FISTA's momentum: each row's theta starts at 1 and restarts at 1, and a
+    # step extrapolates by (theta - 1)/theta' with theta' = (1 + sqrt(1 + 4 theta^2))/2
+    theta = np.ones(rows.size)
     for iterations in range(1, max_iter + 1):
         t_next, Gt_next = step(slice(None), y, Gy)
         f_next = np.vecdot(t_next, Gt_next) - 2.0 * np.vecdot(b, t_next) + c
@@ -200,17 +188,15 @@ def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float, max_it
         if worse.any():
             # restart: plain projected-gradient step from the last accepted point
             r = slice(None) if worse.all() else np.flatnonzero(worse)
-            age[r] = 0
+            theta[r] = 1.0
             t_r, Gt_r = step(r, t[r], Gt[r])
             t_next[r], Gt_next[r] = t_r, Gt_r
             f_next[r] = np.vecdot(t_r, Gt_r) - 2.0 * np.vecdot(b[r], t_r) + c[r]
-        if iterations > weights.shape[0]:
-            weights = _momentum(2 * weights.shape[0])
-        w = weights[age]
+        theta_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta * theta))
+        w = ((theta - 1.0) / theta_next)[:, None]
         y = t_next + w * (t_next - t)
         Gy = Gt_next + w * (Gt_next - Gt)
-        age += 1
-        t, Gt, f_t = t_next, Gt_next, f_next
+        t, Gt, f_t, theta = t_next, Gt_next, f_next, theta_next
         d = t - project_l1_rows(t - 2.0 * (Gt - b) / L, R)
         residual = np.sqrt(np.vecdot(d, d))
         done = residual <= tol
@@ -219,7 +205,7 @@ def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float, max_it
             if done.all():
                 break
             keep = ~done
-            rows, G, b, c, L, allowance, age = rows[keep], G[keep], b[keep], c[keep], L[keep], allowance[keep], age[keep]
+            rows, G, b, c, L, allowance, theta = rows[keep], G[keep], b[keep], c[keep], L[keep], allowance[keep], theta[keep]
             t, Gt, y, Gy, f_t, residual = t[keep], Gt[keep], y[keep], Gy[keep], f_t[keep], residual[keep]
     else:
         finish(np.ones(rows.size, dtype=bool), rows, t, f_t, residual, max_iter)

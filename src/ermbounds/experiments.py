@@ -161,13 +161,10 @@ def run_persistence_sweep(config: SweepConfig) -> Report:
                     branch2 = N > inputs.c2 * n * n * sigma * sigma / (R * R)
                     flagged = failures > 0.05 * config.trials
                     cell = {
-                        "design": config.design_kind,
-                        "noise": config.noise_kind,
                         "n": n,
                         "N": N,
                         "R": R,
                         "sigma": sigma,
-                        "trials": config.trials,
                         "median_err2": med,
                         "q90_err2": q90,
                         "rho_N": rho,

@@ -43,7 +43,7 @@ from .geometry import SupportRows, support_l1l2_batch
 from .rng import DESIGN_TAG, LAW_TAG, NOISE_TAG, SIGNS_TAG, map_trials, substream, trial_workers
 
 DEFAULT_QUANTILE_TRIALS = 1000
-_LAW_BLOCK = 2**16  # noise values one block of the exact multiplier law draws
+_LAW_BLOCK = 2**16  # noise values one block of the exact multiplier law draws (one whole trial if N is larger)
 _CHI2_BLOCK = 2**14  # chi-squares one block of a student-t trial draws
 
 
@@ -66,24 +66,18 @@ def _noise_rms(N: int, trials: int, seed: int, noise: NoiseSpec) -> np.ndarray:
     chi-square a trial from one stream, so row j is the stream's j-th draw
     whatever the trial count, and the scale is linear in sigma (doubling
     sigma doubles it bit for bit). Other kinds draw their trials in blocks
-    of `rows` from one stream per block, a block holding at most _LAW_BLOCK
-    values at a time (a trial's N values come in column pieces when N is
-    larger). Every block draws all its rows, so a trial's values do not
+    of max(1, _LAW_BLOCK // N) whole trials, one stream and one draw per
+    block. Every block draws all its rows, so a trial's values do not
     depend on the trial count; blocks run on `map_trials` threads.
     """
     if noise.kind == "gaussian":
         return noise.sigma * np.sqrt(substream(seed, LAW_TAG, NOISE_TAG, 0).chisquare(N, size=trials) / N)
     rows = max(1, _LAW_BLOCK // N)
-    cols = min(N, _LAW_BLOCK)
     out = np.empty(trials)
 
     def block(b):
-        rng = substream(seed, LAW_TAG, NOISE_TAG, b)
-        total = np.zeros(rows)
-        for lo in range(0, N, cols):
-            w = noise.sample(rng, (rows, min(cols, N - lo)))
-            total += np.sum(w * w, axis=1)
-        out[b * rows : (b + 1) * rows] = np.sqrt(total / N)[: trials - b * rows]
+        w = noise.sample(substream(seed, LAW_TAG, NOISE_TAG, b), (rows, N))
+        out[b * rows : (b + 1) * rows] = np.sqrt(np.sum(w * w, axis=1) / N)[: trials - b * rows]
 
     map_trials(block, -(-trials // rows))
     return out
@@ -151,7 +145,7 @@ def _z_batch(class_spec: ClassSpec, design: DesignSpec, N: int, trials: int, see
     return out
 
 
-def _fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int, seed: int, noise: NoiseSpec | None, kind: str, holds, assess) -> FixedPointEstimate:
+def _fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int, seed: int, noise: NoiseSpec | None, kind: str, holds, stderr) -> FixedPointEstimate:
     """Smallest radius r in [1e-8 r_hi, r_hi], r_hi = 2R sqrt(n), at which
     `holds(r, sups)` is true of the trials' suprema at r, by bisection with
     arithmetic midpoints to a bracket [lo, hi] of relative width 1%.
@@ -161,8 +155,8 @@ def _fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float
     switches on once along the radii. The batch of Z (the Rademacher process
     when `noise` is None, else the multiplier process) is drawn once, and
     each radius's suprema are kept, so no radius is evaluated twice. The
-    estimate is hi, with the stderr and extra flags `assess(r, sups)` gives
-    at r = hi. It is flagged at_lower_bracket when holds at 1e-8 r_hi, and
+    estimate is hi, with the Monte Carlo error `stderr(r, sups)` gives at
+    r = hi. It is flagged at_lower_bracket when holds at 1e-8 r_hi, and
     not_satisfied_within_upper, with lo = hi = r_hi, when not at r_hi.
     """
     if gamma <= 0:
@@ -191,8 +185,7 @@ def _fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float
                 hi = mid
             else:
                 lo = mid
-    stderr, more = assess(hi, sups_at(hi))
-    return FixedPointEstimate(hi, (lo, hi), trials, stderr, kind, flags + more)
+    return FixedPointEstimate(hi, (lo, hi), trials, stderr(hi, sups_at(hi)), kind, flags)
 
 
 def _rademacher_fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int, seed: int, power: int, kind: str) -> FixedPointEstimate:
@@ -203,10 +196,10 @@ def _rademacher_fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, g
         # in this order the threshold is bit for bit gamma*r*sqrt(N) or gamma*r*r*sqrt(N)
         return float(sups.mean()) <= gamma * r * r ** (power - 1) * math.sqrt(N)
 
-    def assess(r, sups):
-        return (float(sups.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0), ()
+    def stderr(r, sups):
+        return float(sups.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
 
-    return _fixed_point(class_spec, design, N, gamma, trials, seed, None, kind, holds, assess)
+    return _fixed_point(class_spec, design, N, gamma, trials, seed, None, kind, holds, stderr)
 
 
 def beta_star(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float, trials: int, seed: int) -> FixedPointEstimate:
@@ -239,8 +232,7 @@ def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: i
     the same bisection as beta* and k* (see _fixed_point). Each trial's
     phi_N(s)/s is non-increasing, so once a trial succeeds it succeeds at
     every larger s, and p_hat is monotone on the common random numbers. The
-    stderr is the binomial one of p_hat at the estimate, and an estimate
-    within two standard errors above the target gets a Wilson flag.
+    stderr is the binomial one of p_hat at the estimate.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
@@ -251,9 +243,8 @@ def alpha_star(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: i
     def p_hat(s, sups):
         return float(np.mean(sups <= gamma * s * s * sqN))
 
-    def assess(s, sups):
+    def stderr(s, sups):
         p = p_hat(s, sups)
-        stderr = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-        return stderr, (("wilson_marginal",) if p >= target and p - target < 2.0 * stderr else ())
+        return math.sqrt(max(p * (1.0 - p), 0.0) / trials)
 
-    return _fixed_point(class_spec, design, N, gamma, trials, seed, noise, "alpha", lambda s, sups: p_hat(s, sups) >= target, assess)
+    return _fixed_point(class_spec, design, N, gamma, trials, seed, noise, "alpha", lambda s, sups: p_hat(s, sups) >= target, stderr)

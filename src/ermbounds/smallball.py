@@ -57,11 +57,6 @@ if COUNT_BLOCK_ROWS + 1 > np.iinfo(np.uint8).max:
     raise ImportError(f"COUNT_BLOCK_ROWS = {COUNT_BLOCK_ROWS}: a block's counts overflow uint8")
 
 
-def probe_rows(n: int, count: int) -> int:
-    """Number of rows `probe_directions` returns, without drawing them."""
-    return count + n + 2 * min(n * (n - 1) // 2, MAX_PAIRS)
-
-
 def probe_directions(design: DesignSpec, count: int, seed: int) -> tuple[np.ndarray, int]:
     """Unit probe directions: `count` random ones plus canonical and 2-sparse
     ones, the latter on at most MAX_PAIRS coordinate pairs.
@@ -169,8 +164,9 @@ def _column_means(X: np.ndarray, T: np.ndarray, powers) -> list[np.ndarray]:
 def estimate_Q(design: DesignSpec, u, directions: int, draws: int, seed: int) -> tuple[SmallBallEstimate, ...]:
     """Estimate inf over unit directions t of Pr(|<X, t>| >= u), for each
     threshold u of the 1-D sequence `u`; returns one SmallBallEstimate per
-    threshold, in input order, each echoing its threshold as given (a zero
-    threshold as 0.0).
+    threshold, in input order, each echoing its threshold as a float. A zero
+    threshold is counted like any other: every |<X, t>| >= 0, so its q_hat
+    is 1.0.
 
     Two passes over independent draw sets: the first selects the worst
     direction, the second re-estimates its probability, so the reported value
@@ -189,22 +185,13 @@ def estimate_Q(design: DesignSpec, u, directions: int, draws: int, seed: int) ->
         raise ValueError("u must be nonnegative")
     _check_probe_sizes(directions, draws)
     thresholds = list(u)
-
-    positive = [v for v in thresholds if v != 0.0]
-    if positive:
-        X, T = _probe_draws(design, directions, draws, seed, 0)
-        counts = iter(_count_at_least(X, T, positive))
-        rng_est = substream(seed, DIRECTIONS_TAG, 1)
-        X2 = design.sample_coords(rng_est, (draws, design.n))
+    X, T = _probe_draws(design, directions, draws, seed, 0)
+    counts = _count_at_least(X, T, thresholds)
+    X2 = design.sample_coords(substream(seed, DIRECTIONS_TAG, 1), (draws, design.n))
 
     estimates = []
-    for v in thresholds:
-        if v == 0.0:
-            e1 = np.zeros(design.n)
-            e1[0] = 1.0
-            estimates.append(SmallBallEstimate(0.0, 1.0, probe_rows(design.n, directions), draws, 0.0, e1))
-            continue
-        probs = next(counts) / draws
+    for v, count in zip(thresholds, counts):
+        probs = count / draws
         worst = int(np.argmin(probs))
         q_hat = float(np.mean(np.abs(X2 @ T[worst]) >= v))
         stderr = math.sqrt(max(q_hat * (1.0 - q_hat), 0.0) / draws)
@@ -213,7 +200,7 @@ def estimate_Q(design: DesignSpec, u, directions: int, draws: int, seed: int) ->
         if probs[directions:].size and probs[:directions].size:
             if probs[directions:].min() < probs[:directions].min():
                 flags.append("structured_below_random")
-        estimates.append(SmallBallEstimate(v, q_hat, T.shape[0], draws, stderr, T[worst].copy(), tuple(flags)))
+        estimates.append(SmallBallEstimate(float(v), q_hat, T.shape[0], draws, stderr, T[worst].copy(), tuple(flags)))
     return tuple(estimates)
 
 

@@ -15,15 +15,15 @@ are one-problem code, the bitwise reference for the rows of the stacked
 solver. The exhaustive-grid ERM minimizer shares no step rule with that
 solver. The one-shot support kernel re-sorts its batch at every call: the
 bitwise reference for the prepared batch and for the criterion at the
-brackets of a fixed-point search. The probe-direction builder
-walks a Python list of coordinate pairs, one row at a time: the bitwise
-reference for the indexed build of the 2-sparse probes. The student-t
-scale-mixture Z is built one trial at a time in a plain loop from the
-substreams the batch reads: the bitwise reference for its rows. The moment
-ratios take column means of the whole draws x directions matrix |X T^T|:
-the bitwise references for the row-blocked sums. The streamed moments draw a
-trial's whole design, gaussian included, in row blocks: the reference the
-gaussian moment law is tested against.
+brackets of a fixed-point search. The probe-direction builder walks a Python
+list of coordinate pairs, one row at a time: the bitwise reference for the
+indexed build of the 2-sparse probes, whose row count `probe_rows` gives in
+closed form. The student-t scale-mixture Z is built one trial at a time in a
+plain loop from the substreams the batch reads: the bitwise reference for
+its rows. The moment ratios take column means of the whole draws x
+directions matrix |X T^T|: the bitwise references for the row-blocked sums.
+The streamed moments draw a trial's whole design, gaussian included, in row
+blocks: the reference the gaussian moment law is tested against.
 """
 
 from __future__ import annotations
@@ -138,6 +138,11 @@ def direction_probability(design: DesignSpec, direction: np.ndarray, u: float, d
     rng = substream(seed, trial, DIRECTIONS_TAG)
     X = design.sample_coords(rng, (draws, design.n))
     return float(np.mean(np.abs(X @ (t / norm)) >= u))
+
+
+def probe_rows(n: int, count: int) -> int:
+    """Number of rows `probe_directions` returns, without drawing them."""
+    return count + n + 2 * min(n * (n - 1) // 2, MAX_PAIRS)
 
 
 def probe_directions_reference(design: DesignSpec, count: int, seed: int) -> tuple[np.ndarray, int]:

@@ -5,8 +5,9 @@ values, and demo 03 when L came to start at 2 max_i G_ii, and again when it
 came to certify its solve by the Frank-Wolfe gap in place of the grid
 oracle, and demo 04 when alpha* came to bisect to 1% like beta* and k*,
 demo 06 when the version-space probes came to be projections of gaussians
-and of the canonical vectors, and demo 08 when it came to print the exact
-deviation probability): the demos are deterministic, and their output is the library's
+and of the canonical vectors, demo 08 when it came to print the exact
+deviation probability, and demo 04 again when alpha* dropped its
+wilson_marginal flag): the demos are deterministic, and their output is the library's
 behaviour on the paper's examples."""
 
 import os

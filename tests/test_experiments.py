@@ -239,8 +239,9 @@ class TestPersistenceSweep:
 # alpha came to bisect to 1% like beta instead of scanning a ratio-1.1 grid
 # (only alpha_hat and the alpha summary moved); both when the gaussian ERM
 # trials came to draw their moments from the law of (X^T X, X^T w) and the
-# summary gained error_q and slack
-PINNED_VERIFY_MAIN = ("daa733f1425910ab8d1a48172462fe72fe484f547f879a40708866ab135fb468", "18c9fea169ada1616d31aada78bb5d964b065046bc3361c51970f60ed83737e1")
+# summary gained error_q and slack; the JSON again when alpha's estimate
+# dropped the wilson_marginal flag (only the alpha flags moved)
+PINNED_VERIFY_MAIN = ("9968d85f58f87391f61c590744919f7631a9172b7387b48cdd02cc97b1b34ddd", "18c9fea169ada1616d31aada78bb5d964b065046bc3361c51970f60ed83737e1")
 
 
 class TestVerifyMain:

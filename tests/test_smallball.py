@@ -27,10 +27,9 @@ from ermbounds.smallball import (
     moment_ratio_p2,
     paley_zygmund_Q,
     probe_directions,
-    probe_rows,
     verify_empirical_smallball,
 )
-from oracles import count_at_least_reference, direction_probability, l2_l1_ratio_whole, moment_ratio_p2_whole, probe_directions_reference
+from oracles import count_at_least_reference, direction_probability, l2_l1_ratio_whole, moment_ratio_p2_whole, probe_directions_reference, probe_rows
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -39,6 +38,12 @@ class TestEstimateQ:
     def test_zero_threshold_is_one(self):
         (est,) = estimate_Q(DesignSpec("gaussian", 6), [0.0], 500, 10000, seed=1)
         assert est.q_hat == 1.0 and est.stderr == 0.0
+
+    def test_thresholds_echoed_as_floats(self):
+        # each threshold is echoed as the float it is counted against, an
+        # integer one included
+        ests = estimate_Q(DesignSpec("gaussian", 4), [0, 1, 0.5], directions=40, draws=1000, seed=6)
+        assert [(type(est.u), est.u) for est in ests] == [(float, 0.0), (float, 1.0), (float, 0.5)]
 
     @pytest.mark.parametrize("n", [1, 6, 16, 70])
     def test_zero_threshold_counts_probed_rows(self, n):
