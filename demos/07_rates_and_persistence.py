@@ -22,8 +22,8 @@ print(f"  sigma=0, N=256: max(v1, v2) = {max(v1, v2)}, rho_N = {rho_N(inputs):.4
 
 print("\nmeasured sweep (rademacher design, gaussian noise, 20 trials/cell):")
 cfg = SweepConfig(
-    design_kind="rademacher",
-    noise_kind="gaussian",
+    design={"kind": "rademacher"},
+    noise={"kind": "gaussian"},
     n_grid=(64,),
     N_grid=(512, 2048, 8192),
     sigma_grid=(0.5,),

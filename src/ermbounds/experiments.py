@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -63,11 +63,12 @@ def make_t0(shape: str, fraction: float, n: int, R: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    design_kind: str = "rademacher"
-    design_p: float | None = None
-    noise_kind: str = "gaussian"
-    noise_p: float | None = None
-    noise_kappa: float | None = None
+    """A persistence sweep. `design` and `noise` are the keyword arguments of
+    DesignSpec without n and of NoiseSpec without sigma: each cell takes n
+    from n_grid and sigma from sigma_grid."""
+
+    design: dict = field(default_factory=lambda: {"kind": "rademacher"})
+    noise: dict = field(default_factory=lambda: {"kind": "gaussian"})
     n_grid: tuple = (64,)
     N_grid: tuple = (512, 1024)
     R_grid: tuple = (1.0,)
@@ -103,14 +104,6 @@ class SweepConfig:
                 seen[k] = value
 
 
-def _noise_spec(config: SweepConfig, sigma: float) -> NoiseSpec:
-    return NoiseSpec(kind=config.noise_kind, sigma=sigma, p=config.noise_p, kappa=config.noise_kappa)
-
-
-def _design_spec(config: SweepConfig, n: int) -> DesignSpec:
-    return DesignSpec(kind=config.design_kind, n=n, p=config.design_p)
-
-
 def _erm_trials(cls: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, seed: int, trials: int, **solver) -> list[ErmResult]:
     """`solve_erms` results (with the `solver` settings) of trials
     0..trials-1, each solved from `sample_moments`.
@@ -133,7 +126,7 @@ def _cell_errors(config: SweepConfig, n: int, N: int, R: float, sigma: float) ->
     t0 = make_t0(config.t0_shape, config.t0_fraction, n, R)
     cls = ClassSpec(n=n, R=R, t0=t0)
     cell_seed = derive_seed(config.seed, n, N, _seed_key(R), _seed_key(sigma))
-    results = _erm_trials(cls, _design_spec(config, n), _noise_spec(config, sigma), N, cell_seed, config.trials, tol=config.tol, max_iter=config.max_iter)
+    results = _erm_trials(cls, DesignSpec(n=n, **config.design), NoiseSpec(sigma=sigma, **config.noise), N, cell_seed, config.trials, tol=config.tol, max_iter=config.max_iter)
     errors = np.array([float(np.sum((result.t_hat - t0) ** 2)) for result in results])
     failures = sum(not result.converged for result in results)
     return errors, failures
@@ -143,8 +136,9 @@ def run_persistence_sweep(config: SweepConfig) -> Report:
     """Compare ERM squared error against the two rate predictions, cell by cell.
 
     Emits long-format rows (one per cell statistic), a fitted constant for
-    error <= c * max(v1, v2) from the 0.9 quantiles, and log-log slopes of
-    the median error in N within each (n, R, sigma, v2-branch) regime.
+    error <= c * max(v1, v2) from the 0.9 quantiles, log-log slopes of
+    the median error in N within each (n, R, sigma, v2-branch) regime, and
+    `passed`: no cell flagged for solver failures.
     """
     report = Report(kind="persistence", config=asdict(config), columns=SWEEP_COLUMNS)
     cells = []
@@ -177,7 +171,7 @@ def run_persistence_sweep(config: SweepConfig) -> Report:
                     }
                     cells.append(cell)
                     for stat in ("median_err2", "q90_err2", "rho_N", "v1", "v2", "v_max", "solver_failures", "flagged"):
-                        report.add_row(design=config.design_kind, noise=config.noise_kind, n=n, N=N, R=R, sigma=sigma, trials=config.trials, statistic=stat, value=cell[stat])
+                        report.add_row(design=config.design["kind"], noise=config.noise["kind"], n=n, N=N, R=R, sigma=sigma, trials=config.trials, statistic=stat, value=cell[stat])
 
     fitted = [c["q90_err2"] / c["v_max"] for c in cells if c["v_max"] > 0]
     c_fit = float(max(fitted)) if fitted else 0.0
@@ -193,7 +187,7 @@ def run_persistence_sweep(config: SweepConfig) -> Report:
             slope = float(np.polyfit(xs, ys, 1)[0])
             name = f"n={key[0]},R={key[1]:g},sigma={key[2]:g},branch2={int(key[3])}"
             slopes[name] = slope
-    report.summary = {"c_fit": c_fit, "slopes": slopes}
+    report.summary = {"c_fit": c_fit, "slopes": slopes, "passed": not any(c["flagged"] for c in cells)}
     return report
 
 

@@ -111,6 +111,8 @@ def _z_batch(class_spec: ClassSpec, design: DesignSpec, N: int, trials: int, see
     Every design reads $ERMBOUNDS_WORKERS before it draws, so a bad value
     fails here even where the law path starts no threads.
     """
+    if design.n != class_spec.n:
+        raise ValueError("design dimension does not match the class dimension")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if N < 1:
@@ -159,8 +161,8 @@ def _fixed_point(class_spec: ClassSpec, design: DesignSpec, N: int, gamma: float
     r = hi. It is flagged at_lower_bracket when holds at 1e-8 r_hi, and
     not_satisfied_within_upper, with lo = hi = r_hi, when not at r_hi.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
     if class_spec.R == 0.0:
         return FixedPointEstimate(0.0, (0.0, 0.0), trials, 0.0, kind, ("degenerate_class",))
     r_hi = 2.0 * class_spec.R * math.sqrt(class_spec.n)

@@ -181,8 +181,8 @@ def estimate_Q(design: DesignSpec, u, directions: int, draws: int, seed: int) ->
     us = np.asarray(u, dtype=np.float64)
     if us.ndim != 1:
         raise ValueError("u must be a 1-D sequence of thresholds")
-    if np.any(us < 0):
-        raise ValueError("u must be nonnegative")
+    if not np.all(us >= 0):  # NaN fails this too
+        raise ValueError("u must be nonnegative, not NaN")
     _check_probe_sizes(directions, draws)
     thresholds = list(u)
     X, T = _probe_draws(design, directions, draws, seed, 0)

@@ -64,6 +64,9 @@ def max_steps_l1(t0: np.ndarray, U: np.ndarray, R: float) -> np.ndarray:
     checked against the float predicate ||t0 + s*u||_1 <= R and a failing
     row steps down (one ulp, then doubling) until it passes, so the returned
     points stay inside the ball.
+
+    The temporaries are m x |supp(t0)| arrays for the m rows of U, which
+    `version_diameter` hands over PROBE_BLOCK at a time.
     """
     t0 = np.asarray(t0, dtype=np.float64)
     U = np.asarray(U, dtype=np.float64)
@@ -72,36 +75,31 @@ def max_steps_l1(t0: np.ndarray, U: np.ndarray, R: float) -> np.ndarray:
     t_s = t0[support]
     norm_t0 = float(np.abs(t0).sum())
     norm_u = np.abs(U).sum(axis=1)
-    steps = np.empty(U.shape[0])
-    # row blocks keep the m x |supp(t0)| temporaries within one m x n array
-    block = max(1, U.size // (8 * max(support.size, 1)))
-    for lo in range(0, U.shape[0], block):
-        rows = slice(lo, lo + block)
-        u_s = U[rows, support]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            b = -t_s / u_s
-        turning = (b > 0.0) & np.isfinite(b)
-        b = np.where(turning, b, np.inf)
-        order = np.argsort(b, axis=1)
-        b = np.take_along_axis(b, order, axis=1)
-        w_u = np.take_along_axis(np.where(turning, np.abs(u_s), 0.0), order, axis=1)
-        w_t = np.take_along_axis(np.where(turning, np.abs(t_s), 0.0), order, axis=1)
-        # on segment j (past the first j breakpoints) f(s) = intercept_j + slope_j*s
-        zero = np.zeros((b.shape[0], 1))
-        cu = np.hstack([zero, np.cumsum(w_u, axis=1)])
-        slope = (norm_u[rows, None] - 2.0 * cu[:, -1:]) + 2.0 * cu
-        intercept = norm_t0 - 2.0 * np.hstack([zero, np.cumsum(w_t, axis=1)])
-        finite = np.isfinite(b)
-        inside = finite & (intercept[:, :-1] + slope[:, :-1] * np.where(finite, b, 0.0) <= R)
-        seg = np.logical_and.accumulate(inside, axis=1).sum(axis=1)[:, None]
-        edges = np.hstack([zero, b, np.full_like(zero, np.inf)])
-        a_j = np.take_along_axis(intercept, seg, axis=1)[:, 0]
-        b_j = np.take_along_axis(slope, seg, axis=1)[:, 0]
-        left = np.take_along_axis(edges, seg, axis=1)[:, 0]
-        right = np.take_along_axis(edges, seg + 1, axis=1)[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(b_j > 0.0, (R - a_j) / b_j, np.inf)
-        steps[rows] = np.minimum(np.clip(s, left, right), cap)
+    u_s = U[:, support]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = -t_s / u_s
+    turning = (b > 0.0) & np.isfinite(b)
+    b = np.where(turning, b, np.inf)
+    order = np.argsort(b, axis=1)
+    b = np.take_along_axis(b, order, axis=1)
+    w_u = np.take_along_axis(np.where(turning, np.abs(u_s), 0.0), order, axis=1)
+    w_t = np.take_along_axis(np.where(turning, np.abs(t_s), 0.0), order, axis=1)
+    # on segment j (past the first j breakpoints) f(s) = intercept_j + slope_j*s
+    zero = np.zeros((b.shape[0], 1))
+    cu = np.hstack([zero, np.cumsum(w_u, axis=1)])
+    slope = (norm_u[:, None] - 2.0 * cu[:, -1:]) + 2.0 * cu
+    intercept = norm_t0 - 2.0 * np.hstack([zero, np.cumsum(w_t, axis=1)])
+    finite = np.isfinite(b)
+    inside = finite & (intercept[:, :-1] + slope[:, :-1] * np.where(finite, b, 0.0) <= R)
+    seg = np.logical_and.accumulate(inside, axis=1).sum(axis=1)[:, None]
+    edges = np.hstack([zero, b, np.full_like(zero, np.inf)])
+    a_j = np.take_along_axis(intercept, seg, axis=1)[:, 0]
+    b_j = np.take_along_axis(slope, seg, axis=1)[:, 0]
+    left = np.take_along_axis(edges, seg, axis=1)[:, 0]
+    right = np.take_along_axis(edges, seg + 1, axis=1)[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(b_j > 0.0, (R - a_j) / b_j, np.inf)
+    steps = np.minimum(np.clip(s, left, right), cap)
     stride = np.spacing(steps)
     bad = np.flatnonzero(np.abs(t0 + steps[:, None] * U).sum(axis=1) > R)
     while bad.size:

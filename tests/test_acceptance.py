@@ -103,8 +103,8 @@ def test_criterion_3_counterexample():
 def test_criterion_4_noise_free_collapse():
     start = time.time()
     cfg = SweepConfig(
-        design_kind="rademacher",
-        noise_kind="zero",
+        design={"kind": "rademacher"},
+        noise={"kind": "zero"},
         n_grid=(64,),
         N_grid=(128, 256),
         sigma_grid=(0.0,),
@@ -132,8 +132,8 @@ def test_criterion_5_high_noise_slope():
     start = time.time()
     Ns = (512, 1024, 2048, 4096, 8192, 16384)
     cfg = SweepConfig(
-        design_kind="rademacher",
-        noise_kind="gaussian",
+        design={"kind": "rademacher"},
+        noise={"kind": "gaussian"},
         n_grid=(64,),
         N_grid=Ns,
         sigma_grid=(0.5,),
@@ -147,8 +147,8 @@ def test_criterion_5_high_noise_slope():
     slope = fit_loglog_slope(list(Ns), [medians[N] for N in Ns])
 
     cfg2 = SweepConfig(
-        design_kind="rademacher",
-        noise_kind="gaussian",
+        design={"kind": "rademacher"},
+        noise={"kind": "gaussian"},
         n_grid=(64,),
         N_grid=(8192, 16384),
         sigma_grid=(1.0,),
@@ -284,7 +284,7 @@ def test_criterion_10_determinism_across_worker_counts(monkeypatch):
         chunks = []
         rep = run_counterexample(100, 5000, seed=SEED)
         chunks.append(rep.to_csv() + rep.to_json())
-        sweep = SweepConfig(design_kind="gaussian", noise_kind="gaussian", n_grid=(8,), N_grid=(32, 64), sigma_grid=(0.5,), trials=20, seed=SEED, t0_shape="zero", t0_fraction=0.0)
+        sweep = SweepConfig(design={"kind": "gaussian"}, noise={"kind": "gaussian"}, n_grid=(8,), N_grid=(32, 64), sigma_grid=(0.5,), trials=20, seed=SEED, t0_shape="zero", t0_fraction=0.0)
         rep = run_persistence_sweep(sweep)
         chunks.append(rep.to_csv() + rep.to_json())
         vm = MainTheoremConfig(design=DesignSpec("gaussian", 8), noise=NoiseSpec("gaussian", sigma=0.5), N=64, delta=0.2, trials=30, alpha_trials=1000, beta_trials=50, tau_directions=50, tau_draws=2000, seed=SEED)

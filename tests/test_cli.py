@@ -12,7 +12,8 @@ import pytest
 
 from ermbounds import fixed_points, reports
 from ermbounds.cli import _NULLABLE, SUBCOMMANDS, build_parser, resolve_config, run
-from ermbounds.distributions import NOISE_KINDS
+from ermbounds.distributions import NOISE_KINDS, DesignSpec, NoiseSpec
+from ermbounds.experiments import SweepConfig
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -453,8 +454,10 @@ def test_verify_counts_checks_inputs_before_estimating_q(setting, message, tmp_p
         ("counterexample", ["--N", "100", "--trials", "2000"]),
         ("erm", ["--n", "8", "--N", "40"]),
         # every subcommand and smallball action at the golden runs' sizes; the
-        # two added last keep the earlier cases' ids
+        # cases added last keep the earlier cases' ids
         *((_GOLDEN_RUNS[name][0], _GOLDEN_RUNS[name][1:]) for name in [*sorted(set(_GOLDEN_RUNS) - {"persistence", "verify-main"}), "persistence", "verify-main"]),
+        # a sweep echoes the design and noise objects as set, null sub-keys included
+        ("persistence", ["--set", "n_grid=[8]", "--set", "N_grid=[32]", "--set", "noise.kind=bounded_symmetric", "--set", "noise.kappa=2", "--set", "design.p=null"]),
     ],
 )
 def test_echoed_config_reproduces_the_report(sub, extra, tmp_path):
@@ -717,17 +720,15 @@ def test_object_override_merges_like_a_config_file(tmp_path):
 
 
 def test_persistence_defaults_are_the_sweep_config_fields():
-    from dataclasses import fields
-
-    from ermbounds.experiments import SweepConfig
-
     defaults = SUBCOMMANDS["persistence"].defaults
-    flat = {f"{part}_{name}": value for part in ("design", "noise") for name, value in defaults[part].items()}
-    flat.update((key, tuple(value) if isinstance(value, list) else value) for key, value in defaults.items() if key not in ("design", "noise"))
-    assert SweepConfig(**flat) == SweepConfig()
-    # every field but seed is a key; the None ones are the nullable sub-keys
-    keys = set(flat) | {f"{part}_{name}" for part in ("design", "noise") for name in _NULLABLE[part]}
-    assert keys == {f.name for f in fields(SweepConfig)} - {"seed"}
+    assert SweepConfig(**{key: tuple(value) if isinstance(value, list) else value for key, value in defaults.items()}) == SweepConfig()
+    # every field but seed is a key
+    assert set(defaults) == {f.name for f in dataclasses.fields(SweepConfig)} - {"seed"}
+    # "design" and "noise" take every DesignSpec keyword but n and every
+    # NoiseSpec keyword but sigma, which come from n_grid and sigma_grid;
+    # the None ones are the nullable sub-keys
+    assert set(defaults["design"]) | set(_NULLABLE["design"]) == {f.name for f in dataclasses.fields(DesignSpec)} - {"n"}
+    assert set(defaults["noise"]) | set(_NULLABLE["noise"]) == {f.name for f in dataclasses.fields(NoiseSpec)} - {"sigma"}
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])

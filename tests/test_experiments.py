@@ -90,7 +90,7 @@ PINNED_ONE_BLOCK_DIGEST = "c500514759a7fee04c3ddd827b62d6d91e29a1c9d89d86ba9195e
 
 class TestPersistenceSweep:
     def test_noise_monotonicity(self):
-        cfg = SweepConfig(design_kind="rademacher", noise_kind="gaussian", n_grid=(16,), N_grid=(64,), sigma_grid=(0.1, 0.5, 1.0), trials=20, seed=5, t0_shape="zero", t0_fraction=0.0)
+        cfg = SweepConfig(design={"kind": "rademacher"}, noise={"kind": "gaussian"}, n_grid=(16,), N_grid=(64,), sigma_grid=(0.1, 0.5, 1.0), trials=20, seed=5, t0_shape="zero", t0_fraction=0.0)
         rep = run_persistence_sweep(cfg)
         meds = [r["value"] for r in rep.rows if r["statistic"] == "median_err2"]
         assert all(a <= b for a, b in zip(meds, meds[1:]))
@@ -99,7 +99,7 @@ class TestPersistenceSweep:
     def test_regime_separation(self):
         # straddling the branch threshold N = n^2 sigma^2 / R^2 = 4096 the
         # fitted slope must move by at least 0.3 between branches
-        cfg = SweepConfig(design_kind="rademacher", noise_kind="gaussian", n_grid=(64,), N_grid=(256, 512, 1024, 2048, 4096, 8192, 16384), sigma_grid=(1.0,), trials=20, seed=11, t0_shape="zero", t0_fraction=0.0)
+        cfg = SweepConfig(design={"kind": "rademacher"}, noise={"kind": "gaussian"}, n_grid=(64,), N_grid=(256, 512, 1024, 2048, 4096, 8192, 16384), sigma_grid=(1.0,), trials=20, seed=11, t0_shape="zero", t0_fraction=0.0)
         rep = run_persistence_sweep(cfg)
         slopes = rep.summary["slopes"]
         s1 = slopes["n=64,R=1,sigma=1,branch2=0"]
@@ -107,7 +107,7 @@ class TestPersistenceSweep:
         assert abs(s2 - s1) >= 0.3
 
     def test_worker_count_never_changes_bytes(self, monkeypatch):
-        cfg = SweepConfig(design_kind="gaussian", noise_kind="gaussian", n_grid=(8,), N_grid=(32, 64), sigma_grid=(0.5,), trials=20, seed=9, t0_shape="spike", t0_fraction=0.5)
+        cfg = SweepConfig(design={"kind": "gaussian"}, noise={"kind": "gaussian"}, n_grid=(8,), N_grid=(32, 64), sigma_grid=(0.5,), trials=20, seed=9, t0_shape="spike", t0_fraction=0.5)
         monkeypatch.setenv("ERMBOUNDS_WORKERS", "1")
         rep1 = run_persistence_sweep(cfg)
         monkeypatch.setenv("ERMBOUNDS_WORKERS", "4")
@@ -121,7 +121,7 @@ class TestPersistenceSweep:
         # the trial threads interleave
         n = 64
         big = 2 * (distributions._MOMENT_BLOCK // n) + 101
-        cfg = SweepConfig(design_kind="bounded_uniform", noise_kind="gaussian", n_grid=(n,), N_grid=(256, big), sigma_grid=(0.5,), trials=20, seed=13, t0_shape="spike", t0_fraction=0.5)
+        cfg = SweepConfig(design={"kind": "bounded_uniform"}, noise={"kind": "gaussian"}, n_grid=(n,), N_grid=(256, big), sigma_grid=(0.5,), trials=20, seed=13, t0_shape="spike", t0_fraction=0.5)
         monkeypatch.setenv("ERMBOUNDS_WORKERS", "1")
         serial = run_persistence_sweep(cfg)
         threaded = []
@@ -143,7 +143,7 @@ class TestPersistenceSweep:
         # solved from the whole sample, and re-recorded when FISTA came to take
         # one matvec per step and cells came to be keyed on the float64 bits
         # of their grid values, and again when L came to start at 2 max_i G_ii
-        cfg = SweepConfig(design_kind="rademacher", noise_kind="gaussian", n_grid=(16,), N_grid=(64, 128), sigma_grid=(0.5,), trials=20, seed=9, t0_shape="spike", t0_fraction=0.5)
+        cfg = SweepConfig(design={"kind": "rademacher"}, noise={"kind": "gaussian"}, n_grid=(16,), N_grid=(64, 128), sigma_grid=(0.5,), trials=20, seed=9, t0_shape="spike", t0_fraction=0.5)
         digest = hashlib.sha256(run_persistence_sweep(cfg).to_csv().encode()).hexdigest()
         assert digest == PINNED_ONE_BLOCK_DIGEST
 
@@ -161,7 +161,7 @@ class TestPersistenceSweep:
         # 20 trials at n = 8 are one stacked solve; a budget of 3 G's splits
         # them into 7 batches, run here on more threads than cores with a
         # 1 us switch interval
-        cfg = SweepConfig(design_kind="gaussian", noise_kind="gaussian", n_grid=(8,), N_grid=(6, 64), sigma_grid=(0.5,), trials=20, seed=9, t0_shape="spike", t0_fraction=0.5)
+        cfg = SweepConfig(design={"kind": "gaussian"}, noise={"kind": "gaussian"}, n_grid=(8,), N_grid=(6, 64), sigma_grid=(0.5,), trials=20, seed=9, t0_shape="spike", t0_fraction=0.5)
         monkeypatch.setenv("ERMBOUNDS_WORKERS", "1")
         whole = run_persistence_sweep(cfg)
         monkeypatch.setattr(experiments, "_ERM_BATCH", 3 * 8 * 8)
@@ -216,16 +216,17 @@ class TestPersistenceSweep:
         assert cfg.R_grid == (1.0, 1.0 + 2**-20)
 
     def test_seed_changes_results(self):
-        base = dict(design_kind="gaussian", noise_kind="gaussian", n_grid=(8,), N_grid=(32,), sigma_grid=(0.5,), trials=20, t0_shape="zero", t0_fraction=0.0)
+        base = dict(design={"kind": "gaussian"}, noise={"kind": "gaussian"}, n_grid=(8,), N_grid=(32,), sigma_grid=(0.5,), trials=20, t0_shape="zero", t0_fraction=0.0)
         rep1 = run_persistence_sweep(SweepConfig(**base, seed=1))
         rep2 = run_persistence_sweep(SweepConfig(**base, seed=2))
         assert rep1.to_csv() != rep2.to_csv()
 
     def test_solver_failure_flagging(self):
-        cfg = SweepConfig(design_kind="gaussian", noise_kind="gaussian", n_grid=(8,), N_grid=(32,), sigma_grid=(0.5,), trials=20, seed=5, tol=1e-15, max_iter=2, t0_shape="zero", t0_fraction=0.0)
+        cfg = SweepConfig(design={"kind": "gaussian"}, noise={"kind": "gaussian"}, n_grid=(8,), N_grid=(32,), sigma_grid=(0.5,), trials=20, seed=5, tol=1e-15, max_iter=2, t0_shape="zero", t0_fraction=0.0)
         rep = run_persistence_sweep(cfg)
         flagged = [r["value"] for r in rep.rows if r["statistic"] == "flagged"]
         assert flagged == [True]
+        assert rep.summary["passed"] is False
 
 
 # sha256 of verify_main_theorem's JSON and CSV at the CLI defaults (gaussian

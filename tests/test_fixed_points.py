@@ -308,6 +308,30 @@ class TestAlphaStar:
         assert np.allclose(phi3, 3.0 * support_l1l2_batch(SupportRows(Z1), 2.0, 0.7), rtol=1e-12, atol=0.0)
 
 
+class TestInputChecks:
+    @staticmethod
+    def estimates(cls, design, gamma):
+        noise = NoiseSpec("gaussian", sigma=0.5)
+        return (
+            lambda: alpha_star(cls, design, noise, 32, gamma=gamma, delta=0.1, trials=500, seed=0),
+            lambda: beta_star(cls, design, 32, gamma=gamma, trials=20, seed=0),
+            lambda: k_star(cls, design, 32, gamma=gamma, trials=20, seed=0),
+        )
+
+    @pytest.mark.parametrize("design", [DesignSpec("gaussian", 16), DesignSpec("student_t", 16, p=4.0), DesignSpec("rademacher", 16)], ids=["gaussian", "student_t", "rademacher"])
+    def test_design_of_another_dimension_rejected(self, design):
+        # the law paths take n from the class, so they would run at n = 8
+        for estimate in self.estimates(cls_zero(8), design, 0.1):
+            with pytest.raises(ValueError, match="design dimension does not match the class dimension"):
+                estimate()
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0, -1.0])
+    def test_level_outside_the_positive_reals_rejected(self, gamma):
+        for estimate in self.estimates(cls_zero(4), DesignSpec("rademacher", 4), gamma):
+            with pytest.raises(ValueError, match="gamma must be positive and finite"):
+                estimate()
+
+
 def _search_case(fixed_point, n, kind, noise, gamma, delta, N, trials, seed, flags):
     return pytest.param(fixed_point, n, kind, noise, gamma, delta, N, trials, seed, flags, id=f"{fixed_point}-{kind}-n{n}-seed{seed}")
 

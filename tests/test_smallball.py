@@ -137,6 +137,15 @@ class TestEstimateQGrid:
         with pytest.raises(ValueError):
             estimate_Q(DesignSpec("gaussian", 4), np.array([0.5, -0.1, 1.0]), 500, draws=1000, seed=0)
 
+    def test_nan_entry_rejected(self):
+        with pytest.raises(ValueError, match="u must be nonnegative, not NaN"):
+            estimate_Q(DesignSpec("gaussian", 4), [0.5, math.nan], 500, draws=1000, seed=0)
+
+    def test_infinite_threshold_is_zero(self):
+        # no finite |<X, t>| reaches an infinite threshold
+        (est,) = estimate_Q(DesignSpec("gaussian", 4), [math.inf], 50, draws=1000, seed=0)
+        assert (est.u, est.q_hat) == (math.inf, 0.0)
+
     def test_two_dimensional_grid_rejected(self):
         with pytest.raises(ValueError):
             estimate_Q(DesignSpec("gaussian", 4), np.ones((2, 2)), 500, draws=1000, seed=0)
