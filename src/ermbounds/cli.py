@@ -9,7 +9,8 @@ echoed into the report: passed back as `--config`, it reproduces the report.
 
 Each subcommand is one entry of `SUBCOMMANDS`: its help line, its config
 defaults and its handler. The `persistence` and `verify-main` defaults are
-the field defaults of `SweepConfig` and `MainTheoremConfig`.
+the field defaults of `SweepConfig` and `MainTheoremConfig`, which their
+handlers build from the resolved config as it stands.
 
 The number of threads running trials is no config key: it never changes a
 result, so it is a process setting, which `rng` reads from the environment.
@@ -69,8 +70,8 @@ def _nullable_types(cls) -> dict:
 
 # key whose default is None -> the type of its other values, nested like a
 # subcommand's defaults: the "design" and "noise" sub-keys p and kappa, and
-# verify-main's alpha_trials and gamma_override. Unknown keys are rejected
-# before types are checked, so one map serves every subcommand.
+# verify-main's alpha_trials and gamma_override. A top-level key is known only
+# from a subcommand's defaults, so one map serves every subcommand.
 _NULLABLE = {"design": _nullable_types(DesignSpec), "noise": _nullable_types(NoiseSpec), **_nullable_types(MainTheoremConfig)}
 
 
@@ -109,8 +110,8 @@ def _parse_override(text: str):
     return key.strip(), value
 
 
-def _apply_dotted(config: dict, key: str, value) -> None:
-    parts = key.split(".")
+def _apply(config: dict, parts: list, value) -> None:
+    """Set the key at the path `parts`, making objects along the way."""
     node = config
     for part in parts[:-1]:
         if part not in node or not isinstance(node[part], dict):
@@ -123,27 +124,16 @@ def _apply_dotted(config: dict, key: str, value) -> None:
         node[parts[-1]] = value
 
 
-def _known_key(defaults: dict, key: str) -> bool:
-    # every report echoes its seed in its config, so a config may set one
-    return key in defaults or key == "seed"
+def _check(config: dict, defaults: dict, nullable: dict, prefix: str) -> None:
+    """Reject an unknown key, a value whose JSON type does not match its
+    key's default, or, for a key whose default is None, is neither null nor
+    of its `nullable` type, and a number that is NaN or infinite.
 
-
-def _validate_keys(config: dict, sub: Subcommand) -> None:
+    A key is known if it has a default, if it is a nullable sub-key of an
+    object, or if it is the top-level seed, which every report echoes."""
     for key, value in config.items():
-        if not _known_key(sub.defaults, key):
-            raise ConfigError(f"unknown config key {key!r}")
-        default = sub.defaults.get(key)
-        if isinstance(default, dict) and isinstance(value, dict):
-            for name in value:
-                if name not in default and name not in _NULLABLE[key]:
-                    raise ConfigError(f"unknown config key {key + '.' + name!r}")
-
-
-def _check_types(config: dict, defaults: dict, nullable: dict, prefix: str = "") -> None:
-    """Reject a value whose JSON type does not match its key's default, or,
-    for a key whose default is None, is neither null nor of its `nullable`
-    type, and a number that is NaN or infinite."""
-    for key, value in config.items():
+        if not (key in defaults or (key in nullable if prefix else key == "seed")):
+            raise ConfigError(f"unknown config key {prefix + key!r}")
         default = defaults.get(key)
         if default is not None:
             kind, alternative = type(default), ""
@@ -156,7 +146,7 @@ def _check_types(config: dict, defaults: dict, nullable: dict, prefix: str = "")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"config key {prefix + key!r} must be a finite number, got {value!r}")
         if kind is dict:
-            _check_types(value, default, nullable.get(key, {}), prefix + key + ".")
+            _check(value, default, nullable.get(key, {}), prefix + key + ".")
 
 
 def resolve_config(subcommand: str, config_path, overrides, flag_values: dict) -> dict:
@@ -172,19 +162,15 @@ def resolve_config(subcommand: str, config_path, overrides, flag_values: dict) -
             raise ConfigError(f"config file {config_path} is not valid JSON: line {exc.lineno}, {exc.msg}")
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {config_path} must hold a JSON object")
-        _validate_keys(loaded, sub)
         for key, value in loaded.items():
-            _apply_dotted(config, key, value)
+            _apply(config, [key], value)
     for key, value in flag_values.items():
         if value is not None:
-            _apply_dotted(config, sub.routes.get(key, key), value)
+            _apply(config, sub.routes.get(key, key).split("."), value)
     for text in overrides or ():
         key, value = _parse_override(text)
-        if not _known_key(sub.defaults, key.split(".")[0]):
-            raise ConfigError(f"unknown config key {key!r}")
-        _apply_dotted(config, key, value)
-        _validate_keys(config, sub)
-    _check_types(config, sub.defaults, _NULLABLE)
+        _apply(config, key.split("."), value)
+    _check(config, sub.defaults, _NULLABLE, "")
     seed = config.get("seed", DEFAULT_SEED)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
@@ -216,7 +202,7 @@ def _stats_result(kind: str, config: dict, stats: dict, summary: dict, line: str
 
 
 def _rates(config: dict) -> tuple[Report, str, bool]:
-    inputs = RateInputs(**{key: config[key] for key in ("N", "n", "R", "sigma", "c1", "c2", "c3")})
+    inputs = RateInputs(**{key: value for key, value in config.items() if key != "seed"})
     rho = rho_N(inputs)
     v1, v2, expo = v1_v2(inputs)
     stats = {"rho_N": rho, "v1": v1, "v2": v2, "v_max": max(v1, v2), "probability_exponent": expo}
@@ -298,17 +284,15 @@ def _version_space(config: dict) -> tuple[Report, str, bool]:
 
 
 def _persistence(config: dict) -> tuple[Report, str, bool]:
-    report = run_persistence_sweep(SweepConfig(**{key: tuple(value) if isinstance(value, list) else value for key, value in config.items()}))
+    report = run_persistence_sweep(SweepConfig(**config))
     s = report.summary
     flags = [r["value"] for r in report.rows if r["statistic"] == "flagged"]  # one row per cell
     return report, f"cells={len(flags)} c_fit={s['c_fit']:.6g} flagged_cells={sum(flags)}", s["passed"]
 
 
 def _verify_main(config: dict) -> tuple[Report, str, bool]:
-    keys = {key: value for key, value in config.items() if key not in ("design", "noise", "n")}
-    report = verify_main_theorem(MainTheoremConfig(design=_design_from(config), noise=_noise_from(config), **keys))
+    report = verify_main_theorem(MainTheoremConfig(**config))
     s = report.summary
-    report.config = config
     return report, f"frequency={s['frequency']:.6g} criterion={s['criterion']:.6g} bound={s['bound']:.6g}", bool(s["passed"])
 
 
@@ -319,10 +303,10 @@ SUBCOMMANDS = {
     "kstar": Subcommand("localized Rademacher fixed point (quadratic normalization)", {"design": _DESIGN_DEFAULT, "n": 16, "N": 128, "R": 1.0, "gamma": 0.05, "trials": 200}, _fixed_point("kstar")),
     "smallball": Subcommand("small-ball probability estimation and diagnostics", {"design": _DESIGN_DEFAULT, "n": 16, "action": "estimate_q", "u": 0.5, "p": 4.0, "directions": 500, "draws": 10000, "tau": 0.5, "r": 0.5, "R": 1.0, "N": 256, "trials": 50, "probes": 100}, _smallball),
     "version-space": Subcommand("probe the version-space diameter", {"design": _DESIGN_DEFAULT, "n": 16, "N": 8, "R": 1.0, "t0_shape": "spike", "t0_fraction": 0.5, "probes": 1000}, _version_space),
-    "rates": Subcommand("closed-form rate predictions", {"n": 100, "N": 100, "R": 1.0, "sigma": 0.5, "c1": 1.0, "c2": 1.0, "c3": 1.0}, _rates),
+    "rates": Subcommand("closed-form rate predictions", {"n": 100, "N": 100, "R": 1.0, "sigma": 0.5, **_field_defaults(RateInputs)}, _rates),
     "persistence": Subcommand("persistence-rate sweep comparing errors to predictions", _field_defaults(SweepConfig), _persistence),
     "counterexample": Subcommand("one-sided vs two-sided deviation demonstration", {"N": 100, "trials": 100000}, _counterexample),
-    "verify-main": Subcommand("end-to-end check of the two-fixed-point error bound", {"design": _DESIGN_DEFAULT, "noise": _NOISE_DEFAULT, "n": 32, **_field_defaults(MainTheoremConfig)}, _verify_main, routes={"sigma": "noise.sigma"}),
+    "verify-main": Subcommand("end-to-end check of the two-fixed-point error bound", _field_defaults(MainTheoremConfig), _verify_main, routes={"sigma": "noise.sigma"}),
 }
 
 

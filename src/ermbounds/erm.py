@@ -122,8 +122,8 @@ def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float, max_it
     the same bytes whatever the other rows are. A row leaves the stack when it
     converges; the stack is gathered again only then.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     moments = [_moments_of(m, class_spec) for m in moments]

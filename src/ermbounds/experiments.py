@@ -252,8 +252,13 @@ def run_counterexample(N: int, trials: int, seed: int) -> Report:
 
 @dataclass(frozen=True)
 class MainTheoremConfig:
-    design: DesignSpec
-    noise: NoiseSpec
+    """An end-to-end check of the main theorem. `design` and `noise` are the
+    keyword arguments of DesignSpec without n and of NoiseSpec: the design
+    takes its dimension from n."""
+
+    design: dict = field(default_factory=lambda: {"kind": "gaussian"})
+    noise: dict = field(default_factory=lambda: {"kind": "gaussian", "sigma": 0.5})
+    n: int = 32
     R: float = 1.0
     N: int = 512
     delta: float = 0.1
@@ -287,10 +292,9 @@ def verify_main_theorem(config: MainTheoremConfig) -> Report:
     inside 2*max(alpha_hat, beta_hat). Success requires the frequency to
     reach 1 - delta - 2 exp(-N Q_hat^2 / 2) - 0.05.
     """
-    design, noise = config.design, config.noise
-    n = design.n
-    t0 = make_t0(config.t0_shape, config.t0_fraction, n, config.R)
-    cls = ClassSpec(n=n, R=config.R, t0=t0)
+    design, noise = DesignSpec(n=config.n, **config.design), NoiseSpec(**config.noise)
+    t0 = make_t0(config.t0_shape, config.t0_fraction, config.n, config.R)
+    cls = ClassSpec(n=config.n, R=config.R, t0=t0)
 
     tau_choice = choose_tau(design, directions=config.tau_directions, draws=config.tau_draws, seed=derive_seed(config.seed, _STAGE_TAU))
     q_hat = tau_choice.q_at_2tau

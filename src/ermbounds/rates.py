@@ -33,13 +33,13 @@ class RateInputs:
     def __post_init__(self):
         if self.N < 1 or self.n < 1:
             raise ValueError("N and n must be positive")
-        if self.R <= 0:
-            raise ValueError("R must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 < self.R < math.inf:
+            raise ValueError("R must be finite and positive")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and nonnegative")
         for name in ("c1", "c2", "c3"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 def _clamped_log(arg: float, context: str) -> float:

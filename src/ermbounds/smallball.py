@@ -304,6 +304,8 @@ def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: f
     Whether the sufficient condition r > beta_hat could be certified is
     reported alongside; the count test itself runs either way.
     """
+    if not 0.0 <= q_hat <= 1.0:
+        raise ValueError(f"q_hat must lie in [0, 1], got {q_hat!r}")
     check_count_inputs(class_spec, tau, r, N, trials, probes)
     threshold = N * q_hat / 4.0
     n = design.n

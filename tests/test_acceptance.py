@@ -178,8 +178,7 @@ def test_criterion_6_main_theorem_coverage():
     vacuous = {}
     for kind, p in (("gaussian", None), ("student_t", 4.0)):
         cfg = MainTheoremConfig(
-            design=DesignSpec(kind, 32, p=p),
-            noise=NoiseSpec("gaussian", sigma=0.5),
+            design={"kind": kind, "p": p},
             N=512,
             delta=0.1,
             trials=200,
@@ -287,7 +286,7 @@ def test_criterion_10_determinism_across_worker_counts(monkeypatch):
         sweep = SweepConfig(design={"kind": "gaussian"}, noise={"kind": "gaussian"}, n_grid=(8,), N_grid=(32, 64), sigma_grid=(0.5,), trials=20, seed=SEED, t0_shape="zero", t0_fraction=0.0)
         rep = run_persistence_sweep(sweep)
         chunks.append(rep.to_csv() + rep.to_json())
-        vm = MainTheoremConfig(design=DesignSpec("gaussian", 8), noise=NoiseSpec("gaussian", sigma=0.5), N=64, delta=0.2, trials=30, alpha_trials=1000, beta_trials=50, tau_directions=50, tau_draws=2000, seed=SEED)
+        vm = MainTheoremConfig(n=8, N=64, delta=0.2, trials=30, alpha_trials=1000, beta_trials=50, tau_directions=50, tau_draws=2000, seed=SEED)
         rep = verify_main_theorem(vm)
         chunks.append(rep.to_csv() + rep.to_json())
         (est,) = estimate_Q(DesignSpec("gaussian", 8), [0.5], directions=100, draws=5000, seed=SEED)
@@ -305,7 +304,7 @@ def test_criterion_11_main_theorem_not_vacuous():
     # there (the criterion holds at the lower bracket), so the flags are not
     # required to be empty
     start = time.time()
-    cfg = MainTheoremConfig(design=DesignSpec("gaussian", 32), noise=NoiseSpec("gaussian", sigma=0.5), N=2**19, seed=SEED)
+    cfg = MainTheoremConfig(N=2**19, seed=SEED)
     s = verify_main_theorem(cfg).summary
     ok = not s["bound_vacuous"] and s["passed"] and s["bound"] < 2.0 * cfg.R
     elapsed = time.time() - start

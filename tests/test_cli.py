@@ -13,7 +13,7 @@ import pytest
 from ermbounds import fixed_points, reports
 from ermbounds.cli import _NULLABLE, SUBCOMMANDS, build_parser, resolve_config, run
 from ermbounds.distributions import NOISE_KINDS, DesignSpec, NoiseSpec
-from ermbounds.experiments import SweepConfig
+from ermbounds.experiments import MainTheoremConfig, SweepConfig, verify_main_theorem
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
@@ -86,6 +86,14 @@ class TestConfigHandling:
         proc = run_cli(["rates", "--config", str(cfg)], tmp_path)
         assert proc.returncode == 2
         assert "sigmaa" in proc.stderr
+
+    def test_dotted_key_in_config_file_rejected(self, tmp_path):
+        # a file's keys are never split at dots: its objects are nested
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"design.kind": "rademacher"}))
+        proc = run_cli(["beta", "--config", str(cfg)], tmp_path)
+        assert proc.returncode == 2
+        assert "unknown config key 'design.kind'" in proc.stderr
 
     def test_unknown_override_rejected(self, tmp_path):
         proc = run_cli(["rates", "--set", "bogus=1"], tmp_path)
@@ -471,6 +479,25 @@ def test_echoed_config_reproduces_the_report(sub, extra, tmp_path):
     assert again.read_bytes() == first.read_bytes()
 
 
+def test_library_verify_main_report_replays(tmp_path):
+    # a library report's config, passed to the CLI as --config, gives the same bytes
+    cfg = MainTheoremConfig(design={"kind": "student_t", "p": 5}, noise={"kind": "heavy_tailed", "sigma": 0.5, "p": 3}, n=4, N=64, trials=30, delta=0.2, alpha_trials=1000, beta_trials=30, tau_draws=2000, tau_directions=50, seed=77)
+    report = verify_main_theorem(cfg)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(report.config))
+    out = tmp_path / "vm.json"
+    assert run(["verify-main", "--config", str(config), "--output", str(out)]) in (0, 3)
+    assert out.read_text() == report.to_json()
+
+
+def test_verify_main_defaults_are_the_library_defaults(tmp_path):
+    report = verify_main_theorem(MainTheoremConfig())
+    for fmt, text in (("json", report.to_json()), ("csv", report.to_csv())):
+        out = tmp_path / f"vm.{fmt}"
+        assert run(["verify-main", "--format", fmt, "--output", str(out)]) == 0
+        assert out.read_text() == text
+
+
 def test_seed_precedence(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"seed": 5}))
@@ -554,6 +581,9 @@ def test_erm_iteration_cap_below_one_exits_2(value, tmp_path):
         (["--delta", "0"], "delta"),
         # alpha runs at delta/4 = 0.025, which needs ceil(50/0.025) trials
         (["--set", "alpha_trials=10"], "need at least 2000 trials"),
+        # the design and noise specs are built before any stage
+        (["--set", "design.kind=bogus"], "unknown design kind 'bogus'"),
+        (["--set", "noise.kind=heavy_tailed"], "heavy_tailed noise requires a finite p > 2"),
     ],
 )
 def test_verify_main_bad_config_exits_2_before_any_stage(args, field, tmp_path, capsys, monkeypatch):
@@ -609,6 +639,10 @@ def test_verify_main_bad_config_exits_2_before_any_stage(args, field, tmp_path, 
         (["persistence", "--set", "sigma_grid=[Infinity]"], "sigma_grid entries must be finite numbers, got inf"),
         # a t0 shape is checked even where its fraction makes t0 zero
         (["erm", "--set", "t0_shape=bogus", "--set", "t0_fraction=0"], "unknown t0 shape 'bogus'"),
+        # a nullable key is known only where its subcommand has it; the cases
+        # added last keep the earlier cases' ids
+        (["erm", "--set", "alpha_trials=5"], "unknown config key 'alpha_trials'"),
+        (["rates", "--set", "gamma_override=1"], "unknown config key 'gamma_override'"),
     ],
 )
 def test_bad_config_value_exits_2(args, key, tmp_path, capsys):
@@ -729,6 +763,16 @@ def test_persistence_defaults_are_the_sweep_config_fields():
     # the None ones are the nullable sub-keys
     assert set(defaults["design"]) | set(_NULLABLE["design"]) == {f.name for f in dataclasses.fields(DesignSpec)} - {"n"}
     assert set(defaults["noise"]) | set(_NULLABLE["noise"]) == {f.name for f in dataclasses.fields(NoiseSpec)} - {"sigma"}
+
+
+def test_verify_main_defaults_are_the_main_theorem_config_fields():
+    defaults = SUBCOMMANDS["verify-main"].defaults
+    assert MainTheoremConfig(**defaults) == MainTheoremConfig()
+    assert set(defaults) == {f.name for f in dataclasses.fields(MainTheoremConfig)} - {"seed"}
+    # "design" takes every DesignSpec keyword but n, a top-level key, and
+    # "noise" every NoiseSpec keyword
+    assert set(defaults["design"]) | set(_NULLABLE["design"]) == {f.name for f in dataclasses.fields(DesignSpec)} - {"n"}
+    assert set(defaults["noise"]) | set(_NULLABLE["noise"]) == {f.name for f in dataclasses.fields(NoiseSpec)}
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -101,6 +102,16 @@ class TestSolve:
             solve_erm(sample, cls, tol=1e-9, max_iter=max_iter)
         with pytest.raises(ValueError, match="max_iter"):
             solve_erms([sample.moments()], cls, tol=1e-9, max_iter=max_iter)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf])
+    def test_tolerance_outside_the_positive_reals_rejected(self, tol):
+        # a NaN tol never stopped the solve; an infinite one stopped it after one step
+        cls = ClassSpec(n=3, R=1.0, t0=np.zeros(3))
+        sample = make_sample(cls, DesignSpec("gaussian", 3), NoiseSpec("gaussian", sigma=1.0), 10, seed=1)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            solve_erm(sample, cls, tol=tol, max_iter=10)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            solve_erms([sample.moments()], cls, tol=tol, max_iter=10)
 
     def test_iteration_cap_reported(self):
         cls = ClassSpec(n=8, R=1.0, t0=np.zeros(8))

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from ermbounds import distributions, experiments
-from ermbounds.distributions import DesignSpec, NoiseSpec
 from ermbounds.experiments import MainTheoremConfig, SweepConfig, make_t0, run_counterexample, run_persistence_sweep, verify_main_theorem
 from ermbounds.reports import Report, canonical_json, emit_report, record, wilson_interval
 
@@ -229,20 +228,23 @@ class TestPersistenceSweep:
         assert rep.summary["passed"] is False
 
 
-# sha256 of verify_main_theorem's JSON and CSV at the CLI defaults (gaussian
-# n = 32, sigma = 0.5), recorded at commit d65c029, which solved the ERM
-# trials one at a time, and re-recorded when FISTA came to take one matvec per
-# step with a checked step size and when L came to start at 2 max_i G_ii; the
-# JSON again when the config echo became dataclasses.asdict(config), which
-# writes the design's and noise's unset p and kappa as null (rows and summary
-# unchanged); the JSON again when alpha came to draw gaussian noise's mean
-# square as one chi-square a trial (only the alpha stderr moved); both when
-# alpha came to bisect to 1% like beta instead of scanning a ratio-1.1 grid
-# (only alpha_hat and the alpha summary moved); both when the gaussian ERM
-# trials came to draw their moments from the law of (X^T X, X^T w) and the
-# summary gained error_q and slack; the JSON again when alpha's estimate
-# dropped the wilson_marginal flag (only the alpha flags moved)
-PINNED_VERIFY_MAIN = ("9968d85f58f87391f61c590744919f7631a9172b7387b48cdd02cc97b1b34ddd", "18c9fea169ada1616d31aada78bb5d964b065046bc3361c51970f60ed83737e1")
+# sha256 of verify_main_theorem's JSON and CSV at MainTheoremConfig's
+# defaults, the CLI's (gaussian n = 32, sigma = 0.5), recorded at commit
+# d65c029, which solved the ERM trials one at a time, and re-recorded when
+# FISTA came to take one matvec per step with a checked step size and when L
+# came to start at 2 max_i G_ii; the JSON again when the config echo became
+# dataclasses.asdict(config), which writes the design's and noise's unset p
+# and kappa as null (rows and summary unchanged); the JSON again when alpha
+# came to draw gaussian noise's mean square as one chi-square a trial (only
+# the alpha stderr moved); both when alpha came to bisect to 1% like beta
+# instead of scanning a ratio-1.1 grid (only alpha_hat and the alpha summary
+# moved); both when the gaussian ERM trials came to draw their moments from
+# the law of (X^T X, X^T w) and the summary gained error_q and slack; the JSON
+# again when alpha's estimate dropped the wilson_marginal flag (only the alpha
+# flags moved); the JSON again when the config came to hold design, noise and
+# n as the CLI writes them, so the report is the CLI's byte for byte (only the
+# config moved)
+PINNED_VERIFY_MAIN = ("52b967a11d894df8c3705ebc4c5b638b86d5da6817164493de9d0dffb447c206", "18c9fea169ada1616d31aada78bb5d964b065046bc3361c51970f60ed83737e1")
 
 
 class TestVerifyMain:
@@ -257,20 +259,19 @@ class TestVerifyMain:
         if batch is not None:
             monkeypatch.setattr(experiments, "_ERM_BATCH", batch * 32 * 32)
         monkeypatch.setenv("ERMBOUNDS_WORKERS", str(workers))
-        cfg = MainTheoremConfig(design=DesignSpec("gaussian", 32), noise=NoiseSpec("gaussian", sigma=0.5))
-        rep = verify_main_theorem(cfg)
+        rep = verify_main_theorem(MainTheoremConfig())
         digests = tuple(hashlib.sha256(text.encode()).hexdigest() for text in (rep.to_json(), rep.to_csv()))
         assert digests == PINNED_VERIFY_MAIN
 
     @pytest.mark.parametrize("field, value", [("trials", 0), ("beta_trials", 0), ("N", 0), ("tol", 0.0), ("tol", math.nan), ("tol", math.inf), ("delta", 0.0), ("delta", 1.0), ("delta", math.nan)])
     def test_config_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
-            MainTheoremConfig(design=DesignSpec("gaussian", 4), noise=NoiseSpec("zero"), **{field: value})
+            MainTheoremConfig(n=4, noise={"kind": "zero"}, **{field: value})
 
     def test_alpha_trials_validated(self):
         # alpha runs at delta/4 = 0.025, whose quantile needs ceil(50/0.025) = 2000 trials
         def config(alpha_trials):
-            return MainTheoremConfig(design=DesignSpec("gaussian", 4), noise=NoiseSpec("zero"), alpha_trials=alpha_trials)
+            return MainTheoremConfig(n=4, noise={"kind": "zero"}, alpha_trials=alpha_trials)
 
         with pytest.raises(ValueError, match="need at least 2000 trials to resolve the 0.975 quantile"):
             config(1999)
@@ -279,8 +280,7 @@ class TestVerifyMain:
 
     def test_mini_run_structure(self):
         cfg = MainTheoremConfig(
-            design=DesignSpec("gaussian", 8),
-            noise=NoiseSpec("gaussian", sigma=0.5),
+            n=8,
             N=64,
             delta=0.2,
             trials=30,

@@ -8,6 +8,14 @@ from ermbounds.rates import RateInputs, rho_N, v1_v2
 from oracles import lemma_dsum_bound
 
 
+@pytest.mark.parametrize("field", ["R", "sigma", "c1", "c2", "c3"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_rate_inputs_must_be_finite(field, value):
+    # a NaN c1 sent rho_N down its second branch; a NaN R gave NaN rates
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        RateInputs(**{"N": 100, "n": 100, "R": 1.0, "sigma": 0.5, field: value})
+
+
 class TestRhoN:
     def test_second_branch(self):
         assert rho_N(RateInputs(N=10**6, n=10, R=1.0, sigma=0.0)) == pytest.approx(1e-5, rel=1e-15)

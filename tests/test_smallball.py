@@ -411,6 +411,14 @@ class TestVerifyCounts:
         with pytest.raises(ValueError, match="probes must be nonnegative"):
             verify_empirical_smallball(design, cls, tau=0.5, r=0.5, N=64, trials=6, probes=-1, seed=22, q_hat=0.5)
 
+    @pytest.mark.parametrize("q_hat", [-1.0, 1.5, math.nan])
+    def test_probability_outside_the_unit_interval_rejected(self, q_hat, monkeypatch):
+        # q_hat = -1 gave a negative count threshold and a vacuous pass
+        monkeypatch.setattr(smallball, "sample_design", None)  # fails before any draw
+        design, cls = DesignSpec("gaussian", 4), ClassSpec(n=4, R=1.0, t0=np.zeros(4))
+        with pytest.raises(ValueError, match=r"q_hat must lie in \[0, 1\]"):
+            verify_empirical_smallball(design, cls, tau=0.5, r=0.5, N=64, trials=6, probes=10, seed=22, q_hat=q_hat)
+
     def test_identical_across_workers(self, monkeypatch):
         design, cls = DesignSpec("student_t", 6, p=4.0), ClassSpec(n=6, R=1.0, t0=np.zeros(6))
         reports = []
