@@ -194,6 +194,8 @@ def _accumulate_moments(blocks, N: int, gram_dtype=np.float64) -> Moments:
                 G += Xg.T @ Xg
                 b += X.T @ Y
             c += float(Y @ Y)
+        # the last block goes before the float64 Gram is formed
+        del X, Xg, Y
     return Moments(np.divide(G, N, dtype=np.float64), b / N, c / N, N)
 
 
@@ -222,7 +224,10 @@ def make_sample(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int, s
     return Sample(design=X, responses=Y, seed=seed)
 
 
-_MOMENT_BLOCK = 2**19  # design coordinates sample_moments draws per block
+# design coordinates sample_moments draws per block: a float64 block is
+# 1 MiB, under cli.MALLOC_MMAP_BYTES, so the allocator serves it from its
+# heap instead of mapping it afresh
+_MOMENT_BLOCK = 2**17
 
 
 def sample_moments(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int, seed: int, trial: int = 0) -> Moments:
@@ -233,9 +238,11 @@ def sample_moments(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int
     on (seed, trial). Every other kind draws the noise and the design from
     the same substreams as make_sample. The design is drawn in row blocks of
     about _MOMENT_BLOCK coordinates and summed into (G, b, c) block by block,
-    so a trial holds O(n^2 + _MOMENT_BLOCK) numbers. Successive blocks
-    continue one stream, which for every streamed kind but
-    symmetrized_pareto gives the rows of one sample_coords call;
+    so a trial holds O(n^2 + _MOMENT_BLOCK) numbers: at n = 700, N = 2800,
+    a rademacher trial peaks at 6.1 MiB of arrays, its float32 and float64
+    Grams and one 187-row block, where the whole design would be 15 MiB.
+    Successive blocks continue one stream, which for every streamed kind
+    but symmetrized_pareto gives the rows of one sample_coords call;
     symmetrized_pareto draws a call's magnitudes before its signs, so its
     blocks have the right law but other values. With one block (N * n <=
     _MOMENT_BLOCK) the moments equal `make_sample(...).moments()` bit for

@@ -56,9 +56,37 @@ class ErmResult:
     converged: bool
 
 
+# above this dimension, a row of V whose support S holds fewer than n/2
+# coordinates is multiplied on S alone, in gathers of at most _GATHER_BLOCK
+# numbers of G
+_GATHER_MIN_N = 256
+_GATHER_BLOCK = 2**16
+
+
 def _matvec(G: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Row i is G[i] @ V[i], by the same BLAS call as the 2-d product."""
-    return (G @ V[:, :, None])[:, :, 0]
+    """Row i is G[i] @ V[i] for a stack of symmetric G's.
+
+    Up to n = _GATHER_MIN_N, one BLAS call forms every row, as the 2-d
+    product would. Above it, each row is formed on its own: a row whose
+    support S has |S| < n/2 as G[i][S]^T V[i][S], gathering the rows G[i][S]
+    a block at a time, and any other by the one-row form of the stacked
+    call. The rule reads only n and the row's own support, so a row's bytes
+    never depend on the other rows.
+    """
+    n = V.shape[-1]
+    if n <= _GATHER_MIN_N:
+        return (G @ V[:, :, None])[:, :, 0]
+    out = np.zeros_like(V)
+    step = max(1, _GATHER_BLOCK // n)
+    for i, v in enumerate(V):
+        S = np.flatnonzero(v)
+        if 2 * S.size >= n:
+            out[i] = (G[i : i + 1] @ V[i : i + 1, :, None])[0, :, 0]
+            continue
+        for lo in range(0, S.size, step):
+            s = S[lo : lo + step]
+            out[i] += v[s] @ G[i, s]
+    return out
 
 
 def _rounding_allowance(G: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarray]:
@@ -69,7 +97,12 @@ def _rounding_allowance(G: np.ndarray, R: float) -> tuple[np.ndarray, np.ndarray
     For a PSD G, |G_ij| <= g, and the points have ||.||_2 <= ||.||_1 <= 3R
     (extrapolated points at most 3R, the others R), so each product, the
     recurrence and the dot product err by well under 16 n^2 eps g R ||d||_2.
-    The maximum is exact in any order.
+    The bound on a product holds for any order of its sum: entry i of G t
+    sums at most n rounded terms G_ij t_j, and in any order the result errs
+    by at most about n eps sum_j |G_ij t_j| <= n eps g ||t||_1. A gathered
+    product (see `_matvec`) is one such order: it leaves out the terms with
+    t_j = 0, which are exact zeros, and adds its blocks' partial sums, which
+    is a regrouping of the same terms. The maximum is exact in any order.
     """
     n = G.shape[-1]
     g = np.diagonal(G, axis1=1, axis2=2).max(axis=1)
@@ -118,9 +151,11 @@ def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float, max_it
     risk is the objective at t_hat.
 
     The problems share each step's numpy calls, over a (k, n, n) stack of the
-    G's, but every row does the arithmetic of a lone solve: its result has
-    the same bytes whatever the other rows are. A row leaves the stack when it
-    converges; the stack is gathered again only then.
+    G's (above n = _GATHER_MIN_N, the products are formed row by row, on
+    each point's support; see `_matvec`), but every row does the arithmetic
+    of a lone solve: its result has the same bytes whatever the other rows
+    are. A row leaves the stack when it converges; the stack is gathered
+    again only then.
     """
     if not 0 < tol < math.inf:
         raise ValueError("tol must be finite and positive")
@@ -162,10 +197,12 @@ def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float, max_it
         Gt_new = _matvec(G[r], t_new)
         failed = _breaks_upper_model(t_new - x, Gt_new - Gx, L[r], allowance[r])
         if failed.any():
-            r = np.arange(L.shape[0])[r]
+            stack_rows = np.arange(L.shape[0])[r]
             while failed.any():
-                j = np.flatnonzero(failed)
-                rj = r[j]
+                # once every row fails, r indexes them all: G[r] for a
+                # slice r is a view, where an index array would copy each G
+                j = slice(None) if failed.all() else np.flatnonzero(failed)
+                rj = r if failed.all() else stack_rows[j]
                 L[rj] *= 2.0
                 t_new[j] = project_l1_rows(x[j] - 2.0 * (Gx[j] - b[rj]) / L[rj], R)
                 Gt_new[j] = _matvec(G[rj], t_new[j])

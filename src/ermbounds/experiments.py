@@ -254,7 +254,7 @@ def run_counterexample(N: int, trials: int, seed: int) -> Report:
 class MainTheoremConfig:
     """An end-to-end check of the main theorem. `design` and `noise` are the
     keyword arguments of DesignSpec without n and of NoiseSpec: the design
-    takes its dimension from n."""
+    takes its dimension from n, and the noise must name its sigma."""
 
     design: dict = field(default_factory=lambda: {"kind": "gaussian"})
     noise: dict = field(default_factory=lambda: {"kind": "gaussian", "sigma": 0.5})
@@ -274,6 +274,10 @@ class MainTheoremConfig:
     gamma_override: float | None = None
 
     def __post_init__(self):
+        # NoiseSpec's sigma defaults to 0 and the command line's to 0.5: a
+        # config without one would replay through the CLI as another run
+        if "sigma" not in self.noise:
+            raise ValueError("noise must name sigma")
         for name in ("N", "trials", "beta_trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")

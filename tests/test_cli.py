@@ -783,22 +783,38 @@ def test_persistence_iteration_cap_below_one_exits_2(value, tmp_path, capsys):
     assert not out.exists()
 
 
-class _Mallinfo2(ctypes.Structure):
+_MAPPED_BLOCKS_AFTER_A_RUN = """
+import ctypes, json, sys
+import numpy as np
+from ermbounds.cli import run
+
+class Mallinfo2(ctypes.Structure):
     _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+mallinfo2 = ctypes.CDLL(None).mallinfo2
+mallinfo2.restype = Mallinfo2
+code = run(["rates", "--output", sys.argv[1]])
+big = np.ones(2**20)
+del big
+mapped = mallinfo2().hblks
+block = np.ones(2**19)
+with_block = mallinfo2().hblks
+del block
+print(json.dumps({"code": code, "mapped": mapped, "with_block": with_block, "after": mallinfo2().hblks}))
+"""
 
 
 def test_large_arrays_stay_mapped_after_a_run(tmp_path):
     # glibc would raise its mmap threshold past 4 MiB on freeing the 8 MiB
-    # block and serve the next 4 MiB array from the heap
-    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
-    if mallinfo2 is None:
+    # block and serve the next 4 MiB array from the heap. The check runs in
+    # a fresh interpreter: in this one, heap chunks that earlier tests freed
+    # could serve the block whatever the threshold
+    if getattr(ctypes.CDLL(None), "mallinfo2", None) is None:
         pytest.skip("needs glibc's mallinfo2")
-    mallinfo2.restype = _Mallinfo2
-    assert run(["rates", "--output", str(tmp_path / "r.json")]) == 0
-    big = np.ones(2**20)
-    del big
-    mapped = mallinfo2().hblks
-    block = np.ones(2**19)
-    assert mallinfo2().hblks == mapped + 1
-    del block
-    assert mallinfo2().hblks == mapped
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    proc = subprocess.run([sys.executable, "-c", _MAPPED_BLOCKS_AFTER_A_RUN, str(tmp_path / "r.json")], capture_output=True, text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    blocks = json.loads(proc.stdout.splitlines()[-1])
+    assert blocks["code"] == 0
+    assert blocks["with_block"] == blocks["mapped"] + 1
+    assert blocks["after"] == blocks["mapped"]

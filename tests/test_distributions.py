@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -356,11 +357,26 @@ class TestSampleMoments:
         assert m.c == pytest.approx(c, rel=1e-13, abs=0.0)
 
     def test_one_block_equals_the_sample_bit_for_bit(self):
-        # 350 x 700 coordinates fit one block at the module's budget
-        design, noise, cls = DesignSpec("bounded_uniform", 700), NoiseSpec("gaussian", sigma=0.5), self.cls(700)
-        m = sample_moments(cls, design, noise, 350, seed=31)
-        ref = make_sample(cls, design, noise, 350, seed=31).moments()
+        # the most rows of n = 700 that fit one block at the module's budget
+        n = 700
+        N = distributions._MOMENT_BLOCK // n
+        design, noise, cls = DesignSpec("bounded_uniform", n), NoiseSpec("gaussian", sigma=0.5), self.cls(n)
+        m = sample_moments(cls, design, noise, N, seed=31)
+        ref = make_sample(cls, design, noise, N, seed=31).moments()
         assert np.array_equal(m.G, ref.G) and np.array_equal(m.b, ref.b) and m.c == ref.c
+
+    def test_memory_of_one_trial(self):
+        # one block of the design, the float32 Gram and the float64 one it
+        # becomes (5.6 MiB at n = 700): never the whole 15 MiB design
+        n = 700
+        design, noise, cls = DesignSpec("rademacher", n), NoiseSpec("gaussian", sigma=0.5), self.cls(n)
+        tracemalloc.start()
+        try:
+            sample_moments(cls, design, noise, 2800, seed=43)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * 2**20
 
     def test_rademacher_exact_across_the_module_budget(self, monkeypatch):
         # one whole block at the module's own budget and a partial one

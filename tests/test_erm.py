@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,13 +170,18 @@ class TestStacked:
     # loop the stack replaced, byte for byte
 
     @pytest.mark.parametrize("kind", ["gaussian", "rademacher", "student_t"])
-    @pytest.mark.parametrize("n, N", [(24, 10), (24, 200)], ids=["N<n", "N>n"])
+    @pytest.mark.parametrize("n, N", [(24, 10), (24, 200), (300, 150)], ids=["N<n", "N>n", "gathered"])
     def test_rows_equal_lone_solves(self, kind, n, N):
-        cls, moments = trial_moments(kind, n, N, 12)
+        # above erm._GATHER_MIN_N the products run on each row's support,
+        # which the scalar loop does not reproduce; the rows must still
+        # equal their lone solves
+        cls, moments = trial_moments(kind, n, N, 12 if n <= erm._GATHER_MIN_N else 4)
         stacked = solve_erms(moments, cls, tol=1e-9)
         assert len(stacked) == len(moments)
         for m, result in zip(moments, stacked):
-            assert result_key(result) == result_key(solve_erm(m, cls, tol=1e-9)) == reference_key(m, cls, 1e-9, 100000)
+            assert result_key(result) == result_key(solve_erm(m, cls, tol=1e-9))
+            if n <= erm._GATHER_MIN_N:
+                assert result_key(result) == reference_key(m, cls, 1e-9, 100000)
             assert result.converged
 
     def test_rows_that_restart(self):
@@ -235,6 +241,21 @@ class TestStacked:
         other = sample_moments(ClassSpec(n=5, R=1.0, t0=np.zeros(5)), DesignSpec("gaussian", 5), NoiseSpec("zero"), 8, seed=1)
         with pytest.raises(ValueError, match="dimension"):
             solve_erms([moments[0], other], cls, tol=1e-9)
+
+    def test_lone_solve_allocates_less_than_a_gram(self):
+        # a step that raises L on every row indexes the stack without
+        # copying its G's, and a gathered product holds a few rows of G
+        n = 700
+        cls = ClassSpec(n=n, R=1.0, t0=np.zeros(n))
+        m = sample_moments(cls, DesignSpec("rademacher", n), NoiseSpec("gaussian", sigma=0.5), 350, seed=7)
+        tracemalloc.start()
+        try:
+            (result,) = solve_erms([m], cls, tol=1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert peak < n * n * np.dtype(np.float64).itemsize
 
     def test_lone_solve_reads_g_in_place(self, monkeypatch):
         # the one-problem stack is a view of the caller's G, not a copy
@@ -310,6 +331,27 @@ class TestStep:
             raw += erm._breaks_upper_model(d, Gd, L, np.zeros(1))[0]
             assert not erm._breaks_upper_model(d, Gd, L, erm._rounding_allowance(G[None], 1.0)[1])[0]
         assert raw > 0
+
+    @pytest.mark.parametrize("block", [2**16, 16 * 300], ids=["one_gather", "16_row_gathers"])
+    def test_gathered_product_within_the_rounding_allowance(self, block, monkeypatch):
+        # a row with |S| < n/2 sums the terms G_ij t_j over its support S
+        # alone, in another order than the dense product; a row with a
+        # wider support takes the dense product's bytes
+        monkeypatch.setattr(erm, "_GATHER_BLOCK", block)
+        n = 300
+        cls, (m,) = trial_moments("student_t", n, 150, 1)
+        _, allowance = erm._rounding_allowance(m.G[None], cls.R)
+        rng = np.random.default_rng(3)
+        for size in (1, 40, 149, 150, n):
+            t = np.zeros(n)
+            t[rng.choice(n, size, replace=False)] = rng.standard_normal(size)
+            t *= cls.R / np.abs(t).sum()
+            product = erm._matvec(m.G[None], t[None])[0]
+            dense = (m.G[None] @ t[None, :, None])[0, :, 0]
+            if 2 * size < n:
+                assert np.linalg.norm(product - dense) <= allowance[0]
+            else:
+                assert np.array_equal(product, dense)
 
     def test_one_matvec_per_step(self, monkeypatch):
         # the budget: one product for the start, one per iteration, and one

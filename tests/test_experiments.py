@@ -266,12 +266,19 @@ class TestVerifyMain:
     @pytest.mark.parametrize("field, value", [("trials", 0), ("beta_trials", 0), ("N", 0), ("tol", 0.0), ("tol", math.nan), ("tol", math.inf), ("delta", 0.0), ("delta", 1.0), ("delta", math.nan)])
     def test_config_validated(self, field, value):
         with pytest.raises(ValueError, match=field):
-            MainTheoremConfig(n=4, noise={"kind": "zero"}, **{field: value})
+            MainTheoremConfig(n=4, noise={"kind": "zero", "sigma": 0.0}, **{field: value})
+
+    @pytest.mark.parametrize("kind", ["gaussian", "zero"])
+    def test_noise_must_name_sigma(self, kind):
+        # NoiseSpec would take sigma = 0, and the CLI replaying the report's
+        # config would merge in its own 0.5
+        with pytest.raises(ValueError, match="noise must name sigma"):
+            MainTheoremConfig(noise={"kind": kind})
 
     def test_alpha_trials_validated(self):
         # alpha runs at delta/4 = 0.025, whose quantile needs ceil(50/0.025) = 2000 trials
         def config(alpha_trials):
-            return MainTheoremConfig(n=4, noise={"kind": "zero"}, alpha_trials=alpha_trials)
+            return MainTheoremConfig(n=4, noise={"kind": "zero", "sigma": 0.0}, alpha_trials=alpha_trials)
 
         with pytest.raises(ValueError, match="need at least 2000 trials to resolve the 0.975 quantile"):
             config(1999)
