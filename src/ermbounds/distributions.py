@@ -24,15 +24,21 @@ GAUSSIAN_L21 = 1.3037853169509233
 
 
 def random_signs(rng: np.random.Generator, size) -> np.ndarray:
-    """Fair +-1 values of the given shape, as float64.
+    """Fair +-1 values of the given shape, as float64, 32 to a draw.
 
-    Draws the same values, and uses the same stream, as
-    `rng.integers(0, 2, size=size) * 2.0 - 1.0`: int32 and int64 draws below
-    2**32 take one 32-bit path, and the int32 array is half the size.
+    Draws ceil(count/32) words with `rng.integers(0, 2**32, dtype=np.uint32)`
+    and reads each word's bits least significant first, a 1 as +1 and a 0 as
+    -1. The words of consecutive calls continue one stream of words, so the
+    calls draw the values of one call for all of them when every call but
+    the last takes a multiple of 32 values (the rest of a last word is
+    dropped).
     """
-    signs = rng.integers(0, 2, size=size, dtype=np.int32) * 2.0
+    count = int(np.prod(size))
+    words = rng.integers(0, 2**32, size=-(-count // 32), dtype=np.uint32)
+    bits = np.unpackbits(words.astype("<u4", copy=False).view(np.uint8), count=count, bitorder="little")
+    signs = np.multiply(bits, 2.0)
     signs -= 1.0
-    return signs
+    return signs.reshape(size)
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,7 @@ class Sample:
 
     def moments(self) -> Moments:
         """The sample's moments, summed as one block."""
-        return _accumulate_moments([(self.design, self.responses)], self.N)
+        return _accumulate_moments([(self.design, self.responses)], self.N, np.empty((self.n, self.n)))
 
 
 @dataclass(frozen=True)
@@ -174,29 +180,68 @@ class Moments:
         return self.G.shape[0]
 
 
-def _accumulate_moments(blocks, N: int, gram_dtype=np.float64) -> Moments:
-    """Moments of a sample given as (design rows, responses) blocks, summed in order.
-
-    The Gram X^T X is formed and summed in `gram_dtype` and divided by N in
-    float64. float32 is exact, and so equals float64 bit for bit, for +-1
-    designs with N <= 2**24: every partial sum is then an integer of
-    magnitude at most N.
-    """
-    G = b = None
+def _accumulate_moments(blocks, N: int, G: np.ndarray) -> Moments:
+    """Moments of a sample given as float64 (design rows, responses) blocks,
+    summed in order. The Gram is summed and divided by N in the caller's
+    n x n float64 buffer G, which the result holds."""
+    b = None
     c = 0.0
     # non-finite sums are rejected by Moments, not warned about here
     with np.errstate(invalid="ignore", over="ignore"):
         for X, Y in blocks:
-            Xg = X.astype(gram_dtype, copy=False)
-            if G is None:
-                G, b = Xg.T @ Xg, X.T @ Y
+            if b is None:
+                np.matmul(X.T, X, out=G)
+                b = X.T @ Y
             else:
-                G += Xg.T @ Xg
+                G += X.T @ X
                 b += X.T @ Y
             c += float(Y @ Y)
-        # the last block goes before the float64 Gram is formed
-        del X, Xg, Y
-    return Moments(np.divide(G, N, dtype=np.float64), b / N, c / N, N)
+        G /= N
+    return Moments(G, b / N, c / N, N)
+
+
+def _sign_moments(blocks, N: int, G: np.ndarray, rows: int) -> Moments:
+    """`_accumulate_moments` for +-1 design blocks of `rows` rows (the last
+    may be shorter), with the Gram summed in float32.
+
+    The blocks are copied into a float32 group of as many whole blocks as
+    stay under _GROUP_BYTES, and each group's Gram is one syrk. A +-1 Gram
+    has integer entries of magnitude at most N, so while N <= 2**24 every
+    float32 partial sum is exact and G does not depend on the grouping. The
+    float32 Gram and each group's product sit in the two halves of G's
+    bytes; the Gram is widened into G through one copy.
+    """
+    n = G.shape[0]
+    halves = G.reshape(-1).view(np.float32)
+    gram, product = halves[: n * n].reshape(n, n), halves[n * n :].reshape(n, n)
+    blocks_per_group = max(1, (_GROUP_BYTES - 1) // (4 * rows * n))
+    group = np.empty((min(blocks_per_group * rows, N), n), np.float32)
+    b = None
+    c = 0.0
+    done = 0
+    # non-finite sums are rejected by Moments, not warned about here
+    with np.errstate(invalid="ignore", over="ignore"):
+        for X, Y in blocks:
+            if b is None:
+                b = X.T @ Y
+            else:
+                b += X.T @ Y
+            c += float(Y @ Y)
+            at = done % len(group)
+            group[at : at + len(X)] = X
+            done += len(X)
+            if done % len(group) == 0 or done == N:
+                part = group[: at + len(X)]
+                if done <= len(group):
+                    np.matmul(part.T, part, out=gram)
+                else:
+                    np.matmul(part.T, part, out=product)
+                    gram += product
+            # the next block is drawn while this one would still be held
+            del X, Y
+        del group, part
+        np.divide(gram.copy(), N, out=G, dtype=np.float64)
+    return Moments(G, b / N, c / N, N)
 
 
 def sample_design(spec: DesignSpec, N: int, seed: int, trial: int = 0) -> np.ndarray:
@@ -228,6 +273,9 @@ def make_sample(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int, s
 # 1 MiB, under cli.MALLOC_MMAP_BYTES, so the allocator serves it from its
 # heap instead of mapping it afresh
 _MOMENT_BLOCK = 2**17
+# a rademacher trial's float32 group of design rows stays strictly under
+# this many bytes, cli.MALLOC_MMAP_BYTES, for the same reason
+_GROUP_BYTES = 2**21
 
 
 def sample_moments(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int, seed: int, trial: int = 0) -> Moments:
@@ -238,17 +286,28 @@ def sample_moments(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int
     on (seed, trial). Every other kind draws the noise and the design from
     the same substreams as make_sample. The design is drawn in row blocks of
     about _MOMENT_BLOCK coordinates and summed into (G, b, c) block by block,
-    so a trial holds O(n^2 + _MOMENT_BLOCK) numbers: at n = 700, N = 2800,
-    a rademacher trial peaks at 6.1 MiB of arrays, its float32 and float64
-    Grams and one 187-row block, where the whole design would be 15 MiB.
-    Successive blocks continue one stream, which for every streamed kind
-    but symmetrized_pareto gives the rows of one sample_coords call;
+    so a trial holds O(n^2 + _MOMENT_BLOCK) numbers, where the whole design
+    would be N n. A rademacher design rounds its block down to whole words
+    of signs (a multiple of 32 / gcd(n, 32) rows: 184 at n = 700), and while
+    N <= 2**24 sums its Gram in float32 groups of blocks under _GROUP_BYTES
+    (see `_sign_moments`), which is exact: at n = 700, N = 2800 a trial
+    peaks at 6.9 MiB of arrays, its G, one 736-row float32 group and one
+    block, where the whole design would be 15 MiB. Successive blocks
+    continue one stream, which for every streamed kind but
+    symmetrized_pareto gives the rows of one sample_coords call;
     symmetrized_pareto draws a call's magnitudes before its signs, so its
     blocks have the right law but other values. With one block (N * n <=
     _MOMENT_BLOCK) the moments equal `make_sample(...).moments()` bit for
-    bit; with more, the summation order differs. A rademacher design forms
-    its Gram in float32 while N <= 2**24, which is exact.
+    bit; with more, the summation order of b and c (and, but for a
+    rademacher design, of G) differs. The result's G is a fresh array.
     """
+    return _moments_into(np.empty((design_spec.n, design_spec.n)), class_spec, design_spec, noise, N, seed, trial)
+
+
+def _moments_into(G: np.ndarray, class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int, seed: int, trial: int) -> Moments:
+    """`sample_moments`, with G written into the caller's n x n float64
+    buffer G, which the result holds: the caller may reuse G once it is done
+    with the result."""
     if N < 1:
         raise ValueError("N must be positive")
     n = design_spec.n
@@ -256,21 +315,28 @@ def sample_moments(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int
     if t0.shape != (n,):
         raise ValueError("design dimension does not match the class dimension")
     if design_spec.kind == "gaussian":
-        return _gaussian_moments(t0, noise, N, seed, trial)
+        return _gaussian_moments(G, t0, noise, N, seed, trial)
     w = noise.sample(substream(seed, trial, NOISE_TAG), N)
     rng = substream(seed, trial, DESIGN_TAG)
     rows = max(1, _MOMENT_BLOCK // n)
+    rademacher = design_spec.kind == "rademacher"
+    if rademacher:
+        # whole words of signs in each block but the last, so that the blocks
+        # continue one random_signs draw
+        whole = 32 // math.gcd(n, 32)
+        rows = max(whole, rows // whole * whole)
 
-    def blocks():
-        for lo in range(0, N, rows):
-            X = design_spec.sample_coords(rng, (min(rows, N - lo), n))
-            yield X, X @ t0 + w[lo : lo + X.shape[0]]
+    def block(lo):
+        X = design_spec.sample_coords(rng, (min(rows, N - lo), n))
+        return X, X @ t0 + w[lo : lo + X.shape[0]]
 
-    exact_single = design_spec.kind == "rademacher" and N <= 2**24
-    return _accumulate_moments(blocks(), N, np.float32 if exact_single else np.float64)
+    blocks = map(block, range(0, N, rows))
+    if rademacher and N <= 2**24:
+        return _sign_moments(blocks, N, G, rows)
+    return _accumulate_moments(blocks, N, G)
 
 
-def _gaussian_moments(t0: np.ndarray, noise: NoiseSpec, N: int, seed: int, trial: int) -> Moments:
+def _gaussian_moments(G: np.ndarray, t0: np.ndarray, noise: NoiseSpec, N: int, seed: int, trial: int) -> Moments:
     """A gaussian design's moments, drawn from their law.
 
     The noise w is independent of X, so a rotation of R^N taking w to
@@ -302,7 +368,8 @@ def _gaussian_moments(t0: np.ndarray, noise: NoiseSpec, N: int, seed: int, trial
         b = (S @ t0 + w_norm * x1) / N
         r = float(x1 @ t0) + w_norm
         c = (r * r + float(Lt0 @ Lt0)) / N
-    return Moments(S / N, b, c, N)
+        np.divide(S, N, out=G)
+    return Moments(G, b, c, N)
 
 
 def _noise_norm(noise: NoiseSpec, N: int, seed: int, trial: int) -> float:

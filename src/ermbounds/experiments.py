@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .distributions import CounterexampleSpec, DesignSpec, NoiseSpec, sample_moments
+from .distributions import CounterexampleSpec, DesignSpec, NoiseSpec, _moments_into
 from .erm import ClassSpec, ErmResult, solve_erms
 from .fixed_points import alpha_star, beta_star, quantile_trials
 from .rates import RateInputs, rho_N, v1_v2
@@ -110,12 +111,20 @@ def _erm_trials(cls: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, se
 
     A trial never holds its N x n design. The trials are solved in stacked
     batches whose G's hold at most _ERM_BATCH numbers, on `map_trials`
-    threads; neither changes a result.
+    threads; neither changes a result. Each thread keeps one G buffer per
+    batch position and fills it again for its next batch, once
+    `solve_erms` has returned: a result copies its t_hat and holds no G.
     """
     batch = max(1, _ERM_BATCH // (cls.n * cls.n))
+    buffers = threading.local()
 
     def solve(i: int) -> list[ErmResult]:
-        moments = [sample_moments(cls, design, noise, N, seed, trial=j) for j in range(i * batch, min(trials, (i + 1) * batch))]
+        if not hasattr(buffers, "G"):
+            # one array per position, not one stack: at n = 32 a 1.6 MB stack
+            # grew verify-main's heap where 200 small G's reuse its free chunks
+            buffers.G = [np.empty((cls.n, cls.n)) for _ in range(min(batch, trials))]
+        trial_ids = range(i * batch, min(trials, (i + 1) * batch))
+        moments = [_moments_into(G, cls, design, noise, N, seed, j) for G, j in zip(buffers.G, trial_ids)]
         return solve_erms(moments, cls, **solver)
 
     return [result for results in map_trials(solve, -(-trials // batch)) for result in results]

@@ -23,7 +23,10 @@ plain loop from the substreams the batch reads: the bitwise reference for
 its rows. The moment ratios take column means of the whole draws x
 directions matrix |X T^T|: the bitwise references for the row-blocked sums.
 The streamed moments draw a trial's whole design, gaussian included, in row
-blocks: the reference the gaussian moment law is tested against.
+blocks: the reference the gaussian moment law is tested against. The int32
+sign sampler draws one word per sign, as the package did before it read 32
+signs off each word: the reference the packed signs' law is tested against;
+the shift-and-mask unpack is the bitwise reference for their bit order.
 """
 
 from __future__ import annotations
@@ -174,6 +177,23 @@ def count_at_least_reference(P: np.ndarray, thresholds) -> np.ndarray:
     return np.stack([(P >= v).sum(axis=0, dtype=np.int32) for v in thresholds])
 
 
+def int32_signs(rng: np.random.Generator, size) -> np.ndarray:
+    """Fair +-1 values, one int32 draw of {0, 1} each: the sampler
+    `distributions.random_signs` replaced, the reference its law is tested
+    against."""
+    return rng.integers(0, 2, size=size, dtype=np.int32) * 2.0 - 1.0
+
+
+def packed_signs(rng: np.random.Generator, size) -> np.ndarray:
+    """+-1 values read off uint32 words by shift and mask: value 32 i + j is
+    +1 when bit j of word i, (w_i >> j) & 1, is set. The bitwise reference
+    for `distributions.random_signs`."""
+    count = int(np.prod(size))
+    words = rng.integers(0, 2**32, size=-(-count // 32), dtype=np.uint32).astype(np.int64)
+    bits = (words[:, None] >> np.arange(32)) & 1
+    return (bits.reshape(-1)[:count] * 2.0 - 1.0).reshape(size)
+
+
 def streamed_moments(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, seed: int, trial: int = 0) -> Moments:
     """Moments of `make_sample`'s sample for one trial, whatever the design
     kind: the noise and the design from the same substreams, the design
@@ -189,7 +209,7 @@ def streamed_moments(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec
     for lo in range(0, N, rows):
         X = design.sample_coords(rng, (min(rows, N - lo), n))
         blocks.append((X, X @ t0 + w[lo : lo + X.shape[0]]))
-    return distributions._accumulate_moments(blocks, N)
+    return distributions._accumulate_moments(blocks, N, np.empty((n, n)))
 
 
 def max_step_l1(t0: np.ndarray, u: np.ndarray, R: float, iters: int = 60) -> float:

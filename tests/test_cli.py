@@ -344,16 +344,17 @@ _GOLDEN_RUNS = {
 # report its exact deviation probability, and verify-main when its gaussian
 # ERM trials came to draw their moments from their law and its summary gained
 # error_q and slack; alpha's JSON when its estimate dropped the
-# wilson_marginal flag
+# wilson_marginal flag; erm, alpha, beta, kstar and persistence when
+# random_signs came to draw 32 signs per word
 _GOLDEN_DIGESTS = {
-    ("erm", "json"): "7d83c30f931c88ced97d0cc0e26f70ce61374045a57858a597d81ca108867c0e",
-    ("erm", "csv"): "4c83d1f71a609c49bd7eb7eeced5b4139ceea4541a56410f769a0ca8dd147965",
-    ("beta", "json"): "5d9fcc5cc864302d47bed77c3d572036fb00290960951b4dd274c8e3e0cc82b9",
-    ("beta", "csv"): "463a182ce925960322fa99a85b7e338d511137ab0b0e78e22e8e1a115ad73a96",
-    ("alpha", "json"): "929624aa3a80937703955e6422a73e8f038526cf099243e33e3b512c25e08fd3",
-    ("alpha", "csv"): "dbe0e511413a4e7e5fb50bb23bb792157d0476cf6f8e1346ce2fc4891880a5ab",
-    ("kstar", "json"): "78e3e7709e7f7fd5b03208d2dc5c9e98be5c6d313794a0fc65264a26f2315870",
-    ("kstar", "csv"): "e0617248e1bfc1c2284d482cdf5110f1dab799e384435b4b1eafa9caa23ed658",
+    ("erm", "json"): "7df6b3add900b32131410024179e14be8f43032f1c15d91a6acc63f875d3d1ae",
+    ("erm", "csv"): "1e4253266a983ccc42852e461c39c1471c1a24397f1ef32b9b13bcf21e8dafa7",
+    ("beta", "json"): "105993412f9abbd1d470c860443ae135cb01300072a7630629efaea5c5133273",
+    ("beta", "csv"): "338ec5d62983ba37ca02975d553b4b88a33e73ea86d02059a251805e876b1bf6",
+    ("alpha", "json"): "5f3312273fa4ca14bc8bc0b24b42c0d5b8a8cc18ff06ce4a41fa5127047ead3e",
+    ("alpha", "csv"): "919ce22ff226fa7a065d495e32dde3bde67be3f8d5e30ec9aa306e2a68e97fee",
+    ("kstar", "json"): "a99659a007a33a3e0d5e5044db0490297c4f0d0c868c955038217c8a58d91b4b",
+    ("kstar", "csv"): "5b5f4dfde85cedfa574429245d40752af23b66a9a8ae2f4f2bbcc9ff95c78d97",
     ("smallball_estimate_q", "json"): "0ccf14563d64a0b550dc01f0b18b004dbf67f9bb938af4d2bc7c63ae605af26e",
     ("smallball_estimate_q", "csv"): "59a9c0c33872099412fd1ab0f444a3a248d4a4e7944c6f50d57f41ab967d1c9e",
     ("smallball_choose_tau", "json"): "71a5676e28aac24ee19f205715559f2d193a9bcfcd41cc9387e73d4443a7cb69",
@@ -368,8 +369,8 @@ _GOLDEN_DIGESTS = {
     ("version-space", "csv"): "7a6524fe885a29b6c4e3c0916b25edaaffac765c5cf11998c24a9d8572fb08b9",
     ("rates", "json"): "7f168238d4fecae6ec34365a2837356bead303c741ae8cf8449f5bb6f28637c0",
     ("rates", "csv"): "d7563770135a369b17eb33f9227a9f17951a8e4de323c51e824103ba08b32304",
-    ("persistence", "json"): "ad62a0414085416bde1184b15ed168e4673782ac96392231966de9cef5d42e70",
-    ("persistence", "csv"): "d2080385512d9b68996189da4a88e1874d0d17777174caacd6f6745ab1e3b80d",
+    ("persistence", "json"): "011611ada37b437b7a2074ac9b8247035aaf6a88a59982dd4cf25c0ac75089ce",
+    ("persistence", "csv"): "8e05a3aaae4c49733b52001f8b4169688ac7a4b0b173e0496a399ca0c4d2b855",
     ("counterexample", "json"): "cb255f6158c6895e14a830a7d3aeeb321cf10697263edd347e0c2cd6f0b58f9b",
     ("counterexample", "csv"): "c146ec6c423a84ac00c0b23c181344bcf7cbd0954b2230c9fc6bc83e51cb91e2",
     ("verify-main", "json"): "6244738bf518c9404b668a437a5e8dcb270ead977e9d862d4a485318d6944716",

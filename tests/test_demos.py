@@ -7,8 +7,9 @@ oracle, and demo 04 when alpha* came to bisect to 1% like beta* and k*,
 demo 06 when the version-space probes came to be projections of gaussians
 and of the canonical vectors, demo 08 when it came to print the exact
 deviation probability, and demo 04 again when alpha* dropped its
-wilson_marginal flag): the demos are deterministic, and their output is the library's
-behaviour on the paper's examples."""
+wilson_marginal flag, and demos 02, 03, 04 and 07 when Rademacher signs came
+to be read 32 to a drawn word): the demos are deterministic, and their output
+is the library's behaviour on the paper's examples."""
 
 import os
 import re

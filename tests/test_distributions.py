@@ -24,7 +24,7 @@ from ermbounds.erm import ClassSpec, solve_erm, solve_erms
 from ermbounds.experiments import make_t0, run_counterexample
 from ermbounds.rng import DESIGN_TAG, NOISE_TAG, substream
 
-from oracles import streamed_moments
+from oracles import int32_signs, packed_signs, streamed_moments
 
 ALL_DESIGNS = [
     DesignSpec("rademacher", 4),
@@ -36,24 +36,39 @@ ALL_DESIGNS = [
 
 
 class TestRandomSigns:
-    # the int64 expression every sign draw used before random_signs
-    @staticmethod
-    def old(rng, size):
-        return rng.integers(0, 2, size=size) * 2.0 - 1.0
-
     @pytest.mark.parametrize("size", [7, (1000,), (37, 5)], ids=["scalar", "1d", "2d"])
     def test_same_values_and_stream(self, size):
+        # against the shift-and-mask unpack: bit j of word i is value 32 i + j
         a, b = np.random.default_rng(3), np.random.default_rng(3)
         signs = random_signs(a, size)
-        assert signs.dtype == np.float64
-        assert np.array_equal(signs, self.old(b, size))
+        assert signs.dtype == np.float64 and signs.shape == np.empty(size).shape
+        assert np.array_equal(signs, packed_signs(b, size))
         assert a.random() == b.random()
 
     def test_stream_continued_across_blocks(self):
+        # blocks of whole words (96 values each) and a last partial one draw
+        # the values of one call
         a, b = np.random.default_rng(4), np.random.default_rng(4)
-        blocks = [random_signs(a, (rows, 6)) for rows in (10, 10, 3)]
-        assert np.array_equal(np.vstack(blocks), self.old(b, (23, 6)))
+        blocks = [random_signs(a, (rows, 6)) for rows in (16, 16, 3)]
+        assert np.array_equal(np.vstack(blocks), random_signs(b, (35, 6)))
         assert a.integers(0, 2**62) == b.integers(0, 2**62)
+
+    def test_law_matches_the_int32_sampler(self):
+        # the share of +1 and of equal neighbours (lag 1, across word
+        # boundaries too) are Binomial(m, 1/2) proportions under fair iid
+        # signs: each sampler within 5 standard errors of 1/2, and the two
+        # within 5 standard errors of each other
+        m = 2**20
+        packed = random_signs(np.random.default_rng(5), m)
+        plain = int32_signs(np.random.default_rng(6), m)
+        se = 0.5 / math.sqrt(m)
+        for stat in (lambda x: np.mean(x > 0), lambda x: np.mean(x[1:] == x[:-1])):
+            p, q = stat(packed), stat(plain)
+            assert abs(p - 0.5) <= 5.0 * se and abs(q - 0.5) <= 5.0 * se
+            assert abs(p - q) <= 5.0 * math.sqrt(2.0) * se
+        # every bit position of a word is fair
+        positions = (packed.reshape(-1, 32) > 0).mean(axis=0)
+        assert np.all(np.abs(positions - 0.5) <= 5.0 * 0.5 / math.sqrt(m // 32))
 
 
 class TestDesignSampling:
@@ -332,12 +347,27 @@ class TestSampleMoments:
 
     @pytest.mark.parametrize("design, moments", STREAMED_DESIGNS, ids=STREAMED_IDS)
     def test_blocks_continue_one_draw(self, design, moments, small_blocks, monkeypatch):
+        # a rademacher block holds whole words of signs, 128 rows of n = 7
+        # (a multiple of 32 / gcd(7, 32) = 32), so N = 1000 takes seven and a
+        # partial one of 104 rows
         blocks = _record_blocks(monkeypatch)
         moments(self.cls(7), design, NoiseSpec("gaussian", sigma=0.5), self.N, seed=23, trial=4)
-        assert [len(b) for b in blocks] == [142] * 7 + [6]
+        assert [len(b) for b in blocks] == ([128] * 7 + [104] if design.kind == "rademacher" else [142] * 7 + [6])
         monkeypatch.undo()
         one_call = design.sample_coords(substream(23, 4, DESIGN_TAG), (self.N, 7))
         assert np.array_equal(np.vstack(blocks), one_call)
+
+    def test_rademacher_blocks_continue_one_draw_at_the_module_budget(self, monkeypatch):
+        # n = 700 at the module's budget: 187 rows round down to 184, a
+        # multiple of 32 / gcd(700, 32) = 8, so N = 2800 takes fifteen blocks
+        # and a partial one of 40 rows
+        n, N = 700, 2800
+        design = DesignSpec("rademacher", n)
+        blocks = _record_blocks(monkeypatch)
+        sample_moments(self.cls(n), design, NoiseSpec("gaussian", sigma=0.5), N, seed=23, trial=4)
+        assert [len(b) for b in blocks] == [184] * 15 + [40]
+        monkeypatch.undo()
+        assert np.array_equal(np.vstack(blocks), design.sample_coords(substream(23, 4, DESIGN_TAG), (N, n)))
 
     @pytest.mark.parametrize("design, moments", STREAMED_DESIGNS, ids=STREAMED_IDS)
     def test_streamed_moments_match_the_sample(self, design, moments, small_blocks):
@@ -362,12 +392,25 @@ class TestSampleMoments:
         N = distributions._MOMENT_BLOCK // n
         design, noise, cls = DesignSpec("bounded_uniform", n), NoiseSpec("gaussian", sigma=0.5), self.cls(n)
         m = sample_moments(cls, design, noise, N, seed=31)
-        ref = make_sample(cls, design, noise, N, seed=31).moments()
+        sample = make_sample(cls, design, noise, N, seed=31)
+        ref = sample.moments()
         assert np.array_equal(m.G, ref.G) and np.array_equal(m.b, ref.b) and m.c == ref.c
+        # both form the Gram into a buffer through np.matmul(..., out=): the
+        # plain product's bytes
+        assert np.array_equal(ref.G, sample.design.T @ sample.design / N)
+
+    def test_second_call_leaves_the_first_result(self):
+        design, noise, cls = DesignSpec("rademacher", 40), NoiseSpec("gaussian", sigma=0.5), self.cls(40)
+        first = sample_moments(cls, design, noise, 300, seed=33)
+        G = first.G.copy()
+        second = sample_moments(cls, design, noise, 300, seed=33, trial=1)
+        assert second.G is not first.G and not np.shares_memory(second.G, first.G)
+        assert np.array_equal(first.G, G) and not np.array_equal(second.G, G)
 
     def test_memory_of_one_trial(self):
-        # one block of the design, the float32 Gram and the float64 one it
-        # becomes (5.6 MiB at n = 700): never the whole 15 MiB design
+        # the float64 G, one 736-row float32 group and one 184-row block
+        # (6.7 MiB at n = 700), or the G and its float32 half's copy at the
+        # end: never the whole 15 MiB design
         n = 700
         design, noise, cls = DesignSpec("rademacher", n), NoiseSpec("gaussian", sigma=0.5), self.cls(n)
         tracemalloc.start()
@@ -391,17 +434,20 @@ class TestSampleMoments:
         assert np.array_equal(m.G, X.T @ X / N)
 
     def test_rademacher_single_precision_gram_is_exact(self, monkeypatch):
-        # two whole blocks at the module's budget and a partial one: the
-        # float32 Gram equals a float64 accumulation of the same blocks
-        n = 64
-        N = 2 * (distributions._MOMENT_BLOCK // n) + 101
+        # n = 700: 184-row blocks in 736-row float32 groups (the most whole
+        # blocks under 2 MiB); N = 1573 makes two whole groups and a partial
+        # one of 101 rows. The float32 Gram equals a float64 accumulation of
+        # the same blocks bit for bit
+        n = 700
+        N = 2 * 736 + 101
         blocks = _record_blocks(monkeypatch)
         design, noise, cls = DesignSpec("rademacher", n), NoiseSpec("gaussian", sigma=0.5), self.cls(n)
         m = sample_moments(cls, design, noise, N, seed=41, trial=3)
-        assert len(blocks) == 3
+        assert [len(X) for X in blocks] == [184] * 8 + [101]
+        assert 736 * n * 4 < distributions._GROUP_BYTES <= 920 * n * 4
         w = noise.sample(substream(41, 3, NOISE_TAG), N)
         bounds = np.cumsum([0] + [len(X) for X in blocks])
-        ref = distributions._accumulate_moments([(X, X @ cls.t0 + w[lo:hi]) for X, lo, hi in zip(blocks, bounds, bounds[1:])], N)
+        ref = distributions._accumulate_moments([(X, X @ cls.t0 + w[lo:hi]) for X, lo, hi in zip(blocks, bounds, bounds[1:])], N, np.empty((n, n)))
         assert np.array_equal(m.G, ref.G) and np.array_equal(m.b, ref.b) and m.c == ref.c
 
     def test_symmetrized_pareto_blocks_keep_the_law(self, small_blocks, monkeypatch):

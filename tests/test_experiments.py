@@ -2,14 +2,18 @@ import hashlib
 import json
 import math
 import sys
+import tracemalloc
 from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
 
-from ermbounds import distributions, experiments
+from ermbounds import cli, distributions, experiments
+from ermbounds.distributions import DesignSpec, NoiseSpec, sample_moments
+from ermbounds.erm import ClassSpec, solve_erm
 from ermbounds.experiments import MainTheoremConfig, SweepConfig, make_t0, run_counterexample, run_persistence_sweep, verify_main_theorem
 from ermbounds.reports import Report, canonical_json, emit_report, record, wilson_interval
+from ermbounds.rng import NOISE_TAG
 
 
 class TestMakeT0:
@@ -84,7 +88,7 @@ class TestCounterexample:
             assert s[field] == pytest.approx(value, rel=1e-13, abs=0.0)
 
 
-PINNED_ONE_BLOCK_DIGEST = "c500514759a7fee04c3ddd827b62d6d91e29a1c9d89d86ba9195e43e4e51f549"
+PINNED_ONE_BLOCK_DIGEST = "40883dab4fb9ae7877146ea4581ba1f40a95cddeb37ac4e4ede04e2855cadeac"
 
 
 class TestPersistenceSweep:
@@ -141,7 +145,8 @@ class TestPersistenceSweep:
         # of the whole sample; CSV digest recorded at commit d3b9848, which
         # solved from the whole sample, and re-recorded when FISTA came to take
         # one matvec per step and cells came to be keyed on the float64 bits
-        # of their grid values, and again when L came to start at 2 max_i G_ii
+        # of their grid values, again when L came to start at 2 max_i G_ii,
+        # and when random_signs came to draw 32 signs per word
         cfg = SweepConfig(design={"kind": "rademacher"}, noise={"kind": "gaussian"}, n_grid=(16,), N_grid=(64, 128), sigma_grid=(0.5,), trials=20, seed=9, t0_shape="spike", t0_fraction=0.5)
         digest = hashlib.sha256(run_persistence_sweep(cfg).to_csv().encode()).hexdigest()
         assert digest == PINNED_ONE_BLOCK_DIGEST
@@ -196,14 +201,14 @@ class TestPersistenceSweep:
     )
     def test_close_values_draw_apart(self, monkeypatch, grids):
         drawn = []
-        sample_moments = experiments.sample_moments
+        moments_into = experiments._moments_into
 
-        def recording(cls, design, noise, N, seed, trial=0):
-            moments = sample_moments(cls, design, noise, N, seed, trial)
+        def recording(G, cls, design, noise, N, seed, trial):
+            moments = moments_into(G, cls, design, noise, N, seed, trial)
             drawn.append((seed, trial, moments.G.tobytes()))
             return moments
 
-        monkeypatch.setattr(experiments, "sample_moments", recording)
+        monkeypatch.setattr(experiments, "_moments_into", recording)
         run_persistence_sweep(SweepConfig(**{"n_grid": (8,), "N_grid": (32,), "trials": 20, **grids}))
         first = [(seed, G) for seed, trial, G in drawn if trial == 0]
         assert len(first) == 2
@@ -226,6 +231,69 @@ class TestPersistenceSweep:
         flagged = [r["value"] for r in rep.rows if r["statistic"] == "flagged"]
         assert flagged == [True]
         assert rep.summary["passed"] is False
+
+
+class TestErmTrials:
+    """`_erm_trials` fills each trial's G into a buffer that its thread keeps
+    for its next batch (one trial at n = 700)."""
+
+    n = 700
+    cls = ClassSpec(n=700, R=1.0, t0=np.zeros(700))
+    design, noise = DesignSpec("rademacher", 700), NoiseSpec("gaussian", sigma=0.5)
+
+    def test_trials_allocate_one_gram(self, monkeypatch):
+        # each trial, draw and solve, adds less than one n x n float64 block
+        # to what is live when it starts, and that block (the G buffer) is
+        # live from the first trial on; a fresh G a trial would add one each
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", "1")
+        gram = self.n * self.n * 8
+        starts, rises = [], []
+        substream = distributions.substream
+
+        def window():
+            current, peak = tracemalloc.get_traced_memory()
+            if starts:
+                rises.append(peak - starts[-1])
+            starts.append(current)
+            tracemalloc.reset_peak()
+
+        def first_draw_opens_a_window(seed, *path):
+            if path[-1] == NOISE_TAG:
+                window()
+            return substream(seed, *path)
+
+        # a first run imports what the draws and the solve import on first use
+        experiments._erm_trials(self.cls, self.design, self.noise, 350, 5, 1, tol=1e-9)
+        monkeypatch.setattr(distributions, "substream", first_draw_opens_a_window)
+        tracemalloc.start()
+        try:
+            experiments._erm_trials(self.cls, self.design, self.noise, 2800, 5, 4, tol=1e-9)
+            window()
+        finally:
+            tracemalloc.stop()
+        assert len(rises) == 4 and max(rises) < gram
+        assert min(starts[:4]) >= gram
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_results_equal_lone_solves(self, workers, monkeypatch):
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
+        for N in (350, 2800):
+            results = experiments._erm_trials(self.cls, self.design, self.noise, N, 5, 4, tol=1e-9)
+            for j, result in enumerate(results):
+                lone = solve_erm(sample_moments(self.cls, self.design, self.noise, N, 5, trial=j), self.cls, tol=1e-9)
+                assert result.t_hat.tobytes() == lone.t_hat.tobytes()
+                assert (result.empirical_risk, result.iterations, result.kkt_residual, result.converged) == (lone.empirical_risk, lone.iterations, lone.kkt_residual, lone.converged)
+
+    def test_reused_buffers_write_the_bytes_of_fresh_ones(self, monkeypatch, tmp_path):
+        # the benchmark's persistence command; the fresh buffers hold NaN, so
+        # an entry the fill leaves unwritten would fail the run
+        argv = ["persistence", "--seed", "7", "--set", "n_grid=[700]", "--set", "N_grid=[350,2800]", "--set", "R_grid=[1.0]", "--set", "sigma_grid=[0.5]", "--set", "trials=20", "--set", "design.kind=rademacher", "--set", "noise.kind=gaussian", "--set", "t0_shape=zero", "--set", "tol=1e-9"]
+        assert cli.run([*argv, "--output", str(tmp_path / "reused.json")]) == 0
+        moments_into = experiments._moments_into
+        monkeypatch.setattr(experiments, "_moments_into", lambda G, *args: moments_into(np.full_like(G, np.nan), *args))
+        assert cli.run([*argv, "--output", str(tmp_path / "fresh.json")]) == 0
+        assert (tmp_path / "reused.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
 
 
 # sha256 of verify_main_theorem's JSON and CSV at MainTheoremConfig's

@@ -22,7 +22,7 @@ from ermbounds.geometry import SupportRows, support_l1l2_batch
 from ermbounds.reports import record
 from ermbounds.rng import SIGNS_TAG, substream
 from ermbounds.smallball import choose_tau, estimate_Q
-from oracles import boundary_enum_2d, expected_rademacher_sup, multiplier_sup, rademacher_sup, student_t_law_z, support_l1l2_batch_oneshot
+from oracles import boundary_enum_2d, expected_rademacher_sup, multiplier_sup, packed_signs, rademacher_sup, student_t_law_z, support_l1l2_batch_oneshot
 
 
 def cls_zero(n, R=1.0):
@@ -448,7 +448,7 @@ class TestWorkerCounts:
         rad = support_l1l2_batch(SupportRows(_z_batch(*config, None)), 2.0 * cls.R, radius)
         mult = support_l1l2_batch(SupportRows(_z_batch(*config, noise)), 2.0 * cls.R, radius)
         for j in range(trials):
-            signs = substream(seed, j, SIGNS_TAG).integers(0, 2, size=N) * 2.0 - 1.0
+            signs = packed_signs(substream(seed, j, SIGNS_TAG), N)
             assert rad[j] == rademacher_sup(sample_design(design, N, seed, trial=j), signs, cls, radius)
             assert mult[j] == multiplier_sup(make_sample(cls, design, noise, N, seed, trial=j), cls, radius, signs)
 
@@ -498,7 +498,7 @@ def per_sample_z(cls, design, N, trials, seed, noise=None):
     Z = np.empty((trials, cls.n))
     for j in range(trials):
         X = sample_design(design, N, seed, trial=j)
-        eps = substream(seed, j, SIGNS_TAG).integers(0, 2, size=N) * 2.0 - 1.0
+        eps = packed_signs(substream(seed, j, SIGNS_TAG), N)
         if noise is not None:
             eps = eps * (X @ cls.t0 - sample_response(cls, noise, X, seed, trial=j))
         Z[j] = (eps @ X) / math.sqrt(N)

@@ -109,10 +109,11 @@ class TestEstimateQGrid:
     # zero, repeated and unsorted thresholds, all sharing one set of draws
     GRID = [0.7, 0.0, 1.3, 0.3, 0.7, 2.0, 0.0, 0.3]
     # one scalar call per threshold at commit 5f5db24, before thresholds
-    # shared their draws
+    # shared their draws; rademacher again when random_signs came to draw 32
+    # signs per word
     RECORDED_Q = {
         "gaussian": [0.4935, 1.0, 0.187, 0.7735, 0.4935, 0.0465, 1.0, 0.7735],
-        "rademacher": [0.4365, 1.0, 0.0, 0.4815, 0.4365, 0.0, 1.0, 0.4815],
+        "rademacher": [0.4575, 1.0, 0.0, 0.512, 0.4575, 0.0, 1.0, 0.512],
     }
 
     @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
@@ -374,11 +375,12 @@ class TestChooseTau:
 
     @pytest.mark.parametrize(
         "kind,tau,q_at_2tau",
-        [("gaussian", 0.6231236162177701, 0.2165), ("rademacher", 0.45459398534539097, 0.287)],
+        [("gaussian", 0.6231236162177701, 0.2165), ("rademacher", 0.45459398534539097, 0.2925)],
     )
     def test_recorded_choice(self, kind, tau, q_at_2tau):
         # recorded at commit 5f5db24, where choose_tau made one estimate_Q
-        # call per grid point; the shared-draw grid must reproduce them exactly
+        # call per grid point (rademacher again when random_signs came to draw
+        # 32 signs per word); the shared-draw grid must reproduce them exactly
         choice = choose_tau(DesignSpec(kind, 6), directions=50, draws=2000, seed=23)
         assert choice.tau == tau
         assert choice.q_at_2tau == q_at_2tau
