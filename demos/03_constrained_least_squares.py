@@ -7,10 +7,25 @@ empirical excess loss, which is nonpositive at the minimizer by definition.
 
 import numpy as np
 
-from ermbounds import ClassSpec, DesignSpec, NoiseSpec, excess_loss, make_sample, solve_erm
+from ermbounds import ClassSpec, DesignSpec, NoiseSpec, Sample, sample_design, sample_response, solve_erm
+
+
+def draw(cls, design, noise, N, seed):
+    X = sample_design(design, N, seed)
+    return Sample(X, sample_response(cls, noise, X, seed), seed)
+
+
+def excess_loss(t, cls, sample):
+    """P_N l_t - P_N l_t0, through the decomposition
+    (1/N) sum <t - t0, X_i>^2 + (2/N) sum xi_i <t - t0, X_i>, xi_i = <t0, X_i> - Y_i."""
+    X, Y = sample.design, sample.responses
+    delta = X @ (t - cls.t0)
+    xi = X @ cls.t0 - Y
+    return float(np.mean(delta**2) + 2.0 * np.mean(xi * delta))
+
 
 cls = ClassSpec(n=3, R=1.0, t0=np.array([0.4, 0.0, 0.0]))
-sample = make_sample(cls, DesignSpec("rademacher", 3), NoiseSpec("gaussian", sigma=0.5), N=6, seed=42)
+sample = draw(cls, DesignSpec("rademacher", 3), NoiseSpec("gaussian", sigma=0.5), N=6, seed=42)
 
 res = solve_erm(sample, cls, tol=1e-10)
 print("solver:   t_hat =", np.round(res.t_hat, 6))
@@ -26,6 +41,6 @@ print("\nexcess loss at t0 (zero by definition):", excess_loss(cls.t0, cls, samp
 print("excess loss at t_hat (nonpositive at the minimizer):", excess_loss(res.t_hat, cls, sample))
 
 # noise-free case with enough rows: exact recovery
-clean = make_sample(cls, DesignSpec("gaussian", 3), NoiseSpec("zero"), N=30, seed=43)
+clean = draw(cls, DesignSpec("gaussian", 3), NoiseSpec("zero"), N=30, seed=43)
 res_clean = solve_erm(clean, cls, tol=1e-12)
 print("\nnoise-free recovery error:", float(np.linalg.norm(res_clean.t_hat - cls.t0)))

@@ -9,14 +9,12 @@ from .distributions import (
     NoiseSpec,
     Sample,
     l21_norm,
-    make_sample,
     psi2_norm,
-    sample_counterexample,
     sample_design,
     sample_moments,
     sample_response,
 )
-from .erm import ClassSpec, ErmResult, excess_loss, solve_erm, solve_erms
+from .erm import ClassSpec, ErmResult, solve_erm, solve_erms
 from .experiments import (
     MainTheoremConfig,
     SweepConfig,

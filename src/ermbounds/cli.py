@@ -32,7 +32,7 @@ from typing import Callable, get_args, get_type_hints
 
 import numpy as np
 
-from .distributions import DesignSpec, NoiseSpec, sample_design, sample_moments
+from .distributions import _GROUP_BYTES, DesignSpec, NoiseSpec, sample_design, sample_moments
 from .erm import ClassSpec, solve_erm
 from .experiments import MainTheoremConfig, SweepConfig, make_t0, run_counterexample, run_persistence_sweep, verify_main_theorem
 from .fixed_points import alpha_star, beta_star, k_star
@@ -150,6 +150,10 @@ def _check(config: dict, defaults: dict, nullable: dict, prefix: str) -> None:
 
 
 def resolve_config(subcommand: str, config_path, overrides, flag_values: dict) -> dict:
+    """The config a run reads: the subcommand's defaults, then the config
+    file, the value flags and the --set overrides, each over the last. A
+    "seed" in `flag_values`, the --seed flag, wins over all of them; without
+    one, the seed is the config's or DEFAULT_SEED."""
     sub = SUBCOMMANDS[subcommand]
     config = json.loads(json.dumps(sub.defaults))  # deep copy of defaults
     if config_path is not None:
@@ -165,13 +169,15 @@ def resolve_config(subcommand: str, config_path, overrides, flag_values: dict) -
         for key, value in loaded.items():
             _apply(config, [key], value)
     for key, value in flag_values.items():
-        if value is not None:
+        if value is not None and key != "seed":
             _apply(config, sub.routes.get(key, key).split("."), value)
     for text in overrides or ():
         key, value = _parse_override(text)
         _apply(config, key.split("."), value)
+    if flag_values.get("seed") is not None:
+        config["seed"] = flag_values["seed"]
     _check(config, sub.defaults, _NULLABLE, "")
-    seed = config.get("seed", DEFAULT_SEED)
+    seed = config.setdefault("seed", DEFAULT_SEED)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
     return config
@@ -340,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 # mapped and returned with each use, and trim the heap past twice that, the
 # ratio glibc keeps itself. Lower thresholds map or trim the smaller blocks
 # that ERM solves and trial threads reuse, and page faults then cost time.
-MALLOC_MMAP_BYTES = 2**21
+# distributions sizes its row groups under the same threshold.
+MALLOC_MMAP_BYTES = _GROUP_BYTES
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 
 
@@ -361,13 +368,11 @@ def run(argv) -> int:
     if args.subcommand is None:
         parser.print_help()
         return 2
-    flag_values = {flag: getattr(args, flag) for flag in VALUE_FLAGS if hasattr(args, flag)}
+    flag_values = {flag: getattr(args, flag) for flag in ("seed", *VALUE_FLAGS) if hasattr(args, flag)}
     output = args.output or f"{args.subcommand.replace('-', '_')}_report.{args.format}"
     try:
         trial_workers(0)  # a bad $ERMBOUNDS_WORKERS fails here, before any stage runs
         config = resolve_config(args.subcommand, args.config, args.set, flag_values)
-        # --seed wins over a config file and --set
-        config["seed"] = args.seed if args.seed is not None else config.get("seed", DEFAULT_SEED)
         # a report that has nowhere to go fails before its run, not after
         if not os.path.isdir(os.path.dirname(output) or "."):
             raise ConfigError(f"output directory of {output!r} does not exist")

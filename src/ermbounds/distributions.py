@@ -41,6 +41,14 @@ def random_signs(rng: np.random.Generator, size) -> np.ndarray:
     return signs.reshape(size)
 
 
+def _symmetrized_pareto(rng: np.random.Generator, p: float, size, scale: float) -> np.ndarray:
+    """Symmetrized Pareto values with tail index p, scaled to sd `scale`:
+    the magnitudes 1 + pareto(p) first, then their signs."""
+    x = 1.0 + rng.pareto(p, size=size)
+    signs = random_signs(rng, size)
+    return scale * signs * x / math.sqrt(p / (p - 2.0))
+
+
 @dataclass(frozen=True)
 class DesignSpec:
     """Coordinate distribution of the design vector X, standardized to variance 1.
@@ -77,10 +85,7 @@ class DesignSpec:
             return rng.standard_normal(size)
         if self.kind == "student_t":
             return rng.standard_t(self.p, size=size) * math.sqrt((self.p - 2.0) / self.p)
-        # symmetrized Pareto with tail index p, scaled to unit variance
-        x = 1.0 + rng.pareto(self.p, size=size)
-        signs = random_signs(rng, size)
-        return signs * x / math.sqrt(self.p / (self.p - 2.0))
+        return _symmetrized_pareto(rng, self.p, size, 1.0)
 
 
 @dataclass(frozen=True)
@@ -119,10 +124,7 @@ class NoiseSpec:
             signs = random_signs(rng, size)
             hit = rng.random(size=size) < 1.0 / self.kappa**2
             return self.sigma * self.kappa * signs * hit
-        # heavy_tailed: symmetrized Pareto scaled to sd sigma
-        x = 1.0 + rng.pareto(self.p, size=size)
-        signs = random_signs(rng, size)
-        return self.sigma * signs * x / math.sqrt(self.p / (self.p - 2.0))
+        return _symmetrized_pareto(rng, self.p, size, self.sigma)
 
 
 @dataclass(frozen=True)
@@ -262,20 +264,14 @@ def sample_response(class_spec, noise: NoiseSpec, design: np.ndarray, seed: int,
     return design @ t0 + w
 
 
-def make_sample(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int, seed: int, trial: int = 0) -> Sample:
-    """Draw a full (design, responses) sample for one trial."""
-    X = sample_design(design_spec, N, seed, trial)
-    Y = sample_response(class_spec, noise, X, seed, trial)
-    return Sample(design=X, responses=Y, seed=seed)
-
-
-# design coordinates sample_moments draws per block: a float64 block is
-# 1 MiB, under cli.MALLOC_MMAP_BYTES, so the allocator serves it from its
-# heap instead of mapping it afresh
-_MOMENT_BLOCK = 2**17
-# a rademacher trial's float32 group of design rows stays strictly under
-# this many bytes, cli.MALLOC_MMAP_BYTES, for the same reason
+# the allocator's mmap threshold as the CLI fixes it (cli.MALLOC_MMAP_BYTES
+# is this value): an array under it comes from the heap, where its pages are
+# reused, instead of a fresh mapping. A rademacher trial's float32 group of
+# design rows stays strictly under it.
 _GROUP_BYTES = 2**21
+# design coordinates sample_moments draws per block: a float64 block is
+# 1 MiB, under _GROUP_BYTES, so the allocator serves it from its heap
+_MOMENT_BLOCK = 2**17
 
 
 def sample_moments(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int, seed: int, trial: int = 0) -> Moments:
@@ -284,22 +280,24 @@ def sample_moments(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int
     A gaussian design draws them from their exact law (see
     `_gaussian_moments`): O(n^2) draws a trial whatever N, which depend only
     on (seed, trial). Every other kind draws the noise and the design from
-    the same substreams as make_sample. The design is drawn in row blocks of
-    about _MOMENT_BLOCK coordinates and summed into (G, b, c) block by block,
-    so a trial holds O(n^2 + _MOMENT_BLOCK) numbers, where the whole design
-    would be N n. A rademacher design rounds its block down to whole words
-    of signs (a multiple of 32 / gcd(n, 32) rows: 184 at n = 700), and while
-    N <= 2**24 sums its Gram in float32 groups of blocks under _GROUP_BYTES
-    (see `_sign_moments`), which is exact: at n = 700, N = 2800 a trial
-    peaks at 6.9 MiB of arrays, its G, one 736-row float32 group and one
-    block, where the whole design would be 15 MiB. Successive blocks
-    continue one stream, which for every streamed kind but
-    symmetrized_pareto gives the rows of one sample_coords call;
-    symmetrized_pareto draws a call's magnitudes before its signs, so its
-    blocks have the right law but other values. With one block (N * n <=
-    _MOMENT_BLOCK) the moments equal `make_sample(...).moments()` bit for
-    bit; with more, the summation order of b and c (and, but for a
-    rademacher design, of G) differs. The result's G is a fresh array.
+    the same substreams as `sample_response` and `sample_design`, whose
+    whole sample is the test oracle `make_sample` (tests/oracles.py). The
+    design is drawn in row blocks of about _MOMENT_BLOCK coordinates and
+    summed into (G, b, c) block by block, so a trial holds O(n^2 +
+    _MOMENT_BLOCK) numbers, where the whole design would be N n. A
+    rademacher design rounds its block down to whole words of signs (a
+    multiple of 32 / gcd(n, 32) rows: 184 at n = 700), and while N <= 2**24
+    sums its Gram in float32 groups of blocks under _GROUP_BYTES (see
+    `_sign_moments`), which is exact: at n = 700, N = 2800 a trial peaks at
+    6.9 MiB of arrays, its G, one 736-row float32 group and one block, where
+    the whole design would be 15 MiB. Successive blocks continue one stream,
+    which for every streamed kind but symmetrized_pareto gives the rows of
+    one sample_coords call; symmetrized_pareto draws a call's magnitudes
+    before its signs, so its blocks have the right law but other values.
+    With one block (N * n <= _MOMENT_BLOCK) the moments equal the oracle's
+    `make_sample(...).moments()` bit for bit; with more, the summation order
+    of b and c (and, but for a rademacher design, of G) differs. The
+    result's G is a fresh array.
     """
     return _moments_into(np.empty((design_spec.n, design_spec.n)), class_spec, design_spec, noise, N, seed, trial)
 
@@ -375,7 +373,7 @@ def _gaussian_moments(G: np.ndarray, t0: np.ndarray, noise: NoiseSpec, N: int, s
 def _noise_norm(noise: NoiseSpec, N: int, seed: int, trial: int) -> float:
     """||w||_2 of the trial's N noise values, from its noise stream: sigma
     sqrt(chi^2_N), one draw, for gaussian noise; else the norm of the values
-    make_sample draws."""
+    `sample_response` adds, which the test oracle `make_sample` draws too."""
     rng = substream(seed, trial, NOISE_TAG)
     if noise.kind == "gaussian":
         return noise.sigma * math.sqrt(rng.chisquare(N))

@@ -117,24 +117,18 @@ def _breaks_upper_model(d: np.ndarray, Gd: np.ndarray, L: np.ndarray, allowance:
     return np.vecdot(d, Gd) > 0.5 * L[:, 0] * dd + allowance * np.sqrt(dd)
 
 
-def _moments_of(data: Sample | Moments, class_spec: ClassSpec) -> Moments:
-    moments = data if isinstance(data, Moments) else data.moments()
-    if moments.n != class_spec.n:
-        raise ValueError("sample dimension does not match the class")
-    return moments
-
-
 def solve_erm(data: Sample | Moments, class_spec: ClassSpec, tol: float, max_iter: int = 100000) -> ErmResult:
     """Minimize (1/N) sum (<t, X_i> - Y_i)^2 = t^T G t - 2 b^T t + c over ||t||_1 <= R.
 
     Reads only the moments (G, b, c) of the data; a Sample is reduced to them
     first. The one-problem case of `solve_erms`, which describes the method.
     """
-    return solve_erms([data], class_spec, tol=tol, max_iter=max_iter)[0]
+    moments = data.moments() if isinstance(data, Sample) else data
+    return solve_erms([moments], class_spec, tol=tol, max_iter=max_iter)[0]
 
 
 def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float, max_iter: int = 100000) -> list[ErmResult]:
-    """`solve_erm` for each of a list of Moments (or Samples) over one class, as one stacked run.
+    """`solve_erm` for each of a list of Moments over one class, as one stacked run.
 
     FISTA with step 1/L and a restart whenever the objective would increase,
     so the accepted objective sequence is non-increasing. A step takes one
@@ -161,7 +155,8 @@ def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float, max_it
         raise ValueError("tol must be finite and positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    moments = [_moments_of(m, class_spec) for m in moments]
+    if any(m.n != class_spec.n for m in moments):
+        raise ValueError("sample dimension does not match the class")
     n, R = class_spec.n, class_spec.R
     results = [ErmResult(np.zeros(n), m.c, 0, 0.0, True) for m in moments]
     if R == 0.0 or not moments:
@@ -247,20 +242,3 @@ def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float, max_it
     else:
         finish(np.ones(rows.size, dtype=bool), rows, t, f_t, residual, max_iter)
     return results
-
-
-def excess_loss(t, class_spec: ClassSpec, sample: Sample) -> float:
-    """Empirical excess loss of <t, .> relative to <t0, .>.
-
-    Computed through the decomposition
-    (1/N) sum <t - t0, X_i>^2 + (2/N) sum xi_i <t - t0, X_i>
-    with xi_i = <t0, X_i> - Y_i, which equals the direct loss difference
-    P_N l_t - P_N l_{t0} as an algebraic identity.
-    """
-    t = as_vector(t)
-    if t.shape[0] != class_spec.n:
-        raise ValueError("dimension mismatch")
-    X, Y = sample.design, sample.responses
-    delta = X @ (t - class_spec.t0)
-    xi = X @ class_spec.t0 - Y
-    return float(np.mean(delta**2) + 2.0 * np.mean(xi * delta))

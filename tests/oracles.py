@@ -27,6 +27,9 @@ blocks: the reference the gaussian moment law is tested against. The int32
 sign sampler draws one word per sign, as the package did before it read 32
 signs off each word: the reference the packed signs' law is tested against;
 the shift-and-mask unpack is the bitwise reference for their bit order.
+A whole (design, responses) sample (`make_sample`) and its excess loss
+through the paper's decomposition (`excess_loss`) are helpers that only the
+tests call: the program reads a sample through its moments alone.
 """
 
 from __future__ import annotations
@@ -38,10 +41,10 @@ import types
 import numpy as np
 
 from ermbounds import distributions, fixed_points
-from ermbounds.distributions import DesignSpec, Moments, NoiseSpec, Sample
+from ermbounds.distributions import DesignSpec, Moments, NoiseSpec, Sample, sample_design, sample_response
 from ermbounds.erm import ClassSpec
 from ermbounds.fixed_points import _z_batch
-from ermbounds.geometry import REL_SLACK, SupportRows, project_l1, support_l1l2_batch
+from ermbounds.geometry import REL_SLACK, SupportRows, as_vector, project_l1, support_l1l2_batch
 from ermbounds.rng import DESIGN_TAG, DIRECTIONS_TAG, NOISE_TAG, substream
 from ermbounds.smallball import MAX_PAIRS, probe_directions
 
@@ -194,12 +197,19 @@ def packed_signs(rng: np.random.Generator, size) -> np.ndarray:
     return (bits.reshape(-1)[:count] * 2.0 - 1.0).reshape(size)
 
 
+def make_sample(class_spec, design_spec: DesignSpec, noise: NoiseSpec, N: int, seed: int, trial: int = 0) -> Sample:
+    """Draw a full (design, responses) sample for one trial."""
+    X = sample_design(design_spec, N, seed, trial)
+    Y = sample_response(class_spec, noise, X, seed, trial)
+    return Sample(design=X, responses=Y, seed=seed)
+
+
 def streamed_moments(class_spec: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, seed: int, trial: int = 0) -> Moments:
-    """Moments of `make_sample`'s sample for one trial, whatever the design
-    kind: the noise and the design from the same substreams, the design
-    drawn and summed in row blocks of about distributions._MOMENT_BLOCK
-    coordinates. With one block they equal `make_sample(...).moments()` bit
-    for bit."""
+    """Moments of the sample the oracle `make_sample` draws for one trial,
+    whatever the design kind: the noise and the design from the same
+    substreams, the design drawn and summed in row blocks of about
+    distributions._MOMENT_BLOCK coordinates. With one block they equal
+    `make_sample(...).moments()` bit for bit."""
     n = design.n
     t0 = np.asarray(class_spec.t0, dtype=np.float64)
     w = noise.sample(substream(seed, trial, NOISE_TAG), N)
@@ -380,6 +390,23 @@ def _l1_lattice_objective_min(G, b, c, R, resolution):
             best_val = float(vals[i])
             best_t = pts[i].copy()
     return best_val, best_t
+
+
+def excess_loss(t, class_spec: ClassSpec, sample: Sample) -> float:
+    """Empirical excess loss of <t, .> relative to <t0, .>.
+
+    Computed through the decomposition
+    (1/N) sum <t - t0, X_i>^2 + (2/N) sum xi_i <t - t0, X_i>
+    with xi_i = <t0, X_i> - Y_i, which equals the direct loss difference
+    P_N l_t - P_N l_{t0} as an algebraic identity.
+    """
+    t = as_vector(t)
+    if t.shape[0] != class_spec.n:
+        raise ValueError("dimension mismatch")
+    X, Y = sample.design, sample.responses
+    delta = X @ (t - class_spec.t0)
+    xi = X @ class_spec.t0 - Y
+    return float(np.mean(delta**2) + 2.0 * np.mean(xi * delta))
 
 
 def brute_force_erm(sample: Sample, class_spec: ClassSpec) -> np.ndarray:

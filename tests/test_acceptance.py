@@ -14,7 +14,7 @@ import pytest
 from scipy import stats
 
 from ermbounds import reports
-from ermbounds.distributions import DesignSpec, NoiseSpec, make_sample, sample_design
+from ermbounds.distributions import DesignSpec, NoiseSpec, sample_design
 from ermbounds.erm import ClassSpec, solve_erm
 from ermbounds.experiments import MainTheoremConfig, SweepConfig, run_counterexample, run_persistence_sweep, verify_main_theorem
 from ermbounds.fixed_points import beta_star
@@ -23,7 +23,7 @@ from ermbounds.rates import RateInputs, rho_N
 from ermbounds.smallball import choose_tau, estimate_Q, moment_ratio_p2, paley_zygmund_Q, verify_empirical_smallball
 from ermbounds.versionspace import version_diameter
 
-from oracles import brute_force_erm, fit_loglog_slope, support_oracle
+from oracles import brute_force_erm, fit_loglog_slope, make_sample, support_oracle
 
 SEED = 0x5EED
 

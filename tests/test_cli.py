@@ -521,6 +521,14 @@ def test_bad_seed_in_config_exits_2(value, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bad_seed_flag_exits_2(tmp_path, capsys):
+    # rates draws nothing, so only the config check can refuse the seed
+    out = tmp_path / "rates.json"
+    assert run(["rates", "--seed", "-1", "--output", str(out)]) == 2
+    assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_colliding_sweep_grid_exits_2(tmp_path, capsys):
     out = tmp_path / "p.json"
     assert run(["persistence", "--set", "n_grid=[8]", "--set", "N_grid=[32]", "--set", "R_grid=[1.0,1.0]", "--output", str(out)]) == 2

@@ -12,7 +12,6 @@ from ermbounds.distributions import (
     Moments,
     NoiseSpec,
     l21_norm,
-    make_sample,
     psi2_norm,
     random_signs,
     sample_counterexample,
@@ -24,7 +23,7 @@ from ermbounds.erm import ClassSpec, solve_erm, solve_erms
 from ermbounds.experiments import make_t0, run_counterexample
 from ermbounds.rng import DESIGN_TAG, NOISE_TAG, substream
 
-from oracles import int32_signs, packed_signs, streamed_moments
+from oracles import int32_signs, make_sample, packed_signs, streamed_moments
 
 ALL_DESIGNS = [
     DesignSpec("rademacher", 4),

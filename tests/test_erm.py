@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from ermbounds import erm
-from ermbounds.distributions import DesignSpec, Moments, NoiseSpec, Sample, make_sample, sample_moments
-from ermbounds.erm import ClassSpec, excess_loss, solve_erm, solve_erms
+from ermbounds.distributions import DesignSpec, Moments, NoiseSpec, Sample, sample_moments
+from ermbounds.erm import ClassSpec, solve_erm, solve_erms
 from ermbounds.experiments import make_t0
-from oracles import brute_force_erm, certified_min_eigenvalue, fista_erm_scalar
+from oracles import brute_force_erm, certified_min_eigenvalue, excess_loss, fista_erm_scalar, make_sample
 
 
 def objective(sample, t):

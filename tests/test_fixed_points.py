@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from ermbounds import fixed_points, rng
-from ermbounds.distributions import DesignSpec, NoiseSpec, make_sample, sample_design, sample_response
+from ermbounds.distributions import DesignSpec, NoiseSpec, sample_design, sample_response
 from ermbounds.erm import ClassSpec
 from ermbounds.experiments import make_t0
 from ermbounds.fixed_points import (
@@ -22,7 +22,7 @@ from ermbounds.geometry import SupportRows, support_l1l2_batch
 from ermbounds.reports import record
 from ermbounds.rng import SIGNS_TAG, substream
 from ermbounds.smallball import choose_tau, estimate_Q
-from oracles import boundary_enum_2d, expected_rademacher_sup, multiplier_sup, packed_signs, rademacher_sup, student_t_law_z, support_l1l2_batch_oneshot
+from oracles import boundary_enum_2d, expected_rademacher_sup, make_sample, multiplier_sup, packed_signs, rademacher_sup, student_t_law_z, support_l1l2_batch_oneshot
 
 
 def cls_zero(n, R=1.0):

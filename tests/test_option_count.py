@@ -14,7 +14,7 @@ import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "ermbounds"
-MAX_SETTABLE = 107
+MAX_SETTABLE = 106
 RUN_SETTINGS = {"seed", "trials", "probes", "directions", "draws", "tol"}
 
 
