@@ -279,11 +279,8 @@ def _smallball(config: dict) -> tuple[Report, str, bool]:
 
 def _version_space(config: dict) -> tuple[Report, str, bool]:
     # N = 0 is valid: with no data the null space is the whole space
-    if config["N"] < 0:
-        raise ValueError("sample size N must be nonnegative")
     cls = _class_from(config)
-    design = _design_from(config)
-    X = sample_design(design, config["N"], config["seed"]) if config["N"] > 0 else np.zeros((0, config["n"]))
+    X = sample_design(_design_from(config), config["N"], config["seed"])
     probe = version_diameter(X, cls, probes=config["probes"], seed=derive_seed(config["seed"], 1))
     stats = {"radius_lb": probe.radius_lb, "nullspace_dim": probe.nullspace_dim, "directions": probe.directions}
     return _stats_result("version_space", config, stats, {"probe": record(probe), "passed": True}, f"radius_lb={probe.radius_lb:.6g} nullspace_dim={probe.nullspace_dim}")

@@ -140,18 +140,13 @@ class Sample:
             raise ValueError("design must be N x n, responses length N")
         if self.design.shape[0] != self.responses.shape[0]:
             raise ValueError("design and responses disagree on N")
-
-    @property
-    def N(self) -> int:
-        return self.design.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.design.shape[1]
+        if self.design.shape[0] == 0:
+            raise ValueError("a sample needs at least one row")
 
     def moments(self) -> Moments:
         """The sample's moments, summed as one block."""
-        return _accumulate_moments([(self.design, self.responses)], self.N, np.empty((self.n, self.n)))
+        N, n = self.design.shape
+        return _accumulate_moments([(self.design, self.responses)], N, np.empty((n, n)))
 
 
 @dataclass(frozen=True)
@@ -165,13 +160,10 @@ class Moments:
     G: np.ndarray
     b: np.ndarray
     c: float
-    N: int
 
     def __post_init__(self):
         if self.G.ndim != 2 or self.G.shape[0] != self.G.shape[1] or self.b.shape != (self.G.shape[0],):
             raise ValueError("moments need an n x n G and a length-n b")
-        if self.N < 1:
-            raise ValueError("N must be positive")
         # a non-finite design entry makes a diagonal entry of G non-finite,
         # and a non-finite response makes c non-finite
         if not (np.all(np.isfinite(self.G)) and np.all(np.isfinite(self.b)) and math.isfinite(self.c)):
@@ -199,7 +191,7 @@ def _accumulate_moments(blocks, N: int, G: np.ndarray) -> Moments:
                 b += X.T @ Y
             c += float(Y @ Y)
         G /= N
-    return Moments(G, b / N, c / N, N)
+    return Moments(G, b / N, c / N)
 
 
 def _sign_moments(blocks, N: int, G: np.ndarray, rows: int) -> Moments:
@@ -243,13 +235,14 @@ def _sign_moments(blocks, N: int, G: np.ndarray, rows: int) -> Moments:
             del X, Y
         del group, part
         np.divide(gram.copy(), N, out=G, dtype=np.float64)
-    return Moments(G, b / N, c / N, N)
+    return Moments(G, b / N, c / N)
 
 
 def sample_design(spec: DesignSpec, N: int, seed: int, trial: int = 0) -> np.ndarray:
-    """N iid rows with iid standardized coordinates, deterministic given (seed, trial)."""
-    if N < 1:
-        raise ValueError("N must be positive")
+    """N iid rows with iid standardized coordinates, deterministic given
+    (seed, trial); N = 0 gives the empty 0 x n design."""
+    if N < 0:
+        raise ValueError("sample size N must be nonnegative")
     rng = substream(seed, trial, DESIGN_TAG)
     return spec.sample_coords(rng, (N, spec.n))
 
@@ -367,7 +360,7 @@ def _gaussian_moments(G: np.ndarray, t0: np.ndarray, noise: NoiseSpec, N: int, s
         r = float(x1 @ t0) + w_norm
         c = (r * r + float(Lt0 @ Lt0)) / N
         np.divide(S, N, out=G)
-    return Moments(G, b, c, N)
+    return Moments(G, b, c)
 
 
 def _noise_norm(noise: NoiseSpec, N: int, seed: int, trial: int) -> float:

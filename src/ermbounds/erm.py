@@ -205,8 +205,9 @@ def solve_erms(moments: list[Moments], class_spec: ClassSpec, tol: float, max_it
         return t_new, Gt_new
 
     # objective and gradient take the product G @ t, formed once per point;
-    # the extrapolated point's product G @ y comes from the recurrence
-    t = project_l1_rows(np.zeros((rows.size, n)), R)
+    # the extrapolated point's product G @ y comes from the recurrence; the
+    # start t = 0 lies in every ball with R > 0
+    t = np.zeros((rows.size, n))
     Gt = _matvec(G, t)
     y, Gy = t, Gt
     f_t = np.vecdot(t, Gt) - 2.0 * np.vecdot(b, t) + c

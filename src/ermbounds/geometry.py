@@ -36,8 +36,8 @@ def project_l1(v, radius: float) -> np.ndarray:
     bit for bit.
     """
     arr = as_vector(v)
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    if not radius >= 0:
+        raise ValueError("radius must be nonnegative, not NaN")
     return project_l1_rows(arr[None, :], radius)[0]
 
 
@@ -79,7 +79,9 @@ def rearrangement_d(l1_radius: float, l2_radius: float, dim: int) -> int:
     Ceiling keeps the associated top-d comparison an upper bound; the clamp
     handles degenerate radius ratios.
     """
-    if l2_radius <= 0:
+    if not (0 <= l1_radius < np.inf and 0 <= l2_radius < np.inf):
+        raise ValueError("radii must be finite and nonnegative")
+    if l2_radius == 0:
         return dim
     raw = int(np.ceil((l1_radius / l2_radius) ** 2))
     return min(max(raw, 1), dim)
@@ -103,7 +105,6 @@ class SupportRows:
         if not np.all(np.isfinite(Z)):
             raise ValueError("entries must be finite")
         self.Z = Z
-        self.shape = Z.shape
 
     @cached_property
     def _max_abs(self) -> np.ndarray:
@@ -115,7 +116,7 @@ class SupportRows:
 
     @cached_property
     def _breakpoints(self) -> tuple:
-        m, n = self.shape
+        m, n = self.Z.shape
         U = -np.sort(-np.abs(self.Z), axis=1)  # decreasing rearrangement
         zero_col = np.zeros((m, 1))
         P1 = np.concatenate([zero_col, np.cumsum(U, axis=1)], axis=1)  # P1[:, k] = sum of top k
@@ -151,14 +152,14 @@ def support_l1l2_batch(rows: SupportRows, rho: float, s: float) -> np.ndarray:
     closed form). The minimum over the candidates is the exact value.
     """
     rho, s = float(rho), float(s)
-    if rho < 0 or s < 0:
-        raise ValueError("ball radii must be nonnegative")
+    if not (rho >= 0 and s >= 0):
+        raise ValueError("ball radii must be nonnegative, not NaN")
     # Trivial branches. ||t||_2 <= ||t||_1 makes the l2 cap inactive when
     # s >= rho; ||t||_1 <= sqrt(n)||t||_2 makes the l1 cap inactive when
     # rho >= s*sqrt(n). Returned in closed form so these cases are exact.
     if s >= rho:
         return rho * rows._max_abs
-    if rho >= s * np.sqrt(rows.shape[1]):
+    if rho >= s * np.sqrt(rows.Z.shape[1]):
         return s * rows._l2
 
     lam_b, root_q_b, k, m_k, Q_k, A, seg_lo, seg_hi, neg_tol = rows._breakpoints

@@ -30,7 +30,6 @@ class SmallBallEstimate:
     directions: int
     draws: int
     stderr: float
-    argmin_direction: np.ndarray
     flags: tuple = field(default_factory=tuple)
 
 
@@ -57,13 +56,9 @@ if COUNT_BLOCK_ROWS + 1 > np.iinfo(np.uint8).max:
     raise ImportError(f"COUNT_BLOCK_ROWS = {COUNT_BLOCK_ROWS}: a block's counts overflow uint8")
 
 
-def probe_directions(design: DesignSpec, count: int, seed: int) -> tuple[np.ndarray, int]:
-    """Unit probe directions: `count` random ones plus canonical and 2-sparse
-    ones, the latter on at most MAX_PAIRS coordinate pairs.
-
-    Returns the stacked directions and the number of random rows (the
-    structured rows follow them).
-    """
+def probe_directions(design: DesignSpec, count: int, seed: int) -> np.ndarray:
+    """Unit probe directions, stacked: `count` random ones, then the n
+    canonical ones and 2-sparse ones on at most MAX_PAIRS coordinate pairs."""
     n = design.n
     rng = substream(seed, DIRECTIONS_TAG)
     raw = rng.standard_normal((count, n))
@@ -77,7 +72,7 @@ def probe_directions(design: DesignSpec, count: int, seed: int) -> tuple[np.ndar
     minus = np.zeros((i.size, n))
     plus[rows, i] = plus[rows, j] = minus[rows, i] = 1.0 / math.sqrt(2.0)
     minus[rows, j] = -1.0 / math.sqrt(2.0)
-    return np.vstack([raw, np.eye(n), plus, minus]), count
+    return np.vstack([raw, np.eye(n), plus, minus])
 
 
 def _check_probe_sizes(directions: int, draws: int) -> None:
@@ -92,7 +87,7 @@ def _check_probe_sizes(directions: int, draws: int) -> None:
 def _probe_draws(design: DesignSpec, directions: int, draws: int, seed: int, tag: int) -> tuple[np.ndarray, np.ndarray]:
     """`draws` fresh draws X (substream `tag`) and the probe directions T,
     one per row each."""
-    T, _ = probe_directions(design, directions, seed)
+    T = probe_directions(design, directions, seed)
     return design.sample_coords(substream(seed, DIRECTIONS_TAG, tag), (draws, design.n)), T
 
 
@@ -184,31 +179,30 @@ def estimate_Q(design: DesignSpec, u, directions: int, draws: int, seed: int) ->
     if not np.all(us >= 0):  # NaN fails this too
         raise ValueError("u must be nonnegative, not NaN")
     _check_probe_sizes(directions, draws)
-    thresholds = list(u)
     X, T = _probe_draws(design, directions, draws, seed, 0)
-    counts = _count_at_least(X, T, thresholds)
+    counts = _count_at_least(X, T, us)
     X2 = design.sample_coords(substream(seed, DIRECTIONS_TAG, 1), (draws, design.n))
 
     estimates = []
-    for v, count in zip(thresholds, counts):
+    for v, count in zip(us, counts):
         probs = count / draws
         worst = int(np.argmin(probs))
         q_hat = float(np.mean(np.abs(X2 @ T[worst]) >= v))
         stderr = math.sqrt(max(q_hat * (1.0 - q_hat), 0.0) / draws)
         flags = []
-        # the first `directions` probes are the random ones
-        if probs[directions:].size and probs[:directions].size:
-            if probs[directions:].min() < probs[:directions].min():
-                flags.append("structured_below_random")
-        estimates.append(SmallBallEstimate(float(v), q_hat, T.shape[0], draws, stderr, T[worst].copy(), tuple(flags)))
+        # the first `directions` probes are the random ones; the n canonical
+        # ones always follow them
+        if directions and probs[directions:].min() < probs[:directions].min():
+            flags.append("structured_below_random")
+        estimates.append(SmallBallEstimate(float(v), q_hat, T.shape[0], draws, stderr, tuple(flags)))
     return tuple(estimates)
 
 
 def paley_zygmund_Q(kappa2: float, p: float, u: float) -> float:
     """Small-ball lower bound ((1 - u^2)/kappa2^2)^(p/(p-2)) from an Lp/L2 ratio."""
-    if p <= 2:
-        raise ValueError("p must exceed 2")
-    if kappa2 < 1:
+    if not 2 < p < math.inf:
+        raise ValueError("p must be finite and exceed 2")
+    if not kappa2 >= 1:
         raise ValueError("kappa2 must be at least 1")
     if not 0.0 < u < 1.0:
         raise ValueError("u must lie in (0, 1)")
@@ -217,8 +211,8 @@ def paley_zygmund_Q(kappa2: float, p: float, u: float) -> float:
 
 def moment_ratio_p2(design: DesignSpec, p: float, directions: int, draws: int, seed: int) -> float:
     """Max over probed directions of the empirical Lp/L2 ratio of <X, t>."""
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    if not 2 <= p < math.inf:
+        raise ValueError("p must be finite and at least 2")
     _check_probe_sizes(directions, draws)
     mean_p, mean_2 = _column_means(*_probe_draws(design, directions, draws, seed, 2), [p, 2])
     return float(np.max(mean_p ** (1.0 / p) / np.sqrt(mean_2)))
@@ -278,16 +272,16 @@ class SmallBallCountReport:
 def check_count_inputs(class_spec: ClassSpec, tau: float, r: float, N: int, trials: int, probes: int) -> None:
     """Reject arguments `verify_empirical_smallball` cannot run with, before
     a caller spends an `estimate_Q` call on its q_hat."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not 0 <= tau < math.inf:
+        raise ValueError("tau must be nonnegative and finite")
     if N < 1:
         raise ValueError("N must be at least 1")
     if trials < 1:
         raise ValueError("trials must be positive")
     if probes < 0:
         raise ValueError("probes must be nonnegative")
-    if r > 2.0 * class_spec.R * (1.0 + 1e-12):
-        raise ValueError("r exceeds the diameter of the difference class")
+    if not r <= 2.0 * class_spec.R * (1.0 + 1e-12):
+        raise ValueError(f"r exceeds the diameter of the difference class, or is NaN: got {r!r}")
 
 
 def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: float, r: float, N: int, q_hat: float, trials: int, probes: int, seed: int, beta_estimate=None) -> SmallBallCountReport:
@@ -326,7 +320,7 @@ def verify_empirical_smallball(design: DesignSpec, class_spec: ClassSpec, tau: f
     min_counts = np.empty(trials)
 
     def count_trial(j: int) -> None:
-        X = np.asarray(sample_design(design, N, seed, trial=j))
+        X = sample_design(design, N, seed, trial=j)
         proj = np.abs(X @ dirs.T)  # |h(X_i)| for unit-scaled h; threshold scales the same way
         counts = (proj >= tau).sum(axis=0)
         min_counts[j] = counts.min()

@@ -115,11 +115,8 @@ def row_space(design: np.ndarray) -> np.ndarray:
 
     Xᵀ = QR is a reduced QR, and R has X's singular values. Only a
     rank-deficient design takes R's SVD with vectors, R = U_R S V_Rᵀ, and
-    keeps Q U_R[:, :rank].
+    keeps Q U_R[:, :rank]. A design with no rows gives the n x 0 basis.
     """
-    n = design.shape[1]
-    if design.shape[0] == 0:
-        return np.zeros((n, 0))
     # LAPACK does not return a meaningful factor of a design holding an inf
     if not np.isfinite(design).all():
         raise ValueError("design must not contain infs or NaNs")

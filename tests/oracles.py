@@ -151,7 +151,7 @@ def probe_rows(n: int, count: int) -> int:
     return count + n + 2 * min(n * (n - 1) // 2, MAX_PAIRS)
 
 
-def probe_directions_reference(design: DesignSpec, count: int, seed: int) -> tuple[np.ndarray, int]:
+def probe_directions_reference(design: DesignSpec, count: int, seed: int) -> np.ndarray:
     """`smallball.probe_directions` built from a list of its coordinate pairs,
     one row per pair: the same stream, the same pair sample and the same bytes."""
     n = design.n
@@ -171,7 +171,7 @@ def probe_directions_reference(design: DesignSpec, count: int, seed: int) -> tup
             minus[row, i] = 1.0 / math.sqrt(2.0)
             minus[row, j] = -1.0 / math.sqrt(2.0)
         structured += [plus, minus]
-    return np.vstack([raw] + structured), count
+    return np.vstack([raw] + structured)
 
 
 def count_at_least_reference(P: np.ndarray, thresholds) -> np.ndarray:
@@ -561,7 +561,7 @@ def probe_projections(design: DesignSpec, directions: int, draws: int, seed: int
     """The probe directions T and the whole P = |X T^T| for `draws` fresh
     draws X (substream `tag`), one column per direction: the draws
     x directions matrix the blocked small-ball estimates never hold."""
-    T, _ = probe_directions(design, directions, seed)
+    T = probe_directions(design, directions, seed)
     X = design.sample_coords(substream(seed, DIRECTIONS_TAG, tag), (draws, design.n))
     return T, np.abs(X @ T.T)
 

@@ -322,6 +322,8 @@ _GOLDEN_RUNS = {
     "smallball_l2_l1": [*_SMALLBALL, "--set", "action=l2_l1"],
     "smallball_verify_counts": [*_SMALLBALL, "--set", "action=verify_counts", "--set", "N=64", "--set", "trials=10", "--set", "probes=20"],
     "version-space": ["version-space", "--n", "8", "--N", "4", "--set", "probes=100", "--set", "t0_shape=flat"],
+    # no data: the version space is the whole ball
+    "version-space_N0": ["version-space", "--n", "8", "--N", "0", "--set", "probes=100", "--set", "t0_shape=flat"],
     "rates": ["rates", "--n", "50", "--N", "400", "--sigma", "0.3"],
     "persistence": ["persistence", "--set", "n_grid=[8]", "--set", "N_grid=[32,64]", "--set", "sigma_grid=[0.25,0.5]", "--set", "design.kind=student_t", "--set", "design.p=5", "--set", "noise.kind=heavy_tailed", "--set", "noise.p=3"],
     "counterexample": ["counterexample", "--N", "100", "--trials", "2000"],
@@ -345,7 +347,8 @@ _GOLDEN_RUNS = {
 # ERM trials came to draw their moments from their law and its summary gained
 # error_q and slack; alpha's JSON when its estimate dropped the
 # wilson_marginal flag; erm, alpha, beta, kstar and persistence when
-# random_signs came to draw 32 signs per word
+# random_signs came to draw 32 signs per word; version-space_N0 recorded
+# when its empty design came to be drawn by sample_design
 _GOLDEN_DIGESTS = {
     ("erm", "json"): "7df6b3add900b32131410024179e14be8f43032f1c15d91a6acc63f875d3d1ae",
     ("erm", "csv"): "1e4253266a983ccc42852e461c39c1471c1a24397f1ef32b9b13bcf21e8dafa7",
@@ -367,6 +370,8 @@ _GOLDEN_DIGESTS = {
     ("smallball_verify_counts", "csv"): "701882a4ec06b08c7b00a8a6484a34b2678bcd7314c887f888e498d7e1192ca4",
     ("version-space", "json"): "56708884bd561d7334ca4ca11f383cec2a9efdf741074e1dab534ec67cb1adb4",
     ("version-space", "csv"): "7a6524fe885a29b6c4e3c0916b25edaaffac765c5cf11998c24a9d8572fb08b9",
+    ("version-space_N0", "json"): "7d9996414425b6154207d711ba6c40cdc41367638d156aca4c1858007b625033",
+    ("version-space_N0", "csv"): "a3e7321f6c9bdaae9e0239b0d75c02e0b5047b2f3b0dcb0fb09653c042f56644",
     ("rates", "json"): "7f168238d4fecae6ec34365a2837356bead303c741ae8cf8449f5bb6f28637c0",
     ("rates", "csv"): "d7563770135a369b17eb33f9227a9f17951a8e4de323c51e824103ba08b32304",
     ("persistence", "json"): "011611ada37b437b7a2074ac9b8247035aaf6a88a59982dd4cf25c0ac75089ce",
@@ -464,9 +469,10 @@ def test_verify_counts_checks_inputs_before_estimating_q(setting, message, tmp_p
         ("erm", ["--n", "8", "--N", "40"]),
         # every subcommand and smallball action at the golden runs' sizes; the
         # cases added last keep the earlier cases' ids
-        *((_GOLDEN_RUNS[name][0], _GOLDEN_RUNS[name][1:]) for name in [*sorted(set(_GOLDEN_RUNS) - {"persistence", "verify-main"}), "persistence", "verify-main"]),
+        *((_GOLDEN_RUNS[name][0], _GOLDEN_RUNS[name][1:]) for name in [*sorted(set(_GOLDEN_RUNS) - {"persistence", "verify-main", "version-space_N0"}), "persistence", "verify-main"]),
         # a sweep echoes the design and noise objects as set, null sub-keys included
         ("persistence", ["--set", "n_grid=[8]", "--set", "N_grid=[32]", "--set", "noise.kind=bounded_symmetric", "--set", "noise.kappa=2", "--set", "design.p=null"]),
+        ("version-space", _GOLDEN_RUNS["version-space_N0"][1:]),
     ],
 )
 def test_echoed_config_reproduces_the_report(sub, extra, tmp_path):

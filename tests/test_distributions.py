@@ -11,6 +11,7 @@ from ermbounds.distributions import (
     DesignSpec,
     Moments,
     NoiseSpec,
+    Sample,
     l21_norm,
     psi2_norm,
     random_signs,
@@ -111,6 +112,13 @@ class TestDesignSampling:
         X = sample_design(spec, 1000000, seed=5)
         emp = float(np.mean((X @ t) ** 2))
         assert emp == pytest.approx(float(t @ t), rel=0.03)
+
+    @pytest.mark.parametrize("spec", ALL_DESIGNS, ids=lambda s: s.kind)
+    def test_empty_design(self, spec):
+        # N = 0 is a design with no rows, as version-space reads one
+        assert sample_design(spec, 0, seed=9).shape == (0, spec.n)
+        with pytest.raises(ValueError, match="sample size N must be nonnegative"):
+            sample_design(spec, -1, seed=9)
 
     def test_determinism(self):
         spec = DesignSpec("gaussian", 3)
@@ -302,7 +310,7 @@ class TestSpikeCounts:
 def test_make_sample_shapes():
     cls = ClassSpec(n=4, R=1.0, t0=np.zeros(4))
     sample = make_sample(cls, DesignSpec("gaussian", 4), NoiseSpec("gaussian", sigma=0.5), 32, seed=18)
-    assert sample.N == 32 and sample.n == 4
+    assert sample.design.shape == (32, 4) and sample.responses.shape == (32,)
 
 
 def _record_blocks(monkeypatch):
@@ -375,7 +383,7 @@ class TestSampleMoments:
         sample = make_sample(cls, design, noise, self.N, seed=29, trial=2)
         X, Y = sample.design, sample.responses
         m = moments(cls, design, noise, self.N, seed=29, trial=2)
-        assert m.N == self.N and m.n == 7
+        assert m.n == 7
         G, b, c = X.T @ X / self.N, X.T @ Y / self.N, float(Y @ Y) / self.N
         if design.kind == "rademacher":
             # integer entries: every block sum is exact
@@ -505,11 +513,14 @@ class TestSampleMoments:
             sample_moments(cls, DesignSpec("gaussian", 6), NoiseSpec("zero"), 10, seed=1)
         with pytest.raises(ValueError):
             sample_moments(cls, DesignSpec("gaussian", 7), NoiseSpec("zero"), 0, seed=1)
-        for G, b, N in ((np.eye(3)[:2], np.zeros(3), 4), (np.eye(3), np.zeros(2), 4), (np.zeros(3), np.zeros(3), 4), (np.eye(3), np.zeros(3), 0)):
+        for G, b in ((np.eye(3)[:2], np.zeros(3)), (np.eye(3), np.zeros(2)), (np.zeros(3), np.zeros(3))):
             with pytest.raises(ValueError):
-                Moments(G, b, 1.0, N)
+                Moments(G, b, 1.0)
         with pytest.raises(ValueError, match="non-finite"):
-            Moments(np.eye(2), np.array([0.0, np.inf]), 1.0, 4)
+            Moments(np.eye(2), np.array([0.0, np.inf]), 1.0)
+        # a sample with no rows has no moments (c / N divided by zero)
+        with pytest.raises(ValueError, match="at least one row"):
+            Sample(np.zeros((0, 3)), np.zeros(0), 0)
 
 
 class _CountingGenerator:
@@ -607,5 +618,4 @@ class TestGaussianLaw:
         real = distributions.substream
         monkeypatch.setattr(distributions, "substream", lambda seed, *path: _CountingGenerator(real(seed, *path), counts, path))
         m = sample_moments(self.cls(n), DesignSpec("gaussian", n), NoiseSpec("gaussian", sigma=0.5), N, seed=53, trial=7)
-        assert m.N == N
         assert counts == {(7, DESIGN_TAG): n * (n + 1) // 2 + n, (7, NOISE_TAG): 1}

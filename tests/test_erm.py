@@ -38,7 +38,7 @@ class TestSolve:
         found = 0
         for seed in range(10):
             sample = make_sample(cls, design, NoiseSpec("zero"), 60, seed=seed)
-            G = sample.design.T @ sample.design / sample.N
+            G = sample.design.T @ sample.design / 60
             lam_min = certified_min_eigenvalue(G)
             if lam_min < 0.1:
                 continue
@@ -211,7 +211,7 @@ class TestStacked:
 
     def test_zero_gram_row(self):
         cls, moments = trial_moments("gaussian", 12, 40, 4)
-        zero = Moments(np.zeros((12, 12)), np.zeros(12), 0.75, 40)
+        zero = Moments(np.zeros((12, 12)), np.zeros(12), 0.75)
         batch = moments[:2] + [zero] + moments[2:]
         results = solve_erms(batch, cls, tol=1e-9)
         assert result_key(results[2]) == (np.zeros(12).tobytes(), 0.75, 0, 0.0, True)
@@ -302,7 +302,7 @@ def near_collinear_moments(n, N, seed):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((N, 1)) + 1e-3 * rng.standard_normal((N, n))
     Y = X[:, 0] * 0.5 + 0.5 * rng.standard_normal(N)
-    return Moments(X.T @ X / N, X.T @ Y / N, float(Y @ Y / N), N)
+    return Moments(X.T @ X / N, X.T @ Y / N, float(Y @ Y / N))
 
 
 class TestStep:

@@ -26,6 +26,9 @@ class TestProjectL1:
             project_l1(np.array([np.nan, 1.0]), 1.0)
         with pytest.raises(ValueError):
             project_l1(np.array([np.inf, 1.0]), 1.0)
+        for radius in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="radius must be nonnegative"):
+                project_l1(np.array([3.0, 1.0]), radius)
 
     def test_grid_oracle_2_1_0(self):
         # grid search over the feasible set at resolution 1e-3; the inner two
@@ -141,6 +144,9 @@ class TestSupport:
             support_l1l2_batch(SupportRows(np.ones(2)), -1.0, 1.0)
         with pytest.raises(ValueError):
             support_l1l2_batch(SupportRows(np.ones(2)), 1.0, -1.0)
+        for rho, s in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="not NaN"):
+                support_l1l2_batch(SupportRows(np.ones(2)), rho, s)
 
     def test_iterative_maximization_oracle(self):
         rng = np.random.default_rng(2024)
@@ -212,6 +218,11 @@ class TestSupport:
         assert rearrangement_d(2.0, 1.0, 3) == 3
         assert rearrangement_d(0.5, 1.0, 10) == 1
         assert rearrangement_d(1.0, 0.0, 10) == 10
+
+    @pytest.mark.parametrize("l1, l2", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-1.0, 1.0), (1.0, -1.0)])
+    def test_rearrangement_d_rejects_bad_radii(self, l1, l2):
+        with pytest.raises(ValueError, match="radii must be finite and nonnegative"):
+            rearrangement_d(l1, l2, 5)
 
     def test_batch_matches_scalar_bitwise(self):
         rng = np.random.default_rng(6)

@@ -51,7 +51,7 @@ class TestEstimateQ:
         # 2-sparse pairs capped at MAX_PAIRS once n(n-1)/2 exceeds it (n = 70)
         design = DesignSpec("gaussian", n)
         zero, positive = estimate_Q(design, np.array([0.0, 0.5]), directions=40, draws=1000, seed=5)
-        rows = probe_directions(design, 40, seed=5)[0].shape[0]
+        rows = probe_directions(design, 40, seed=5).shape[0]
         assert zero.directions == positive.directions == rows == probe_rows(n, 40)
         assert estimate_Q(design, [0.0], directions=40, draws=1000, seed=5)[0].directions == rows
 
@@ -59,9 +59,8 @@ class TestEstimateQ:
     def test_probe_directions_match_pair_list_reference(self, n):
         # n = 8 probes all 28 pairs; n = 65 and 100 sample MAX_PAIRS of theirs
         design = DesignSpec("gaussian", n)
-        T, count = probe_directions(design, 30, seed=7)
-        T_ref, count_ref = probe_directions_reference(design, 30, seed=7)
-        assert count == count_ref == 30
+        T = probe_directions(design, 30, seed=7)
+        T_ref = probe_directions_reference(design, 30, seed=7)
         assert T.shape == T_ref.shape == (probe_rows(n, 30), n)
         assert T.tobytes() == T_ref.tobytes()
 
@@ -130,7 +129,6 @@ class TestEstimateQGrid:
             assert got.directions == want.directions
             assert got.draws == want.draws
             assert got.flags == want.flags
-            assert np.array_equal(got.argmin_direction, want.argmin_direction)
         # the grid reaches both flag outcomes, so the flag is compared too
         assert {est.flags for est in grid_ests} == {(), ("structured_below_random",)}
 
@@ -288,12 +286,15 @@ class TestPaleyZygmund:
         assert paley_zygmund_Q(1.0, 4.0, 0.5) == pytest.approx(0.5625, rel=1e-15)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            paley_zygmund_Q(1.0, 2.0, 0.5)
-        with pytest.raises(ValueError):
-            paley_zygmund_Q(0.5, 4.0, 0.5)
-        with pytest.raises(ValueError):
-            paley_zygmund_Q(1.0, 4.0, 1.5)
+        for p in (2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="p must be finite and exceed 2"):
+                paley_zygmund_Q(1.0, p, 0.5)
+        for kappa2 in (0.5, math.nan):
+            with pytest.raises(ValueError, match="kappa2 must be at least 1"):
+                paley_zygmund_Q(kappa2, 4.0, 0.5)
+        for u in (1.5, math.nan):
+            with pytest.raises(ValueError, match=r"u must lie in \(0, 1\)"):
+                paley_zygmund_Q(1.0, 4.0, u)
 
     @pytest.mark.parametrize(
         "design,p",
@@ -322,6 +323,12 @@ class TestMomentRatios:
         # E g^4 = 3 so the L4/L2 ratio is 3^(1/4) in every direction
         ratio = moment_ratio_p2(DesignSpec("gaussian", 6), 4.0, directions=200, draws=100000, seed=10)
         assert ratio == pytest.approx(3.0**0.25, rel=0.05)
+
+    @pytest.mark.parametrize("p", [1.5, math.nan, math.inf])
+    def test_moment_order_rejected(self, p):
+        # p = inf read 1.04 here, which is not the L-infinity/L2 ratio
+        with pytest.raises(ValueError, match="p must be finite and at least 2"):
+            moment_ratio_p2(DesignSpec("gaussian", 3), p, directions=10, draws=1000, seed=9)
 
     def test_rademacher_single_coordinate(self):
         # in dimension 1 every probe is +-e1 and |<X, e1>| = 1
@@ -420,6 +427,18 @@ class TestVerifyCounts:
         design, cls = DesignSpec("gaussian", 4), ClassSpec(n=4, R=1.0, t0=np.zeros(4))
         with pytest.raises(ValueError, match=r"q_hat must lie in \[0, 1\]"):
             verify_empirical_smallball(design, cls, tau=0.5, r=0.5, N=64, trials=6, probes=10, seed=22, q_hat=q_hat)
+
+    @pytest.mark.parametrize(
+        "tau, r, message",
+        [(math.nan, 0.5, "tau must be nonnegative and finite"), (math.inf, 0.5, "tau must be nonnegative and finite"), (0.5, math.nan, "r exceeds the diameter of the difference class, or is NaN")],
+    )
+    def test_nan_count_inputs_rejected(self, tau, r, message, monkeypatch):
+        # tau = nan read success_fraction 0.0, and r = nan failed later with
+        # "no probe direction admits ||v||_2 >= r"
+        monkeypatch.setattr(smallball, "sample_design", None)  # fails before any draw
+        design, cls = DesignSpec("gaussian", 4), ClassSpec(n=4, R=1.0, t0=np.zeros(4))
+        with pytest.raises(ValueError, match=message):
+            verify_empirical_smallball(design, cls, tau=tau, r=r, N=64, trials=6, probes=10, seed=22, q_hat=0.5)
 
     def test_identical_across_workers(self, monkeypatch):
         design, cls = DesignSpec("student_t", 6, p=4.0), ClassSpec(n=6, R=1.0, t0=np.zeros(6))

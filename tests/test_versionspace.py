@@ -119,12 +119,14 @@ _NULLSPACE_DESIGNS = {
     "wide_gaussian_design": sample_design(DesignSpec("gaussian", 40), 25, seed=4),
     "duplicated_rows": np.vstack([np.random.default_rng(5).standard_normal((3, 10))] * 3),
     "all_zero": np.zeros((4, 6)),
+    # no rows: the reduced QR of the 6 x 0 transpose is the 6 x 0 basis
+    "empty": np.zeros((0, 6)),
     # the smallest singular value sits 1e-13 above or below NULLSPACE_REL_TOL*max(s) = 1e-10,
     # a hundred times the SVD's rounding error
     "just_above_tol": _with_singular_values([1.0, 0.5, _TOL * (1.0 + 1e-3)], 4, 7, seed=6),
     "just_below_tol": _with_singular_values([1.0, 0.5, _TOL * (1.0 - 1e-3)], 4, 7, seed=6),
 }
-_NULLSPACE_DIMS = {"tall": 0, "wide": 7, "square": 0, "wide_gaussian_design": 15, "duplicated_rows": 7, "all_zero": 6, "just_above_tol": 4, "just_below_tol": 5}
+_NULLSPACE_DIMS = {"tall": 0, "wide": 7, "square": 0, "wide_gaussian_design": 15, "duplicated_rows": 7, "all_zero": 6, "empty": 6, "just_above_tol": 4, "just_below_tol": 5}
 
 
 class TestNullspaceBasis:
