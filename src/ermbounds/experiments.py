@@ -11,6 +11,7 @@ slack for Monte Carlo resolution at desk-scale trial counts.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import threading
@@ -130,19 +131,9 @@ def _erm_trials(cls: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, se
     return [result for results in map_trials(solve, -(-trials // batch)) for result in results]
 
 
-def _cell_errors(config: SweepConfig, n: int, N: int, R: float, sigma: float) -> tuple[np.ndarray, int]:
-    """Squared errors ||t_hat - t0||_2^2 over the cell's trials, plus failures."""
-    t0 = make_t0(config.t0_shape, config.t0_fraction, n, R)
-    cls = ClassSpec(n=n, R=R, t0=t0)
-    cell_seed = derive_seed(config.seed, n, N, _seed_key(R), _seed_key(sigma))
-    results = _erm_trials(cls, DesignSpec(n=n, **config.design), NoiseSpec(sigma=sigma, **config.noise), N, cell_seed, config.trials, tol=config.tol, max_iter=config.max_iter)
-    errors = np.array([float(np.sum((result.t_hat - t0) ** 2)) for result in results])
-    failures = sum(not result.converged for result in results)
-    return errors, failures
-
-
 def run_persistence_sweep(config: SweepConfig) -> Report:
-    """Compare ERM squared error against the two rate predictions, cell by cell.
+    """Compare ERM squared error ||t_hat - t0||_2^2 against the two rate
+    predictions, cell by cell, as each cell finishes.
 
     Emits long-format rows (one per cell statistic), a fitted constant for
     error <= c * max(v1, v2) from the 0.9 quantiles, log-log slopes of
@@ -150,53 +141,34 @@ def run_persistence_sweep(config: SweepConfig) -> Report:
     `passed`: no cell flagged for solver failures.
     """
     report = Report(kind="persistence", config=asdict(config), columns=SWEEP_COLUMNS)
-    cells = []
-    for n in config.n_grid:
-        for R in config.R_grid:
-            for sigma in config.sigma_grid:
-                for N in config.N_grid:
-                    errors, failures = _cell_errors(config, n, N, R, sigma)
-                    inputs = RateInputs(N=N, n=n, R=R, sigma=sigma)
-                    v1, v2, _ = v1_v2(inputs)
-                    rho = rho_N(inputs)
-                    med = float(np.median(errors))
-                    q90 = float(np.quantile(errors, 0.9))
-                    branch2 = N > inputs.c2 * n * n * sigma * sigma / (R * R)
-                    flagged = failures > 0.05 * config.trials
-                    cell = {
-                        "n": n,
-                        "N": N,
-                        "R": R,
-                        "sigma": sigma,
-                        "median_err2": med,
-                        "q90_err2": q90,
-                        "rho_N": rho,
-                        "v1": v1,
-                        "v2": v2,
-                        "v_max": max(v1, v2),
-                        "solver_failures": failures,
-                        "flagged": flagged,
-                        "branch2": branch2,
-                    }
-                    cells.append(cell)
-                    for stat in ("median_err2", "q90_err2", "rho_N", "v1", "v2", "v_max", "solver_failures", "flagged"):
-                        report.add_row(design=config.design["kind"], noise=config.noise["kind"], n=n, N=N, R=R, sigma=sigma, trials=config.trials, statistic=stat, value=cell[stat])
-
-    fitted = [c["q90_err2"] / c["v_max"] for c in cells if c["v_max"] > 0]
-    c_fit = float(max(fitted)) if fitted else 0.0
+    fitted, regimes, passed = [], {}, True
+    for n, R, sigma, N in itertools.product(config.n_grid, config.R_grid, config.sigma_grid, config.N_grid):
+        t0 = make_t0(config.t0_shape, config.t0_fraction, n, R)
+        cell_seed = derive_seed(config.seed, n, N, _seed_key(R), _seed_key(sigma))
+        results = _erm_trials(ClassSpec(n=n, R=R, t0=t0), DesignSpec(n=n, **config.design), NoiseSpec(sigma=sigma, **config.noise), N, cell_seed, config.trials, tol=config.tol, max_iter=config.max_iter)
+        errors = np.array([float(np.sum((result.t_hat - t0) ** 2)) for result in results])
+        failures = sum(not result.converged for result in results)
+        inputs = RateInputs(N=N, n=n, R=R, sigma=sigma)
+        v1, v2, _ = v1_v2(inputs)
+        med = float(np.median(errors))
+        q90 = float(np.quantile(errors, 0.9))
+        v_max = max(v1, v2)
+        flagged = failures > 0.05 * config.trials
+        passed = passed and not flagged
+        cell = {"median_err2": med, "q90_err2": q90, "rho_N": rho_N(inputs), "v1": v1, "v2": v2, "v_max": v_max, "solver_failures": failures, "flagged": flagged}
+        for stat, value in cell.items():
+            report.add_row(design=config.design["kind"], noise=config.noise["kind"], n=n, N=N, R=R, sigma=sigma, trials=config.trials, statistic=stat, value=value)
+        if v_max > 0:
+            fitted.append(q90 / v_max)
+        if med > 0:
+            branch2 = N > inputs.c2 * n * n * sigma * sigma / (R * R)
+            regimes.setdefault((n, R, sigma, branch2), []).append((math.log(N), math.log(med)))
     slopes = {}
-    groups = {}
-    for c in cells:
-        key = (c["n"], c["R"], c["sigma"], c["branch2"])
-        groups.setdefault(key, []).append(c)
-    for key, group in sorted(groups.items()):
-        pts = [(math.log(c["N"]), math.log(c["median_err2"])) for c in group if c["median_err2"] > 0]
+    for (n, R, sigma, branch2), pts in sorted(regimes.items()):
         if len(pts) >= 2:
             xs, ys = zip(*pts)
-            slope = float(np.polyfit(xs, ys, 1)[0])
-            name = f"n={key[0]},R={key[1]:g},sigma={key[2]:g},branch2={int(key[3])}"
-            slopes[name] = slope
-    report.summary = {"c_fit": c_fit, "slopes": slopes, "passed": not any(c["flagged"] for c in cells)}
+            slopes[f"n={n},R={R:g},sigma={sigma:g},branch2={int(branch2)}"] = float(np.polyfit(xs, ys, 1)[0])
+    report.summary = {"c_fit": float(max(fitted)) if fitted else 0.0, "slopes": slopes, "passed": passed}
     return report
 
 

@@ -2,12 +2,12 @@
 
 The localized sets are the symmetric supersets 2R*B1 ∩ r*B2 of the shifted
 class sections, so each realized supremum is an exact support-function
-evaluation. One trial draws a sample (and signs, and noise where relevant)
-and reduces it to a single n-vector Z; evaluating the supremum at any radius
-then only touches Z. That makes common random numbers across radii free:
-the whole fixed-point search runs on one batch of Z vectors, prepared once
-(`SupportRows` sorts it and forms its cumulative sums), and the empirical
-criterion it searches is a deterministic function of the radius.
+evaluation. One trial reduces its draws to a single n-vector Z; evaluating
+the supremum at any radius then only touches Z. That makes common random
+numbers across radii free: the whole fixed-point search runs on one batch of
+Z vectors, prepared once (`SupportRows` sorts it and forms its cumulative
+sums), and the empirical criterion it searches is a deterministic function
+of the radius.
 
 The localized sets are star-shaped, so each trial's supremum divided by the
 radius is non-increasing. Hence the mean criterion of beta* and k* changes
@@ -15,19 +15,27 @@ sign once, and each trial's success in alpha*'s quantile criterion switches
 on at most once as the radius grows: one bisection (`_fixed_point`) finds
 all three.
 
+Every design law in DESIGN_KINDS is symmetric and independent of the noise,
+so eps_i X_i has the law of X_i, and Z = N^{-1/2} sum_i eps_i xi_i X_i has
+the law of N^{-1/2} sum_i xi_i X_i: no path draws the Rademacher signs. The
+multiplier xi is 1 for beta* and k*, and for alpha* the trial's own noise
+draw w (the sign of xi = <t0, X> - Y = -w does not matter either, the
+localized sets being symmetric).
+
 For a gaussian design Z has an exact law, so its batches are drawn from that
-law instead of from N x n samples: N^{-1/2} sum_i eps_i X_i is N(0, I_n),
-and given the noise w, N^{-1/2} sum_i eps_i w_i X_i is sqrt(mean w^2) N(0, I_n).
-For gaussian noise N mean(w^2)/sigma^2 is chi^2_N, one draw a trial.
+law instead of from N x n samples: N^{-1/2} sum_i X_i is N(0, I_n), and given
+the noise w, N^{-1/2} sum_i w_i X_i is sqrt(mean w^2) N(0, I_n). For gaussian
+noise N mean(w^2)/sigma^2 is chi^2_N, one draw a trial.
 
 A student-t design is a gaussian scale mixture: a standardized t_p
 coordinate is G sqrt((p - 2)/chi^2_p) with G ~ N(0, 1) independent of the
 chi^2_p. So given the mixing variables and the multipliers xi, each
-coordinate of Z is N(0, M_k) on its own, M_k = (1/N) sum_i xi_i^2 (p - 2)/chi^2_{p,ik},
-and the signs drop out: a trial draws N x n chi-squares (2(E_1 + ... + E_{p/2})
-from standard exponentials when p is 4 or 6, where that is the faster draw)
-and n normals, instead of N x n t-variates and N signs.
-Every other design kind draws each trial's sample.
+coordinate of Z is N(0, M_k) on its own, M_k = (1/N) sum_i xi_i^2 (p - 2)/chi^2_{p,ik}:
+a trial draws N x n chi-squares (2(E_1 + ... + E_{p/2}) from standard
+exponentials when p is 4 or 6, where that is the faster draw) and n normals,
+instead of N x n t-variates.
+Every other design kind draws each trial's sample and sums its rows
+weighted by xi.
 """
 
 from __future__ import annotations
@@ -37,10 +45,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import DesignSpec, NoiseSpec, random_signs, sample_design, sample_response
+from .distributions import DesignSpec, NoiseSpec, sample_design
 from .erm import ClassSpec
 from .geometry import SupportRows, support_l1l2_batch
-from .rng import DESIGN_TAG, LAW_TAG, NOISE_TAG, SIGNS_TAG, map_trials, substream, trial_workers
+from .rng import DESIGN_TAG, LAW_TAG, NOISE_TAG, map_trials, substream, trial_workers
 
 DEFAULT_QUANTILE_TRIALS = 1000
 _LAW_BLOCK = 2**16  # noise values one block of the exact multiplier law draws (one whole trial if N is larger)
@@ -92,9 +100,9 @@ def _chisquare(rng: np.random.Generator, p: float, size: tuple) -> np.ndarray:
 
 
 def _z_batch(class_spec: ClassSpec, design: DesignSpec, N: int, trials: int, seed: int, noise: NoiseSpec | None) -> np.ndarray:
-    """Per-trial vectors Z_j = N^{-1/2} sum_i eps_i xi_i X_i, one row per trial:
-    the Rademacher process (xi = 1) when `noise` is None, else the multiplier
-    process (xi = <t0, X> - Y = -w).
+    """Per-trial vectors Z_j = N^{-1/2} sum_i xi_i X_i, one row per trial: in
+    law the Rademacher process (xi = 1) when `noise` is None, else the
+    multiplier process (xi = w, trial j's noise from (seed, j, NOISE_TAG)).
 
     A gaussian design draws them from their law: N(0, I_n), n normals a
     trial (row j depends only on the seed and j), times sqrt(mean w^2) given
@@ -102,11 +110,12 @@ def _z_batch(class_spec: ClassSpec, design: DesignSpec, N: int, trials: int, see
     doubling sigma doubles Z bit for bit.
 
     A student-t design draws them from its gaussian scale-mixture law:
-    trial j takes its noise w from (seed, j, NOISE_TAG), as sample_response
-    does, then from (seed, j, DESIGN_TAG) the N x n chi-squares in row
-    blocks of at most _CHI2_BLOCK values, summed into
+    trial j takes its xi, then from (seed, j, DESIGN_TAG) the N x n
+    chi-squares in row blocks of at most _CHI2_BLOCK values, summed into
     M = (1/N) sum_i xi_i^2 (p - 2)/chi^2_{p,i}, and n normals G; its row is
-    sqrt(M) * G. Row j depends only on the seed and j.
+    sqrt(M) * G. Any other design sums the rows of trial j's sample,
+    sample_design(design, N, seed, trial=j), weighted by its xi. Row j
+    depends only on the seed and j.
 
     Every design reads $ERMBOUNDS_WORKERS before it draws, so a bad value
     fails here even where the law path starts no threads.
@@ -138,10 +147,8 @@ def _z_batch(class_spec: ClassSpec, design: DesignSpec, N: int, trials: int, see
 
     def sample_trial(j):
         X = sample_design(design, N, seed, trial=j)
-        eps = random_signs(substream(seed, j, SIGNS_TAG), N)
-        if noise is not None:
-            eps *= X @ class_spec.t0 - sample_response(class_spec, noise, X, seed, trial=j)
-        out[j] = (eps @ X) / math.sqrt(N)
+        xi = np.ones(N) if noise is None else noise.sample(substream(seed, j, NOISE_TAG), N)
+        out[j] = (xi @ X) / math.sqrt(N)
 
     map_trials(student_t_trial if design.kind == "student_t" else sample_trial, trials)
     return out

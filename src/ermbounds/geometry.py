@@ -156,9 +156,10 @@ def support_l1l2_batch(rows: SupportRows, rho: float, s: float) -> np.ndarray:
         raise ValueError("ball radii must be nonnegative, not NaN")
     # Trivial branches. ||t||_2 <= ||t||_1 makes the l2 cap inactive when
     # s >= rho; ||t||_1 <= sqrt(n)||t||_2 makes the l1 cap inactive when
-    # rho >= s*sqrt(n). Returned in closed form so these cases are exact.
+    # rho >= s*sqrt(n). Returned in closed form so these cases are exact; a
+    # zero row's support is 0 even at rho = s = inf (the second has s < rho).
     if s >= rho:
-        return rho * rows._max_abs
+        return np.multiply(rho, rows._max_abs, out=np.zeros_like(rows._max_abs), where=rows._max_abs > 0)
     if rho >= s * np.sqrt(rows.Z.shape[1]):
         return s * rows._l2
 

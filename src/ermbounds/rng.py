@@ -14,9 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 # Tags distinguishing the purpose of a substream under one (seed, trial) key.
+# Values key the streams, so none is renumbered (2 keys the tests' signed Z).
 DESIGN_TAG = 0
 NOISE_TAG = 1
-SIGNS_TAG = 2
 DIRECTIONS_TAG = 3
 # Exact-law draws of a whole batch, keyed (LAW_TAG, tag, block): three
 # entries, so no per-trial key (trial, tag) or block key (block,) meets them.

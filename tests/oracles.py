@@ -48,6 +48,10 @@ from ermbounds.geometry import REL_SLACK, SupportRows, as_vector, project_l1, su
 from ermbounds.rng import DESIGN_TAG, DIRECTIONS_TAG, NOISE_TAG, substream
 from ermbounds.smallball import MAX_PAIRS, probe_directions
 
+# The stream tag of the signed reference Z's Rademacher signs, which no
+# program draws: each design law is symmetric, so the package drops them.
+SIGNS_TAG = 2
+
 
 def project_l1_reference(v: np.ndarray, radius: float) -> np.ndarray:
     """Projection onto the l1 ball via scipy bisection on the threshold."""
@@ -436,9 +440,10 @@ def brute_force_erm(sample: Sample, class_spec: ClassSpec) -> np.ndarray:
 def rademacher_sup(design: np.ndarray, signs: np.ndarray, class_spec: ClassSpec, radius: float) -> float:
     """Realized localized Rademacher supremum for one sample and sign vector.
 
-    Z = N^{-1/2} sum_i eps_i X_i; the supremum of <Z, t> over the symmetric
-    localization set already dominates the absolute value, so no separate -Z
-    evaluation is needed.
+    Z = N^{-1/2} sum_i eps_i X_i (with multipliers xi in place of the signs,
+    the sign-free multiplier row the package draws); the supremum of <Z, t>
+    over the symmetric localization set already dominates the absolute
+    value, so no separate -Z evaluation is needed.
     """
     if design.shape[0] != signs.shape[0]:
         raise ValueError("signs length must match the number of rows")

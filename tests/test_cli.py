@@ -348,16 +348,18 @@ _GOLDEN_RUNS = {
 # error_q and slack; alpha's JSON when its estimate dropped the
 # wilson_marginal flag; erm, alpha, beta, kstar and persistence when
 # random_signs came to draw 32 signs per word; version-space_N0 recorded
-# when its empty design came to be drawn by sample_design
+# when its empty design came to be drawn by sample_design; beta and kstar
+# when the Z rows of their rademacher and bounded_uniform designs came to sum
+# each sample without drawing Rademacher signs
 _GOLDEN_DIGESTS = {
     ("erm", "json"): "7df6b3add900b32131410024179e14be8f43032f1c15d91a6acc63f875d3d1ae",
     ("erm", "csv"): "1e4253266a983ccc42852e461c39c1471c1a24397f1ef32b9b13bcf21e8dafa7",
-    ("beta", "json"): "105993412f9abbd1d470c860443ae135cb01300072a7630629efaea5c5133273",
-    ("beta", "csv"): "338ec5d62983ba37ca02975d553b4b88a33e73ea86d02059a251805e876b1bf6",
+    ("beta", "json"): "f59e4aef8df28a6bd4d5233beaaa4340192d195a81bbec598433b10efe021dd3",
+    ("beta", "csv"): "b9be94a6e69d927bdf0c251c03a72bf3e792777afc859fcb6dbc3433c6bfe1c0",
     ("alpha", "json"): "5f3312273fa4ca14bc8bc0b24b42c0d5b8a8cc18ff06ce4a41fa5127047ead3e",
     ("alpha", "csv"): "919ce22ff226fa7a065d495e32dde3bde67be3f8d5e30ec9aa306e2a68e97fee",
-    ("kstar", "json"): "a99659a007a33a3e0d5e5044db0490297c4f0d0c868c955038217c8a58d91b4b",
-    ("kstar", "csv"): "5b5f4dfde85cedfa574429245d40752af23b66a9a8ae2f4f2bbcc9ff95c78d97",
+    ("kstar", "json"): "991b5f5d6ba688264655817bac1361e0a3b5368324a503e3dd8e0731b7b726a1",
+    ("kstar", "csv"): "71bc63d0ac6748280d62035bf38805945538494bd7227fba746a4d5b78dca534",
     ("smallball_estimate_q", "json"): "0ccf14563d64a0b550dc01f0b18b004dbf67f9bb938af4d2bc7c63ae605af26e",
     ("smallball_estimate_q", "csv"): "59a9c0c33872099412fd1ab0f444a3a248d4a4e7944c6f50d57f41ab967d1c9e",
     ("smallball_choose_tau", "json"): "71a5676e28aac24ee19f205715559f2d193a9bcfcd41cc9387e73d4443a7cb69",

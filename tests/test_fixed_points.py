@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from ermbounds import fixed_points, rng
-from ermbounds.distributions import DesignSpec, NoiseSpec, sample_design, sample_response
+from ermbounds.distributions import DESIGN_KINDS, DesignSpec, NoiseSpec, sample_design, sample_response
 from ermbounds.erm import ClassSpec
 from ermbounds.experiments import make_t0
 from ermbounds.fixed_points import (
@@ -20,9 +20,9 @@ from ermbounds.fixed_points import (
 )
 from ermbounds.geometry import SupportRows, support_l1l2_batch
 from ermbounds.reports import record
-from ermbounds.rng import SIGNS_TAG, substream
+from ermbounds.rng import NOISE_TAG, substream
 from ermbounds.smallball import choose_tau, estimate_Q
-from oracles import boundary_enum_2d, expected_rademacher_sup, make_sample, multiplier_sup, packed_signs, rademacher_sup, student_t_law_z, support_l1l2_batch_oneshot
+from oracles import SIGNS_TAG, boundary_enum_2d, expected_rademacher_sup, make_sample, multiplier_sup, packed_signs, rademacher_sup, student_t_law_z, support_l1l2_batch_oneshot
 
 
 def cls_zero(n, R=1.0):
@@ -447,10 +447,12 @@ class TestWorkerCounts:
         config = (cls, design, N, trials, seed)
         rad = support_l1l2_batch(SupportRows(_z_batch(*config, None)), 2.0 * cls.R, radius)
         mult = support_l1l2_batch(SupportRows(_z_batch(*config, noise)), 2.0 * cls.R, radius)
+        # the rows weigh trial j's sample by xi = 1 and by its noise draw,
+        # with no signs: rademacher_sup with xi in place of the signs
         for j in range(trials):
-            signs = packed_signs(substream(seed, j, SIGNS_TAG), N)
-            assert rad[j] == rademacher_sup(sample_design(design, N, seed, trial=j), signs, cls, radius)
-            assert mult[j] == multiplier_sup(make_sample(cls, design, noise, N, seed, trial=j), cls, radius, signs)
+            X = sample_design(design, N, seed, trial=j)
+            assert rad[j] == rademacher_sup(X, np.ones(N), cls, radius)
+            assert mult[j] == rademacher_sup(X, noise.sample(substream(seed, j, NOISE_TAG), N), cls, radius)
 
     def test_negative_workers_rejected(self, monkeypatch):
         # a rademacher design draws its trials on threads; a gaussian one
@@ -494,7 +496,9 @@ class TestWorkerCounts:
 
 
 def per_sample_z(cls, design, N, trials, seed, noise=None):
-    """Z rows built from whole samples: the design, the signs stream and the responses."""
+    """Z rows built from whole samples: the design, a signs stream of the
+    tests' own and the responses, with xi = <t0, X> - Y. The signed reference
+    every sign-free Z batch must match in law."""
     Z = np.empty((trials, cls.n))
     for j in range(trials):
         X = sample_design(design, N, seed, trial=j)
@@ -515,7 +519,8 @@ class ExactLaw:
     design: DesignSpec
     block: str  # the module constant that sets the size of the design's law blocks
 
-    def assert_same_law(self, fast, slow):
+    @staticmethod
+    def assert_same_law(fast, slow):
         # one coordinate per trial keeps each sample iid; the sups at two
         # radii check the joint law through the statistic the fixed points read
         for a, b in ((fast[:, 0], slow[:, 0]), (fast[:, -1], slow[:, -1])):
@@ -589,6 +594,21 @@ class ExactLaw:
         for k in (1, 127, 128, 200):
             for a, b in zip(batches(k), full):
                 assert np.array_equal(a, b[:k])
+
+
+def test_design_kinds_are_the_symmetric_laws():
+    # _z_batch drops the Rademacher signs because each of these laws is
+    # symmetric (eps X has the law of X); a new kind must revisit that path
+    assert DESIGN_KINDS == ("rademacher", "bounded_uniform", "gaussian", "student_t", "symmetrized_pareto")
+
+
+@pytest.mark.parametrize("noise", [None, NoiseSpec("heavy_tailed", sigma=0.5, p=3.0)], ids=["rademacher", "heavy_tailed"])
+@pytest.mark.parametrize("design", [DesignSpec("rademacher", 8), DesignSpec("bounded_uniform", 8), DesignSpec("symmetrized_pareto", 8, p=5.0)], ids=lambda d: d.kind)
+def test_sampled_designs_match_the_signed_rows_in_law(design, noise):
+    # these designs sum each trial's sample without signs
+    N, trials = ExactLaw.N, ExactLaw.trials
+    fast = _z_batch(ExactLaw.cls, design, N, trials, 61, noise)
+    ExactLaw.assert_same_law(fast, per_sample_z(ExactLaw.cls, design, N, trials, 62, noise))
 
 
 class TestGaussianLaw(ExactLaw):

@@ -130,6 +130,11 @@ class TestSupport:
             rho = float(rng.uniform(0.1, 2.0))
             s = rho * float(rng.uniform(1.0, 3.0))
             assert support(z, rho, s) == rho * np.abs(z).max()
+        # infinite radii: a zero row's support is 0, not inf * 0
+        rows = SupportRows([[0.0, 0.0], [1.0, 2.0]])
+        with np.errstate(all="raise"):
+            for rho, s, expected in ((math.inf, math.inf, [0.0, math.inf]), (1.0, math.inf, [0.0, 2.0]), (math.inf, 1.0, [0.0, math.sqrt(5.0)])):
+                assert support_l1l2_batch(rows, rho, s).tolist() == expected
 
     def test_l1_slack_branch_exact(self):
         rng = np.random.default_rng(1)
