@@ -11,6 +11,7 @@ slack for Monte Carlo resolution at desk-scale trial counts.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import numbers
@@ -20,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .distributions import CounterexampleSpec, DesignSpec, NoiseSpec, _moments_into
-from .erm import ClassSpec, ErmResult, solve_erms
+from .erm import _GATHER_MIN_N, ClassSpec, ErmResult, solve_erms
 from .fixed_points import alpha_star, beta_star, quantile_trials
 from .rates import RateInputs, rho_N, v1_v2
 from .reports import Report, record, wilson_interval
@@ -106,34 +107,59 @@ class SweepConfig:
                 seen[k] = value
 
 
-def _erm_trials(cls: ClassSpec, design: DesignSpec, noise: NoiseSpec, N: int, seed: int, trials: int, **solver) -> list[ErmResult]:
-    """`solve_erms` results (with the `solver` settings) of trials
-    0..trials-1, each solved from `sample_moments`.
+def _erm_trials(cells: list, trials: int, **solver) -> list[list[ErmResult]]:
+    """For each cell (cls, design, noise, N, seed), the `solve_erms` results
+    (with the `solver` settings) of its trials 0..trials-1, each solved from
+    `sample_moments`.
 
-    A trial never holds its N x n design. The trials are solved in stacked
-    batches whose G's hold at most _ERM_BATCH numbers, on `map_trials`
-    threads; neither changes a result. Each thread keeps one G buffer per
-    batch position and fills it again for its next batch, once
-    `solve_erms` has returned: a result copies its t_hat and holds no G.
+    A trial never holds its N x n design. Each cell's trials are solved in
+    stacked batches whose G's hold at most _ERM_BATCH numbers, and the
+    batches of every cell are the tasks of one `map_trials` call; none of
+    this changes a result. Within each run of cells of one n the tasks take
+    the cells in turn, so that one cell's moments, whose numpy calls
+    release the interpreter lock, overlap another cell's solve. Each thread
+    keeps one G buffer per batch position while its tasks keep their n, and
+    fills it again for its next batch, once `solve_erms` has returned: a
+    result copies its t_hat and holds no G. A thread drops its buffers
+    before it allocates those of another n.
+
+    Solves above n = _GATHER_MIN_N take one lock in turn. They step a row
+    at a time, in numpy calls on n-vectors that each release and retake the
+    interpreter lock, so two of them on two threads hand it back and forth
+    on every call and finish later than they would one after the other.
+    Dense stacked solves spend their time in BLAS and run side by side.
     """
-    batch = max(1, _ERM_BATCH // (cls.n * cls.n))
+    solve_lock = threading.Lock()
     buffers = threading.local()
+    tasks = []
+    for n, run in itertools.groupby(range(len(cells)), key=lambda c: cells[c][0].n):
+        run = list(run)
+        batch = max(1, _ERM_BATCH // (n * n))
+        tasks += [(c, range(lo, min(trials, lo + batch)), min(batch, trials)) for lo in range(0, trials, batch) for c in run]
 
-    def solve(i: int) -> list[ErmResult]:
-        if not hasattr(buffers, "G"):
+    def solve(task: int) -> list[ErmResult]:
+        c, trial_ids, positions = tasks[task]
+        cls, design, noise, N, seed = cells[c]
+        if getattr(buffers, "n", None) != cls.n:
             # one array per position, not one stack: at n = 32 a 1.6 MB stack
             # grew verify-main's heap where 200 small G's reuse its free chunks
-            buffers.G = [np.empty((cls.n, cls.n)) for _ in range(min(batch, trials))]
-        trial_ids = range(i * batch, min(trials, (i + 1) * batch))
+            buffers.G = None  # free the last n's buffers first
+            buffers.G = [np.empty((cls.n, cls.n)) for _ in range(positions)]
+            buffers.n = cls.n
         moments = [_moments_into(G, cls, design, noise, N, seed, j) for G, j in zip(buffers.G, trial_ids)]
-        return solve_erms(moments, cls, **solver)
+        with solve_lock if cls.n > _GATHER_MIN_N else contextlib.nullcontext():
+            return solve_erms(moments, cls, **solver)
 
-    return [result for results in map_trials(solve, -(-trials // batch)) for result in results]
+    results = [[] for _ in cells]
+    for (c, _, _), batch_results in zip(tasks, map_trials(solve, len(tasks))):
+        results[c] += batch_results
+    return results
 
 
 def run_persistence_sweep(config: SweepConfig) -> Report:
     """Compare ERM squared error ||t_hat - t0||_2^2 against the two rate
-    predictions, cell by cell, as each cell finishes.
+    predictions, cell by cell; every cell's trials run in one `_erm_trials`
+    call.
 
     Emits long-format rows (one per cell statistic), a fitted constant for
     error <= c * max(v1, v2) from the 0.9 quantiles, log-log slopes of
@@ -141,12 +167,14 @@ def run_persistence_sweep(config: SweepConfig) -> Report:
     `passed`: no cell flagged for solver failures.
     """
     report = Report(kind="persistence", config=asdict(config), columns=SWEEP_COLUMNS)
-    fitted, regimes, passed = [], {}, True
-    for n, R, sigma, N in itertools.product(config.n_grid, config.R_grid, config.sigma_grid, config.N_grid):
+    grid = list(itertools.product(config.n_grid, config.R_grid, config.sigma_grid, config.N_grid))
+    cells = []
+    for n, R, sigma, N in grid:
         t0 = make_t0(config.t0_shape, config.t0_fraction, n, R)
-        cell_seed = derive_seed(config.seed, n, N, _seed_key(R), _seed_key(sigma))
-        results = _erm_trials(ClassSpec(n=n, R=R, t0=t0), DesignSpec(n=n, **config.design), NoiseSpec(sigma=sigma, **config.noise), N, cell_seed, config.trials, tol=config.tol, max_iter=config.max_iter)
-        errors = np.array([float(np.sum((result.t_hat - t0) ** 2)) for result in results])
+        cells.append((ClassSpec(n=n, R=R, t0=t0), DesignSpec(n=n, **config.design), NoiseSpec(sigma=sigma, **config.noise), N, derive_seed(config.seed, n, N, _seed_key(R), _seed_key(sigma))))
+    fitted, regimes, passed = [], {}, True
+    for (n, R, sigma, N), (cls, *_), results in zip(grid, cells, _erm_trials(cells, config.trials, tol=config.tol, max_iter=config.max_iter)):
+        errors = np.array([float(np.sum((result.t_hat - cls.t0) ** 2)) for result in results])
         failures = sum(not result.converged for result in results)
         inputs = RateInputs(N=N, n=n, R=R, sigma=sigma)
         v1, v2, _ = v1_v2(inputs)
@@ -290,7 +318,7 @@ def verify_main_theorem(config: MainTheoremConfig) -> Report:
     beta = beta_star(cls, design, config.N, gamma_beta, trials=config.beta_trials, seed=derive_seed(config.seed, _STAGE_BETA))
     bound = 2.0 * max(alpha.value, beta.value)
 
-    results = _erm_trials(cls, design, noise, config.N, derive_seed(config.seed, _STAGE_TRIALS), config.trials, tol=config.tol)
+    results = _erm_trials([(cls, design, noise, config.N, derive_seed(config.seed, _STAGE_TRIALS))], config.trials, tol=config.tol)[0]
     errors = np.array([float(np.linalg.norm(result.t_hat - t0)) for result in results])
     successes = int(np.sum(errors <= bound))
     frequency = successes / config.trials

@@ -83,10 +83,13 @@ def map_trials(fn, count: int) -> list:
     the interpreter lock, while a process pool would re-import the package
     and pickle every array. Each trial must draw only from its own substreams
     and write only its own output slot, or add into a shared total under a
-    lock where the sum is exact in any order (integer counts). If trials
-    fail, the pending ones are cancelled and the exception of the first
-    failing trial in trial order is raised, as the plain loop would raise
-    it.
+    lock where the sum is exact in any order (integer counts). A trial may
+    also hold a lock around work that runs no faster beside its own kind
+    (long chains of short numpy calls, which convoy on the interpreter
+    lock), since the order in which trials take it changes no result. If
+    trials fail, the pending ones are cancelled and the exception of the
+    first failing trial in trial order is raised, as the plain loop would
+    raise it.
     """
     threads = trial_workers(count)
     if threads <= 1:

@@ -2,7 +2,8 @@
 
 Every command of every workload in bench/workloads.py runs once at the CLI
 seed of benchmark seed 1, in JSON and in CSV, and each report's sha256 must
-match the table below. A change that moves a report's bytes makes the
+match the table below, on every CPU (the default) and on one trial thread:
+no report may depend on the number of trial threads. A change that moves a report's bytes makes the
 benchmark time different work, so it must re-pin the table and say why. The
 commands run in a child interpreter with cwd bench/ and one BLAS thread, as
 the benchmark runs them; bench/workloads.py imports bench/oracles.py, which
@@ -51,11 +52,19 @@ _REPORT_DIGESTS = {
 }
 
 
-def test_bench_reports_keep_their_bytes():
+def _check_reports(workers: str) -> None:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1", ERMBOUNDS_WORKERS=workers)
     proc = subprocess.run([sys.executable, "-c", _RUN], cwd=ROOT / "bench", env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     reports = json.loads(proc.stdout.splitlines()[-1])
     assert {name: code for name, (code, _) in reports.items()} == dict.fromkeys(_REPORT_DIGESTS, 0)
     assert {name: digest for name, (_, digest) in reports.items()} == _REPORT_DIGESTS
+
+
+def test_bench_reports_keep_their_bytes():
+    _check_reports("0")
+
+
+def test_bench_reports_keep_their_bytes_on_one_worker():
+    _check_reports("1")

@@ -2,13 +2,15 @@ import hashlib
 import json
 import math
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
 
-from ermbounds import cli, distributions, experiments
+from ermbounds import cli, distributions, erm, experiments, rng
 from ermbounds.distributions import DesignSpec, NoiseSpec, sample_moments
 from ermbounds.erm import ClassSpec, solve_erm
 from ermbounds.experiments import MainTheoremConfig, SweepConfig, make_t0, run_counterexample, run_persistence_sweep, verify_main_theorem
@@ -235,7 +237,9 @@ class TestPersistenceSweep:
 
 class TestErmTrials:
     """`_erm_trials` fills each trial's G into a buffer that its thread keeps
-    for its next batch (one trial at n = 700)."""
+    for its next batch of the same n (one trial at n = 700), runs a whole
+    sweep's batches as the tasks of one `map_trials` call, and lets only
+    one gathered-path solve run at a time."""
 
     n = 700
     cls = ClassSpec(n=700, R=1.0, t0=np.zeros(700))
@@ -263,11 +267,11 @@ class TestErmTrials:
             return substream(seed, *path)
 
         # a first run imports what the draws and the solve import on first use
-        experiments._erm_trials(self.cls, self.design, self.noise, 350, 5, 1, tol=1e-9)
+        experiments._erm_trials([(self.cls, self.design, self.noise, 350, 5)], 1, tol=1e-9)
         monkeypatch.setattr(distributions, "substream", first_draw_opens_a_window)
         tracemalloc.start()
         try:
-            experiments._erm_trials(self.cls, self.design, self.noise, 2800, 5, 4, tol=1e-9)
+            experiments._erm_trials([(self.cls, self.design, self.noise, 2800, 5)], 4, tol=1e-9)
             window()
         finally:
             tracemalloc.stop()
@@ -278,7 +282,7 @@ class TestErmTrials:
     def test_results_equal_lone_solves(self, workers, monkeypatch):
         monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
         for N in (350, 2800):
-            results = experiments._erm_trials(self.cls, self.design, self.noise, N, 5, 4, tol=1e-9)
+            (results,) = experiments._erm_trials([(self.cls, self.design, self.noise, N, 5)], 4, tol=1e-9)
             for j, result in enumerate(results):
                 lone = solve_erm(sample_moments(self.cls, self.design, self.noise, N, 5, trial=j), self.cls, tol=1e-9)
                 assert result.t_hat.tobytes() == lone.t_hat.tobytes()
@@ -293,6 +297,114 @@ class TestErmTrials:
         monkeypatch.setattr(experiments, "_moments_into", lambda G, *args: moments_into(np.full_like(G, np.nan), *args))
         assert cli.run([*argv, "--output", str(tmp_path / "fresh.json")]) == 0
         assert (tmp_path / "reused.json").read_bytes() == (tmp_path / "fresh.json").read_bytes()
+
+    # two n's, one on each side of erm._GATHER_MIN_N, and two N's: the n = 300
+    # cells are 4 batches of 5 trials each, the n = 40 cells one of 20
+    TWO_N = SweepConfig(design={"kind": "rademacher"}, noise={"kind": "gaussian"}, n_grid=(300, 40), N_grid=(150, 600), sigma_grid=(0.5,), trials=20, seed=17, t0_shape="spike", t0_fraction=0.5)
+
+    def test_two_n_sweep_bytes_at_any_worker_count_and_fresh_buffers(self, monkeypatch):
+        reports = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("ERMBOUNDS_WORKERS", workers)
+            reports.append(run_persistence_sweep(self.TWO_N))
+        # fresh buffers hold NaN, so an entry the fill leaves unwritten would show
+        moments_into = experiments._moments_into
+        monkeypatch.setattr(experiments, "_moments_into", lambda G, *args: moments_into(np.full_like(G, np.nan), *args))
+        reports.append(run_persistence_sweep(self.TWO_N))
+        for rep in reports[1:]:
+            assert rep.to_json() == reports[0].to_json()
+            assert rep.to_csv() == reports[0].to_csv()
+
+    def test_sweep_is_one_map_trials_call(self, monkeypatch):
+        calls = []
+        map_trials = experiments.map_trials
+        monkeypatch.setattr(experiments, "map_trials", lambda fn, count: calls.append(count) or map_trials(fn, count))
+        cfg = SweepConfig(design={"kind": "gaussian"}, noise={"kind": "gaussian"}, n_grid=(8, 16), N_grid=(32, 64), sigma_grid=(0.5,), trials=20, seed=3)
+        run_persistence_sweep(cfg)
+        # four cells of one batch each
+        assert calls == [4]
+
+    def _spy_solves(self, monkeypatch, cfg, before_solve):
+        """The most solves of each n that ran at once, and the threads that
+        solved, in a sweep on two threads whatever the CPU count."""
+        monkeypatch.setattr(rng, "trial_workers", lambda count: min(2, count))
+        solve_erms, guard = experiments.solve_erms, threading.Lock()
+        active, most, threads = {}, {}, set()
+
+        def spy(moments, cls, **solver):
+            with guard:
+                active[cls.n] = active.get(cls.n, 0) + 1
+                most[cls.n] = max(most.get(cls.n, 0), active[cls.n])
+                threads.add(threading.get_ident())
+            try:
+                before_solve()
+                return solve_erms(moments, cls, **solver)
+            finally:
+                with guard:
+                    active[cls.n] -= 1
+
+        monkeypatch.setattr(experiments, "solve_erms", spy)
+        run_persistence_sweep(cfg)
+        return most, threads
+
+    def test_gathered_solves_never_overlap(self, monkeypatch):
+        # 8 batches of n = 300 > erm._GATHER_MIN_N; each solve lasts at least
+        # 5 ms, so two unlocked ones on two threads would overlap
+        assert 300 > erm._GATHER_MIN_N
+        cfg = SweepConfig(design={"kind": "rademacher"}, noise={"kind": "gaussian"}, n_grid=(300,), N_grid=(150, 600), sigma_grid=(0.5,), trials=20, seed=5)
+        most, threads = self._spy_solves(monkeypatch, cfg, lambda: time.sleep(0.005))
+        assert most == {300: 1} and len(threads) == 2
+
+    def test_dense_solves_run_side_by_side(self, monkeypatch):
+        # two n = 64 cells of one batch each: each solve waits until the
+        # other has started, which a lock around dense solves would not allow
+        cfg = SweepConfig(design={"kind": "rademacher"}, noise={"kind": "gaussian"}, n_grid=(64,), N_grid=(128, 256), sigma_grid=(0.5,), trials=20, seed=5)
+        barrier = threading.Barrier(2, timeout=10)
+        most, threads = self._spy_solves(monkeypatch, cfg, barrier.wait)
+        assert most == {64: 2} and len(threads) == 2
+
+    def _traced_sweep(self, monkeypatch, cfg):
+        """The traced bytes live at each `_moments_into` call, with its n,
+        and the peak, both above what was live before the sweep, of a sweep
+        at one worker."""
+        monkeypatch.setenv("ERMBOUNDS_WORKERS", "1")
+        moments_into, live = experiments._moments_into, []
+
+        def traced(G, cls, *args):
+            live.append((cls.n, tracemalloc.get_traced_memory()[0] - base))
+            return moments_into(G, cls, *args)
+
+        # a first run imports what the draws and the solve import on first use
+        run_persistence_sweep(cfg)
+        monkeypatch.setattr(experiments, "_moments_into", traced)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_persistence_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+            monkeypatch.setattr(experiments, "_moments_into", moments_into)
+        return live, peak
+
+    def test_two_n_sweep_never_holds_grams_of_both(self, monkeypatch):
+        # the n = 300 trials hold their thread's 5 G's (3.6 MB); once the
+        # n = 40 trials start, not even one of them is live
+        gram = 300 * 300 * 8
+        live, _ = self._traced_sweep(monkeypatch, self.TWO_N)
+        assert [n for n, _ in live] == [300] * 40 + [40] * 40
+        assert min(b for n, b in live if n == 300) >= 5 * gram
+        assert max(b for n, b in live if n == 40) < gram
+
+    def test_multi_n_sweep_peak_within_per_cell_pools(self, monkeypatch):
+        # a pool per cell held at most its largest cell's peak, plus the rows
+        # of the cells before it; one pool adds only the results it keeps to
+        # the end, under 8 n + 512 bytes a trial
+        cells = [SweepConfig(**{**asdict(self.TWO_N), "n_grid": (n,), "N_grid": (N,)}) for n in self.TWO_N.n_grid for N in self.TWO_N.N_grid]
+        per_cell = max(self._traced_sweep(monkeypatch, cfg)[1] for cfg in cells)
+        _, peak = self._traced_sweep(monkeypatch, self.TWO_N)
+        kept = sum(self.TWO_N.trials * (8 * n + 512) for n in self.TWO_N.n_grid for _ in self.TWO_N.N_grid)
+        assert peak <= per_cell + kept
 
 
 
